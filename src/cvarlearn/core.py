@@ -209,6 +209,10 @@ def set_diameter(region: AdmissibleSet) -> float:
 class CostModel:
     """Random cost ``J(x, xi)`` with declared regularity metadata.
 
+    ``J(., xi)`` must be convex in the decision for every noise value: the
+    learner's guarantees and the oracle's search over the action grid both
+    rely on it.
+
     Parameters
     ----------
     fn:

@@ -136,10 +136,23 @@ def load_config_file(path) -> dict:
     return values
 
 
+def _as_int(value) -> int:
+    """An integer, also from ``"6e3"`` or ``6000.0``; never by truncation."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def make_config(*sources: dict) -> ExperimentConfig:
     """Build a validated config from dicts of increasing precedence.
 
-    String values are coerced to the field's type; the ``RA_SEED``
+    String values are coerced to the field's type, and an integer field
+    rejects a value with a fractional part; the ``RA_SEED``
     environment variable, when set, overrides the base seed last.
     """
     merged: dict = {}
@@ -155,7 +168,7 @@ def make_config(*sources: dict) -> ExperimentConfig:
         ftype = _FIELD_TYPES[key]
         try:
             if ftype == "int" or ftype is int:
-                coerced[key] = int(float(value)) if isinstance(value, str) else int(value)
+                coerced[key] = _as_int(value)
             elif ftype == "float" or ftype is float:
                 coerced[key] = float(value)
             else:
@@ -223,7 +236,8 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     The cost's U and L0 are computed from the admissible set and the noise
     support (the Gaussian support is taken as its +/-10 sigma truncation)
     and logged, since the sampling-requirement constant and the DKW
-    diagnostics reference them.
+    diagnostics reference them. A smoothing radius at or above the decision
+    set's inradius is rejected here, before any oracle or learner work.
     """
     config.validate()
     horizon = config.horizon
@@ -253,6 +267,10 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         xi_lo, xi_hi = noise.support(horizon)
         cost = _tracking_cost((config.track_low, config.track_high),
                               (xi_lo, xi_hi))
+    if config.delta >= region.inradius:
+        raise ConfigurationError(
+            f"smoothing radius {config.delta} must be below the inradius "
+            f"{region.inradius} of the decision set")
     logger.info("scenario %s: U=%.6g L0=%.6g m=%.6g", config.scenario,
                 cost.bound, cost.lipschitz, cost.strong_convexity)
     return Scenario(cost=cost, noise=noise, region=region)

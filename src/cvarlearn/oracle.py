@@ -2,15 +2,19 @@
 
 The true CVaR of a decision is computed on a deterministic mid-quantile grid
 of the step's noise distribution (bias O(1/grid_n) for Lipschitz costs,
-reproducible without Monte Carlo). Per-step optimal actions come from an
-exhaustive 1-D action grid, matching the evaluation protocol of the pricing
-study.
+reproducible without Monte Carlo). Per-step optimal actions are the first
+minimizers over a 1-D action grid, matching the evaluation protocol of the
+pricing study. They are found by a warm-started convex search over the action
+grid, ties to the smaller action: each ``J(., xi)`` is convex in the decision
+and CVaR is monotone and convex, so the grid CVaR is discrete-convex and a
+descent walk finds its minimum after a few CVaR rows instead of all ``k``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +28,6 @@ __all__ = [
     "optimal_action_series",
     "RegretReport",
     "dynamic_regret",
-    "accumulated_loss",
     "batch_optimal_actions",
 ]
 
@@ -36,12 +39,22 @@ def _mid_quantiles(grid_n: int) -> np.ndarray:
     return (np.arange(grid_n) + 0.5) / grid_n
 
 
+def _quantile_grid(noise: NoiseSequence, t: int, grid_n: int) -> np.ndarray:
+    """Noise values of step ``t`` at the mid-quantile levels."""
+    return np.asarray(noise.quantile(t, _mid_quantiles(grid_n)), dtype=float)
+
+
+#: Rescan window of the action search, relative to the cost bound U. It must
+#: exceed the rounding error of a CVaR of values bounded by U, or a flat
+#: stretch can hide the first minimum; a wider window only costs evaluations.
+_TOL = 1e-9
+
+
 def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x, alpha: float,
               grid_n: int = 10_000) -> float:
     """Deterministic CVaR of ``J(x, xi_t)`` via a mid-quantile noise grid."""
     x = as_vector(x)
-    xi = np.asarray(noise.quantile(t, _mid_quantiles(grid_n)), dtype=float)
-    values = np.asarray(cost(x, xi), dtype=float)
+    values = np.asarray(cost(x, _quantile_grid(noise, t, grid_n)), dtype=float)
     return float(cvar_of_values(values, alpha))
 
 
@@ -62,10 +75,9 @@ def action_grid(region: AdmissibleSet, k: int) -> np.ndarray:
     return lo + (np.arange(k) + 0.5) * (hi - lo) / k
 
 
-def _grid_cvars(cost: CostModel, noise: NoiseSequence, t: int, xs: np.ndarray,
-                alpha: float, grid_n: int) -> np.ndarray:
-    """CVaR at step ``t`` for every action in ``xs`` (1-D decisions)."""
-    xi = np.asarray(noise.quantile(t, _mid_quantiles(grid_n)), dtype=float)
+def _grid_cvars(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
+                alpha: float) -> np.ndarray:
+    """CVaR against the noise grid ``xi`` for every action in ``xs`` (1-D)."""
     if cost.vectorized:
         values = np.asarray(cost(xs[:, None], xi[None, :]), dtype=float)
         if values.shape != (xs.size, xi.size):
@@ -78,6 +90,42 @@ def _grid_cvars(cost: CostModel, noise: NoiseSequence, t: int, xs: np.ndarray,
     return cvar_of_values(values, alpha)
 
 
+def _first_grid_minimum(f: Callable[[int], float], k: int, start: int,
+                        tol: float) -> tuple[int, float]:
+    """First minimizer of a discrete-convex ``f`` over ``0..k-1`` and its value.
+
+    ``f(i)`` is evaluated lazily, at most once per index. A walk from
+    ``start`` descends to a local minimum, which convexity makes global.
+    Rounding can make a flat stretch look locally non-convex, so the
+    contiguous window of values within ``tol`` of the walk's result is
+    rescanned and its first minimum returned: the grid's first minimum, as
+    ``np.argmin`` over all ``k`` values would find it.
+    """
+    at = functools.cache(f)
+    i = start
+    while i > 0 and at(i - 1) <= at(i):
+        i -= 1
+    while i < k - 1 and at(i + 1) < at(i):
+        i += 1
+    level = at(i) + tol
+    left, right = i, i + 1
+    while left > 0 and at(left - 1) <= level:
+        left -= 1
+    while right < k and at(right) <= level:
+        right += 1
+    best = min(range(left, right), key=at)
+    return best, float(at(best))
+
+
+def _step_minimum(cost: CostModel, noise: NoiseSequence, t: int, xs: np.ndarray,
+                  alpha: float, grid_n: int, start: int) -> tuple[int, float]:
+    """Index into ``xs`` of the step-``t`` grid minimum, searched from ``start``."""
+    xi = _quantile_grid(noise, t, grid_n)
+    return _first_grid_minimum(
+        lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
+        xs.size, start, _TOL * cost.bound)
+
+
 def optimal_action_grid(cost: CostModel, noise: NoiseSequence, t: int,
                         region: AdmissibleSet, alpha: float, k: int = 100,
                         grid_n: int = 10_000) -> tuple[np.ndarray, float]:
@@ -86,9 +134,8 @@ def optimal_action_grid(cost: CostModel, noise: NoiseSequence, t: int,
     Ties break toward the smaller coordinate (first grid hit).
     """
     xs = action_grid(region, k)
-    cv = _grid_cvars(cost, noise, t, xs, alpha, grid_n)
-    i = int(np.argmin(cv))
-    return np.array([xs[i]]), float(cv[i])
+    i, c = _step_minimum(cost, noise, t, xs, alpha, grid_n, xs.size // 2)
+    return np.array([xs[i]]), c
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
@@ -97,16 +144,16 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step grid-optimal actions and CVaR values for ``t = 1..horizon``.
 
+    Each step's search starts from the previous step's minimizer.
     Trajectory-independent, so one series can be shared across trials.
     """
     xs = action_grid(region, k)
     x_star = np.empty(horizon)
     c_star = np.empty(horizon)
+    i = xs.size // 2
     for t in range(1, horizon + 1):
-        cv = _grid_cvars(cost, noise, t, xs, alpha, grid_n)
-        i = int(np.argmin(cv))
+        i, c_star[t - 1] = _step_minimum(cost, noise, t, xs, alpha, grid_n, i)
         x_star[t - 1] = xs[i]
-        c_star[t - 1] = cv[i]
     return x_star, c_star
 
 
@@ -161,16 +208,6 @@ def dynamic_regret(trajectory: Sequence, cost: CostModel, noise: NoiseSequence,
     )
 
 
-def accumulated_loss(trajectory: Sequence, cost: CostModel, noise: NoiseSequence,
-                     alpha: float, grid_n: int = 10_000) -> np.ndarray:
-    """Running sum of the true CVaR at the played actions."""
-    played = np.array([
-        true_cvar(cost, noise, rec.t, rec.x_hat, alpha, grid_n)
-        for rec in trajectory
-    ])
-    return np.cumsum(played)
-
-
 def batch_optimal_actions(cost: CostModel, noise: NoiseSequence,
                           steps: Iterable[int], region: AdmissibleSet,
                           alpha: float, k: int = 100, grid_n: int = 10_000
@@ -180,8 +217,9 @@ def batch_optimal_actions(cost: CostModel, noise: NoiseSequence,
     if not steps:
         raise ConfigurationError("batch must contain at least one step")
     xs = action_grid(region, k)
-    totals = np.zeros_like(xs)
-    for t in steps:
-        totals += _grid_cvars(cost, noise, t, xs, alpha, grid_n)
-    i = int(np.argmin(totals))
-    return np.array([xs[i]]), float(totals[i])
+    grids = [_quantile_grid(noise, t, grid_n) for t in steps]
+    i, total = _first_grid_minimum(
+        lambda j: sum(_grid_cvars(cost, xi, xs[j:j + 1], alpha)[0]
+                      for xi in grids),
+        xs.size, xs.size // 2, _TOL * cost.bound * len(steps))
+    return np.array([xs[i]]), total

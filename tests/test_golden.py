@@ -1,0 +1,46 @@
+"""Byte-identity of the CLI's CSV output, pinned by sha256.
+
+The hashes were recorded from the exhaustive action-grid oracle. Any change
+to the learner, the oracle or the CSV writer that moves a single byte of a
+trajectory, aggregate or ablation table fails here.
+"""
+
+import hashlib
+
+import pytest
+
+import cvarlearn.cli as cli
+
+COMMON = ["--T", "60", "--batch", "10", "--trials", "2", "--jobs", "1",
+          "--oracle-k", "20", "--oracle-grid", "1000"]
+
+RUN_HASHES = {
+    "run_trial0.csv": "677e47c4770fc9aaa2e9e0e566d2a3f7697ca05bbbfa3731bb0bbaa45c7c21a8",
+    "run_trial1.csv": "49d31d3897d8c80919cb90975280413a2aaaba1d8af0666a8505afcbfe2048d1",
+    "run_aggregate.csv": "e145b5e5911666c5680893272fcb576d5e28f73e9a1d36d6a36fabf47c14ee92",
+}
+
+ABLATE_HASHES = {
+    "abl_ablation.csv": "5fc847fc937e3bb90744bf5eaf7614a02a5322de97105feb2c10fd860c7ef195",
+    "abl_n4_aggregate.csv": "8069ff6b30b590393070c3ed864010595203d9c8756e365587f0eb342fb371ad",
+    "abl_n4_trial0.csv": "4c27b9fc825ccc7dd03f15853b94b8b1db28d0920468c3ba5716877d53ba4c2e",
+    "abl_n4_trial1.csv": "a83c30f10e2229841cedb0677d92e82a1b6e880886d7c40cbee2af40fa6dd7df",
+    "abl_n8_aggregate.csv": "22dee2bed2d75f0c5e42e898b257ab87513b21a5e7950651e3eef95cf5b7d04f",
+    "abl_n8_trial0.csv": "3fbcd9bbce139b33fa0a0762c265dc63e357ea5cc22ba7d7d9a0660a61174a49",
+    "abl_n8_trial1.csv": "b99bd6d932efa4ece21fde753080a8d32f83d2b5d14fe5d7121a1cffa1b7cfe6",
+}
+
+
+def _hashes(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.glob("*.csv")}
+
+
+@pytest.mark.parametrize("argv, prefix, expected", [
+    (["run", "--scenario", "parking"], "run", RUN_HASHES),
+    (["ablate", "--scenario", "brownian", "--counts", "4,8"], "abl",
+     ABLATE_HASHES),
+], ids=["run-parking", "ablate-brownian"])
+def test_cli_csv_hashes(tmp_path, argv, prefix, expected):
+    assert cli.main([*argv, *COMMON, "--out", str(tmp_path / prefix)]) == 0
+    assert _hashes(tmp_path) == expected

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cvarlearn.cli as cli
+import cvarlearn.oracle as oracle
 import cvarlearn.verify as verify
 from cvarlearn.core import ConfigurationError
 from cvarlearn.harness import (
@@ -50,6 +51,15 @@ class TestConfigParsing:
         path.write_text("horizon 100\n")
         with pytest.raises(ConfigurationError):
             load_config_file(path)
+
+    @pytest.mark.parametrize("value", ["6000", "6e3", "6000.0", 6000.0], ids=repr)
+    def test_integral_int_spellings_accepted(self, value):
+        assert make_config({"horizon": value}).horizon == 6000
+
+    @pytest.mark.parametrize("value", ["40.7", 40.7, "1e400", "nan"], ids=repr)
+    def test_fractional_int_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            make_config({"horizon": value})
 
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("RA_SEED", "99")
@@ -217,6 +227,36 @@ class TestCli:
                          "--trials", "1", "--jobs", "1",
                          "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_config_file_run(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        common = ("batch_size = 5\ntrials = 1\njobs = 1\noracle_k = 10\n"
+                  "oracle_grid = 1e3\n")
+        path.write_text("horizon = 1e1\n" + common)
+        code = cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "ok")])
+        assert code == 0
+        assert len((tmp_path / "ok_trial0.csv").read_text().splitlines()) == 11
+        path.write_text("horizon = 10.7\n" + common)
+        code = cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "frac")])
+        assert code == 1
+        assert "horizon" in capsys.readouterr().err
+        assert not list(tmp_path.glob("frac*"))
+
+    @pytest.mark.parametrize("command", [["run"], ["ablate", "--counts", "2,4"]])
+    def test_delta_at_inradius_exits_one_before_the_oracle(
+            self, tmp_path, monkeypatch, capsys, command):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran on an invalid configuration")
+
+        monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
+        code = cli.main([*command, "--delta", "2.5", "--T", "10", "--batch",
+                         "5", "--trials", "1", "--jobs", "1",
+                         "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "inradius" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_runtime_failure_exit_two(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
-    accumulated_loss,
+    _first_grid_minimum,
+    _grid_cvars,
+    _quantile_grid,
     action_grid,
     batch_optimal_actions,
     dynamic_regret,
@@ -23,6 +27,17 @@ class FakeRecord:
 
 def pricing_scenario(horizon=6000):
     return build_scenario(ExperimentConfig(horizon=horizon))
+
+
+def scan_series(cost, noise, region, alpha, horizon, k, grid_n):
+    """Exhaustive reference: every grid action's CVaR, first ``np.argmin``."""
+    xs = action_grid(region, k)
+    x_star, c_star = np.empty(horizon), np.empty(horizon)
+    for t in range(1, horizon + 1):
+        cv = _grid_cvars(cost, _quantile_grid(noise, t, grid_n), xs, alpha)
+        i = int(np.argmin(cv))
+        x_star[t - 1], c_star[t - 1] = xs[i], cv[i]
+    return x_star, c_star
 
 
 IDENTITY_COST = CostModel(fn=lambda x, xi: 0.0 * x + xi, bound=10.0, lipschitz=1.0)
@@ -124,6 +139,56 @@ class TestOptimalActionGrid:
         assert 0.0 < c_star < scen.cost.bound
 
 
+# Costs convex in x for every noise value, keyed by family; ``c`` shifts and
+# ``w`` scales or widens. Hinge costs have a flat bottom of exact zeros, and
+# constant costs tie everywhere. Flat costs are constant in x too, but adding
+# and subtracting x rounds differently at each action, so their grid CVaR is
+# flat only up to rounding and has spurious local minima.
+CONVEX_COSTS = {
+    "flat": lambda c, w: lambda x, xi: (x + (4.0 + abs(c) + w * xi)) - x,
+    "quadratic": lambda c, w: lambda x, xi: w * (x - c - xi) ** 2,
+    "hinge": lambda c, w: lambda x, xi: np.maximum(np.abs(x - c - xi) - w, 0.0),
+    "linear": lambda c, w: lambda x, xi: (c - 1.0) * x + w * xi,
+    "constant": lambda c, w: lambda x, xi: 0.0 * x + 0.0 * xi + c,
+}
+
+
+class TestConvexSearch:
+    @pytest.mark.parametrize("scenario, horizon",
+                             [("parking", 1500), ("brownian", 500),
+                              ("custom", 200)])
+    def test_series_equals_exhaustive_scan(self, scenario, horizon):
+        scen = build_scenario(ExperimentConfig(scenario=scenario,
+                                               horizon=horizon))
+        args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
+        x_star, c_star = optimal_action_series(*args, k=100, grid_n=2000)
+        x_ref, c_ref = scan_series(*args, k=100, grid_n=2000)
+        assert x_star == pytest.approx(x_ref, abs=0)
+        assert c_star == pytest.approx(c_ref, abs=0)
+
+    @given(family=st.sampled_from(sorted(CONVEX_COSTS)),
+           c=st.floats(-2.0, 2.0), w=st.floats(0.0, 2.0),
+           k=st.integers(2, 30), low=st.floats(-1.0, 1.0),
+           width=st.floats(0.0, 1.0), alpha=st.floats(0.05, 1.0))
+    @example(family="flat", c=0.5, w=1.0, k=30, low=0.0, width=0.5,
+             alpha=0.25)  # a plain descent walk stops early from 20 starts
+    @settings(max_examples=100, deadline=None)
+    def test_every_start_finds_the_first_argmin(self, family, c, w, k, low,
+                                                width, alpha):
+        fn = CONVEX_COSTS[family](c, w)
+        xi = _quantile_grid(constant_uniform(1, low, low + width), 1, 1000)
+        xs = action_grid(Box([-1.0], [1.0]), k)
+        bound = float(np.abs(fn(xs[:, None], xi[None, :])).max()) or 1.0
+        cost = CostModel(fn=fn, bound=bound, lipschitz=1.0)
+        scan = _grid_cvars(cost, xi, xs, alpha)
+        for start in range(k):
+            i, value = _first_grid_minimum(
+                lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
+                k, start, 1e-9 * bound)
+            assert i == int(np.argmin(scan))
+            assert value == scan[i]
+
+
 class TestDynamicRegret:
     def test_playing_the_optimum_gives_zero_regret(self):
         scen = pricing_scenario(horizon=30)
@@ -170,20 +235,24 @@ class TestDynamicRegret:
 
 
 class TestAccumulatedLoss:
+    UNIT_BOX = Box([0.0], [1.0])
+
     def test_zero_cost(self):
         cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0,
                          lipschitz=1.0)
         noise = constant_uniform(10, 0.0, 1.0)
         traj = [FakeRecord(t, [0.5]) for t in range(1, 11)]
-        assert accumulated_loss(traj, cost, noise, 0.5, 1000) == pytest.approx(
-            np.zeros(10))
+        report = dynamic_regret(traj, cost, noise, self.UNIT_BOX, 0.5, k=10,
+                                grid_n=1000)
+        assert report.accumulated_loss == pytest.approx(np.zeros(10))
 
     def test_constant_cost_accumulates_linearly(self):
         cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi + 3.0, bound=4.0,
                          lipschitz=1.0)
         noise = constant_uniform(10, 0.0, 1.0)
         traj = [FakeRecord(t, [0.5]) for t in range(1, 11)]
-        got = accumulated_loss(traj, cost, noise, 0.5, 1000)
+        got = dynamic_regret(traj, cost, noise, self.UNIT_BOX, 0.5, k=10,
+                             grid_n=1000).accumulated_loss
         assert got == pytest.approx(3.0 * np.arange(1, 11))
 
 
