@@ -16,7 +16,7 @@ from .core import (
     set_diameter,
     shrunk_set,
 )
-from .learner import IterationRecord, LearnerConfig, run
+from .learner import LearnerConfig, Trace, run_trials
 from .risk import (
     EmpiricalCdf,
     build_ecdf,
@@ -55,10 +55,10 @@ __all__ = [
     "CostModel",
     "EmpiricalCdf",
     "InverseEpochRate",
-    "IterationRecord",
     "LearnerConfig",
     "NoiseSequence",
     "PolynomialSampling",
+    "Trace",
     "batch_epoch",
     "build_ecdf",
     "check_sampling_requirement",
@@ -71,7 +71,7 @@ __all__ = [
     "perturb",
     "project",
     "ru_functional",
-    "run",
+    "run_trials",
     "sample_unit_sphere",
     "sampling_count_poly",
     "set_diameter",

@@ -24,53 +24,36 @@ from .harness import (
 from .schedule import theorem1_params, theorem2_params
 from .verify import run_suites
 
+#: Config flags: flag -> (ExperimentConfig field, help). Their values reach
+#: ``make_config`` as strings, so flags and config files share one parser and
+#: one validator, and a bad value exits 1 either way.
 _CONFIG_FLAGS = {
-    # flag destination -> ExperimentConfig field
-    "scenario": "scenario",
-    "T": "horizon",
-    "batch": "batch_size",
-    "delta": "delta",
-    "alpha": "alpha",
-    "samples": "samples",
-    "eta": "eta",
-    "rate": "rate_rule",
-    "x0": "x0",
-    "trials": "trials",
-    "seed": "base_seed",
-    "jobs": "jobs",
-    "out": "out_prefix",
-    "oracle_grid": "oracle_grid",
-    "oracle_k": "oracle_k",
+    "--scenario": ("scenario", "parking, brownian or custom"),
+    "--T": ("horizon", "iteration horizon"),
+    "--batch": ("batch_size", "restarting batch size"),
+    "--delta": ("delta", "smoothing radius"),
+    "--alpha": ("alpha", "risk level in (0, 1]"),
+    "--samples": ("samples", "cost queries per step"),
+    "--eta": ("eta", "constant learning rate"),
+    "--rate": ("rate_rule", "learning-rate rule: constant or inverse"),
+    "--x0": ("x0", "initial decision"),
+    "--trials": ("trials", "number of seeded trials"),
+    "--seed": ("base_seed", "base seed (RA_SEED overrides)"),
+    "--out": ("out_prefix", "output path prefix"),
+    "--oracle-grid": ("oracle_grid", "quantile grid size of the evaluation oracle"),
+    "--oracle-k": ("oracle_k", "action-grid size of the evaluation oracle"),
 }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--scenario", choices=("parking", "brownian", "custom"))
-    parser.add_argument("--T", type=int, help="iteration horizon")
-    parser.add_argument("--batch", type=int, help="restarting batch size")
-    parser.add_argument("--delta", type=float, help="smoothing radius")
-    parser.add_argument("--alpha", type=float, help="risk level in (0, 1]")
-    parser.add_argument("--samples", type=int, help="cost queries per step")
-    parser.add_argument("--eta", type=float, help="constant learning rate")
-    parser.add_argument("--rate", choices=("constant", "inverse"),
-                        help="learning-rate rule")
-    parser.add_argument("--x0", type=float, help="initial decision")
-    parser.add_argument("--trials", type=int, help="number of seeded trials")
-    parser.add_argument("--seed", type=int, help="base seed (RA_SEED overrides)")
-    parser.add_argument("--jobs", type=int, help="parallel trial workers (0 = auto)")
-    parser.add_argument("--out", help="output path prefix")
-    parser.add_argument("--oracle-grid", type=int, dest="oracle_grid",
-                        help="quantile grid size of the evaluation oracle")
-    parser.add_argument("--oracle-k", type=int, dest="oracle_k",
-                        help="action-grid size of the evaluation oracle")
+    for flag, (field, help_text) in _CONFIG_FLAGS.items():
+        parser.add_argument(flag, dest=field, help=help_text)
 
 
 def _config_from_args(args: argparse.Namespace):
     file_values = load_config_file(args.config) if args.config else {}
-    flag_values = {field: getattr(args, flag)
-                   for flag, field in _CONFIG_FLAGS.items()
-                   if getattr(args, flag, None) is not None}
+    flag_values = {field: getattr(args, field) for field, _ in _CONFIG_FLAGS.values()}
     return make_config(file_values, flag_values)
 
 
@@ -89,11 +72,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    counts = [int(c) for c in args.counts.split(",") if c.strip()]
+    counts = [c for c in args.counts.split(",") if c.strip()]
     aggregates = run_ablation(config, counts)
     print("n_t  mean final accumulated loss  (std over trials)")
-    for n in counts:
-        final = aggregates[n].acc_loss[:, -1]
+    for n, agg in aggregates.items():
+        final = agg.acc_loss[:, -1]
         print(f"{n:4d}  {final.mean():26.6f}  ({final.std():.6f})")
     print(f"wrote {config.out_prefix}_ablation.csv")
     return 0

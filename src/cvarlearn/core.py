@@ -47,6 +47,23 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _as_points(x) -> np.ndarray:
+    """``x`` as one finite decision ``(d,)`` or a stack of them ``(n, d)``."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2:
+        return as_vector(v)
+    if not np.all(np.isfinite(v)):
+        raise ConfigurationError("decision vector has non-finite coordinates")
+    return v
+
+
+def _check_dim(x: np.ndarray, dim: int) -> None:
+    if x.shape[-1] != dim:
+        raise ConfigurationError(
+            f"dimension mismatch: point is {x.shape[-1]}-D, set is {dim}-D"
+        )
+
+
 def _frozen_array(obj, field: str, value) -> None:
     arr = np.asarray(value, dtype=float)
     arr.flags.writeable = False
@@ -94,16 +111,15 @@ class Box:
         return float(np.linalg.norm(self.upper - self.lower))
 
     def project(self, x) -> np.ndarray:
-        x = as_vector(x)
-        if x.size != self.dim:
-            raise ConfigurationError(
-                f"dimension mismatch: point is {x.size}-D, set is {self.dim}-D"
-            )
+        """Nearest point of the box to ``x``, or to each row of ``x``."""
+        x = _as_points(x)
+        _check_dim(x, self.dim)
         return np.clip(x, self.lower, self.upper)
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = as_vector(x)
-        if x.size != self.dim:
+        """Whether ``x``, or every row of ``x``, lies in the box."""
+        x = _as_points(x)
+        if x.shape[-1] != self.dim:
             return False
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
@@ -144,24 +160,24 @@ class Ball:
         return 2.0 * self.radius
 
     def project(self, x) -> np.ndarray:
-        x = as_vector(x)
-        if x.size != self.dim:
-            raise ConfigurationError(
-                f"dimension mismatch: point is {x.size}-D, set is {self.dim}-D"
-            )
+        """Nearest point of the ball to ``x``, or to each row of ``x``."""
+        x = _as_points(x)
+        _check_dim(x, self.dim)
         offset = x - self.center
-        dist = float(np.linalg.norm(offset))
+        dist = np.linalg.norm(offset, axis=-1, keepdims=True)
         # ulp-scale slack keeps the projection exactly idempotent: a point just
         # rescaled onto the sphere may re-measure a few ulps outside it.
-        if dist <= self.radius * (1.0 + 1e-14):
-            return x
-        return self.center + offset * (self.radius / dist)
+        inside = dist <= self.radius * (1.0 + 1e-14)
+        return np.where(inside, x, self.center
+                        + offset * (self.radius / np.where(inside, 1.0, dist)))
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = as_vector(x)
-        if x.size != self.dim:
+        """Whether ``x``, or every row of ``x``, lies in the ball."""
+        x = _as_points(x)
+        if x.shape[-1] != self.dim:
             return False
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+        dist = np.linalg.norm(x - self.center, axis=-1)
+        return bool(np.all(dist <= self.radius + tol))
 
     def shrink(self, delta: float) -> "Ball":
         factor = _shrink_factor(self, delta)
@@ -246,6 +262,26 @@ class CostModel:
 
     def __call__(self, x, xi):
         return self.fn(x, xi)
+
+    def rows(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """``J(x[r], xi[r])`` for every row ``r``, as an array ``(rows, n)``.
+
+        ``x`` holds one decision per row, ``(rows, d)``; ``xi`` holds one row
+        of ``n`` noise values per decision, or a single row ``(1, n)`` shared
+        by all. A vectorized cost of 1-D decisions is evaluated in one
+        broadcast call, any other cost once per row.
+        """
+        shape = (x.shape[0], xi.shape[-1])
+        if self.vectorized and x.shape[1] == 1:
+            values = np.asarray(self(x, xi), dtype=float)
+        else:
+            values = np.array([np.asarray(self(row, noise), dtype=float)
+                               for row, noise in zip(x, np.broadcast_to(xi, shape))])
+        if values.shape != shape:
+            raise ConfigurationError(
+                f"cost model returned shape {values.shape} for {shape[0]} "
+                f"decision(s) with {shape[1]} noise value(s) each")
+        return values
 
 
 class NoiseSequence(ABC):

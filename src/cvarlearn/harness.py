@@ -1,11 +1,10 @@
 """Experiment harness: configuration, seeded multi-trial runs, CSV output.
 
 A flat key-value config file (plus CLI flag overrides) selects a scenario and
-all run parameters. Each trial ``i`` runs with seed ``base_seed + i``; trials
-execute in parallel processes by default and are aggregated by trial index,
-so results are byte-identical regardless of scheduling. All output is CSV
-(17-significant-digit floats, LF endings, UTF-8); plotting is left to
-external tools.
+all run parameters. Each trial ``i`` runs with seed ``base_seed + i``; all
+trials of an experiment step in lockstep in one process, and a trial's output
+depends only on its seed. All output is CSV (17-significant-digit floats, LF
+endings, UTF-8); plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +64,6 @@ class ExperimentConfig:
     x0: float = 1.0
     trials: int = 10
     base_seed: int = 0
-    jobs: int = 0  # 0 = one worker per trial up to the CPU count
     oracle_k: int = 100
     oracle_grid: int = 2000
     out_prefix: str = "ra"
@@ -109,8 +106,6 @@ class ExperimentConfig:
             raise ConfigurationError("rate_rule must be 'constant' or 'inverse'")
         if self.samples < 1:
             raise ConfigurationError("samples must be >= 1")
-        if self.jobs < 0:
-            raise ConfigurationError("jobs must be >= 0")
         if self.oracle_k < 2:
             raise ConfigurationError("oracle action grid needs >= 2 points")
         if self.oracle_grid < 1000:
@@ -276,8 +271,8 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     return Scenario(cost=cost, noise=noise, region=region)
 
 
-def _learner_config(config: ExperimentConfig, scenario: Scenario,
-                    seed: int) -> learner.LearnerConfig:
+def _learner_config(config: ExperimentConfig,
+                    scenario: Scenario) -> learner.LearnerConfig:
     if config.rate_rule == "inverse":
         modulus = scenario.cost.strong_convexity
         if modulus <= 0:
@@ -294,21 +289,7 @@ def _learner_config(config: ExperimentConfig, scenario: Scenario,
         sampling=ConstantSampling(config.samples),
         rate=rate,
         x0=np.array([config.x0]),
-        seed=seed,
     )
-
-
-def _run_trial(config: ExperimentConfig, trial: int,
-               optima: tuple[np.ndarray, np.ndarray]
-               ) -> tuple[list, oracle.RegretReport]:
-    scenario = build_scenario(config)
-    lconf = _learner_config(config, scenario, seed=config.base_seed + trial)
-    records = learner.run(lconf, scenario.cost, scenario.noise, scenario.region)
-    report = oracle.dynamic_regret(records, scenario.cost, scenario.noise,
-                                   scenario.region, config.alpha,
-                                   k=config.oracle_k, grid_n=config.oracle_grid,
-                                   optima=optima)
-    return records, report
 
 
 @dataclass
@@ -335,45 +316,15 @@ class TrialAggregate:
         return self.column(name).std(axis=0)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One row per index of the equal-length ``columns``: integer columns as
+    integers, float columns with 17 significant digits."""
+    cells = [list(map(str, col.tolist())) if col.dtype.kind in "iu"
+             else [format(v, ".17g") for v in col.tolist()]
+             for col in map(np.asarray, columns)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_trajectory_csv(path: Path, records, report: oracle.RegretReport) -> None:
-    if records and records[0].x.size != 1:
-        raise ConfigurationError("trajectory CSV output supports 1-D decisions only")
-    rows = []
-    for i, rec in enumerate(records):
-        rows.append((
-            rec.t, rec.batch, rec.epoch,
-            rec.x[0], rec.x_hat[0], rec.n_samples,
-            rec.cvar_estimate, rec.gradient[0], rec.eta,
-            report.played_cvar[i], report.optimal_cvar[i],
-            report.cumulative_regret[i], report.accumulated_loss[i],
-        ))
-    _write_csv(path, TRAJECTORY_HEADER, rows)
-
-
-def _write_aggregate_csv(path: Path, agg: TrialAggregate) -> None:
-    header = "t," + ",".join(
-        f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
-    stats = [(agg.mean(c), agg.std(c)) for c in AGGREGATE_COLUMNS]
-    rows = []
-    for i, t in enumerate(agg.t):
-        row: list = [int(t)]
-        for mean, std in stats:
-            row.extend((mean[i], std[i]))
-        rows.append(tuple(row))
-    _write_csv(path, header, rows)
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True,
@@ -383,10 +334,13 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
 
     Trial ``i`` uses seed ``base_seed + i``. The per-step optimal-action
     series is trajectory-independent, so it is computed once (or supplied)
-    and shared across trials and workers.
+    and shared across trials.
     """
-    config.validate()
-    scenario = build_scenario(config)
+    return _experiment(config, build_scenario(config), write, optima)
+
+
+def _experiment(config: ExperimentConfig, scenario: Scenario, write: bool,
+                optima: tuple[np.ndarray, np.ndarray] | None) -> TrialAggregate:
     check = check_sampling_requirement(ConstantSampling(config.samples),
                                        config.batch_size, config.sampling_a,
                                        config.sampling_c)
@@ -399,46 +353,36 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
             scenario.cost, scenario.noise, scenario.region, config.alpha,
             config.horizon, k=config.oracle_k, grid_n=config.oracle_grid)
 
-    jobs = config.jobs or min(config.trials, os.cpu_count() or 1)
-    results: list[tuple[list, oracle.RegretReport]] = []
-    if jobs <= 1 or config.trials == 1:
-        for i in range(config.trials):
-            try:
-                results.append(_run_trial(config, i, optima))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"trial {i} (seed {config.base_seed + i}) failed: {exc}") from exc
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_trial, config, i, optima)
-                       for i in range(config.trials)]
-            for i, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"trial {i} (seed {config.base_seed + i}) failed: {exc}"
-                    ) from exc
-
-    horizon = config.horizon
+    seeds = range(config.base_seed, config.base_seed + config.trials)
+    trace = learner.run_trials(_learner_config(config, scenario), scenario.cost,
+                               scenario.noise, scenario.region, seeds)
+    report = oracle.dynamic_regret(trace.x_hat, scenario.cost, scenario.noise,
+                                   scenario.region, config.alpha,
+                                   k=config.oracle_k, grid_n=config.oracle_grid,
+                                   optima=optima)
     agg = TrialAggregate(
-        t=np.arange(1, horizon + 1),
-        x=np.array([[rec.x[0] for rec in records] for records, _ in results]),
-        x_hat=np.array([[rec.x_hat[0] for rec in records]
-                        for records, _ in results]),
-        played_cvar=np.array([rep.played_cvar for _, rep in results]),
-        regret=np.array([rep.cumulative_regret for _, rep in results]),
-        acc_loss=np.array([rep.accumulated_loss for _, rep in results]),
-        optimal_actions=optima[0][:horizon],
-        optimal_cvar=optima[1][:horizon],
+        t=trace.t,
+        x=trace.x[:, :, 0],
+        x_hat=trace.x_hat[:, :, 0],
+        played_cvar=report.played_cvar,
+        regret=report.cumulative_regret,
+        acc_loss=report.accumulated_loss,
+        optimal_actions=report.optimal_actions,
+        optimal_cvar=report.optimal_cvar,
     )
     if write:
         prefix = Path(config.out_prefix)
         if prefix.parent != Path("."):
             prefix.parent.mkdir(parents=True, exist_ok=True)
-        for i, (records, report) in enumerate(results):
-            _write_trajectory_csv(Path(f"{prefix}_trial{i}.csv"), records, report)
-        _write_aggregate_csv(Path(f"{prefix}_aggregate.csv"), agg)
+        for i in range(config.trials):
+            _write_csv(Path(f"{prefix}_trial{i}.csv"), TRAJECTORY_HEADER, (
+                trace.t, trace.batch, trace.epoch, agg.x[i], agg.x_hat[i],
+                trace.n_samples, trace.cvar_estimate[i], trace.gradient[i, :, 0],
+                trace.eta, agg.played_cvar[i], agg.optimal_cvar, agg.regret[i],
+                agg.acc_loss[i]))
+        header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
+        stats = [s for c in AGGREGATE_COLUMNS for s in (agg.mean(c), agg.std(c))]
+        _write_csv(Path(f"{prefix}_aggregate.csv"), header, (agg.t, *stats))
     return agg
 
 
@@ -447,21 +391,26 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     """Re-run the experiment for each sample count and tabulate final losses.
 
     Counts violating the declared sampling requirement produce a warning but
-    still run. Writes one aggregate per count plus a comparison table.
+    still run. Every count is checked before any oracle work. Writes one
+    aggregate per count plus a comparison table.
     """
-    counts = [int(n) for n in sample_counts]
+    try:
+        counts = [_as_int(n) for n in sample_counts]
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"sample counts must be integers: {exc}") from exc
     if len(counts) < 2:
         raise ConfigurationError("ablation needs at least two sample counts")
+    subs = [dataclasses.replace(config, samples=n,
+                                out_prefix=f"{config.out_prefix}_n{n}").validate()
+            for n in counts]
     scenario = build_scenario(config)
     optima = oracle.optimal_action_series(
         scenario.cost, scenario.noise, scenario.region, config.alpha,
         config.horizon, k=config.oracle_k, grid_n=config.oracle_grid)
     aggregates: dict[int, TrialAggregate] = {}
     rows = []
-    for n in counts:
-        sub = dataclasses.replace(config, samples=n,
-                                  out_prefix=f"{config.out_prefix}_n{n}")
-        aggregates[n] = run_experiment(sub, write=write, optima=optima)
+    for n, sub in zip(counts, subs):
+        aggregates[n] = _experiment(sub, scenario, write, optima)
         final_losses = aggregates[n].acc_loss[:, -1]
         check = check_sampling_requirement(ConstantSampling(n), config.batch_size,
                                            config.sampling_a, config.sampling_c)
@@ -470,7 +419,7 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     if write:
         _write_csv(Path(f"{config.out_prefix}_ablation.csv"),
                    "n,mean_final_loss,std_final_loss,requirement_ok,"
-                   "requirement_achieved,requirement_allowed", rows)
+                   "requirement_achieved,requirement_allowed", zip(*rows))
     return aggregates
 
 
@@ -507,5 +456,5 @@ def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport
               if modulus > 0 else None)
     if write:
         _write_csv(Path(f"{config.out_prefix}_budget.csv"), "t,w1",
-                   [(t, w) for t, w in zip(range(2, config.horizon + 1), profile)])
+                   (np.arange(2, config.horizon + 1), profile))
     return BudgetReport(budget=budget, profile=profile, theorem1=t1, theorem2=t2)

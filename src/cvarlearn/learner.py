@@ -7,6 +7,9 @@ gradient estimate, and takes a projected step inside the delta-shrunk
 admissible set. At batch boundaries only the schedule state (epoch, hence
 sample count and learning rate) resets; the decision carries over from the
 previous batch.
+
+Seeded trials share the cost, the noise sequence and the schedule, so they
+step together along a leading trial axis; only the generators are per trial.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from .risk import cvar_of_values
 from .schedule import LearningRateSchedule, SamplingStrategy, batch_epoch
 from .smoothing import gradient_estimate, sample_unit_sphere
 
-__all__ = ["LearnerConfig", "IterationRecord", "run"]
+__all__ = ["LearnerConfig", "Trace", "run_trials"]
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Inputs of a single learning run."""
+    """Inputs of a learning run, shared by all of its trials."""
 
     horizon: int
     batch_size: int
@@ -37,7 +40,6 @@ class LearnerConfig:
     sampling: SamplingStrategy
     rate: LearningRateSchedule
     x0: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "x0", as_vector(self.x0))
@@ -52,29 +54,33 @@ class LearnerConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """Full trace of one algorithm step."""
+class Trace:
+    """Columns of a lockstep run, one array per field.
 
-    t: int
-    batch: int
-    epoch: int
-    x: np.ndarray          # decision before perturbation, in the shrunk set
-    u: np.ndarray          # unit-sphere direction
-    x_hat: np.ndarray      # played (perturbed) action, in the admissible set
-    n_samples: int
-    costs: np.ndarray      # the sampled cost values at x_hat
-    cvar_estimate: float
-    gradient: np.ndarray
-    eta: float
+    Schedule columns are per step, ``(T,)``; trajectory columns lead with the
+    trial axis, ``(trials, T)`` or ``(trials, T, d)``.
+    """
+
+    t: np.ndarray              # (T,) step index, from 1
+    batch: np.ndarray          # (T,) batch index j
+    epoch: np.ndarray          # (T,) within-batch epoch tau
+    n_samples: np.ndarray      # (T,) cost queries per step
+    eta: np.ndarray            # (T,) learning rate
+    x: np.ndarray              # (trials, T, d) decision before perturbation
+    u: np.ndarray              # (trials, T, d) unit-sphere direction
+    x_hat: np.ndarray          # (trials, T, d) played (perturbed) action
+    cvar_estimate: np.ndarray  # (trials, T)
+    gradient: np.ndarray       # (trials, T, d)
+    costs: tuple[np.ndarray, ...]  # per step, (trials, n_t) sampled costs at x_hat
 
 
-def run(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
-        region: AdmissibleSet, rng: np.random.Generator | None = None
-        ) -> list[IterationRecord]:
-    """Run the full loop for ``config.horizon`` steps and return its trace.
+def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
+               region: AdmissibleSet, seeds) -> Trace:
+    """Run ``config.horizon`` steps for every seed in lockstep; return the trace.
 
-    Deterministic given the seed: a single generator is consumed in a fixed
-    order (direction first, then the step's noise draws).
+    Trial ``i`` draws from its own generator, seeded with ``seeds[i]``, in a
+    fixed order: each step's direction first, then its noise uniforms. A
+    trial's columns therefore do not depend on the seeds run beside it.
     """
     if config.delta >= region.inradius:
         raise ConfigurationError(
@@ -86,8 +92,9 @@ def run(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     if config.horizon > noise.horizon:
         raise ConfigurationError(
             f"run horizon {config.horizon} exceeds noise horizon {noise.horizon}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ConfigurationError("a run needs at least one seed")
 
     inner = region.shrink(config.delta)
     x = inner.project(config.x0)
@@ -95,33 +102,38 @@ def run(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
         logger.info("initial decision projected into the shrunk set: %s -> %s",
                     config.x0, x)
 
-    d = region.dim
-    records: list[IterationRecord] = []
-    for t in range(1, int(config.horizon) + 1):
-        j, tau = batch_epoch(t, config.batch_size)
-        n_t = config.sampling.count(tau, config.batch_size)
-        eta_t = config.rate.rate(tau)
-        u = sample_unit_sphere(d, rng)
+    horizon, trials, d = int(config.horizon), len(rngs), region.dim
+    t = np.arange(1, horizon + 1)
+    batch, epoch = np.array([batch_epoch(s, config.batch_size) for s in t]).T
+    n_samples = np.array([config.sampling.count(tau, config.batch_size)
+                          for tau in epoch])
+    eta = np.array([config.rate.rate(tau) for tau in epoch], dtype=float)
+    xs, us, x_hats, grads = (np.empty((trials, horizon, d)) for _ in range(4))
+    cvars = np.empty((trials, horizon))
+    costs = []
+    x = np.tile(x, (trials, 1))
+    for s in range(horizon):
+        u = np.empty((trials, d))
+        q = np.empty((trials, n_samples[s]))
+        for i, rng in enumerate(rngs):
+            u[i] = sample_unit_sphere(d, rng)
+            q[i] = rng.random(n_samples[s])
         x_hat = x + config.delta * u
         if not region.contains(x_hat):
             raise RuntimeError(
-                f"feasibility violated at t={t}: played action {x_hat} left the "
-                "admissible set")
-        xi = noise.sample(t, n_t, rng)
-        costs = np.asarray(cost(x_hat, xi), dtype=float)
-        if costs.shape != (n_t,):
+                f"feasibility violated at t={t[s]}: a played action left the "
+                f"admissible set: {x_hat}")
+        xi = np.asarray(noise.quantile(t[s], q), dtype=float)
+        step_costs = cost.rows(x_hat, xi)
+        if not np.all(np.isfinite(step_costs)):
             raise ConfigurationError(
-                f"cost model returned shape {costs.shape} for {n_t} noise draws")
-        if not np.all(np.isfinite(costs)):
-            raise ConfigurationError(
-                f"cost model returned non-finite values at t={t}, x={x_hat}")
-        cvar_est = float(cvar_of_values(costs, config.alpha))
-        grad = gradient_estimate(cvar_est, u, config.delta, d)
-        records.append(IterationRecord(
-            t=t, batch=j, epoch=tau,
-            x=x.copy(), u=u, x_hat=x_hat,
-            n_samples=n_t, costs=costs,
-            cvar_estimate=cvar_est, gradient=grad, eta=eta_t,
-        ))
-        x = inner.project(x - eta_t * grad)
-    return records
+                f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
+        cvar = cvar_of_values(step_costs, config.alpha)
+        grad = gradient_estimate(cvar, u, config.delta, d)
+        xs[:, s], us[:, s], x_hats[:, s], grads[:, s] = x, u, x_hat, grad
+        cvars[:, s] = cvar
+        costs.append(step_costs)
+        x = inner.project(x - eta[s] * grad)
+    return Trace(t=t, batch=batch, epoch=epoch, n_samples=n_samples, eta=eta,
+                 x=xs, u=us, x_hat=x_hats, cvar_estimate=cvars, gradient=grads,
+                 costs=tuple(costs))

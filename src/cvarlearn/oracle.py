@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -78,16 +78,7 @@ def action_grid(region: AdmissibleSet, k: int) -> np.ndarray:
 def _grid_cvars(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
                 alpha: float) -> np.ndarray:
     """CVaR against the noise grid ``xi`` for every action in ``xs`` (1-D)."""
-    if cost.vectorized:
-        values = np.asarray(cost(xs[:, None], xi[None, :]), dtype=float)
-        if values.shape != (xs.size, xi.size):
-            raise ConfigurationError(
-                "a cost marked vectorized must broadcast to (actions, noise); "
-                f"got shape {values.shape}")
-    else:
-        values = np.stack([np.asarray(cost(np.atleast_1d(x), xi), dtype=float)
-                           for x in xs])
-    return cvar_of_values(values, alpha)
+    return cvar_of_values(cost.rows(xs[:, None], xi[None, :]), alpha)
 
 
 def _first_grid_minimum(f: Callable[[int], float], k: int, start: int,
@@ -159,52 +150,48 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Per-step ground-truth evaluation of a played trajectory."""
+    """Per-step ground-truth evaluation of played trajectories, one row per trial."""
 
-    played_cvar: np.ndarray       # C_t at the played (perturbed) actions
-    optimal_cvar: np.ndarray      # C_t at the per-step grid optima
-    optimal_actions: np.ndarray   # the grid optima themselves
-    cumulative_regret: np.ndarray  # running sum of (played - optimal)
-    accumulated_loss: np.ndarray   # running sum of played CVaR
-
-    @property
-    def final_regret(self) -> float:
-        return float(self.cumulative_regret[-1])
+    played_cvar: np.ndarray       # (trials, T) C_t at the played (perturbed) actions
+    optimal_cvar: np.ndarray      # (T,) C_t at the per-step grid optima
+    optimal_actions: np.ndarray   # (T,) the grid optima themselves
+    cumulative_regret: np.ndarray  # (trials, T) running sum of (played - optimal)
+    accumulated_loss: np.ndarray   # (trials, T) running sum of played CVaR
 
 
-def _played_actions(trajectory: Sequence) -> list[np.ndarray]:
-    return [rec.x_hat for rec in trajectory]
-
-
-def dynamic_regret(trajectory: Sequence, cost: CostModel, noise: NoiseSequence,
+def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                    region: AdmissibleSet, alpha: float, k: int = 100,
                    grid_n: int = 10_000,
                    optima: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> RegretReport:
-    """Evaluate a trajectory against the per-step best actions in hindsight.
+    """Evaluate played actions ``x_hat`` of shape ``(trials, T, d)``, played
+    at steps ``1..T``, against the per-step best actions in hindsight.
 
+    Each step's quantile grid is built once and serves every trial.
     ``optima`` may carry a precomputed ``(x_star, c_star)`` series (e.g.
-    shared across trials); otherwise it is computed here.
+    shared across experiments); otherwise it is computed here.
     """
-    horizon = len(trajectory)
-    if horizon == 0:
-        raise ConfigurationError("empty trajectory")
+    x_hat = np.asarray(x_hat, dtype=float)
+    if x_hat.ndim != 3 or x_hat.shape[1] == 0:
+        raise ConfigurationError(
+            f"played actions must have shape (trials, T, d), got {x_hat.shape}")
+    horizon = x_hat.shape[1]
     if optima is None:
         optima = optimal_action_series(cost, noise, region, alpha, horizon, k, grid_n)
     x_star, c_star = optima
     if len(c_star) < horizon:
         raise ConfigurationError("optima series shorter than the trajectory")
-    played = np.array([
-        true_cvar(cost, noise, rec.t, rec.x_hat, alpha, grid_n)
-        for rec in trajectory
-    ])
-    gaps = played - c_star[:horizon]
+    played = np.empty(x_hat.shape[:2])
+    for s in range(horizon):
+        xi = _quantile_grid(noise, s + 1, grid_n)
+        played[:, s] = cvar_of_values(cost.rows(x_hat[:, s], xi[None, :]), alpha)
+    c_star = np.asarray(c_star[:horizon], dtype=float)
     return RegretReport(
         played_cvar=played,
-        optimal_cvar=np.asarray(c_star[:horizon], dtype=float),
+        optimal_cvar=c_star,
         optimal_actions=np.asarray(x_star[:horizon], dtype=float),
-        cumulative_regret=np.cumsum(gaps),
-        accumulated_loss=np.cumsum(played),
+        cumulative_regret=np.cumsum(played - c_star, axis=1),
+        accumulated_loss=np.cumsum(played, axis=1),
     )
 
 

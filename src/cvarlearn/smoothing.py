@@ -50,16 +50,22 @@ def perturb(x, delta: float, u) -> np.ndarray:
     return x + float(delta) * u
 
 
-def gradient_estimate(cvar_value: float, u, delta: float,
+def gradient_estimate(cvar_value, u, delta: float,
                       d: int | None = None) -> np.ndarray:
-    """One-point gradient estimate ``(d / delta) * cvar_value * u``."""
-    u = as_vector(u)
+    """One-point gradient estimate ``(d / delta) * cvar_value * u``.
+
+    Also one estimate per row: CVaR values ``(trials,)`` with directions
+    ``(trials, d)``.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim < 2:
+        u = as_vector(u)
     delta = float(delta)
     if delta <= 0:
         raise ConfigurationError("smoothing radius must be positive")
     if d is None:
-        d = u.size
-    return (d / delta) * float(cvar_value) * u
+        d = u.shape[-1]
+    return (d / delta) * np.asarray(cvar_value, dtype=float)[..., None] * u
 
 
 def smoothed_cvar_mc(cost: CostModel, noise: NoiseSequence, t: int, x,

@@ -52,6 +52,17 @@ class TestProject:
             px, py = region.project(x), region.project(y)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
+    def test_rows_match_single_points(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            region = random_set(rng)
+            points = rng.uniform(-10, 10, size=(5, region.dim))
+            assert np.array_equal(region.project(points),
+                                  np.array([region.project(x) for x in points]))
+            assert region.contains(points) == all(region.contains(x) for x in points)
+            inner = region.project(points)
+            assert region.contains(inner)
+
     def test_result_is_member(self):
         rng = np.random.default_rng(3)
         for _ in range(500):

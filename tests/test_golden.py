@@ -11,7 +11,7 @@ import pytest
 
 import cvarlearn.cli as cli
 
-COMMON = ["--T", "60", "--batch", "10", "--trials", "2", "--jobs", "1",
+COMMON = ["--T", "60", "--batch", "10", "--trials", "2",
           "--oracle-k", "20", "--oracle-grid", "1000"]
 
 RUN_HASHES = {

@@ -22,7 +22,7 @@ from cvarlearn.risk import cvar_discrete
 
 
 def small_config(tmp_path, **overrides):
-    base = dict(horizon=10, batch_size=5, trials=1, jobs=1, oracle_k=10,
+    base = dict(horizon=10, batch_size=5, trials=1, oracle_k=10,
                 oracle_grid=1000, out_prefix=str(tmp_path / "ra"))
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -113,13 +113,17 @@ class TestRunExperiment:
         assert np.array_equal(agg_a.x[1], agg_c.x[0])
         assert not np.array_equal(agg_a.x[0], agg_c.x[0])
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        seq = small_config(tmp_path, horizon=20, batch_size=5, trials=3, jobs=1)
-        par = dataclasses.replace(seq, jobs=3)
-        agg_seq = run_experiment(seq, write=False)
-        agg_par = run_experiment(par, write=False)
-        assert np.array_equal(agg_seq.x, agg_par.x)
-        assert np.array_equal(agg_seq.regret, agg_par.regret)
+    def test_lockstep_matches_single_trials(self, tmp_path):
+        # Trial i of a lockstep run equals a one-trial run of seed base + i.
+        together = small_config(tmp_path, horizon=20, batch_size=5, trials=3,
+                                base_seed=4)
+        agg = run_experiment(together, write=False)
+        for i in range(3):
+            alone = run_experiment(dataclasses.replace(
+                together, trials=1, base_seed=4 + i), write=False)
+            for name in ("x", "x_hat", "played_cvar", "regret", "acc_loss"):
+                assert np.array_equal(getattr(agg, name)[i],
+                                      getattr(alone, name)[0]), name
 
     def test_aggregate_statistics_definition(self, tmp_path):
         agg = run_experiment(small_config(tmp_path, trials=3), write=False)
@@ -216,7 +220,7 @@ class TestScenarioBounds:
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
         code = cli.main(["run", "--T", "10", "--batch", "5", "--trials", "1",
-                         "--jobs", "1", "--oracle-grid", "1000", "--oracle-k",
+                         "--oracle-grid", "1000", "--oracle-k",
                          "10", "--out", str(tmp_path / "cli")])
         assert code == 0
         assert (tmp_path / "cli_trial0.csv").exists()
@@ -224,13 +228,13 @@ class TestCli:
 
     def test_config_error_exit_one(self, tmp_path):
         code = cli.main(["run", "--alpha", "1.5", "--T", "10", "--batch", "5",
-                         "--trials", "1", "--jobs", "1",
+                         "--trials", "1",
                          "--out", str(tmp_path / "x")])
         assert code == 1
 
     def test_config_file_run(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
-        common = ("batch_size = 5\ntrials = 1\njobs = 1\noracle_k = 10\n"
+        common = ("batch_size = 5\ntrials = 1\noracle_k = 10\n"
                   "oracle_grid = 1e3\n")
         path.write_text("horizon = 1e1\n" + common)
         code = cli.main(["run", "--config", str(path),
@@ -252,17 +256,70 @@ class TestCli:
 
         monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
         code = cli.main([*command, "--delta", "2.5", "--T", "10", "--batch",
-                         "5", "--trials", "1", "--jobs", "1",
+                         "5", "--trials", "1",
                          "--out", str(tmp_path / "x")])
         assert code == 1
         assert "inradius" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("counts", ["8,x", "0,8"])
+    def test_bad_counts_exit_one_before_the_oracle(
+            self, tmp_path, monkeypatch, capsys, counts):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle ran on an invalid configuration")
+
+        monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
+        code = cli.main(["ablate", "--counts", counts, "--T", "10", "--batch",
+                         "5", "--trials", "1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", [["--T", "40.7"], ["--scenario", "foo"]],
+                             ids=["T", "scenario"])
+    def test_bad_flag_value_exits_one(self, tmp_path, capsys, flag):
+        # The same values in a --config file exit 1 too: one parser for both.
+        code = cli.main(["run", *flag, "--batch", "5", "--trials", "1",
+                         "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_float_spelled_int_flag_accepted(self, tmp_path):
+        code = cli.main(["budget", "--T", "6e3", "--out", str(tmp_path / "b")])
+        assert code == 0
+        assert len((tmp_path / "b_budget.csv").read_text().splitlines()) == 6000
+
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--jobs", "1", "--out", str(tmp_path / "x")])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_run_logs_once(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO):
+            code = cli.main(["run", "--T", "10", "--batch", "5", "--trials",
+                             "3", "--oracle-grid", "1000", "--oracle-k", "10",
+                             "--out", str(tmp_path / "r")])
+        assert code == 0
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert sum(m.startswith("scenario parking:") for m in messages) == 1
+        assert sum(m.startswith("initial decision projected") for m in messages) == 1
+
+    def test_ablate_builds_the_scenario_once(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO):
+            code = cli.main(["ablate", "--counts", "2,4", "--T", "10", "--batch",
+                             "5", "--trials", "2", "--oracle-grid", "1000",
+                             "--oracle-k", "10", "--out", str(tmp_path / "a")])
+        assert code == 0
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert sum(m.startswith("scenario parking:") for m in messages) == 1
+        assert sum(m.startswith("degenerate uniform range") for m in messages) == 1
+
     def test_runtime_failure_exit_two(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         code = cli.main(["run", "--T", "10", "--batch", "5", "--trials", "1",
-                         "--jobs", "1", "--oracle-grid", "1000",
+                         "--oracle-grid", "1000",
                          "--out", str(blocker / "sub" / "x")])
         assert code == 2
 
@@ -294,7 +351,7 @@ class TestCli:
         monkeypatch.setenv("RA_SEED", "5")
         cfg = small_config(tmp_path, trials=1)
         agg_env = run_experiment(make_config(
-            {"horizon": 10, "batch_size": 5, "trials": 1, "jobs": 1,
+            {"horizon": 10, "batch_size": 5, "trials": 1,
              "oracle_k": 10, "oracle_grid": 1000,
              "out_prefix": str(tmp_path / "env")}), write=False)
         monkeypatch.delenv("RA_SEED")

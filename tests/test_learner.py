@@ -1,18 +1,30 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cvarlearn.core import Box, ConfigurationError, CostModel
+from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
 from cvarlearn.environment import constant_uniform, parking_noise
-from cvarlearn.learner import LearnerConfig, run
-from cvarlearn.schedule import ConstantRate, ConstantSampling, InverseEpochRate
+from cvarlearn.learner import LearnerConfig, run_trials
+from cvarlearn.schedule import (
+    ConstantRate,
+    ConstantSampling,
+    InverseEpochRate,
+    PolynomialSampling,
+)
 
 
 def make_config(**overrides):
     base = dict(horizon=50, batch_size=10, delta=0.05, alpha=0.5,
                 sampling=ConstantSampling(4), rate=ConstantRate(0.05),
-                x0=np.array([0.5]), seed=0)
+                x0=np.array([0.5]))
     base.update(overrides)
     return LearnerConfig(**base)
+
+
+def run(config, cost, noise, region, seed=0):
+    """Single-trial trace of one seed."""
+    return run_trials(config, cost, noise, region, [seed])
 
 
 ZERO_COST = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0, lipschitz=1.0)
@@ -24,40 +36,40 @@ class TestRunBasics:
     def test_zero_cost_is_a_fixed_point(self):
         region = Box([0.0], [4.0])
         noise = constant_uniform(50, 0.0, 1.0)
-        records = run(make_config(), ZERO_COST, noise, region)
-        assert len(records) == 50
-        for rec in records:
-            assert rec.cvar_estimate == 0.0
-            assert rec.gradient == pytest.approx([0.0])
-            assert rec.x == pytest.approx([0.5])
+        trace = run(make_config(), ZERO_COST, noise, region)
+        assert trace.x.shape == (1, 50, 1)
+        assert np.all(trace.cvar_estimate == 0.0)
+        assert trace.gradient.ravel() == pytest.approx(np.zeros(50))
+        assert trace.x.ravel() == pytest.approx(np.full(50, 0.5))
 
     def test_record_self_consistency(self):
         region = Box([1.0], [5.0])
         noise = parking_noise(100)
         config = make_config(horizon=100, batch_size=20, x0=np.array([1.5]),
                              sampling=ConstantSampling(8))
-        records = run(config, pricing_cost(), noise, region)
+        trace = run_trials(config, pricing_cost(), noise, region, [0, 1])
         d = 1
-        for rec in records:
-            assert np.array_equal(rec.x_hat, rec.x + config.delta * rec.u)
-            assert np.array_equal(
-                rec.gradient, (d / config.delta) * rec.cvar_estimate * rec.u)
-            assert rec.costs.shape == (rec.n_samples,)
+        assert np.array_equal(trace.x_hat, trace.x + config.delta * trace.u)
+        assert np.array_equal(
+            trace.gradient,
+            (d / config.delta) * trace.cvar_estimate[:, :, None] * trace.u)
+        for costs, n_t in zip(trace.costs, trace.n_samples, strict=True):
+            assert costs.shape == (2, n_t)
 
     def test_exact_record_count_with_short_final_batch(self):
         region = Box([0.0], [4.0])
         noise = constant_uniform(25, 0.0, 1.0)
-        records = run(make_config(horizon=25, batch_size=10), ZERO_COST, noise,
-                      region)
-        assert [r.t for r in records] == list(range(1, 26))
-        assert records[-1].batch == 3 and records[-1].epoch == 5
+        trace = run(make_config(horizon=25, batch_size=10), ZERO_COST, noise,
+                    region)
+        assert trace.t.tolist() == list(range(1, 26))
+        assert trace.batch[-1] == 3 and trace.epoch[-1] == 5
 
     def test_initial_point_projected_into_shrunk_set(self):
         region = Box([0.0], [4.0])
         noise = constant_uniform(10, 0.0, 1.0)
-        records = run(make_config(horizon=10, x0=np.array([0.0])), ZERO_COST,
-                      noise, region)
-        assert records[0].x == pytest.approx([0.05])
+        trace = run(make_config(horizon=10, x0=np.array([0.0])), ZERO_COST,
+                    noise, region)
+        assert trace.x[0, 0] == pytest.approx([0.05])
 
 
 def pricing_cost():
@@ -65,6 +77,20 @@ def pricing_cost():
         return (xi - 0.15 * x - 0.7) ** 2 + 0.0005 * x ** 2
 
     return CostModel(fn=fn, bound=0.41, lipschitz=0.2, strong_convexity=0.046)
+
+
+def ball_problem(noise_weight=0.0):
+    """d = 2 ball, a cost that must be evaluated one decision at a time."""
+
+    def fn(x, xi):
+        return float(np.sum(np.asarray(x) ** 2)) + noise_weight * np.asarray(xi)
+
+    cost = CostModel(fn=fn, bound=30.0, lipschitz=10.0, strong_convexity=2.0,
+                     vectorized=False)
+    config = make_config(horizon=3000, batch_size=1000, delta=0.1,
+                         sampling=ConstantSampling(1), rate=ConstantRate(0.01),
+                         x0=np.array([1.5, -1.0]))
+    return Ball([0.0, 0.0], 2.0), cost, config
 
 
 class TestConvergence:
@@ -77,9 +103,9 @@ class TestConvergence:
         noise = constant_uniform(2000, 0.0, 1.0)
         config = make_config(horizon=2000, batch_size=500, delta=0.05,
                              sampling=ConstantSampling(1),
-                             rate=ConstantRate(0.01), x0=np.array([0.5]), seed=3)
-        records = run(config, QUADRATIC_COST, noise, region)
-        tail = np.array([rec.x[0] for rec in records[-100:]])
+                             rate=ConstantRate(0.01), x0=np.array([0.5]))
+        trace = run(config, QUADRATIC_COST, noise, region, seed=3)
+        tail = trace.x[0, -100:, 0]
         assert abs(tail.mean() - 2.0) <= 0.1
 
     def test_matches_independent_scalar_recursion(self):
@@ -91,9 +117,8 @@ class TestConvergence:
         for eta in (0.05, 0.01):
             config = make_config(horizon=2000, batch_size=500, delta=0.05,
                                  sampling=ConstantSampling(1),
-                                 rate=ConstantRate(eta), x0=np.array([0.5]),
-                                 seed=3)
-            records = run(config, QUADRATIC_COST, noise, region)
+                                 rate=ConstantRate(eta), x0=np.array([0.5]))
+            trace = run(config, QUADRATIC_COST, noise, region, seed=3)
             rng = np.random.default_rng(3)
             x = 0.5
             lo, hi = 0.05, 3.95
@@ -105,32 +130,20 @@ class TestConvergence:
                 x_hat = x + 0.05 * u
                 grad = (1.0 / 0.05) * (x_hat - 2.0) ** 2 * u
                 x = min(max(x - eta * grad, lo), hi)
-            got = np.array([rec.x[0] for rec in records])
+            got = trace.x[0, :, 0]
             assert got == pytest.approx(np.array(oracle_traj), abs=1e-12)
 
     def test_two_dimensional_ball_run(self):
         # Full loop in d = 2 over a ball: shapes, feasibility, and drift
         # toward the minimizer at the center.
-        from cvarlearn.core import Ball
-
-        def fn(x, xi):
-            return float(np.sum(np.asarray(x) ** 2)) + 0.0 * np.asarray(xi)
-
-        cost = CostModel(fn=fn, bound=30.0, lipschitz=10.0, strong_convexity=2.0,
-                         vectorized=False)
-        region = Ball([0.0, 0.0], 2.0)
-        noise = constant_uniform(3000, 0.0, 1.0)
-        config = make_config(horizon=3000, batch_size=1000, delta=0.1,
-                             sampling=ConstantSampling(1),
-                             rate=ConstantRate(0.01),
-                             x0=np.array([1.5, -1.0]), seed=7)
-        records = run(config, cost, noise, region)
+        region, cost, config = ball_problem()
+        trace = run(config, cost, constant_uniform(3000, 0.0, 1.0), region,
+                    seed=7)
         inner = region.shrink(config.delta)
-        for rec in records:
-            assert rec.x.shape == rec.u.shape == rec.gradient.shape == (2,)
-            assert abs(np.linalg.norm(rec.u) - 1.0) <= 1e-12
-            assert inner.contains(rec.x) and region.contains(rec.x_hat)
-        tail = np.array([rec.x for rec in records[-200:]])
+        assert trace.x.shape == trace.u.shape == trace.gradient.shape == (1, 3000, 2)
+        assert np.abs(np.linalg.norm(trace.u, axis=-1) - 1.0).max() <= 1e-12
+        assert inner.contains(trace.x[0]) and region.contains(trace.x_hat[0])
+        tail = trace.x[0, -200:]
         assert np.linalg.norm(tail.mean(axis=0)) <= 0.2
 
     def test_nonfinite_cost_rejected(self):
@@ -146,11 +159,10 @@ class TestConvergence:
         noise = parking_noise(400)
         config = make_config(horizon=400, batch_size=100, x0=np.array([1.0]),
                              sampling=ConstantSampling(8), rate=ConstantRate(0.03))
-        records = run(config, pricing_cost(), noise, region)
+        trace = run(config, pricing_cost(), noise, region)
         inner = region.shrink(config.delta)
-        for rec in records:
-            assert inner.contains(rec.x, tol=1e-12)
-            assert region.contains(rec.x_hat, tol=1e-12)
+        assert inner.contains(trace.x[0], tol=1e-12)
+        assert region.contains(trace.x_hat[0], tol=1e-12)
 
 
 class TestDeterminismAndRestarts:
@@ -158,23 +170,23 @@ class TestDeterminismAndRestarts:
         region = Box([1.0], [5.0])
         noise = parking_noise(120)
         config = make_config(horizon=120, batch_size=30, x0=np.array([1.2]),
-                             sampling=ConstantSampling(5), seed=11)
-        first = run(config, pricing_cost(), noise, region)
-        second = run(config, pricing_cost(), noise, region)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.x_hat, b.x_hat)
-            assert np.array_equal(a.costs, b.costs)
-            assert a.cvar_estimate == b.cvar_estimate
+                             sampling=ConstantSampling(5))
+        first = run(config, pricing_cost(), noise, region, seed=11)
+        second = run(config, pricing_cost(), noise, region, seed=11)
+        assert np.array_equal(first.x, second.x)
+        assert np.array_equal(first.x_hat, second.x_hat)
+        for a, b in zip(first.costs, second.costs, strict=True):
+            assert np.array_equal(a, b)
+        assert np.array_equal(first.cvar_estimate, second.cvar_estimate)
 
     def test_seed_changes_trajectory(self):
         region = Box([1.0], [5.0])
         noise = parking_noise(60)
         kwargs = dict(horizon=60, batch_size=30, x0=np.array([1.2]),
                       sampling=ConstantSampling(5))
-        a = run(make_config(seed=1, **kwargs), pricing_cost(), noise, region)
-        b = run(make_config(seed=0, **kwargs), pricing_cost(), noise, region)
-        assert any(not np.array_equal(r1.x_hat, r2.x_hat) for r1, r2 in zip(a, b))
+        a = run(make_config(**kwargs), pricing_cost(), noise, region, seed=1)
+        b = run(make_config(**kwargs), pricing_cost(), noise, region, seed=0)
+        assert not np.array_equal(a.x_hat, b.x_hat)
 
     def test_schedule_resets_at_batch_boundaries(self):
         region = Box([0.0], [4.0])
@@ -182,12 +194,12 @@ class TestDeterminismAndRestarts:
         config = make_config(
             horizon=90, batch_size=30,
             sampling=ConstantSampling(3), rate=InverseEpochRate(2.0))
-        records = run(config, ZERO_COST, noise, region)
-        for rec in records:
-            if rec.t in (1, 31, 61):
-                assert rec.epoch == 1
-                assert rec.eta == pytest.approx(0.5)
-        etas = {rec.epoch: rec.eta for rec in records}
+        trace = run(config, ZERO_COST, noise, region)
+        for t, epoch, eta in zip(trace.t, trace.epoch, trace.eta):
+            if t in (1, 31, 61):
+                assert epoch == 1
+                assert eta == pytest.approx(0.5)
+        etas = dict(zip(trace.epoch.tolist(), trace.eta.tolist()))
         for tau, eta in etas.items():
             assert eta == pytest.approx(1.0 / (2.0 * tau))
 
@@ -196,12 +208,50 @@ class TestDeterminismAndRestarts:
         noise = parking_noise(60)
         config = make_config(horizon=60, batch_size=30, x0=np.array([1.5]),
                              sampling=ConstantSampling(4))
-        records = run(config, pricing_cost(), noise, region)
-        boundary = next(r for r in records if r.t == 31)
-        before = next(r for r in records if r.t == 30)
-        step = before.eta * before.gradient
+        trace = run(config, pricing_cost(), noise, region)
+        boundary, before = 30, 29  # column indices of t = 31 and t = 30
+        step = trace.eta[before] * trace.gradient[0, before]
         inner = region.shrink(config.delta)
-        assert np.array_equal(boundary.x, inner.project(before.x - step))
+        assert np.array_equal(trace.x[0, boundary],
+                              inner.project(trace.x[0, before] - step))
+
+
+def ball_case(horizon):
+    region, cost, config = ball_problem(noise_weight=1.0)
+    return (region, cost, constant_uniform(horizon, 0.0, 1.0),
+            dataclasses.replace(config, horizon=horizon, batch_size=100))
+
+
+LOCKSTEP_CASES = {
+    "parking-box": lambda: (
+        Box([1.0], [5.0]), pricing_cost(), parking_noise(150),
+        make_config(horizon=150, batch_size=50, x0=np.array([1.0]),
+                    sampling=ConstantSampling(8), rate=ConstantRate(0.03))),
+    "ball-2d": lambda: ball_case(300),
+    "polynomial": lambda: (
+        Box([1.0], [5.0]), pricing_cost(), parking_noise(120),
+        make_config(horizon=120, batch_size=40, x0=np.array([2.0]),
+                    sampling=PolynomialSampling(0.5, 1.0),
+                    rate=InverseEpochRate(2.0))),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_trial_equals_single_seed_run(self, case):
+        # Trial i of a lockstep run is the run of seed base + i on its own.
+        region, cost, noise, config = LOCKSTEP_CASES[case]()
+        base = 5
+        together = run_trials(config, cost, noise, region, [base, base + 1, base + 2])
+        if case == "polynomial":
+            assert len(set(together.n_samples.tolist())) > 1
+        for i in range(3):
+            alone = run(config, cost, noise, region, seed=base + i)
+            for name in ("x", "u", "x_hat", "cvar_estimate", "gradient"):
+                assert np.array_equal(getattr(together, name)[i],
+                                      getattr(alone, name)[0]), name
+            for both, one in zip(together.costs, alone.costs, strict=True):
+                assert np.array_equal(both[i], one[0])
 
 
 class TestBounds:
@@ -211,9 +261,10 @@ class TestBounds:
         cost = pricing_cost()
         config = make_config(horizon=300, batch_size=100, x0=np.array([2.0]),
                              sampling=ConstantSampling(8))
-        for rec in run(config, cost, noise, region):
-            assert abs(rec.cvar_estimate) <= cost.bound
-            assert np.linalg.norm(rec.gradient) <= cost.bound / config.delta + 1e-12
+        trace = run(config, cost, noise, region)
+        assert np.abs(trace.cvar_estimate).max() <= cost.bound
+        assert (np.linalg.norm(trace.gradient, axis=-1).max()
+                <= cost.bound / config.delta + 1e-12)
 
 
 class TestValidation:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +21,9 @@ from cvarlearn.oracle import (
 from cvarlearn.harness import ExperimentConfig, build_scenario
 
 
-class FakeRecord:
-    def __init__(self, t, x_hat):
-        self.t = t
-        self.x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
+def played(*trials):
+    """Played 1-D actions of each trial as the ``(trials, T, 1)`` array."""
+    return np.asarray(trials, dtype=float)[:, :, None]
 
 
 def pricing_scenario(horizon=6000):
@@ -190,33 +191,49 @@ class TestConvexSearch:
 
 
 class TestDynamicRegret:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_equals_per_step_true_cvar_loop(self, vectorized):
+        # One quantile grid per step serves every trial; the per-step,
+        # per-trial true_cvar loop is the reference, matched bit for bit.
+        scen = pricing_scenario(horizon=40)
+        cost = dataclasses.replace(scen.cost, vectorized=vectorized)
+        x_hat = played(*np.random.default_rng(54).uniform(1.0, 5.0, size=(3, 40)))
+        report = dynamic_regret(x_hat, cost, scen.noise, scen.region, 0.5,
+                                k=50, grid_n=1000)
+        for i in range(3):
+            reference = np.array([true_cvar(cost, scen.noise, t, x_hat[i, t - 1],
+                                            0.5, grid_n=1000)
+                                  for t in range(1, 41)])
+            assert np.array_equal(report.played_cvar[i], reference)
+            assert np.array_equal(report.cumulative_regret[i],
+                                  np.cumsum(reference - report.optimal_cvar))
+            assert np.array_equal(report.accumulated_loss[i], np.cumsum(reference))
+
     def test_playing_the_optimum_gives_zero_regret(self):
         scen = pricing_scenario(horizon=30)
         x_star, c_star = optimal_action_series(scen.cost, scen.noise, scen.region,
                                                0.5, 30, k=50, grid_n=1000)
-        traj = [FakeRecord(t, x_star[t - 1]) for t in range(1, 31)]
-        report = dynamic_regret(traj, scen.cost, scen.noise, scen.region, 0.5,
-                                k=50, grid_n=1000)
-        assert report.cumulative_regret[-1] == pytest.approx(0.0, abs=1e-12)
+        report = dynamic_regret(played(x_star), scen.cost, scen.noise,
+                                scen.region, 0.5, k=50, grid_n=1000)
+        assert report.cumulative_regret[0, -1] == pytest.approx(0.0, abs=1e-12)
         assert report.optimal_actions == pytest.approx(x_star)
 
     def test_single_step_arithmetic(self):
         cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0, lipschitz=20.0)
         noise = constant_uniform(1, 1.0, 1.0)
         region = Box([0.0], [2.0])
-        report = dynamic_regret([FakeRecord(1, [0.0])], cost, noise, region, 0.5,
+        report = dynamic_regret(played([0.0]), cost, noise, region, 0.5,
                                 k=101, grid_n=1000)
         # played cost (0-1)^2 = 1; best grid cell center is at ~1.0 with cost ~0
-        assert report.played_cvar[0] == pytest.approx(1.0, abs=1e-6)
-        assert report.cumulative_regret[0] == pytest.approx(1.0, abs=1e-3)
+        assert report.played_cvar[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert report.cumulative_regret[0, 0] == pytest.approx(1.0, abs=1e-3)
 
     def test_per_step_regret_floor(self):
         # played - optimal >= -(grid spacing) * L0 for any played point
         scen = pricing_scenario(horizon=50)
         rng = np.random.default_rng(53)
-        traj = [FakeRecord(t, [float(rng.uniform(1.0, 5.0))])
-                for t in range(1, 51)]
-        report = dynamic_regret(traj, scen.cost, scen.noise, scen.region, 0.5,
+        report = dynamic_regret(played(rng.uniform(1.0, 5.0, size=50)),
+                                scen.cost, scen.noise, scen.region, 0.5,
                                 k=100, grid_n=2000)
         spacing = 4.0 / 100
         gaps = report.played_cvar - report.optimal_cvar
@@ -226,7 +243,7 @@ class TestDynamicRegret:
         scen = pricing_scenario(horizon=20)
         optima = optimal_action_series(scen.cost, scen.noise, scen.region, 0.5,
                                        20, k=50, grid_n=1000)
-        traj = [FakeRecord(t, [2.0]) for t in range(1, 21)]
+        traj = played(np.full(20, 2.0))
         a = dynamic_regret(traj, scen.cost, scen.noise, scen.region, 0.5, k=50,
                            grid_n=1000)
         b = dynamic_regret(traj, scen.cost, scen.noise, scen.region, 0.5, k=50,
@@ -241,18 +258,16 @@ class TestAccumulatedLoss:
         cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0,
                          lipschitz=1.0)
         noise = constant_uniform(10, 0.0, 1.0)
-        traj = [FakeRecord(t, [0.5]) for t in range(1, 11)]
-        report = dynamic_regret(traj, cost, noise, self.UNIT_BOX, 0.5, k=10,
-                                grid_n=1000)
-        assert report.accumulated_loss == pytest.approx(np.zeros(10))
+        report = dynamic_regret(played(np.full(10, 0.5)), cost, noise,
+                                self.UNIT_BOX, 0.5, k=10, grid_n=1000)
+        assert report.accumulated_loss[0] == pytest.approx(np.zeros(10))
 
     def test_constant_cost_accumulates_linearly(self):
         cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi + 3.0, bound=4.0,
                          lipschitz=1.0)
         noise = constant_uniform(10, 0.0, 1.0)
-        traj = [FakeRecord(t, [0.5]) for t in range(1, 11)]
-        got = dynamic_regret(traj, cost, noise, self.UNIT_BOX, 0.5, k=10,
-                             grid_n=1000).accumulated_loss
+        got = dynamic_regret(played(np.full(10, 0.5)), cost, noise,
+                             self.UNIT_BOX, 0.5, k=10, grid_n=1000).accumulated_loss[0]
         assert got == pytest.approx(3.0 * np.arange(1, 11))
 
 
