@@ -15,6 +15,7 @@ import sys
 
 from .core import ConfigurationError
 from .harness import (
+    _as_int,
     compute_budget,
     load_config_file,
     make_config,
@@ -111,14 +112,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 3
 
 
+def _params_flag(args: argparse.Namespace, name: str, convert):
+    """A ``params`` flag's string as a number; a bad value exits 1."""
+    value = getattr(args, name)
+    try:
+        return None if value is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad value for --{name}: {value!r}") from exc
+
+
 def _cmd_params(args: argparse.Namespace) -> int:
-    t1 = theorem1_params(args.T, args.budget, args.a)
+    horizon = _params_flag(args, "T", _as_int)
+    budget, a, m = (_params_flag(args, name, float) for name in ("budget", "a", "m"))
+    t1 = theorem1_params(horizon, budget, a)
+    t2 = None if m is None else theorem2_params(horizon, budget, a, m)
     print(f"convex:          delta={t1.delta:.12g} eta={t1.eta:.12g} "
           f"batch={t1.batch_size}")
-    if args.m is not None:
-        t2 = theorem2_params(args.T, args.budget, args.a, args.m)
+    if t2 is not None:
         print(f"strongly convex: delta={t2.delta:.12g} batch={t2.batch_size} "
-              f"eta_tau=1/({args.m:g}*tau)")
+              f"eta_tau=1/({m:g}*tau)")
     return 0
 
 
@@ -148,12 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("risk", "smoothing", "environment", "all"))
     p_ver.set_defaults(func=_cmd_verify)
 
+    # Values stay strings until _cmd_params, so a bad one exits 1, not 2.
     p_par = sub.add_parser("params", help="theorem parameter calculator")
-    p_par.add_argument("--T", type=int, required=True)
-    p_par.add_argument("--budget", "--vd", type=float, required=True, dest="budget")
-    p_par.add_argument("--a", type=float, required=True,
-                       help="sampling tuning parameter")
-    p_par.add_argument("--m", type=float, help="strong-convexity modulus")
+    p_par.add_argument("--T", required=True)
+    p_par.add_argument("--budget", "--vd", required=True, dest="budget")
+    p_par.add_argument("--a", required=True, help="sampling tuning parameter")
+    p_par.add_argument("--m", help="strong-convexity modulus")
     p_par.set_defaults(func=_cmd_params)
     return parser
 

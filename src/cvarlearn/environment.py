@@ -14,8 +14,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.special import ndtr, ndtri
 
 from .core import ConfigurationError, NoiseSequence
 
@@ -95,7 +93,8 @@ class BrownianSeq(NoiseSequence):
 
     Models measurements of a diffusing particle cloud: the distribution
     flattens as ``t`` grows, and the variation budget scales like
-    ``sqrt(T)``.
+    ``sqrt(T)``. SciPy's normal CDF and quantile are imported on first use,
+    so runs of the other scenarios never load SciPy.
     """
 
     def __init__(self, horizon: int, diffusivity: float):
@@ -110,11 +109,15 @@ class BrownianSeq(NoiseSequence):
         return math.sqrt(2.0 * self.diffusivity * t)
 
     def cdf(self, t: int, y):
+        from scipy.special import ndtr
+
         s = self.sigma(t)
         out = ndtr(np.asarray(y, dtype=float) / s)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, t: int, q):
+        from scipy.special import ndtri
+
         s = self.sigma(t)
         q = np.clip(np.asarray(q, dtype=float), 1e-300, np.nextafter(1.0, 0.0))
         out = s * ndtri(q)
@@ -203,6 +206,8 @@ def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) ->
 
     ``cdf1``/``cdf2`` are vectorized CDF accessors; ``support`` must be a
     finite interval containing (effectively) all mass of both distributions.
+    The trapezoid rule is SciPy's ``trapezoid`` formula, operation for
+    operation.
     """
     grid = int(grid)
     if grid < 1000:
@@ -213,7 +218,7 @@ def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) ->
             "numeric W1 needs a finite truncated support interval")
     y = np.linspace(lo, hi, grid)
     gap = np.abs(np.asarray(cdf1(y), dtype=float) - np.asarray(cdf2(y), dtype=float))
-    return float(trapezoid(gap, y))
+    return float(np.sum(np.diff(y) * (gap[1:] + gap[:-1]) / 2.0))
 
 
 def _step_distance(noise: NoiseSequence, t: int, grid: int) -> float:

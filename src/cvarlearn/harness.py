@@ -3,8 +3,13 @@
 A flat key-value config file (plus CLI flag overrides) selects a scenario and
 all run parameters. Each trial ``i`` runs with seed ``base_seed + i``; all
 trials of an experiment step in lockstep in one process, and a trial's output
-depends only on its seed. All output is CSV (17-significant-digit floats, LF
-endings, UTF-8); plotting is left to external tools.
+depends only on its seed. An experiment runs in three phases: the learner,
+then one oracle pass that finds the per-step optima and evaluates every
+trial, then the CSVs. An ablation runs every count's learner first and
+evaluates all of their trials in one oracle pass, so a failure writes
+nothing. All output is CSV (17-significant-digit floats, LF endings, UTF-8);
+the columns shared by every trial are formatted once. Plotting is left to
+external tools.
 """
 
 from __future__ import annotations
@@ -316,12 +321,19 @@ class TrialAggregate:
         return self.column(name).std(axis=0)
 
 
+def _cells(column) -> list[str]:
+    """CSV cells of one column: integers as integers, floats with 17
+    significant digits."""
+    column = np.asarray(column)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return [format(v, ".17g") for v in column.tolist()]
+
+
 def _write_csv(path: Path, header: str, columns) -> None:
-    """One row per index of the equal-length ``columns``: integer columns as
-    integers, float columns with 17 significant digits."""
-    cells = [list(map(str, col.tolist())) if col.dtype.kind in "iu"
-             else [format(v, ".17g") for v in col.tolist()]
-             for col in map(np.asarray, columns)]
+    """One row per index of the equal-length ``columns``; a column is an
+    array, or a list of cells already formatted by ``_cells``."""
+    cells = [c if isinstance(c, list) else _cells(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
@@ -333,14 +345,16 @@ def run_experiment(config: ExperimentConfig, write: bool = True,
     """Run all trials, write per-trial and aggregate CSVs, return the aggregate.
 
     Trial ``i`` uses seed ``base_seed + i``. The per-step optimal-action
-    series is trajectory-independent, so it is computed once (or supplied)
-    and shared across trials.
+    series is trajectory-independent: it is found once, in the same oracle
+    pass that evaluates every trial, or supplied and shared.
     """
-    return _experiment(config, build_scenario(config), write, optima)
+    (trace,), (agg,) = _experiments(build_scenario(config), [config], optima)
+    if write:
+        _write_experiment(config.out_prefix, trace, agg)
+    return agg
 
 
-def _experiment(config: ExperimentConfig, scenario: Scenario, write: bool,
-                optima: tuple[np.ndarray, np.ndarray] | None) -> TrialAggregate:
+def _run_learner(config: ExperimentConfig, scenario: Scenario) -> learner.Trace:
     check = check_sampling_requirement(ConstantSampling(config.samples),
                                        config.batch_size, config.sampling_a,
                                        config.sampling_c)
@@ -348,42 +362,58 @@ def _experiment(config: ExperimentConfig, scenario: Scenario, write: bool,
         logger.warning(
             "sampling requirement violated for n=%d: sum 1/sqrt(phi)=%.4g exceeds "
             "%.4g; proceeding anyway", config.samples, check.achieved, check.allowed)
-    if optima is None:
-        optima = oracle.optimal_action_series(
-            scenario.cost, scenario.noise, scenario.region, config.alpha,
-            config.horizon, k=config.oracle_k, grid_n=config.oracle_grid)
-
     seeds = range(config.base_seed, config.base_seed + config.trials)
-    trace = learner.run_trials(_learner_config(config, scenario), scenario.cost,
-                               scenario.noise, scenario.region, seeds)
-    report = oracle.dynamic_regret(trace.x_hat, scenario.cost, scenario.noise,
-                                   scenario.region, config.alpha,
-                                   k=config.oracle_k, grid_n=config.oracle_grid,
-                                   optima=optima)
-    agg = TrialAggregate(
+    return learner.run_trials(_learner_config(config, scenario), scenario.cost,
+                              scenario.noise, scenario.region, seeds)
+
+
+def _experiments(scenario: Scenario, configs: list[ExperimentConfig],
+                 optima: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[list[learner.Trace], list[TrialAggregate]]:
+    """Every config's learner, then one oracle pass over all of their trials.
+
+    The configs differ at most in the learner's settings; the first one's
+    risk level and oracle grids serve all.
+    """
+    traces = [_run_learner(config, scenario) for config in configs]
+    first = configs[0]
+    report = oracle.dynamic_regret(
+        np.concatenate([trace.x_hat for trace in traces]), scenario.cost,
+        scenario.noise, scenario.region, first.alpha, k=first.oracle_k,
+        grid_n=first.oracle_grid, optima=optima)
+    starts = np.cumsum([config.trials for config in configs])[:-1]
+    rows = zip(*(np.split(column, starts) for column in (
+        report.played_cvar, report.cumulative_regret, report.accumulated_loss)))
+    aggs = [TrialAggregate(
         t=trace.t,
         x=trace.x[:, :, 0],
         x_hat=trace.x_hat[:, :, 0],
-        played_cvar=report.played_cvar,
-        regret=report.cumulative_regret,
-        acc_loss=report.accumulated_loss,
+        played_cvar=played,
+        regret=regret,
+        acc_loss=acc_loss,
         optimal_actions=report.optimal_actions,
         optimal_cvar=report.optimal_cvar,
-    )
-    if write:
-        prefix = Path(config.out_prefix)
-        if prefix.parent != Path("."):
-            prefix.parent.mkdir(parents=True, exist_ok=True)
-        for i in range(config.trials):
-            _write_csv(Path(f"{prefix}_trial{i}.csv"), TRAJECTORY_HEADER, (
-                trace.t, trace.batch, trace.epoch, agg.x[i], agg.x_hat[i],
-                trace.n_samples, trace.cvar_estimate[i], trace.gradient[i, :, 0],
-                trace.eta, agg.played_cvar[i], agg.optimal_cvar, agg.regret[i],
-                agg.acc_loss[i]))
-        header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
-        stats = [s for c in AGGREGATE_COLUMNS for s in (agg.mean(c), agg.std(c))]
-        _write_csv(Path(f"{prefix}_aggregate.csv"), header, (agg.t, *stats))
-    return agg
+    ) for trace, (played, regret, acc_loss) in zip(traces, rows)]
+    return traces, aggs
+
+
+def _write_experiment(out_prefix: str, trace: learner.Trace,
+                      agg: TrialAggregate) -> None:
+    """One trajectory CSV per trial and the aggregate CSV."""
+    prefix = Path(out_prefix)
+    if prefix.parent != Path("."):
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    t, j, tau, n_t, eta, c_star = map(_cells, (
+        trace.t, trace.batch, trace.epoch, trace.n_samples, trace.eta,
+        agg.optimal_cvar))
+    for i in range(len(agg.x)):
+        _write_csv(Path(f"{prefix}_trial{i}.csv"), TRAJECTORY_HEADER, (
+            t, j, tau, agg.x[i], agg.x_hat[i], n_t, trace.cvar_estimate[i],
+            trace.gradient[i, :, 0], eta, agg.played_cvar[i], c_star,
+            agg.regret[i], agg.acc_loss[i]))
+    header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
+    stats = [s for c in AGGREGATE_COLUMNS for s in (agg.mean(c), agg.std(c))]
+    _write_csv(Path(f"{prefix}_aggregate.csv"), header, (t, *stats))
 
 
 def run_ablation(config: ExperimentConfig, sample_counts,
@@ -391,8 +421,11 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     """Re-run the experiment for each sample count and tabulate final losses.
 
     Counts violating the declared sampling requirement produce a warning but
-    still run. Every count is checked before any oracle work. Writes one
-    aggregate per count plus a comparison table.
+    still run. Every count is checked before any learner or oracle work.
+    Every count's learner runs first; then one oracle pass evaluates all of
+    their trials against one optimal-action series; only then are the files
+    written: one trajectory set and aggregate per count plus a comparison
+    table.
     """
     try:
         counts = [_as_int(n) for n in sample_counts]
@@ -403,24 +436,21 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     subs = [dataclasses.replace(config, samples=n,
                                 out_prefix=f"{config.out_prefix}_n{n}").validate()
             for n in counts]
-    scenario = build_scenario(config)
-    optima = oracle.optimal_action_series(
-        scenario.cost, scenario.noise, scenario.region, config.alpha,
-        config.horizon, k=config.oracle_k, grid_n=config.oracle_grid)
-    aggregates: dict[int, TrialAggregate] = {}
+    traces, aggs = _experiments(build_scenario(config), subs)
     rows = []
-    for n, sub in zip(counts, subs):
-        aggregates[n] = _experiment(sub, scenario, write, optima)
-        final_losses = aggregates[n].acc_loss[:, -1]
+    for n, agg in zip(counts, aggs):
+        final_losses = agg.acc_loss[:, -1]
         check = check_sampling_requirement(ConstantSampling(n), config.batch_size,
                                            config.sampling_a, config.sampling_c)
         rows.append((n, final_losses.mean(), final_losses.std(),
                      int(check.satisfied), check.achieved, check.allowed))
     if write:
+        for sub, trace, agg in zip(subs, traces, aggs):
+            _write_experiment(sub.out_prefix, trace, agg)
         _write_csv(Path(f"{config.out_prefix}_ablation.csv"),
                    "n,mean_final_loss,std_final_loss,requirement_ok,"
                    "requirement_achieved,requirement_allowed", zip(*rows))
-    return aggregates
+    return dict(zip(counts, aggs))
 
 
 @dataclass

@@ -74,6 +74,30 @@ class Trace:
     costs: tuple[np.ndarray, ...]  # per step, (trials, n_t) sampled costs at x_hat
 
 
+def _draws(rngs, d: int, n_samples: np.ndarray):
+    """Each step's directions ``(trials, d)`` and noise uniforms ``(trials, n_t)``.
+
+    Every generator yields, per step, its direction and then its ``n_t``
+    uniforms. In one dimension the direction is the sign of one uniform, as
+    in ``sample_unit_sphere``, so each trial's whole stream is one draw of
+    ``sum(1 + n_t)`` uniforms, split at the step boundaries; the values are
+    the same as drawn step by step.
+    """
+    if d == 1:
+        ends = np.cumsum(1 + n_samples)
+        stream = np.stack([rng.random(ends[-1]) for rng in rngs])
+        for end, n in zip(ends, n_samples):
+            yield (np.where(stream[:, end - n - 1:end - n] < 0.5, 1.0, -1.0),
+                   stream[:, end - n:end])
+        return
+    for n in n_samples:
+        u, q = np.empty((len(rngs), d)), np.empty((len(rngs), n))
+        for i, rng in enumerate(rngs):
+            u[i] = sample_unit_sphere(d, rng)
+            q[i] = rng.random(n)
+        yield u, q
+
+
 def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
                region: AdmissibleSet, seeds) -> Trace:
     """Run ``config.horizon`` steps for every seed in lockstep; return the trace.
@@ -112,12 +136,7 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     cvars = np.empty((trials, horizon))
     costs = []
     x = np.tile(x, (trials, 1))
-    for s in range(horizon):
-        u = np.empty((trials, d))
-        q = np.empty((trials, n_samples[s]))
-        for i, rng in enumerate(rngs):
-            u[i] = sample_unit_sphere(d, rng)
-            q[i] = rng.random(n_samples[s])
+    for s, (u, q) in enumerate(_draws(rngs, d, n_samples)):
         x_hat = x + config.delta * u
         if not region.contains(x_hat):
             raise RuntimeError(

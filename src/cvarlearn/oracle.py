@@ -8,6 +8,10 @@ pricing study. They are found by a warm-started convex search over the action
 grid, ties to the smaller action: each ``J(., xi)`` is convex in the decision
 and CVaR is monotone and convex, so the grid CVaR is discrete-convex and a
 descent walk finds its minimum after a few CVaR rows instead of all ``k``.
+
+``dynamic_regret`` makes one pass over the steps: each step's quantile grid
+is built once and serves both that step's optimum search (when no series is
+supplied) and the played actions of every trial, evaluated in row blocks.
 """
 
 from __future__ import annotations
@@ -32,22 +36,31 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=8)
 def _mid_quantiles(grid_n: int) -> np.ndarray:
-    grid_n = int(grid_n)
+    """The ``grid_n`` mid-quantile levels, built once per size (read-only)."""
     if grid_n < 1000:
         raise ConfigurationError("quantile grid needs >= 1000 points")
-    return (np.arange(grid_n) + 0.5) / grid_n
+    levels = (np.arange(grid_n) + 0.5) / grid_n
+    levels.flags.writeable = False
+    return levels
 
 
 def _quantile_grid(noise: NoiseSequence, t: int, grid_n: int) -> np.ndarray:
     """Noise values of step ``t`` at the mid-quantile levels."""
-    return np.asarray(noise.quantile(t, _mid_quantiles(grid_n)), dtype=float)
+    return np.asarray(noise.quantile(t, _mid_quantiles(int(grid_n))), dtype=float)
 
 
 #: Rescan window of the action search, relative to the cost bound U. It must
 #: exceed the rounding error of a CVaR of values bounded by U, or a flat
 #: stretch can hide the first minimum; a wider window only costs evaluations.
 _TOL = 1e-9
+
+#: Most cost values evaluated in one call when the played actions are
+#: evaluated: rows are grouped so that each call's temporaries stay small and
+#: reuse memory instead of faulting in fresh pages at every step. A row longer
+#: than this is evaluated on its own.
+_BLOCK = 2 ** 16
 
 
 def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x, alpha: float,
@@ -108,10 +121,10 @@ def _first_grid_minimum(f: Callable[[int], float], k: int, start: int,
     return best, float(at(best))
 
 
-def _step_minimum(cost: CostModel, noise: NoiseSequence, t: int, xs: np.ndarray,
-                  alpha: float, grid_n: int, start: int) -> tuple[int, float]:
-    """Index into ``xs`` of the step-``t`` grid minimum, searched from ``start``."""
-    xi = _quantile_grid(noise, t, grid_n)
+def _step_minimum(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
+                  alpha: float, start: int) -> tuple[int, float]:
+    """Index into ``xs`` of the grid minimum against the step's noise grid
+    ``xi``, searched from ``start``."""
     return _first_grid_minimum(
         lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
         xs.size, start, _TOL * cost.bound)
@@ -125,7 +138,8 @@ def optimal_action_grid(cost: CostModel, noise: NoiseSequence, t: int,
     Ties break toward the smaller coordinate (first grid hit).
     """
     xs = action_grid(region, k)
-    i, c = _step_minimum(cost, noise, t, xs, alpha, grid_n, xs.size // 2)
+    i, c = _step_minimum(cost, _quantile_grid(noise, t, grid_n), xs, alpha,
+                         xs.size // 2)
     return np.array([xs[i]]), c
 
 
@@ -137,13 +151,15 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
 
     Each step's search starts from the previous step's minimizer.
     Trajectory-independent, so one series can be shared across trials.
+    ``dynamic_regret`` finds the same series inline when none is supplied.
     """
     xs = action_grid(region, k)
     x_star = np.empty(horizon)
     c_star = np.empty(horizon)
     i = xs.size // 2
     for t in range(1, horizon + 1):
-        i, c_star[t - 1] = _step_minimum(cost, noise, t, xs, alpha, grid_n, i)
+        i, c_star[t - 1] = _step_minimum(cost, _quantile_grid(noise, t, grid_n),
+                                         xs, alpha, i)
         x_star[t - 1] = xs[i]
     return x_star, c_star
 
@@ -167,24 +183,36 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     """Evaluate played actions ``x_hat`` of shape ``(trials, T, d)``, played
     at steps ``1..T``, against the per-step best actions in hindsight.
 
-    Each step's quantile grid is built once and serves every trial.
-    ``optima`` may carry a precomputed ``(x_star, c_star)`` series (e.g.
-    shared across experiments); otherwise it is computed here.
+    One pass over the steps: each step's quantile grid is built once and
+    serves every trial. ``optima`` may carry a precomputed ``(x_star,
+    c_star)`` series (e.g. shared across experiments); otherwise each step's
+    optimum is searched in the same pass, warm-started from the previous
+    step's, exactly as ``optimal_action_series`` finds it. The played CVaRs
+    are evaluated in blocks of rows of at most ``_BLOCK`` cost values.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.ndim != 3 or x_hat.shape[1] == 0:
         raise ConfigurationError(
             f"played actions must have shape (trials, T, d), got {x_hat.shape}")
-    horizon = x_hat.shape[1]
+    trials, horizon = x_hat.shape[:2]
     if optima is None:
-        optima = optimal_action_series(cost, noise, region, alpha, horizon, k, grid_n)
-    x_star, c_star = optima
-    if len(c_star) < horizon:
-        raise ConfigurationError("optima series shorter than the trajectory")
-    played = np.empty(x_hat.shape[:2])
+        xs = action_grid(region, k)
+        x_star, c_star = np.empty(horizon), np.empty(horizon)
+        i = xs.size // 2
+    else:
+        x_star, c_star = optima
+        if len(c_star) < horizon:
+            raise ConfigurationError("optima series shorter than the trajectory")
+    rows = max(1, _BLOCK // _mid_quantiles(int(grid_n)).size)
+    played = np.empty((trials, horizon))
     for s in range(horizon):
         xi = _quantile_grid(noise, s + 1, grid_n)
-        played[:, s] = cvar_of_values(cost.rows(x_hat[:, s], xi[None, :]), alpha)
+        if optima is None:
+            i, c_star[s] = _step_minimum(cost, xi, xs, alpha, i)
+            x_star[s] = xs[i]
+        for r in range(0, trials, rows):
+            played[r:r + rows, s] = cvar_of_values(
+                cost.rows(x_hat[r:r + rows, s], xi[None, :]), alpha)
     c_star = np.asarray(c_star[:horizon], dtype=float)
     return RegretReport(
         played_cvar=played,

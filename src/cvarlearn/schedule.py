@@ -181,8 +181,8 @@ def _check_budget(horizon: int, budget: float) -> tuple[int, float]:
     if horizon < 2:
         raise ConfigurationError("horizon must be >= 2")
     budget = float(budget)
-    if budget <= 0:
-        raise ConfigurationError("variation budget must be positive")
+    if not (budget > 0 and math.isfinite(budget)):
+        raise ConfigurationError("variation budget must be positive and finite")
     if budget >= horizon:
         raise ConfigurationError(
             f"variation budget {budget} must be below the horizon {horizon}")
@@ -204,8 +204,8 @@ def theorem1_params(horizon: int, budget: float, a: float) -> Theorem1Params:
     orders only); scale externally if needed.
     """
     horizon, budget = _check_budget(horizon, budget)
-    if a <= 0:
-        raise ConfigurationError("sampling parameter a must be positive")
+    if not (a > 0 and math.isfinite(a)):
+        raise ConfigurationError("sampling parameter a must be positive and finite")
     ratio = budget / horizon
     if a <= 1.0:
         delta = ratio ** (a / (4.0 + a))
@@ -226,10 +226,11 @@ def theorem2_params(horizon: int, budget: float, a: float,
     the branch boundary sits at ``a = 4/3`` (inclusive below).
     """
     horizon, budget = _check_budget(horizon, budget)
-    if a <= 0:
-        raise ConfigurationError("sampling parameter a must be positive")
-    if modulus <= 0:
-        raise ConfigurationError("strong-convexity modulus must be positive")
+    if not (a > 0 and math.isfinite(a)):
+        raise ConfigurationError("sampling parameter a must be positive and finite")
+    if not (modulus > 0 and math.isfinite(modulus)):
+        raise ConfigurationError(
+            "strong-convexity modulus must be positive and finite")
     ratio = budget / horizon
     if a <= 4.0 / 3.0:
         delta = ratio ** (a / (4.0 + a))

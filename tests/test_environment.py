@@ -187,6 +187,21 @@ class TestW1Numeric:
                          (-10.0, 11.0), grid=1_000_000)
         assert got == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("pair", ["uniforms", "gaussians", "mixed"])
+    def test_equals_scipy_trapezoid(self, pair):
+        # The numpy trapezoid rule is SciPy's, bit for bit.
+        uniform = UniformSeq(2, left=lambda t: 0.1 * t, right=lambda t: 1.0 + 0.3 * t)
+        gauss = BrownianSeq(2, 0.05)
+        cdfs = {"uniforms": (uniform, uniform), "gaussians": (gauss, gauss),
+                "mixed": (uniform, gauss)}[pair]
+        support = (-3.0, 2.5)
+        y = np.linspace(*support, 4321)
+        gap = np.abs(cdfs[0].cdf(1, y) - cdfs[1].cdf(2, y))
+        got = w1_numeric(lambda v: cdfs[0].cdf(1, v), lambda v: cdfs[1].cdf(2, v),
+                         support, grid=4321)
+        assert got > 0.0
+        assert got == float(trapezoid(gap, y))
+
     def test_requires_finite_support(self):
         with pytest.raises(ConfigurationError):
             w1_numeric(lambda y: y, lambda y: y, (0.0, math.inf))

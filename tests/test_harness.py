@@ -1,10 +1,16 @@
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvarlearn
 import cvarlearn.cli as cli
+import cvarlearn.learner as learner
 import cvarlearn.oracle as oracle
 import cvarlearn.verify as verify
 from cvarlearn.core import ConfigurationError
@@ -19,6 +25,19 @@ from cvarlearn.harness import (
     run_experiment,
 )
 from cvarlearn.risk import cvar_discrete
+
+
+def forbid_oracle_and_learner(monkeypatch):
+    """Make every call into the oracle or the learner fail the test."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle ran on an invalid configuration")
+
+    def no_learner(*args, **kwargs):
+        raise AssertionError("learner ran on an invalid configuration")
+
+    monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
+    monkeypatch.setattr(oracle, "dynamic_regret", no_oracle)
+    monkeypatch.setattr(learner, "run_trials", no_learner)
 
 
 def small_config(tmp_path, **overrides):
@@ -158,6 +177,35 @@ class TestAblation:
         assert any("sampling requirement violated" in rec.message
                    for rec in caplog.records)
 
+    def test_aggregates_equal_separate_experiments(self, tmp_path):
+        # One oracle pass over every count's trials gives what one
+        # experiment per count gives.
+        config = small_config(tmp_path, horizon=20, trials=3, base_seed=2)
+        aggregates = run_ablation(config, [2, 4, 6], write=False)
+        assert list(aggregates) == [2, 4, 6]
+        for n, agg in aggregates.items():
+            alone = run_experiment(dataclasses.replace(config, samples=n),
+                                   write=False)
+            for field in dataclasses.fields(agg):
+                assert np.array_equal(getattr(agg, field.name),
+                                      getattr(alone, field.name)), (n, field.name)
+
+    def test_failed_ablation_writes_nothing(self, tmp_path, monkeypatch):
+        calls = []
+        run_trials = learner.run_trials
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("learner failed on the third count")
+            return run_trials(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "run_trials", third_call_fails)
+        with pytest.raises(RuntimeError, match="third count"):
+            run_ablation(small_config(tmp_path, trials=2), [2, 4, 6])
+        assert len(calls) == 3
+        assert not list(tmp_path.iterdir())
+
     def test_needs_two_counts(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_ablation(small_config(tmp_path), [8])
@@ -251,10 +299,7 @@ class TestCli:
     @pytest.mark.parametrize("command", [["run"], ["ablate", "--counts", "2,4"]])
     def test_delta_at_inradius_exits_one_before_the_oracle(
             self, tmp_path, monkeypatch, capsys, command):
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("oracle ran on an invalid configuration")
-
-        monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
+        forbid_oracle_and_learner(monkeypatch)
         code = cli.main([*command, "--delta", "2.5", "--T", "10", "--batch",
                          "5", "--trials", "1",
                          "--out", str(tmp_path / "x")])
@@ -265,10 +310,7 @@ class TestCli:
     @pytest.mark.parametrize("counts", ["8,x", "0,8"])
     def test_bad_counts_exit_one_before_the_oracle(
             self, tmp_path, monkeypatch, capsys, counts):
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("oracle ran on an invalid configuration")
-
-        monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
+        forbid_oracle_and_learner(monkeypatch)
         code = cli.main(["ablate", "--counts", counts, "--T", "10", "--batch",
                          "5", "--trials", "1", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -330,6 +372,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.251188643" in out and "batch=251" in out
         assert "strongly convex" in out
+
+    @pytest.mark.parametrize("flag", [
+        ["--T", "40.7"], ["--budget", "nan"], ["--a", "nan"], ["--a", "inf"],
+        ["--m", "nan"],
+    ], ids=["T-fraction", "budget-nan", "a-nan", "a-inf", "m-nan"])
+    def test_params_fault_exits_one(self, capsys, flag):
+        values = {"--T": "10000", "--budget": "10", "--a": "1", "--m": "1"}
+        values[flag[0]] = flag[1]
+        code = cli.main(["params", *(x for kv in values.items() for x in kv)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "configuration error" in err
+        assert out == ""
+
+    def test_parking_run_never_imports_scipy(self, tmp_path):
+        # SciPy is needed only by the Brownian scenario's normal quantiles.
+        code = ("import sys; from cvarlearn import cli; "
+                "assert cli.main(['run', '--T', '10', '--batch', '5', "
+                "'--trials', '2', '--oracle-grid', '1000', '--oracle-k', '10', "
+                "'--out', 'p']) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
+        env.pop("RA_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "p_trial1.csv").exists()
 
     def test_budget_cli(self, tmp_path, capsys):
         code = cli.main(["budget", "--scenario", "parking", "--T", "100",

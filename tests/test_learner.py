@@ -5,13 +5,15 @@ import pytest
 
 from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
 from cvarlearn.environment import constant_uniform, parking_noise
-from cvarlearn.learner import LearnerConfig, run_trials
+from cvarlearn.learner import LearnerConfig, _draws, run_trials
 from cvarlearn.schedule import (
     ConstantRate,
     ConstantSampling,
     InverseEpochRate,
     PolynomialSampling,
+    batch_epoch,
 )
+from cvarlearn.smoothing import sample_unit_sphere
 
 
 def make_config(**overrides):
@@ -252,6 +254,27 @@ class TestLockstep:
                                       getattr(alone, name)[0]), name
             for both, one in zip(together.costs, alone.costs, strict=True):
                 assert np.array_equal(both[i], one[0])
+
+
+class TestDraws:
+    @pytest.mark.parametrize("sampling", [ConstantSampling(8),
+                                          PolynomialSampling(0.5, 1.0)],
+                             ids=["constant", "polynomial"])
+    def test_one_dimensional_stream_equals_per_step_draws(self, sampling):
+        # One draw of a trial's whole stream, split at the step boundaries,
+        # gives each step's direction and noise uniforms as drawn step by step.
+        n_samples = np.array([sampling.count(batch_epoch(t, 25).epoch, 25)
+                              for t in range(1, 61)])
+        seeds = [3, 4, 9]
+        steps = list(_draws([np.random.default_rng(s) for s in seeds], 1,
+                            n_samples))
+        assert len(steps) == n_samples.size
+        rngs = [np.random.default_rng(s) for s in seeds]
+        for (u, q), n in zip(steps, n_samples):
+            assert u.shape == (3, 1) and q.shape == (3, n)
+            for i, rng in enumerate(rngs):
+                assert np.array_equal(u[i], sample_unit_sphere(1, rng))
+                assert np.array_equal(q[i], rng.random(n))
 
 
 class TestBounds:

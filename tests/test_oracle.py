@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
+    _BLOCK,
     _first_grid_minimum,
     _grid_cvars,
     _quantile_grid,
@@ -191,16 +192,20 @@ class TestConvexSearch:
 
 
 class TestDynamicRegret:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_equals_per_step_true_cvar_loop(self, vectorized):
-        # One quantile grid per step serves every trial; the per-step,
-        # per-trial true_cvar loop is the reference, matched bit for bit.
+    @pytest.mark.parametrize("vectorized, trials", [
+        (True, 3), (False, 3), (True, _BLOCK // 1000 + 5), (False, _BLOCK // 1000 + 5),
+    ], ids=["True", "False", "True-three-blocks", "False-three-blocks"])
+    def test_equals_per_step_true_cvar_loop(self, vectorized, trials):
+        # One quantile grid per step serves every trial, evaluated in blocks
+        # of rows; the per-step, per-trial true_cvar loop is the reference,
+        # matched bit for bit.
         scen = pricing_scenario(horizon=40)
         cost = dataclasses.replace(scen.cost, vectorized=vectorized)
-        x_hat = played(*np.random.default_rng(54).uniform(1.0, 5.0, size=(3, 40)))
+        x_hat = played(*np.random.default_rng(54).uniform(1.0, 5.0,
+                                                          size=(trials, 40)))
         report = dynamic_regret(x_hat, cost, scen.noise, scen.region, 0.5,
                                 k=50, grid_n=1000)
-        for i in range(3):
+        for i in range(trials):
             reference = np.array([true_cvar(cost, scen.noise, t, x_hat[i, t - 1],
                                             0.5, grid_n=1000)
                                   for t in range(1, 41)])
@@ -238,6 +243,18 @@ class TestDynamicRegret:
         spacing = 4.0 / 100
         gaps = report.played_cvar - report.optimal_cvar
         assert gaps.min() >= -spacing * scen.cost.lipschitz
+
+    @pytest.mark.parametrize("scenario", ["parking", "brownian"])
+    def test_inline_optima_equal_the_series(self, scenario):
+        # Without a supplied series, the regret pass searches each step's
+        # optimum itself; optimal_action_series is the reference.
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=60))
+        x_star, c_star = optimal_action_series(scen.cost, scen.noise, scen.region,
+                                               0.5, 60, k=40, grid_n=1000)
+        report = dynamic_regret(played(np.full(60, 1.5)), scen.cost, scen.noise,
+                                scen.region, 0.5, k=40, grid_n=1000)
+        assert np.array_equal(report.optimal_actions, x_star)
+        assert np.array_equal(report.optimal_cvar, c_star)
 
     def test_precomputed_optima_match_inline(self):
         scen = pricing_scenario(horizon=20)
