@@ -12,9 +12,6 @@ from .core import (
     ConfigurationError,
     CostModel,
     NoiseSequence,
-    project,
-    set_diameter,
-    shrunk_set,
 )
 from .learner import LearnerConfig, Trace, run_trials
 from .risk import (
@@ -23,7 +20,6 @@ from .risk import (
     cvar_discrete,
     cvar_error_bound,
     dkw_epsilon,
-    ecdf_eval,
     ru_functional,
     sup_cdf_distance,
 )
@@ -35,12 +31,11 @@ from .schedule import (
     PolynomialSampling,
     batch_epoch,
     check_sampling_requirement,
-    learning_rate,
     sampling_count_poly,
     theorem1_params,
     theorem2_params,
 )
-from .smoothing import gradient_estimate, perturb, sample_unit_sphere, smoothed_cvar_mc
+from .smoothing import gradient_estimate, sample_unit_sphere, smoothed_cvar_mc
 
 __version__ = "0.1.0"
 
@@ -65,17 +60,11 @@ __all__ = [
     "cvar_discrete",
     "cvar_error_bound",
     "dkw_epsilon",
-    "ecdf_eval",
     "gradient_estimate",
-    "learning_rate",
-    "perturb",
-    "project",
     "ru_functional",
     "run_trials",
     "sample_unit_sphere",
     "sampling_count_poly",
-    "set_diameter",
-    "shrunk_set",
     "smoothed_cvar_mc",
     "sup_cdf_distance",
     "theorem1_params",

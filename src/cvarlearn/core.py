@@ -22,9 +22,6 @@ __all__ = [
     "Box",
     "Ball",
     "AdmissibleSet",
-    "project",
-    "shrunk_set",
-    "set_diameter",
     "CostModel",
     "NoiseSequence",
 ]
@@ -124,6 +121,14 @@ class Box:
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def shrink(self, delta: float) -> "Box":
+        """Contract the box about its center by the factor ``1 - delta/inradius``.
+
+        Every point of the shrunk set stays feasible in the original set
+        after an arbitrary perturbation of Euclidean length ``delta``. The
+        contraction is performed about the set's own center, so it is
+        coordinate-frame-free and works for sets that do not contain the
+        origin.
+        """
         factor = _shrink_factor(self, delta)
         half = 0.5 * (self.upper - self.lower) * factor
         c = self.center
@@ -180,6 +185,9 @@ class Ball:
         return bool(np.all(dist <= self.radius + tol))
 
     def shrink(self, delta: float) -> "Ball":
+        """Contract the ball about its center by the factor
+        ``1 - delta/inradius``; feasible under perturbations of length
+        ``delta``, as for ``Box.shrink``."""
         factor = _shrink_factor(self, delta)
         return Ball(self.center, self.radius * factor)
 
@@ -195,30 +203,6 @@ def _shrink_factor(region: AdmissibleSet, delta: float) -> float:
             f"smoothing radius {delta} must satisfy 0 <= delta < inradius {r}"
         )
     return 1.0 - delta / r
-
-
-def project(region: AdmissibleSet, x) -> np.ndarray:
-    """Euclidean projection of ``x`` onto ``region``.
-
-    Interior points are returned unchanged; the result always lies in the set.
-    """
-    return region.project(x)
-
-
-def shrunk_set(region: AdmissibleSet, delta: float) -> AdmissibleSet:
-    """Contract ``region`` about its center by the factor ``1 - delta/inradius``.
-
-    Every point of the shrunk set stays feasible in the original set after an
-    arbitrary perturbation of Euclidean length ``delta``. The contraction is
-    performed about the set's own center, so it is coordinate-frame-free and
-    works for sets that do not contain the origin.
-    """
-    return region.shrink(delta)
-
-
-def set_diameter(region: AdmissibleSet) -> float:
-    """Largest Euclidean distance between two points of the set."""
-    return region.diameter
 
 
 @dataclass(frozen=True)

@@ -339,16 +339,14 @@ def _write_csv(path: Path, header: str, columns) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True,
-                   optima: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> TrialAggregate:
+def run_experiment(config: ExperimentConfig, write: bool = True) -> TrialAggregate:
     """Run all trials, write per-trial and aggregate CSVs, return the aggregate.
 
     Trial ``i`` uses seed ``base_seed + i``. The per-step optimal-action
     series is trajectory-independent: it is found once, in the same oracle
-    pass that evaluates every trial, or supplied and shared.
+    pass that evaluates every trial.
     """
-    (trace,), (agg,) = _experiments(build_scenario(config), [config], optima)
+    (trace,), (agg,) = _experiments(build_scenario(config), [config])
     if write:
         _write_experiment(config.out_prefix, trace, agg)
     return agg
@@ -367,8 +365,7 @@ def _run_learner(config: ExperimentConfig, scenario: Scenario) -> learner.Trace:
                               scenario.noise, scenario.region, seeds)
 
 
-def _experiments(scenario: Scenario, configs: list[ExperimentConfig],
-                 optima: tuple[np.ndarray, np.ndarray] | None = None
+def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
                  ) -> tuple[list[learner.Trace], list[TrialAggregate]]:
     """Every config's learner, then one oracle pass over all of their trials.
 
@@ -380,7 +377,7 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig],
     report = oracle.dynamic_regret(
         np.concatenate([trace.x_hat for trace in traces]), scenario.cost,
         scenario.noise, scenario.region, first.alpha, k=first.oracle_k,
-        grid_n=first.oracle_grid, optima=optima)
+        grid_n=first.oracle_grid)
     starts = np.cumsum([config.trials for config in configs])[:-1]
     rows = zip(*(np.split(column, starts) for column in (
         report.played_cvar, report.cumulative_regret, report.accumulated_loss)))
@@ -467,7 +464,6 @@ def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport
     A zero budget (static sequence) degenerates the batch-size formulas, so
     no suggestions are emitted in that case.
     """
-    config.validate()
     scenario = build_scenario(config)
     profile = environment.variation_profile(scenario.noise, config.horizon)
     budget = float(profile.sum())

@@ -71,7 +71,6 @@ class Trace:
     x_hat: np.ndarray          # (trials, T, d) played (perturbed) action
     cvar_estimate: np.ndarray  # (trials, T)
     gradient: np.ndarray       # (trials, T, d)
-    costs: tuple[np.ndarray, ...]  # per step, (trials, n_t) sampled costs at x_hat
 
 
 def _draws(rngs, d: int, n_samples: np.ndarray):
@@ -134,7 +133,6 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     eta = np.array([config.rate.rate(tau) for tau in epoch], dtype=float)
     xs, us, x_hats, grads = (np.empty((trials, horizon, d)) for _ in range(4))
     cvars = np.empty((trials, horizon))
-    costs = []
     x = np.tile(x, (trials, 1))
     for s, (u, q) in enumerate(_draws(rngs, d, n_samples)):
         x_hat = x + config.delta * u
@@ -148,11 +146,9 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
             raise ConfigurationError(
                 f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
         cvar = cvar_of_values(step_costs, config.alpha)
-        grad = gradient_estimate(cvar, u, config.delta, d)
+        grad = gradient_estimate(cvar, u, config.delta)
         xs[:, s], us[:, s], x_hats[:, s], grads[:, s] = x, u, x_hat, grad
         cvars[:, s] = cvar
-        costs.append(step_costs)
         x = inner.project(x - eta[s] * grad)
     return Trace(t=t, batch=batch, epoch=epoch, n_samples=n_samples, eta=eta,
-                 x=xs, u=us, x_hat=x_hats, cvar_estimate=cvars, gradient=grads,
-                 costs=tuple(costs))
+                 x=xs, u=us, x_hat=x_hats, cvar_estimate=cvars, gradient=grads)

@@ -10,8 +10,8 @@ and CVaR is monotone and convex, so the grid CVaR is discrete-convex and a
 descent walk finds its minimum after a few CVaR rows instead of all ``k``.
 
 ``dynamic_regret`` makes one pass over the steps: each step's quantile grid
-is built once and serves both that step's optimum search (when no series is
-supplied) and the played actions of every trial, evaluated in row blocks.
+is built once and serves both that step's optimum search and the played
+actions of every trial, evaluated in row blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .risk import cvar_of_values
 __all__ = [
     "true_cvar",
     "action_grid",
-    "optimal_action_grid",
     "optimal_action_series",
     "RegretReport",
     "dynamic_regret",
@@ -130,19 +129,6 @@ def _step_minimum(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
         xs.size, start, _TOL * cost.bound)
 
 
-def optimal_action_grid(cost: CostModel, noise: NoiseSequence, t: int,
-                        region: AdmissibleSet, alpha: float, k: int = 100,
-                        grid_n: int = 10_000) -> tuple[np.ndarray, float]:
-    """Grid minimizer of the step-``t`` CVaR and its value.
-
-    Ties break toward the smaller coordinate (first grid hit).
-    """
-    xs = action_grid(region, k)
-    i, c = _step_minimum(cost, _quantile_grid(noise, t, grid_n), xs, alpha,
-                         xs.size // 2)
-    return np.array([xs[i]]), c
-
-
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
                           region: AdmissibleSet, alpha: float, horizon: int,
                           k: int = 100, grid_n: int = 10_000
@@ -151,7 +137,7 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
 
     Each step's search starts from the previous step's minimizer.
     Trajectory-independent, so one series can be shared across trials.
-    ``dynamic_regret`` finds the same series inline when none is supplied.
+    ``dynamic_regret`` finds the same series inline.
     """
     xs = action_grid(region, k)
     x_star = np.empty(horizon)
@@ -177,47 +163,37 @@ class RegretReport:
 
 def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                    region: AdmissibleSet, alpha: float, k: int = 100,
-                   grid_n: int = 10_000,
-                   optima: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> RegretReport:
+                   grid_n: int = 10_000) -> RegretReport:
     """Evaluate played actions ``x_hat`` of shape ``(trials, T, d)``, played
     at steps ``1..T``, against the per-step best actions in hindsight.
 
     One pass over the steps: each step's quantile grid is built once and
-    serves every trial. ``optima`` may carry a precomputed ``(x_star,
-    c_star)`` series (e.g. shared across experiments); otherwise each step's
-    optimum is searched in the same pass, warm-started from the previous
-    step's, exactly as ``optimal_action_series`` finds it. The played CVaRs
-    are evaluated in blocks of rows of at most ``_BLOCK`` cost values.
+    serves every trial. Each step's optimum is searched in the same pass,
+    warm-started from the previous step's, exactly as
+    ``optimal_action_series`` finds it. The played CVaRs are evaluated in
+    blocks of rows of at most ``_BLOCK`` cost values.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.ndim != 3 or x_hat.shape[1] == 0:
         raise ConfigurationError(
             f"played actions must have shape (trials, T, d), got {x_hat.shape}")
     trials, horizon = x_hat.shape[:2]
-    if optima is None:
-        xs = action_grid(region, k)
-        x_star, c_star = np.empty(horizon), np.empty(horizon)
-        i = xs.size // 2
-    else:
-        x_star, c_star = optima
-        if len(c_star) < horizon:
-            raise ConfigurationError("optima series shorter than the trajectory")
+    xs = action_grid(region, k)
+    x_star, c_star = np.empty(horizon), np.empty(horizon)
+    i = xs.size // 2
     rows = max(1, _BLOCK // _mid_quantiles(int(grid_n)).size)
     played = np.empty((trials, horizon))
     for s in range(horizon):
         xi = _quantile_grid(noise, s + 1, grid_n)
-        if optima is None:
-            i, c_star[s] = _step_minimum(cost, xi, xs, alpha, i)
-            x_star[s] = xs[i]
+        i, c_star[s] = _step_minimum(cost, xi, xs, alpha, i)
+        x_star[s] = xs[i]
         for r in range(0, trials, rows):
             played[r:r + rows, s] = cvar_of_values(
                 cost.rows(x_hat[r:r + rows, s], xi[None, :]), alpha)
-    c_star = np.asarray(c_star[:horizon], dtype=float)
     return RegretReport(
         played_cvar=played,
         optimal_cvar=c_star,
-        optimal_actions=np.asarray(x_star[:horizon], dtype=float),
+        optimal_actions=x_star,
         cumulative_regret=np.cumsum(played - c_star, axis=1),
         accumulated_loss=np.cumsum(played, axis=1),
     )

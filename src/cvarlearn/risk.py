@@ -19,7 +19,6 @@ from .core import ConfigurationError
 __all__ = [
     "EmpiricalCdf",
     "build_ecdf",
-    "ecdf_eval",
     "empirical_quantile",
     "cvar_of_values",
     "cvar_discrete",
@@ -68,11 +67,6 @@ def build_ecdf(values) -> EmpiricalCdf:
     if v.size == 0:
         raise ConfigurationError("cannot build an empirical CDF from an empty sample")
     return EmpiricalCdf(np.sort(v.ravel()))
-
-
-def ecdf_eval(ecdf: EmpiricalCdf, y):
-    """Evaluate the empirical CDF at ``y``."""
-    return ecdf.evaluate(y)
 
 
 def empirical_quantile(ecdf: EmpiricalCdf, q: float) -> float:

@@ -28,7 +28,6 @@ __all__ = [
     "ConstantRate",
     "InverseEpochRate",
     "LearningRateSchedule",
-    "learning_rate",
     "Theorem1Params",
     "Theorem2Params",
     "theorem1_params",
@@ -157,11 +156,6 @@ class InverseEpochRate:
 
 
 LearningRateSchedule = Union[ConstantRate, InverseEpochRate]
-
-
-def learning_rate(schedule: LearningRateSchedule, tau: int) -> float:
-    """Learning rate at within-batch epoch ``tau``."""
-    return schedule.rate(tau)
 
 
 class Theorem1Params(NamedTuple):

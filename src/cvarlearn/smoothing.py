@@ -16,7 +16,6 @@ from .oracle import true_cvar
 
 __all__ = [
     "sample_unit_sphere",
-    "perturb",
     "gradient_estimate",
     "smoothed_cvar_mc",
 ]
@@ -40,19 +39,9 @@ def sample_unit_sphere(d: int, rng: np.random.Generator) -> np.ndarray:
             return g / norm
 
 
-def perturb(x, delta: float, u) -> np.ndarray:
-    """Perturbed action ``x + delta * u``."""
-    x = as_vector(x)
-    u = as_vector(u)
-    if x.size != u.size:
-        raise ConfigurationError(
-            f"dimension mismatch: decision is {x.size}-D, direction is {u.size}-D")
-    return x + float(delta) * u
-
-
-def gradient_estimate(cvar_value, u, delta: float,
-                      d: int | None = None) -> np.ndarray:
-    """One-point gradient estimate ``(d / delta) * cvar_value * u``.
+def gradient_estimate(cvar_value, u, delta: float) -> np.ndarray:
+    """One-point gradient estimate ``(d / delta) * cvar_value * u``, where
+    ``d`` is the dimension of the direction ``u``.
 
     Also one estimate per row: CVaR values ``(trials,)`` with directions
     ``(trials, d)``.
@@ -63,9 +52,7 @@ def gradient_estimate(cvar_value, u, delta: float,
     delta = float(delta)
     if delta <= 0:
         raise ConfigurationError("smoothing radius must be positive")
-    if d is None:
-        d = u.shape[-1]
-    return (d / delta) * np.asarray(cvar_value, dtype=float)[..., None] * u
+    return (u.shape[-1] / delta) * np.asarray(cvar_value, dtype=float)[..., None] * u
 
 
 def smoothed_cvar_mc(cost: CostModel, noise: NoiseSequence, t: int, x,

@@ -1,34 +1,21 @@
-import dataclasses
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from cvarlearn.harness import ExperimentConfig, build_scenario, run_experiment
-from cvarlearn.oracle import optimal_action_series
+from cvarlearn.harness import ExperimentConfig, build_scenario, run_ablation
 
 
 @pytest.fixture(scope="session")
 def paper_study():
     """The full dynamic-pricing study: 10 seeded trials at each sample count.
 
-    The per-step optimal-action series is trajectory-independent and shared
-    across all runs; build it once for the whole session.
+    One ablation runs every count's learner and evaluates all of their trials
+    in one oracle pass; ``seconds`` is its total.
     """
     config = ExperimentConfig()  # defaults are the study configuration
-    scenario = build_scenario(config)
     t0 = time.perf_counter()
-    optima = optimal_action_series(scenario.cost, scenario.noise,
-                                   scenario.region, config.alpha,
-                                   config.horizon, k=config.oracle_k,
-                                   grid_n=config.oracle_grid)
-    optima_seconds = time.perf_counter() - t0
-    aggregates, seconds = {}, {}
-    for n in (8, 16, 24):
-        sub = dataclasses.replace(config, samples=n)
-        t0 = time.perf_counter()
-        aggregates[n] = run_experiment(sub, write=False, optima=optima)
-        seconds[n] = time.perf_counter() - t0
-    return SimpleNamespace(config=config, scenario=scenario, optima=optima,
-                           aggregates=aggregates, seconds=seconds,
-                           optima_seconds=optima_seconds)
+    aggregates = run_ablation(config, [8, 16, 24], write=False)
+    seconds = time.perf_counter() - t0
+    return SimpleNamespace(config=config, scenario=build_scenario(config),
+                           aggregates=aggregates, seconds=seconds)

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from cvarlearn.core import (
-    Ball,
-    Box,
-    ConfigurationError,
-    project,
-    set_diameter,
-    shrunk_set,
-)
+from cvarlearn.core import Ball, Box, ConfigurationError
 
 
 def random_set(rng):
@@ -21,19 +14,19 @@ def random_set(rng):
 
 class TestProject:
     def test_box_clamps_below(self):
-        assert project(Box([1.0], [5.0]), [0.0]) == pytest.approx([1.0])
+        assert Box([1.0], [5.0]).project([0.0]) == pytest.approx([1.0])
 
     def test_box_interior_fixed_point(self):
         box = Box([1.0], [5.0])
-        assert project(box, [3.0]) == pytest.approx([3.0])
+        assert box.project([3.0]) == pytest.approx([3.0])
 
     def test_ball_radial_scaling(self):
-        got = project(Ball([0.0, 0.0], 1.0), [3.0, 4.0])
+        got = Ball([0.0, 0.0], 1.0).project([3.0, 4.0])
         assert got == pytest.approx([0.6, 0.8])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
-            project(Box([0.0], [1.0]), [0.0, 1.0])
+            Box([0.0], [1.0]).project([0.0, 1.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
@@ -73,26 +66,26 @@ class TestProject:
 
 class TestShrunkSet:
     def test_box_scales_about_center(self):
-        inner = shrunk_set(Box([1.0], [5.0]), 0.5)
+        inner = Box([1.0], [5.0]).shrink(0.5)
         assert inner.lower == pytest.approx([1.5])
         assert inner.upper == pytest.approx([4.5])
 
     def test_ball_radius_shrinks_by_delta(self):
-        inner = shrunk_set(Ball([2.0, -1.0], 1.5), 0.4)
+        inner = Ball([2.0, -1.0], 1.5).shrink(0.4)
         assert inner.radius == pytest.approx(1.1)
         assert inner.center == pytest.approx([2.0, -1.0])
 
     def test_zero_delta_is_identity(self):
         box = Box([0.0, 1.0], [2.0, 5.0])
-        inner = shrunk_set(box, 0.0)
+        inner = box.shrink(0.0)
         assert np.array_equal(inner.lower, box.lower)
         assert np.array_equal(inner.upper, box.upper)
 
     def test_delta_at_inradius_rejected(self):
         with pytest.raises(ConfigurationError):
-            shrunk_set(Box([1.0], [5.0]), 2.0)
+            Box([1.0], [5.0]).shrink(2.0)
         with pytest.raises(ConfigurationError):
-            shrunk_set(Ball([0.0], 1.0), 1.5)
+            Ball([0.0], 1.0).shrink(1.5)
 
     def test_perturbations_stay_feasible(self):
         # Any delta-length perturbation of a shrunk-set point stays admissible.
@@ -100,7 +93,7 @@ class TestShrunkSet:
         for _ in range(1000):
             region = random_set(rng)
             delta = float(rng.uniform(0.0, 0.95 * region.inradius))
-            inner = shrunk_set(region, delta)
+            inner = region.shrink(delta)
             x = inner.project(rng.uniform(-10, 10, size=region.dim))
             u = rng.standard_normal(region.dim)
             u /= np.linalg.norm(u)
@@ -111,21 +104,21 @@ class TestShrunkSet:
         for _ in range(200):
             region = random_set(rng)
             d_small, d_big = np.sort(rng.uniform(0.0, 0.9 * region.inradius, size=2))
-            bigger_shrink = shrunk_set(region, d_big)
-            smaller_shrink = shrunk_set(region, d_small)
+            bigger_shrink = region.shrink(d_big)
+            smaller_shrink = region.shrink(d_small)
             point = bigger_shrink.project(rng.uniform(-10, 10, size=region.dim))
             assert smaller_shrink.contains(point)
 
 
 class TestDiameterAndInradius:
     def test_interval(self):
-        assert set_diameter(Box([1.0], [5.0])) == pytest.approx(4.0)
+        assert Box([1.0], [5.0]).diameter == pytest.approx(4.0)
 
     def test_ball(self):
-        assert set_diameter(Ball([0.0, 0.0], 2.0)) == pytest.approx(4.0)
+        assert Ball([0.0, 0.0], 2.0).diameter == pytest.approx(4.0)
 
     def test_box_diagonal(self):
-        assert set_diameter(Box([0.0, 0.0], [3.0, 4.0])) == pytest.approx(5.0)
+        assert Box([0.0, 0.0], [3.0, 4.0]).diameter == pytest.approx(5.0)
 
     def test_box_inradius_is_min_halfwidth(self):
         assert Box([0.0, 0.0], [2.0, 10.0]).inradius == pytest.approx(1.0)

@@ -6,6 +6,7 @@ import pytest
 from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
 from cvarlearn.environment import constant_uniform, parking_noise
 from cvarlearn.learner import LearnerConfig, _draws, run_trials
+from cvarlearn.risk import cvar_of_values
 from cvarlearn.schedule import (
     ConstantRate,
     ConstantSampling,
@@ -29,6 +30,21 @@ def run(config, cost, noise, region, seed=0):
     return run_trials(config, cost, noise, region, [seed])
 
 
+def step_costs(trace, config, cost, noise, seeds):
+    """Each step's sampled costs ``(trials, n_t)`` at the played actions,
+    rebuilt from the trials' draws; checked bit for bit against the trace's
+    CVaR estimates."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = _draws(rngs, trace.x_hat.shape[-1], trace.n_samples)
+    costs = []
+    for s, (_, q) in enumerate(draws):
+        xi = np.asarray(noise.quantile(trace.t[s], q), dtype=float)
+        costs.append(cost.rows(trace.x_hat[:, s], xi))
+        assert np.array_equal(cvar_of_values(costs[-1], config.alpha),
+                              trace.cvar_estimate[:, s])
+    return costs
+
+
 ZERO_COST = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0, lipschitz=1.0)
 QUADRATIC_COST = CostModel(fn=lambda x, xi: (x - 2.0) ** 2 + 0.0 * xi,
                            bound=100.0, lipschitz=20.0, strong_convexity=2.0)
@@ -50,13 +66,14 @@ class TestRunBasics:
         config = make_config(horizon=100, batch_size=20, x0=np.array([1.5]),
                              sampling=ConstantSampling(8))
         trace = run_trials(config, pricing_cost(), noise, region, [0, 1])
+        costs = step_costs(trace, config, pricing_cost(), noise, [0, 1])
         d = 1
         assert np.array_equal(trace.x_hat, trace.x + config.delta * trace.u)
         assert np.array_equal(
             trace.gradient,
             (d / config.delta) * trace.cvar_estimate[:, :, None] * trace.u)
-        for costs, n_t in zip(trace.costs, trace.n_samples, strict=True):
-            assert costs.shape == (2, n_t)
+        for step, n_t in zip(costs, trace.n_samples, strict=True):
+            assert step.shape == (2, n_t)
 
     def test_exact_record_count_with_short_final_batch(self):
         region = Box([0.0], [4.0])
@@ -144,6 +161,7 @@ class TestConvergence:
         inner = region.shrink(config.delta)
         assert trace.x.shape == trace.u.shape == trace.gradient.shape == (1, 3000, 2)
         assert np.abs(np.linalg.norm(trace.u, axis=-1) - 1.0).max() <= 1e-12
+        assert np.array_equal(trace.x_hat, trace.x + config.delta * trace.u)
         assert inner.contains(trace.x[0]) and region.contains(trace.x_hat[0])
         tail = trace.x[0, -200:]
         assert np.linalg.norm(tail.mean(axis=0)) <= 0.2
@@ -177,7 +195,9 @@ class TestDeterminismAndRestarts:
         second = run(config, pricing_cost(), noise, region, seed=11)
         assert np.array_equal(first.x, second.x)
         assert np.array_equal(first.x_hat, second.x_hat)
-        for a, b in zip(first.costs, second.costs, strict=True):
+        for a, b in zip(step_costs(first, config, pricing_cost(), noise, [11]),
+                        step_costs(second, config, pricing_cost(), noise, [11]),
+                        strict=True):
             assert np.array_equal(a, b)
         assert np.array_equal(first.cvar_estimate, second.cvar_estimate)
 
@@ -244,7 +264,9 @@ class TestLockstep:
         # Trial i of a lockstep run is the run of seed base + i on its own.
         region, cost, noise, config = LOCKSTEP_CASES[case]()
         base = 5
-        together = run_trials(config, cost, noise, region, [base, base + 1, base + 2])
+        seeds = [base, base + 1, base + 2]
+        together = run_trials(config, cost, noise, region, seeds)
+        together_costs = step_costs(together, config, cost, noise, seeds)
         if case == "polynomial":
             assert len(set(together.n_samples.tolist())) > 1
         for i in range(3):
@@ -252,7 +274,8 @@ class TestLockstep:
             for name in ("x", "u", "x_hat", "cvar_estimate", "gradient"):
                 assert np.array_equal(getattr(together, name)[i],
                                       getattr(alone, name)[0]), name
-            for both, one in zip(together.costs, alone.costs, strict=True):
+            alone_costs = step_costs(alone, config, cost, noise, [base + i])
+            for both, one in zip(together_costs, alone_costs, strict=True):
                 assert np.array_equal(both[i], one[0])
 
 

@@ -15,7 +15,6 @@ from cvarlearn.oracle import (
     action_grid,
     batch_optimal_actions,
     dynamic_regret,
-    optimal_action_grid,
     optimal_action_series,
     true_cvar,
 )
@@ -106,12 +105,13 @@ class TestActionGrid:
 
 
 class TestOptimalActionGrid:
+    # A batch of one step is that step's grid optimum and its CVaR.
     def test_deterministic_quadratic_hits_exact_minimizer(self):
         cost = CostModel(fn=lambda x, xi: (x - 3.0) ** 2 + 0.0 * xi, bound=100.0,
                          lipschitz=20.0)
         noise = constant_uniform(5, 0.0, 0.0)
-        x_star, c_star = optimal_action_grid(cost, noise, 1, Box([1.0], [5.0]),
-                                             0.5, k=101, grid_n=1000)
+        x_star, c_star = batch_optimal_actions(cost, noise, [1], Box([1.0], [5.0]),
+                                               0.5, k=101, grid_n=1000)
         # grid contains the exact minimizer: centers of 101 cells include 3.0
         assert x_star == pytest.approx([3.0], abs=1e-12)
         assert c_star == pytest.approx(0.0, abs=1e-12)
@@ -119,24 +119,24 @@ class TestOptimalActionGrid:
     def test_monotone_cost_picks_lower_edge_cell(self):
         cost = CostModel(fn=lambda x, xi: x + 0.0 * xi, bound=10.0, lipschitz=1.0)
         noise = constant_uniform(5, 0.0, 1.0)
-        x_star, _ = optimal_action_grid(cost, noise, 1, Box([1.0], [5.0]), 0.5,
-                                        k=100, grid_n=1000)
+        x_star, _ = batch_optimal_actions(cost, noise, [1], Box([1.0], [5.0]),
+                                          0.5, k=100, grid_n=1000)
         assert x_star == pytest.approx([1.0 + 4.0 / 200.0])
 
     def test_tie_breaks_toward_smaller_coordinate(self):
         cost = CostModel(fn=lambda x, xi: np.abs(x) * 0.0 + 0.0 * xi + 1.0,
                          bound=10.0, lipschitz=1.0)
         noise = constant_uniform(5, 0.0, 1.0)
-        x_star, _ = optimal_action_grid(cost, noise, 1, Box([1.0], [5.0]), 0.5,
-                                        k=10, grid_n=1000)
+        x_star, _ = batch_optimal_actions(cost, noise, [1], Box([1.0], [5.0]),
+                                          0.5, k=10, grid_n=1000)
         assert x_star == pytest.approx([1.2])
 
     def test_pricing_reference_minimizer(self):
         # Exhaustive-grid oracle at the mid-horizon switch; regression anchor.
         scen = pricing_scenario()
-        x_star, c_star = optimal_action_grid(scen.cost, scen.noise, 3000,
-                                             scen.region, 0.5, k=100,
-                                             grid_n=10_000)
+        x_star, c_star = batch_optimal_actions(scen.cost, scen.noise, [3000],
+                                               scen.region, 0.5, k=100,
+                                               grid_n=10_000)
         assert x_star == pytest.approx([2.54], abs=1e-9)
         assert 0.0 < c_star < scen.cost.bound
 
@@ -246,8 +246,8 @@ class TestDynamicRegret:
 
     @pytest.mark.parametrize("scenario", ["parking", "brownian"])
     def test_inline_optima_equal_the_series(self, scenario):
-        # Without a supplied series, the regret pass searches each step's
-        # optimum itself; optimal_action_series is the reference.
+        # The regret pass searches each step's optimum itself;
+        # optimal_action_series is the reference.
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=60))
         x_star, c_star = optimal_action_series(scen.cost, scen.noise, scen.region,
                                                0.5, 60, k=40, grid_n=1000)
@@ -255,17 +255,6 @@ class TestDynamicRegret:
                                 scen.region, 0.5, k=40, grid_n=1000)
         assert np.array_equal(report.optimal_actions, x_star)
         assert np.array_equal(report.optimal_cvar, c_star)
-
-    def test_precomputed_optima_match_inline(self):
-        scen = pricing_scenario(horizon=20)
-        optima = optimal_action_series(scen.cost, scen.noise, scen.region, 0.5,
-                                       20, k=50, grid_n=1000)
-        traj = played(np.full(20, 2.0))
-        a = dynamic_regret(traj, scen.cost, scen.noise, scen.region, 0.5, k=50,
-                           grid_n=1000)
-        b = dynamic_regret(traj, scen.cost, scen.noise, scen.region, 0.5, k=50,
-                           grid_n=1000, optima=optima)
-        assert a.cumulative_regret == pytest.approx(b.cumulative_regret, abs=0)
 
 
 class TestAccumulatedLoss:
@@ -293,8 +282,8 @@ class TestBatchOptimalActions:
         scen = build_scenario(ExperimentConfig(scenario="custom", horizon=20))
         x_batch, _ = batch_optimal_actions(scen.cost, scen.noise, range(1, 21),
                                            scen.region, 0.5, k=100, grid_n=2000)
-        x_star, _ = optimal_action_grid(scen.cost, scen.noise, 1, scen.region,
-                                        0.5, k=100, grid_n=2000)
+        x_star, _ = batch_optimal_actions(scen.cost, scen.noise, [1],
+                                          scen.region, 0.5, k=100, grid_n=2000)
         assert x_batch == pytest.approx(x_star, abs=0)
 
     def test_two_step_swap_minimizes_summed_cvar(self):

@@ -11,7 +11,6 @@ from cvarlearn.risk import (
     cvar_discrete,
     cvar_error_bound,
     dkw_epsilon,
-    ecdf_eval,
     empirical_quantile,
     ru_functional,
     sup_cdf_distance,
@@ -51,19 +50,19 @@ class TestBuildEcdf:
 
 class TestEcdfEval:
     def test_fraction_at_interior_point(self):
-        assert ecdf_eval(build_ecdf([1, 2, 3]), 2) == pytest.approx(2 / 3)
+        assert build_ecdf([1, 2, 3]).evaluate(2) == pytest.approx(2 / 3)
 
     def test_below_min_is_zero(self):
-        assert ecdf_eval(build_ecdf([1, 2, 3]), 0.5) == 0.0
+        assert build_ecdf([1, 2, 3]).evaluate(0.5) == 0.0
 
     def test_at_or_above_max_is_one(self):
         e = build_ecdf([1, 2, 3])
-        assert ecdf_eval(e, 3) == 1.0
-        assert ecdf_eval(e, 99) == 1.0
+        assert e.evaluate(3) == 1.0
+        assert e.evaluate(99) == 1.0
 
     def test_step_range(self):
         e = build_ecdf([0.0, 1.0, 2.0, 3.0])
-        values = set(float(ecdf_eval(e, y)) for y in np.linspace(-1, 4, 101))
+        values = set(float(e.evaluate(y)) for y in np.linspace(-1, 4, 101))
         assert values <= {0.0, 0.25, 0.5, 0.75, 1.0}
 
 

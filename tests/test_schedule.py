@@ -13,7 +13,6 @@ from cvarlearn.schedule import (
     PolynomialSampling,
     batch_epoch,
     check_sampling_requirement,
-    learning_rate,
     sampling_count_poly,
     theorem1_params,
     theorem2_params,
@@ -110,14 +109,14 @@ class TestSamplingRequirement:
 
 class TestLearningRate:
     def test_constant(self):
-        assert learning_rate(ConstantRate(0.01), 7) == 0.01
+        assert ConstantRate(0.01).rate(7) == 0.01
 
     def test_inverse_epoch_first(self):
-        assert learning_rate(InverseEpochRate(1.0), 1) == 1.0
+        assert InverseEpochRate(1.0).rate(1) == 1.0
 
     def test_inverse_epoch_decay(self):
-        assert learning_rate(InverseEpochRate(4.0), 25) == pytest.approx(0.01)
-        assert learning_rate(InverseEpochRate(2.0), 5) == pytest.approx(0.1)
+        assert InverseEpochRate(4.0).rate(25) == pytest.approx(0.01)
+        assert InverseEpochRate(2.0).rate(5) == pytest.approx(0.1)
 
     def test_positivity_validation(self):
         with pytest.raises(ConfigurationError):

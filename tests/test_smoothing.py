@@ -5,7 +5,6 @@ from cvarlearn.core import Box, ConfigurationError, CostModel
 from cvarlearn.environment import constant_uniform
 from cvarlearn.smoothing import (
     gradient_estimate,
-    perturb,
     sample_unit_sphere,
     smoothed_cvar_mc,
 )
@@ -42,21 +41,6 @@ class TestSampleUnitSphere:
     def test_invalid_dimension(self):
         with pytest.raises(ConfigurationError):
             sample_unit_sphere(0, np.random.default_rng(0))
-
-
-class TestPerturb:
-    def test_scalar_step(self):
-        assert perturb([3.0], 0.05, [1.0]) == pytest.approx([3.05])
-
-    def test_zero_radius(self):
-        assert perturb([2.0, -1.0], 0.0, [0.0, 1.0]) == pytest.approx([2.0, -1.0])
-
-    def test_vector_direction(self):
-        assert perturb([1.0, 1.0], 0.5, [0.0, 1.0]) == pytest.approx([1.0, 1.5])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            perturb([1.0], 0.1, [1.0, 0.0])
 
 
 class TestGradientEstimate:
