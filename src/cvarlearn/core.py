@@ -49,7 +49,7 @@ def _as_points(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 2:
         return as_vector(v)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ConfigurationError("decision vector has non-finite coordinates")
     return v
 
@@ -118,7 +118,7 @@ class Box:
         x = _as_points(x)
         if x.shape[-1] != self.dim:
             return False
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
 
     def shrink(self, delta: float) -> "Box":
         """Contract the box about its center by the factor ``1 - delta/inradius``.
@@ -182,7 +182,7 @@ class Ball:
         if x.shape[-1] != self.dim:
             return False
         dist = np.linalg.norm(x - self.center, axis=-1)
-        return bool(np.all(dist <= self.radius + tol))
+        return bool((dist <= self.radius + tol).all())
 
     def shrink(self, delta: float) -> "Ball":
         """Contract the ball about its center by the factor

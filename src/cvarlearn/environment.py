@@ -38,7 +38,8 @@ class UniformSeq(NoiseSequence):
 
     Steps where ``right(t) <= left(t)`` collapse to a point mass at
     ``left(t)`` (logged once); this keeps sequences whose endpoint formulas
-    momentarily cross well-defined without altering the base level.
+    momentarily cross well-defined without altering the base level. The
+    endpoints of every step are evaluated once, at the first lookup.
     """
 
     def __init__(self, horizon: int, left: Callable[[int], float],
@@ -46,21 +47,35 @@ class UniformSeq(NoiseSequence):
         super().__init__(horizon)
         self._left = left
         self._right = right
-        self._warned_degenerate = False
+        self._table: np.ndarray | None = None
 
-    def bounds(self, t: int) -> tuple[float, float]:
-        """Effective endpoints at step ``t`` after degenerate collapse."""
-        t = self._check_t(t)
+    def _endpoints(self, t: int) -> tuple[float, float]:
         lo, hi = float(self._left(t)), float(self._right(t))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ConfigurationError(f"non-finite uniform endpoints at t={t}")
-        if hi <= lo:
-            if not self._warned_degenerate:
+        return lo, hi
+
+    def bounds_table(self) -> np.ndarray:
+        """Effective endpoints of every step after degenerate collapse, as a
+        read-only ``(horizon, 2)`` array whose row ``t - 1`` is step ``t``."""
+        if self._table is None:
+            table = np.array([self._endpoints(t)
+                              for t in range(1, self.horizon + 1)])
+            lo, hi = table.T
+            degenerate = np.flatnonzero(hi <= lo)
+            if degenerate.size:
+                t = degenerate[0]
                 logger.warning(
                     "degenerate uniform range at t=%d (left=%.6g >= right=%.6g); "
-                    "emitting a point mass at the left endpoint", t, lo, hi)
-                self._warned_degenerate = True
-            return lo, lo
+                    "emitting a point mass at the left endpoint", t + 1, lo[t], hi[t])
+                hi[degenerate] = lo[degenerate]
+            table.flags.writeable = False
+            self._table = table
+        return self._table
+
+    def bounds(self, t: int) -> tuple[float, float]:
+        """Effective endpoints at step ``t`` after degenerate collapse."""
+        lo, hi = self.bounds_table()[self._check_t(t) - 1].tolist()
         return lo, hi
 
     def cdf(self, t: int, y):

@@ -8,14 +8,16 @@ then one oracle pass that finds the per-step optima and evaluates every
 trial, then the CSVs. An ablation runs every count's learner first and
 evaluates all of their trials in one oracle pass, so a failure writes
 nothing. All output is CSV (17-significant-digit floats, LF endings, UTF-8);
-the columns shared by every trial are formatted once. Plotting is left to
-external tools.
+each file is formatted from one template, in which the columns shared by
+every trial are formatted once, and is renamed into place only when whole.
+Plotting is left to external tools.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +92,10 @@ class ExperimentConfig:
     track_high: float = 2.0
 
     def validate(self) -> "ExperimentConfig":
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
@@ -124,7 +130,10 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 def load_config_file(path) -> dict:
     """Parse a flat ``key = value`` config file (# starts a comment)."""
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -244,9 +253,8 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     if config.scenario == "parking":
         noise: NoiseSequence = environment.parking_noise(horizon)
         region: AdmissibleSet = Box([config.price_low], [config.price_high])
-        bounds = [noise.bounds(t) for t in range(1, horizon + 1)]
-        xi_lo = min(b[0] for b in bounds)
-        xi_hi = max(b[1] for b in bounds)
+        bounds = noise.bounds_table()
+        xi_lo, xi_hi = float(bounds[:, 0].min()), float(bounds[:, 1].max())
         cost = _pricing_cost(config.elasticity, config.regularization,
                              config.target_occupancy,
                              (config.price_low, config.price_high),
@@ -321,22 +329,45 @@ class TrialAggregate:
         return self.column(name).std(axis=0)
 
 
+#: Slot of one float cell in a CSV template: 17 significant digits.
+_FLOAT = "%.17g"
+
+
+def _template(header: str, columns) -> str:
+    """A whole CSV file as one ``%`` template: the header and one line per row.
+
+    A column given as values is formatted into the template, integers as
+    integers and floats with 17 significant digits. A column given as
+    ``None`` is left as float slots, which ``_write_csv`` fills.
+    """
+    rows = next(len(c) for c in columns if c is not None)
+    cells = [[_FLOAT] * rows if c is None else _cells(c) for c in columns]
+    return header + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
 def _cells(column) -> list[str]:
-    """CSV cells of one column: integers as integers, floats with 17
-    significant digits."""
     column = np.asarray(column)
     if column.dtype.kind in "iu":
         return list(map(str, column.tolist()))
-    return [format(v, ".17g") for v in column.tolist()]
+    return [_FLOAT % v for v in column.tolist()]
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    """One row per index of the equal-length ``columns``; a column is an
-    array, or a list of cells already formatted by ``_cells``."""
-    cells = [c if isinstance(c, list) else _cells(c) for c in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+def _write_csv(path: Path, template: str, columns) -> None:
+    """Fill the slots of ``template``, row by row, from the float ``columns``
+    and replace ``path`` with the result.
+
+    The text goes to a temporary file beside ``path`` that is then renamed
+    over it, so a failure leaves the old file whole and no temporary file.
+    """
+    text = template % tuple(np.column_stack(columns).ravel().tolist())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True) -> TrialAggregate:
@@ -400,17 +431,19 @@ def _write_experiment(out_prefix: str, trace: learner.Trace,
     prefix = Path(out_prefix)
     if prefix.parent != Path("."):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    t, j, tau, n_t, eta, c_star = map(_cells, (
-        trace.t, trace.batch, trace.epoch, trace.n_samples, trace.eta,
-        agg.optimal_cvar))
+    # The columns shared by every trial are formatted once, into the template.
+    template = _template(TRAJECTORY_HEADER, (
+        trace.t, trace.batch, trace.epoch, None, None, trace.n_samples, None,
+        None, trace.eta, None, agg.optimal_cvar, None, None))
     for i in range(len(agg.x)):
-        _write_csv(Path(f"{prefix}_trial{i}.csv"), TRAJECTORY_HEADER, (
-            t, j, tau, agg.x[i], agg.x_hat[i], n_t, trace.cvar_estimate[i],
-            trace.gradient[i, :, 0], eta, agg.played_cvar[i], c_star,
-            agg.regret[i], agg.acc_loss[i]))
+        _write_csv(Path(f"{prefix}_trial{i}.csv"), template, (
+            agg.x[i], agg.x_hat[i], trace.cvar_estimate[i],
+            trace.gradient[i, :, 0], agg.played_cvar[i], agg.regret[i],
+            agg.acc_loss[i]))
     header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
     stats = [s for c in AGGREGATE_COLUMNS for s in (agg.mean(c), agg.std(c))]
-    _write_csv(Path(f"{prefix}_aggregate.csv"), header, (t, *stats))
+    _write_csv(Path(f"{prefix}_aggregate.csv"),
+               _template(header, (trace.t, *[None] * len(stats))), stats)
 
 
 def run_ablation(config: ExperimentConfig, sample_counts,
@@ -434,19 +467,20 @@ def run_ablation(config: ExperimentConfig, sample_counts,
                                 out_prefix=f"{config.out_prefix}_n{n}").validate()
             for n in counts]
     traces, aggs = _experiments(build_scenario(config), subs)
-    rows = []
-    for n, agg in zip(counts, aggs):
-        final_losses = agg.acc_loss[:, -1]
-        check = check_sampling_requirement(ConstantSampling(n), config.batch_size,
-                                           config.sampling_a, config.sampling_c)
-        rows.append((n, final_losses.mean(), final_losses.std(),
-                     int(check.satisfied), check.achieved, check.allowed))
     if write:
         for sub, trace, agg in zip(subs, traces, aggs):
             _write_experiment(sub.out_prefix, trace, agg)
-        _write_csv(Path(f"{config.out_prefix}_ablation.csv"),
-                   "n,mean_final_loss,std_final_loss,requirement_ok,"
-                   "requirement_achieved,requirement_allowed", zip(*rows))
+        checks = [check_sampling_requirement(ConstantSampling(n), config.batch_size,
+                                             config.sampling_a, config.sampling_c)
+                  for n in counts]
+        template = _template(
+            "n,mean_final_loss,std_final_loss,requirement_ok,"
+            "requirement_achieved,requirement_allowed",
+            (counts, None, None, [int(c.satisfied) for c in checks], None, None))
+        final_losses = [agg.acc_loss[:, -1] for agg in aggs]
+        _write_csv(Path(f"{config.out_prefix}_ablation.csv"), template, (
+            [f.mean() for f in final_losses], [f.std() for f in final_losses],
+            [c.achieved for c in checks], [c.allowed for c in checks]))
     return dict(zip(counts, aggs))
 
 
@@ -481,6 +515,7 @@ def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport
         t2 = (theorem2_params(config.horizon, budget, config.sampling_a, modulus)
               if modulus > 0 else None)
     if write:
-        _write_csv(Path(f"{config.out_prefix}_budget.csv"), "t,w1",
-                   (np.arange(2, config.horizon + 1), profile))
+        _write_csv(Path(f"{config.out_prefix}_budget.csv"),
+                   _template("t,w1", (np.arange(2, config.horizon + 1), None)),
+                   (profile,))
     return BudgetReport(budget=budget, profile=profile, theorem1=t1, theorem2=t2)

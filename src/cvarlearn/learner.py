@@ -142,7 +142,7 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
                 f"admissible set: {x_hat}")
         xi = np.asarray(noise.quantile(t[s], q), dtype=float)
         step_costs = cost.rows(x_hat, xi)
-        if not np.all(np.isfinite(step_costs)):
+        if not np.isfinite(step_costs).all():
             raise ConfigurationError(
                 f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
         cvar = cvar_of_values(step_costs, config.alpha)

@@ -11,7 +11,10 @@ descent walk finds its minimum after a few CVaR rows instead of all ``k``.
 
 ``dynamic_regret`` makes one pass over the steps: each step's quantile grid
 is built once and serves both that step's optimum search and the played
-actions of every trial, evaluated in row blocks.
+actions of every trial. A step makes one stacked cost and CVaR call over the
+search's warm-start stencil and its first block of played actions; further
+calls are made only when the optimum moves, and for further blocks of
+played actions.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ def _quantile_grid(noise: NoiseSequence, t: int, grid_n: int) -> np.ndarray:
 #: stretch can hide the first minimum; a wider window only costs evaluations.
 _TOL = 1e-9
 
-#: Most cost values evaluated in one call when the played actions are
-#: evaluated: rows are grouped so that each call's temporaries stay small and
-#: reuse memory instead of faulting in fresh pages at every step. A row longer
-#: than this is evaluated on its own.
+#: Most cost values evaluated in one call of the regret pass, the search's
+#: stencil rows included: rows are grouped so that each call's temporaries
+#: stay small and reuse memory instead of faulting in fresh pages at every
+#: step. A row longer than this is evaluated on its own.
 _BLOCK = 2 ** 16
 
 
@@ -94,17 +97,22 @@ def _grid_cvars(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
 
 
 def _first_grid_minimum(f: Callable[[int], float], k: int, start: int,
-                        tol: float) -> tuple[int, float]:
+                        tol: float, memo: dict[int, float]) -> tuple[int, float]:
     """First minimizer of a discrete-convex ``f`` over ``0..k-1`` and its value.
 
-    ``f(i)`` is evaluated lazily, at most once per index. A walk from
+    ``f(i)`` is evaluated lazily, at most once per index, and stored in
+    ``memo``; values already in ``memo`` are used as they are. A walk from
     ``start`` descends to a local minimum, which convexity makes global.
     Rounding can make a flat stretch look locally non-convex, so the
     contiguous window of values within ``tol`` of the walk's result is
     rescanned and its first minimum returned: the grid's first minimum, as
     ``np.argmin`` over all ``k`` values would find it.
     """
-    at = functools.cache(f)
+    def at(j: int) -> float:
+        if j not in memo:
+            memo[j] = f(j)
+        return memo[j]
+
     i = start
     while i > 0 and at(i - 1) <= at(i):
         i -= 1
@@ -121,12 +129,13 @@ def _first_grid_minimum(f: Callable[[int], float], k: int, start: int,
 
 
 def _step_minimum(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
-                  alpha: float, start: int) -> tuple[int, float]:
+                  alpha: float, start: int,
+                  memo: dict[int, float]) -> tuple[int, float]:
     """Index into ``xs`` of the grid minimum against the step's noise grid
-    ``xi``, searched from ``start``."""
+    ``xi``, searched from ``start``; ``memo`` may hold CVaRs already known."""
     return _first_grid_minimum(
         lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
-        xs.size, start, _TOL * cost.bound)
+        xs.size, start, _TOL * cost.bound, memo)
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
@@ -145,7 +154,7 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
     i = xs.size // 2
     for t in range(1, horizon + 1):
         i, c_star[t - 1] = _step_minimum(cost, _quantile_grid(noise, t, grid_n),
-                                         xs, alpha, i)
+                                         xs, alpha, i, {})
         x_star[t - 1] = xs[i]
     return x_star, c_star
 
@@ -164,30 +173,44 @@ class RegretReport:
 def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                    region: AdmissibleSet, alpha: float, k: int = 100,
                    grid_n: int = 10_000) -> RegretReport:
-    """Evaluate played actions ``x_hat`` of shape ``(trials, T, d)``, played
+    """Evaluate played actions ``x_hat`` of shape ``(trials, T, 1)``, played
     at steps ``1..T``, against the per-step best actions in hindsight.
 
     One pass over the steps: each step's quantile grid is built once and
     serves every trial. Each step's optimum is searched in the same pass,
     warm-started from the previous step's, exactly as
-    ``optimal_action_series`` finds it. The played CVaRs are evaluated in
-    blocks of rows of at most ``_BLOCK`` cost values.
+    ``optimal_action_series`` finds it. A step makes one cost and CVaR call
+    over the stacked rows of the search's stencil, the grid actions next to
+    the warm start, and of the first trials' played actions; the stencil's
+    CVaRs seed the search, which evaluates further grid actions one at a
+    time, only when the optimum moves or its rescan window widens. The
+    remaining played actions are evaluated in blocks. A call holds at most
+    ``_BLOCK`` cost values, unless the stencil or one row alone holds more.
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.ndim != 3 or x_hat.shape[1] == 0:
+    if x_hat.ndim != 3 or x_hat.shape[1] == 0 or x_hat.shape[2] != region.dim:
         raise ConfigurationError(
-            f"played actions must have shape (trials, T, d), got {x_hat.shape}")
+            f"played actions must have shape (trials, T, {region.dim}), "
+            f"got {x_hat.shape}")
     trials, horizon = x_hat.shape[:2]
     xs = action_grid(region, k)
     x_star, c_star = np.empty(horizon), np.empty(horizon)
     i = xs.size // 2
-    rows = max(1, _BLOCK // _mid_quantiles(int(grid_n)).size)
+    levels = _mid_quantiles(int(grid_n))
+    rows = max(1, _BLOCK // levels.size)
     played = np.empty((trials, horizon))
     for s in range(horizon):
-        xi = _quantile_grid(noise, s + 1, grid_n)
-        i, c_star[s] = _step_minimum(cost, xi, xs, alpha, i)
+        xi = np.asarray(noise.quantile(s + 1, levels), dtype=float)
+        lo = max(i - 1, 0)
+        stencil = xs[lo:i + 2, None]
+        head = max(rows - len(stencil), 0)
+        cvars = cvar_of_values(cost.rows(
+            np.concatenate([stencil, x_hat[:head, s]]), xi[None, :]), alpha)
+        played[:head, s] = cvars[len(stencil):]
+        memo = dict(enumerate(cvars[:len(stencil)], start=lo))
+        i, c_star[s] = _step_minimum(cost, xi, xs, alpha, i, memo)
         x_star[s] = xs[i]
-        for r in range(0, trials, rows):
+        for r in range(head, trials, rows):
             played[r:r + rows, s] = cvar_of_values(
                 cost.rows(x_hat[r:r + rows, s], xi[None, :]), alpha)
     return RegretReport(
@@ -212,5 +235,5 @@ def batch_optimal_actions(cost: CostModel, noise: NoiseSequence,
     i, total = _first_grid_minimum(
         lambda j: sum(_grid_cvars(cost, xi, xs[j:j + 1], alpha)[0]
                       for xi in grids),
-        xs.size, xs.size // 2, _TOL * cost.bound * len(steps))
+        xs.size, xs.size // 2, _TOL * cost.bound * len(steps), {})
     return np.array([xs[i]]), total

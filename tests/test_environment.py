@@ -67,6 +67,24 @@ class TestUniformSeq:
         assert noise.cdf(1, 0.85) == 1.0
         assert any("point mass" in rec.message for rec in caplog.records)
 
+    def test_bounds_table_equals_the_endpoint_formulas(self):
+        # Every step of the parking study, the degenerate t = 1, 2 included:
+        # the raw formulas, a crossing collapsed to the left endpoint.
+        noise = parking_noise(6000)
+        table = noise.bounds_table()
+        assert table.shape == (6000, 2) and not table.flags.writeable
+        for t in range(1, 6001):
+            lo, hi = parking_range(t, 6000)
+            expected = (lo, lo) if hi <= lo else (lo, hi)
+            assert noise.bounds(t) == expected
+            assert tuple(table[t - 1].tolist()) == expected
+
+    def test_non_finite_endpoint_rejected(self):
+        noise = UniformSeq(3, left=lambda t: 0.0,
+                           right=lambda t: math.inf if t == 3 else 1.0)
+        with pytest.raises(ConfigurationError, match="t=3"):
+            noise.bounds(1)
+
     def test_cdf_quantile_consistency(self):
         noise = parking_noise(6000)
         rng = np.random.default_rng(31)

@@ -1,15 +1,23 @@
+import contextlib
 import dataclasses
+import io
 import logging
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvarlearn
 import cvarlearn.cli as cli
+import cvarlearn.harness as harness
 import cvarlearn.learner as learner
 import cvarlearn.oracle as oracle
 import cvarlearn.verify as verify
@@ -80,6 +88,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             make_config({"horizon": value})
 
+    @pytest.mark.parametrize("field", ["delta", "eta", "x0", "sampling_a"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            make_config({field: value})
+
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("RA_SEED", "99")
         assert make_config({"base_seed": 3}).base_seed == 99
@@ -119,6 +133,36 @@ class TestRunExperiment:
         assert float(row[3]) == agg.x[0, 0]
         # LF line endings, no CR
         assert b"\r" not in (tmp_path / "ra_trial0.csv").read_bytes()
+
+    def test_failed_write_keeps_the_old_files(self, tmp_path, monkeypatch):
+        config = small_config(tmp_path, trials=2)
+        run_experiment(config)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["ra_aggregate.csv", "ra_trial0.csv",
+                                  "ra_trial1.csv"]
+
+        class FullDisk:
+            """Writes half of the text, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(harness, "open",
+                            lambda *args, **kwargs: FullDisk(open(*args, **kwargs)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space"):
+            run_experiment(dataclasses.replace(config, base_seed=1))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_seed_isolation(self, tmp_path):
         base = small_config(tmp_path, trials=2)
@@ -427,6 +471,91 @@ class TestCli:
         agg_five = run_experiment(dataclasses.replace(cfg, base_seed=5),
                                   write=False)
         assert np.array_equal(agg_env.x, agg_five.x)
+
+
+class Accepted(BaseException):
+    """The configuration passed every check and the learner was called."""
+
+
+def accept(*args, **kwargs):
+    raise Accepted
+
+
+# Flag values: small numbers, so that any accepted horizon is cheap to build,
+# malformed spellings, and text without digits.
+FUZZ_VALUES = st.one_of(
+    st.integers(-5, 60).map(str),
+    st.floats(-3.0, 3.0).map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "6e1", "0x10", "1_0",
+                     "parking", "brownian", "custom", "constant", "inverse"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+)
+FUZZ_FLAGS = sorted(field for field, _ in cli._CONFIG_FLAGS.values()
+                    if field != "out_prefix")
+FUZZ_KEYS = sorted(set(harness._FIELD_TYPES) - {"out_prefix"})
+
+
+class TestConfigFuzz:
+    @given(values=st.dictionaries(
+        st.one_of(st.sampled_from(sorted(harness._FIELD_TYPES)), st.text(max_size=6)),
+        st.one_of(FUZZ_VALUES, st.none(), st.integers(), st.floats(),
+                  st.lists(st.integers(), max_size=2))))
+    @settings(max_examples=300, deadline=None)
+    def test_make_config_accepts_or_raises_a_configuration_error(self, values):
+        try:
+            config = make_config(values)
+        except ConfigurationError:
+            return
+        assert config.validate() is config
+        assert all(math.isfinite(getattr(config, field.name))
+                   for field in dataclasses.fields(config) if field.type == "float")
+
+    @given(command=st.sampled_from(["run", "ablate", "budget"]),
+           flags=st.dictionaries(st.sampled_from(FUZZ_FLAGS), FUZZ_VALUES),
+           counts=st.one_of(FUZZ_VALUES, st.just("2,4")),
+           config_file=st.one_of(
+               st.none(),
+               st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES).map(
+                   lambda d: "".join(f"{k} = {v}\n" for k, v in d.items())),
+               st.text(st.characters(blacklist_categories=("Nd", "Cs")))))
+    @settings(max_examples=200, deadline=None)
+    def test_cli_config_faults_exit_one_without_a_traceback(
+            self, command, flags, counts, config_file):
+        # The learner is replaced, so an accepted run stops before any work.
+        flag_of = {field: flag for flag, (field, _) in cli._CONFIG_FLAGS.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, f"--out={tmp}/x",
+                    *(f"{flag_of[field]}={value}" for field, value in flags.items())]
+            if command == "ablate":
+                argv.append(f"--counts={counts}")
+            if config_file is not None:
+                path = Path(tmp, "fuzz.cfg")
+                path.write_text(config_file, encoding="utf-8")
+                argv.append(f"--config={path}")
+            err = io.StringIO()
+            with (mock.patch.object(learner, "run_trials", accept),
+                  mock.patch.dict(os.environ), contextlib.redirect_stderr(err),
+                  contextlib.redirect_stdout(io.StringIO())):
+                os.environ.pop("RA_SEED", None)
+                try:
+                    code = cli.main(argv)
+                except Accepted:
+                    code = None
+        assert "Traceback" not in err.getvalue()
+        assert code in (None, 0, 1), err.getvalue()
+        if code == 1:
+            assert "configuration error" in err.getvalue()
+
+    @pytest.mark.parametrize("content", [None, b"horizon = \xff\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_config_file_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "exp.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        code = cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestVerifySuites:

@@ -184,11 +184,15 @@ class TestConvexSearch:
         cost = CostModel(fn=fn, bound=bound, lipschitz=1.0)
         scan = _grid_cvars(cost, xi, xs, alpha)
         for start in range(k):
-            i, value = _first_grid_minimum(
-                lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
-                k, start, 1e-9 * bound)
-            assert i == int(np.argmin(scan))
-            assert value == scan[i]
+            # Lazily from nothing, and seeded with the stencil around the
+            # start, as the regret pass seeds it.
+            lo = max(start - 1, 0)
+            for memo in ({}, dict(enumerate(scan[lo:start + 2], start=lo))):
+                i, value = _first_grid_minimum(
+                    lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
+                    k, start, 1e-9 * bound, memo)
+                assert i == int(np.argmin(scan))
+                assert value == scan[i]
 
 
 class TestDynamicRegret:
@@ -213,6 +217,13 @@ class TestDynamicRegret:
             assert np.array_equal(report.cumulative_regret[i],
                                   np.cumsum(reference - report.optimal_cvar))
             assert np.array_equal(report.accumulated_loss[i], np.cumsum(reference))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 0, 1), (1, 3, 2)])
+    def test_rejects_played_actions_of_the_wrong_shape(self, shape):
+        scen = pricing_scenario(horizon=10)
+        with pytest.raises(ConfigurationError, match="played actions"):
+            dynamic_regret(np.full(shape, 2.0), scen.cost, scen.noise,
+                           scen.region, 0.5, k=10, grid_n=1000)
 
     def test_playing_the_optimum_gives_zero_regret(self):
         scen = pricing_scenario(horizon=30)
@@ -244,17 +255,26 @@ class TestDynamicRegret:
         gaps = report.played_cvar - report.optimal_cvar
         assert gaps.min() >= -spacing * scen.cost.lipschitz
 
-    @pytest.mark.parametrize("scenario", ["parking", "brownian"])
-    def test_inline_optima_equal_the_series(self, scenario):
-        # The regret pass searches each step's optimum itself;
-        # optimal_action_series is the reference.
-        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=60))
-        x_star, c_star = optimal_action_series(scen.cost, scen.noise, scen.region,
-                                               0.5, 60, k=40, grid_n=1000)
-        report = dynamic_regret(played(np.full(60, 1.5)), scen.cost, scen.noise,
-                                scen.region, 0.5, k=40, grid_n=1000)
-        assert np.array_equal(report.optimal_actions, x_star)
-        assert np.array_equal(report.optimal_cvar, c_star)
+    @pytest.mark.parametrize("scenario, trials", [
+        pytest.param(scenario, trials, id=scenario + suffix)
+        for trials, suffix in ((1, ""), (_BLOCK // 1000 + 5, "-two-blocks"))
+        for scenario in ("parking", "brownian", "custom")])
+    def test_inline_optima_equal_the_series(self, scenario, trials):
+        # The regret pass seeds each step's search with the stencil CVaRs of
+        # its first block of rows; the lazy optimal_action_series and the
+        # exhaustive scan are the references.
+        horizon = 120
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
+        args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
+        x_star, c_star = optimal_action_series(*args, k=40, grid_n=1000)
+        x_ref, c_ref = scan_series(*args, k=40, grid_n=1000)
+        low, high = scen.region.lower[0], scen.region.upper[0]
+        x_hat = np.random.default_rng(55).uniform(low, high, (trials, horizon, 1))
+        report = dynamic_regret(x_hat, scen.cost, scen.noise, scen.region, 0.5,
+                                k=40, grid_n=1000)
+        for actions, values in ((x_star, c_star), (x_ref, c_ref)):
+            assert np.array_equal(report.optimal_actions, actions)
+            assert np.array_equal(report.optimal_cvar, values)
 
 
 class TestAccumulatedLoss:
