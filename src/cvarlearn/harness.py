@@ -176,9 +176,9 @@ def make_config(*sources: dict) -> ExperimentConfig:
     for key, value in merged.items():
         ftype = _FIELD_TYPES[key]
         try:
-            if ftype == "int" or ftype is int:
+            if ftype == "int":
                 coerced[key] = _as_int(value)
-            elif ftype == "float" or ftype is float:
+            elif ftype == "float":
                 coerced[key] = float(value)
             else:
                 coerced[key] = str(value)
@@ -461,8 +461,8 @@ def run_ablation(config: ExperimentConfig, sample_counts,
         counts = [_as_int(n) for n in sample_counts]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"sample counts must be integers: {exc}") from exc
-    if len(counts) < 2:
-        raise ConfigurationError("ablation needs at least two sample counts")
+    if len(counts) < 2 or len(set(counts)) < len(counts):
+        raise ConfigurationError(f"ablation needs two or more distinct counts: {counts}")
     subs = [dataclasses.replace(config, samples=n,
                                 out_prefix=f"{config.out_prefix}_n{n}").validate()
             for n in counts]

@@ -103,7 +103,7 @@ def cvar_of_values(values, alpha: float):
     part = np.partition(v, n - k, axis=-1)
     kth = part[..., n - k]
     top = part[..., n - k + 1 :].sum(axis=-1)
-    out = (top + (an - k + 1.0) * kth) / an
+    out = (top + (an - (k - 1)) * kth) / an
     return float(out) if out.ndim == 0 else out
 
 

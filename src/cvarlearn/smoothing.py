@@ -3,8 +3,8 @@
 A decision is perturbed by ``delta`` times a uniform unit-sphere direction;
 the CVaR estimated at the perturbed point, scaled by ``d / delta`` along the
 direction, is an unbiased one-point estimate of a smoothed-objective
-gradient. The Monte-Carlo smoothed-CVaR evaluator here exists purely as a
-test oracle; the learner itself never evaluates the smoothed objective.
+gradient. The Monte-Carlo smoothed-CVaR evaluator is a reference for the tests
+and for ``cvarlearn verify``; the learner never evaluates the smoothed objective.
 """
 
 from __future__ import annotations

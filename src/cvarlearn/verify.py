@@ -1,8 +1,10 @@
 """Runtime property suites behind the ``verify`` CLI subcommand.
 
-Each suite re-checks the mathematical invariants of one module with fixed
-seeds and returns one result per property, so a corrupted build fails loudly
-at the command line without needing the development test suite installed.
+Each check re-tests one mathematical invariant with a fixed seed and returns
+its results, so a corrupted build fails loudly at the command line without
+needing the development test suite installed. The checks shared with the
+acceptance tests are those tests' procedures (same seeds, draw order, sizes
+and tolerances): acceptance 01-05 and 10 read their results from here.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import environment, harness, risk, smoothing
-from .risk import EmpiricalCdf, build_ecdf, cvar_discrete
+from .risk import build_ecdf, cvar_discrete
 
-__all__ = ["CheckResult", "risk_suite", "smoothing_suite", "environment_suite",
-           "run_suites", "SUITES"]
+__all__ = ["CheckResult", "run_suites", "SUITES"]
+
+_SEED = 20240617  # the checks that only ``verify`` runs
 
 
 class CheckResult(NamedTuple):
@@ -26,97 +29,103 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
+def _result(suite: str, name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(suite, name, bool(passed), detail)
 
 
-def _random_samples(rng: np.random.Generator, max_n: int = 40) -> np.ndarray:
-    n = int(rng.integers(1, max_n + 1))
-    return rng.uniform(-5.0, 5.0, size=n)
-
-
-def risk_suite(seed: int = 20240617,
-               cvar_fn: Callable[[EmpiricalCdf, float], float] = cvar_discrete
-               ) -> list[CheckResult]:
-    # one generator per property so each check is deterministic on its own
-    streams = [np.random.default_rng([seed, i]) for i in range(4)]
-    out: list[CheckResult] = []
-
-    rng = streams[0]
+def cvar_monotone_in_alpha() -> list[CheckResult]:
+    rng = np.random.default_rng([_SEED, 0])
     worst = 0.0
     ok = True
     for _ in range(500):
-        ecdf = build_ecdf(_random_samples(rng))
+        ecdf = build_ecdf(rng.uniform(-5.0, 5.0, size=int(rng.integers(1, 41))))
         a1, a2 = sorted(rng.uniform(0.02, 1.0, size=2))
-        gap = cvar_fn(ecdf, a1) - cvar_fn(ecdf, a2)
+        gap = cvar_discrete(ecdf, a1) - cvar_discrete(ecdf, a2)
         worst = min(worst, gap)
         ok &= gap >= -1e-12
-    out.append(_result("risk", "cvar-monotone-in-alpha", ok, f"worst gap {worst:.3e}"))
+    return [_result("risk", "cvar-monotone-in-alpha", ok, f"worst gap {worst:.3e}")]
 
-    rng = streams[1]
+
+def cvar_translation_and_scaling() -> list[CheckResult]:
+    rng = np.random.default_rng([_SEED, 1])
     ok = True
     worst = 0.0
     for _ in range(200):
-        s = _random_samples(rng)
+        s = rng.uniform(-5.0, 5.0, size=int(rng.integers(1, 41)))
         alpha = float(rng.uniform(0.05, 1.0))
         c = float(rng.uniform(-10, 10))
         lam = float(rng.uniform(0.1, 10))
-        base = cvar_fn(build_ecdf(s), alpha)
-        shift = cvar_fn(build_ecdf(s + c), alpha) - (base + c)
-        scale = cvar_fn(build_ecdf(lam * s), alpha) - lam * base
+        base = cvar_discrete(build_ecdf(s), alpha)
+        shift = cvar_discrete(build_ecdf(s + c), alpha) - (base + c)
+        scale = cvar_discrete(build_ecdf(lam * s), alpha) - lam * base
         worst = max(worst, abs(shift), abs(scale))
         ok &= abs(shift) <= 1e-12 and abs(scale) <= 1e-12
-    out.append(_result("risk", "cvar-translation-and-scaling", ok,
-                       f"worst deviation {worst:.3e}"))
+    return [_result("risk", "cvar-translation-and-scaling", ok,
+                    f"worst deviation {worst:.3e}")]
 
-    rng = streams[2]
-    ok = True
-    worst = 0.0
-    for _ in range(50):
-        s = _random_samples(rng)
-        alpha = float(rng.uniform(0.05, 1.0))
-        ecdf = build_ecdf(s)
-        got = cvar_fn(ecdf, alpha)
-        vgrid = np.linspace(s.min(), s.max(), 100_000)
-        ru = vgrid + np.maximum(s[None, :] - vgrid[:, None], 0.0).mean(axis=1) / alpha
-        spacing = (s.max() - s.min()) / (len(vgrid) - 1) if s.size > 1 else 0.0
-        tol = spacing / alpha + 1e-12
-        gap = abs(got - ru.min())
+
+def cvar_equals_ru_minimum() -> list[CheckResult]:
+    """Acceptance 01: CVaR = RU minimum on a v-grid = RU at the VaR = tail mean."""
+    rng = np.random.default_rng(101)
+    levels = np.round(np.arange(1, 21) * 0.05, 2)
+    worst_grid, worst_closed, worst_exact = 0.0, 0.0, 0.0
+    for _ in range(1000):
+        n = int(rng.integers(1, 51))
+        samples = np.sort(rng.uniform(-5.0, 5.0, size=n))
+        alpha = float(rng.choice(levels))
+        ecdf = build_ecdf(samples)
+        got = cvar_discrete(ecdf, alpha)
+        # the RU functional on a v-grid, each point exact via suffix sums
+        v = np.linspace(samples[0], samples[-1], 100_000)
+        idx = np.searchsorted(samples, v, side="right")
+        suffix = np.concatenate([np.cumsum(samples[::-1])[::-1], [0.0]])
+        grid_min = float((v + (suffix[idx] - (n - idx) * v) / (alpha * n)).min())
+        spacing = (samples[-1] - samples[0]) / (v.size - 1)
+        # independent closed form: the fractional top-tail mean, exact summation
+        an, k = alpha * n, math.ceil(alpha * n)
+        closed = (math.fsum(samples[n - k + 1:]) + (an - k + 1.0) * samples[n - k]) / an
         var = risk.empirical_quantile(ecdf, 1.0 - alpha)
-        exact = abs(got - risk.ru_functional(ecdf, alpha, var))
-        worst = max(worst, gap, exact)
-        ok &= gap <= tol and exact <= 1e-12
-    out.append(_result("risk", "cvar-equals-ru-minimum", ok, f"worst gap {worst:.3e}"))
+        worst_grid = max(worst_grid, abs(got - grid_min) - spacing / alpha)
+        worst_closed = max(worst_closed, abs(got - closed))
+        worst_exact = max(worst_exact, abs(got - risk.ru_functional(ecdf, alpha, var)))
+    ok = max(worst_grid, worst_closed, worst_exact) <= 1e-12
+    return [_result("risk", "cvar-equals-ru-minimum", ok,
+                    f"grid excess {worst_grid:.2e}, closed-form gap {worst_closed:.2e}")]
 
-    rng = streams[3]
-    ok = True
+
+def cvar_kolmogorov_bound() -> list[CheckResult]:
+    """Acceptance 02: |CVaR_F - CVaR_G| <= (U / alpha) sup|F - G|."""
+    rng = np.random.default_rng(102)
     worst = -np.inf
     for _ in range(1000):
         # U is the length of the value range (nonnegative bounded costs)
         bound = float(rng.uniform(0.5, 5.0))
-        f = build_ecdf(rng.uniform(0.0, bound, size=int(rng.integers(1, 40))))
-        g = build_ecdf(rng.uniform(0.0, bound, size=int(rng.integers(1, 40))))
+        f = build_ecdf(rng.uniform(0.0, bound, size=int(rng.integers(1, 41))))
+        g = build_ecdf(rng.uniform(0.0, bound, size=int(rng.integers(1, 41))))
         alpha = float(rng.uniform(0.05, 1.0))
-        lhs = abs(cvar_fn(f, alpha) - cvar_fn(g, alpha))
+        lhs = abs(cvar_discrete(f, alpha) - cvar_discrete(g, alpha))
         rhs = risk.cvar_error_bound(bound, alpha, risk.sup_cdf_distance(f, g))
         worst = max(worst, lhs - rhs)
-        ok &= lhs <= rhs + 1e-12
-    out.append(_result("risk", "cvar-kolmogorov-bound", ok,
-                       f"worst excess {worst:.3e}"))
+    return [_result("risk", "cvar-kolmogorov-bound", worst <= 1e-12,
+                    f"worst excess {worst:.2e}")]
 
+
+def dkw_band_validity() -> list[CheckResult]:
+    """Acceptance 04: the DKW band at 5% is violated at most 5% of the time."""
+    rng = np.random.default_rng(0)
     reps, n = 2000, 100
     eps = risk.dkw_epsilon(n, 0.05)
-    draws = np.sort(np.random.default_rng(0).random((reps, n)), axis=1)
-    ranks = np.arange(1, n + 1) / n
-    dev = np.maximum(ranks - draws, draws - (np.arange(n) / n)).max(axis=1)
-    freq = float(np.mean(dev >= eps))
-    out.append(_result("risk", "dkw-band-validity", freq <= 0.05,
-                       f"violation frequency {freq:.4f} vs 0.05"))
-    return out
+    draws = np.sort(rng.random((reps, n)), axis=1)
+    deviation = np.maximum(np.arange(1, n + 1) / n - draws,
+                           draws - np.arange(n) / n).max(axis=1)
+    freq = float(np.mean(deviation >= eps))
+    return [_result("risk", "dkw-band-validity", freq <= 0.05,
+                    f"violation frequency {freq:.4f} <= 0.05")]
 
 
-def smoothing_suite(seed: int = 20240617) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def sphere_checks() -> list[CheckResult]:
+    """Sphere draws: unit norm, symmetry and the gradient-norm bound."""
+    rng = np.random.default_rng(_SEED)
     out: list[CheckResult] = []
 
     ok = all(float(smoothing.sample_unit_sphere(1, rng)[0]) in (-1.0, 1.0)
@@ -134,19 +143,6 @@ def smoothing_suite(seed: int = 20240617) -> list[CheckResult]:
                        f"mean-direction norm {drift:.4f} vs 0.02"))
 
     ok = True
-    worst = 0.0
-    for x in np.arange(-2.0, 2.25, 0.25):
-        # dyadic x and delta keep every float operation exact (zero tolerance)
-        delta = 0.25
-        avg = 0.5 * sum(
-            smoothing.gradient_estimate((x + delta * s) ** 2, np.array([s]), delta)[0]
-            for s in (1.0, -1.0))
-        worst = max(worst, abs(avg - 2.0 * x))
-        ok &= avg == 2.0 * x
-    out.append(_result("smoothing", "two-direction-quadratic-gradient", ok,
-                       f"worst error {worst:.3e}"))
-
-    ok = True
     for _ in range(200):
         d = int(rng.integers(1, 6))
         delta = float(rng.uniform(0.01, 1.0))
@@ -155,114 +151,117 @@ def smoothing_suite(seed: int = 20240617) -> list[CheckResult]:
         g = smoothing.gradient_estimate(cv, smoothing.sample_unit_sphere(d, rng), delta)
         ok &= np.linalg.norm(g) <= d * bound / delta + 1e-12
     out.append(_result("smoothing", "gradient-norm-bound", ok, "||g|| <= dU/delta"))
-
-    out.append(_mc_consistency_check(rng, n_draws=20_000))
     return out
 
 
-def _mc_consistency_check(rng: np.random.Generator, n_draws: int,
-                          suite: str = "smoothing") -> CheckResult:
-    """Mean of the one-point estimator vs finite differences of the smoothed
-    CVaR, at a fixed interior point of the pricing scenario."""
-    config = harness.ExperimentConfig(horizon=6000)
-    scenario = harness.build_scenario(config)
-    t, x, delta, alpha, n_per_draw = 3000, np.array([2.0]), 0.05, 0.5, 200
-    est = np.empty(n_draws)
-    for i in range(n_draws):
-        u = smoothing.sample_unit_sphere(1, rng)
-        xi = scenario.noise.sample(t, n_per_draw, rng)
-        cv = risk.cvar_of_values(np.asarray(scenario.cost(x + delta * u, xi)), alpha)
-        est[i] = smoothing.gradient_estimate(cv, u, delta)[0]
-    se = est.std(ddof=1) / math.sqrt(n_draws)
+def gradient_estimator_checks() -> list[CheckResult]:
+    """Acceptance 05: the two-direction average is exact on a quadratic, and
+    the one-point estimates average to the smoothed CVaR's gradient."""
+    exact_ok = True
+    delta = 0.25
+    for x in np.arange(-2.0, 2.25, 0.25):
+        # dyadic x and delta keep every float operation exact (zero tolerance)
+        avg = 0.5 * sum(
+            smoothing.gradient_estimate((x + delta * s) ** 2, np.array([s]), delta)[0]
+            for s in (1.0, -1.0))
+        exact_ok &= avg == 2.0 * x
+
+    scen = harness.build_scenario(harness.ExperimentConfig())
+    rng = np.random.default_rng(105)
+    t_step, x0, delta, alpha, n_per_draw, n_draws = 3000, np.array([2.0]), 0.05, 0.5, 8, 100_000
+    # One row per draw: column 0 gives the direction's sign, as in
+    # sample_unit_sphere, and the rest are the noise uniforms.
+    draws = rng.random((n_draws, 1 + n_per_draw))
+    u = np.where(draws[:, :1] < 0.5, 1.0, -1.0)
+    xi = scen.noise.quantile(t_step, draws[:, 1:])
+    cv = risk.cvar_of_values(np.asarray(scen.cost(x0 + delta * u, xi)), alpha)
+    estimates = smoothing.gradient_estimate(cv, u, delta)[:, 0]
+    stderr = estimates.std(ddof=1) / math.sqrt(n_draws)
     h = 1e-4
-    fd = (smoothing.smoothed_cvar_mc(scenario.cost, scenario.noise, t, x + h,
-                                     delta, alpha, n_noise=20_000)
-          - smoothing.smoothed_cvar_mc(scenario.cost, scenario.noise, t, x - h,
-                                       delta, alpha, n_noise=20_000)) / (2 * h)
-    gap = abs(est.mean() - fd)
-    return _result(suite, "estimator-matches-smoothed-gradient", gap <= 3 * se,
-                   f"gap {gap:.5f} vs 3*SE {3 * se:.5f}")
+    fd = (smoothing.smoothed_cvar_mc(scen.cost, scen.noise, t_step, x0 + h, delta,
+                                     alpha, n_noise=20_000)
+          - smoothing.smoothed_cvar_mc(scen.cost, scen.noise, t_step, x0 - h, delta,
+                                       alpha, n_noise=20_000)) / (2 * h)
+    gap = abs(estimates.mean() - fd)
+    return [_result("smoothing", "two-direction-quadratic-gradient", exact_ok,
+                    "average == 2x at 17 dyadic points"),
+            _result("smoothing", "estimator-matches-smoothed-gradient",
+                    gap <= 3 * stderr,
+                    f"stochastic gap {gap:.2e} vs 3*SE {3 * stderr:.2e}")]
 
 
-def environment_suite(seed: int = 20240617) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    out: list[CheckResult] = []
-
-    def random_interval():
-        a = float(rng.uniform(-3, 3))
-        return a, a + float(rng.uniform(0.01, 4.0))
-
-    ok = True
-    worst = 0.0
+def w1_checks() -> list[CheckResult]:
+    """Acceptance 10: closed-form W1 of uniforms is a metric and = quadrature."""
+    rng = np.random.default_rng(110)
+    worst_gap, worst_triangle = 0.0, 0.0
+    axioms_ok = True
     for _ in range(500):
-        i1, i2, i3 = random_interval(), random_interval(), random_interval()
+        ivs = []
+        for _ in range(3):
+            a = float(rng.uniform(-3, 3))
+            ivs.append((a, a + float(rng.uniform(0.01, 4.0))))
+        i1, i2, i3 = ivs
         d12 = environment.w1_uniform(*i1, *i2)
-        d21 = environment.w1_uniform(*i2, *i1)
-        d13 = environment.w1_uniform(*i1, *i3)
-        d32 = environment.w1_uniform(*i3, *i2)
-        self_d = environment.w1_uniform(*i1, *i1)
-        ok &= d12 >= 0 and abs(d12 - d21) <= 1e-12 and self_d <= 1e-12
-        ok &= d12 <= d13 + d32 + 1e-10
-        worst = max(worst, d12 - (d13 + d32))
-    out.append(_result("environment", "w1-metric-axioms", ok,
-                       f"worst triangle excess {worst:.3e}"))
+        triangle = environment.w1_uniform(*i1, *i3) + environment.w1_uniform(*i3, *i2)
+        axioms_ok &= d12 >= 0.0
+        axioms_ok &= abs(d12 - environment.w1_uniform(*i2, *i1)) <= 1e-12
+        axioms_ok &= environment.w1_uniform(*i1, *i1) <= 1e-12
+        axioms_ok &= d12 <= triangle + 1e-10
+        worst_triangle = max(worst_triangle, d12 - triangle)
+        s1, s2 = (environment.constant_uniform(1, *iv) for iv in (i1, i2))
+        support = (min(i1[0], i2[0]), max(i1[1], i2[1]))
+        numeric = environment.w1_numeric(lambda y: s1.cdf(1, y),
+                                         lambda y: s2.cdf(1, y),
+                                         support, grid=200_000)
+        worst_gap = max(worst_gap, abs(d12 - numeric))
+    return [_result("environment", "w1-metric-axioms", axioms_ok,
+                    f"worst triangle excess {worst_triangle:.3e}"),
+            _result("environment", "w1-closed-vs-numeric", worst_gap <= 1e-6,
+                    f"worst closed/numeric gap {worst_gap:.2e}")]
 
-    ok = True
-    worst = 0.0
-    for _ in range(500):
-        i1, i2 = random_interval(), random_interval()
-        closed = environment.w1_uniform(*i1, *i2)
-        lo = min(i1[0], i2[0])
-        hi = max(i1[1], i2[1])
-        seqs = [environment.constant_uniform(1, *iv) for iv in (i1, i2)]
-        numeric = environment.w1_numeric(lambda y: seqs[0].cdf(1, y),
-                                         lambda y: seqs[1].cdf(1, y),
-                                         (lo, hi), grid=200_000)
-        worst = max(worst, abs(closed - numeric))
-        ok &= abs(closed - numeric) <= 1e-6
-    out.append(_result("environment", "w1-closed-vs-numeric", ok,
-                       f"worst gap {worst:.3e}"))
 
-    ok = True
+def cvar_wasserstein_bound() -> list[CheckResult]:
+    """Acceptance 03: |CVaR_1 - CVaR_2| <= (L / alpha) W1 for L-Lipschitz costs."""
+    rng = np.random.default_rng(103)
+    q = (np.arange(100_000) + 0.5) / 100_000
     worst = -np.inf
-    grid = (np.arange(100_000) + 0.5) / 100_000
     for _ in range(200):
-        i1, i2 = random_interval(), random_interval()
-        lipschitz = float(rng.uniform(0.1, 5.0))
+        a1 = float(rng.uniform(-3, 3))
+        b1 = a1 + float(rng.uniform(0.01, 4.0))
+        a2 = float(rng.uniform(-3, 3))
+        b2 = a2 + float(rng.uniform(0.01, 4.0))
+        lip = float(rng.uniform(0.1, 5.0))
         alpha = float(rng.uniform(0.05, 1.0))
-        c1 = risk.cvar_of_values(lipschitz * (i1[0] + grid * (i1[1] - i1[0])), alpha)
-        c2 = risk.cvar_of_values(lipschitz * (i2[0] + grid * (i2[1] - i2[0])), alpha)
-        rhs = lipschitz / alpha * environment.w1_uniform(*i1, *i2)
+        c1 = risk.cvar_of_values(lip * (a1 + q * (b1 - a1)), alpha)
+        c2 = risk.cvar_of_values(lip * (a2 + q * (b2 - a2)), alpha)
+        rhs = lip / alpha * environment.w1_uniform(a1, b1, a2, b2)
         worst = max(worst, abs(c1 - c2) - rhs)
-        ok &= abs(c1 - c2) <= rhs + 1e-6
-    out.append(_result("environment", "cvar-wasserstein-bound", ok,
-                       f"worst excess {worst:.3e}"))
+    return [_result("environment", "cvar-wasserstein-bound", worst <= 1e-6,
+                    f"worst excess {worst:.2e}")]
 
+
+def sublinear_variation_budget() -> list[CheckResult]:
     rates = []
     for horizon in (1500, 3000, 6000):
         noise = environment.parking_noise(horizon)
         rates.append(environment.variation_budget(noise, horizon) / horizon)
     ok = rates[0] > rates[1] > rates[2]
-    out.append(_result("environment", "sublinear-variation-budget", ok,
-                       "V(T)/T = " + ", ".join(f"{r:.3e}" for r in rates)))
-    return out
+    return [_result("environment", "sublinear-variation-budget", ok,
+                    "V(T)/T = " + ", ".join(f"{r:.3e}" for r in rates))]
 
 
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
-    "risk": risk_suite,
-    "smoothing": smoothing_suite,
-    "environment": environment_suite,
+SUITES: dict[str, tuple[Callable[[], list[CheckResult]], ...]] = {
+    "risk": (cvar_monotone_in_alpha, cvar_translation_and_scaling,
+             cvar_equals_ru_minimum, cvar_kolmogorov_bound, dkw_band_validity),
+    "smoothing": (sphere_checks, gradient_estimator_checks),
+    "environment": (w1_checks, cvar_wasserstein_bound, sublinear_variation_budget),
 }
 
 
 def run_suites(which: str = "all") -> list[CheckResult]:
     """Run one named suite or all of them."""
-    if which == "all":
-        results: list[CheckResult] = []
-        for fn in SUITES.values():
-            results.extend(fn())
-        return results
-    if which not in SUITES:
+    if which != "all" and which not in SUITES:
         raise ValueError(f"unknown suite {which!r}; expected one of "
                          f"{(*SUITES, 'all')}")
-    return SUITES[which]()
+    names = SUITES if which == "all" else (which,)
+    return [res for name in names for check in SUITES[name] for res in check()]

@@ -2,27 +2,15 @@
 
 One test per criterion; each prints a single PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -s`` to see them as they complete) and
-asserts the criterion at its stated tolerance.
+asserts the criterion at its stated tolerance. Checks 01-05 and 10 are
+``cvarlearn verify`` checks: they read the results and timings of the
+session's one run of the suites (the ``verify_checks`` fixture).
 """
-
-import math
-import time
 
 import mpmath
 import numpy as np
-import pytest
 
-from cvarlearn.environment import constant_uniform, w1_numeric, w1_uniform
-from cvarlearn.risk import (
-    build_ecdf,
-    cvar_discrete,
-    cvar_error_bound,
-    dkw_epsilon,
-    sup_cdf_distance,
-)
-from cvarlearn.risk import cvar_of_values
 from cvarlearn.schedule import theorem1_params, theorem2_params
-from cvarlearn.smoothing import gradient_estimate, smoothed_cvar_mc
 
 mpmath.mp.dps = 50
 
@@ -33,138 +21,36 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def ru_grid_minimum(sorted_samples: np.ndarray, alpha: float,
-                    grid: int = 100_000) -> tuple[float, float]:
-    """Brute-force minimization of the augmented functional on a v-grid.
-
-    Each grid value is evaluated exactly via suffix sums; returns the grid
-    minimum and the grid spacing.
-    """
-    s = sorted_samples
-    n = s.size
-    v = np.linspace(s[0], s[-1], grid)
-    idx = np.searchsorted(s, v, side="right")
-    suffix = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])
-    values = v + (suffix[idx] - (n - idx) * v) / (alpha * n)
-    spacing = (s[-1] - s[0]) / (grid - 1)
-    return float(values.min()), spacing
+def test_01_cvar_oracle_equivalence(verify_checks):
+    res, elapsed = verify_checks["risk/cvar-equals-ru-minimum"]
+    report(1, "cvar-vs-ru-grid-and-closed-form", res.passed and elapsed < 10.0,
+           f"{res.detail}, {elapsed:.1f}s")
 
 
-def tail_mean_closed_form(samples, alpha: float) -> float:
-    """Independent closed form: fractional top-tail mean via exact summation."""
-    desc = sorted(samples, reverse=True)
-    n = len(desc)
-    an = alpha * n
-    k = math.ceil(an)
-    return (math.fsum(desc[: k - 1]) + (an - k + 1.0) * desc[k - 1]) / an
+def test_02_cvar_kolmogorov_inequality(verify_checks):
+    res, elapsed = verify_checks["risk/cvar-kolmogorov-bound"]
+    report(2, "cvar-kolmogorov-bound", res.passed and elapsed < 10.0,
+           f"{res.detail}, {elapsed:.1f}s")
 
 
-def test_01_cvar_oracle_equivalence():
-    rng = np.random.default_rng(101)
-    levels = np.round(np.arange(1, 21) * 0.05, 2)
-    t0 = time.perf_counter()
-    worst_grid, worst_closed = 0.0, 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 51))
-        samples = np.sort(rng.uniform(-5.0, 5.0, size=n))
-        alpha = float(rng.choice(levels))
-        got = cvar_discrete(build_ecdf(samples), alpha)
-        grid_min, spacing = ru_grid_minimum(samples, alpha)
-        closed = tail_mean_closed_form(samples, alpha)
-        worst_grid = max(worst_grid, abs(got - grid_min) - spacing / alpha)
-        worst_closed = max(worst_closed, abs(got - closed))
-    elapsed = time.perf_counter() - t0
-    ok = worst_grid <= 1e-12 and worst_closed <= 1e-12 and elapsed < 10.0
-    report(1, "cvar-vs-ru-grid-and-closed-form", ok,
-           f"grid excess {worst_grid:.2e}, closed-form gap {worst_closed:.2e}, "
-           f"{elapsed:.1f}s")
+def test_03_cvar_wasserstein_inequality(verify_checks):
+    res, elapsed = verify_checks["environment/cvar-wasserstein-bound"]
+    report(3, "cvar-wasserstein-bound", res.passed and elapsed < 30.0,
+           f"{res.detail}, {elapsed:.1f}s")
 
 
-def test_02_cvar_kolmogorov_inequality():
-    rng = np.random.default_rng(102)
-    t0 = time.perf_counter()
-    worst = -np.inf
-    for _ in range(1000):
-        bound = float(rng.uniform(0.5, 5.0))
-        f = build_ecdf(rng.uniform(0.0, bound, size=int(rng.integers(1, 41))))
-        g = build_ecdf(rng.uniform(0.0, bound, size=int(rng.integers(1, 41))))
-        alpha = float(rng.uniform(0.05, 1.0))
-        lhs = abs(cvar_discrete(f, alpha) - cvar_discrete(g, alpha))
-        rhs = cvar_error_bound(bound, alpha, sup_cdf_distance(f, g))
-        worst = max(worst, lhs - rhs)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and elapsed < 10.0
-    report(2, "cvar-kolmogorov-bound", ok, f"worst excess {worst:.2e}, {elapsed:.1f}s")
+def test_04_dkw_band_validity(verify_checks):
+    res, elapsed = verify_checks["risk/dkw-band-validity"]
+    report(4, "dkw-band-validity", res.passed and elapsed < 30.0,
+           f"{res.detail}, {elapsed:.1f}s")
 
 
-def test_03_cvar_wasserstein_inequality():
-    rng = np.random.default_rng(103)
-    q = (np.arange(100_000) + 0.5) / 100_000
-    t0 = time.perf_counter()
-    worst = -np.inf
-    for _ in range(200):
-        a1 = float(rng.uniform(-3, 3))
-        b1 = a1 + float(rng.uniform(0.01, 4.0))
-        a2 = float(rng.uniform(-3, 3))
-        b2 = a2 + float(rng.uniform(0.01, 4.0))
-        lip = float(rng.uniform(0.1, 5.0))
-        alpha = float(rng.uniform(0.05, 1.0))
-        c1 = cvar_of_values(lip * (a1 + q * (b1 - a1)), alpha)
-        c2 = cvar_of_values(lip * (a2 + q * (b2 - a2)), alpha)
-        rhs = lip / alpha * w1_uniform(a1, b1, a2, b2)
-        worst = max(worst, abs(c1 - c2) - rhs)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 30.0
-    report(3, "cvar-wasserstein-bound", ok, f"worst excess {worst:.2e}, {elapsed:.1f}s")
-
-
-def test_04_dkw_band_validity():
-    rng = np.random.default_rng(0)
-    t0 = time.perf_counter()
-    reps, n = 2000, 100
-    eps = dkw_epsilon(n, 0.05)
-    draws = np.sort(rng.random((reps, n)), axis=1)
-    deviation = np.maximum(np.arange(1, n + 1) / n - draws,
-                           draws - np.arange(n) / n).max(axis=1)
-    freq = float(np.mean(deviation >= eps))
-    elapsed = time.perf_counter() - t0
-    ok = freq <= 0.05 and elapsed < 30.0
-    report(4, "dkw-band-validity", ok,
-           f"violation frequency {freq:.4f} <= 0.05, {elapsed:.1f}s")
-
-
-def test_05_gradient_estimator_consistency(paper_study):
-    t0 = time.perf_counter()
-    exact_ok = True
-    delta = 0.25
-    for x in np.arange(-2.0, 2.25, 0.25):
-        avg = 0.5 * sum(
-            gradient_estimate((x + delta * s) ** 2, np.array([s]), delta)[0]
-            for s in (1.0, -1.0))
-        exact_ok &= avg == 2.0 * x
-
-    scen = paper_study.scenario
-    rng = np.random.default_rng(105)
-    t_step, x0, delta, alpha, n_per_draw, n_draws = 3000, np.array([2.0]), 0.05, 0.5, 8, 100_000
-    # One row per draw: column 0 gives the direction's sign, as in
-    # sample_unit_sphere, and the rest are the noise uniforms.
-    draws = rng.random((n_draws, 1 + n_per_draw))
-    u = np.where(draws[:, :1] < 0.5, 1.0, -1.0)
-    xi = scen.noise.quantile(t_step, draws[:, 1:])
-    cv = cvar_of_values(np.asarray(scen.cost(x0 + delta * u, xi)), alpha)
-    estimates = gradient_estimate(cv, u, delta)[:, 0]
-    stderr = estimates.std(ddof=1) / math.sqrt(n_draws)
-    h = 1e-4
-    fd = (smoothed_cvar_mc(scen.cost, scen.noise, t_step, x0 + h, delta, alpha,
-                           n_noise=20_000)
-          - smoothed_cvar_mc(scen.cost, scen.noise, t_step, x0 - h, delta,
-                             alpha, n_noise=20_000)) / (2 * h)
-    gap = abs(estimates.mean() - fd)
-    elapsed = time.perf_counter() - t0
-    ok = exact_ok and gap <= 3 * stderr and elapsed < 120.0
+def test_05_gradient_estimator_consistency(verify_checks):
+    exact, elapsed = verify_checks["smoothing/two-direction-quadratic-gradient"]
+    stochastic, _ = verify_checks["smoothing/estimator-matches-smoothed-gradient"]
+    ok = exact.passed and stochastic.passed and elapsed < 120.0
     report(5, "gradient-estimator-consistency", ok,
-           f"two-direction exact={exact_ok}, stochastic gap {gap:.2e} vs "
-           f"3*SE {3 * stderr:.2e}, {elapsed:.1f}s")
+           f"two-direction exact={exact.passed}, {stochastic.detail}, {elapsed:.1f}s")
 
 
 def test_06_feasibility_of_played_actions(paper_study):
@@ -259,30 +145,9 @@ def test_09_theorem_parameter_formulas():
            f"worst relative error {worst:.2e}, batch sizes exact={batches_ok}")
 
 
-def test_10_wasserstein_cross_validation():
-    rng = np.random.default_rng(110)
-    t0 = time.perf_counter()
-    worst_gap = 0.0
-    axioms_ok = True
-    for i in range(500):
-        ivs = []
-        for _ in range(3):
-            a = float(rng.uniform(-3, 3))
-            ivs.append((a, a + float(rng.uniform(0.01, 4.0))))
-        i1, i2, i3 = ivs
-        d12 = w1_uniform(*i1, *i2)
-        axioms_ok &= d12 >= 0.0
-        axioms_ok &= abs(d12 - w1_uniform(*i2, *i1)) <= 1e-12
-        axioms_ok &= w1_uniform(*i1, *i1) <= 1e-12
-        axioms_ok &= d12 <= w1_uniform(*i1, *i3) + w1_uniform(*i3, *i2) + 1e-10
-        s1 = constant_uniform(1, *i1)
-        s2 = constant_uniform(1, *i2)
-        support = (min(i1[0], i2[0]), max(i1[1], i2[1]))
-        numeric = w1_numeric(lambda y: s1.cdf(1, y), lambda y: s2.cdf(1, y),
-                             support, grid=200_000)
-        worst_gap = max(worst_gap, abs(d12 - numeric))
-    elapsed = time.perf_counter() - t0
-    ok = worst_gap <= 1e-6 and axioms_ok and elapsed < 30.0
+def test_10_wasserstein_cross_validation(verify_checks):
+    numeric, elapsed = verify_checks["environment/w1-closed-vs-numeric"]
+    axioms, _ = verify_checks["environment/w1-metric-axioms"]
+    ok = numeric.passed and axioms.passed and elapsed < 30.0
     report(10, "wasserstein-closed-form-vs-quadrature", ok,
-           f"worst closed/numeric gap {worst_gap:.2e}, metric axioms "
-           f"hold={axioms_ok}, {elapsed:.1f}s")
+           f"{numeric.detail}, metric axioms hold={axioms.passed}, {elapsed:.1f}s")

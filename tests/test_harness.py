@@ -197,11 +197,13 @@ class TestRunExperiment:
 
 class TestAblation:
     def test_identical_counts_share_seeds(self, tmp_path):
+        # A count's trials get the same seeds whichever counts run beside it.
+        # Repeating a count is a fault: it would run and write that count twice.
         config = small_config(tmp_path, trials=2)
-        aggregates = run_ablation(config, [4, 4], write=False)
-        assert len(aggregates) == 1  # same key, same result object semantics
+        with pytest.raises(ConfigurationError, match="distinct"):
+            run_ablation(config, [4, 4], write=False)
         two = run_ablation(config, [4, 8], write=False)
-        assert np.array_equal(two[4].x, run_ablation(config, [4, 4],
+        assert np.array_equal(two[4].x, run_ablation(config, [2, 4],
                                                      write=False)[4].x)
 
     def test_comparison_table_written(self, tmp_path):
@@ -351,7 +353,7 @@ class TestCli:
         assert "inradius" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("counts", ["8,x", "0,8"])
+    @pytest.mark.parametrize("counts", ["8,x", "0,8", "8,8", "8,08", "8,8.0"])
     def test_bad_counts_exit_one_before_the_oracle(
             self, tmp_path, monkeypatch, capsys, counts):
         forbid_oracle_and_learner(monkeypatch)
@@ -559,29 +561,36 @@ class TestConfigFuzz:
 
 
 class TestVerifySuites:
-    def test_all_suites_pass_on_a_correct_build(self):
-        results = verify.run_suites("all")
+    def test_all_suites_pass_on_a_correct_build(self, verify_checks):
+        results = [res for res, _ in verify_checks.values()]
         failures = [r for r in results if not r.passed]
         assert not failures, failures
         assert {r.suite for r in results} == {"risk", "smoothing", "environment"}
 
-    def test_mutation_is_detected(self):
+    def test_mutation_is_detected(self, monkeypatch):
         # A corrupted CVaR must not sail through the suite: scaling the value
         # breaks the RU-minimum equivalence, and mixing in the wrong tail
         # level breaks the Kolmogorov bound.
-        def scaled(ecdf, alpha):
-            return 1.3 * cvar_discrete(ecdf, alpha)
-
-        results = {r.name: r.passed for r in verify.risk_suite(cvar_fn=scaled)}
+        monkeypatch.setattr(verify, "cvar_discrete",
+                            lambda ecdf, alpha: 1.3 * cvar_discrete(ecdf, alpha))
+        results = {r.name: r.passed for r in verify.cvar_equals_ru_minimum()}
         assert not results["cvar-equals-ru-minimum"]
         assert not all(results.values())
 
-        def amplified(ecdf, alpha):
-            return 3.0 * cvar_discrete(ecdf, alpha)
-
-        results = {r.name: r.passed
-                   for r in verify.risk_suite(cvar_fn=amplified)}
+        monkeypatch.setattr(verify, "cvar_discrete",
+                            lambda ecdf, alpha: 3.0 * cvar_discrete(ecdf, alpha))
+        results = {r.name: r.passed for r in verify.cvar_kolmogorov_bound()}
         assert not results["cvar-kolmogorov-bound"]
+
+    def test_run_suites_runs_each_suites_checks_in_order(self, monkeypatch):
+        def check(suite, name):
+            return lambda: [verify.CheckResult(suite, name, True, "")]
+
+        monkeypatch.setattr(verify, "SUITES", {
+            "risk": (check("risk", "a"), check("risk", "b")),
+            "smoothing": (check("smoothing", "c"),)})
+        assert [r.name for r in verify.run_suites("all")] == ["a", "b", "c"]
+        assert [r.name for r in verify.run_suites("smoothing")] == ["c"]
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from cvarlearn.risk import (
     build_ecdf,
     cvar_discrete,
     cvar_error_bound,
+    cvar_of_values,
     dkw_epsilon,
     empirical_quantile,
     ru_functional,
@@ -85,6 +86,15 @@ class TestCvarDiscrete:
         expected = (4 + 0.2 * 3) / 1.2
         assert cvar_discrete(e, 0.3) == pytest.approx(expected, abs=1e-12)
         assert ru_grid_min([1, 2, 3, 4], 0.3) == pytest.approx(expected, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-12, 0.01, 0.2, 1 / 3])
+    def test_tail_within_the_maximum_is_the_maximum(self, alpha):
+        # alpha * n <= 1: the whole tail weight sits on the largest value.
+        assert cvar_of_values(np.array([1.0, 2.0, 3.0]), alpha) == pytest.approx(
+            3.0, rel=1e-15)
+        rows = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, -1.0], [7.0, 7.0, -7.0]])
+        np.testing.assert_allclose(cvar_of_values(rows, alpha), [3.0, 0.5, 7.0],
+                                   rtol=1e-15, atol=0.0)
 
     def test_invalid_alpha(self):
         e = build_ecdf([1.0])
