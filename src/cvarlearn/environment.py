@@ -32,14 +32,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: Degenerate-range warnings this process has logged: a table of the same
+#: sequence built again, or at another horizon, repeats its message, which is
+#: logged once.
+_LOGGED: set[str] = set()
+
 
 class UniformSeq(NoiseSequence):
     """Per-step uniform distributions ``U[left(t), right(t)]``.
 
     Steps where ``right(t) <= left(t)`` collapse to a point mass at
-    ``left(t)`` (logged once); this keeps sequences whose endpoint formulas
-    momentarily cross well-defined without altering the base level. The
-    endpoints of every step are evaluated once, at the first lookup.
+    ``left(t)`` (logged once per process and message); this keeps sequences
+    whose endpoint formulas momentarily cross well-defined without altering
+    the base level. The endpoints of every step are evaluated once, at the
+    first lookup.
     """
 
     def __init__(self, horizon: int, left: Callable[[int], float],
@@ -65,9 +71,13 @@ class UniformSeq(NoiseSequence):
             degenerate = np.flatnonzero(hi <= lo)
             if degenerate.size:
                 t = degenerate[0]
-                logger.warning(
+                message = (
                     "degenerate uniform range at t=%d (left=%.6g >= right=%.6g); "
-                    "emitting a point mass at the left endpoint", t + 1, lo[t], hi[t])
+                    "emitting a point mass at the left endpoint"
+                    % (t + 1, lo[t], hi[t]))
+                if message not in _LOGGED:
+                    _LOGGED.add(message)
+                    logger.warning(message)
                 hi[degenerate] = lo[degenerate]
             table.flags.writeable = False
             self._table = table

@@ -2,12 +2,15 @@
 
 A flat key-value config file (plus CLI flag overrides) selects a scenario and
 all run parameters. Each trial ``i`` runs with seed ``base_seed + i``; all
-trials of an experiment step in lockstep in one process, and a trial's output
-depends only on its seed. An experiment runs in three phases: the learner,
-then one oracle pass that finds the per-step optima and evaluates every
-trial, then the CSVs. An ablation runs every count's learner first and
-evaluates all of their trials in one oracle pass, so a failure writes
-nothing. All output is CSV (17-significant-digit floats, LF endings, UTF-8);
+trials of an experiment step in lockstep, and a trial's output depends only
+on its seed. An experiment runs in three phases: the learner, in this
+process; then one oracle pass that finds the per-step optima and evaluates
+every trial, its steps cut into ranges; then the CSVs, the trial files cut
+by trial. The ranges of the last two phases run at the same time in forked
+processes, one per usable CPU, or as one job in this process when there is
+one CPU or too little work for a fork to pay; the output is the same byte
+for byte. An ablation runs every count's learner first and evaluates all of
+their trials in one oracle pass, so a failure writes nothing. All output is CSV (17-significant-digit floats, LF endings, UTF-8);
 each file is formatted from one template, in which the columns shared by
 every trial are formatted once, and is renamed into place only when whole.
 Plotting is left to external tools.
@@ -25,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import environment, learner, oracle, schedule
-from .core import AdmissibleSet, Box, ConfigurationError, CostModel, NoiseSequence
+from .core import (AdmissibleSet, Box, ConfigurationError, CostModel,
+                   NoiseSequence, fork_map, fork_ranges)
 from .schedule import (
     ConstantRate,
     ConstantSampling,
@@ -264,6 +268,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
             raise ConfigurationError("custom scenario needs noise_low <= noise_high")
         noise = environment.constant_uniform(horizon, config.noise_low,
                                              config.noise_high)
+        noise.bounds_table()  # here, so that a point mass warns at build
         region = Box([config.price_low], [config.price_high])
         cost = _pricing_cost(config.elasticity, config.regularization,
                              config.target_occupancy,
@@ -332,6 +337,10 @@ class TrialAggregate:
 #: Slot of one float cell in a CSV template: 17 significant digits.
 _FLOAT = "%.17g"
 
+#: Serial seconds to format and write one trajectory row: the estimate from
+#: which ``fork_ranges`` decides whether a fork pays.
+_ROW_S = 8e-6
+
 
 def _template(header: str, columns) -> str:
     """A whole CSV file as one ``%`` template: the header and one line per row.
@@ -377,10 +386,10 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> TrialAggrega
     series is trajectory-independent: it is found once, in the same oracle
     pass that evaluates every trial.
     """
-    (trace,), (agg,) = _experiments(build_scenario(config), [config])
+    traces, aggs = _experiments(build_scenario(config), [config])
     if write:
-        _write_experiment(config.out_prefix, trace, agg)
-    return agg
+        _write_experiments([config.out_prefix], traces, aggs)
+    return aggs[0]
 
 
 def _run_learner(config: ExperimentConfig, scenario: Scenario) -> learner.Trace:
@@ -425,25 +434,34 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
     return traces, aggs
 
 
-def _write_experiment(out_prefix: str, trace: learner.Trace,
-                      agg: TrialAggregate) -> None:
-    """One trajectory CSV per trial and the aggregate CSV."""
-    prefix = Path(out_prefix)
-    if prefix.parent != Path("."):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-    # The columns shared by every trial are formatted once, into the template.
-    template = _template(TRAJECTORY_HEADER, (
-        trace.t, trace.batch, trace.epoch, None, None, trace.n_samples, None,
-        None, trace.eta, None, agg.optimal_cvar, None, None))
-    for i in range(len(agg.x)):
-        _write_csv(Path(f"{prefix}_trial{i}.csv"), template, (
+def _write_experiments(prefixes: list[str], traces: list[learner.Trace],
+                       aggs: list[TrialAggregate]) -> None:
+    """Each experiment's trajectory CSVs, one per trial, and its aggregate CSV.
+
+    The trial files of all experiments are written together, cut by trial
+    across forked processes (``fork_ranges``); then this process writes the
+    aggregates.
+    """
+    writes = []
+    for prefix, trace, agg in zip(map(Path, prefixes), traces, aggs):
+        if prefix.parent != Path("."):
+            prefix.parent.mkdir(parents=True, exist_ok=True)
+        # The columns shared by every trial are formatted once, into the template.
+        template = _template(TRAJECTORY_HEADER, (
+            trace.t, trace.batch, trace.epoch, None, None, trace.n_samples, None,
+            None, trace.eta, None, agg.optimal_cvar, None, None))
+        writes += [(Path(f"{prefix}_trial{i}.csv"), template, (
             agg.x[i], agg.x_hat[i], trace.cvar_estimate[i],
             trace.gradient[i, :, 0], agg.played_cvar[i], agg.regret[i],
-            agg.acc_loss[i]))
+            agg.acc_loss[i])) for i in range(len(agg.x))]
+    work_s = sum(agg.x.size for agg in aggs) * _ROW_S
+    fork_map(lambda part: [_write_csv(*writes[w]) for w in part],
+             fork_ranges(len(writes), work_s))
     header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
-    stats = [s for c in AGGREGATE_COLUMNS for s in (agg.mean(c), agg.std(c))]
-    _write_csv(Path(f"{prefix}_aggregate.csv"),
-               _template(header, (trace.t, *[None] * len(stats))), stats)
+    for prefix, trace, agg in zip(prefixes, traces, aggs):
+        stats = [s for c in AGGREGATE_COLUMNS for s in (agg.mean(c), agg.std(c))]
+        _write_csv(Path(f"{prefix}_aggregate.csv"),
+                   _template(header, (trace.t, *[None] * len(stats))), stats)
 
 
 def run_ablation(config: ExperimentConfig, sample_counts,
@@ -468,8 +486,7 @@ def run_ablation(config: ExperimentConfig, sample_counts,
             for n in counts]
     traces, aggs = _experiments(build_scenario(config), subs)
     if write:
-        for sub, trace, agg in zip(subs, traces, aggs):
-            _write_experiment(sub.out_prefix, trace, agg)
+        _write_experiments([sub.out_prefix for sub in subs], traces, aggs)
         checks = [check_sampling_requirement(ConstantSampling(n), config.batch_size,
                                              config.sampling_a, config.sampling_c)
                   for n in counts]

@@ -14,7 +14,8 @@ is built once and serves both that step's optimum search and the played
 actions of every trial. A step makes one stacked cost and CVaR call over the
 search's warm-start stencil and its first block of played actions; further
 calls are made only when the optimum moves, and for further blocks of
-played actions.
+played actions. The steps are cut into ranges that forked processes
+evaluate at the same time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import AdmissibleSet, Ball, Box, ConfigurationError, CostModel, NoiseSequence, as_vector
+from .core import (AdmissibleSet, Ball, Box, ConfigurationError, CostModel,
+                   NoiseSequence, as_vector, fork_map, fork_ranges)
 from .risk import cvar_of_values
 
 __all__ = [
@@ -63,6 +65,10 @@ _TOL = 1e-9
 #: stay small and reuse memory instead of faulting in fresh pages at every
 #: step. A row longer than this is evaluated on its own.
 _BLOCK = 2 ** 16
+
+#: Serial seconds per cost value of the regret pass, cost and CVaR together:
+#: the estimate from which ``fork_ranges`` decides whether a fork pays.
+_VALUE_S = 1e-8
 
 
 def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x, alpha: float,
@@ -178,14 +184,23 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
 
     One pass over the steps: each step's quantile grid is built once and
     serves every trial. Each step's optimum is searched in the same pass,
-    warm-started from the previous step's, exactly as
-    ``optimal_action_series`` finds it. A step makes one cost and CVaR call
-    over the stacked rows of the search's stencil, the grid actions next to
-    the warm start, and of the first trials' played actions; the stencil's
-    CVaRs seed the search, which evaluates further grid actions one at a
-    time, only when the optimum moves or its rescan window widens. The
-    remaining played actions are evaluated in blocks. A call holds at most
-    ``_BLOCK`` cost values, unless the stencil or one row alone holds more.
+    warm-started from the previous step's. A step makes one cost and CVaR
+    call over the stacked rows of the search's stencil, the grid actions
+    next to the warm start, and of the first trials' played actions; the
+    stencil's CVaRs seed the search, which evaluates further grid actions
+    one at a time, only when the optimum moves or its rescan window widens.
+    The remaining played actions are evaluated in blocks. A call holds at
+    most ``_BLOCK`` cost values, unless the stencil or one row alone holds
+    more.
+
+    The pass is cut into contiguous step ranges, one per usable CPU, that
+    run at the same time in forked processes (``fork_ranges``): one range,
+    in this process, when the pass is too small for a fork to pay. Each
+    range starts its search at the middle of the action grid, as step 1
+    does. The search returns the grid's first minimum from any start, so a
+    range's cold start finds the optima that ``optimal_action_series`` finds
+    with the warm start carried over, and the report does not depend on how
+    the steps were cut.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.ndim != 3 or x_hat.shape[1] == 0 or x_hat.shape[2] != region.dim:
@@ -194,25 +209,12 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
             f"got {x_hat.shape}")
     trials, horizon = x_hat.shape[:2]
     xs = action_grid(region, k)
-    x_star, c_star = np.empty(horizon), np.empty(horizon)
-    i = xs.size // 2
     levels = _mid_quantiles(int(grid_n))
-    rows = max(1, _BLOCK // levels.size)
-    played = np.empty((trials, horizon))
-    for s in range(horizon):
-        xi = np.asarray(noise.quantile(s + 1, levels), dtype=float)
-        lo = max(i - 1, 0)
-        stencil = xs[lo:i + 2, None]
-        head = max(rows - len(stencil), 0)
-        cvars = cvar_of_values(cost.rows(
-            np.concatenate([stencil, x_hat[:head, s]]), xi[None, :]), alpha)
-        played[:head, s] = cvars[len(stencil):]
-        memo = dict(enumerate(cvars[:len(stencil)], start=lo))
-        i, c_star[s] = _step_minimum(cost, xi, xs, alpha, i, memo)
-        x_star[s] = xs[i]
-        for r in range(head, trials, rows):
-            played[r:r + rows, s] = cvar_of_values(
-                cost.rows(x_hat[r:r + rows, s], xi[None, :]), alpha)
+    work_s = horizon * (trials + 3) * levels.size * _VALUE_S
+    parts = fork_map(
+        functools.partial(_regret_steps, x_hat, cost, noise, xs, alpha, levels),
+        fork_ranges(horizon, work_s))
+    played, x_star, c_star = (np.concatenate(part, axis=-1) for part in zip(*parts))
     return RegretReport(
         played_cvar=played,
         optimal_cvar=c_star,
@@ -220,6 +222,33 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
         cumulative_regret=np.cumsum(played - c_star, axis=1),
         accumulated_loss=np.cumsum(played, axis=1),
     )
+
+
+def _regret_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
+                  xs: np.ndarray, alpha: float, levels: np.ndarray,
+                  steps: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``dynamic_regret``'s pass over the 0-based steps ``steps``: the played
+    CVaRs ``(trials, len(steps))``, the grid optima and their CVaRs."""
+    trials = x_hat.shape[0]
+    rows = max(1, _BLOCK // levels.size)
+    played = np.empty((trials, len(steps)))
+    x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
+    i = xs.size // 2
+    for j, s in enumerate(steps):
+        xi = np.asarray(noise.quantile(s + 1, levels), dtype=float)
+        lo = max(i - 1, 0)
+        stencil = xs[lo:i + 2, None]
+        head = max(rows - len(stencil), 0)
+        cvars = cvar_of_values(cost.rows(
+            np.concatenate([stencil, x_hat[:head, s]]), xi[None, :]), alpha)
+        played[:head, j] = cvars[len(stencil):]
+        memo = dict(enumerate(cvars[:len(stencil)], start=lo))
+        i, c_star[j] = _step_minimum(cost, xi, xs, alpha, i, memo)
+        x_star[j] = xs[i]
+        for r in range(head, trials, rows):
+            played[r:r + rows, j] = cvar_of_values(
+                cost.rows(x_hat[r:r + rows, s], xi[None, :]), alpha)
+    return played, x_star, c_star
 
 
 def batch_optimal_actions(cost: CostModel, noise: NoiseSequence,

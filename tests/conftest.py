@@ -3,8 +3,25 @@ from types import SimpleNamespace
 
 import pytest
 
-from cvarlearn import verify
+from cvarlearn import core, environment, verify
 from cvarlearn.harness import ExperimentConfig, build_scenario, run_ablation
+
+
+@pytest.fixture(autouse=True)
+def fresh_warning_log(monkeypatch):
+    """Each test starts as a fresh process does: no degenerate-range warning
+    has been logged yet."""
+    monkeypatch.setattr(environment, "_LOGGED", set())
+
+
+@pytest.fixture
+def force_jobs(monkeypatch):
+    """``force_jobs(n)`` makes ``fork_ranges`` cut any work into ``n`` jobs
+    (at most one per item), whatever this machine's CPU count."""
+    def force(jobs):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: jobs)
+        monkeypatch.setattr(core, "_FORK_MIN_S", 0.0)
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from cvarlearn.core import Ball, Box, ConfigurationError
+from cvarlearn import core
+from cvarlearn.core import Ball, Box, ConfigurationError, fork_map, fork_ranges
 
 
 def random_set(rng):
@@ -128,3 +131,62 @@ class TestDiameterAndInradius:
             Box([1.0], [1.0])
         with pytest.raises(ConfigurationError):
             Ball([0.0], 0.0)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkRanges:
+    def test_small_work_is_one_range(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        assert fork_ranges(10, core._FORK_MIN_S / 2) == [range(10)]
+
+    def test_one_cpu_is_one_range(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+        assert fork_ranges(10, 100.0) == [range(10)]
+
+    @pytest.mark.parametrize("n, cpus, expected", [
+        (10, 2, [range(0, 5), range(5, 10)]),
+        (7, 3, [range(0, 2), range(2, 4), range(4, 7)]),
+        (2, 4, [range(0, 1), range(1, 2)]),
+    ])
+    def test_one_contiguous_range_per_cpu(self, monkeypatch, n, cpus, expected):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        assert fork_ranges(n, 100.0) == expected
+
+
+class TestForkMap:
+    def test_results_in_job_order(self):
+        parent = os.getpid()
+        results = fork_map(lambda job: (job * job, os.getpid() == parent), range(4))
+        assert results == [(0, True), (1, False), (4, False), (9, False)]
+        assert_no_child_left()
+
+    def test_one_job_runs_here(self):
+        parent = os.getpid()
+        assert fork_map(lambda job: os.getpid() == parent, ["only"]) == [True]
+
+    @pytest.mark.parametrize("failing_job", [0, 2])
+    def test_an_error_is_raised_as_its_own_type(self, failing_job):
+        def fn(job):
+            if job == failing_job:
+                raise ConfigurationError(f"job {job} is bad")
+            return job
+
+        with pytest.raises(ConfigurationError, match=f"job {failing_job} is bad"):
+            fork_map(fn, range(3))
+        assert_no_child_left()
+
+    def test_a_dead_child_raises_runtime_error(self):
+        parent = os.getpid()
+
+        def fn(job):
+            if os.getpid() != parent:
+                os._exit(3)
+            return job
+
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            fork_map(fn, range(2))
+        assert_no_child_left()

@@ -67,6 +67,15 @@ class TestUniformSeq:
         assert noise.cdf(1, 0.85) == 1.0
         assert any("point mass" in rec.message for rec in caplog.records)
 
+    def test_a_repeated_degenerate_range_warns_once(self, caplog):
+        # Each horizon's table logs its first degenerate step; the message
+        # is the same, so a process logs it once.
+        with caplog.at_level(logging.WARNING):
+            parking_noise(6000).bounds_table()
+            parking_noise(6000).bounds_table()
+        assert sum(rec.getMessage().startswith("degenerate uniform range")
+                   for rec in caplog.records) == 1
+
     def test_bounds_table_equals_the_endpoint_formulas(self):
         # Every step of the parking study, the degenerate t = 1, 2 included:
         # the raw formulas, a crossing collapsed to the left endpoint.

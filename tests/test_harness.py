@@ -311,6 +311,15 @@ class TestScenarioBounds:
             assert abs(ja - jb) <= scen.cost.lipschitz * abs(xa - xb) + 1e-12
 
 
+    def test_custom_point_mass_warns_at_build(self, monkeypatch, caplog):
+        forbid_oracle_and_learner(monkeypatch)
+        with caplog.at_level(logging.WARNING):
+            build_scenario(ExperimentConfig(scenario="custom", noise_low=1.0,
+                                            noise_high=1.0))
+        assert sum(rec.getMessage().startswith("degenerate uniform range")
+                   for rec in caplog.records) == 1
+
+
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
         code = cli.main(["run", "--T", "10", "--batch", "5", "--trials", "1",
@@ -446,6 +455,20 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "p_trial1.csv").exists()
 
+    def test_scenario_build_never_imports_multiprocessing(self, tmp_path):
+        # Only a phase that forks imports multiprocessing; import and
+        # scenario build (the bench's setup_s) stay as they were.
+        code = ("import sys; import cvarlearn.harness as h\n"
+                "for name in h.SCENARIOS:\n"
+                "    h.build_scenario(h.make_config({'scenario': name}))\n"
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
+        env.pop("RA_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_budget_cli(self, tmp_path, capsys):
         code = cli.main(["budget", "--scenario", "parking", "--T", "100",
                          "--out", str(tmp_path / "b")])
@@ -473,6 +496,95 @@ class TestCli:
         agg_five = run_experiment(dataclasses.replace(cfg, base_seed=5),
                                   write=False)
         assert np.array_equal(agg_env.x, agg_five.x)
+
+
+FORK_RUN = ["--T", "31", "--batch", "5", "--trials", "5", "--oracle-grid",
+            "1000", "--oracle-k", "20"]
+
+
+def failing_in_child(fn, fail):
+    """``fn``, except that it calls ``fail()`` in any process but this one."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            fail()
+        return fn(*args)
+    return wrapped
+
+
+def exit_three():
+    os._exit(3)
+
+
+def bad_value():
+    raise ConfigurationError("bad value in a worker")
+
+
+class TestForkedRuns:
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["ablate", "--scenario", "brownian", "--counts", "4,8"],
+    ], ids=["run", "ablate"])
+    def test_csvs_do_not_depend_on_the_job_count(self, tmp_path, monkeypatch,
+                                                 force_jobs, argv):
+        job_counts = []
+        fork_map = harness.fork_map
+
+        def spy(fn, jobs):
+            job_counts.append(len(jobs))
+            return fork_map(fn, jobs)
+
+        monkeypatch.setattr(harness, "fork_map", spy)
+        outputs = []
+        for jobs in (1, 2, 3):
+            force_jobs(jobs)
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main([*argv, *FORK_RUN, "--out", str(out / "x")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert job_counts == [1, 2, 3]
+        assert len(outputs[0]) == (6 if argv == ["run"] else 13)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("target, fail, code, message", [
+        ("cost", bad_value, 1, "configuration error: bad value in a worker"),
+        ("cost", exit_three, 2, "runtime failure: forked worker exited with code 3"),
+        ("csv", exit_three, 2, "runtime failure: forked worker exited with code 3"),
+    ], ids=["cost-raises", "cost-dies", "csv-dies"])
+    def test_a_failing_child_fails_the_run_as_in_process(
+            self, tmp_path, monkeypatch, capsys, force_jobs, target, fail, code,
+            message):
+        force_jobs(2)
+        if target == "cost":
+            pricing_cost = harness._pricing_cost
+
+            def cost(*args):
+                model = pricing_cost(*args)
+                return dataclasses.replace(model, fn=failing_in_child(model.fn, fail))
+            monkeypatch.setattr(harness, "_pricing_cost", cost)
+        else:
+            monkeypatch.setattr(harness, "_write_csv",
+                                failing_in_child(harness._write_csv, fail))
+        assert cli.main(["run", *FORK_RUN, "--out", str(tmp_path / "x")]) == code
+        assert message in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_forked_run_prints_each_line_once(self, tmp_path):
+        # Output buffered before a fork must not be written again by a child.
+        code = ("import sys; import cvarlearn.core as core; "
+                "core._usable_cpus = lambda: 2; core._FORK_MIN_S = 0.0; "
+                "from cvarlearn import cli; print('before the run'); "
+                f"sys.exit(cli.main(['run', *{FORK_RUN!r}, '--out', 'f']))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
+        env.pop("RA_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        out, err = proc.stdout.splitlines(), proc.stderr.splitlines()
+        assert len(out) == 5 and out[0] == "before the run"
+        assert len(set(out)) == len(out)
+        assert len(err) == 3 and len(set(err)) == len(err)
+        assert (tmp_path / "f_trial4.csv").exists()
 
 
 class Accepted(BaseException):

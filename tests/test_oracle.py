@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvarlearn import oracle
 from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
@@ -12,6 +13,7 @@ from cvarlearn.oracle import (
     _first_grid_minimum,
     _grid_cvars,
     _quantile_grid,
+    RegretReport,
     action_grid,
     batch_optimal_actions,
     dynamic_regret,
@@ -275,6 +277,38 @@ class TestDynamicRegret:
         for actions, values in ((x_star, c_star), (x_ref, c_ref)):
             assert np.array_equal(report.optimal_actions, actions)
             assert np.array_equal(report.optimal_cvar, values)
+
+
+class TestForkedRegret:
+    @pytest.mark.parametrize("scenario, horizon, trials", [
+        pytest.param(scenario, horizon, trials, id=f"{scenario}-T{horizon}-{trials}")
+        for horizon, trials in ((37, 3), (41, _BLOCK // 1000 + 5))
+        for scenario in ("parking", "brownian", "custom")])
+    def test_reports_do_not_depend_on_the_job_count(
+            self, force_jobs, monkeypatch, scenario, horizon, trials):
+        # Each forked step range cold-starts its search; the serial pass,
+        # warm-started throughout, is the reference, matched bit for bit.
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
+        low, high = scen.region.lower[0], scen.region.upper[0]
+        x_hat = np.random.default_rng(56).uniform(low, high, (trials, horizon, 1))
+        job_counts = []
+        fork_map = oracle.fork_map
+
+        def spy(fn, jobs):
+            job_counts.append(len(jobs))
+            return fork_map(fn, jobs)
+
+        monkeypatch.setattr(oracle, "fork_map", spy)
+        reports = []
+        for jobs in (1, 2, 3):
+            force_jobs(jobs)
+            reports.append(dynamic_regret(x_hat, scen.cost, scen.noise,
+                                          scen.region, 0.5, k=40, grid_n=1000))
+        assert job_counts == [1, 2, 3]
+        for report in reports[1:]:
+            for field in dataclasses.fields(RegretReport):
+                assert np.array_equal(getattr(report, field.name),
+                                      getattr(reports[0], field.name)), field.name
 
 
 class TestAccumulatedLoss:
