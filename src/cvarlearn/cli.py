@@ -60,9 +60,9 @@ def _config_from_args(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    agg = run_experiment(config)
-    final_dr = agg.regret[:, -1]
-    final_loss = agg.acc_loss[:, -1]
+    report = run_experiment(config).report
+    final_dr = report.cumulative_regret[:, -1]
+    final_loss = report.accumulated_loss[:, -1]
     print(f"scenario={config.scenario} T={config.horizon} trials={config.trials} "
           f"seed={config.base_seed}")
     print(f"final dynamic regret: {final_dr.mean():.6g} +/- {final_dr.std():.6g}")
@@ -74,10 +74,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     counts = [c for c in args.counts.split(",") if c.strip()]
-    aggregates = run_ablation(config, counts)
+    results = run_ablation(config, counts)
     print("n_t  mean final accumulated loss  (std over trials)")
-    for n, agg in aggregates.items():
-        final = agg.acc_loss[:, -1]
+    for n, result in results.items():
+        final = result.report.accumulated_loss[:, -1]
         print(f"{n:4d}  {final.mean():26.6f}  ({final.std():.6f})")
     print(f"wrote {config.out_prefix}_ablation.csv")
     return 0

@@ -273,7 +273,8 @@ class CostModel:
 class NoiseSequence(ABC):
     """Time-indexed family of scalar noise distributions over ``t = 1..horizon``.
 
-    Subclasses provide the per-step CDF and quantile function; sampling is
+    Subclasses provide the per-step CDF, quantile function and support, and
+    the closed-form W1 distance between consecutive steps; sampling is
     derived by inverse transform, so a single uniform draw is consumed per
     sample regardless of the distribution family.
     """
@@ -305,11 +306,13 @@ class NoiseSequence(ABC):
         t = self._check_t(t)
         return np.asarray(self.quantile(t, rng.random(size)), dtype=float)
 
+    @abstractmethod
     def support(self, t: int) -> tuple[float, float]:
-        """Interval certainly containing the mass of xi_t (used for quadrature
-        and bound estimation); defaults to the 1e-12 .. 1-1e-12 quantile range."""
-        t = self._check_t(t)
-        return (float(self.quantile(t, 1e-12)), float(self.quantile(t, 1.0 - 1e-12)))
+        """Interval certainly containing the mass of xi_t."""
+
+    @abstractmethod
+    def step_w1(self, t: int) -> float:
+        """W1 distance between the step ``t - 1`` and step ``t`` distributions."""
 
 
 #: Least estimated serial work, in seconds, that ``fork_ranges`` splits:

@@ -1,17 +1,16 @@
 """Concrete non-stationary noise sequences and Wasserstein-1 accounting.
 
 Provides the time-varying uniform family used by the parking-lot pricing
-study, a Brownian-diffusion Gaussian family, static baselines, closed-form
-and quadrature Wasserstein-1 distances for 1-D distributions, and the
-distribution-variation budget (the sum of consecutive W1 distances over the
-horizon).
+study (each sequence one table of per-step endpoints), a Brownian-diffusion
+Gaussian family, static baselines, closed-form Wasserstein-1 distances for
+1-D distributions (quadrature as the tests' reference), and the variation
+budget: the sum of consecutive closed-form W1 distances over the horizon.
+Sequences never log.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -30,62 +29,33 @@ __all__ = [
     "variation_budget",
 ]
 
-logger = logging.getLogger(__name__)
-
-#: Degenerate-range warnings this process has logged: a table of the same
-#: sequence built again, or at another horizon, repeats its message, which is
-#: logged once.
-_LOGGED: set[str] = set()
-
 
 class UniformSeq(NoiseSequence):
-    """Per-step uniform distributions ``U[left(t), right(t)]``.
+    """Per-step uniform distributions ``U[lower[t - 1], upper[t - 1]]``.
 
-    Steps where ``right(t) <= left(t)`` collapse to a point mass at
-    ``left(t)`` (logged once per process and message); this keeps sequences
-    whose endpoint formulas momentarily cross well-defined without altering
-    the base level. The endpoints of every step are evaluated once, at the
-    first lookup.
+    ``table`` holds the effective endpoints of every step, a read-only
+    ``(horizon, 2)`` array whose row ``t - 1`` is step ``t``. Steps where
+    ``upper <= lower`` collapse to a point mass at ``lower``; this keeps
+    sequences whose endpoint formulas momentarily cross well-defined without
+    altering the base level.
     """
 
-    def __init__(self, horizon: int, left: Callable[[int], float],
-                 right: Callable[[int], float]):
-        super().__init__(horizon)
-        self._left = left
-        self._right = right
-        self._table: np.ndarray | None = None
-
-    def _endpoints(self, t: int) -> tuple[float, float]:
-        lo, hi = float(self._left(t)), float(self._right(t))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigurationError(f"non-finite uniform endpoints at t={t}")
-        return lo, hi
-
-    def bounds_table(self) -> np.ndarray:
-        """Effective endpoints of every step after degenerate collapse, as a
-        read-only ``(horizon, 2)`` array whose row ``t - 1`` is step ``t``."""
-        if self._table is None:
-            table = np.array([self._endpoints(t)
-                              for t in range(1, self.horizon + 1)])
-            lo, hi = table.T
-            degenerate = np.flatnonzero(hi <= lo)
-            if degenerate.size:
-                t = degenerate[0]
-                message = (
-                    "degenerate uniform range at t=%d (left=%.6g >= right=%.6g); "
-                    "emitting a point mass at the left endpoint"
-                    % (t + 1, lo[t], hi[t]))
-                if message not in _LOGGED:
-                    _LOGGED.add(message)
-                    logger.warning(message)
-                hi[degenerate] = lo[degenerate]
-            table.flags.writeable = False
-            self._table = table
-        return self._table
+    def __init__(self, lower, upper):
+        table = np.column_stack((np.asarray(lower, dtype=float),
+                                 np.asarray(upper, dtype=float)))
+        super().__init__(len(table))
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            raise ConfigurationError(f"non-finite uniform endpoints at t={bad[0] + 1}")
+        lo, hi = table.T
+        crossed = hi <= lo
+        hi[crossed] = lo[crossed]
+        table.flags.writeable = False
+        self.table = table
 
     def bounds(self, t: int) -> tuple[float, float]:
         """Effective endpoints at step ``t`` after degenerate collapse."""
-        lo, hi = self.bounds_table()[self._check_t(t) - 1].tolist()
+        lo, hi = self.table[self._check_t(t) - 1].tolist()
         return lo, hi
 
     def cdf(self, t: int, y):
@@ -154,7 +124,6 @@ class BrownianSeq(NoiseSequence):
         return (-10.0 * s, 10.0 * s)
 
     def step_w1(self, t: int) -> float:
-        t = self._check_t(t)
         return w1_gaussian(0.0, self.sigma(t - 1), 0.0, self.sigma(t))
 
 
@@ -162,7 +131,7 @@ def constant_uniform(horizon: int, lo: float, hi: float) -> UniformSeq:
     """Static baseline: the same ``U[lo, hi]`` at every step."""
     if hi < lo:
         raise ConfigurationError("constant uniform needs lo <= hi")
-    return UniformSeq(horizon, lambda t: lo, lambda t: hi)
+    return UniformSeq(np.full(horizon, lo), np.full(horizon, hi))
 
 
 def parking_range(t: int, horizon: int) -> tuple[float, float]:
@@ -181,11 +150,9 @@ def parking_range(t: int, horizon: int) -> tuple[float, float]:
 
 def parking_noise(horizon: int) -> UniformSeq:
     """Time-varying uniform uncertainty of the parking-lot pricing study."""
-    return UniformSeq(
-        horizon,
-        left=lambda t: parking_range(t, horizon)[0],
-        right=lambda t: parking_range(t, horizon)[1],
-    )
+    lower, upper = np.array([parking_range(t, horizon)
+                             for t in range(1, horizon + 1)]).reshape(-1, 2).T
+    return UniformSeq(lower, upper)
 
 
 def w1_uniform(a1: float, b1: float, a2: float, b2: float) -> float:
@@ -246,32 +213,18 @@ def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) ->
     return float(np.sum(np.diff(y) * (gap[1:] + gap[:-1]) / 2.0))
 
 
-def _step_distance(noise: NoiseSequence, t: int, grid: int) -> float:
-    step = getattr(noise, "step_w1", None)
-    if step is not None:
-        return step(t)
-    lo = min(noise.support(t - 1)[0], noise.support(t)[0])
-    hi = max(noise.support(t - 1)[1], noise.support(t)[1])
-    return w1_numeric(lambda y: noise.cdf(t - 1, y), lambda y: noise.cdf(t, y),
-                      (lo, hi), grid)
-
-
-def variation_profile(noise: NoiseSequence, horizon: int,
-                      grid: int = 10_000) -> np.ndarray:
-    """Per-step distances ``W1(D_{t-1}, D_t)`` for ``t = 2..horizon``.
-
-    Uses the sequence's closed form when it provides one, quadrature
-    otherwise.
-    """
+def variation_profile(noise: NoiseSequence, horizon: int) -> np.ndarray:
+    """Per-step distances ``W1(D_{t-1}, D_t)`` for ``t = 2..horizon``, from
+    the sequence's closed form."""
     horizon = int(horizon)
     if horizon < 2:
         raise ConfigurationError("variation budget needs horizon >= 2")
     if horizon > noise.horizon:
         raise ConfigurationError("requested horizon exceeds the noise sequence's")
-    return np.array([_step_distance(noise, t, grid) for t in range(2, horizon + 1)])
+    return np.array([noise.step_w1(t) for t in range(2, horizon + 1)])
 
 
-def variation_budget(noise: NoiseSequence, horizon: int, grid: int = 10_000) -> float:
+def variation_budget(noise: NoiseSequence, horizon: int) -> float:
     """Total distribution variation over ``1..horizon`` (Assumption: budget
     known to the decision maker; the learner never estimates it online)."""
-    return float(variation_profile(noise, horizon, grid).sum())
+    return float(variation_profile(noise, horizon).sum())

@@ -1,18 +1,20 @@
 """Experiment harness: configuration, seeded multi-trial runs, CSV output.
 
 A flat key-value config file (plus CLI flag overrides) selects a scenario and
-all run parameters. Each trial ``i`` runs with seed ``base_seed + i``; all
-trials of an experiment step in lockstep, and a trial's output depends only
-on its seed. An experiment runs in three phases: the learner, in this
-process; then one oracle pass that finds the per-step optima and evaluates
-every trial, its steps cut into ranges; then the CSVs, the trial files cut
-by trial. The ranges of the last two phases run at the same time in forked
-processes, one per usable CPU, or as one job in this process when there is
-one CPU or too little work for a fork to pay; the output is the same byte
-for byte. An ablation runs every count's learner first and evaluates all of
-their trials in one oracle pass, so a failure writes nothing. All output is CSV (17-significant-digit floats, LF endings, UTF-8);
-each file is formatted from one template, in which the columns shared by
-every trial are formatted once, and is renamed into place only when whole.
+all run parameters; ``build_scenario`` logs the cost's constants and, in one
+warning, the point-mass steps of a uniform noise sequence. Trial ``i`` runs
+with seed ``base_seed + i``; all trials of an experiment step in lockstep.
+An experiment runs the learner, then one oracle pass that finds the per-step
+optima and evaluates every trial, then writes the CSVs; the oracle's steps
+and the trial files are cut into ranges that run in forked processes, one
+per usable CPU, or in this process when a fork does not pay, with the same
+bytes either way. A run returns one ``ExperimentResult`` per experiment (its
+``Trace``, its trials' rows of the ``RegretReport`` and its
+sampling-requirement check), which the CSV writers read as it is. An
+ablation evaluates every count's trials in one oracle pass, after all of
+their learners, so a failure writes nothing. All output is CSV
+(17-significant-digit floats, LF endings, UTF-8), each file formatted from
+one template and renamed into place, its directory created, only when whole.
 Plotting is left to external tools.
 """
 
@@ -42,7 +44,7 @@ from .schedule import (
 __all__ = [
     "ExperimentConfig",
     "Scenario",
-    "TrialAggregate",
+    "ExperimentResult",
     "BudgetReport",
     "load_config_file",
     "make_config",
@@ -132,8 +134,10 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` config file (# starts a comment)."""
+    """Parse a flat ``key = value`` config file (# starts a comment); a key
+    may appear once."""
     values: dict = {}
+    lines: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -145,7 +149,10 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+        if key in lines:
+            raise ConfigurationError(
+                f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -192,7 +199,7 @@ def make_config(*sources: dict) -> ExperimentConfig:
     env_seed = os.environ.get("RA_SEED")
     if env_seed is not None:
         try:
-            config.base_seed = int(env_seed)
+            config.base_seed = _as_int(env_seed)
         except ValueError as exc:
             raise ConfigurationError(f"RA_SEED must be an integer, got {env_seed!r}") from exc
     return config.validate()
@@ -254,32 +261,26 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     """
     config.validate()
     horizon = config.horizon
-    if config.scenario == "parking":
-        noise: NoiseSequence = environment.parking_noise(horizon)
-        region: AdmissibleSet = Box([config.price_low], [config.price_high])
-        bounds = noise.bounds_table()
-        xi_lo, xi_hi = float(bounds[:, 0].min()), float(bounds[:, 1].max())
-        cost = _pricing_cost(config.elasticity, config.regularization,
-                             config.target_occupancy,
-                             (config.price_low, config.price_high),
-                             (xi_lo, xi_hi))
-    elif config.scenario == "custom":
-        if config.noise_high < config.noise_low:
+    if config.scenario == "brownian":
+        noise: NoiseSequence = environment.BrownianSeq(horizon, config.diffusivity)
+        region: AdmissibleSet = Box([config.track_low], [config.track_high])
+        cost = _tracking_cost((config.track_low, config.track_high),
+                              noise.support(horizon))
+    else:
+        if config.scenario == "parking":
+            noise = environment.parking_noise(horizon)
+        elif config.noise_high < config.noise_low:
             raise ConfigurationError("custom scenario needs noise_low <= noise_high")
-        noise = environment.constant_uniform(horizon, config.noise_low,
-                                             config.noise_high)
-        noise.bounds_table()  # here, so that a point mass warns at build
+        else:
+            noise = environment.constant_uniform(horizon, config.noise_low,
+                                                 config.noise_high)
         region = Box([config.price_low], [config.price_high])
         cost = _pricing_cost(config.elasticity, config.regularization,
                              config.target_occupancy,
                              (config.price_low, config.price_high),
-                             (config.noise_low, config.noise_high))
-    else:  # brownian
-        noise = environment.BrownianSeq(horizon, config.diffusivity)
-        region = Box([config.track_low], [config.track_high])
-        xi_lo, xi_hi = noise.support(horizon)
-        cost = _tracking_cost((config.track_low, config.track_high),
-                              (xi_lo, xi_hi))
+                             (float(noise.table[:, 0].min()),
+                              float(noise.table[:, 1].max())))
+        _warn_point_masses(noise.table)
     if config.delta >= region.inradius:
         raise ConfigurationError(
             f"smoothing radius {config.delta} must be below the inradius "
@@ -289,8 +290,34 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     return Scenario(cost=cost, noise=noise, region=region)
 
 
-def _learner_config(config: ExperimentConfig,
-                    scenario: Scenario) -> learner.LearnerConfig:
+def _warn_point_masses(table: np.ndarray) -> None:
+    """Log, in one warning, how many steps of a uniform sequence's endpoint
+    table are point masses and their contiguous step ranges."""
+    steps = np.flatnonzero(table[:, 1] == table[:, 0]) + 1
+    if steps.size:
+        runs = np.split(steps, np.flatnonzero(np.diff(steps) > 1) + 1)
+        logger.warning(
+            "degenerate uniform range at %d of %d steps (t=%s); emitting a "
+            "point mass at the left endpoint", steps.size, len(table),
+            ", ".join(f"{r[0]}" if r.size == 1 else f"{r[0]}-{r[-1]}"
+                      for r in runs))
+
+
+@dataclass(frozen=True)
+class ExperimentResult:
+    """One experiment: its config, its trials' learner trace and oracle
+    report, and the sampling-requirement check of the strategy that ran."""
+
+    config: ExperimentConfig
+    trace: learner.Trace
+    report: oracle.RegretReport
+    requirement: schedule.RequirementCheck
+
+
+def _run_learner(config: ExperimentConfig, scenario: Scenario
+                 ) -> tuple[learner.Trace, schedule.RequirementCheck]:
+    """Every trial's learner and the sampling-requirement check of the
+    strategy it runs, which logs a violation and goes on."""
     if config.rate_rule == "inverse":
         modulus = scenario.cost.strong_convexity
         if modulus <= 0:
@@ -299,7 +326,7 @@ def _learner_config(config: ExperimentConfig,
         rate: schedule.LearningRateSchedule = InverseEpochRate(modulus)
     else:
         rate = ConstantRate(config.eta)
-    return learner.LearnerConfig(
+    settings = learner.LearnerConfig(
         horizon=config.horizon,
         batch_size=config.batch_size,
         delta=config.delta,
@@ -308,30 +335,16 @@ def _learner_config(config: ExperimentConfig,
         rate=rate,
         x0=np.array([config.x0]),
     )
-
-
-@dataclass
-class TrialAggregate:
-    """Per-step statistics across trials (population standard deviation)."""
-
-    t: np.ndarray
-    x: np.ndarray            # (trials, T) pre-perturbation decisions
-    x_hat: np.ndarray        # (trials, T) played (perturbed) actions
-    played_cvar: np.ndarray  # (trials, T)
-    regret: np.ndarray       # (trials, T) cumulative
-    acc_loss: np.ndarray     # (trials, T) cumulative
-    optimal_actions: np.ndarray  # (T,)
-    optimal_cvar: np.ndarray     # (T,)
-
-    def column(self, name: str) -> np.ndarray:
-        return {"x": self.x, "c_hat": self.played_cvar, "dr": self.regret,
-                "acc_loss": self.acc_loss}[name]
-
-    def mean(self, name: str) -> np.ndarray:
-        return self.column(name).mean(axis=0)
-
-    def std(self, name: str) -> np.ndarray:
-        return self.column(name).std(axis=0)
+    check = check_sampling_requirement(settings.sampling, config.batch_size,
+                                       config.sampling_a, config.sampling_c)
+    if not check.satisfied:
+        logger.warning(
+            "sampling requirement violated for n=%d: sum 1/sqrt(phi)=%.4g exceeds "
+            "%.4g; proceeding anyway", config.samples, check.achieved, check.allowed)
+    seeds = range(config.base_seed, config.base_seed + config.trials)
+    trace = learner.run_trials(settings, scenario.cost, scenario.noise,
+                               scenario.region, seeds)
+    return trace, check
 
 
 #: Slot of one float cell in a CSV template: 17 significant digits.
@@ -367,8 +380,10 @@ def _write_csv(path: Path, template: str, columns) -> None:
 
     The text goes to a temporary file beside ``path`` that is then renamed
     over it, so a failure leaves the old file whole and no temporary file.
+    The parent directory is created first if it is missing.
     """
     text = template % tuple(np.column_stack(columns).ravel().tolist())
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -379,93 +394,81 @@ def _write_csv(path: Path, template: str, columns) -> None:
         raise
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True) -> TrialAggregate:
-    """Run all trials, write per-trial and aggregate CSVs, return the aggregate.
+def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
+    """Run all trials, write per-trial and aggregate CSVs, return the result.
 
     Trial ``i`` uses seed ``base_seed + i``. The per-step optimal-action
     series is trajectory-independent: it is found once, in the same oracle
     pass that evaluates every trial.
     """
-    traces, aggs = _experiments(build_scenario(config), [config])
+    results = _experiments(build_scenario(config), [config])
     if write:
-        _write_experiments([config.out_prefix], traces, aggs)
-    return aggs[0]
-
-
-def _run_learner(config: ExperimentConfig, scenario: Scenario) -> learner.Trace:
-    check = check_sampling_requirement(ConstantSampling(config.samples),
-                                       config.batch_size, config.sampling_a,
-                                       config.sampling_c)
-    if not check.satisfied:
-        logger.warning(
-            "sampling requirement violated for n=%d: sum 1/sqrt(phi)=%.4g exceeds "
-            "%.4g; proceeding anyway", config.samples, check.achieved, check.allowed)
-    seeds = range(config.base_seed, config.base_seed + config.trials)
-    return learner.run_trials(_learner_config(config, scenario), scenario.cost,
-                              scenario.noise, scenario.region, seeds)
+        _write_experiments(results)
+    return results[0]
 
 
 def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
-                 ) -> tuple[list[learner.Trace], list[TrialAggregate]]:
+                 ) -> list[ExperimentResult]:
     """Every config's learner, then one oracle pass over all of their trials.
 
     The configs differ at most in the learner's settings; the first one's
-    risk level and oracle grids serve all.
+    risk level and oracle grids serve all. Each result's report holds its
+    own trials' rows.
     """
-    traces = [_run_learner(config, scenario) for config in configs]
+    runs = [_run_learner(config, scenario) for config in configs]
     first = configs[0]
     report = oracle.dynamic_regret(
-        np.concatenate([trace.x_hat for trace in traces]), scenario.cost,
+        np.concatenate([trace.x_hat for trace, _ in runs]), scenario.cost,
         scenario.noise, scenario.region, first.alpha, k=first.oracle_k,
         grid_n=first.oracle_grid)
-    starts = np.cumsum([config.trials for config in configs])[:-1]
-    rows = zip(*(np.split(column, starts) for column in (
-        report.played_cvar, report.cumulative_regret, report.accumulated_loss)))
-    aggs = [TrialAggregate(
-        t=trace.t,
-        x=trace.x[:, :, 0],
-        x_hat=trace.x_hat[:, :, 0],
-        played_cvar=played,
-        regret=regret,
-        acc_loss=acc_loss,
-        optimal_actions=report.optimal_actions,
-        optimal_cvar=report.optimal_cvar,
-    ) for trace, (played, regret, acc_loss) in zip(traces, rows)]
-    return traces, aggs
+    results, start = [], 0
+    for config, (trace, check) in zip(configs, runs):
+        rows = slice(start, start + config.trials)
+        start = rows.stop
+        own = dataclasses.replace(
+            report, played_cvar=report.played_cvar[rows],
+            cumulative_regret=report.cumulative_regret[rows],
+            accumulated_loss=report.accumulated_loss[rows])
+        results.append(ExperimentResult(config, trace, own, check))
+    return results
 
 
-def _write_experiments(prefixes: list[str], traces: list[learner.Trace],
-                       aggs: list[TrialAggregate]) -> None:
+def _write_experiments(results: list[ExperimentResult]) -> None:
     """Each experiment's trajectory CSVs, one per trial, and its aggregate CSV.
 
     The trial files of all experiments are written together, cut by trial
     across forked processes (``fork_ranges``); then this process writes the
-    aggregates.
+    aggregates: the mean and population standard deviation across trials
+    of each step's decision, played CVaR, dynamic regret and accumulated
+    loss.
     """
     writes = []
-    for prefix, trace, agg in zip(map(Path, prefixes), traces, aggs):
-        if prefix.parent != Path("."):
-            prefix.parent.mkdir(parents=True, exist_ok=True)
+    for result in results:
+        prefix, trace, report = result.config.out_prefix, result.trace, result.report
         # The columns shared by every trial are formatted once, into the template.
         template = _template(TRAJECTORY_HEADER, (
             trace.t, trace.batch, trace.epoch, None, None, trace.n_samples, None,
-            None, trace.eta, None, agg.optimal_cvar, None, None))
+            None, trace.eta, None, report.optimal_cvar, None, None))
         writes += [(Path(f"{prefix}_trial{i}.csv"), template, (
-            agg.x[i], agg.x_hat[i], trace.cvar_estimate[i],
-            trace.gradient[i, :, 0], agg.played_cvar[i], agg.regret[i],
-            agg.acc_loss[i])) for i in range(len(agg.x))]
-    work_s = sum(agg.x.size for agg in aggs) * _ROW_S
+            trace.x[i, :, 0], trace.x_hat[i, :, 0], trace.cvar_estimate[i],
+            trace.gradient[i, :, 0], report.played_cvar[i],
+            report.cumulative_regret[i], report.accumulated_loss[i]))
+            for i in range(result.config.trials)]
+    work_s = sum(result.report.played_cvar.size for result in results) * _ROW_S
     fork_map(lambda part: [_write_csv(*writes[w]) for w in part],
              fork_ranges(len(writes), work_s))
     header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
-    for prefix, trace, agg in zip(prefixes, traces, aggs):
-        stats = [s for c in AGGREGATE_COLUMNS for s in (agg.mean(c), agg.std(c))]
-        _write_csv(Path(f"{prefix}_aggregate.csv"),
-                   _template(header, (trace.t, *[None] * len(stats))), stats)
+    for result in results:
+        report = result.report
+        columns = (result.trace.x[:, :, 0], report.played_cvar,
+                   report.cumulative_regret, report.accumulated_loss)
+        stats = [s for c in columns for s in (c.mean(axis=0), c.std(axis=0))]
+        _write_csv(Path(f"{result.config.out_prefix}_aggregate.csv"),
+                   _template(header, (result.trace.t, *[None] * len(stats))), stats)
 
 
 def run_ablation(config: ExperimentConfig, sample_counts,
-                 write: bool = True) -> dict[int, TrialAggregate]:
+                 write: bool = True) -> dict[int, ExperimentResult]:
     """Re-run the experiment for each sample count and tabulate final losses.
 
     Counts violating the declared sampling requirement produce a warning but
@@ -484,21 +487,19 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     subs = [dataclasses.replace(config, samples=n,
                                 out_prefix=f"{config.out_prefix}_n{n}").validate()
             for n in counts]
-    traces, aggs = _experiments(build_scenario(config), subs)
+    results = _experiments(build_scenario(config), subs)
     if write:
-        _write_experiments([sub.out_prefix for sub in subs], traces, aggs)
-        checks = [check_sampling_requirement(ConstantSampling(n), config.batch_size,
-                                             config.sampling_a, config.sampling_c)
-                  for n in counts]
+        _write_experiments(results)
+        checks = [result.requirement for result in results]
         template = _template(
             "n,mean_final_loss,std_final_loss,requirement_ok,"
             "requirement_achieved,requirement_allowed",
             (counts, None, None, [int(c.satisfied) for c in checks], None, None))
-        final_losses = [agg.acc_loss[:, -1] for agg in aggs]
+        final_losses = [result.report.accumulated_loss[:, -1] for result in results]
         _write_csv(Path(f"{config.out_prefix}_ablation.csv"), template, (
             [f.mean() for f in final_losses], [f.std() for f in final_losses],
             [c.achieved for c in checks], [c.allowed for c in checks]))
-    return dict(zip(counts, aggs))
+    return dict(zip(counts, results))
 
 
 @dataclass

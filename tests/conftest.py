@@ -1,17 +1,11 @@
+import logging
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from cvarlearn import core, environment, verify
+from cvarlearn import core, verify
 from cvarlearn.harness import ExperimentConfig, build_scenario, run_ablation
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_log(monkeypatch):
-    """Each test starts as a fresh process does: no degenerate-range warning
-    has been logged yet."""
-    monkeypatch.setattr(environment, "_LOGGED", set())
 
 
 @pytest.fixture
@@ -33,25 +27,42 @@ def paper_study():
     """
     config = ExperimentConfig()  # defaults are the study configuration
     t0 = time.perf_counter()
-    aggregates = run_ablation(config, [8, 16, 24], write=False)
+    results = run_ablation(config, [8, 16, 24], write=False)
     seconds = time.perf_counter() - t0
     return SimpleNamespace(config=config, scenario=build_scenario(config),
-                           aggregates=aggregates, seconds=seconds)
+                           results=results, seconds=seconds)
 
 
 @pytest.fixture(scope="session")
-def verify_checks():
+def verify_run():
     """Every ``cvarlearn verify`` check, run once per session.
 
-    Maps ``"suite/name"`` to ``(result, seconds)``, where ``seconds`` is the
-    time of the check call that produced the result (one call can produce
-    two results). Acceptance 01-05 and 10 read their criteria from here.
+    ``checks`` maps ``"suite/name"`` to ``(result, seconds)``, where
+    ``seconds`` is the time of the check call that produced the result (one
+    call can produce two results). ``warnings`` maps each suite to the
+    warnings the package logged while its checks ran.
     """
-    out = {}
-    for checks in verify.SUITES.values():
-        for check in checks:
-            t0 = time.perf_counter()
-            results = check()
-            seconds = time.perf_counter() - t0
-            out.update({f"{r.suite}/{r.name}": (r, seconds) for r in results})
-    return out
+    checks, warnings, records = {}, {}, []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    package = logging.getLogger("cvarlearn")
+    package.addHandler(handler)
+    try:
+        for suite, suite_checks in verify.SUITES.items():
+            start = len(records)
+            for check in suite_checks:
+                t0 = time.perf_counter()
+                results = check()
+                seconds = time.perf_counter() - t0
+                checks.update({f"{r.suite}/{r.name}": (r, seconds) for r in results})
+            warnings[suite] = [r.getMessage() for r in records[start:]]
+    finally:
+        package.removeHandler(handler)
+    return SimpleNamespace(checks=checks, warnings=warnings)
+
+
+@pytest.fixture(scope="session")
+def verify_checks(verify_run):
+    """``verify_run.checks``: acceptance 01-05 and 10 read their criteria
+    from here."""
+    return verify_run.checks

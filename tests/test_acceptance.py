@@ -54,27 +54,27 @@ def test_05_gradient_estimator_consistency(verify_checks):
 
 
 def test_06_feasibility_of_played_actions(paper_study):
-    agg = paper_study.aggregates[8]
+    x_hat = paper_study.results[8].trace.x_hat
     scen = paper_study.scenario
     lo = float(scen.region.lower[0]) - 1e-12
     hi = float(scen.region.upper[0]) + 1e-12
-    ok = bool(np.all(agg.x_hat >= lo) and np.all(agg.x_hat <= hi))
+    ok = bool(np.all(x_hat >= lo) and np.all(x_hat <= hi))
     report(6, "played-actions-stay-admissible", ok,
-           f"range [{agg.x_hat.min():.4f}, {agg.x_hat.max():.4f}] inside "
-           f"[{lo:.0f}, {hi:.0f}], all {agg.x_hat.size} plays")
+           f"range [{x_hat.min():.4f}, {x_hat.max():.4f}] inside "
+           f"[{lo:.0f}, {hi:.0f}], all {x_hat.size} plays")
 
 
 def test_07_pricing_study_tracking_and_sublinear_regret(paper_study):
-    agg = paper_study.aggregates[8]
+    result = paper_study.results[8]
     config = paper_study.config
     batch = config.batch_size
-    mean_price = agg.x.mean(axis=0)
-    gap = np.abs(mean_price - agg.optimal_actions)
+    mean_price = result.trace.x[:, :, 0].mean(axis=0)
+    gap = np.abs(mean_price - result.report.optimal_actions)
     first_gap = gap[:batch].mean()
     last_gap = gap[-batch:].mean()
     tracking_ok = last_gap <= first_gap / 2.0
 
-    mean_regret = agg.regret.mean(axis=0)
+    mean_regret = result.report.cumulative_regret.mean(axis=0)
     rates = [mean_regret[t - 1] / t for t in (1500, 3000, 6000)]
     regret_ok = rates[0] > rates[1] > rates[2]
 
@@ -87,7 +87,7 @@ def test_07_pricing_study_tracking_and_sublinear_regret(paper_study):
 
 
 def test_08_sample_count_loss_ordering(paper_study):
-    final = {n: paper_study.aggregates[n].acc_loss[:, -1].mean()
+    final = {n: paper_study.results[n].report.accumulated_loss[:, -1].mean()
              for n in (8, 16, 24)}
     seconds = paper_study.seconds
     ok = final[24] <= final[16] <= final[8] and seconds < 900.0

@@ -57,30 +57,28 @@ class TestParkingRange:
 
 
 class TestUniformSeq:
-    def test_degenerate_step_collapses_to_point_mass(self, caplog):
+    def test_degenerate_step_collapses_to_point_mass(self):
         noise = parking_noise(6000)
-        with caplog.at_level(logging.WARNING):
-            lo, hi = noise.bounds(1)
+        lo, hi = noise.bounds(1)
         assert lo == hi == 0.85
         assert noise.quantile(1, 0.3) == 0.85
         assert noise.cdf(1, 0.849) == 0.0
         assert noise.cdf(1, 0.85) == 1.0
-        assert any("point mass" in rec.message for rec in caplog.records)
 
-    def test_a_repeated_degenerate_range_warns_once(self, caplog):
-        # Each horizon's table logs its first degenerate step; the message
-        # is the same, so a process logs it once.
-        with caplog.at_level(logging.WARNING):
-            parking_noise(6000).bounds_table()
-            parking_noise(6000).bounds_table()
-        assert sum(rec.getMessage().startswith("degenerate uniform range")
-                   for rec in caplog.records) == 1
+    def test_building_a_sequence_logs_nothing(self, caplog):
+        # The harness reports point masses once per scenario build
+        # (tests/test_harness.py::TestScenarioBounds).
+        with caplog.at_level(logging.DEBUG):
+            parking_noise(6000)
+            parking_noise(1500)
+            constant_uniform(10, 1.0, 1.0)
+        assert caplog.records == []
 
-    def test_bounds_table_equals_the_endpoint_formulas(self):
+    def test_table_equals_the_endpoint_formulas(self):
         # Every step of the parking study, the degenerate t = 1, 2 included:
         # the raw formulas, a crossing collapsed to the left endpoint.
         noise = parking_noise(6000)
-        table = noise.bounds_table()
+        table = noise.table
         assert table.shape == (6000, 2) and not table.flags.writeable
         for t in range(1, 6001):
             lo, hi = parking_range(t, 6000)
@@ -89,10 +87,8 @@ class TestUniformSeq:
             assert tuple(table[t - 1].tolist()) == expected
 
     def test_non_finite_endpoint_rejected(self):
-        noise = UniformSeq(3, left=lambda t: 0.0,
-                           right=lambda t: math.inf if t == 3 else 1.0)
         with pytest.raises(ConfigurationError, match="t=3"):
-            noise.bounds(1)
+            UniformSeq([0.0, 0.0, 0.0], [1.0, 1.0, math.inf])
 
     def test_cdf_quantile_consistency(self):
         noise = parking_noise(6000)
@@ -217,7 +213,8 @@ class TestW1Numeric:
     @pytest.mark.parametrize("pair", ["uniforms", "gaussians", "mixed"])
     def test_equals_scipy_trapezoid(self, pair):
         # The numpy trapezoid rule is SciPy's, bit for bit.
-        uniform = UniformSeq(2, left=lambda t: 0.1 * t, right=lambda t: 1.0 + 0.3 * t)
+        t = np.arange(1, 3)
+        uniform = UniformSeq(0.1 * t, 1.0 + 0.3 * t)
         gauss = BrownianSeq(2, 0.05)
         cdfs = {"uniforms": (uniform, uniform), "gaussians": (gauss, gauss),
                 "mixed": (uniform, gauss)}[pair]
@@ -244,8 +241,7 @@ class TestVariationBudget:
         assert variation_budget(noise, 100) == 0.0
 
     def test_two_step_translation(self):
-        noise = UniformSeq(2, left=lambda t: float(t - 1),
-                           right=lambda t: float(t))
+        noise = UniformSeq([0.0, 1.0], [1.0, 2.0])
         assert variation_budget(noise, 2) == pytest.approx(1.0)
 
     def test_parking_profile_matches_quadrature_spot_checks(self):

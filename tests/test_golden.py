@@ -1,8 +1,9 @@
 """Byte-identity of the CLI's CSV output, pinned by sha256.
 
-The hashes were recorded from the exhaustive action-grid oracle. Any change
-to the learner, the oracle or the CSV writer that moves a single byte of a
-trajectory, aggregate or ablation table fails here.
+The run and ablation hashes were recorded from the exhaustive action-grid
+oracle. Any change to the learner, the oracle, the noise sequences or the CSV
+writer that moves a single byte of a trajectory, aggregate, ablation or
+budget table fails here.
 """
 
 import hashlib
@@ -30,6 +31,18 @@ ABLATE_HASHES = {
     "abl_n8_trial1.csv": "b99bd6d932efa4ece21fde753080a8d32f83d2b5d14fe5d7121a1cffa1b7cfe6",
 }
 
+CUSTOM_HASHES = {
+    "cus_trial0.csv": "f1f68042aac031335bf3c72381b668bd8326f441d8bc6bd6e136655f702d5550",
+    "cus_trial1.csv": "184c0a5755ce86b09dec9d08e2560bf6557a4a533e1c4f7960613a45f77ff04c",
+    "cus_aggregate.csv": "0642b1d2028b9c74aee3d0c3542883be470474dbf79a60078dd7ab3ffd19f9c0",
+}
+
+# T = 3000 reaches both branches of the parking formulas and both of their
+# collapsed stretches.
+BUDGET_HASHES = {
+    "bud_budget.csv": "6a86c8626f9a7d7e27b2ba175b41d2bd028143c1d352a39d99319efe9f4b6609",
+}
+
 
 def _hashes(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -37,10 +50,12 @@ def _hashes(directory):
 
 
 @pytest.mark.parametrize("argv, prefix, expected", [
-    (["run", "--scenario", "parking"], "run", RUN_HASHES),
-    (["ablate", "--scenario", "brownian", "--counts", "4,8"], "abl",
+    (["run", "--scenario", "parking", *COMMON], "run", RUN_HASHES),
+    (["ablate", "--scenario", "brownian", "--counts", "4,8", *COMMON], "abl",
      ABLATE_HASHES),
-], ids=["run-parking", "ablate-brownian"])
+    (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),
+    (["budget", "--scenario", "parking", "--T", "3000"], "bud", BUDGET_HASHES),
+], ids=["run-parking", "ablate-brownian", "run-custom", "budget-parking"])
 def test_cli_csv_hashes(tmp_path, argv, prefix, expected):
-    assert cli.main([*argv, *COMMON, "--out", str(tmp_path / prefix)]) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / prefix)]) == 0
     assert _hashes(tmp_path) == expected

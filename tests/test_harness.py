@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import cvarlearn
 import cvarlearn.cli as cli
+import cvarlearn.environment as environment
 import cvarlearn.harness as harness
 import cvarlearn.learner as learner
 import cvarlearn.oracle as oracle
@@ -98,6 +99,27 @@ class TestConfigParsing:
         monkeypatch.setenv("RA_SEED", "99")
         assert make_config({"base_seed": 3}).base_seed == 99
 
+    def test_env_seed_parses_as_the_seed_flag_does(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("RA_SEED", "6e3")
+        assert make_config({}).base_seed == 6000
+        monkeypatch.setenv("RA_SEED", "6.5")
+        forbid_oracle_and_learner(monkeypatch)
+        assert cli.main(["run", "--out", str(tmp_path / "x")]) == 1
+        assert "RA_SEED" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_key_rejected(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("horizon = 100\n# shorter\nalpha = 0.25\nhorizon = 7\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"exp\.cfg:4: key 'horizon' repeats line 1"):
+            load_config_file(path)
+        forbid_oracle_and_learner(monkeypatch)
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "x")]) == 1
+        assert "repeats line 1" in capsys.readouterr().err
+
     def test_scenario_validation(self):
         with pytest.raises(ConfigurationError):
             make_config({"scenario": "casino"})
@@ -128,9 +150,9 @@ class TestRunExperiment:
 
     def test_floats_round_trip_through_csv(self, tmp_path):
         config = small_config(tmp_path)
-        agg = run_experiment(config)
+        result = run_experiment(config)
         row = (tmp_path / "ra_trial0.csv").read_text().splitlines()[1].split(",")
-        assert float(row[3]) == agg.x[0, 0]
+        assert float(row[3]) == result.trace.x[0, 0, 0]
         # LF line endings, no CR
         assert b"\r" not in (tmp_path / "ra_trial0.csv").read_bytes()
 
@@ -166,33 +188,41 @@ class TestRunExperiment:
 
     def test_seed_isolation(self, tmp_path):
         base = small_config(tmp_path, trials=2)
-        agg_a = run_experiment(base, write=False)
+        x_a = run_experiment(base, write=False).trace.x
         more = dataclasses.replace(base, trials=3)
-        agg_b = run_experiment(more, write=False)
-        assert np.array_equal(agg_a.x[0], agg_b.x[0])
-        assert np.array_equal(agg_a.x[1], agg_b.x[1])
+        x_b = run_experiment(more, write=False).trace.x
+        assert np.array_equal(x_a[0], x_b[0])
+        assert np.array_equal(x_a[1], x_b[1])
         shifted = dataclasses.replace(base, base_seed=1)
-        agg_c = run_experiment(shifted, write=False)
-        assert np.array_equal(agg_a.x[1], agg_c.x[0])
-        assert not np.array_equal(agg_a.x[0], agg_c.x[0])
+        x_c = run_experiment(shifted, write=False).trace.x
+        assert np.array_equal(x_a[1], x_c[0])
+        assert not np.array_equal(x_a[0], x_c[0])
 
     def test_lockstep_matches_single_trials(self, tmp_path):
         # Trial i of a lockstep run equals a one-trial run of seed base + i.
         together = small_config(tmp_path, horizon=20, batch_size=5, trials=3,
                                 base_seed=4)
-        agg = run_experiment(together, write=False)
+        result = run_experiment(together, write=False)
         for i in range(3):
             alone = run_experiment(dataclasses.replace(
                 together, trials=1, base_seed=4 + i), write=False)
-            for name in ("x", "x_hat", "played_cvar", "regret", "acc_loss"):
-                assert np.array_equal(getattr(agg, name)[i],
-                                      getattr(alone, name)[0]), name
+            for part, name in [("trace", "x"), ("trace", "x_hat"),
+                               ("report", "played_cvar"),
+                               ("report", "cumulative_regret"),
+                               ("report", "accumulated_loss")]:
+                assert np.array_equal(getattr(getattr(result, part), name)[i],
+                                      getattr(getattr(alone, part), name)[0]), name
 
     def test_aggregate_statistics_definition(self, tmp_path):
-        agg = run_experiment(small_config(tmp_path, trials=3), write=False)
-        assert agg.mean("x") == pytest.approx(agg.x.mean(axis=0))
-        assert agg.std("acc_loss") == pytest.approx(agg.acc_loss.std(axis=0))
-        assert np.all(agg.std("x") >= 0)
+        # Population standard deviation across trials.
+        result = run_experiment(small_config(tmp_path, trials=3))
+        table = np.loadtxt(tmp_path / "ra_aggregate.csv", delimiter=",",
+                           skiprows=1)
+        x = result.trace.x[:, :, 0]
+        assert table[:, 1] == pytest.approx(x.mean(axis=0))
+        assert table[:, 8] == pytest.approx(
+            result.report.accumulated_loss.std(axis=0))
+        assert np.all(table[:, 2] >= 0)
 
 
 class TestAblation:
@@ -203,8 +233,8 @@ class TestAblation:
         with pytest.raises(ConfigurationError, match="distinct"):
             run_ablation(config, [4, 4], write=False)
         two = run_ablation(config, [4, 8], write=False)
-        assert np.array_equal(two[4].x, run_ablation(config, [2, 4],
-                                                     write=False)[4].x)
+        assert np.array_equal(two[4].trace.x, run_ablation(config, [2, 4],
+                                                           write=False)[4].trace.x)
 
     def test_comparison_table_written(self, tmp_path):
         config = small_config(tmp_path, trials=2)
@@ -218,8 +248,9 @@ class TestAblation:
     def test_requirement_violation_warns_but_runs(self, tmp_path, caplog):
         config = small_config(tmp_path, trials=1, sampling_a=2.0, sampling_c=0.1)
         with caplog.at_level(logging.WARNING):
-            aggregates = run_ablation(config, [1, 2], write=False)
-        assert 1 in aggregates and 2 in aggregates
+            results = run_ablation(config, [1, 2], write=False)
+        assert 1 in results and 2 in results
+        assert not results[1].requirement.satisfied
         assert any("sampling requirement violated" in rec.message
                    for rec in caplog.records)
 
@@ -227,14 +258,18 @@ class TestAblation:
         # One oracle pass over every count's trials gives what one
         # experiment per count gives.
         config = small_config(tmp_path, horizon=20, trials=3, base_seed=2)
-        aggregates = run_ablation(config, [2, 4, 6], write=False)
-        assert list(aggregates) == [2, 4, 6]
-        for n, agg in aggregates.items():
+        results = run_ablation(config, [2, 4, 6], write=False)
+        assert list(results) == [2, 4, 6]
+        for n, result in results.items():
             alone = run_experiment(dataclasses.replace(config, samples=n),
                                    write=False)
-            for field in dataclasses.fields(agg):
-                assert np.array_equal(getattr(agg, field.name),
-                                      getattr(alone, field.name)), (n, field.name)
+            assert result.requirement == alone.requirement
+            for part in ("trace", "report"):
+                ours, theirs = getattr(result, part), getattr(alone, part)
+                for field in dataclasses.fields(ours):
+                    assert np.array_equal(getattr(ours, field.name),
+                                          getattr(theirs, field.name)), (
+                        n, part, field.name)
 
     def test_failed_ablation_writes_nothing(self, tmp_path, monkeypatch):
         calls = []
@@ -319,6 +354,29 @@ class TestScenarioBounds:
         assert sum(rec.getMessage().startswith("degenerate uniform range")
                    for rec in caplog.records) == 1
 
+    @pytest.mark.parametrize("horizon, count, runs", [
+        (500, 253, "1-2, 250-500"), (1500, 277, "1-2, 750-1024"),
+        (6000, 2, "1-2"), (3, 3, "1-3")])
+    def test_one_warning_names_every_parking_point_mass(self, caplog, horizon,
+                                                         count, runs):
+        with caplog.at_level(logging.WARNING):
+            build_scenario(ExperimentConfig(horizon=horizon, batch_size=2))
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert messages == [
+            f"degenerate uniform range at {count} of {horizon} steps "
+            f"(t={runs}); emitting a point mass at the left endpoint"]
+        table = environment.parking_noise(horizon).table
+        assert np.sum(table[:, 0] == table[:, 1]) == count
+
+    def test_isolated_point_masses_are_listed_one_by_one(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            harness._warn_point_masses(np.array(
+                [[0.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.0, 1.0],
+                 [4.0, 4.0]]))
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "degenerate uniform range at 4 of 6 steps (t=1, 3-4, 6); "
+            "emitting a point mass at the left endpoint"]
+
 
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -401,6 +459,7 @@ class TestCli:
         messages = [rec.getMessage() for rec in caplog.records]
         assert sum(m.startswith("scenario parking:") for m in messages) == 1
         assert sum(m.startswith("initial decision projected") for m in messages) == 1
+        assert sum(m.startswith("degenerate uniform range") for m in messages) == 1
 
     def test_ablate_builds_the_scenario_once(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO):
@@ -411,6 +470,20 @@ class TestCli:
         messages = [rec.getMessage() for rec in caplog.records]
         assert sum(m.startswith("scenario parking:") for m in messages) == 1
         assert sum(m.startswith("degenerate uniform range") for m in messages) == 1
+
+    @pytest.mark.parametrize("argv, files", [
+        (["budget"], ["x_budget.csv"]),
+        (["ablate", "--counts", "2,4"],
+         ["x_ablation.csv", "x_n2_aggregate.csv", "x_n2_trial0.csv",
+          "x_n4_aggregate.csv", "x_n4_trial0.csv"]),
+    ], ids=["budget", "ablate"])
+    def test_output_into_a_fresh_nested_directory(self, tmp_path, argv, files):
+        out = tmp_path / "fresh" / "nested" / "x"
+        code = cli.main([*argv, "--T", "10", "--batch", "5", "--trials", "1",
+                         "--oracle-grid", "1000", "--oracle-k", "10",
+                         "--out", str(out)])
+        assert code == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == files
 
     def test_runtime_failure_exit_two(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -488,14 +561,14 @@ class TestCli:
     def test_ra_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RA_SEED", "5")
         cfg = small_config(tmp_path, trials=1)
-        agg_env = run_experiment(make_config(
+        x_env = run_experiment(make_config(
             {"horizon": 10, "batch_size": 5, "trials": 1,
              "oracle_k": 10, "oracle_grid": 1000,
-             "out_prefix": str(tmp_path / "env")}), write=False)
+             "out_prefix": str(tmp_path / "env")}), write=False).trace.x
         monkeypatch.delenv("RA_SEED")
-        agg_five = run_experiment(dataclasses.replace(cfg, base_seed=5),
-                                  write=False)
-        assert np.array_equal(agg_env.x, agg_five.x)
+        x_five = run_experiment(dataclasses.replace(cfg, base_seed=5),
+                                write=False).trace.x
+        assert np.array_equal(x_env, x_five)
 
 
 FORK_RUN = ["--T", "31", "--batch", "5", "--trials", "5", "--oracle-grid",
@@ -678,6 +751,13 @@ class TestVerifySuites:
         failures = [r for r in results if not r.passed]
         assert not failures, failures
         assert {r.suite for r in results} == {"risk", "smoothing", "environment"}
+
+    def test_full_verify_logs_the_degenerate_warning_once(self, verify_run):
+        # The gradient check builds the default scenario; the environment
+        # suite's parking sequences log nothing.
+        messages = [m for suite in verify_run.warnings.values() for m in suite]
+        assert sum(m.startswith("degenerate uniform range") for m in messages) == 1
+        assert verify_run.warnings["environment"] == []
 
     def test_mutation_is_detected(self, monkeypatch):
         # A corrupted CVaR must not sail through the suite: scaling the value

@@ -341,8 +341,7 @@ class TestBatchOptimalActions:
         assert x_batch == pytest.approx(x_star, abs=0)
 
     def test_two_step_swap_minimizes_summed_cvar(self):
-        noise = UniformSeq(2, left=lambda t: 0.0 if t == 1 else 1.0,
-                           right=lambda t: 0.5 if t == 1 else 1.5)
+        noise = UniformSeq([0.0, 1.0], [0.5, 1.5])
         cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0,
                          lipschitz=20.0)
         region = Box([0.0], [2.0])
@@ -378,14 +377,9 @@ class TestBatchVariationInequality:
             a1, a2 = rng.uniform(-0.5, 1.5, size=2)
             w1, w2 = rng.uniform(0.1, 1.0, size=2)
             switch = int(rng.integers(2, batch + 1))
-
-            def left(t, a1=a1, a2=a2, switch=switch):
-                return a1 if t < switch else a2
-
-            def right(t, a1=a1, a2=a2, w1=w1, w2=w2, switch=switch):
-                return a1 + w1 if t < switch else a2 + w2
-
-            noise = UniformSeq(batch, left=left, right=right)
+            before = np.arange(1, batch + 1) < switch
+            noise = UniformSeq(np.where(before, a1, a2),
+                               np.where(before, a1 + w1, a2 + w2))
             grid_cvars = np.array([
                 [true_cvar(cost, noise, t, [x], 0.5, grid_n) for x in xs]
                 for t in range(1, batch + 1)
