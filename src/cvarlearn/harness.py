@@ -413,10 +413,14 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
 
     The configs differ at most in the learner's settings; the first one's
     risk level and oracle grids serve all. Each result's report holds its
-    own trials' rows.
+    own trials' rows. An initial decision outside the shrunk set is
+    projected into it, which is logged once, from the first run.
     """
     runs = [_run_learner(config, scenario) for config in configs]
     first = configs[0]
+    x0, x = np.array([first.x0]), runs[0][0].x[0, 0]
+    if not np.array_equal(x, x0):
+        logger.info("initial decision projected into the shrunk set: %s -> %s", x0, x)
     report = oracle.dynamic_regret(
         np.concatenate([trace.x_hat for trace, _ in runs]), scenario.cost,
         scenario.noise, scenario.region, first.alpha, k=first.oracle_k,

@@ -14,7 +14,6 @@ step together along a leading trial axis; only the generators are per trial.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ from .schedule import LearningRateSchedule, SamplingStrategy, batch_epoch
 from .smoothing import gradient_estimate, sample_unit_sphere
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -121,10 +118,6 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
 
     inner = region.shrink(config.delta)
     x = inner.project(config.x0)
-    if not np.array_equal(x, config.x0):
-        logger.info("initial decision projected into the shrunk set: %s -> %s",
-                    config.x0, x)
-
     horizon, trials, d = int(config.horizon), len(rngs), region.dim
     t = np.arange(1, horizon + 1)
     batch, epoch = np.array([batch_epoch(s, config.batch_size) for s in t]).T

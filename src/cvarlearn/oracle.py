@@ -9,20 +9,21 @@ grid, ties to the smaller action: each ``J(., xi)`` is convex in the decision
 and CVaR is monotone and convex, so the grid CVaR is discrete-convex and a
 descent walk finds its minimum after a few CVaR rows instead of all ``k``.
 
-``dynamic_regret`` makes one pass over the steps: each step's quantile grid
-is built once and serves both that step's optimum search and the played
-actions of every trial. A step makes one stacked cost and CVaR call over the
-search's warm-start stencil and its first block of played actions; further
-calls are made only when the optimum moves, and for further blocks of
-played actions. The steps are cut into ranges that forked processes
-evaluate at the same time.
+``dynamic_regret`` is the one optimum search. It makes one pass over the
+steps: each step's quantile grid is built once and serves both that step's
+optimum search and the played actions of every trial. A step makes one
+stacked cost and CVaR call over the search's warm-start stencil and its
+first block of played actions; further calls are made only when the optimum
+moves, and for further blocks of played actions. The steps are cut into
+ranges that forked processes evaluate at the same time. Its report over
+zero trials, played actions of shape ``(0, T, 1)``, is the optima series.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -30,14 +31,7 @@ from .core import (AdmissibleSet, Ball, Box, ConfigurationError, CostModel,
                    NoiseSequence, as_vector, fork_map, fork_ranges)
 from .risk import cvar_of_values
 
-__all__ = [
-    "true_cvar",
-    "action_grid",
-    "optimal_action_series",
-    "RegretReport",
-    "dynamic_regret",
-    "batch_optimal_actions",
-]
+__all__ = ["true_cvar", "action_grid", "RegretReport", "dynamic_regret"]
 
 
 @functools.lru_cache(maxsize=8)
@@ -48,11 +42,6 @@ def _mid_quantiles(grid_n: int) -> np.ndarray:
     levels = (np.arange(grid_n) + 0.5) / grid_n
     levels.flags.writeable = False
     return levels
-
-
-def _quantile_grid(noise: NoiseSequence, t: int, grid_n: int) -> np.ndarray:
-    """Noise values of step ``t`` at the mid-quantile levels."""
-    return np.asarray(noise.quantile(t, _mid_quantiles(int(grid_n))), dtype=float)
 
 
 #: Rescan window of the action search, relative to the cost bound U. It must
@@ -74,9 +63,8 @@ _VALUE_S = 1e-8
 def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x, alpha: float,
               grid_n: int = 10_000) -> float:
     """Deterministic CVaR of ``J(x, xi_t)`` via a mid-quantile noise grid."""
-    x = as_vector(x)
-    values = np.asarray(cost(x, _quantile_grid(noise, t, grid_n)), dtype=float)
-    return float(cvar_of_values(values, alpha))
+    xi = np.asarray(noise.quantile(t, _mid_quantiles(int(grid_n))), dtype=float)
+    return float(_cvars(cost, xi, as_vector(x)[None, :], alpha)[0])
 
 
 def action_grid(region: AdmissibleSet, k: int) -> np.ndarray:
@@ -96,10 +84,11 @@ def action_grid(region: AdmissibleSet, k: int) -> np.ndarray:
     return lo + (np.arange(k) + 0.5) * (hi - lo) / k
 
 
-def _grid_cvars(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
-                alpha: float) -> np.ndarray:
-    """CVaR against the noise grid ``xi`` for every action in ``xs`` (1-D)."""
-    return cvar_of_values(cost.rows(xs[:, None], xi[None, :]), alpha)
+def _cvars(cost: CostModel, xi: np.ndarray, x_rows: np.ndarray,
+           alpha: float) -> np.ndarray:
+    """CVaR against the noise grid ``xi`` (1-D) of every decision row of
+    ``x_rows`` ``(rows, d)``."""
+    return cvar_of_values(cost.rows(x_rows, xi[None, :]), alpha)
 
 
 def _first_grid_minimum(f: Callable[[int], float], k: int, start: int,
@@ -132,37 +121,6 @@ def _first_grid_minimum(f: Callable[[int], float], k: int, start: int,
         right += 1
     best = min(range(left, right), key=at)
     return best, float(at(best))
-
-
-def _step_minimum(cost: CostModel, xi: np.ndarray, xs: np.ndarray,
-                  alpha: float, start: int,
-                  memo: dict[int, float]) -> tuple[int, float]:
-    """Index into ``xs`` of the grid minimum against the step's noise grid
-    ``xi``, searched from ``start``; ``memo`` may hold CVaRs already known."""
-    return _first_grid_minimum(
-        lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
-        xs.size, start, _TOL * cost.bound, memo)
-
-
-def optimal_action_series(cost: CostModel, noise: NoiseSequence,
-                          region: AdmissibleSet, alpha: float, horizon: int,
-                          k: int = 100, grid_n: int = 10_000
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step grid-optimal actions and CVaR values for ``t = 1..horizon``.
-
-    Each step's search starts from the previous step's minimizer.
-    Trajectory-independent, so one series can be shared across trials.
-    ``dynamic_regret`` finds the same series inline.
-    """
-    xs = action_grid(region, k)
-    x_star = np.empty(horizon)
-    c_star = np.empty(horizon)
-    i = xs.size // 2
-    for t in range(1, horizon + 1):
-        i, c_star[t - 1] = _step_minimum(cost, _quantile_grid(noise, t, grid_n),
-                                         xs, alpha, i, {})
-        x_star[t - 1] = xs[i]
-    return x_star, c_star
 
 
 @dataclass(frozen=True)
@@ -198,9 +156,12 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     in this process, when the pass is too small for a fork to pay. Each
     range starts its search at the middle of the action grid, as step 1
     does. The search returns the grid's first minimum from any start, so a
-    range's cold start finds the optima that ``optimal_action_series`` finds
-    with the warm start carried over, and the report does not depend on how
-    the steps were cut.
+    range's cold start finds the same optima as a warm start carried over
+    from the previous range, and the report does not depend on how the
+    steps were cut.
+
+    Over zero trials, ``x_hat`` of shape ``(0, T, 1)``, the report is the
+    optima series alone: ``optimal_actions`` and ``optimal_cvar``.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.ndim != 3 or x_hat.shape[1] == 0 or x_hat.shape[2] != region.dim:
@@ -231,6 +192,7 @@ def _regret_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     CVaRs ``(trials, len(steps))``, the grid optima and their CVaRs."""
     trials = x_hat.shape[0]
     rows = max(1, _BLOCK // levels.size)
+    tol = _TOL * cost.bound
     played = np.empty((trials, len(steps)))
     x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
     i = xs.size // 2
@@ -239,30 +201,13 @@ def _regret_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
         lo = max(i - 1, 0)
         stencil = xs[lo:i + 2, None]
         head = max(rows - len(stencil), 0)
-        cvars = cvar_of_values(cost.rows(
-            np.concatenate([stencil, x_hat[:head, s]]), xi[None, :]), alpha)
+        cvars = _cvars(cost, xi, np.concatenate([stencil, x_hat[:head, s]]), alpha)
         played[:head, j] = cvars[len(stencil):]
-        memo = dict(enumerate(cvars[:len(stencil)], start=lo))
-        i, c_star[j] = _step_minimum(cost, xi, xs, alpha, i, memo)
+        i, c_star[j] = _first_grid_minimum(
+            lambda m: _cvars(cost, xi, xs[m:m + 1, None], alpha)[0], xs.size, i,
+            tol, dict(enumerate(cvars[:len(stencil)], start=lo)))
         x_star[j] = xs[i]
         for r in range(head, trials, rows):
-            played[r:r + rows, j] = cvar_of_values(
-                cost.rows(x_hat[r:r + rows, s], xi[None, :]), alpha)
+            played[r:r + rows, j] = _cvars(cost, xi, x_hat[r:r + rows, s], alpha)
     return played, x_star, c_star
 
-
-def batch_optimal_actions(cost: CostModel, noise: NoiseSequence,
-                          steps: Iterable[int], region: AdmissibleSet,
-                          alpha: float, k: int = 100, grid_n: int = 10_000
-                          ) -> tuple[np.ndarray, float]:
-    """Single best grid action over a batch of steps and its summed CVaR."""
-    steps = list(steps)
-    if not steps:
-        raise ConfigurationError("batch must contain at least one step")
-    xs = action_grid(region, k)
-    grids = [_quantile_grid(noise, t, grid_n) for t in steps]
-    i, total = _first_grid_minimum(
-        lambda j: sum(_grid_cvars(cost, xi, xs[j:j + 1], alpha)[0]
-                      for xi in grids),
-        xs.size, xs.size // 2, _TOL * cost.bound * len(steps), {})
-    return np.array([xs[i]]), total

@@ -44,7 +44,6 @@ def forbid_oracle_and_learner(monkeypatch):
     def no_learner(*args, **kwargs):
         raise AssertionError("learner ran on an invalid configuration")
 
-    monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
     monkeypatch.setattr(oracle, "dynamic_regret", no_oracle)
     monkeypatch.setattr(learner, "run_trials", no_learner)
 
@@ -469,6 +468,7 @@ class TestCli:
         assert code == 0
         messages = [rec.getMessage() for rec in caplog.records]
         assert sum(m.startswith("scenario parking:") for m in messages) == 1
+        assert sum(m.startswith("initial decision projected") for m in messages) == 1
         assert sum(m.startswith("degenerate uniform range") for m in messages) == 1
 
     @pytest.mark.parametrize("argv, files", [
@@ -542,11 +542,15 @@ class TestCli:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    def test_budget_cli(self, tmp_path, capsys):
-        code = cli.main(["budget", "--scenario", "parking", "--T", "100",
-                         "--out", str(tmp_path / "b")])
+    def test_budget_cli(self, tmp_path, capsys, caplog):
+        # No learner runs, so the initial decision is never projected.
+        with caplog.at_level(logging.INFO):
+            code = cli.main(["budget", "--scenario", "parking", "--T", "100",
+                             "--out", str(tmp_path / "b")])
         assert code == 0
         assert "V_D" in capsys.readouterr().out
+        assert not any(rec.getMessage().startswith("initial decision projected")
+                       for rec in caplog.records)
 
     def test_verify_suite_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setattr(

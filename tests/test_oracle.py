@@ -10,14 +10,12 @@ from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
     _BLOCK,
+    _cvars,
     _first_grid_minimum,
-    _grid_cvars,
-    _quantile_grid,
+    _mid_quantiles,
     RegretReport,
     action_grid,
-    batch_optimal_actions,
     dynamic_regret,
-    optimal_action_series,
     true_cvar,
 )
 from cvarlearn.harness import ExperimentConfig, build_scenario
@@ -32,15 +30,33 @@ def pricing_scenario(horizon=6000):
     return build_scenario(ExperimentConfig(horizon=horizon))
 
 
+def noise_grid(noise, t, grid_n):
+    """Noise values of step ``t`` at the oracle's mid-quantile levels."""
+    return np.asarray(noise.quantile(t, _mid_quantiles(grid_n)), dtype=float)
+
+
 def scan_series(cost, noise, region, alpha, horizon, k, grid_n):
     """Exhaustive reference: every grid action's CVaR, first ``np.argmin``."""
     xs = action_grid(region, k)
     x_star, c_star = np.empty(horizon), np.empty(horizon)
     for t in range(1, horizon + 1):
-        cv = _grid_cvars(cost, _quantile_grid(noise, t, grid_n), xs, alpha)
+        cv = _cvars(cost, noise_grid(noise, t, grid_n), xs[:, None], alpha)
         i = int(np.argmin(cv))
         x_star[t - 1], c_star[t - 1] = xs[i], cv[i]
     return x_star, c_star
+
+
+def optima_series(cost, noise, region, alpha, horizon, k, grid_n):
+    """The oracle's optima series: its regret pass over zero trials."""
+    report = dynamic_regret(np.empty((0, horizon, 1)), cost, noise, region,
+                            alpha, k=k, grid_n=grid_n)
+    return report.optimal_actions, report.optimal_cvar
+
+
+def step_optimum(cost, noise, region, k, grid_n):
+    """The oracle's grid optimum of a one-step sequence and its CVaR."""
+    x_star, c_star = optima_series(cost, noise, region, 0.5, 1, k, grid_n)
+    return x_star[0], c_star[0]
 
 
 IDENTITY_COST = CostModel(fn=lambda x, xi: 0.0 * x + xi, bound=10.0, lipschitz=1.0)
@@ -107,39 +123,39 @@ class TestActionGrid:
 
 
 class TestOptimalActionGrid:
-    # A batch of one step is that step's grid optimum and its CVaR.
     def test_deterministic_quadratic_hits_exact_minimizer(self):
         cost = CostModel(fn=lambda x, xi: (x - 3.0) ** 2 + 0.0 * xi, bound=100.0,
                          lipschitz=20.0)
         noise = constant_uniform(5, 0.0, 0.0)
-        x_star, c_star = batch_optimal_actions(cost, noise, [1], Box([1.0], [5.0]),
-                                               0.5, k=101, grid_n=1000)
+        x_star, c_star = step_optimum(cost, noise, Box([1.0], [5.0]), k=101,
+                                      grid_n=1000)
         # grid contains the exact minimizer: centers of 101 cells include 3.0
-        assert x_star == pytest.approx([3.0], abs=1e-12)
+        assert x_star == pytest.approx(3.0, abs=1e-12)
         assert c_star == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_cost_picks_lower_edge_cell(self):
         cost = CostModel(fn=lambda x, xi: x + 0.0 * xi, bound=10.0, lipschitz=1.0)
         noise = constant_uniform(5, 0.0, 1.0)
-        x_star, _ = batch_optimal_actions(cost, noise, [1], Box([1.0], [5.0]),
-                                          0.5, k=100, grid_n=1000)
-        assert x_star == pytest.approx([1.0 + 4.0 / 200.0])
+        x_star, _ = step_optimum(cost, noise, Box([1.0], [5.0]), k=100,
+                                 grid_n=1000)
+        assert x_star == pytest.approx(1.0 + 4.0 / 200.0)
 
     def test_tie_breaks_toward_smaller_coordinate(self):
         cost = CostModel(fn=lambda x, xi: np.abs(x) * 0.0 + 0.0 * xi + 1.0,
                          bound=10.0, lipschitz=1.0)
         noise = constant_uniform(5, 0.0, 1.0)
-        x_star, _ = batch_optimal_actions(cost, noise, [1], Box([1.0], [5.0]),
-                                          0.5, k=10, grid_n=1000)
-        assert x_star == pytest.approx([1.2])
+        x_star, _ = step_optimum(cost, noise, Box([1.0], [5.0]), k=10,
+                                 grid_n=1000)
+        assert x_star == pytest.approx(1.2)
 
     def test_pricing_reference_minimizer(self):
         # Exhaustive-grid oracle at the mid-horizon switch; regression anchor.
+        # Step 3000's distribution, as a one-step sequence.
         scen = pricing_scenario()
-        x_star, c_star = batch_optimal_actions(scen.cost, scen.noise, [3000],
-                                               scen.region, 0.5, k=100,
-                                               grid_n=10_000)
-        assert x_star == pytest.approx([2.54], abs=1e-9)
+        low, high = scen.noise.table[2999]
+        x_star, c_star = step_optimum(scen.cost, UniformSeq([low], [high]),
+                                      scen.region, k=100, grid_n=10_000)
+        assert x_star == pytest.approx(2.54, abs=1e-9)
         assert 0.0 < c_star < scen.cost.bound
 
 
@@ -161,14 +177,17 @@ class TestConvexSearch:
     @pytest.mark.parametrize("scenario, horizon",
                              [("parking", 1500), ("brownian", 500),
                               ("custom", 200)])
-    def test_series_equals_exhaustive_scan(self, scenario, horizon):
+    def test_series_equals_exhaustive_scan(self, force_jobs, scenario, horizon):
+        # The zero-trial regret pass, cut into 1, 2 and 3 step ranges.
         scen = build_scenario(ExperimentConfig(scenario=scenario,
                                                horizon=horizon))
         args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
-        x_star, c_star = optimal_action_series(*args, k=100, grid_n=2000)
         x_ref, c_ref = scan_series(*args, k=100, grid_n=2000)
-        assert x_star == pytest.approx(x_ref, abs=0)
-        assert c_star == pytest.approx(c_ref, abs=0)
+        for jobs in (1, 2, 3):
+            force_jobs(jobs)
+            x_star, c_star = optima_series(*args, k=100, grid_n=2000)
+            assert x_star == pytest.approx(x_ref, abs=0)
+            assert c_star == pytest.approx(c_ref, abs=0)
 
     @given(family=st.sampled_from(sorted(CONVEX_COSTS)),
            c=st.floats(-2.0, 2.0), w=st.floats(0.0, 2.0),
@@ -180,18 +199,18 @@ class TestConvexSearch:
     def test_every_start_finds_the_first_argmin(self, family, c, w, k, low,
                                                 width, alpha):
         fn = CONVEX_COSTS[family](c, w)
-        xi = _quantile_grid(constant_uniform(1, low, low + width), 1, 1000)
+        xi = noise_grid(constant_uniform(1, low, low + width), 1, 1000)
         xs = action_grid(Box([-1.0], [1.0]), k)
         bound = float(np.abs(fn(xs[:, None], xi[None, :])).max()) or 1.0
         cost = CostModel(fn=fn, bound=bound, lipschitz=1.0)
-        scan = _grid_cvars(cost, xi, xs, alpha)
+        scan = _cvars(cost, xi, xs[:, None], alpha)
         for start in range(k):
             # Lazily from nothing, and seeded with the stencil around the
             # start, as the regret pass seeds it.
             lo = max(start - 1, 0)
             for memo in ({}, dict(enumerate(scan[lo:start + 2], start=lo))):
                 i, value = _first_grid_minimum(
-                    lambda i: _grid_cvars(cost, xi, xs[i:i + 1], alpha)[0],
+                    lambda i: _cvars(cost, xi, xs[i:i + 1, None], alpha)[0],
                     k, start, 1e-9 * bound, memo)
                 assert i == int(np.argmin(scan))
                 assert value == scan[i]
@@ -229,8 +248,8 @@ class TestDynamicRegret:
 
     def test_playing_the_optimum_gives_zero_regret(self):
         scen = pricing_scenario(horizon=30)
-        x_star, c_star = optimal_action_series(scen.cost, scen.noise, scen.region,
-                                               0.5, 30, k=50, grid_n=1000)
+        x_star, c_star = optima_series(scen.cost, scen.noise, scen.region,
+                                       0.5, 30, k=50, grid_n=1000)
         report = dynamic_regret(played(x_star), scen.cost, scen.noise,
                                 scen.region, 0.5, k=50, grid_n=1000)
         assert report.cumulative_regret[0, -1] == pytest.approx(0.0, abs=1e-12)
@@ -263,12 +282,12 @@ class TestDynamicRegret:
         for scenario in ("parking", "brownian", "custom")])
     def test_inline_optima_equal_the_series(self, scenario, trials):
         # The regret pass seeds each step's search with the stencil CVaRs of
-        # its first block of rows; the lazy optimal_action_series and the
-        # exhaustive scan are the references.
+        # its first block of rows; the zero-trial pass, whose stencil rows
+        # are alone, and the exhaustive scan are the references.
         horizon = 120
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
         args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
-        x_star, c_star = optimal_action_series(*args, k=40, grid_n=1000)
+        x_star, c_star = optima_series(*args, k=40, grid_n=1000)
         x_ref, c_ref = scan_series(*args, k=40, grid_n=1000)
         low, high = scen.region.lower[0], scen.region.upper[0]
         x_hat = np.random.default_rng(55).uniform(low, high, (trials, horizon, 1))
@@ -282,12 +301,13 @@ class TestDynamicRegret:
 class TestForkedRegret:
     @pytest.mark.parametrize("scenario, horizon, trials", [
         pytest.param(scenario, horizon, trials, id=f"{scenario}-T{horizon}-{trials}")
-        for horizon, trials in ((37, 3), (41, _BLOCK // 1000 + 5))
+        for horizon, trials in ((37, 3), (41, _BLOCK // 1000 + 5), (43, 0))
         for scenario in ("parking", "brownian", "custom")])
     def test_reports_do_not_depend_on_the_job_count(
             self, force_jobs, monkeypatch, scenario, horizon, trials):
         # Each forked step range cold-starts its search; the serial pass,
         # warm-started throughout, is the reference, matched bit for bit.
+        # Zero trials give the optima series alone.
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
         low, high = scen.region.lower[0], scen.region.upper[0]
         x_hat = np.random.default_rng(56).uniform(low, high, (trials, horizon, 1))
@@ -305,6 +325,7 @@ class TestForkedRegret:
             reports.append(dynamic_regret(x_hat, scen.cost, scen.noise,
                                           scen.region, 0.5, k=40, grid_n=1000))
         assert job_counts == [1, 2, 3]
+        assert reports[0].played_cvar.shape == (trials, horizon)
         for report in reports[1:]:
             for field in dataclasses.fields(RegretReport):
                 assert np.array_equal(getattr(report, field.name),
@@ -331,41 +352,11 @@ class TestAccumulatedLoss:
         assert got == pytest.approx(3.0 * np.arange(1, 11))
 
 
-class TestBatchOptimalActions:
-    def test_static_batch_matches_per_step_optima(self):
-        scen = build_scenario(ExperimentConfig(scenario="custom", horizon=20))
-        x_batch, _ = batch_optimal_actions(scen.cost, scen.noise, range(1, 21),
-                                           scen.region, 0.5, k=100, grid_n=2000)
-        x_star, _ = batch_optimal_actions(scen.cost, scen.noise, [1],
-                                          scen.region, 0.5, k=100, grid_n=2000)
-        assert x_batch == pytest.approx(x_star, abs=0)
-
-    def test_two_step_swap_minimizes_summed_cvar(self):
-        noise = UniformSeq([0.0, 1.0], [0.5, 1.5])
-        cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0,
-                         lipschitz=20.0)
-        region = Box([0.0], [2.0])
-        k, grid_n = 200, 2000
-        x_batch, total = batch_optimal_actions(cost, noise, [1, 2], region, 0.5,
-                                               k=k, grid_n=grid_n)
-        xs = action_grid(region, k)
-        sums = np.array([
-            true_cvar(cost, noise, 1, [x], 0.5, grid_n)
-            + true_cvar(cost, noise, 2, [x], 0.5, grid_n) for x in xs
-        ])
-        assert x_batch[0] == pytest.approx(xs[np.argmin(sums)], abs=0)
-        assert total == pytest.approx(sums.min(), abs=1e-12)
-
-    def test_empty_batch_rejected(self):
-        scen = pricing_scenario(horizon=10)
-        with pytest.raises(ConfigurationError):
-            batch_optimal_actions(scen.cost, scen.noise, [], scen.region, 0.5)
-
-
 class TestBatchVariationInequality:
     def test_batch_optimum_within_twice_batch_variation(self):
         # Sum over the batch of (C_t at the batch optimum - per-step optimum)
-        # is at most 2 * batch_size * (summed sup-grid step variation).
+        # is at most 2 * batch_size * (summed sup-grid step variation). The
+        # batch optimum is the first grid minimum of the summed CVaRs.
         rng = np.random.default_rng(54)
         k, grid_n = 60, 1000
         cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0,
@@ -384,8 +375,7 @@ class TestBatchVariationInequality:
                 [true_cvar(cost, noise, t, [x], 0.5, grid_n) for x in xs]
                 for t in range(1, batch + 1)
             ])
-            x_batch, batch_sum = batch_optimal_actions(
-                cost, noise, range(1, batch + 1), region, 0.5, k=k, grid_n=grid_n)
+            batch_sum = grid_cvars.sum(axis=0).min()
             per_step_sum = grid_cvars.min(axis=1).sum()
             variation = np.abs(np.diff(grid_cvars, axis=0)).max(axis=1).sum()
             assert batch_sum - per_step_sum <= 2 * batch * variation + 1e-9
