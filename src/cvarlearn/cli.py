@@ -3,8 +3,8 @@
 Subcommands: ``run`` (multi-trial experiment), ``ablate`` (sample-count
 study), ``budget`` (variation budget and parameter suggestions), ``verify``
 (invariant suites), and ``params`` (theorem parameter calculator). Exit
-codes: 0 success, 1 configuration error, 2 runtime failure, 3 verification
-failure.
+codes: 0 success, 1 configuration or usage error, 2 runtime failure, 3
+verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .harness import (
     run_experiment,
 )
 from .schedule import theorem1_params, theorem2_params
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 #: Config flags: flag -> (ExperimentConfig field, help). Their values reach
 #: ``make_config`` as strings, so flags and config files share one parser and
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run invariant suites")
     p_ver.add_argument("suite", nargs="?", default="all",
-                       choices=("risk", "smoothing", "environment", "all"))
+                       choices=(*SUITES, "all"))
     p_ver.set_defaults(func=_cmd_verify)
 
     # Values stay strings until _cmd_params, so a bad one exits 1, not 2.
@@ -172,8 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigurationError as exc:

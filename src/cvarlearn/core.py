@@ -5,7 +5,7 @@ boxes or Euclidean balls with exact projections, an inradius/diameter, and a
 centered shrink operation that keeps sphere-perturbed actions feasible. Cost
 models bundle an evaluation rule with its declared bound, Lipschitz constant,
 and strong-convexity modulus. Noise sequences expose a per-step CDF, quantile
-function, and inverse-CDF sampler. ``fork_map`` and ``fork_ranges`` split a
+function, support and step W1. ``fork_map`` and ``fork_ranges`` split a
 phase of independent work across the usable CPUs (not exported).
 """
 
@@ -274,9 +274,9 @@ class NoiseSequence(ABC):
     """Time-indexed family of scalar noise distributions over ``t = 1..horizon``.
 
     Subclasses provide the per-step CDF, quantile function and support, and
-    the closed-form W1 distance between consecutive steps; sampling is
-    derived by inverse transform, so a single uniform draw is consumed per
-    sample regardless of the distribution family.
+    the closed-form W1 distance between consecutive steps. Callers draw
+    ``xi_t`` by inverse transform, ``quantile(t, rng.random(n))``: one
+    uniform per sample, whatever the distribution family.
     """
 
     horizon: int
@@ -300,11 +300,6 @@ class NoiseSequence(ABC):
     @abstractmethod
     def quantile(self, t: int, q):
         """Generalized inverse of the CDF at levels ``q`` in [0, 1]."""
-
-    def sample(self, t: int, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` i.i.d. values of xi_t by inverse transform."""
-        t = self._check_t(t)
-        return np.asarray(self.quantile(t, rng.random(size)), dtype=float)
 
     @abstractmethod
     def support(self, t: int) -> tuple[float, float]:

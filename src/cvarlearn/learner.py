@@ -102,10 +102,7 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     fixed order: each step's direction first, then its noise uniforms. A
     trial's columns therefore do not depend on the seeds run beside it.
     """
-    if config.delta >= region.inradius:
-        raise ConfigurationError(
-            f"smoothing radius {config.delta} must be below the set inradius "
-            f"{region.inradius}")
+    inner = region.shrink(config.delta)
     if config.x0.size != region.dim:
         raise ConfigurationError(
             f"initial decision is {config.x0.size}-D, set is {region.dim}-D")
@@ -116,7 +113,6 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     if not rngs:
         raise ConfigurationError("a run needs at least one seed")
 
-    inner = region.shrink(config.delta)
     x = inner.project(config.x0)
     horizon, trials, d = int(config.horizon), len(rngs), region.dim
     t = np.arange(1, horizon + 1)

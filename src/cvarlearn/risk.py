@@ -63,10 +63,7 @@ class EmpiricalCdf:
 def build_ecdf(values) -> EmpiricalCdf:
     """Build the empirical distribution function of ``values`` (multiset,
     duplicates retained, input order irrelevant)."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise ConfigurationError("cannot build an empirical CDF from an empty sample")
-    return EmpiricalCdf(np.sort(v.ravel()))
+    return EmpiricalCdf(np.ravel(values))
 
 
 def empirical_quantile(ecdf: EmpiricalCdf, q: float) -> float:

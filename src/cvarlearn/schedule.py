@@ -146,7 +146,8 @@ class InverseEpochRate:
 
     def __post_init__(self):
         if not (self.modulus > 0 and math.isfinite(self.modulus)):
-            raise ConfigurationError("strong-convexity modulus must be positive")
+            raise ConfigurationError(
+                "strong-convexity modulus must be positive and finite")
 
     def rate(self, tau: int) -> float:
         tau = int(tau)
@@ -170,7 +171,7 @@ class Theorem2Params(NamedTuple):
     rate: InverseEpochRate
 
 
-def _check_budget(horizon: int, budget: float) -> tuple[int, float]:
+def _check_budget(horizon: int, budget: float, a: float) -> tuple[int, float]:
     horizon = int(horizon)
     if horizon < 2:
         raise ConfigurationError("horizon must be >= 2")
@@ -180,6 +181,8 @@ def _check_budget(horizon: int, budget: float) -> tuple[int, float]:
     if budget >= horizon:
         raise ConfigurationError(
             f"variation budget {budget} must be below the horizon {horizon}")
+    if not (a > 0 and math.isfinite(a)):
+        raise ConfigurationError("sampling parameter a must be positive and finite")
     return horizon, budget
 
 
@@ -197,9 +200,7 @@ def theorem1_params(horizon: int, budget: float, a: float) -> Theorem1Params:
     1/5, 3/5, 4/5 exponents. Constants are unit (the analysis optimizes
     orders only); scale externally if needed.
     """
-    horizon, budget = _check_budget(horizon, budget)
-    if not (a > 0 and math.isfinite(a)):
-        raise ConfigurationError("sampling parameter a must be positive and finite")
+    horizon, budget = _check_budget(horizon, budget, a)
     ratio = budget / horizon
     if a <= 1.0:
         delta = ratio ** (a / (4.0 + a))
@@ -219,12 +220,8 @@ def theorem2_params(horizon: int, budget: float, a: float,
     The learning rate is the inverse-epoch schedule ``1/(modulus * tau)``;
     the branch boundary sits at ``a = 4/3`` (inclusive below).
     """
-    horizon, budget = _check_budget(horizon, budget)
-    if not (a > 0 and math.isfinite(a)):
-        raise ConfigurationError("sampling parameter a must be positive and finite")
-    if not (modulus > 0 and math.isfinite(modulus)):
-        raise ConfigurationError(
-            "strong-convexity modulus must be positive and finite")
+    rate = InverseEpochRate(modulus)
+    horizon, budget = _check_budget(horizon, budget, a)
     ratio = budget / horizon
     if a <= 4.0 / 3.0:
         delta = ratio ** (a / (4.0 + a))
@@ -232,4 +229,4 @@ def theorem2_params(horizon: int, budget: float, a: float,
     else:
         delta = ratio ** 0.25
         raw = (1.0 / ratio) ** 0.75
-    return Theorem2Params(delta, _round_batch(raw), InverseEpochRate(modulus))
+    return Theorem2Params(delta, _round_batch(raw), rate)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AdmissibleSet, ConfigurationError, CostModel, NoiseSequence, as_vector
+from .core import ConfigurationError, CostModel, NoiseSequence, as_vector
 from .oracle import true_cvar
 
 __all__ = [
@@ -58,25 +58,19 @@ def gradient_estimate(cvar_value, u, delta: float) -> np.ndarray:
 def smoothed_cvar_mc(cost: CostModel, noise: NoiseSequence, t: int, x,
                      delta: float, alpha: float, n_dirs: int = 1000,
                      n_noise: int = 10_000,
-                     rng: np.random.Generator | None = None,
-                     feasible_within: AdmissibleSet | None = None) -> float:
+                     rng: np.random.Generator | None = None) -> float:
     """Smoothed CVaR ``E_u[C_t(x + delta * u)]`` over unit-sphere directions.
 
     Per-direction CVaR values come from the deterministic quantile-grid
     oracle with ``n_noise`` points. In one dimension the sphere has two
-    points, so the expectation is computed exactly instead of sampled.
-    ``feasible_within``, when given, enforces that ``x`` lies in the shrunk
-    set so every perturbed point stays admissible.
+    points, so the expectation is computed exactly instead of sampled. The
+    perturbed points are not checked against any admissible set: the cost
+    is evaluated wherever ``x + delta * u`` lands.
     """
     x = as_vector(x)
     delta = float(delta)
     if delta < 0:
         raise ConfigurationError("smoothing radius must be >= 0")
-    if feasible_within is not None:
-        inner = feasible_within.shrink(delta) if delta > 0 else feasible_within
-        if not inner.contains(x):
-            raise ConfigurationError(
-                f"point {x} not in the delta-shrunk admissible set")
     if delta == 0.0:
         return true_cvar(cost, noise, t, x, alpha, n_noise)
     d = x.size

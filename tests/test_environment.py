@@ -18,12 +18,6 @@ from cvarlearn.environment import (
     w1_numeric,
     w1_uniform,
 )
-from cvarlearn.risk import cvar_of_values
-
-
-def random_interval(rng, min_width=0.01):
-    a = float(rng.uniform(-3, 3))
-    return a, a + float(rng.uniform(min_width, 4.0))
 
 
 class TestParkingRange:
@@ -102,7 +96,7 @@ class TestUniformSeq:
         noise = parking_noise(6000)
         rng = np.random.default_rng(32)
         for t in (3, 500, 2999, 3000, 6000):
-            draws = noise.sample(t, 200, rng)
+            draws = noise.quantile(t, rng.random(200))
             lo, hi = noise.bounds(t)
             assert draws.min() >= lo and draws.max() <= hi
 
@@ -152,27 +146,6 @@ class TestW1Uniform:
     def test_invalid_interval(self):
         with pytest.raises(ConfigurationError):
             w1_uniform(1.0, 0.5, 0.0, 1.0)
-
-    def test_metric_axioms(self):
-        rng = np.random.default_rng(33)
-        for _ in range(500):
-            i1, i2, i3 = (random_interval(rng) for _ in range(3))
-            d12 = w1_uniform(*i1, *i2)
-            assert d12 >= 0.0
-            assert d12 == pytest.approx(w1_uniform(*i2, *i1), abs=1e-12)
-            assert w1_uniform(*i1, *i1) <= 1e-12
-            assert d12 <= w1_uniform(*i1, *i3) + w1_uniform(*i3, *i2) + 1e-10
-
-    def test_closed_form_matches_quadrature(self):
-        rng = np.random.default_rng(34)
-        for _ in range(500):
-            i1, i2 = random_interval(rng), random_interval(rng)
-            s1 = constant_uniform(1, *i1)
-            s2 = constant_uniform(1, *i2)
-            support = (min(i1[0], i2[0]), max(i1[1], i2[1]))
-            numeric = w1_numeric(lambda y: s1.cdf(1, y), lambda y: s2.cdf(1, y),
-                                 support, grid=200_000)
-            assert w1_uniform(*i1, *i2) == pytest.approx(numeric, abs=1e-6)
 
 
 class TestW1Gaussian:
@@ -260,26 +233,6 @@ class TestVariationBudget:
                                  grid=200_000)
             assert profile[t - 2] == pytest.approx(numeric, abs=1e-6)
 
-    def test_parking_budget_is_sublinear(self):
-        rates = [variation_budget(parking_noise(h), h) / h
-                 for h in (1500, 3000, 6000)]
-        assert rates[0] > rates[1] > rates[2]
-
     def test_horizon_too_short(self):
         with pytest.raises(ConfigurationError):
             variation_budget(constant_uniform(5, 0, 1), 1)
-
-
-class TestCvarWassersteinInequality:
-    def test_lipschitz_pushforward_bound(self):
-        # |CVaR[f(X)] - CVaR[f(Y)]| <= (L0/alpha) W1 for f(x) = L0 * x,
-        # CVaRs evaluated on dense quantile grids.
-        rng = np.random.default_rng(37)
-        q = (np.arange(100_000) + 0.5) / 100_000
-        for _ in range(200):
-            i1, i2 = random_interval(rng), random_interval(rng)
-            lip = float(rng.uniform(0.1, 5.0))
-            alpha = float(rng.uniform(0.05, 1.0))
-            c1 = cvar_of_values(lip * (i1[0] + q * (i1[1] - i1[0])), alpha)
-            c2 = cvar_of_values(lip * (i2[0] + q * (i2[1] - i2[0])), alpha)
-            assert abs(c1 - c2) <= lip / alpha * w1_uniform(*i1, *i2) + 1e-6

@@ -327,7 +327,7 @@ class TestScenarioBounds:
         for _ in range(300):
             t = int(rng.integers(1, 301))
             x = rng.uniform(1.0, 5.0, size=1)
-            xi = scen.noise.sample(t, 8, rng)
+            xi = scen.noise.quantile(t, rng.random(8))
             values = np.asarray(scen.cost(x, xi))
             assert np.all(np.abs(values) <= scen.cost.bound + 1e-12)
 
@@ -339,7 +339,7 @@ class TestScenarioBounds:
             t = int(rng.integers(1, 301))
             xa = float(rng.uniform(1.0, 5.0))
             xb = float(rng.uniform(1.0, 5.0))
-            xi = scen.noise.sample(t, 1, rng)
+            xi = scen.noise.quantile(t, rng.random(1))
             ja = float(np.asarray(scen.cost(np.array([xa]), xi))[0])
             jb = float(np.asarray(scen.cost(np.array([xb]), xi))[0])
             assert abs(ja - jb) <= scen.cost.lipschitz * abs(xa - xb) + 1e-12
@@ -445,9 +445,21 @@ class TestCli:
         assert len((tmp_path / "b_budget.csv").read_text().splitlines()) == 6000
 
     def test_jobs_flag_is_gone(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--jobs", "1", "--out", str(tmp_path / "x")])
+        assert cli.main(["run", "--jobs", "1", "--out", str(tmp_path / "x")]) == 1
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["run", "--bogus"], ["params", "--T", "10"],
+                                      ["verify", "nosuch"]],
+                             ids=["unknown-flag", "missing-flags", "unknown-suite"])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # Exit code 2 is reserved for runtime failures.
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "usage: cvarlearn" in err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "usage: cvarlearn" in capsys.readouterr().out
 
     def test_run_logs_once(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO):
@@ -755,6 +767,20 @@ class TestVerifySuites:
         failures = [r for r in results if not r.passed]
         assert not failures, failures
         assert {r.suite for r in results} == {"risk", "smoothing", "environment"}
+
+    def test_check_names_are_pinned(self, verify_checks):
+        # No unit test repeats these procedures, so a check that is dropped,
+        # renamed or reordered must fail here.
+        assert list(verify_checks) == [
+            "risk/cvar-monotone-in-alpha", "risk/cvar-translation-and-scaling",
+            "risk/cvar-equals-ru-minimum", "risk/cvar-kolmogorov-bound",
+            "risk/dkw-band-validity", "smoothing/sphere-unit-norm",
+            "smoothing/sphere-symmetry", "smoothing/gradient-norm-bound",
+            "smoothing/two-direction-quadratic-gradient",
+            "smoothing/estimator-matches-smoothed-gradient",
+            "environment/w1-metric-axioms", "environment/w1-closed-vs-numeric",
+            "environment/cvar-wasserstein-bound",
+            "environment/sublinear-variation-budget"]
 
     def test_full_verify_logs_the_degenerate_warning_once(self, verify_run):
         # The gradient check builds the default scenario; the environment
