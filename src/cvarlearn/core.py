@@ -287,10 +287,13 @@ class NoiseSequence(ABC):
             raise ConfigurationError("horizon must be >= 1")
         self.horizon = horizon
 
-    def _check_t(self, t: int) -> int:
-        t = int(t)
-        if not 1 <= t <= self.horizon:
-            raise ConfigurationError(f"step {t} outside horizon [1, {self.horizon}]")
+    def _check_t(self, t):
+        """``t`` as an int, or as an integer array of steps, each in range."""
+        t = int(t) if np.ndim(t) == 0 else np.asarray(t)
+        outside = np.ravel(t)[np.ravel((t < 1) | (t > self.horizon))]
+        if outside.size:
+            raise ConfigurationError(
+                f"step {outside[0]} outside horizon [1, {self.horizon}]")
         return t
 
     @abstractmethod
@@ -298,8 +301,9 @@ class NoiseSequence(ABC):
         """P(xi_t <= y); vectorized in ``y``."""
 
     @abstractmethod
-    def quantile(self, t: int, q):
-        """Generalized inverse of the CDF at levels ``q`` in [0, 1]."""
+    def quantile(self, t, q):
+        """Generalized inverse of the CDF at levels ``q`` in [0, 1]; ``t`` is a
+        step or an integer array of steps, broadcast against ``q``."""
 
     @abstractmethod
     def support(self, t: int) -> tuple[float, float]:

@@ -67,10 +67,10 @@ class UniformSeq(NoiseSequence):
             out = (y >= lo).astype(float)
         return float(out) if out.ndim == 0 else out
 
-    def quantile(self, t: int, q):
-        lo, hi = self.bounds(t)
-        q = np.asarray(q, dtype=float)
-        out = lo + q * (hi - lo)
+    def quantile(self, t, q):
+        t = self._check_t(t) - 1
+        lo, hi = self.table[t, 0], self.table[t, 1]
+        out = lo + np.asarray(q, dtype=float) * (hi - lo)
         return float(out) if out.ndim == 0 else out
 
     def support(self, t: int) -> tuple[float, float]:
@@ -99,9 +99,9 @@ class BrownianSeq(NoiseSequence):
             raise ConfigurationError("diffusivity must be positive")
         self.diffusivity = diffusivity
 
-    def sigma(self, t: int) -> float:
-        t = self._check_t(t)
-        return math.sqrt(2.0 * self.diffusivity * t)
+    def sigma(self, t):
+        """Standard deviation at step ``t``, or at each of an array of steps."""
+        return np.sqrt(2.0 * self.diffusivity * self._check_t(t))
 
     def cdf(self, t: int, y):
         from scipy.special import ndtr
@@ -110,7 +110,7 @@ class BrownianSeq(NoiseSequence):
         out = ndtr(np.asarray(y, dtype=float) / s)
         return float(out) if out.ndim == 0 else out
 
-    def quantile(self, t: int, q):
+    def quantile(self, t, q):
         from scipy.special import ndtri
 
         s = self.sigma(t)

@@ -4,23 +4,24 @@ A flat key-value config file (plus CLI flag overrides) selects a scenario and
 all run parameters; ``build_scenario`` logs the cost's constants and, in one
 warning, the point-mass steps of a uniform noise sequence. Trial ``i`` runs
 with seed ``base_seed + i``; all trials of an experiment step in lockstep.
-An experiment runs the learner, then one oracle pass that finds the per-step
-optima and evaluates every trial, then writes the CSVs; the oracle's steps
-and the trial files are cut into ranges that run in forked processes, one
-per usable CPU, or in this process when a fork does not pay, with the same
-bytes either way. A run returns one ``ExperimentResult`` per experiment (its
-``Trace``, its trials' rows of the ``RegretReport`` and its
-sampling-requirement check), which the CSV writers read as it is. An
-ablation evaluates every count's trials in one oracle pass, after all of
-their learners, so a failure writes nothing. All output is CSV
-(17-significant-digit floats, LF endings, UTF-8), each file formatted from
-one template and renamed into place, its directory created, only when whole.
-Plotting is left to external tools.
+An experiment runs the learner beside the oracle's search for the per-step
+optima, then the oracle's played pass over every trial, then writes the
+CSVs; these tasks, the played pass's steps and the trial files are cut into
+ranges that run in forked processes, one per usable CPU, or in this process
+when a fork does not pay, with the same bytes either way. A run returns one
+``ExperimentResult`` per experiment (its ``Trace``, its trials' rows of the
+``RegretReport`` and its sampling-requirement check), which the CSV writers
+read as it is. An ablation evaluates every count's trials in one played
+pass, after all of their learners, so a failure writes nothing. All output
+is CSV (17-significant-digit floats, LF endings, UTF-8), each file formatted
+from one template and renamed into place, its directory created, only when
+whole. Plotting is left to external tools.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -314,10 +315,11 @@ class ExperimentResult:
     requirement: schedule.RequirementCheck
 
 
-def _run_learner(config: ExperimentConfig, scenario: Scenario
-                 ) -> tuple[learner.Trace, schedule.RequirementCheck]:
-    """Every trial's learner and the sampling-requirement check of the
-    strategy it runs, which logs a violation and goes on."""
+def _learner(config: ExperimentConfig, scenario: Scenario
+             ) -> tuple[functools.partial[learner.Trace], schedule.RequirementCheck]:
+    """``config``'s learner, as a call that runs every trial, with its
+    settings checked, and the sampling-requirement check of the strategy it
+    runs, which logs a violation and goes on."""
     if config.rate_rule == "inverse":
         modulus = scenario.cost.strong_convexity
         if modulus <= 0:
@@ -342,9 +344,14 @@ def _run_learner(config: ExperimentConfig, scenario: Scenario
             "sampling requirement violated for n=%d: sum 1/sqrt(phi)=%.4g exceeds "
             "%.4g; proceeding anyway", config.samples, check.achieved, check.allowed)
     seeds = range(config.base_seed, config.base_seed + config.trials)
-    trace = learner.run_trials(settings, scenario.cost, scenario.noise,
-                               scenario.region, seeds)
-    return trace, check
+    return functools.partial(learner.run_trials, settings, scenario.cost,
+                             scenario.noise, scenario.region, seeds), check
+
+
+#: Serial seconds of a lockstep learner step, whatever its trial count, and
+#: of a search step per quantile level: the estimates from which
+#: ``fork_ranges`` decides whether phase 1 of ``_experiments`` forks.
+_STEP_S, _SEARCH_LEVEL_S = 6e-5, 4e-8
 
 
 #: Slot of one float cell in a CSV template: 17 significant digits.
@@ -409,24 +416,36 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
 def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
                  ) -> list[ExperimentResult]:
-    """Every config's learner, then one oracle pass over all of their trials.
+    """Phase 1: every config's learner beside the oracle's search pass, as
+    tasks cut across forked processes by ``fork_ranges`` when that pays;
+    phase 2: one played pass over all of their trials.
 
     The configs differ at most in the learner's settings; the first one's
-    risk level and oracle grids serve all. Each result's report holds its
-    own trials' rows. An initial decision outside the shrunk set is
-    projected into it, which is logged once, from the first run.
+    risk level and oracle grids serve all. Every config is checked, and a
+    sampling-requirement violation logged, before any fork. Each result's
+    report holds its own trials' rows. An initial decision outside the
+    shrunk set is projected into it, which is logged once, from the first run.
     """
-    runs = [_run_learner(config, scenario) for config in configs]
     first = configs[0]
-    x0, x = np.array([first.x0]), runs[0][0].x[0, 0]
+    learners = [_learner(config, scenario) for config in configs]
+    tasks = [functools.partial(
+        oracle.optimal_action_series, scenario.cost, scenario.noise,
+        scenario.region, first.alpha, range(first.horizon), first.oracle_k,
+        first.oracle_grid), *(run for run, _ in learners)]
+    work_s = first.horizon * (len(configs) * _STEP_S
+                              + first.oracle_grid * _SEARCH_LEVEL_S)
+    scenario.noise.quantile(1, 0.5)  # lazy state (SciPy's) loads once, not per fork
+    optima, *traces = (out for part in fork_map(
+        lambda part: [tasks[i]() for i in part],
+        fork_ranges(len(tasks), work_s)) for out in part)
+    x0, x = np.array([first.x0]), traces[0].x[0, 0]
     if not np.array_equal(x, x0):
         logger.info("initial decision projected into the shrunk set: %s -> %s", x0, x)
     report = oracle.dynamic_regret(
-        np.concatenate([trace.x_hat for trace, _ in runs]), scenario.cost,
-        scenario.noise, scenario.region, first.alpha, k=first.oracle_k,
-        grid_n=first.oracle_grid)
+        np.concatenate([trace.x_hat for trace in traces]), scenario.cost,
+        scenario.noise, first.alpha, optima, grid_n=first.oracle_grid)
     results, start = [], 0
-    for config, (trace, check) in zip(configs, runs):
+    for config, trace, (_, check) in zip(configs, traces, learners):
         rows = slice(start, start + config.trials)
         start = rows.stop
         own = dataclasses.replace(
@@ -477,10 +496,10 @@ def run_ablation(config: ExperimentConfig, sample_counts,
 
     Counts violating the declared sampling requirement produce a warning but
     still run. Every count is checked before any learner or oracle work.
-    Every count's learner runs first; then one oracle pass evaluates all of
-    their trials against one optimal-action series; only then are the files
-    written: one trajectory set and aggregate per count plus a comparison
-    table.
+    Every count's learner runs beside one optimal-action search; then one
+    played pass evaluates all of their trials against that series; only then
+    are the files written: one trajectory set and aggregate per count plus a
+    comparison table.
     """
     try:
         counts = [_as_int(n) for n in sample_counts]

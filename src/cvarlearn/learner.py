@@ -10,6 +10,8 @@ previous batch.
 
 Seeded trials share the cost, the noise sequence and the schedule, so they
 step together along a leading trial axis; only the generators are per trial.
+Their draws do not depend on the decisions, so they are made, and turned
+into noise, a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -70,28 +72,41 @@ class Trace:
     gradient: np.ndarray       # (trials, T, d)
 
 
-def _draws(rngs, d: int, n_samples: np.ndarray):
-    """Each step's directions ``(trials, d)`` and noise uniforms ``(trials, n_t)``.
+#: Values, direction uniforms included, in a block of steps (at least one
+#: step) drawn and turned into noise at once: a cap keeps peak memory flat.
+_BLOCK = 2 ** 16
+
+
+def _draws(rngs, d: int, n_samples: np.ndarray, noise: NoiseSequence):
+    """Each step's directions ``(trials, d)`` and noise values ``(trials, n_t)``.
 
     Every generator yields, per step, its direction and then its ``n_t``
-    uniforms. In one dimension the direction is the sign of one uniform, as
-    in ``sample_unit_sphere``, so each trial's whole stream is one draw of
-    ``sum(1 + n_t)`` uniforms, split at the step boundaries; the values are
-    the same as drawn step by step.
+    uniforms; each block's uniforms become noise in one ``noise.quantile``
+    call. In one dimension the direction is the sign of one uniform, as in
+    ``sample_unit_sphere``, so a trial's block is one draw of ``sum(1 + n_t)``
+    uniforms, split at the step boundaries; the values are the same as drawn
+    step by step.
     """
-    if d == 1:
-        ends = np.cumsum(1 + n_samples)
-        stream = np.stack([rng.random(ends[-1]) for rng in rngs])
-        for end, n in zip(ends, n_samples):
-            yield (np.where(stream[:, end - n - 1:end - n] < 0.5, 1.0, -1.0),
-                   stream[:, end - n:end])
-        return
-    for n in n_samples:
-        u, q = np.empty((len(rngs), d)), np.empty((len(rngs), n))
-        for i, rng in enumerate(rngs):
-            u[i] = sample_unit_sphere(d, rng)
-            q[i] = rng.random(n)
-        yield u, q
+    trials = len(rngs)
+    sizes = trials * (1 + n_samples)
+    cuts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _BLOCK)) + 1
+    for steps in np.split(np.arange(n_samples.size), cuts):
+        n = n_samples[steps]
+        if d == 1:
+            heads = np.cumsum(1 + n) - 1 - n
+            stream = np.stack([rng.random(heads[-1] + 1 + n[-1]) for rng in rngs])
+            u = np.where(stream[:, heads, None] < 0.5, 1.0, -1.0)
+            # Row-major, as each step's draws were: the layout of the costs
+            # sets the order in which ``cvar_of_values`` sums them.
+            q = np.take(stream, np.delete(np.arange(stream.shape[1]), heads), axis=1)
+        else:
+            u, q = np.empty((trials, steps.size, d)), np.empty((trials, n.sum()))
+            for i, rng in enumerate(rngs):
+                for j, end in enumerate(np.cumsum(n)):
+                    u[i, j] = sample_unit_sphere(d, rng)
+                    q[i, end - n[j]:end] = rng.random(n[j])
+        xi = np.asarray(noise.quantile(np.repeat(steps + 1, n), q), dtype=float)
+        yield from zip(u.transpose(1, 0, 2), np.split(xi, np.cumsum(n)[:-1], axis=1))
 
 
 def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
@@ -123,13 +138,12 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     xs, us, x_hats, grads = (np.empty((trials, horizon, d)) for _ in range(4))
     cvars = np.empty((trials, horizon))
     x = np.tile(x, (trials, 1))
-    for s, (u, q) in enumerate(_draws(rngs, d, n_samples)):
+    for s, (u, xi) in enumerate(_draws(rngs, d, n_samples, noise)):
         x_hat = x + config.delta * u
         if not region.contains(x_hat):
             raise RuntimeError(
                 f"feasibility violated at t={t[s]}: a played action left the "
                 f"admissible set: {x_hat}")
-        xi = np.asarray(noise.quantile(t[s], q), dtype=float)
         step_costs = cost.rows(x_hat, xi)
         if not np.isfinite(step_costs).all():
             raise ConfigurationError(

@@ -9,14 +9,10 @@ grid, ties to the smaller action: each ``J(., xi)`` is convex in the decision
 and CVaR is monotone and convex, so the grid CVaR is discrete-convex and a
 descent walk finds its minimum after a few CVaR rows instead of all ``k``.
 
-``dynamic_regret`` is the one optimum search. It makes one pass over the
-steps: each step's quantile grid is built once and serves both that step's
-optimum search and the played actions of every trial. A step makes one
-stacked cost and CVaR call over the search's warm-start stencil and its
-first block of played actions; further calls are made only when the optimum
-moves, and for further blocks of played actions. The steps are cut into
-ranges that forked processes evaluate at the same time. Its report over
-zero trials, played actions of shape ``(0, T, 1)``, is the optima series.
+The oracle makes two passes, each building the quantile grids of a block of
+steps in one call: the search pass, ``optimal_action_series``, finds the
+optima of a range of steps; the played pass, ``dynamic_regret``, evaluates
+every trial against them, its step ranges run by forked processes.
 """
 
 from __future__ import annotations
@@ -31,7 +27,8 @@ from .core import (AdmissibleSet, Ball, Box, ConfigurationError, CostModel,
                    NoiseSequence, as_vector, fork_map, fork_ranges)
 from .risk import cvar_of_values
 
-__all__ = ["true_cvar", "action_grid", "RegretReport", "dynamic_regret"]
+__all__ = ["true_cvar", "action_grid", "RegretReport", "optimal_action_series",
+           "dynamic_regret"]
 
 
 @functools.lru_cache(maxsize=8)
@@ -49,13 +46,13 @@ def _mid_quantiles(grid_n: int) -> np.ndarray:
 #: stretch can hide the first minimum; a wider window only costs evaluations.
 _TOL = 1e-9
 
-#: Most cost values evaluated in one call of the regret pass, the search's
-#: stencil rows included: rows are grouped so that each call's temporaries
-#: stay small and reuse memory instead of faulting in fresh pages at every
-#: step. A row longer than this is evaluated on its own.
+#: Most values in one call of either pass: quantile grids are made a block
+#: of steps at a time and played rows evaluated a block of rows at a time,
+#: so that each call's temporaries stay small and reuse memory instead of
+#: faulting in fresh pages at every step. A longer row is made on its own.
 _BLOCK = 2 ** 16
 
-#: Serial seconds per cost value of the regret pass, cost and CVaR together:
+#: Serial seconds per cost value of the played pass, cost and CVaR together:
 #: the estimate from which ``fork_ranges`` decides whether a fork pays.
 _VALUE_S = 1e-8
 
@@ -134,48 +131,67 @@ class RegretReport:
     accumulated_loss: np.ndarray   # (trials, T) running sum of played CVaR
 
 
+def _grids(noise: NoiseSequence, levels: np.ndarray, steps: range):
+    """The noise values at ``levels`` of each 0-based step of ``steps``, made
+    one ``noise.quantile`` call per block of at most ``_BLOCK`` values."""
+    size = max(1, _BLOCK // levels.size)
+    for start in range(0, len(steps), size):
+        block = np.array(steps[start:start + size])[:, None] + 1
+        yield from np.asarray(noise.quantile(block, levels), dtype=float)
+
+
+def optimal_action_series(cost: CostModel, noise: NoiseSequence,
+                          region: AdmissibleSet, alpha: float, steps: range,
+                          k: int = 100, grid_n: int = 10_000
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The grid optimum of each 0-based step of ``steps`` (step ``s + 1``)
+    and its CVaR: the search pass.
+
+    A step makes one cost and CVaR call over the search's stencil, the grid
+    actions next to the previous step's optimum (the grid's middle for the
+    first step), whose CVaRs seed the search; further grid actions are
+    evaluated one at a time, only when the optimum moves or its rescan
+    window widens. The search returns the grid's first minimum from any
+    start, so the series does not depend on how the steps are cut.
+    """
+    xs = action_grid(region, k)
+    tol = _TOL * cost.bound
+    x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
+    i = xs.size // 2
+    for j, xi in enumerate(_grids(noise, _mid_quantiles(int(grid_n)), steps)):
+        lo = max(i - 1, 0)
+        stencil = _cvars(cost, xi, xs[lo:i + 2, None], alpha)
+        i, c_star[j] = _first_grid_minimum(
+            lambda m: _cvars(cost, xi, xs[m:m + 1, None], alpha)[0], xs.size, i,
+            tol, dict(enumerate(stencil, start=lo)))
+        x_star[j] = xs[i]
+    return x_star, c_star
+
+
 def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
-                   region: AdmissibleSet, alpha: float, k: int = 100,
+                   alpha: float, optima: tuple[np.ndarray, np.ndarray],
                    grid_n: int = 10_000) -> RegretReport:
     """Evaluate played actions ``x_hat`` of shape ``(trials, T, 1)``, played
-    at steps ``1..T``, against the per-step best actions in hindsight.
+    at steps ``1..T``, against the best actions in hindsight ``optima``, as
+    ``optimal_action_series`` returns them for ``range(T)``: the played pass.
 
-    One pass over the steps: each step's quantile grid is built once and
-    serves every trial. Each step's optimum is searched in the same pass,
-    warm-started from the previous step's. A step makes one cost and CVaR
-    call over the stacked rows of the search's stencil, the grid actions
-    next to the warm start, and of the first trials' played actions; the
-    stencil's CVaRs seed the search, which evaluates further grid actions
-    one at a time, only when the optimum moves or its rescan window widens.
-    The remaining played actions are evaluated in blocks. A call holds at
-    most ``_BLOCK`` cost values, unless the stencil or one row alone holds
-    more.
-
-    The pass is cut into contiguous step ranges, one per usable CPU, that
-    run at the same time in forked processes (``fork_ranges``): one range,
-    in this process, when the pass is too small for a fork to pay. Each
-    range starts its search at the middle of the action grid, as step 1
-    does. The search returns the grid's first minimum from any start, so a
-    range's cold start finds the same optima as a warm start carried over
-    from the previous range, and the report does not depend on how the
-    steps were cut.
-
-    Over zero trials, ``x_hat`` of shape ``(0, T, 1)``, the report is the
-    optima series alone: ``optimal_actions`` and ``optimal_cvar``.
+    Each step's quantile grid serves every trial, evaluated in blocks of at
+    most ``_BLOCK`` cost values (one row, if a row alone holds more). The
+    steps are cut into contiguous ranges, one per usable CPU, run at the
+    same time in forked processes (``fork_ranges``), or in this process
+    when the pass is too small for a fork to pay.
     """
+    x_star, c_star = optima
     x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.ndim != 3 or x_hat.shape[1] == 0 or x_hat.shape[2] != region.dim:
+    horizon = len(c_star)
+    if x_hat.ndim != 3 or x_hat.shape[1:] != (horizon, 1):
         raise ConfigurationError(
-            f"played actions must have shape (trials, T, {region.dim}), "
+            f"played actions must have shape (trials, {horizon}, 1), "
             f"got {x_hat.shape}")
-    trials, horizon = x_hat.shape[:2]
-    xs = action_grid(region, k)
     levels = _mid_quantiles(int(grid_n))
-    work_s = horizon * (trials + 3) * levels.size * _VALUE_S
-    parts = fork_map(
-        functools.partial(_regret_steps, x_hat, cost, noise, xs, alpha, levels),
-        fork_ranges(horizon, work_s))
-    played, x_star, c_star = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    played = np.concatenate(fork_map(
+        functools.partial(_played_steps, x_hat, cost, noise, alpha, levels),
+        fork_ranges(horizon, x_hat.size * levels.size * _VALUE_S)), axis=1)
     return RegretReport(
         played_cvar=played,
         optimal_cvar=c_star,
@@ -185,29 +201,14 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     )
 
 
-def _regret_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
-                  xs: np.ndarray, alpha: float, levels: np.ndarray,
-                  steps: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _played_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
+                  alpha: float, levels: np.ndarray, steps: range) -> np.ndarray:
     """``dynamic_regret``'s pass over the 0-based steps ``steps``: the played
-    CVaRs ``(trials, len(steps))``, the grid optima and their CVaRs."""
+    CVaRs ``(trials, len(steps))``."""
     trials = x_hat.shape[0]
     rows = max(1, _BLOCK // levels.size)
-    tol = _TOL * cost.bound
     played = np.empty((trials, len(steps)))
-    x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
-    i = xs.size // 2
-    for j, s in enumerate(steps):
-        xi = np.asarray(noise.quantile(s + 1, levels), dtype=float)
-        lo = max(i - 1, 0)
-        stencil = xs[lo:i + 2, None]
-        head = max(rows - len(stencil), 0)
-        cvars = _cvars(cost, xi, np.concatenate([stencil, x_hat[:head, s]]), alpha)
-        played[:head, j] = cvars[len(stencil):]
-        i, c_star[j] = _first_grid_minimum(
-            lambda m: _cvars(cost, xi, xs[m:m + 1, None], alpha)[0], xs.size, i,
-            tol, dict(enumerate(cvars[:len(stencil)], start=lo)))
-        x_star[j] = xs[i]
-        for r in range(head, trials, rows):
+    for j, (s, xi) in enumerate(zip(steps, _grids(noise, levels, steps))):
+        for r in range(0, trials, rows):
             played[r:r + rows, j] = _cvars(cost, xi, x_hat[r:r + rows, s], alpha)
-    return played, x_star, c_star
-
+    return played

@@ -120,6 +120,35 @@ class TestBrownianSeq:
         assert variation_budget(noise, 400) == pytest.approx(expected, rel=1e-12)
 
 
+STEP_ARRAY_CASES = {
+    # T = 1500 has point masses at t = 1, 2 and a stretch after the switch.
+    "parking": lambda: parking_noise(1500),
+    "custom": lambda: constant_uniform(200, 0.85, 1.1),
+    "brownian": lambda: BrownianSeq(500, 1e-4),
+}
+
+
+class TestStepArrays:
+    @pytest.mark.parametrize("case", sorted(STEP_ARRAY_CASES))
+    def test_block_quantiles_equal_per_step_calls(self, case):
+        noise = STEP_ARRAY_CASES[case]()
+        q = np.concatenate([[0.0, 1.0], np.random.default_rng(33).random(300)])
+        steps = np.arange(1, noise.horizon + 1)
+        if case == "parking":
+            point_masses = noise.table[:, 1] == noise.table[:, 0]
+            assert point_masses[:2].all() and point_masses[2:].any()
+        block = noise.quantile(steps[:, None], q)
+        assert np.array_equal(block, np.array([noise.quantile(t, q) for t in steps]))
+
+    @pytest.mark.parametrize("case", sorted(STEP_ARRAY_CASES))
+    def test_step_outside_the_horizon_is_named(self, case):
+        noise = STEP_ARRAY_CASES[case]()
+        for bad in (0, noise.horizon + 1):
+            steps = np.array([[2], [bad], [3]])
+            with pytest.raises(ConfigurationError, match=f"step {bad} outside"):
+                noise.quantile(steps, np.linspace(0.0, 1.0, 5))
+
+
 class TestW1Uniform:
     def test_identity(self):
         assert w1_uniform(0.2, 1.3, 0.2, 1.3) == 0.0

@@ -49,13 +49,23 @@ def _hashes(directory):
             for p in directory.glob("*.csv")}
 
 
-@pytest.mark.parametrize("argv, prefix, expected", [
-    (["run", "--scenario", "parking", *COMMON], "run", RUN_HASHES),
-    (["ablate", "--scenario", "brownian", "--counts", "4,8", *COMMON], "abl",
-     ABLATE_HASHES),
-    (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),
-    (["budget", "--scenario", "parking", "--T", "3000"], "bud", BUDGET_HASHES),
-], ids=["run-parking", "ablate-brownian", "run-custom", "budget-parking"])
-def test_cli_csv_hashes(tmp_path, argv, prefix, expected):
+CASES = {
+    "run-parking": (["run", "--scenario", "parking", *COMMON], "run", RUN_HASHES),
+    "ablate-brownian": (["ablate", "--scenario", "brownian", "--counts", "4,8",
+                         *COMMON], "abl", ABLATE_HASHES),
+    "run-custom": (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),
+    "budget-parking": (["budget", "--scenario", "parking", "--T", "3000"], "bud",
+                       BUDGET_HASHES),
+}
+
+
+# Every run is pinned in this process and cut across two forked jobs; the
+# budget table is written without a fork.
+@pytest.mark.parametrize("case, jobs", [
+    pytest.param(case, jobs, id=case if jobs == 1 else f"{case}-jobs{jobs}")
+    for case in CASES for jobs in ((1,) if case.startswith("budget") else (1, 2))])
+def test_cli_csv_hashes(tmp_path, force_jobs, case, jobs):
+    argv, prefix, expected = CASES[case]
+    force_jobs(jobs)
     assert cli.main([*argv, "--out", str(tmp_path / prefix)]) == 0
     assert _hashes(tmp_path) == expected

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import cvarlearn
 import cvarlearn.cli as cli
+import cvarlearn.core as core
 import cvarlearn.environment as environment
 import cvarlearn.harness as harness
 import cvarlearn.learner as learner
@@ -44,6 +45,7 @@ def forbid_oracle_and_learner(monkeypatch):
     def no_learner(*args, **kwargs):
         raise AssertionError("learner ran on an invalid configuration")
 
+    monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
     monkeypatch.setattr(oracle, "dynamic_regret", no_oracle)
     monkeypatch.setattr(learner, "run_trials", no_learner)
 
@@ -630,7 +632,11 @@ class TestForkedRuns:
             out = tmp_path / f"jobs{jobs}"
             assert cli.main([*argv, *FORK_RUN, "--out", str(out / "x")]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert job_counts == [1, 2, 3]
+        # Each run forks phase 1, its learners and the search pass as one
+        # task each, then the trial files.
+        tasks = 2 if argv == ["run"] else 3
+        assert job_counts == [n for jobs in (1, 2, 3)
+                              for n in (min(jobs, tasks), jobs)]
         assert len(outputs[0]) == (6 if argv == ["run"] else 13)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
@@ -659,6 +665,56 @@ class TestForkedRuns:
             os.waitpid(-1, os.WNOHANG)
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("horizon, trials, jobs", [(500, 100, 1), (6000, 1, 2)])
+    def test_phase_one_forks_only_when_it_pays(self, tmp_path, monkeypatch,
+                                               horizon, trials, jobs):
+        # The bench's trial sweep (T=500, 100 trials) runs its learner and
+        # search, about 0.1 s, in this process; T=6000 forks the two apart.
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        job_counts = []
+        fork_map = harness.fork_map
+
+        def spy(fn, jobs):
+            job_counts.append(len(jobs))
+            return fork_map(fn, jobs)
+
+        monkeypatch.setattr(harness, "fork_map", spy)
+        run_experiment(small_config(tmp_path, horizon=horizon, batch_size=200,
+                                    trials=trials, oracle_k=100,
+                                    oracle_grid=2000), write=False)
+        assert job_counts == [jobs]
+
+    @pytest.mark.parametrize("text, code, counts", [
+        ("sampling_a = -1\n", 1, []), ("sampling_c = 0.1\n", 0, [1, 2, 3]),
+    ], ids=["fault", "violations"])
+    def test_configs_are_checked_before_any_fork(self, tmp_path, text, code,
+                                                 counts):
+        # Two usable CPUs and any work forks; yet a config fault exits 1
+        # with no fork made and multiprocessing never imported, and each
+        # count's requirement violation is logged once, in count order.
+        (tmp_path / "exp.cfg").write_text(text)
+        script = (
+            "import sys; import cvarlearn.core as core; "
+            "core._usable_cpus = lambda: 2; core._FORK_MIN_S = 0.0\n"
+            "import cvarlearn.harness as harness; from cvarlearn import cli\n"
+            "forks = []; fork_map = harness.fork_map\n"
+            "harness.fork_map = lambda fn, jobs: forks.append(1) or fork_map(fn, jobs)\n"
+            "code = cli.main(['ablate', '--config', 'exp.cfg', '--counts', '1,2,3', "
+            f"*{FORK_RUN!r}, '--out', 'f'])\n"
+            "print(code, len(forks), 'multiprocessing' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
+        env.pop("RA_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, check=True)
+        forked = code == 0
+        assert proc.stdout.splitlines()[-1] == f"{code} {2 if forked else 0} {forked}"
+        warnings = [line.split(":")[0] for line in proc.stderr.splitlines()
+                    if "sampling requirement" in line]
+        assert warnings == [f"WARNING sampling requirement violated for n={n}"
+                            for n in counts]
+        if not forked:
+            assert "configuration error" in proc.stderr
+
     def test_forked_run_prints_each_line_once(self, tmp_path):
         # Output buffered before a fork must not be written again by a child.
         code = ("import sys; import cvarlearn.core as core; "
@@ -677,7 +733,7 @@ class TestForkedRuns:
 
 
 class Accepted(BaseException):
-    """The configuration passed every check and the learner was called."""
+    """The configuration passed every check and phase 1 was reached."""
 
 
 def accept(*args, **kwargs):
@@ -724,7 +780,8 @@ class TestConfigFuzz:
     @settings(max_examples=200, deadline=None)
     def test_cli_config_faults_exit_one_without_a_traceback(
             self, command, flags, counts, config_file):
-        # The learner is replaced, so an accepted run stops before any work.
+        # Phase 1's fork_map is replaced, so an accepted run stops after
+        # every check and before any learner or oracle work.
         flag_of = {field: flag for flag, (field, _) in cli._CONFIG_FLAGS.items()}
         with tempfile.TemporaryDirectory() as tmp:
             argv = [command, f"--out={tmp}/x",
@@ -736,7 +793,7 @@ class TestConfigFuzz:
                 path.write_text(config_file, encoding="utf-8")
                 argv.append(f"--config={path}")
             err = io.StringIO()
-            with (mock.patch.object(learner, "run_trials", accept),
+            with (mock.patch.object(harness, "fork_map", accept),
                   mock.patch.dict(os.environ), contextlib.redirect_stderr(err),
                   contextlib.redirect_stdout(io.StringIO())):
                 os.environ.pop("RA_SEED", None)

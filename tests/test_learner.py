@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
-from cvarlearn.environment import constant_uniform, parking_noise
-from cvarlearn.learner import LearnerConfig, _draws, run_trials
+from cvarlearn import learner
+from cvarlearn.environment import BrownianSeq, constant_uniform, parking_noise
+from cvarlearn.learner import LearnerConfig, Trace, _draws, run_trials
 from cvarlearn.risk import cvar_of_values
 from cvarlearn.schedule import (
     ConstantRate,
@@ -32,13 +33,17 @@ def run(config, cost, noise, region, seed=0):
 
 def step_costs(trace, config, cost, noise, seeds):
     """Each step's sampled costs ``(trials, n_t)`` at the played actions,
-    rebuilt from the trials' draws; checked bit for bit against the trace's
-    CVaR estimates."""
+    rebuilt from the trials' generators step by step, each step's uniforms
+    turned into noise on their own; checked bit for bit against the trace's
+    directions and CVaR estimates."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = _draws(rngs, trace.x_hat.shape[-1], trace.n_samples)
+    d = trace.x_hat.shape[-1]
     costs = []
-    for s, (_, q) in enumerate(draws):
-        xi = np.asarray(noise.quantile(trace.t[s], q), dtype=float)
+    for s, n in enumerate(trace.n_samples):
+        xi = np.empty((len(rngs), n))
+        for i, rng in enumerate(rngs):
+            assert np.array_equal(trace.u[i, s], sample_unit_sphere(d, rng))
+            xi[i] = noise.quantile(trace.t[s], rng.random(n))
         costs.append(cost.rows(trace.x_hat[:, s], xi))
         assert np.array_equal(cvar_of_values(costs[-1], config.alpha),
                               trace.cvar_estimate[:, s])
@@ -244,6 +249,17 @@ def ball_case(horizon):
             dataclasses.replace(config, horizon=horizon, batch_size=100))
 
 
+def brownian_case():
+    # 24 samples: a CVaR sums enough of them that the order of the sum, which
+    # the costs' memory layout sets, shows in the last bits.
+    horizon = 150
+    cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=16.0, lipschitz=8.0,
+                     strong_convexity=2.0)
+    return (Box([-2.0], [2.0]), cost, BrownianSeq(horizon, 1e-3),
+            make_config(horizon=horizon, batch_size=50, x0=np.array([1.0]),
+                        sampling=ConstantSampling(24), rate=ConstantRate(0.03)))
+
+
 LOCKSTEP_CASES = {
     "parking-box": lambda: (
         Box([1.0], [5.0]), pricing_cost(), parking_noise(150),
@@ -255,6 +271,7 @@ LOCKSTEP_CASES = {
         make_config(horizon=120, batch_size=40, x0=np.array([2.0]),
                     sampling=PolynomialSampling(0.5, 1.0),
                     rate=InverseEpochRate(2.0))),
+    "brownian": brownian_case,
 }
 
 
@@ -283,21 +300,46 @@ class TestDraws:
     @pytest.mark.parametrize("sampling", [ConstantSampling(8),
                                           PolynomialSampling(0.5, 1.0)],
                              ids=["constant", "polynomial"])
-    def test_one_dimensional_stream_equals_per_step_draws(self, sampling):
-        # One draw of a trial's whole stream, split at the step boundaries,
-        # gives each step's direction and noise uniforms as drawn step by step.
+    def test_one_dimensional_stream_equals_per_step_draws(self, monkeypatch,
+                                                          sampling):
+        # One draw per block of a trial's stream, split at the step
+        # boundaries and turned into noise in one call, gives each step's
+        # direction and the noise of its uniforms as drawn step by step:
+        # with one step per block, a few, and the whole stream in one.
         n_samples = np.array([sampling.count(batch_epoch(t, 25).epoch, 25)
                               for t in range(1, 61)])
+        noise = parking_noise(60)  # t = 1, 2 are point masses
         seeds = [3, 4, 9]
-        steps = list(_draws([np.random.default_rng(s) for s in seeds], 1,
-                            n_samples))
-        assert len(steps) == n_samples.size
-        rngs = [np.random.default_rng(s) for s in seeds]
-        for (u, q), n in zip(steps, n_samples):
-            assert u.shape == (3, 1) and q.shape == (3, n)
-            for i, rng in enumerate(rngs):
-                assert np.array_equal(u[i], sample_unit_sphere(1, rng))
-                assert np.array_equal(q[i], rng.random(n))
+        for block in (1, 100, 2 ** 62):
+            monkeypatch.setattr(learner, "_BLOCK", block)
+            steps = list(_draws([np.random.default_rng(s) for s in seeds], 1,
+                                n_samples, noise))
+            assert len(steps) == n_samples.size
+            rngs = [np.random.default_rng(s) for s in seeds]
+            for t, ((u, xi), n) in enumerate(zip(steps, n_samples), start=1):
+                assert u.shape == (3, 1) and xi.shape == (3, n)
+                for i, rng in enumerate(rngs):
+                    assert np.array_equal(u[i], sample_unit_sphere(1, rng))
+                    assert np.array_equal(xi[i], noise.quantile(t, rng.random(n)))
+
+    @pytest.mark.parametrize("block", [1, 100, 2 ** 62],
+                             ids=["step", "hundred", "stream"])
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_trace_does_not_depend_on_the_block_cap(self, monkeypatch, case,
+                                                    block):
+        # One step per block, a few, and the whole stream in one block give
+        # the default blocks' trace, and the directions and CVaR estimates of
+        # the draws made step by step: in d = 2 the per-step draws keep their
+        # order in a block.
+        region, cost, noise, config = LOCKSTEP_CASES[case]()
+        seeds = [5, 6, 7]
+        reference = run_trials(config, cost, noise, region, seeds)
+        monkeypatch.setattr(learner, "_BLOCK", block)
+        trace = run_trials(config, cost, noise, region, seeds)
+        for field in dataclasses.fields(Trace):
+            assert np.array_equal(getattr(trace, field.name),
+                                  getattr(reference, field.name)), field.name
+        step_costs(trace, config, cost, noise, seeds)
 
 
 class TestBounds:

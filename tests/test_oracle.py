@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvarlearn import oracle
-from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
+from cvarlearn.core import (Ball, Box, ConfigurationError, CostModel, fork_map,
+                            fork_ranges)
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
     _BLOCK,
@@ -16,6 +18,7 @@ from cvarlearn.oracle import (
     RegretReport,
     action_grid,
     dynamic_regret,
+    optimal_action_series,
     true_cvar,
 )
 from cvarlearn.harness import ExperimentConfig, build_scenario
@@ -47,10 +50,15 @@ def scan_series(cost, noise, region, alpha, horizon, k, grid_n):
 
 
 def optima_series(cost, noise, region, alpha, horizon, k, grid_n):
-    """The oracle's optima series: its regret pass over zero trials."""
-    report = dynamic_regret(np.empty((0, horizon, 1)), cost, noise, region,
-                            alpha, k=k, grid_n=grid_n)
-    return report.optimal_actions, report.optimal_cvar
+    """The oracle's optima series: its search pass over steps ``1..horizon``."""
+    return optimal_action_series(cost, noise, region, alpha, range(horizon),
+                                 k=k, grid_n=grid_n)
+
+
+def regret(x_hat, cost, noise, region, alpha, k, grid_n):
+    """The played pass of ``x_hat`` against the search pass's series."""
+    optima = optima_series(cost, noise, region, alpha, x_hat.shape[1], k, grid_n)
+    return dynamic_regret(x_hat, cost, noise, alpha, optima, grid_n=grid_n)
 
 
 def step_optimum(cost, noise, region, k, grid_n):
@@ -178,14 +186,19 @@ class TestConvexSearch:
                              [("parking", 1500), ("brownian", 500),
                               ("custom", 200)])
     def test_series_equals_exhaustive_scan(self, force_jobs, scenario, horizon):
-        # The zero-trial regret pass, cut into 1, 2 and 3 step ranges.
+        # The search pass, cut into 1, 2 and 3 step ranges run in forked
+        # jobs, each range cold-started.
         scen = build_scenario(ExperimentConfig(scenario=scenario,
                                                horizon=horizon))
-        args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
-        x_ref, c_ref = scan_series(*args, k=100, grid_n=2000)
+        args = (scen.cost, scen.noise, scen.region, 0.5)
+        x_ref, c_ref = scan_series(*args, horizon, k=100, grid_n=2000)
         for jobs in (1, 2, 3):
             force_jobs(jobs)
-            x_star, c_star = optima_series(*args, k=100, grid_n=2000)
+            ranges = fork_ranges(horizon, 1.0)
+            assert len(ranges) == jobs
+            parts = fork_map(functools.partial(optimal_action_series, *args,
+                                               k=100, grid_n=2000), ranges)
+            x_star, c_star = (np.concatenate(part) for part in zip(*parts))
             assert x_star == pytest.approx(x_ref, abs=0)
             assert c_star == pytest.approx(c_ref, abs=0)
 
@@ -228,8 +241,8 @@ class TestDynamicRegret:
         cost = dataclasses.replace(scen.cost, vectorized=vectorized)
         x_hat = played(*np.random.default_rng(54).uniform(1.0, 5.0,
                                                           size=(trials, 40)))
-        report = dynamic_regret(x_hat, cost, scen.noise, scen.region, 0.5,
-                                k=50, grid_n=1000)
+        report = regret(x_hat, cost, scen.noise, scen.region, 0.5, k=50,
+                        grid_n=1000)
         for i in range(trials):
             reference = np.array([true_cvar(cost, scen.noise, t, x_hat[i, t - 1],
                                             0.5, grid_n=1000)
@@ -243,15 +256,17 @@ class TestDynamicRegret:
     def test_rejects_played_actions_of_the_wrong_shape(self, shape):
         scen = pricing_scenario(horizon=10)
         with pytest.raises(ConfigurationError, match="played actions"):
-            dynamic_regret(np.full(shape, 2.0), scen.cost, scen.noise,
-                           scen.region, 0.5, k=10, grid_n=1000)
+            dynamic_regret(np.full(shape, 2.0), scen.cost, scen.noise, 0.5,
+                           optima_series(scen.cost, scen.noise, scen.region,
+                                         0.5, 10, k=10, grid_n=1000),
+                           grid_n=1000)
 
     def test_playing_the_optimum_gives_zero_regret(self):
         scen = pricing_scenario(horizon=30)
         x_star, c_star = optima_series(scen.cost, scen.noise, scen.region,
                                        0.5, 30, k=50, grid_n=1000)
-        report = dynamic_regret(played(x_star), scen.cost, scen.noise,
-                                scen.region, 0.5, k=50, grid_n=1000)
+        report = regret(played(x_star), scen.cost, scen.noise, scen.region,
+                        0.5, k=50, grid_n=1000)
         assert report.cumulative_regret[0, -1] == pytest.approx(0.0, abs=1e-12)
         assert report.optimal_actions == pytest.approx(x_star)
 
@@ -259,8 +274,8 @@ class TestDynamicRegret:
         cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0, lipschitz=20.0)
         noise = constant_uniform(1, 1.0, 1.0)
         region = Box([0.0], [2.0])
-        report = dynamic_regret(played([0.0]), cost, noise, region, 0.5,
-                                k=101, grid_n=1000)
+        report = regret(played([0.0]), cost, noise, region, 0.5, k=101,
+                        grid_n=1000)
         # played cost (0-1)^2 = 1; best grid cell center is at ~1.0 with cost ~0
         assert report.played_cvar[0, 0] == pytest.approx(1.0, abs=1e-6)
         assert report.cumulative_regret[0, 0] == pytest.approx(1.0, abs=1e-3)
@@ -269,9 +284,8 @@ class TestDynamicRegret:
         # played - optimal >= -(grid spacing) * L0 for any played point
         scen = pricing_scenario(horizon=50)
         rng = np.random.default_rng(53)
-        report = dynamic_regret(played(rng.uniform(1.0, 5.0, size=50)),
-                                scen.cost, scen.noise, scen.region, 0.5,
-                                k=100, grid_n=2000)
+        report = regret(played(rng.uniform(1.0, 5.0, size=50)), scen.cost,
+                        scen.noise, scen.region, 0.5, k=100, grid_n=2000)
         spacing = 4.0 / 100
         gaps = report.played_cvar - report.optimal_cvar
         assert gaps.min() >= -spacing * scen.cost.lipschitz
@@ -281,9 +295,9 @@ class TestDynamicRegret:
         for trials, suffix in ((1, ""), (_BLOCK // 1000 + 5, "-two-blocks"))
         for scenario in ("parking", "brownian", "custom")])
     def test_inline_optima_equal_the_series(self, scenario, trials):
-        # The regret pass seeds each step's search with the stencil CVaRs of
-        # its first block of rows; the zero-trial pass, whose stencil rows
-        # are alone, and the exhaustive scan are the references.
+        # The report carries the search pass's series, evaluated beside one
+        # block of played rows and beside several; the series on its own and
+        # the exhaustive scan are the references.
         horizon = 120
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
         args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
@@ -291,8 +305,8 @@ class TestDynamicRegret:
         x_ref, c_ref = scan_series(*args, k=40, grid_n=1000)
         low, high = scen.region.lower[0], scen.region.upper[0]
         x_hat = np.random.default_rng(55).uniform(low, high, (trials, horizon, 1))
-        report = dynamic_regret(x_hat, scen.cost, scen.noise, scen.region, 0.5,
-                                k=40, grid_n=1000)
+        report = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=40,
+                        grid_n=1000)
         for actions, values in ((x_star, c_star), (x_ref, c_ref)):
             assert np.array_equal(report.optimal_actions, actions)
             assert np.array_equal(report.optimal_cvar, values)
@@ -305,9 +319,9 @@ class TestForkedRegret:
         for scenario in ("parking", "brownian", "custom")])
     def test_reports_do_not_depend_on_the_job_count(
             self, force_jobs, monkeypatch, scenario, horizon, trials):
-        # Each forked step range cold-starts its search; the serial pass,
-        # warm-started throughout, is the reference, matched bit for bit.
-        # Zero trials give the optima series alone.
+        # The played pass cut into 1, 2 and 3 forked step ranges; the serial
+        # pass is the reference, matched bit for bit. Zero trials give an
+        # empty played pass.
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
         low, high = scen.region.lower[0], scen.region.upper[0]
         x_hat = np.random.default_rng(56).uniform(low, high, (trials, horizon, 1))
@@ -322,8 +336,8 @@ class TestForkedRegret:
         reports = []
         for jobs in (1, 2, 3):
             force_jobs(jobs)
-            reports.append(dynamic_regret(x_hat, scen.cost, scen.noise,
-                                          scen.region, 0.5, k=40, grid_n=1000))
+            reports.append(regret(x_hat, scen.cost, scen.noise, scen.region,
+                                  0.5, k=40, grid_n=1000))
         assert job_counts == [1, 2, 3]
         assert reports[0].played_cvar.shape == (trials, horizon)
         for report in reports[1:]:
@@ -339,16 +353,16 @@ class TestAccumulatedLoss:
         cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0,
                          lipschitz=1.0)
         noise = constant_uniform(10, 0.0, 1.0)
-        report = dynamic_regret(played(np.full(10, 0.5)), cost, noise,
-                                self.UNIT_BOX, 0.5, k=10, grid_n=1000)
+        report = regret(played(np.full(10, 0.5)), cost, noise, self.UNIT_BOX,
+                        0.5, k=10, grid_n=1000)
         assert report.accumulated_loss[0] == pytest.approx(np.zeros(10))
 
     def test_constant_cost_accumulates_linearly(self):
         cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi + 3.0, bound=4.0,
                          lipschitz=1.0)
         noise = constant_uniform(10, 0.0, 1.0)
-        got = dynamic_regret(played(np.full(10, 0.5)), cost, noise,
-                             self.UNIT_BOX, 0.5, k=10, grid_n=1000).accumulated_loss[0]
+        got = regret(played(np.full(10, 0.5)), cost, noise, self.UNIT_BOX,
+                     0.5, k=10, grid_n=1000).accumulated_loss[0]
         assert got == pytest.approx(3.0 * np.arange(1, 11))
 
 
