@@ -6,8 +6,6 @@ ground-truth regret oracle, and a seeded multi-trial experiment harness.
 """
 
 from .core import (
-    AdmissibleSet,
-    Ball,
     Box,
     ConfigurationError,
     CostModel,
@@ -35,13 +33,11 @@ from .schedule import (
     theorem1_params,
     theorem2_params,
 )
-from .smoothing import gradient_estimate, sample_unit_sphere, smoothed_cvar_mc
+from .smoothing import gradient_estimate, sample_unit_sphere, smoothed_cvar
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleSet",
-    "Ball",
     "BatchIndex",
     "Box",
     "ConfigurationError",
@@ -65,7 +61,7 @@ __all__ = [
     "run_trials",
     "sample_unit_sphere",
     "sampling_count_poly",
-    "smoothed_cvar_mc",
+    "smoothed_cvar",
     "sup_cdf_distance",
     "theorem1_params",
     "theorem2_params",

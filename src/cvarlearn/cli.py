@@ -73,8 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    counts = [c for c in args.counts.split(",") if c.strip()]
-    results = run_ablation(config, counts)
+    results = run_ablation(config, args.counts.split(","))
     print("n_t  mean final accumulated loss  (std over trials)")
     for n, result in results.items():
         final = result.report.accumulated_loss[:, -1]

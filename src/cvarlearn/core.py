@@ -1,12 +1,12 @@
 """Geometry and problem-definition primitives.
 
-Decision vectors are plain 1-D numpy arrays. Admissible sets are axis-aligned
-boxes or Euclidean balls with exact projections, an inradius/diameter, and a
-centered shrink operation that keeps sphere-perturbed actions feasible. Cost
-models bundle an evaluation rule with its declared bound, Lipschitz constant,
-and strong-convexity modulus. Noise sequences expose a per-step CDF, quantile
-function, support and step W1. ``fork_map`` and ``fork_ranges`` split a
-phase of independent work across the usable CPUs (not exported).
+A decision is one float, and the admissible set is a closed interval with an
+exact projection, an inradius/diameter, and a centered shrink operation that
+keeps perturbed actions feasible. Cost models bundle an evaluation rule with
+its declared bound, Lipschitz constant, and strong-convexity modulus. Noise
+sequences expose a per-step CDF, quantile function, support and step W1.
+``fork_map`` and ``fork_ranges`` split a phase of independent work across the
+usable CPUs (not exported).
 """
 
 from __future__ import annotations
@@ -14,16 +14,13 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "ConfigurationError",
-    "as_vector",
     "Box",
-    "Ball",
-    "AdmissibleSet",
     "CostModel",
     "NoiseSequence",
 ]
@@ -36,175 +33,61 @@ class ConfigurationError(ValueError):
     """Invalid parameter or incompatible problem setup."""
 
 
-def as_vector(x) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float array of dimension >= 1."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1 or v.size < 1:
-        raise ConfigurationError(f"decision vector must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigurationError("decision vector has non-finite coordinates")
-    return v
-
-
-def _as_points(x) -> np.ndarray:
-    """``x`` as one finite decision ``(d,)`` or a stack of them ``(n, d)``."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 2:
-        return as_vector(v)
-    if not np.isfinite(v).all():
-        raise ConfigurationError("decision vector has non-finite coordinates")
-    return v
-
-
-def _check_dim(x: np.ndarray, dim: int) -> None:
-    if x.shape[-1] != dim:
-        raise ConfigurationError(
-            f"dimension mismatch: point is {x.shape[-1]}-D, set is {dim}-D"
-        )
-
-
-def _frozen_array(obj, field: str, value) -> None:
-    arr = np.asarray(value, dtype=float)
-    arr.flags.writeable = False
-    object.__setattr__(obj, field, arr)
-
-
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box ``{x : lower <= x <= upper}``.
+    """Closed interval ``{x : lower <= x <= upper}`` of decisions.
 
-    The inradius is the smallest half-width, the diameter is the Euclidean
-    length of the main diagonal, and the center is the midpoint (which is
-    also the Chebyshev center).
+    The inradius is the half-width, the diameter is the length, and the
+    center is the midpoint. ``project`` and ``contains`` take one decision
+    or an array of them.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: float
+    upper: float
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ConfigurationError("box bounds must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        lo, hi = float(self.lower), float(self.upper)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ConfigurationError("box bounds must be finite")
-        if not np.all(lo < hi):
-            raise ConfigurationError("box requires lower < upper in every coordinate")
-        _frozen_array(self, "lower", lo)
-        _frozen_array(self, "upper", hi)
+        if not lo < hi:
+            raise ConfigurationError("box requires lower < upper")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
 
     @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    @property
-    def center(self) -> np.ndarray:
+    def center(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
     @property
     def inradius(self) -> float:
-        return float(0.5 * np.min(self.upper - self.lower))
+        return 0.5 * (self.upper - self.lower)
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
+        return self.upper - self.lower
 
-    def project(self, x) -> np.ndarray:
-        """Nearest point of the box to ``x``, or to each row of ``x``."""
-        x = _as_points(x)
-        _check_dim(x, self.dim)
-        return np.clip(x, self.lower, self.upper)
+    def project(self, x):
+        """Nearest point of the interval to ``x``, or to each entry of ``x``."""
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Whether ``x``, or every row of ``x``, lies in the box."""
-        x = _as_points(x)
-        if x.shape[-1] != self.dim:
-            return False
-        return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
+        """Whether ``x``, or every entry of ``x``, lies in the interval."""
+        x = np.asarray(x)
+        return bool(((x >= self.lower - tol) & (x <= self.upper + tol)).all())
 
     def shrink(self, delta: float) -> "Box":
-        """Contract the box about its center by the factor ``1 - delta/inradius``.
+        """Contract the interval about its center by the factor
+        ``1 - delta/inradius``.
 
-        Every point of the shrunk set stays feasible in the original set
-        after an arbitrary perturbation of Euclidean length ``delta``. The
-        contraction is performed about the set's own center, so it is
-        coordinate-frame-free and works for sets that do not contain the
-        origin.
+        Every point of the shrunk interval stays feasible in the original
+        after a perturbation of length ``delta``.
         """
-        factor = _shrink_factor(self, delta)
-        half = 0.5 * (self.upper - self.lower) * factor
-        c = self.center
+        delta, r = float(delta), self.inradius
+        if not (0.0 <= delta < r):
+            raise ConfigurationError(
+                f"smoothing radius {delta} must satisfy 0 <= delta < inradius {r}")
+        half, c = r * (1.0 - delta / r), self.center
         return Box(c - half, c + half)
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Euclidean ball with given center and radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if c.ndim != 1 or not np.all(np.isfinite(c)):
-            raise ConfigurationError("ball center must be a finite 1-D array")
-        r = float(self.radius)
-        if not (np.isfinite(r) and r > 0):
-            raise ConfigurationError("ball radius must be positive")
-        _frozen_array(self, "center", c)
-        object.__setattr__(self, "radius", r)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    @property
-    def inradius(self) -> float:
-        return self.radius
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.radius
-
-    def project(self, x) -> np.ndarray:
-        """Nearest point of the ball to ``x``, or to each row of ``x``."""
-        x = _as_points(x)
-        _check_dim(x, self.dim)
-        offset = x - self.center
-        dist = np.linalg.norm(offset, axis=-1, keepdims=True)
-        # ulp-scale slack keeps the projection exactly idempotent: a point just
-        # rescaled onto the sphere may re-measure a few ulps outside it.
-        inside = dist <= self.radius * (1.0 + 1e-14)
-        return np.where(inside, x, self.center
-                        + offset * (self.radius / np.where(inside, 1.0, dist)))
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        """Whether ``x``, or every row of ``x``, lies in the ball."""
-        x = _as_points(x)
-        if x.shape[-1] != self.dim:
-            return False
-        dist = np.linalg.norm(x - self.center, axis=-1)
-        return bool((dist <= self.radius + tol).all())
-
-    def shrink(self, delta: float) -> "Ball":
-        """Contract the ball about its center by the factor
-        ``1 - delta/inradius``; feasible under perturbations of length
-        ``delta``, as for ``Box.shrink``."""
-        factor = _shrink_factor(self, delta)
-        return Ball(self.center, self.radius * factor)
-
-
-AdmissibleSet = Union[Box, Ball]
-
-
-def _shrink_factor(region: AdmissibleSet, delta: float) -> float:
-    delta = float(delta)
-    r = region.inradius
-    if not (0.0 <= delta < r):
-        raise ConfigurationError(
-            f"smoothing radius {delta} must satisfy 0 <= delta < inradius {r}"
-        )
-    return 1.0 - delta / r
 
 
 @dataclass(frozen=True)
@@ -218,11 +101,8 @@ class CostModel:
     Parameters
     ----------
     fn:
-        Evaluation rule. Must accept a decision (1-D array or scalar) and a
-        scalar or 1-D array of noise values, broadcasting over the noise.
-        When ``vectorized`` is true, ``fn`` is additionally expected to obey
-        full numpy broadcasting in both arguments (used to batch grid
-        evaluations); this holds for any formula built from ufuncs.
+        Evaluation rule. Must obey numpy broadcasting in both the decisions
+        and the noise values, as any formula built from ufuncs does.
     bound:
         Uniform bound ``U`` on ``|J|`` over the admissible set and the
         declared noise support.
@@ -236,7 +116,6 @@ class CostModel:
     bound: float
     lipschitz: float
     strong_convexity: float = 0.0
-    vectorized: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.bound) and self.bound > 0):
@@ -252,17 +131,12 @@ class CostModel:
     def rows(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """``J(x[r], xi[r])`` for every row ``r``, as an array ``(rows, n)``.
 
-        ``x`` holds one decision per row, ``(rows, d)``; ``xi`` holds one row
+        ``x`` holds one decision per row, ``(rows,)``; ``xi`` holds one row
         of ``n`` noise values per decision, or a single row ``(1, n)`` shared
-        by all. A vectorized cost of 1-D decisions is evaluated in one
-        broadcast call, any other cost once per row.
+        by all. The cost is evaluated in one broadcast call.
         """
         shape = (x.shape[0], xi.shape[-1])
-        if self.vectorized and x.shape[1] == 1:
-            values = np.asarray(self(x, xi), dtype=float)
-        else:
-            values = np.array([np.asarray(self(row, noise), dtype=float)
-                               for row, noise in zip(x, np.broadcast_to(xi, shape))])
+        values = np.asarray(self(x[:, None], xi), dtype=float)
         if values.shape != shape:
             raise ConfigurationError(
                 f"cost model returned shape {values.shape} for {shape[0]} "

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import environment, learner, oracle, schedule
-from .core import (AdmissibleSet, Box, ConfigurationError, CostModel,
-                   NoiseSequence, fork_map, fork_ranges)
+from .core import (Box, ConfigurationError, CostModel, NoiseSequence, fork_map,
+                   fork_ranges)
 from .schedule import (
     ConstantRate,
     ConstantSampling,
@@ -210,7 +210,7 @@ def make_config(*sources: dict) -> ExperimentConfig:
 class Scenario:
     cost: CostModel
     noise: NoiseSequence
-    region: AdmissibleSet
+    region: Box
 
 
 def _pricing_cost(a_el: float, nu: float, target: float,
@@ -264,7 +264,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     horizon = config.horizon
     if config.scenario == "brownian":
         noise: NoiseSequence = environment.BrownianSeq(horizon, config.diffusivity)
-        region: AdmissibleSet = Box([config.track_low], [config.track_high])
+        region = Box(config.track_low, config.track_high)
         cost = _tracking_cost((config.track_low, config.track_high),
                               noise.support(horizon))
     else:
@@ -275,7 +275,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         else:
             noise = environment.constant_uniform(horizon, config.noise_low,
                                                  config.noise_high)
-        region = Box([config.price_low], [config.price_high])
+        region = Box(config.price_low, config.price_high)
         cost = _pricing_cost(config.elasticity, config.regularization,
                              config.target_occupancy,
                              (config.price_low, config.price_high),
@@ -335,7 +335,7 @@ def _learner(config: ExperimentConfig, scenario: Scenario
         alpha=config.alpha,
         sampling=ConstantSampling(config.samples),
         rate=rate,
-        x0=np.array([config.x0]),
+        x0=config.x0,
     )
     check = check_sampling_requirement(settings.sampling, config.batch_size,
                                        config.sampling_a, config.sampling_c)
@@ -438,8 +438,8 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
     optima, *traces = (out for part in fork_map(
         lambda part: [tasks[i]() for i in part],
         fork_ranges(len(tasks), work_s)) for out in part)
-    x0, x = np.array([first.x0]), traces[0].x[0, 0]
-    if not np.array_equal(x, x0):
+    x0, x = first.x0, traces[0].x[0, 0]
+    if x != x0:
         logger.info("initial decision projected into the shrunk set: %s -> %s", x0, x)
     report = oracle.dynamic_regret(
         np.concatenate([trace.x_hat for trace in traces]), scenario.cost,
@@ -473,8 +473,8 @@ def _write_experiments(results: list[ExperimentResult]) -> None:
             trace.t, trace.batch, trace.epoch, None, None, trace.n_samples, None,
             None, trace.eta, None, report.optimal_cvar, None, None))
         writes += [(Path(f"{prefix}_trial{i}.csv"), template, (
-            trace.x[i, :, 0], trace.x_hat[i, :, 0], trace.cvar_estimate[i],
-            trace.gradient[i, :, 0], report.played_cvar[i],
+            trace.x[i], trace.x_hat[i], trace.cvar_estimate[i],
+            trace.gradient[i], report.played_cvar[i],
             report.cumulative_regret[i], report.accumulated_loss[i]))
             for i in range(result.config.trials)]
     work_s = sum(result.report.played_cvar.size for result in results) * _ROW_S
@@ -483,7 +483,7 @@ def _write_experiments(results: list[ExperimentResult]) -> None:
     header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
     for result in results:
         report = result.report
-        columns = (result.trace.x[:, :, 0], report.played_cvar,
+        columns = (result.trace.x, report.played_cvar,
                    report.cumulative_regret, report.accumulated_loss)
         stats = [s for c in columns for s in (c.mean(axis=0), c.std(axis=0))]
         _write_csv(Path(f"{result.config.out_prefix}_aggregate.csv"),

@@ -1,12 +1,12 @@
 """Restarted zeroth-order CVaR descent.
 
 Each step identifies its batch and within-batch epoch, perturbs the current
-decision along a fresh unit-sphere direction, queries the cost the scheduled
-number of times, estimates the CVaR of the sampled costs, forms the one-point
-gradient estimate, and takes a projected step inside the delta-shrunk
-admissible set. At batch boundaries only the schedule state (epoch, hence
-sample count and learning rate) resets; the decision carries over from the
-previous batch.
+decision by ``delta`` in a random direction (a fair sign), queries the cost
+the scheduled number of times, estimates the CVaR of the sampled costs, forms
+the one-point gradient estimate, and takes a projected step inside the
+delta-shrunk interval. At batch boundaries only the schedule state (epoch,
+hence sample count and learning rate) resets; the decision carries over from
+the previous batch.
 
 Seeded trials share the cost, the noise sequence and the schedule, so they
 step together along a leading trial axis; only the generators are per trial.
@@ -16,14 +16,15 @@ into noise, a block of steps at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AdmissibleSet, ConfigurationError, CostModel, NoiseSequence, as_vector
+from .core import Box, ConfigurationError, CostModel, NoiseSequence
 from .risk import cvar_of_values
 from .schedule import LearningRateSchedule, SamplingStrategy, batch_epoch
-from .smoothing import gradient_estimate, sample_unit_sphere
+from .smoothing import gradient_estimate
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
 
@@ -38,10 +39,12 @@ class LearnerConfig:
     alpha: float
     sampling: SamplingStrategy
     rate: LearningRateSchedule
-    x0: np.ndarray
+    x0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", as_vector(self.x0))
+        object.__setattr__(self, "x0", float(self.x0))
+        if not math.isfinite(self.x0):
+            raise ConfigurationError(f"initial decision x0={self.x0} must be finite")
         if int(self.horizon) < 1:
             raise ConfigurationError("horizon must be >= 1")
         if int(self.batch_size) < 2:
@@ -56,8 +59,8 @@ class LearnerConfig:
 class Trace:
     """Columns of a lockstep run, one array per field.
 
-    Schedule columns are per step, ``(T,)``; trajectory columns lead with the
-    trial axis, ``(trials, T)`` or ``(trials, T, d)``.
+    Schedule columns are per step, ``(T,)``; trajectory columns are
+    ``(trials, T)``.
     """
 
     t: np.ndarray              # (T,) step index, from 1
@@ -65,11 +68,11 @@ class Trace:
     epoch: np.ndarray          # (T,) within-batch epoch tau
     n_samples: np.ndarray      # (T,) cost queries per step
     eta: np.ndarray            # (T,) learning rate
-    x: np.ndarray              # (trials, T, d) decision before perturbation
-    u: np.ndarray              # (trials, T, d) unit-sphere direction
-    x_hat: np.ndarray          # (trials, T, d) played (perturbed) action
+    x: np.ndarray              # (trials, T) decision before perturbation
+    u: np.ndarray              # (trials, T) direction, +1 or -1
+    x_hat: np.ndarray          # (trials, T) played (perturbed) action
     cvar_estimate: np.ndarray  # (trials, T)
-    gradient: np.ndarray       # (trials, T, d)
+    gradient: np.ndarray       # (trials, T)
 
 
 #: Values, direction uniforms included, in a block of steps (at least one
@@ -77,40 +80,31 @@ class Trace:
 _BLOCK = 2 ** 16
 
 
-def _draws(rngs, d: int, n_samples: np.ndarray, noise: NoiseSequence):
-    """Each step's directions ``(trials, d)`` and noise values ``(trials, n_t)``.
+def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
+    """Each step's directions ``(trials,)`` and noise values ``(trials, n_t)``.
 
-    Every generator yields, per step, its direction and then its ``n_t``
-    uniforms; each block's uniforms become noise in one ``noise.quantile``
-    call. In one dimension the direction is the sign of one uniform, as in
-    ``sample_unit_sphere``, so a trial's block is one draw of ``sum(1 + n_t)``
-    uniforms, split at the step boundaries; the values are the same as drawn
-    step by step.
+    Every generator yields, per step, its direction (the sign of one
+    uniform, as in ``sample_unit_sphere(1, rng)``) and then its ``n_t``
+    uniforms, so a trial's block is one draw of ``sum(1 + n_t)`` uniforms,
+    split at the step boundaries: the values are the same as drawn step by
+    step. Each block's uniforms become noise in one ``noise.quantile`` call.
     """
-    trials = len(rngs)
-    sizes = trials * (1 + n_samples)
+    sizes = len(rngs) * (1 + n_samples)
     cuts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _BLOCK)) + 1
     for steps in np.split(np.arange(n_samples.size), cuts):
         n = n_samples[steps]
-        if d == 1:
-            heads = np.cumsum(1 + n) - 1 - n
-            stream = np.stack([rng.random(heads[-1] + 1 + n[-1]) for rng in rngs])
-            u = np.where(stream[:, heads, None] < 0.5, 1.0, -1.0)
-            # Row-major, as each step's draws were: the layout of the costs
-            # sets the order in which ``cvar_of_values`` sums them.
-            q = np.take(stream, np.delete(np.arange(stream.shape[1]), heads), axis=1)
-        else:
-            u, q = np.empty((trials, steps.size, d)), np.empty((trials, n.sum()))
-            for i, rng in enumerate(rngs):
-                for j, end in enumerate(np.cumsum(n)):
-                    u[i, j] = sample_unit_sphere(d, rng)
-                    q[i, end - n[j]:end] = rng.random(n[j])
+        heads = np.cumsum(1 + n) - 1 - n
+        stream = np.stack([rng.random(heads[-1] + 1 + n[-1]) for rng in rngs])
+        u = np.where(stream[:, heads] < 0.5, 1.0, -1.0)
+        # Row-major, as each step's draws were: the layout of the costs
+        # sets the order in which ``cvar_of_values`` sums them.
+        q = np.take(stream, np.delete(np.arange(stream.shape[1]), heads), axis=1)
         xi = np.asarray(noise.quantile(np.repeat(steps + 1, n), q), dtype=float)
-        yield from zip(u.transpose(1, 0, 2), np.split(xi, np.cumsum(n)[:-1], axis=1))
+        yield from zip(u.T, np.split(xi, np.cumsum(n)[:-1], axis=1))
 
 
 def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
-               region: AdmissibleSet, seeds) -> Trace:
+               region: Box, seeds) -> Trace:
     """Run ``config.horizon`` steps for every seed in lockstep; return the trace.
 
     Trial ``i`` draws from its own generator, seeded with ``seeds[i]``, in a
@@ -118,9 +112,6 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     trial's columns therefore do not depend on the seeds run beside it.
     """
     inner = region.shrink(config.delta)
-    if config.x0.size != region.dim:
-        raise ConfigurationError(
-            f"initial decision is {config.x0.size}-D, set is {region.dim}-D")
     if config.horizon > noise.horizon:
         raise ConfigurationError(
             f"run horizon {config.horizon} exceeds noise horizon {noise.horizon}")
@@ -128,17 +119,15 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     if not rngs:
         raise ConfigurationError("a run needs at least one seed")
 
-    x = inner.project(config.x0)
-    horizon, trials, d = int(config.horizon), len(rngs), region.dim
+    horizon, trials = int(config.horizon), len(rngs)
     t = np.arange(1, horizon + 1)
     batch, epoch = np.array([batch_epoch(s, config.batch_size) for s in t]).T
     n_samples = np.array([config.sampling.count(tau, config.batch_size)
                           for tau in epoch])
     eta = np.array([config.rate.rate(tau) for tau in epoch], dtype=float)
-    xs, us, x_hats, grads = (np.empty((trials, horizon, d)) for _ in range(4))
-    cvars = np.empty((trials, horizon))
-    x = np.tile(x, (trials, 1))
-    for s, (u, xi) in enumerate(_draws(rngs, d, n_samples, noise)):
+    xs, us, x_hats, grads, cvars = (np.empty((trials, horizon)) for _ in range(5))
+    x = np.full(trials, inner.project(config.x0))
+    for s, (u, xi) in enumerate(_draws(rngs, n_samples, noise)):
         x_hat = x + config.delta * u
         if not region.contains(x_hat):
             raise RuntimeError(
@@ -149,7 +138,9 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
             raise ConfigurationError(
                 f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
         cvar = cvar_of_values(step_costs, config.alpha)
-        grad = gradient_estimate(cvar, u, config.delta)
+        # Directions as rows of dimension 1: a (trials,) array would be read
+        # as one direction of dimension ``trials``, and scaled by it.
+        grad = gradient_estimate(cvar, u[:, None], config.delta)[:, 0]
         xs[:, s], us[:, s], x_hats[:, s], grads[:, s] = x, u, x_hat, grad
         cvars[:, s] = cvar
         x = inner.project(x - eta[s] * grad)

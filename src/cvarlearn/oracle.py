@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (AdmissibleSet, Ball, Box, ConfigurationError, CostModel,
-                   NoiseSequence, as_vector, fork_map, fork_ranges)
+from .core import (Box, ConfigurationError, CostModel, NoiseSequence, fork_map,
+                   fork_ranges)
 from .risk import cvar_of_values
 
 __all__ = ["true_cvar", "action_grid", "RegretReport", "optimal_action_series",
@@ -57,34 +57,26 @@ _BLOCK = 2 ** 16
 _VALUE_S = 1e-8
 
 
-def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x, alpha: float,
-              grid_n: int = 10_000) -> float:
+def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x: float,
+              alpha: float, grid_n: int = 10_000) -> float:
     """Deterministic CVaR of ``J(x, xi_t)`` via a mid-quantile noise grid."""
     xi = np.asarray(noise.quantile(t, _mid_quantiles(int(grid_n))), dtype=float)
-    return float(_cvars(cost, xi, as_vector(x)[None, :], alpha)[0])
+    return float(_cvars(cost, xi, np.array([x], dtype=float), alpha)[0])
 
 
-def action_grid(region: AdmissibleSet, k: int) -> np.ndarray:
-    """``k`` grid points at the centers of equal subintervals of a 1-D set."""
+def action_grid(region: Box, k: int) -> np.ndarray:
+    """``k`` grid points at the centers of equal subintervals of the interval."""
     k = int(k)
     if k < 2:
         raise ConfigurationError("action grid needs at least 2 points")
-    if region.dim != 1:
-        raise ConfigurationError(
-            "grid search over optimal actions supports 1-D decision sets only")
-    if isinstance(region, Box):
-        lo, hi = float(region.lower[0]), float(region.upper[0])
-    elif isinstance(region, Ball):
-        lo, hi = float(region.center[0] - region.radius), float(region.center[0] + region.radius)
-    else:  # pragma: no cover - union is exhaustive
-        raise ConfigurationError(f"unsupported set type {type(region)!r}")
+    lo, hi = region.lower, region.upper
     return lo + (np.arange(k) + 0.5) * (hi - lo) / k
 
 
 def _cvars(cost: CostModel, xi: np.ndarray, x_rows: np.ndarray,
            alpha: float) -> np.ndarray:
-    """CVaR against the noise grid ``xi`` (1-D) of every decision row of
-    ``x_rows`` ``(rows, d)``."""
+    """CVaR against the noise grid ``xi`` (1-D) of every decision of
+    ``x_rows`` ``(rows,)``."""
     return cvar_of_values(cost.rows(x_rows, xi[None, :]), alpha)
 
 
@@ -141,7 +133,7 @@ def _grids(noise: NoiseSequence, levels: np.ndarray, steps: range):
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
-                          region: AdmissibleSet, alpha: float, steps: range,
+                          region: Box, alpha: float, steps: range,
                           k: int = 100, grid_n: int = 10_000
                           ) -> tuple[np.ndarray, np.ndarray]:
     """The grid optimum of each 0-based step of ``steps`` (step ``s + 1``)
@@ -160,9 +152,9 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
     i = xs.size // 2
     for j, xi in enumerate(_grids(noise, _mid_quantiles(int(grid_n)), steps)):
         lo = max(i - 1, 0)
-        stencil = _cvars(cost, xi, xs[lo:i + 2, None], alpha)
+        stencil = _cvars(cost, xi, xs[lo:i + 2], alpha)
         i, c_star[j] = _first_grid_minimum(
-            lambda m: _cvars(cost, xi, xs[m:m + 1, None], alpha)[0], xs.size, i,
+            lambda m: _cvars(cost, xi, xs[m:m + 1], alpha)[0], xs.size, i,
             tol, dict(enumerate(stencil, start=lo)))
         x_star[j] = xs[i]
     return x_star, c_star
@@ -171,7 +163,7 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
 def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                    alpha: float, optima: tuple[np.ndarray, np.ndarray],
                    grid_n: int = 10_000) -> RegretReport:
-    """Evaluate played actions ``x_hat`` of shape ``(trials, T, 1)``, played
+    """Evaluate played actions ``x_hat`` of shape ``(trials, T)``, played
     at steps ``1..T``, against the best actions in hindsight ``optima``, as
     ``optimal_action_series`` returns them for ``range(T)``: the played pass.
 
@@ -184,10 +176,9 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     x_star, c_star = optima
     x_hat = np.asarray(x_hat, dtype=float)
     horizon = len(c_star)
-    if x_hat.ndim != 3 or x_hat.shape[1:] != (horizon, 1):
+    if x_hat.ndim != 2 or x_hat.shape[1] != horizon:
         raise ConfigurationError(
-            f"played actions must have shape (trials, {horizon}, 1), "
-            f"got {x_hat.shape}")
+            f"played actions must have shape (trials, {horizon}), got {x_hat.shape}")
     levels = _mid_quantiles(int(grid_n))
     played = np.concatenate(fork_map(
         functools.partial(_played_steps, x_hat, cost, noise, alpha, levels),

@@ -168,7 +168,7 @@ def gradient_estimator_checks() -> list[CheckResult]:
 
     scen = harness.build_scenario(harness.ExperimentConfig())
     rng = np.random.default_rng(105)
-    t_step, x0, delta, alpha, n_per_draw, n_draws = 3000, np.array([2.0]), 0.05, 0.5, 8, 100_000
+    t_step, x0, delta, alpha, n_per_draw, n_draws = 3000, 2.0, 0.05, 0.5, 8, 100_000
     # One row per draw: column 0 gives the direction's sign, as in
     # sample_unit_sphere, and the rest are the noise uniforms.
     draws = rng.random((n_draws, 1 + n_per_draw))
@@ -178,10 +178,10 @@ def gradient_estimator_checks() -> list[CheckResult]:
     estimates = smoothing.gradient_estimate(cv, u, delta)[:, 0]
     stderr = estimates.std(ddof=1) / math.sqrt(n_draws)
     h = 1e-4
-    fd = (smoothing.smoothed_cvar_mc(scen.cost, scen.noise, t_step, x0 + h, delta,
-                                     alpha, n_noise=20_000)
-          - smoothing.smoothed_cvar_mc(scen.cost, scen.noise, t_step, x0 - h, delta,
-                                       alpha, n_noise=20_000)) / (2 * h)
+    fd = (smoothing.smoothed_cvar(scen.cost, scen.noise, t_step, x0 + h, delta,
+                                  alpha, n_noise=20_000)
+          - smoothing.smoothed_cvar(scen.cost, scen.noise, t_step, x0 - h, delta,
+                                    alpha, n_noise=20_000)) / (2 * h)
     gap = abs(estimates.mean() - fd)
     return [_result("smoothing", "two-direction-quadratic-gradient", exact_ok,
                     "average == 2x at 17 dyadic points"),

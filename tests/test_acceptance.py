@@ -56,8 +56,8 @@ def test_05_gradient_estimator_consistency(verify_checks):
 def test_06_feasibility_of_played_actions(paper_study):
     x_hat = paper_study.results[8].trace.x_hat
     scen = paper_study.scenario
-    lo = float(scen.region.lower[0]) - 1e-12
-    hi = float(scen.region.upper[0]) + 1e-12
+    lo = scen.region.lower - 1e-12
+    hi = scen.region.upper + 1e-12
     ok = bool(np.all(x_hat >= lo) and np.all(x_hat <= hi))
     report(6, "played-actions-stay-admissible", ok,
            f"range [{x_hat.min():.4f}, {x_hat.max():.4f}] inside "
@@ -68,7 +68,7 @@ def test_07_pricing_study_tracking_and_sublinear_regret(paper_study):
     result = paper_study.results[8]
     config = paper_study.config
     batch = config.batch_size
-    mean_price = result.trace.x[:, :, 0].mean(axis=0)
+    mean_price = result.trace.x.mean(axis=0)
     gap = np.abs(mean_price - result.report.optimal_actions)
     first_gap = gap[:batch].mean()
     last_gap = gap[-batch:].mean()

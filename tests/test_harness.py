@@ -153,7 +153,7 @@ class TestRunExperiment:
         config = small_config(tmp_path)
         result = run_experiment(config)
         row = (tmp_path / "ra_trial0.csv").read_text().splitlines()[1].split(",")
-        assert float(row[3]) == result.trace.x[0, 0, 0]
+        assert float(row[3]) == result.trace.x[0, 0]
         # LF line endings, no CR
         assert b"\r" not in (tmp_path / "ra_trial0.csv").read_bytes()
 
@@ -219,7 +219,7 @@ class TestRunExperiment:
         result = run_experiment(small_config(tmp_path, trials=3))
         table = np.loadtxt(tmp_path / "ra_aggregate.csv", delimiter=",",
                            skiprows=1)
-        x = result.trace.x[:, :, 0]
+        x = result.trace.x
         assert table[:, 1] == pytest.approx(x.mean(axis=0))
         assert table[:, 8] == pytest.approx(
             result.report.accumulated_loss.std(axis=0))
@@ -421,7 +421,8 @@ class TestCli:
         assert "inradius" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("counts", ["8,x", "0,8", "8,8", "8,08", "8,8.0"])
+    @pytest.mark.parametrize("counts", ["8,x", "0,8", "8,8", "8,08", "8,8.0",
+                                        "8,,16"])
     def test_bad_counts_exit_one_before_the_oracle(
             self, tmp_path, monkeypatch, capsys, counts):
         forbid_oracle_and_learner(monkeypatch)

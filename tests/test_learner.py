@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cvarlearn.core import Ball, Box, ConfigurationError, CostModel
+from cvarlearn.core import Box, ConfigurationError, CostModel
 from cvarlearn import learner
 from cvarlearn.environment import BrownianSeq, constant_uniform, parking_noise
 from cvarlearn.learner import LearnerConfig, Trace, _draws, run_trials
@@ -21,7 +21,7 @@ from cvarlearn.smoothing import sample_unit_sphere
 def make_config(**overrides):
     base = dict(horizon=50, batch_size=10, delta=0.05, alpha=0.5,
                 sampling=ConstantSampling(4), rate=ConstantRate(0.05),
-                x0=np.array([0.5]))
+                x0=0.5)
     base.update(overrides)
     return LearnerConfig(**base)
 
@@ -37,12 +37,11 @@ def step_costs(trace, config, cost, noise, seeds):
     turned into noise on their own; checked bit for bit against the trace's
     directions and CVaR estimates."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    d = trace.x_hat.shape[-1]
     costs = []
     for s, n in enumerate(trace.n_samples):
         xi = np.empty((len(rngs), n))
         for i, rng in enumerate(rngs):
-            assert np.array_equal(trace.u[i, s], sample_unit_sphere(d, rng))
+            assert np.array_equal(trace.u[i, s:s + 1], sample_unit_sphere(1, rng))
             xi[i] = noise.quantile(trace.t[s], rng.random(n))
         costs.append(cost.rows(trace.x_hat[:, s], xi))
         assert np.array_equal(cvar_of_values(costs[-1], config.alpha),
@@ -57,31 +56,29 @@ QUADRATIC_COST = CostModel(fn=lambda x, xi: (x - 2.0) ** 2 + 0.0 * xi,
 
 class TestRunBasics:
     def test_zero_cost_is_a_fixed_point(self):
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(50, 0.0, 1.0)
         trace = run(make_config(), ZERO_COST, noise, region)
-        assert trace.x.shape == (1, 50, 1)
+        assert trace.x.shape == (1, 50)
         assert np.all(trace.cvar_estimate == 0.0)
         assert trace.gradient.ravel() == pytest.approx(np.zeros(50))
         assert trace.x.ravel() == pytest.approx(np.full(50, 0.5))
 
     def test_record_self_consistency(self):
-        region = Box([1.0], [5.0])
+        region = Box(1.0, 5.0)
         noise = parking_noise(100)
-        config = make_config(horizon=100, batch_size=20, x0=np.array([1.5]),
+        config = make_config(horizon=100, batch_size=20, x0=1.5,
                              sampling=ConstantSampling(8))
         trace = run_trials(config, pricing_cost(), noise, region, [0, 1])
         costs = step_costs(trace, config, pricing_cost(), noise, [0, 1])
-        d = 1
         assert np.array_equal(trace.x_hat, trace.x + config.delta * trace.u)
         assert np.array_equal(
-            trace.gradient,
-            (d / config.delta) * trace.cvar_estimate[:, :, None] * trace.u)
+            trace.gradient, (1 / config.delta) * trace.cvar_estimate * trace.u)
         for step, n_t in zip(costs, trace.n_samples, strict=True):
             assert step.shape == (2, n_t)
 
     def test_exact_record_count_with_short_final_batch(self):
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(25, 0.0, 1.0)
         trace = run(make_config(horizon=25, batch_size=10), ZERO_COST, noise,
                     region)
@@ -89,11 +86,10 @@ class TestRunBasics:
         assert trace.batch[-1] == 3 and trace.epoch[-1] == 5
 
     def test_initial_point_projected_into_shrunk_set(self):
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(10, 0.0, 1.0)
-        trace = run(make_config(horizon=10, x0=np.array([0.0])), ZERO_COST,
-                    noise, region)
-        assert trace.x[0, 0] == pytest.approx([0.05])
+        trace = run(make_config(horizon=10, x0=0.0), ZERO_COST, noise, region)
+        assert trace.x[0, 0] == pytest.approx(0.05)
 
 
 def pricing_cost():
@@ -103,45 +99,31 @@ def pricing_cost():
     return CostModel(fn=fn, bound=0.41, lipschitz=0.2, strong_convexity=0.046)
 
 
-def ball_problem(noise_weight=0.0):
-    """d = 2 ball, a cost that must be evaluated one decision at a time."""
-
-    def fn(x, xi):
-        return float(np.sum(np.asarray(x) ** 2)) + noise_weight * np.asarray(xi)
-
-    cost = CostModel(fn=fn, bound=30.0, lipschitz=10.0, strong_convexity=2.0,
-                     vectorized=False)
-    config = make_config(horizon=3000, batch_size=1000, delta=0.1,
-                         sampling=ConstantSampling(1), rate=ConstantRate(0.01),
-                         x0=np.array([1.5, -1.0]))
-    return Ball([0.0, 0.0], 2.0), cost, config
-
-
 class TestConvergence:
     def test_deterministic_quadratic_converges(self):
         # Effective step is eta*(d/delta)*J; 0.01*20 = 0.2 keeps the recursion
         # contractive from anywhere in the box, so the tail must settle at the
         # minimizer. (With eta = delta the step equals J itself and the
         # iterates bounce between the box faces instead of converging.)
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(2000, 0.0, 1.0)
         config = make_config(horizon=2000, batch_size=500, delta=0.05,
                              sampling=ConstantSampling(1),
-                             rate=ConstantRate(0.01), x0=np.array([0.5]))
+                             rate=ConstantRate(0.01), x0=0.5)
         trace = run(config, QUADRATIC_COST, noise, region, seed=3)
-        tail = trace.x[0, -100:, 0]
+        tail = trace.x[0, -100:]
         assert abs(tail.mean() - 2.0) <= 0.1
 
     def test_matches_independent_scalar_recursion(self):
         # The same recursion written out as plain scalar arithmetic, run on an
         # identical generator stream, must reproduce the trajectory bit for
         # bit (checked for two step sizes, including a non-contractive one).
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(2000, 0.0, 1.0)
         for eta in (0.05, 0.01):
             config = make_config(horizon=2000, batch_size=500, delta=0.05,
                                  sampling=ConstantSampling(1),
-                                 rate=ConstantRate(eta), x0=np.array([0.5]))
+                                 rate=ConstantRate(eta), x0=0.5)
             trace = run(config, QUADRATIC_COST, noise, region, seed=3)
             rng = np.random.default_rng(3)
             x = 0.5
@@ -154,25 +136,11 @@ class TestConvergence:
                 x_hat = x + 0.05 * u
                 grad = (1.0 / 0.05) * (x_hat - 2.0) ** 2 * u
                 x = min(max(x - eta * grad, lo), hi)
-            got = trace.x[0, :, 0]
+            got = trace.x[0]
             assert got == pytest.approx(np.array(oracle_traj), abs=1e-12)
 
-    def test_two_dimensional_ball_run(self):
-        # Full loop in d = 2 over a ball: shapes, feasibility, and drift
-        # toward the minimizer at the center.
-        region, cost, config = ball_problem()
-        trace = run(config, cost, constant_uniform(3000, 0.0, 1.0), region,
-                    seed=7)
-        inner = region.shrink(config.delta)
-        assert trace.x.shape == trace.u.shape == trace.gradient.shape == (1, 3000, 2)
-        assert np.abs(np.linalg.norm(trace.u, axis=-1) - 1.0).max() <= 1e-12
-        assert np.array_equal(trace.x_hat, trace.x + config.delta * trace.u)
-        assert inner.contains(trace.x[0]) and region.contains(trace.x_hat[0])
-        tail = trace.x[0, -200:]
-        assert np.linalg.norm(tail.mean(axis=0)) <= 0.2
-
     def test_nonfinite_cost_rejected(self):
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(10, 0.0, 1.0)
         bad = CostModel(fn=lambda x, xi: 0.0 * x + xi / xi - 1.0 + np.nan,
                         bound=1.0, lipschitz=1.0)
@@ -180,9 +148,9 @@ class TestConvergence:
             run(make_config(horizon=10), bad, noise, region)
 
     def test_feasibility_throughout(self):
-        region = Box([1.0], [5.0])
+        region = Box(1.0, 5.0)
         noise = parking_noise(400)
-        config = make_config(horizon=400, batch_size=100, x0=np.array([1.0]),
+        config = make_config(horizon=400, batch_size=100, x0=1.0,
                              sampling=ConstantSampling(8), rate=ConstantRate(0.03))
         trace = run(config, pricing_cost(), noise, region)
         inner = region.shrink(config.delta)
@@ -192,9 +160,9 @@ class TestConvergence:
 
 class TestDeterminismAndRestarts:
     def test_bit_identical_repeat(self):
-        region = Box([1.0], [5.0])
+        region = Box(1.0, 5.0)
         noise = parking_noise(120)
-        config = make_config(horizon=120, batch_size=30, x0=np.array([1.2]),
+        config = make_config(horizon=120, batch_size=30, x0=1.2,
                              sampling=ConstantSampling(5))
         first = run(config, pricing_cost(), noise, region, seed=11)
         second = run(config, pricing_cost(), noise, region, seed=11)
@@ -207,16 +175,16 @@ class TestDeterminismAndRestarts:
         assert np.array_equal(first.cvar_estimate, second.cvar_estimate)
 
     def test_seed_changes_trajectory(self):
-        region = Box([1.0], [5.0])
+        region = Box(1.0, 5.0)
         noise = parking_noise(60)
-        kwargs = dict(horizon=60, batch_size=30, x0=np.array([1.2]),
+        kwargs = dict(horizon=60, batch_size=30, x0=1.2,
                       sampling=ConstantSampling(5))
         a = run(make_config(**kwargs), pricing_cost(), noise, region, seed=1)
         b = run(make_config(**kwargs), pricing_cost(), noise, region, seed=0)
         assert not np.array_equal(a.x_hat, b.x_hat)
 
     def test_schedule_resets_at_batch_boundaries(self):
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(90, 0.0, 1.0)
         config = make_config(
             horizon=90, batch_size=30,
@@ -231,9 +199,9 @@ class TestDeterminismAndRestarts:
             assert eta == pytest.approx(1.0 / (2.0 * tau))
 
     def test_decision_carries_over_restarts(self):
-        region = Box([1.0], [5.0])
+        region = Box(1.0, 5.0)
         noise = parking_noise(60)
-        config = make_config(horizon=60, batch_size=30, x0=np.array([1.5]),
+        config = make_config(horizon=60, batch_size=30, x0=1.5,
                              sampling=ConstantSampling(4))
         trace = run(config, pricing_cost(), noise, region)
         boundary, before = 30, 29  # column indices of t = 31 and t = 30
@@ -243,32 +211,25 @@ class TestDeterminismAndRestarts:
                               inner.project(trace.x[0, before] - step))
 
 
-def ball_case(horizon):
-    region, cost, config = ball_problem(noise_weight=1.0)
-    return (region, cost, constant_uniform(horizon, 0.0, 1.0),
-            dataclasses.replace(config, horizon=horizon, batch_size=100))
-
-
 def brownian_case():
     # 24 samples: a CVaR sums enough of them that the order of the sum, which
     # the costs' memory layout sets, shows in the last bits.
     horizon = 150
     cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=16.0, lipschitz=8.0,
                      strong_convexity=2.0)
-    return (Box([-2.0], [2.0]), cost, BrownianSeq(horizon, 1e-3),
-            make_config(horizon=horizon, batch_size=50, x0=np.array([1.0]),
+    return (Box(-2.0, 2.0), cost, BrownianSeq(horizon, 1e-3),
+            make_config(horizon=horizon, batch_size=50, x0=1.0,
                         sampling=ConstantSampling(24), rate=ConstantRate(0.03)))
 
 
 LOCKSTEP_CASES = {
     "parking-box": lambda: (
-        Box([1.0], [5.0]), pricing_cost(), parking_noise(150),
-        make_config(horizon=150, batch_size=50, x0=np.array([1.0]),
+        Box(1.0, 5.0), pricing_cost(), parking_noise(150),
+        make_config(horizon=150, batch_size=50, x0=1.0,
                     sampling=ConstantSampling(8), rate=ConstantRate(0.03))),
-    "ball-2d": lambda: ball_case(300),
     "polynomial": lambda: (
-        Box([1.0], [5.0]), pricing_cost(), parking_noise(120),
-        make_config(horizon=120, batch_size=40, x0=np.array([2.0]),
+        Box(1.0, 5.0), pricing_cost(), parking_noise(120),
+        make_config(horizon=120, batch_size=40, x0=2.0,
                     sampling=PolynomialSampling(0.5, 1.0),
                     rate=InverseEpochRate(2.0))),
     "brownian": brownian_case,
@@ -312,14 +273,14 @@ class TestDraws:
         seeds = [3, 4, 9]
         for block in (1, 100, 2 ** 62):
             monkeypatch.setattr(learner, "_BLOCK", block)
-            steps = list(_draws([np.random.default_rng(s) for s in seeds], 1,
+            steps = list(_draws([np.random.default_rng(s) for s in seeds],
                                 n_samples, noise))
             assert len(steps) == n_samples.size
             rngs = [np.random.default_rng(s) for s in seeds]
             for t, ((u, xi), n) in enumerate(zip(steps, n_samples), start=1):
-                assert u.shape == (3, 1) and xi.shape == (3, n)
+                assert u.shape == (3,) and xi.shape == (3, n)
                 for i, rng in enumerate(rngs):
-                    assert np.array_equal(u[i], sample_unit_sphere(1, rng))
+                    assert np.array_equal(u[i:i + 1], sample_unit_sphere(1, rng))
                     assert np.array_equal(xi[i], noise.quantile(t, rng.random(n)))
 
     @pytest.mark.parametrize("block", [1, 100, 2 ** 62],
@@ -329,8 +290,7 @@ class TestDraws:
                                                     block):
         # One step per block, a few, and the whole stream in one block give
         # the default blocks' trace, and the directions and CVaR estimates of
-        # the draws made step by step: in d = 2 the per-step draws keep their
-        # order in a block.
+        # the draws made step by step.
         region, cost, noise, config = LOCKSTEP_CASES[case]()
         seeds = [5, 6, 7]
         reference = run_trials(config, cost, noise, region, seeds)
@@ -344,32 +304,25 @@ class TestDraws:
 
 class TestBounds:
     def test_cvar_estimate_within_declared_bound(self):
-        region = Box([1.0], [5.0])
+        region = Box(1.0, 5.0)
         noise = parking_noise(300)
         cost = pricing_cost()
-        config = make_config(horizon=300, batch_size=100, x0=np.array([2.0]),
+        config = make_config(horizon=300, batch_size=100, x0=2.0,
                              sampling=ConstantSampling(8))
         trace = run(config, cost, noise, region)
         assert np.abs(trace.cvar_estimate).max() <= cost.bound
-        assert (np.linalg.norm(trace.gradient, axis=-1).max()
-                <= cost.bound / config.delta + 1e-12)
+        assert np.abs(trace.gradient).max() <= cost.bound / config.delta + 1e-12
 
 
 class TestValidation:
     def test_delta_must_be_below_inradius(self):
-        region = Box([0.0], [1.0])
+        region = Box(0.0, 1.0)
         noise = constant_uniform(10, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
             run(make_config(horizon=10, delta=0.6), ZERO_COST, noise, region)
 
-    def test_dimension_mismatch(self):
-        region = Box([0.0, 0.0], [1.0, 1.0])
-        noise = constant_uniform(10, 0.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            run(make_config(horizon=10), ZERO_COST, noise, region)
-
     def test_horizon_beyond_noise_rejected(self):
-        region = Box([0.0], [4.0])
+        region = Box(0.0, 4.0)
         noise = constant_uniform(5, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
             run(make_config(horizon=10), ZERO_COST, noise, region)
@@ -377,3 +330,23 @@ class TestValidation:
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
             make_config(alpha=1.5)
+
+    @pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_decision_rejected(self, x0):
+        with pytest.raises(ConfigurationError, match="x0"):
+            make_config(x0=x0)
+
+    def test_a_played_action_outside_the_set_is_caught(self):
+        # A set whose shrink does not shrink leaves an initial decision on
+        # its edge there, so the first perturbation away from the set plays
+        # outside it.
+        class Unshrunk(Box):
+            def shrink(self, delta):
+                return self
+
+        region = Unshrunk(0.0, 4.0)
+        noise = constant_uniform(10, 0.0, 1.0)
+        for x0 in (0.0, 4.0):
+            with pytest.raises(RuntimeError, match=r"feasibility violated at t=1\b"):
+                run_trials(make_config(horizon=10, x0=x0), ZERO_COST, noise,
+                           region, range(8))

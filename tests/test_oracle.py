@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvarlearn import oracle
-from cvarlearn.core import (Ball, Box, ConfigurationError, CostModel, fork_map,
-                            fork_ranges)
+from cvarlearn.core import Box, ConfigurationError, CostModel, fork_map, fork_ranges
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
     _BLOCK,
@@ -25,8 +24,8 @@ from cvarlearn.harness import ExperimentConfig, build_scenario
 
 
 def played(*trials):
-    """Played 1-D actions of each trial as the ``(trials, T, 1)`` array."""
-    return np.asarray(trials, dtype=float)[:, :, None]
+    """Played actions of each trial as the ``(trials, T)`` array."""
+    return np.asarray(trials, dtype=float)
 
 
 def pricing_scenario(horizon=6000):
@@ -43,7 +42,7 @@ def scan_series(cost, noise, region, alpha, horizon, k, grid_n):
     xs = action_grid(region, k)
     x_star, c_star = np.empty(horizon), np.empty(horizon)
     for t in range(1, horizon + 1):
-        cv = _cvars(cost, noise_grid(noise, t, grid_n), xs[:, None], alpha)
+        cv = _cvars(cost, noise_grid(noise, t, grid_n), xs, alpha)
         i = int(np.argmin(cv))
         x_star[t - 1], c_star[t - 1] = xs[i], cv[i]
     return x_star, c_star
@@ -75,19 +74,19 @@ class TestTrueCvar:
         noise = constant_uniform(5, 2.0, 2.0)
         cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0, lipschitz=20.0)
         for alpha in (0.1, 0.5, 1.0):
-            assert true_cvar(cost, noise, 1, [5.0], alpha, 1000) == pytest.approx(9.0)
+            assert true_cvar(cost, noise, 1, 5.0, alpha, 1000) == pytest.approx(9.0)
 
     def test_alpha_one_uniform_mean(self):
         noise = constant_uniform(5, 0.0, 1.0)
         grid_n = 10_000
-        got = true_cvar(IDENTITY_COST, noise, 1, [0.0], 1.0, grid_n)
+        got = true_cvar(IDENTITY_COST, noise, 1, 0.0, 1.0, grid_n)
         assert got == pytest.approx(0.5, abs=1 / (2 * grid_n))
 
     def test_uniform_tail_mean(self):
         # CVaR_alpha of U[0,1] under the identity cost is 1 - alpha/2.
         noise = constant_uniform(5, 0.0, 1.0)
         for alpha in (0.25, 0.5, 0.8):
-            got = true_cvar(IDENTITY_COST, noise, 1, [0.0], alpha, 20_000)
+            got = true_cvar(IDENTITY_COST, noise, 1, 0.0, alpha, 20_000)
             assert got == pytest.approx(1 - alpha / 2, abs=1e-4)
 
     def test_grid_self_convergence_on_pricing_cases(self):
@@ -95,7 +94,7 @@ class TestTrueCvar:
         rng = np.random.default_rng(51)
         for _ in range(100):
             t = int(rng.integers(1, 6001))
-            x = [float(rng.uniform(1.0, 5.0))]
+            x = float(rng.uniform(1.0, 5.0))
             coarse = true_cvar(scen.cost, scen.noise, t, x, 0.5, 10_000)
             fine = true_cvar(scen.cost, scen.noise, t, x, 0.5, 100_000)
             assert coarse == pytest.approx(fine, abs=1e-4)
@@ -105,7 +104,7 @@ class TestTrueCvar:
         rng = np.random.default_rng(52)
         for _ in range(50):
             t = int(rng.integers(1, 6001))
-            x = [float(rng.uniform(1.0, 5.0))]
+            x = float(rng.uniform(1.0, 5.0))
             a1, a2 = np.sort(rng.uniform(0.05, 1.0, size=2))
             assert (true_cvar(scen.cost, scen.noise, t, x, a1, 2000)
                     >= true_cvar(scen.cost, scen.noise, t, x, a2, 2000) - 1e-12)
@@ -113,21 +112,14 @@ class TestTrueCvar:
     def test_grid_floor(self):
         noise = constant_uniform(5, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
-            true_cvar(IDENTITY_COST, noise, 1, [0.0], 0.5, 100)
+            true_cvar(IDENTITY_COST, noise, 1, 0.0, 0.5, 100)
 
 
 class TestActionGrid:
     def test_points_are_subinterval_centers(self):
-        xs = action_grid(Box([0.0], [1.0]), 4)
+        xs = action_grid(Box(0.0, 1.0), 4)
         assert xs == pytest.approx([0.125, 0.375, 0.625, 0.875])
 
-    def test_ball_support(self):
-        xs = action_grid(Ball([1.0], 2.0), 2)
-        assert xs == pytest.approx([0.0, 2.0])
-
-    def test_rejects_multidimensional_sets(self):
-        with pytest.raises(ConfigurationError):
-            action_grid(Box([0.0, 0.0], [1.0, 1.0]), 10)
 
 
 class TestOptimalActionGrid:
@@ -135,7 +127,7 @@ class TestOptimalActionGrid:
         cost = CostModel(fn=lambda x, xi: (x - 3.0) ** 2 + 0.0 * xi, bound=100.0,
                          lipschitz=20.0)
         noise = constant_uniform(5, 0.0, 0.0)
-        x_star, c_star = step_optimum(cost, noise, Box([1.0], [5.0]), k=101,
+        x_star, c_star = step_optimum(cost, noise, Box(1.0, 5.0), k=101,
                                       grid_n=1000)
         # grid contains the exact minimizer: centers of 101 cells include 3.0
         assert x_star == pytest.approx(3.0, abs=1e-12)
@@ -144,7 +136,7 @@ class TestOptimalActionGrid:
     def test_monotone_cost_picks_lower_edge_cell(self):
         cost = CostModel(fn=lambda x, xi: x + 0.0 * xi, bound=10.0, lipschitz=1.0)
         noise = constant_uniform(5, 0.0, 1.0)
-        x_star, _ = step_optimum(cost, noise, Box([1.0], [5.0]), k=100,
+        x_star, _ = step_optimum(cost, noise, Box(1.0, 5.0), k=100,
                                  grid_n=1000)
         assert x_star == pytest.approx(1.0 + 4.0 / 200.0)
 
@@ -152,7 +144,7 @@ class TestOptimalActionGrid:
         cost = CostModel(fn=lambda x, xi: np.abs(x) * 0.0 + 0.0 * xi + 1.0,
                          bound=10.0, lipschitz=1.0)
         noise = constant_uniform(5, 0.0, 1.0)
-        x_star, _ = step_optimum(cost, noise, Box([1.0], [5.0]), k=10,
+        x_star, _ = step_optimum(cost, noise, Box(1.0, 5.0), k=10,
                                  grid_n=1000)
         assert x_star == pytest.approx(1.2)
 
@@ -213,46 +205,44 @@ class TestConvexSearch:
                                                 width, alpha):
         fn = CONVEX_COSTS[family](c, w)
         xi = noise_grid(constant_uniform(1, low, low + width), 1, 1000)
-        xs = action_grid(Box([-1.0], [1.0]), k)
+        xs = action_grid(Box(-1.0, 1.0), k)
         bound = float(np.abs(fn(xs[:, None], xi[None, :])).max()) or 1.0
         cost = CostModel(fn=fn, bound=bound, lipschitz=1.0)
-        scan = _cvars(cost, xi, xs[:, None], alpha)
+        scan = _cvars(cost, xi, xs, alpha)
         for start in range(k):
             # Lazily from nothing, and seeded with the stencil around the
             # start, as the regret pass seeds it.
             lo = max(start - 1, 0)
             for memo in ({}, dict(enumerate(scan[lo:start + 2], start=lo))):
                 i, value = _first_grid_minimum(
-                    lambda i: _cvars(cost, xi, xs[i:i + 1, None], alpha)[0],
+                    lambda i: _cvars(cost, xi, xs[i:i + 1], alpha)[0],
                     k, start, 1e-9 * bound, memo)
                 assert i == int(np.argmin(scan))
                 assert value == scan[i]
 
 
 class TestDynamicRegret:
-    @pytest.mark.parametrize("vectorized, trials", [
-        (True, 3), (False, 3), (True, _BLOCK // 1000 + 5), (False, _BLOCK // 1000 + 5),
-    ], ids=["True", "False", "True-three-blocks", "False-three-blocks"])
-    def test_equals_per_step_true_cvar_loop(self, vectorized, trials):
+    @pytest.mark.parametrize("trials", [3, _BLOCK // 1000 + 5],
+                             ids=["one-block", "three-blocks"])
+    def test_equals_per_step_true_cvar_loop(self, trials):
         # One quantile grid per step serves every trial, evaluated in blocks
         # of rows; the per-step, per-trial true_cvar loop is the reference,
         # matched bit for bit.
         scen = pricing_scenario(horizon=40)
-        cost = dataclasses.replace(scen.cost, vectorized=vectorized)
         x_hat = played(*np.random.default_rng(54).uniform(1.0, 5.0,
                                                           size=(trials, 40)))
-        report = regret(x_hat, cost, scen.noise, scen.region, 0.5, k=50,
+        report = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=50,
                         grid_n=1000)
         for i in range(trials):
-            reference = np.array([true_cvar(cost, scen.noise, t, x_hat[i, t - 1],
-                                            0.5, grid_n=1000)
+            reference = np.array([true_cvar(scen.cost, scen.noise, t,
+                                            x_hat[i, t - 1], 0.5, grid_n=1000)
                                   for t in range(1, 41)])
             assert np.array_equal(report.played_cvar[i], reference)
             assert np.array_equal(report.cumulative_regret[i],
                                   np.cumsum(reference - report.optimal_cvar))
             assert np.array_equal(report.accumulated_loss[i], np.cumsum(reference))
 
-    @pytest.mark.parametrize("shape", [(3, 1), (1, 0, 1), (1, 3, 2)])
+    @pytest.mark.parametrize("shape", [(10,), (1, 3), (1, 10, 1)])
     def test_rejects_played_actions_of_the_wrong_shape(self, shape):
         scen = pricing_scenario(horizon=10)
         with pytest.raises(ConfigurationError, match="played actions"):
@@ -273,7 +263,7 @@ class TestDynamicRegret:
     def test_single_step_arithmetic(self):
         cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0, lipschitz=20.0)
         noise = constant_uniform(1, 1.0, 1.0)
-        region = Box([0.0], [2.0])
+        region = Box(0.0, 2.0)
         report = regret(played([0.0]), cost, noise, region, 0.5, k=101,
                         grid_n=1000)
         # played cost (0-1)^2 = 1; best grid cell center is at ~1.0 with cost ~0
@@ -303,8 +293,8 @@ class TestDynamicRegret:
         args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
         x_star, c_star = optima_series(*args, k=40, grid_n=1000)
         x_ref, c_ref = scan_series(*args, k=40, grid_n=1000)
-        low, high = scen.region.lower[0], scen.region.upper[0]
-        x_hat = np.random.default_rng(55).uniform(low, high, (trials, horizon, 1))
+        low, high = scen.region.lower, scen.region.upper
+        x_hat = np.random.default_rng(55).uniform(low, high, (trials, horizon))
         report = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=40,
                         grid_n=1000)
         for actions, values in ((x_star, c_star), (x_ref, c_ref)):
@@ -323,8 +313,8 @@ class TestForkedRegret:
         # pass is the reference, matched bit for bit. Zero trials give an
         # empty played pass.
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
-        low, high = scen.region.lower[0], scen.region.upper[0]
-        x_hat = np.random.default_rng(56).uniform(low, high, (trials, horizon, 1))
+        low, high = scen.region.lower, scen.region.upper
+        x_hat = np.random.default_rng(56).uniform(low, high, (trials, horizon))
         job_counts = []
         fork_map = oracle.fork_map
 
@@ -347,7 +337,7 @@ class TestForkedRegret:
 
 
 class TestAccumulatedLoss:
-    UNIT_BOX = Box([0.0], [1.0])
+    UNIT_BOX = Box(0.0, 1.0)
 
     def test_zero_cost(self):
         cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0,
@@ -375,7 +365,7 @@ class TestBatchVariationInequality:
         k, grid_n = 60, 1000
         cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0,
                          lipschitz=20.0)
-        region = Box([-1.0], [3.0])
+        region = Box(-1.0, 3.0)
         xs = action_grid(region, k)
         for _ in range(100):
             batch = int(rng.integers(2, 7))
@@ -386,7 +376,7 @@ class TestBatchVariationInequality:
             noise = UniformSeq(np.where(before, a1, a2),
                                np.where(before, a1 + w1, a2 + w2))
             grid_cvars = np.array([
-                [true_cvar(cost, noise, t, [x], 0.5, grid_n) for x in xs]
+                [true_cvar(cost, noise, t, x, 0.5, grid_n) for x in xs]
                 for t in range(1, batch + 1)
             ])
             batch_sum = grid_cvars.sum(axis=0).min()

@@ -6,7 +6,7 @@ from cvarlearn.environment import constant_uniform
 from cvarlearn.smoothing import (
     gradient_estimate,
     sample_unit_sphere,
-    smoothed_cvar_mc,
+    smoothed_cvar,
 )
 
 
@@ -49,6 +49,15 @@ class TestGradientEstimate:
         g = gradient_estimate(3.0, [0.0, 1.0], 0.5)
         assert g == pytest.approx([0.0, 12.0])
 
+    def test_rows_of_one_dimensional_directions(self):
+        # One estimate per row, as the learner calls it: directions (trials, 1).
+        rng = np.random.default_rng(43)
+        cvars = rng.uniform(-1, 1, size=6)
+        u = np.where(rng.random(6) < 0.5, 1.0, -1.0)
+        rows = gradient_estimate(cvars, u[:, None], 0.1)[:, 0]
+        assert np.array_equal(rows, [gradient_estimate(c, [s], 0.1)[0]
+                                     for c, s in zip(cvars, u)])
+
     def test_invalid_radius(self):
         with pytest.raises(ConfigurationError):
             gradient_estimate(1.0, [1.0], 0.0)
@@ -64,17 +73,17 @@ class TestGradientEstimate:
             assert np.linalg.norm(g) <= d * bound / delta + 1e-12
 
 
-class TestSmoothedCvarMc:
+class TestSmoothedCvar:
     def test_zero_radius_returns_plain_cvar(self):
-        got = smoothed_cvar_mc(QUADRATIC, POINT_NOISE, 1, [1.5], 0.0, 0.5,
-                               n_noise=1000)
+        got = smoothed_cvar(QUADRATIC, POINT_NOISE, 1, 1.5, 0.0, 0.5,
+                            n_noise=1000)
         assert got == pytest.approx(1.5 ** 2, abs=1e-12)
 
     def test_quadratic_two_direction_average(self):
         # (1/2)[(x+delta)^2 + (x-delta)^2] = x^2 + delta^2
         for x in (-1.0, 0.0, 0.7, 2.0):
-            got = smoothed_cvar_mc(QUADRATIC, POINT_NOISE, 1, [x], 0.1, 0.5,
-                                   n_noise=1000)
+            got = smoothed_cvar(QUADRATIC, POINT_NOISE, 1, x, 0.1, 0.5,
+                                n_noise=1000)
             assert got == pytest.approx(x ** 2 + 0.01, abs=1e-12)
 
     def test_lipschitz_distance_to_unsmoothed(self):
@@ -87,26 +96,10 @@ class TestSmoothedCvarMc:
         for _ in range(20):
             x = float(rng.uniform(-3, 3))
             delta = float(rng.uniform(0.01, 0.5))
-            smoothed = smoothed_cvar_mc(cost, noise, 1, [x], delta, 0.5,
-                                        n_noise=1000)
-            plain = smoothed_cvar_mc(cost, noise, 1, [x], 0.0, 0.5, n_noise=1000)
+            smoothed = smoothed_cvar(cost, noise, 1, x, delta, 0.5, n_noise=1000)
+            plain = smoothed_cvar(cost, noise, 1, x, 0.0, 0.5, n_noise=1000)
             assert abs(smoothed - plain) <= delta * lip + 1e-9
 
-    def test_multidimensional_requires_rng(self):
-        cost = deterministic_cost(lambda x, xi: float(np.sum(x ** 2)) + 0.0 * xi,
-                                  bound=100.0, lipschitz=20.0)
+    def test_negative_radius_rejected(self):
         with pytest.raises(ConfigurationError):
-            smoothed_cvar_mc(cost, POINT_NOISE, 1, [1.0, 1.0], 0.1, 0.5)
-
-    def test_multidimensional_quadratic(self):
-        # E_u[||x + delta u||^2] = ||x||^2 + delta^2 on the unit sphere.
-
-        def fn(x, xi):
-            return np.sum(np.asarray(x) ** 2) + 0.0 * np.asarray(xi)
-
-        cost = CostModel(fn=fn, bound=100.0, lipschitz=20.0, vectorized=False)
-        rng = np.random.default_rng(46)
-        x = np.array([1.0, -0.5])
-        got = smoothed_cvar_mc(cost, POINT_NOISE, 1, x, 0.2, 1.0, n_dirs=4000,
-                               n_noise=1000, rng=rng)
-        assert got == pytest.approx(float(np.sum(x ** 2)) + 0.04, abs=5e-3)
+            smoothed_cvar(QUADRATIC, POINT_NOISE, 1, 1.0, -0.1, 0.5, n_noise=1000)
