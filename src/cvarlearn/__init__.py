@@ -33,7 +33,7 @@ from .schedule import (
     theorem1_params,
     theorem2_params,
 )
-from .smoothing import gradient_estimate, sample_unit_sphere, smoothed_cvar
+from .smoothing import directions, gradient_estimate, smoothed_cvar
 
 __version__ = "0.1.0"
 
@@ -55,11 +55,11 @@ __all__ = [
     "check_sampling_requirement",
     "cvar_discrete",
     "cvar_error_bound",
+    "directions",
     "dkw_epsilon",
     "gradient_estimate",
     "ru_functional",
     "run_trials",
-    "sample_unit_sphere",
     "sampling_count_poly",
     "smoothed_cvar",
     "sup_cdf_distance",

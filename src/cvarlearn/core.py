@@ -70,9 +70,9 @@ class Box:
         """Nearest point of the interval to ``x``, or to each entry of ``x``."""
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x) -> bool:
         """Whether ``x``, or every entry of ``x``, lies in the interval."""
-        x = np.asarray(x)
+        x, tol = np.asarray(x), MEMBERSHIP_TOL
         return bool(((x >= self.lower - tol) & (x <= self.upper + tol)).all())
 
     def shrink(self, delta: float) -> "Box":

@@ -84,19 +84,11 @@ class ExperimentConfig:
     # declared sampling-requirement parameters
     sampling_a: float = 2.0 / 3.0
     sampling_c: float = 10.0
-    # parking / custom pricing scenario
-    elasticity: float = -0.15
-    regularization: float = 0.001
-    target_occupancy: float = 0.7
-    price_low: float = 1.0
-    price_high: float = 5.0
     # custom scenario: static uniform noise band
     noise_low: float = 0.85
     noise_high: float = 1.1
     # brownian scenario
     diffusivity: float = 1e-4
-    track_low: float = -2.0
-    track_high: float = 2.0
 
     def validate(self) -> "ExperimentConfig":
         for field in dataclasses.fields(self):
@@ -213,22 +205,32 @@ class Scenario:
     region: Box
 
 
-def _pricing_cost(a_el: float, nu: float, target: float,
-                  x_bounds: tuple[float, float],
-                  xi_bounds: tuple[float, float]) -> CostModel:
-    """Quadratic occupancy-tracking cost with exact corner bounds.
+#: The pricing study's constants (``parking`` and ``custom``): the price
+#: elasticity of occupancy, the regularization weight, the occupancy target
+#: and the interval of admissible prices.
+ELASTICITY, REGULARIZATION, TARGET_OCCUPANCY = -0.15, 0.001, 0.7
+PRICES = Box(1.0, 5.0)
 
-    ``J(x, xi) = (xi + a_el * x - target)^2 + nu/2 * x^2``. Both ``|J|`` and
+#: The interval of ``brownian``'s tracked decisions.
+TRACK = Box(-2.0, 2.0)
+
+
+def _pricing_cost(xi_bounds: tuple[float, float]) -> CostModel:
+    """Quadratic occupancy-tracking cost over ``PRICES``, exact corner bounds.
+
+    ``J(x, xi) = (xi + a_el * x - target)^2 + nu/2 * x^2``, with ``a_el``
+    the elasticity and ``nu`` the regularization. Both ``|J|`` and
     ``|dJ/dx|`` are convex in ``(x, xi)``, so their maxima over the
     box-times-interval domain sit at corners.
     """
+    a_el, nu, target = ELASTICITY, REGULARIZATION, TARGET_OCCUPANCY
 
     def fn(x, xi):
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         return (xi + a_el * x - target) ** 2 + 0.5 * nu * x ** 2
 
-    corners = [(x, xi) for x in x_bounds for xi in xi_bounds]
+    corners = [(x, xi) for x in (PRICES.lower, PRICES.upper) for xi in xi_bounds]
     bound = max(abs(float(fn(np.array(x), np.array(xi)))) for x, xi in corners)
     lipschitz = max(
         abs(2.0 * a_el * (xi + a_el * x - target) + nu * x) for x, xi in corners
@@ -237,16 +239,15 @@ def _pricing_cost(a_el: float, nu: float, target: float,
                      strong_convexity=2.0 * a_el ** 2 + nu)
 
 
-def _tracking_cost(x_bounds: tuple[float, float],
-                   xi_bounds: tuple[float, float]) -> CostModel:
-    """Plain tracking cost ``(x - xi)^2`` with corner-exact bounds."""
+def _tracking_cost(xi_bounds: tuple[float, float]) -> CostModel:
+    """Tracking cost ``(x - xi)^2`` over ``TRACK``, corner-exact bounds."""
 
     def fn(x, xi):
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         return (x - xi) ** 2
 
-    span = max(abs(x - xi) for x in x_bounds for xi in xi_bounds)
+    span = max(abs(x - xi) for x in (TRACK.lower, TRACK.upper) for xi in xi_bounds)
     return CostModel(fn=fn, bound=span ** 2, lipschitz=2.0 * span,
                      strong_convexity=2.0)
 
@@ -264,9 +265,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     horizon = config.horizon
     if config.scenario == "brownian":
         noise: NoiseSequence = environment.BrownianSeq(horizon, config.diffusivity)
-        region = Box(config.track_low, config.track_high)
-        cost = _tracking_cost((config.track_low, config.track_high),
-                              noise.support(horizon))
+        region, cost = TRACK, _tracking_cost(noise.support(horizon))
     else:
         if config.scenario == "parking":
             noise = environment.parking_noise(horizon)
@@ -275,11 +274,8 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         else:
             noise = environment.constant_uniform(horizon, config.noise_low,
                                                  config.noise_high)
-        region = Box(config.price_low, config.price_high)
-        cost = _pricing_cost(config.elasticity, config.regularization,
-                             config.target_occupancy,
-                             (config.price_low, config.price_high),
-                             (float(noise.table[:, 0].min()),
+        region = PRICES
+        cost = _pricing_cost((float(noise.table[:, 0].min()),
                               float(noise.table[:, 1].max())))
         _warn_point_masses(noise.table)
     if config.delta >= region.inradius:

@@ -24,7 +24,7 @@ import numpy as np
 from .core import Box, ConfigurationError, CostModel, NoiseSequence
 from .risk import cvar_of_values
 from .schedule import LearningRateSchedule, SamplingStrategy, batch_epoch
-from .smoothing import gradient_estimate
+from .smoothing import directions, gradient_estimate
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
 
@@ -83,11 +83,11 @@ _BLOCK = 2 ** 16
 def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
     """Each step's directions ``(trials,)`` and noise values ``(trials, n_t)``.
 
-    Every generator yields, per step, its direction (the sign of one
-    uniform, as in ``sample_unit_sphere(1, rng)``) and then its ``n_t``
-    uniforms, so a trial's block is one draw of ``sum(1 + n_t)`` uniforms,
-    split at the step boundaries: the values are the same as drawn step by
-    step. Each block's uniforms become noise in one ``noise.quantile`` call.
+    Every generator yields, per step, its direction (``directions`` of one
+    uniform) and then its ``n_t`` uniforms, so a trial's block is one draw of
+    ``sum(1 + n_t)`` uniforms, split at the step boundaries: the values are
+    the same as drawn step by step. Each block's uniforms become noise in
+    one ``noise.quantile`` call.
     """
     sizes = len(rngs) * (1 + n_samples)
     cuts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _BLOCK)) + 1
@@ -95,7 +95,7 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
         n = n_samples[steps]
         heads = np.cumsum(1 + n) - 1 - n
         stream = np.stack([rng.random(heads[-1] + 1 + n[-1]) for rng in rngs])
-        u = np.where(stream[:, heads] < 0.5, 1.0, -1.0)
+        u = directions(stream[:, heads])
         # Row-major, as each step's draws were: the layout of the costs
         # sets the order in which ``cvar_of_values`` sums them.
         q = np.take(stream, np.delete(np.arange(stream.shape[1]), heads), axis=1)
@@ -138,9 +138,7 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
             raise ConfigurationError(
                 f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
         cvar = cvar_of_values(step_costs, config.alpha)
-        # Directions as rows of dimension 1: a (trials,) array would be read
-        # as one direction of dimension ``trials``, and scaled by it.
-        grad = gradient_estimate(cvar, u[:, None], config.delta)[:, 0]
+        grad = gradient_estimate(cvar, u, config.delta)
         xs[:, s], us[:, s], x_hats[:, s], grads[:, s] = x, u, x_hat, grad
         cvars[:, s] = cvar
         x = inner.project(x - eta[s] * grad)

@@ -60,6 +60,8 @@ _VALUE_S = 1e-8
 def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x: float,
               alpha: float, grid_n: int = 10_000) -> float:
     """Deterministic CVaR of ``J(x, xi_t)`` via a mid-quantile noise grid."""
+    if np.ndim(x) != 0:
+        raise ConfigurationError(f"decision x={x!r} must be a scalar")
     xi = np.asarray(noise.quantile(t, _mid_quantiles(int(grid_n))), dtype=float)
     return float(_cvars(cost, xi, np.array([x], dtype=float), alpha)[0])
 

@@ -124,34 +124,22 @@ def dkw_band_validity() -> list[CheckResult]:
 
 
 def sphere_checks() -> list[CheckResult]:
-    """Sphere draws: unit norm, symmetry and the gradient-norm bound."""
+    """The direction rule: both signs, symmetry, and the gradient-norm bound."""
     rng = np.random.default_rng(_SEED)
-    out: list[CheckResult] = []
-
-    ok = all(float(smoothing.sample_unit_sphere(1, rng)[0]) in (-1.0, 1.0)
-             for _ in range(100))
-    norms = [abs(np.linalg.norm(smoothing.sample_unit_sphere(d, rng)) - 1.0)
-             for d in (2, 3, 7) for _ in range(100)]
-    ok &= max(norms) <= 1e-12
-    out.append(_result("smoothing", "sphere-unit-norm", ok,
-                       f"max norm error {max(norms):.2e}"))
-
-    mean = np.mean([smoothing.sample_unit_sphere(2, rng) for _ in range(100_000)],
-                   axis=0)
-    drift = float(np.linalg.norm(mean))
-    out.append(_result("smoothing", "sphere-symmetry", drift <= 0.02,
-                       f"mean-direction norm {drift:.4f} vs 0.02"))
-
+    u = smoothing.directions(rng.random(100_000))
+    signs, drift = np.unique(u).tolist(), abs(float(u.mean()))
     ok = True
     for _ in range(200):
-        d = int(rng.integers(1, 6))
         delta = float(rng.uniform(0.01, 1.0))
         bound = float(rng.uniform(0.5, 5.0))
         cv = float(rng.uniform(-bound, bound))
-        g = smoothing.gradient_estimate(cv, smoothing.sample_unit_sphere(d, rng), delta)
-        ok &= np.linalg.norm(g) <= d * bound / delta + 1e-12
-    out.append(_result("smoothing", "gradient-norm-bound", ok, "||g|| <= dU/delta"))
-    return out
+        g = smoothing.gradient_estimate(cv, smoothing.directions(rng.random()), delta)
+        ok &= abs(g) <= bound / delta + 1e-12
+    return [_result("smoothing", "sphere-unit-norm", signs == [-1.0, 1.0],
+                    f"directions drawn {signs}"),
+            _result("smoothing", "sphere-symmetry", drift <= 0.02,
+                    f"|mean direction| {drift:.4f} vs 0.02"),
+            _result("smoothing", "gradient-norm-bound", ok, "|g| <= U/delta")]
 
 
 def gradient_estimator_checks() -> list[CheckResult]:
@@ -161,21 +149,20 @@ def gradient_estimator_checks() -> list[CheckResult]:
     delta = 0.25
     for x in np.arange(-2.0, 2.25, 0.25):
         # dyadic x and delta keep every float operation exact (zero tolerance)
-        avg = 0.5 * sum(
-            smoothing.gradient_estimate((x + delta * s) ** 2, np.array([s]), delta)[0]
-            for s in (1.0, -1.0))
+        avg = 0.5 * sum(smoothing.gradient_estimate((x + delta * s) ** 2, s, delta)
+                        for s in (1.0, -1.0))
         exact_ok &= avg == 2.0 * x
 
     scen = harness.build_scenario(harness.ExperimentConfig())
     rng = np.random.default_rng(105)
     t_step, x0, delta, alpha, n_per_draw, n_draws = 3000, 2.0, 0.05, 0.5, 8, 100_000
-    # One row per draw: column 0 gives the direction's sign, as in
-    # sample_unit_sphere, and the rest are the noise uniforms.
+    # One row per draw: column 0 gives the direction and the rest are the
+    # noise uniforms.
     draws = rng.random((n_draws, 1 + n_per_draw))
-    u = np.where(draws[:, :1] < 0.5, 1.0, -1.0)
+    u = smoothing.directions(draws[:, 0])
     xi = scen.noise.quantile(t_step, draws[:, 1:])
-    cv = risk.cvar_of_values(np.asarray(scen.cost(x0 + delta * u, xi)), alpha)
-    estimates = smoothing.gradient_estimate(cv, u, delta)[:, 0]
+    cv = risk.cvar_of_values(scen.cost.rows(x0 + delta * u, xi), alpha)
+    estimates = smoothing.gradient_estimate(cv, u, delta)
     stderr = estimates.std(ddof=1) / math.sqrt(n_draws)
     h = 1e-4
     fd = (smoothing.smoothed_cvar(scen.cost, scen.noise, t_step, x0 + h, delta,

@@ -90,7 +90,7 @@ class TestShrunkSet:
             delta = float(rng.uniform(0.0, 0.95 * region.inradius))
             inner = region.shrink(delta)
             x = inner.project(rng.uniform(-10, 10))
-            assert region.contains([x + delta, x - delta], tol=1e-12)
+            assert region.contains([x + delta, x - delta])
 
     def test_nesting(self):
         rng = np.random.default_rng(5)

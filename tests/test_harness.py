@@ -125,6 +125,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             make_config({"scenario": "casino"})
 
+    def test_field_names_are_pinned(self):
+        # Every config key is an option that some caller sets, so a key that
+        # is added, dropped or reordered must fail here.
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "scenario", "horizon", "batch_size", "delta", "alpha", "samples",
+            "eta", "rate_rule", "x0", "trials", "base_seed", "oracle_k",
+            "oracle_grid", "out_prefix", "sampling_a", "sampling_c",
+            "noise_low", "noise_high", "diffusivity"]
+
 
 class TestRunExperiment:
     def test_row_count_contract(self, tmp_path):
@@ -319,6 +328,26 @@ class TestBudget:
         noise = build_scenario(config).noise
         expected = np.sqrt(2 / np.pi) * (noise.sigma(50) - noise.sigma(1))
         assert report.budget == pytest.approx(expected, rel=1e-12)
+
+    def test_budget_not_below_the_horizon_suggests_nothing(self, tmp_path,
+                                                           caplog, capsys):
+        # V_T = sqrt(2/pi) (sigma_T - sigma_1) is about 101.55 here.
+        config = small_config(tmp_path, scenario="brownian", horizon=100,
+                              diffusivity=100.0)
+        with caplog.at_level(logging.WARNING):
+            report = compute_budget(config)
+        assert report.budget >= config.horizon
+        assert [rec.getMessage() for rec in caplog.records
+                if "not below the horizon" in rec.getMessage()] == [
+            f"variation budget {report.budget:.4g} is not below the horizon 100; "
+            "no sub-linear selection exists"]
+        assert report.theorem1 is None and report.theorem2 is None
+        assert len((tmp_path / "ra_budget.csv").read_text().splitlines()) == 100
+        path = tmp_path / "exp.cfg"
+        path.write_text("scenario = brownian\nhorizon = 100\ndiffusivity = 100\n")
+        code = cli.main(["budget", "--config", str(path), "--out", str(tmp_path / "b")])
+        assert code == 0
+        assert "selection" not in capsys.readouterr().out
 
 
 class TestScenarioBounds:

@@ -15,7 +15,6 @@ from cvarlearn.schedule import (
     PolynomialSampling,
     batch_epoch,
 )
-from cvarlearn.smoothing import sample_unit_sphere
 
 
 def make_config(**overrides):
@@ -41,7 +40,7 @@ def step_costs(trace, config, cost, noise, seeds):
     for s, n in enumerate(trace.n_samples):
         xi = np.empty((len(rngs), n))
         for i, rng in enumerate(rngs):
-            assert np.array_equal(trace.u[i, s:s + 1], sample_unit_sphere(1, rng))
+            assert trace.u[i, s] == (1.0 if rng.random() < 0.5 else -1.0)
             xi[i] = noise.quantile(trace.t[s], rng.random(n))
         costs.append(cost.rows(trace.x_hat[:, s], xi))
         assert np.array_equal(cvar_of_values(costs[-1], config.alpha),
@@ -154,8 +153,8 @@ class TestConvergence:
                              sampling=ConstantSampling(8), rate=ConstantRate(0.03))
         trace = run(config, pricing_cost(), noise, region)
         inner = region.shrink(config.delta)
-        assert inner.contains(trace.x[0], tol=1e-12)
-        assert region.contains(trace.x_hat[0], tol=1e-12)
+        assert inner.contains(trace.x[0])
+        assert region.contains(trace.x_hat[0])
 
 
 class TestDeterminismAndRestarts:
@@ -280,7 +279,7 @@ class TestDraws:
             for t, ((u, xi), n) in enumerate(zip(steps, n_samples), start=1):
                 assert u.shape == (3,) and xi.shape == (3, n)
                 for i, rng in enumerate(rngs):
-                    assert np.array_equal(u[i:i + 1], sample_unit_sphere(1, rng))
+                    assert u[i] == (1.0 if rng.random() < 0.5 else -1.0)
                     assert np.array_equal(xi[i], noise.quantile(t, rng.random(n)))
 
     @pytest.mark.parametrize("block", [1, 100, 2 ** 62],

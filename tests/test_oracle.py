@@ -114,6 +114,19 @@ class TestTrueCvar:
         with pytest.raises(ConfigurationError):
             true_cvar(IDENTITY_COST, noise, 1, 0.0, 0.5, 100)
 
+    @pytest.mark.parametrize("x", [[1.5], (1.5,), np.array([1.5])],
+                             ids=["list", "tuple", "array"])
+    def test_one_element_decision_rejected_before_the_quantiles(
+            self, monkeypatch, x):
+        scen = pricing_scenario(10)
+
+        def no_quantile(*args):
+            raise AssertionError("quantiles built for a malformed decision")
+
+        monkeypatch.setattr(scen.noise, "quantile", no_quantile)
+        with pytest.raises(ConfigurationError, match=r"decision x=.*1\.5"):
+            true_cvar(scen.cost, scen.noise, 1, x, 0.5, 1000)
+
 
 class TestActionGrid:
     def test_points_are_subinterval_centers(self):

@@ -3,11 +3,7 @@ import pytest
 
 from cvarlearn.core import ConfigurationError, CostModel
 from cvarlearn.environment import constant_uniform
-from cvarlearn.smoothing import (
-    gradient_estimate,
-    sample_unit_sphere,
-    smoothed_cvar,
-)
+from cvarlearn.smoothing import directions, gradient_estimate, smoothed_cvar
 
 
 def deterministic_cost(fn, bound, lipschitz, m=0.0):
@@ -22,55 +18,47 @@ POINT_NOISE = constant_uniform(10, 0.0, 0.0)
 class TestSampleUnitSphere:
     def test_one_dimension_is_sign(self):
         rng = np.random.default_rng(41)
-        draws = {float(sample_unit_sphere(1, rng)[0]) for _ in range(200)}
-        assert draws == {-1.0, 1.0}
+        assert set(directions(rng.random(200)).tolist()) == {-1.0, 1.0}
 
     def test_unit_norm(self):
-        rng = np.random.default_rng(42)
-        for d in (2, 3, 5, 10):
-            for _ in range(50):
-                u = sample_unit_sphere(d, rng)
-                assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
-
-    def test_invalid_dimension(self):
-        with pytest.raises(ConfigurationError):
-            sample_unit_sphere(0, np.random.default_rng(0))
+        # +1 exactly where the uniform is below 1/2, in the uniforms' shape.
+        q = np.array([[0.0, 0.25, 0.5 - 2 ** -53], [0.5, 0.75, 1.0 - 2 ** -53]])
+        u = directions(q)
+        assert u.shape == q.shape
+        assert np.array_equal(u, [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
 
 
 class TestGradientEstimate:
     def test_one_dimensional_formula(self):
-        g = gradient_estimate(2.0, [1.0], 0.1)
-        assert g == pytest.approx([20.0])
+        assert gradient_estimate(2.0, 1.0, 0.1) == pytest.approx(20.0)
 
     def test_zero_cvar_gives_zero_vector(self):
-        assert gradient_estimate(0.0, [0.0, 1.0], 0.5) == pytest.approx([0.0, 0.0])
+        assert np.array_equal(gradient_estimate(0.0, [1.0, -1.0], 0.5), [0.0, 0.0])
 
     def test_direction_scaling(self):
-        g = gradient_estimate(3.0, [0.0, 1.0], 0.5)
-        assert g == pytest.approx([0.0, 12.0])
+        assert gradient_estimate(3.0, -1.0, 0.5) == pytest.approx(-6.0)
 
     def test_rows_of_one_dimensional_directions(self):
-        # One estimate per row, as the learner calls it: directions (trials, 1).
+        # One estimate per row, as the learner calls it, in the operation
+        # order (1 / delta) * cvar * u, on which its trace depends bit for bit.
         rng = np.random.default_rng(43)
         cvars = rng.uniform(-1, 1, size=6)
         u = np.where(rng.random(6) < 0.5, 1.0, -1.0)
-        rows = gradient_estimate(cvars, u[:, None], 0.1)[:, 0]
-        assert np.array_equal(rows, [gradient_estimate(c, [s], 0.1)[0]
-                                     for c, s in zip(cvars, u)])
+        assert np.array_equal(gradient_estimate(cvars, u, 0.1),
+                              [(1.0 / 0.1) * c * s for c, s in zip(cvars, u)])
 
     def test_invalid_radius(self):
         with pytest.raises(ConfigurationError):
-            gradient_estimate(1.0, [1.0], 0.0)
+            gradient_estimate(1.0, 1.0, 0.0)
 
     def test_norm_bound(self):
         rng = np.random.default_rng(44)
         for _ in range(500):
-            d = int(rng.integers(1, 6))
             delta = float(rng.uniform(0.01, 1.0))
             bound = float(rng.uniform(0.5, 5.0))
             cv = float(rng.uniform(-bound, bound))
-            g = gradient_estimate(cv, sample_unit_sphere(d, rng), delta)
-            assert np.linalg.norm(g) <= d * bound / delta + 1e-12
+            g = gradient_estimate(cv, directions(rng.random()), delta)
+            assert abs(g) <= bound / delta + 1e-12
 
 
 class TestSmoothedCvar:
