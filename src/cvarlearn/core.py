@@ -1,8 +1,8 @@
 """Geometry and problem-definition primitives.
 
 A decision is one float, and the admissible set is a closed interval with an
-exact projection, an inradius/diameter, and a centered shrink operation that
-keeps perturbed actions feasible. Cost models bundle an evaluation rule with
+exact projection, an inradius, and a centered shrink operation that keeps
+perturbed actions feasible. Cost models bundle an evaluation rule with
 its declared bound, Lipschitz constant, and strong-convexity modulus. Noise
 sequences expose a per-step CDF, quantile function, support and step W1.
 ``fork_map`` and ``fork_ranges`` split a phase of independent work across the
@@ -37,9 +37,8 @@ class ConfigurationError(ValueError):
 class Box:
     """Closed interval ``{x : lower <= x <= upper}`` of decisions.
 
-    The inradius is the half-width, the diameter is the length, and the
-    center is the midpoint. ``project`` and ``contains`` take one decision
-    or an array of them.
+    The inradius is the half-width and the center is the midpoint.
+    ``project`` and ``contains`` take one decision or an array of them.
     """
 
     lower: float
@@ -61,10 +60,6 @@ class Box:
     @property
     def inradius(self) -> float:
         return 0.5 * (self.upper - self.lower)
-
-    @property
-    def diameter(self) -> float:
-        return self.upper - self.lower
 
     def project(self, x):
         """Nearest point of the interval to ``x``, or to each entry of ``x``."""

@@ -2,10 +2,10 @@
 
 Provides the time-varying uniform family used by the parking-lot pricing
 study (each sequence one table of per-step endpoints), a Brownian-diffusion
-Gaussian family, static baselines, closed-form Wasserstein-1 distances for
-1-D distributions (quadrature as the tests' reference), and the variation
-budget: the sum of consecutive closed-form W1 distances over the horizon.
-Sequences never log.
+Gaussian family (its quantiles from a NumPy port of SciPy's ``ndtri``),
+static baselines, closed-form Wasserstein-1 distances for 1-D distributions
+(quadrature as the tests' reference), and the variation budget: the sum of
+consecutive closed-form W1 distances over the horizon. Sequences never log.
 """
 
 from __future__ import annotations
@@ -28,6 +28,80 @@ __all__ = [
     "variation_profile",
     "variation_budget",
 ]
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_log = np.frompyfunc(math.log, 1, 1)
+
+# Cephes ``ndtri`` as SciPy ships it: each polynomial's coefficients from the
+# highest power down. Each Q is monic; its leading 1.0 is written out, and
+# ``1.0 * x + c`` is ``p1evl``'s ``x + c`` to the bit.
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coef):
+    """``coef[0] * x**n + ... + coef[n]``, in Cephes ``polevl``'s order."""
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(y0):
+    """Standard normal quantile at each level in (0, 1): SciPy's
+    ``scipy.special.ndtri`` bit for bit, by the same Cephes operations.
+
+    Levels within exp(-2) of 0 or 1 take the tail branch in ``1 / x``,
+    ``x = sqrt(-2 log y)``; the rest a rational function of ``(y - 1/2)^2``.
+    Each tail logarithm is ``math.log``, the C library's ``log`` that Cephes
+    calls; NumPy's vectorized ``log`` can differ from it in the last bit.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    shape, y0 = y0.shape, y0.ravel()
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    # The central branch runs on every level, as whole-array work; its
+    # denominator stays below -2e-4 on all of [0, 1], so no tail level
+    # divides by zero before the tail branch overwrites it.
+    c = y - 0.5
+    c2 = c * c
+    out = (c + c * (c2 * _horner(c2, _P0) / _horner(c2, _Q0))) * _S2PI
+    tail = np.flatnonzero(~(y > _EXP_M2))
+    x = np.sqrt(-2.0 * _log(y[tail]).astype(float))
+    x0 = x - _log(x).astype(float) / x
+    z = 1.0 / x
+    x1 = z * _horner(z, _P1) / _horner(z, _Q1)
+    far = np.flatnonzero(x >= 8.0)  # levels below exp(-32)
+    x1[far] = z[far] * _horner(z[far], _P2) / _horner(z[far], _Q2)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(shape)
 
 
 class UniformSeq(NoiseSequence):
@@ -88,8 +162,8 @@ class BrownianSeq(NoiseSequence):
 
     Models measurements of a diffusing particle cloud: the distribution
     flattens as ``t`` grows, and the variation budget scales like
-    ``sqrt(T)``. SciPy's normal CDF and quantile are imported on first use,
-    so runs of the other scenarios never load SciPy.
+    ``sqrt(T)``. The quantile is ``sigma_t * _ndtri(q)``, the same bits as
+    SciPy's ``ndtri``; the CDF is ``math.erfc`` per value.
     """
 
     def __init__(self, horizon: int, diffusivity: float):
@@ -104,18 +178,14 @@ class BrownianSeq(NoiseSequence):
         return np.sqrt(2.0 * self.diffusivity * self._check_t(t))
 
     def cdf(self, t: int, y):
-        from scipy.special import ndtr
-
-        s = self.sigma(t)
-        out = ndtr(np.asarray(y, dtype=float) / s)
+        z = np.asarray(y, dtype=float) / self.sigma(t)
+        out = 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=float)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, t, q):
-        from scipy.special import ndtri
-
         s = self.sigma(t)
         q = np.clip(np.asarray(q, dtype=float), 1e-300, np.nextafter(1.0, 0.0))
-        out = s * ndtri(q)
+        out = s * _ndtri(q)
         return float(out) if out.ndim == 0 else out
 
     def support(self, t: int) -> tuple[float, float]:

@@ -430,7 +430,6 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
         first.oracle_grid), *(run for run, _ in learners)]
     work_s = first.horizon * (len(configs) * _STEP_S
                               + first.oracle_grid * _SEARCH_LEVEL_S)
-    scenario.noise.quantile(1, 0.5)  # lazy state (SciPy's) loads once, not per fork
     optima, *traces = (out for part in fork_map(
         lambda part: [tasks[i]() for i in part],
         fork_ranges(len(tasks), work_s)) for out in part)

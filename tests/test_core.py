@@ -104,9 +104,6 @@ class TestShrunkSet:
 
 
 class TestDiameterAndInradius:
-    def test_interval(self):
-        assert Box(1.0, 5.0).diameter == pytest.approx(4.0)
-
     def test_box_inradius_is_min_halfwidth(self):
         assert Box(0.0, 2.0).inradius == pytest.approx(1.0)
 

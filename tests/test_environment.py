@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.special import ndtri
 
 from cvarlearn.core import ConfigurationError
 from cvarlearn.environment import (
     BrownianSeq,
     UniformSeq,
+    _ndtri,
     constant_uniform,
     parking_noise,
     parking_range,
@@ -18,6 +20,7 @@ from cvarlearn.environment import (
     w1_numeric,
     w1_uniform,
 )
+from cvarlearn.oracle import _mid_quantiles
 
 
 class TestParkingRange:
@@ -118,6 +121,43 @@ class TestBrownianSeq:
         noise = BrownianSeq(400, diffusivity=0.1)
         expected = math.sqrt(2 / math.pi) * (noise.sigma(400) - noise.sigma(1))
         assert variation_budget(noise, 400) == pytest.approx(expected, rel=1e-12)
+
+
+def _ndtri_edges():
+    """The clip edges of ``BrownianSeq.quantile``, and each branch edge of
+    ``_ndtri`` with both neighbours."""
+    edges = [1e-300, np.nextafter(1.0, 0.0)]
+    for edge in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    return np.array(edges)
+
+
+def _log_uniform_and_complements(rng):
+    small = 10.0 ** rng.uniform(-300.0, 0.0, 10**5)
+    return np.concatenate([small, np.minimum(1.0 - small, np.nextafter(1.0, 0.0))])
+
+
+NDTRI_CASES = {
+    "uniforms": lambda rng: rng.random(10**6),
+    "uniforms-2d": lambda rng: rng.random((300, 400)),
+    "mid-quantiles": lambda rng: np.concatenate(
+        [_mid_quantiles(n) for n in (1000, 2000, 10_000)]),
+    "log-uniform": _log_uniform_and_complements,
+    "edges": lambda rng: _ndtri_edges(),
+    "scalar-central": lambda rng: np.float64(0.3),
+    "scalar-lower-tail": lambda rng: np.float64(1e-300),
+    "scalar-upper-tail": lambda rng: np.float64(0.99),
+}
+
+
+class TestNdtri:
+    @pytest.mark.parametrize("case", list(NDTRI_CASES))
+    def test_bits_equal_scipy(self, case):
+        # Compared as int64 bit patterns: every value, not just to a tolerance.
+        q = NDTRI_CASES[case](np.random.default_rng(37))
+        got, want = _ndtri(q), np.asarray(ndtri(q))
+        assert got.shape == want.shape == np.shape(q)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 STEP_ARRAY_CASES = {

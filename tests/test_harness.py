@@ -558,19 +558,29 @@ class TestCli:
         assert "configuration error" in err
         assert out == ""
 
-    def test_parking_run_never_imports_scipy(self, tmp_path):
-        # SciPy is needed only by the Brownian scenario's normal quantiles.
+    @pytest.mark.parametrize("argv, files", [
+        (["run"], ["p_aggregate.csv", "p_trial0.csv", "p_trial1.csv"]),
+        (["run", "--scenario", "brownian"],
+         ["p_aggregate.csv", "p_trial0.csv", "p_trial1.csv"]),
+        (["ablate", "--scenario", "brownian", "--counts", "2,3"],
+         ["p_ablation.csv", "p_n2_aggregate.csv", "p_n2_trial0.csv",
+          "p_n2_trial1.csv", "p_n3_aggregate.csv", "p_n3_trial0.csv",
+          "p_n3_trial1.csv"]),
+    ], ids=["run-parking", "run-brownian", "ablate-brownian"])
+    def test_cli_never_imports_scipy(self, tmp_path, argv, files):
+        # The Brownian scenario's normal quantiles are a NumPy port of
+        # SciPy's, so no scenario loads SciPy.
+        argv = [*argv, "--T", "10", "--batch", "5", "--trials", "2",
+                "--oracle-grid", "1000", "--oracle-k", "10", "--out", "p"]
         code = ("import sys; from cvarlearn import cli; "
-                "assert cli.main(['run', '--T', '10', '--batch', '5', "
-                "'--trials', '2', '--oracle-grid', '1000', '--oracle-k', '10', "
-                "'--out', 'p']) == 0; "
+                f"assert cli.main({argv!r}) == 0; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
         env.pop("RA_SEED", None)
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
-        assert (tmp_path / "p_trial1.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
 
     def test_scenario_build_never_imports_multiprocessing(self, tmp_path):
         # Only a phase that forks imports multiprocessing; import and
