@@ -157,13 +157,19 @@ class NoiseSequence(ABC):
         self.horizon = horizon
 
     def _check_t(self, t):
-        """``t`` as an int, or as an integer array of steps, each in range."""
-        t = int(t) if np.ndim(t) == 0 else np.asarray(t)
-        outside = np.ravel(t)[np.ravel((t < 1) | (t > self.horizon))]
+        """``t`` as an int, or as an integer array of steps, each in range;
+        a step with a fractional part is rejected, never truncated."""
+        steps = np.asarray(t)
+        flat = steps.ravel()
+        if steps.dtype.kind == "f":
+            fractional = flat[flat != np.trunc(flat)]
+            if fractional.size:
+                raise ConfigurationError(f"step {fractional[0]} is not an integer")
+        outside = flat[(flat < 1) | (flat > self.horizon)]
         if outside.size:
             raise ConfigurationError(
                 f"step {outside[0]} outside horizon [1, {self.horizon}]")
-        return t
+        return int(steps) if steps.ndim == 0 else steps.astype(int, copy=False)
 
     @abstractmethod
     def cdf(self, t: int, y):
@@ -179,8 +185,9 @@ class NoiseSequence(ABC):
         """Interval certainly containing the mass of xi_t."""
 
     @abstractmethod
-    def step_w1(self, t: int) -> float:
-        """W1 distance between the step ``t - 1`` and step ``t`` distributions."""
+    def step_w1(self, t):
+        """W1 distance between the step ``t - 1`` and step ``t``
+        distributions; ``t`` is a step or an integer array of steps."""
 
 
 #: Least estimated serial work, in seconds, that ``fork_ranges`` splits:

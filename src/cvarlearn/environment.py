@@ -30,7 +30,9 @@ __all__ = [
 ]
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+_exp = np.frompyfunc(math.exp, 1, 1)
 _log = np.frompyfunc(math.log, 1, 1)
 
 # Cephes ``ndtri`` as SciPy ships it: each polynomial's coefficients from the
@@ -150,11 +152,12 @@ class UniformSeq(NoiseSequence):
     def support(self, t: int) -> tuple[float, float]:
         return self.bounds(t)
 
-    def step_w1(self, t: int) -> float:
+    def step_w1(self, t):
         """Closed-form W1 between the step ``t-1`` and step ``t`` distributions."""
-        a1, b1 = self.bounds(t - 1)
-        a2, b2 = self.bounds(t)
-        return w1_uniform(a1, b1, a2, b2)
+        t = self._check_t(t)
+        prev = self._check_t(t - 1)
+        lo, hi = self.table.T
+        return w1_uniform(lo[prev - 1], hi[prev - 1], lo[t - 1], hi[t - 1])
 
 
 class BrownianSeq(NoiseSequence):
@@ -170,7 +173,7 @@ class BrownianSeq(NoiseSequence):
         super().__init__(horizon)
         diffusivity = float(diffusivity)
         if diffusivity <= 0:
-            raise ConfigurationError("diffusivity must be positive")
+            raise ConfigurationError(f"diffusivity must be positive, got {diffusivity}")
         self.diffusivity = diffusivity
 
     def sigma(self, t):
@@ -193,14 +196,15 @@ class BrownianSeq(NoiseSequence):
         s = self.sigma(t)
         return (-10.0 * s, 10.0 * s)
 
-    def step_w1(self, t: int) -> float:
+    def step_w1(self, t):
+        t = self._check_t(t)
         return w1_gaussian(0.0, self.sigma(t - 1), 0.0, self.sigma(t))
 
 
 def constant_uniform(horizon: int, lo: float, hi: float) -> UniformSeq:
     """Static baseline: the same ``U[lo, hi]`` at every step."""
     if hi < lo:
-        raise ConfigurationError("constant uniform needs lo <= hi")
+        raise ConfigurationError(f"constant uniform needs lo <= hi, got {lo} > {hi}")
     return UniformSeq(np.full(horizon, lo), np.full(horizon, hi))
 
 
@@ -225,42 +229,51 @@ def parking_noise(horizon: int) -> UniformSeq:
     return UniformSeq(lower, upper)
 
 
-def w1_uniform(a1: float, b1: float, a2: float, b2: float) -> float:
-    """Exact W1 distance between ``U[a1, b1]`` and ``U[a2, b2]``.
+def w1_uniform(a1, b1, a2, b2):
+    """Exact W1 distance between ``U[a1, b1]`` and ``U[a2, b2]``, elementwise
+    over broadcast endpoint arrays (a float for scalar endpoints).
 
     Point masses are allowed (equal endpoints). Computed from the quantile
     representation: the integrand ``|Q1(q) - Q2(q)|`` is piecewise linear, so
     the integral splits in closed form at the sign-change root when one lies
     inside (0, 1).
     """
-    if b1 < a1 or b2 < a2:
+    a1, b1, a2, b2 = (np.asarray(v, dtype=float) for v in (a1, b1, a2, b2))
+    if (b1 < a1).any() or (b2 < a2).any():
         raise ConfigurationError("uniform endpoints must satisfy a <= b")
     c0 = a1 - a2
     c1 = (b1 - a1) - (b2 - a2)
-    if c1 == 0.0:
-        return abs(c0)
-    root = -c0 / c1
-    if 0.0 < root < 1.0:
-        return 0.5 * (abs(c0) * root + abs(c0 + c1) * (1.0 - root))
-    return abs(c0 + 0.5 * c1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = -c0 / c1
+        split = 0.5 * (np.abs(c0) * root + np.abs(c0 + c1) * (1.0 - root))
+    out = np.where(c1 == 0.0, np.abs(c0),
+                   np.where((0.0 < root) & (root < 1.0), split,
+                            np.abs(c0 + 0.5 * c1)))
+    return float(out) if out.ndim == 0 else out
 
 
-def w1_gaussian(mu1: float, sigma1: float, mu2: float, sigma2: float) -> float:
-    """Exact W1 distance between two 1-D Gaussians.
+def w1_gaussian(mu1, sigma1, mu2, sigma2):
+    """Exact W1 distance between two 1-D Gaussians, elementwise over
+    broadcast parameter arrays (a float for scalar parameters).
 
     Equals ``E|N(mu1 - mu2, (sigma1 - sigma2)^2)|`` (a folded-normal mean);
-    reduces to ``|mu1 - mu2|`` when the scales agree.
+    reduces to ``|mu1 - mu2|`` when the scales agree. ``exp`` and ``erf``
+    are ``math``'s, per value: NumPy has no ``erf``, and its ``exp`` can
+    differ from the C library's in the last bit.
     """
-    if sigma1 < 0 or sigma2 < 0:
+    mu1, sigma1, mu2, sigma2 = (np.asarray(v, dtype=float)
+                                for v in (mu1, sigma1, mu2, sigma2))
+    if (sigma1 < 0).any() or (sigma2 < 0).any():
         raise ConfigurationError("Gaussian scales must be >= 0")
     dm = mu1 - mu2
-    ds = abs(sigma1 - sigma2)
-    if ds == 0.0:
-        return abs(dm)
-    z = dm / ds
-    return ds * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) + dm * math.erf(
-        z / math.sqrt(2.0)
-    )
+    ds = np.abs(sigma1 - sigma2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = dm / ds
+        folded = (ds * math.sqrt(2.0 / math.pi)
+                  * np.asarray(_exp(-0.5 * z * z), dtype=float)
+                  + dm * np.asarray(_erf(z / math.sqrt(2.0)), dtype=float))
+    out = np.where(ds == 0.0, np.abs(dm), folded)
+    return float(out) if out.ndim == 0 else out
 
 
 def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) -> float:
@@ -291,7 +304,7 @@ def variation_profile(noise: NoiseSequence, horizon: int) -> np.ndarray:
         raise ConfigurationError("variation budget needs horizon >= 2")
     if horizon > noise.horizon:
         raise ConfigurationError("requested horizon exceeds the noise sequence's")
-    return np.array([noise.step_w1(t) for t in range(2, horizon + 1)])
+    return np.asarray(noise.step_w1(np.arange(2, horizon + 1)), dtype=float)
 
 
 def variation_budget(noise: NoiseSequence, horizon: int) -> float:

@@ -91,6 +91,8 @@ class ExperimentConfig:
     diffusivity: float = 1e-4
 
     def validate(self) -> "ExperimentConfig":
+        """Check the rules that no object built from the config owns, and the
+        horizon, which ``constant_uniform``'s ``np.full`` reads unchecked."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if field.type == "float" and not math.isfinite(value):
@@ -99,27 +101,13 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
-        if self.batch_size < 2:
-            raise ConfigurationError("batch size must be >= 2")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"risk level alpha={self.alpha} must lie in (0, 1]")
-        if self.delta <= 0:
-            raise ConfigurationError("smoothing radius must be positive")
-        if self.eta <= 0:
-            raise ConfigurationError("learning rate must be positive")
+            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
         if self.base_seed < 0:
-            raise ConfigurationError("base seed must be >= 0")
+            raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.rate_rule not in ("constant", "inverse"):
             raise ConfigurationError("rate_rule must be 'constant' or 'inverse'")
-        if self.samples < 1:
-            raise ConfigurationError("samples must be >= 1")
-        if self.oracle_k < 2:
-            raise ConfigurationError("oracle action grid needs >= 2 points")
-        if self.oracle_grid < 1000:
-            raise ConfigurationError("oracle quantile grid needs >= 1000 points")
         return self
 
 
@@ -258,8 +246,8 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     The cost's U and L0 are computed from the admissible set and the noise
     support (the Gaussian support is taken as its +/-10 sigma truncation)
     and logged, since the sampling-requirement constant and the DKW
-    diagnostics reference them. A smoothing radius at or above the decision
-    set's inradius is rejected here, before any oracle or learner work.
+    diagnostics reference them. The noise sequence checks its own
+    parameters; the learner's and the oracle's are checked by ``_experiments``.
     """
     config.validate()
     horizon = config.horizon
@@ -269,8 +257,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     else:
         if config.scenario == "parking":
             noise = environment.parking_noise(horizon)
-        elif config.noise_high < config.noise_low:
-            raise ConfigurationError("custom scenario needs noise_low <= noise_high")
         else:
             noise = environment.constant_uniform(horizon, config.noise_low,
                                                  config.noise_high)
@@ -278,10 +264,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         cost = _pricing_cost((float(noise.table[:, 0].min()),
                               float(noise.table[:, 1].max())))
         _warn_point_masses(noise.table)
-    if config.delta >= region.inradius:
-        raise ConfigurationError(
-            f"smoothing radius {config.delta} must be below the inradius "
-            f"{region.inradius} of the decision set")
     logger.info("scenario %s: U=%.6g L0=%.6g m=%.6g", config.scenario,
                 cost.bound, cost.lipschitz, cost.strong_convexity)
     return Scenario(cost=cost, noise=noise, region=region)
@@ -313,17 +295,12 @@ class ExperimentResult:
 
 def _learner(config: ExperimentConfig, scenario: Scenario
              ) -> tuple[functools.partial[learner.Trace], schedule.RequirementCheck]:
-    """``config``'s learner, as a call that runs every trial, with its
-    settings checked, and the sampling-requirement check of the strategy it
-    runs, which logs a violation and goes on."""
-    if config.rate_rule == "inverse":
-        modulus = scenario.cost.strong_convexity
-        if modulus <= 0:
-            raise ConfigurationError(
-                "the inverse-epoch rate needs a strictly convex cost (m > 0)")
-        rate: schedule.LearningRateSchedule = InverseEpochRate(modulus)
-    else:
-        rate = ConstantRate(config.eta)
+    """``config``'s learner, as a call that runs every trial, its settings
+    checked by their owners, and the sampling-requirement check of the
+    strategy it runs, which logs a violation and goes on."""
+    rate: schedule.LearningRateSchedule = (
+        InverseEpochRate(scenario.cost.strong_convexity)
+        if config.rate_rule == "inverse" else ConstantRate(config.eta))
     settings = learner.LearnerConfig(
         horizon=config.horizon,
         batch_size=config.batch_size,
@@ -333,6 +310,7 @@ def _learner(config: ExperimentConfig, scenario: Scenario
         rate=rate,
         x0=config.x0,
     )
+    scenario.region.shrink(config.delta)  # the learner's radius check, before phase 1
     check = check_sampling_requirement(settings.sampling, config.batch_size,
                                        config.sampling_a, config.sampling_c)
     if not check.satisfied:
@@ -401,8 +379,8 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     """Run all trials, write per-trial and aggregate CSVs, return the result.
 
     Trial ``i`` uses seed ``base_seed + i``. The per-step optimal-action
-    series is trajectory-independent: it is found once, in the same oracle
-    pass that evaluates every trial.
+    series is trajectory-independent: the search pass finds it once, for
+    the played pass of every trial.
     """
     results = _experiments(build_scenario(config), [config])
     if write:
@@ -417,19 +395,21 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
     phase 2: one played pass over all of their trials.
 
     The configs differ at most in the learner's settings; the first one's
-    risk level and oracle grids serve all. Every config is checked, and a
-    sampling-requirement violation logged, before any fork. Each result's
-    report holds its own trials' rows. An initial decision outside the
-    shrunk set is projected into it, which is logged once, from the first run.
+    risk level and oracle grids serve all. Every learner and grid is built,
+    which checks it, and a sampling-requirement violation logged, before
+    any fork. Each result's report holds its own trials' rows. An initial
+    decision outside the shrunk set is projected into it, which is logged
+    once, from the first run.
     """
     first = configs[0]
     learners = [_learner(config, scenario) for config in configs]
+    actions = oracle.action_grid(scenario.region, first.oracle_k)
+    levels = oracle._mid_quantiles(first.oracle_grid)
     tasks = [functools.partial(
-        oracle.optimal_action_series, scenario.cost, scenario.noise,
-        scenario.region, first.alpha, range(first.horizon), first.oracle_k,
-        first.oracle_grid), *(run for run, _ in learners)]
+        oracle.optimal_action_series, scenario.cost, scenario.noise, actions,
+        first.alpha, range(first.horizon), levels), *(run for run, _ in learners)]
     work_s = first.horizon * (len(configs) * _STEP_S
-                              + first.oracle_grid * _SEARCH_LEVEL_S)
+                              + levels.size * _SEARCH_LEVEL_S)
     optima, *traces = (out for part in fork_map(
         lambda part: [tasks[i]() for i in part],
         fork_ranges(len(tasks), work_s)) for out in part)
@@ -438,7 +418,7 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
         logger.info("initial decision projected into the shrunk set: %s -> %s", x0, x)
     report = oracle.dynamic_regret(
         np.concatenate([trace.x_hat for trace in traces]), scenario.cost,
-        scenario.noise, first.alpha, optima, grid_n=first.oracle_grid)
+        scenario.noise, first.alpha, optima, levels)
     results, start = [], 0
     for config, trace, (_, check) in zip(configs, traces, learners):
         rows = slice(start, start + config.trials)
@@ -490,7 +470,8 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     """Re-run the experiment for each sample count and tabulate final losses.
 
     Counts violating the declared sampling requirement produce a warning but
-    still run. Every count is checked before any learner or oracle work.
+    still run. Every count, and ``samples``, is checked before any learner
+    or oracle work.
     Every count's learner runs beside one optimal-action search; then one
     played pass evaluates all of their trials against that series; only then
     are the files written: one trajectory set and aggregate per count plus a
@@ -502,8 +483,9 @@ def run_ablation(config: ExperimentConfig, sample_counts,
         raise ConfigurationError(f"sample counts must be integers: {exc}") from exc
     if len(counts) < 2 or len(set(counts)) < len(counts):
         raise ConfigurationError(f"ablation needs two or more distinct counts: {counts}")
+    ConstantSampling(config.samples)  # replaced by the counts, yet checked
     subs = [dataclasses.replace(config, samples=n,
-                                out_prefix=f"{config.out_prefix}_n{n}").validate()
+                                out_prefix=f"{config.out_prefix}_n{n}")
             for n in counts]
     results = _experiments(build_scenario(config), subs)
     if write:

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Box, ConfigurationError, CostModel, NoiseSequence
-from .risk import cvar_of_values
-from .schedule import LearningRateSchedule, SamplingStrategy, batch_epoch
+from .risk import _check_alpha, cvar_of_values
+from .schedule import (LearningRateSchedule, SamplingStrategy, _check_batch_size,
+                       batch_epoch)
 from .smoothing import directions, gradient_estimate
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
@@ -47,12 +48,11 @@ class LearnerConfig:
             raise ConfigurationError(f"initial decision x0={self.x0} must be finite")
         if int(self.horizon) < 1:
             raise ConfigurationError("horizon must be >= 1")
-        if int(self.batch_size) < 2:
-            raise ConfigurationError("batch size must be >= 2")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(f"risk level alpha={self.alpha} must lie in (0, 1]")
+        _check_batch_size(self.batch_size)
+        _check_alpha(self.alpha)
         if not self.delta > 0.0:
-            raise ConfigurationError("smoothing radius must be positive")
+            raise ConfigurationError(
+                f"smoothing radius delta={self.delta} must be positive")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ __all__ = ["true_cvar", "action_grid", "RegretReport", "optimal_action_series",
 def _mid_quantiles(grid_n: int) -> np.ndarray:
     """The ``grid_n`` mid-quantile levels, built once per size (read-only)."""
     if grid_n < 1000:
-        raise ConfigurationError("quantile grid needs >= 1000 points")
+        raise ConfigurationError(f"quantile grid needs >= 1000 points, got {grid_n}")
     levels = (np.arange(grid_n) + 0.5) / grid_n
     levels.flags.writeable = False
     return levels
@@ -70,7 +70,7 @@ def action_grid(region: Box, k: int) -> np.ndarray:
     """``k`` grid points at the centers of equal subintervals of the interval."""
     k = int(k)
     if k < 2:
-        raise ConfigurationError("action grid needs at least 2 points")
+        raise ConfigurationError(f"action grid needs at least 2 points, got {k}")
     lo, hi = region.lower, region.upper
     return lo + (np.arange(k) + 0.5) * (hi - lo) / k
 
@@ -135,11 +135,10 @@ def _grids(noise: NoiseSequence, levels: np.ndarray, steps: range):
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
-                          region: Box, alpha: float, steps: range,
-                          k: int = 100, grid_n: int = 10_000
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """The grid optimum of each 0-based step of ``steps`` (step ``s + 1``)
-    and its CVaR: the search pass.
+                          xs: np.ndarray, alpha: float, steps: range,
+                          levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimum over the grid ``xs`` of each 0-based step of ``steps``
+    (step ``s + 1``) at the quantile ``levels``, and its CVaR: the search pass.
 
     A step makes one cost and CVaR call over the search's stencil, the grid
     actions next to the previous step's optimum (the grid's middle for the
@@ -148,11 +147,10 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
     window widens. The search returns the grid's first minimum from any
     start, so the series does not depend on how the steps are cut.
     """
-    xs = action_grid(region, k)
     tol = _TOL * cost.bound
     x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
     i = xs.size // 2
-    for j, xi in enumerate(_grids(noise, _mid_quantiles(int(grid_n)), steps)):
+    for j, xi in enumerate(_grids(noise, levels, steps)):
         lo = max(i - 1, 0)
         stencil = _cvars(cost, xi, xs[lo:i + 2], alpha)
         i, c_star[j] = _first_grid_minimum(
@@ -164,10 +162,10 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
 
 def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                    alpha: float, optima: tuple[np.ndarray, np.ndarray],
-                   grid_n: int = 10_000) -> RegretReport:
-    """Evaluate played actions ``x_hat`` of shape ``(trials, T)``, played
-    at steps ``1..T``, against the best actions in hindsight ``optima``, as
-    ``optimal_action_series`` returns them for ``range(T)``: the played pass.
+                   levels: np.ndarray) -> RegretReport:
+    """The played pass: evaluate ``x_hat`` ``(trials, T)``, played at steps
+    ``1..T``, against the best actions in hindsight ``optima``, as
+    ``optimal_action_series`` returns them for ``range(T)`` at ``levels``.
 
     Each step's quantile grid serves every trial, evaluated in blocks of at
     most ``_BLOCK`` cost values (one row, if a row alone holds more). The
@@ -181,7 +179,6 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     if x_hat.ndim != 2 or x_hat.shape[1] != horizon:
         raise ConfigurationError(
             f"played actions must have shape (trials, {horizon}), got {x_hat.shape}")
-    levels = _mid_quantiles(int(grid_n))
     played = np.concatenate(fork_map(
         functools.partial(_played_steps, x_hat, cost, noise, alpha, levels),
         fork_ranges(horizon, x_hat.size * levels.size * _VALUE_S)), axis=1)

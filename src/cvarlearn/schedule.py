@@ -43,7 +43,7 @@ class BatchIndex(NamedTuple):
 def _check_batch_size(batch_size: int) -> int:
     batch_size = int(batch_size)
     if batch_size < 2:
-        raise ConfigurationError("batch size must be >= 2")
+        raise ConfigurationError(f"batch size must be >= 2, got {batch_size}")
     return batch_size
 
 
@@ -76,7 +76,8 @@ class ConstantSampling:
 
     def __post_init__(self):
         if int(self.count_per_step) < 1:
-            raise ConfigurationError("sample count must be >= 1")
+            raise ConfigurationError(
+                f"sample count must be >= 1, got {self.count_per_step}")
         object.__setattr__(self, "count_per_step", int(self.count_per_step))
 
     def count(self, tau: int, batch_size: int) -> int:
@@ -132,7 +133,8 @@ class ConstantRate:
 
     def __post_init__(self):
         if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ConfigurationError("learning rate must be positive and finite")
+            raise ConfigurationError(
+                f"learning rate eta={self.eta} must be positive and finite")
 
     def rate(self, tau: int) -> float:
         return self.eta
@@ -147,7 +149,7 @@ class InverseEpochRate:
     def __post_init__(self):
         if not (self.modulus > 0 and math.isfinite(self.modulus)):
             raise ConfigurationError(
-                "strong-convexity modulus must be positive and finite")
+                f"strong-convexity modulus {self.modulus} must be positive and finite")
 
     def rate(self, tau: int) -> float:
         tau = int(tau)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import ndtri
 
-from cvarlearn.core import ConfigurationError
+from cvarlearn.core import ConfigurationError, CostModel
 from cvarlearn.environment import (
     BrownianSeq,
     UniformSeq,
@@ -20,7 +20,7 @@ from cvarlearn.environment import (
     w1_numeric,
     w1_uniform,
 )
-from cvarlearn.oracle import _mid_quantiles
+from cvarlearn.oracle import _mid_quantiles, true_cvar
 
 
 class TestParkingRange:
@@ -187,6 +187,103 @@ class TestStepArrays:
             steps = np.array([[2], [bad], [3]])
             with pytest.raises(ConfigurationError, match=f"step {bad} outside"):
                 noise.quantile(steps, np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("case", sorted(STEP_ARRAY_CASES))
+    @pytest.mark.parametrize("step, named", [
+        (2.9, "2.9"), (2.5, "2.5"), (np.float64(1.5), "1.5"), (math.nan, "nan"),
+        (np.array([2.5]), "2.5"), (np.array([[2.0], [1.5], [3.5]]), "1.5"),
+    ], ids=["2.9", "2.5", "float64", "nan", "array", "column"])
+    def test_non_integer_step_is_named_not_truncated(self, case, step, named):
+        noise = STEP_ARRAY_CASES[case]()
+        match = f"step {named} is not an integer"
+        with pytest.raises(ConfigurationError, match=match):
+            noise.quantile(step, 0.9)
+        with pytest.raises(ConfigurationError, match=match):
+            noise.step_w1(step)
+        if np.ndim(step) == 0:
+            with pytest.raises(ConfigurationError, match=match):
+                noise.cdf(step, 1.0)
+            with pytest.raises(ConfigurationError, match=match):
+                true_cvar(CostModel(fn=lambda x, xi: x + xi, bound=1.0, lipschitz=1.0),
+                          noise, step, 0.0, 0.5, 1000)
+
+    @pytest.mark.parametrize("case", sorted(STEP_ARRAY_CASES))
+    def test_integral_float_steps_are_steps(self, case):
+        noise = STEP_ARRAY_CASES[case]()
+        q = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(noise.quantile(2.0, q), noise.quantile(2, q))
+        assert np.array_equal(noise.quantile(np.array([[2.0], [3.0]]), q),
+                              noise.quantile(np.array([[2], [3]]), q))
+
+    @pytest.mark.parametrize("case", sorted(STEP_ARRAY_CASES))
+    def test_step_w1_of_an_array_equals_per_step_calls(self, case):
+        noise = STEP_ARRAY_CASES[case]()
+        steps = np.arange(2, noise.horizon + 1)
+        single = [noise.step_w1(int(t)) for t in steps]
+        assert all(type(w) is float for w in single)
+        got = noise.step_w1(steps)
+        assert np.array_equal(got.view(np.int64), np.array(single).view(np.int64))
+        assert np.array_equal(noise.step_w1(steps.reshape(-1, 1))[:, 0], got)
+        with pytest.raises(ConfigurationError, match="step 0 outside"):
+            noise.step_w1(np.array([3, 1]))
+
+
+def w1_uniform_branches(a1, b1, a2, b2):
+    """``w1_uniform``'s closed form, branch by branch, on Python floats."""
+    c0 = a1 - a2
+    c1 = (b1 - a1) - (b2 - a2)
+    if c1 == 0.0:
+        return abs(c0)
+    root = -c0 / c1
+    if 0.0 < root < 1.0:
+        return 0.5 * (abs(c0) * root + abs(c0 + c1) * (1.0 - root))
+    return abs(c0 + 0.5 * c1)
+
+
+def w1_gaussian_branches(mu1, sigma1, mu2, sigma2):
+    """``w1_gaussian``'s closed form, branch by branch, on Python floats."""
+    dm, ds = mu1 - mu2, abs(sigma1 - sigma2)
+    if ds == 0.0:
+        return abs(dm)
+    z = dm / ds
+    return (ds * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z)
+            + dm * math.erf(z / math.sqrt(2.0)))
+
+
+def endpoint_draws(rng, size):
+    """Endpoints with shared values, point masses, nested and crossing pairs."""
+    starts = rng.choice(np.linspace(-1.0, 1.0, 9), size=(2, size))
+    widths = rng.choice([0.0, 0.25, 0.5, 1.0], size=(2, size))
+    jitter = rng.uniform(-1.0, 1.0, size=(2, size)) * (rng.random((2, size)) < 0.5)
+    return starts + jitter, starts + jitter + widths
+
+
+class TestW1Broadcast:
+    def test_uniform_array_equals_scalar_branches(self):
+        (a1, a2), (b1, b2) = endpoint_draws(np.random.default_rng(38), 20_000)
+        got = w1_uniform(a1, b1, a2, b2)
+        want = np.array([w1_uniform_branches(*v) for v in zip(
+            a1.tolist(), b1.tolist(), a2.tolist(), b2.tolist())])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert type(w1_uniform(a1[0], b1[0], a2[0], b2[0])) is float
+
+    def test_gaussian_array_equals_scalar_branches(self):
+        rng = np.random.default_rng(39)
+        mu1, mu2 = rng.choice([0.0, 0.5], size=(2, 20_000)) + rng.uniform(
+            -1.0, 1.0, size=(2, 20_000)) * (rng.random((2, 20_000)) < 0.5)
+        s1 = rng.uniform(0.0, 2.0, size=20_000)
+        s2 = np.where(rng.random(20_000) < 0.2, s1, rng.uniform(0.0, 2.0, size=20_000))
+        got = w1_gaussian(mu1, s1, mu2, s2)
+        want = np.array([w1_gaussian_branches(*v) for v in zip(
+            mu1.tolist(), s1.tolist(), mu2.tolist(), s2.tolist())])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert type(w1_gaussian(0.0, 1.0, 0.0, 2.0)) is float
+
+    def test_one_bad_entry_rejects_the_array(self):
+        with pytest.raises(ConfigurationError, match="a <= b"):
+            w1_uniform(np.array([0.0, 1.0]), np.array([1.0, 0.5]), 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="scales"):
+            w1_gaussian(0.0, np.array([1.0, -1.0]), 0.0, 1.0)
 
 
 class TestW1Uniform:

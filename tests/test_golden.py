@@ -43,6 +43,10 @@ BUDGET_HASHES = {
     "bud_budget.csv": "6a86c8626f9a7d7e27b2ba175b41d2bd028143c1d352a39d99319efe9f4b6609",
 }
 
+BROWNIAN_BUDGET_HASHES = {
+    "bud_budget.csv": "4903e82e30cbb908bd16fbd76e90b812204b8c59b669ca7d3aa44189e71bf972",
+}
+
 
 def _hashes(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -56,6 +60,8 @@ CASES = {
     "run-custom": (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),
     "budget-parking": (["budget", "--scenario", "parking", "--T", "3000"], "bud",
                        BUDGET_HASHES),
+    "budget-brownian": (["budget", "--scenario", "brownian", "--T", "3000"], "bud",
+                        BROWNIAN_BUDGET_HASHES),
 }
 
 

@@ -629,6 +629,97 @@ class TestCli:
         assert np.array_equal(x_env, x_five)
 
 
+# Every range rule of a run's configuration: the flags and config-file lines
+# that break it, and the message of the object that owns the rule.
+CONFIG_FAULTS = {
+    "horizon": (["--T", "0"], "", "horizon must be >= 1, got 0"),
+    "horizon-custom": (["--scenario", "custom", "--T", "-3"], "",
+                       "horizon must be >= 1, got -3"),
+    "batch_size": (["--batch", "1"], "", "batch size must be >= 2, got 1"),
+    "alpha-zero": (["--alpha", "0"], "", "risk level alpha=0.0 must lie in (0, 1]"),
+    "alpha-above-one": (["--alpha", "1.5"], "",
+                        "risk level alpha=1.5 must lie in (0, 1]"),
+    "delta-zero": (["--delta", "0"], "",
+                   "smoothing radius delta=0.0 must be positive"),
+    "delta-negative": (["--delta", "-0.1"], "",
+                       "smoothing radius delta=-0.1 must be positive"),
+    "delta-at-inradius": (["--delta", "2"], "", "smoothing radius 2.0 must "
+                          "satisfy 0 <= delta < inradius 2.0"),
+    "delta-above-inradius-brownian": (
+        ["--scenario", "brownian", "--delta", "2.5"], "",
+        "smoothing radius 2.5 must satisfy 0 <= delta < inradius 2.0"),
+    "eta": (["--eta", "0"], "", "learning rate eta=0.0 must be positive and finite"),
+    "samples": (["--samples", "0"], "", "sample count must be >= 1, got 0"),
+    "oracle_k": (["--oracle-k", "1"], "", "action grid needs at least 2 points, got 1"),
+    "oracle_grid": (["--oracle-grid", "999"], "",
+                    "quantile grid needs >= 1000 points, got 999"),
+    "trials": (["--trials", "0"], "", "trials must be >= 1, got 0"),
+    "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
+    "rate_rule": (["--rate", "fast"], "", "rate_rule must be 'constant' or 'inverse'"),
+    "scenario": (["--scenario", "casino"], "", "unknown scenario 'casino'"),
+    "noise_low-above-noise_high": (
+        ["--scenario", "custom"], "noise_low = 1.1\nnoise_high = 0.85\n",
+        "constant uniform needs lo <= hi, got 1.1 > 0.85"),
+    "diffusivity-zero": (["--scenario", "brownian"], "diffusivity = 0\n",
+                         "diffusivity must be positive, got 0.0"),
+    "diffusivity-negative": (["--scenario", "brownian"], "diffusivity = -1e-4\n",
+                             "diffusivity must be positive, got -0.0001"),
+}
+
+
+def run_faulty(tmp_path, command, flags, text):
+    """``cli.main`` on a small run of ``command``, then ``flags`` and, when
+    ``text`` is given, a config file holding it."""
+    argv = [*command, "--T", "10", "--batch", "5", "--trials", "1",
+            "--oracle-k", "10", "--oracle-grid", "1000", *flags,
+            "--out", str(tmp_path / "out" / "x")]
+    if text:
+        (tmp_path / "exp.cfg").write_text(text)
+        argv += ["--config", str(tmp_path / "exp.cfg")]
+    return cli.main(argv)
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize("command", [["run"], ["ablate", "--counts", "2,4"]],
+                             ids=["run", "ablate"])
+    @pytest.mark.parametrize("fault", list(CONFIG_FAULTS))
+    def test_fault_exits_one_with_its_owners_message_before_phase_one(
+            self, tmp_path, monkeypatch, capsys, command, fault):
+        # A learner or oracle call would raise AssertionError, which the CLI
+        # reports as a runtime failure with exit 2.
+        flags, text, message = CONFIG_FAULTS[fault]
+        forbid_oracle_and_learner(monkeypatch)
+        assert run_faulty(tmp_path, command, flags, text) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err
+        assert "ran on an invalid configuration" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", [
+        "batch_size", "alpha-above-one", "delta-at-inradius", "eta", "samples",
+        "oracle_k", "oracle_grid"])
+    def test_budget_checks_only_the_fields_it_reads(self, tmp_path, fault):
+        flags, text, _ = CONFIG_FAULTS[fault]
+        assert run_faulty(tmp_path, ["budget"], flags, text) == 0
+        assert (tmp_path / "out" / "x_budget.csv").exists()
+
+    @pytest.mark.parametrize("fault", [
+        "horizon-custom", "noise_low-above-noise_high", "diffusivity-zero"])
+    def test_budget_rejects_the_fields_it_reads(self, tmp_path, capsys, fault):
+        flags, text, message = CONFIG_FAULTS[fault]
+        assert run_faulty(tmp_path, ["budget"], flags, text) == 1
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_inverse_rate_never_reads_eta(self, tmp_path):
+        assert run_faulty(tmp_path, ["run"], ["--rate", "inverse", "--eta", "0"],
+                          "") == 0
+        modulus = build_scenario(ExperimentConfig(horizon=10)).cost.strong_convexity
+        lines = (tmp_path / "out" / "x_trial0.csv").read_text().splitlines()
+        assert [float(line.split(",")[8]) for line in lines[1:6]] == [
+            1.0 / (modulus * tau) for tau in range(1, 6)]
+
+
 FORK_RUN = ["--T", "31", "--batch", "5", "--trials", "5", "--oracle-grid",
             "1000", "--oracle-k", "20"]
 

@@ -50,14 +50,15 @@ def scan_series(cost, noise, region, alpha, horizon, k, grid_n):
 
 def optima_series(cost, noise, region, alpha, horizon, k, grid_n):
     """The oracle's optima series: its search pass over steps ``1..horizon``."""
-    return optimal_action_series(cost, noise, region, alpha, range(horizon),
-                                 k=k, grid_n=grid_n)
+    return optimal_action_series(cost, noise, action_grid(region, k), alpha,
+                                 range(horizon), _mid_quantiles(grid_n))
 
 
 def regret(x_hat, cost, noise, region, alpha, k, grid_n):
     """The played pass of ``x_hat`` against the search pass's series."""
     optima = optima_series(cost, noise, region, alpha, x_hat.shape[1], k, grid_n)
-    return dynamic_regret(x_hat, cost, noise, alpha, optima, grid_n=grid_n)
+    return dynamic_regret(x_hat, cost, noise, alpha, optima,
+                          _mid_quantiles(grid_n))
 
 
 def step_optimum(cost, noise, region, k, grid_n):
@@ -201,8 +202,10 @@ class TestConvexSearch:
             force_jobs(jobs)
             ranges = fork_ranges(horizon, 1.0)
             assert len(ranges) == jobs
-            parts = fork_map(functools.partial(optimal_action_series, *args,
-                                               k=100, grid_n=2000), ranges)
+            parts = fork_map(functools.partial(
+                optimal_action_series, scen.cost, scen.noise,
+                action_grid(scen.region, 100), 0.5, levels=_mid_quantiles(2000)),
+                ranges)
             x_star, c_star = (np.concatenate(part) for part in zip(*parts))
             assert x_star == pytest.approx(x_ref, abs=0)
             assert c_star == pytest.approx(c_ref, abs=0)
@@ -262,7 +265,7 @@ class TestDynamicRegret:
             dynamic_regret(np.full(shape, 2.0), scen.cost, scen.noise, 0.5,
                            optima_series(scen.cost, scen.noise, scen.region,
                                          0.5, 10, k=10, grid_n=1000),
-                           grid_n=1000)
+                           _mid_quantiles(1000))
 
     def test_playing_the_optimum_gives_zero_regret(self):
         scen = pricing_scenario(horizon=30)
