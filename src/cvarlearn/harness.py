@@ -14,8 +14,8 @@ when a fork does not pay, with the same bytes either way. A run returns one
 read as it is. An ablation evaluates every count's trials in one played
 pass, after all of their learners, so a failure writes nothing. All output
 is CSV (17-significant-digit floats, LF endings, UTF-8), each file formatted
-from one template and renamed into place, its directory created, only when
-whole. Plotting is left to external tools.
+from templates of a block of rows each and renamed into place, its directory
+created, only when whole. Plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -336,16 +336,24 @@ _FLOAT = "%.17g"
 _ROW_S = 8e-6
 
 
-def _template(header: str, columns) -> str:
-    """A whole CSV file as one ``%`` template: the header and one line per row.
+#: Rows per ``%`` template: a cap keeps the text and the values of one
+#: fill small, whatever the file's length.
+_BLOCK_ROWS = 512
 
-    A column given as values is formatted into the template, integers as
+
+def _template(header: str, columns) -> list[str]:
+    """A whole CSV file as ``%`` templates of ``_BLOCK_ROWS`` rows each, the
+    first one headed by the header line.
+
+    A column given as values is formatted into the templates, integers as
     integers and floats with 17 significant digits. A column given as
     ``None`` is left as float slots, which ``_write_csv`` fills.
     """
     rows = next(len(c) for c in columns if c is not None)
     cells = [[_FLOAT] * rows if c is None else _cells(c) for c in columns]
-    return header + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+    lines = [",".join(row) + "\n" for row in zip(*cells)]
+    blocks = ["".join(lines[i:i + _BLOCK_ROWS]) for i in range(0, rows, _BLOCK_ROWS)]
+    return [header + "\n" + (blocks[0] if blocks else ""), *blocks[1:]]
 
 
 def _cells(column) -> list[str]:
@@ -355,20 +363,23 @@ def _cells(column) -> list[str]:
     return [_FLOAT % v for v in column.tolist()]
 
 
-def _write_csv(path: Path, template: str, columns) -> None:
-    """Fill the slots of ``template``, row by row, from the float ``columns``
+def _write_csv(path: Path, templates: list[str], columns) -> None:
+    """Fill the slots of ``templates``, row by row, from the float ``columns``
     and replace ``path`` with the result.
 
-    The text goes to a temporary file beside ``path`` that is then renamed
-    over it, so a failure leaves the old file whole and no temporary file.
-    The parent directory is created first if it is missing.
+    Each template is filled and written on its own. The text goes to a
+    temporary file beside ``path`` that is then renamed over it, so a
+    failure leaves the old file whole and no temporary file. The parent
+    directory is created first if it is missing.
     """
-    text = template % tuple(np.column_stack(columns).ravel().tolist())
+    values = np.column_stack(columns)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for i, template in enumerate(templates):
+                rows = values[i * _BLOCK_ROWS:(i + 1) * _BLOCK_ROWS]
+                fh.write(template % tuple(rows.ravel().tolist()))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -443,11 +454,11 @@ def _write_experiments(results: list[ExperimentResult]) -> None:
     writes = []
     for result in results:
         prefix, trace, report = result.config.out_prefix, result.trace, result.report
-        # The columns shared by every trial are formatted once, into the template.
-        template = _template(TRAJECTORY_HEADER, (
+        # The columns shared by every trial are formatted once, into the templates.
+        templates = _template(TRAJECTORY_HEADER, (
             trace.t, trace.batch, trace.epoch, None, None, trace.n_samples, None,
             None, trace.eta, None, report.optimal_cvar, None, None))
-        writes += [(Path(f"{prefix}_trial{i}.csv"), template, (
+        writes += [(Path(f"{prefix}_trial{i}.csv"), templates, (
             trace.x[i], trace.x_hat[i], trace.cvar_estimate[i],
             trace.gradient[i], report.played_cvar[i],
             report.cumulative_regret[i], report.accumulated_loss[i]))
@@ -491,12 +502,12 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     if write:
         _write_experiments(results)
         checks = [result.requirement for result in results]
-        template = _template(
+        templates = _template(
             "n,mean_final_loss,std_final_loss,requirement_ok,"
             "requirement_achieved,requirement_allowed",
             (counts, None, None, [int(c.satisfied) for c in checks], None, None))
         final_losses = [result.report.accumulated_loss[:, -1] for result in results]
-        _write_csv(Path(f"{config.out_prefix}_ablation.csv"), template, (
+        _write_csv(Path(f"{config.out_prefix}_ablation.csv"), templates, (
             [f.mean() for f in final_losses], [f.std() for f in final_losses],
             [c.achieved for c in checks], [c.allowed for c in checks]))
     return dict(zip(counts, results))

@@ -10,8 +10,10 @@ the previous batch.
 
 Seeded trials share the cost, the noise sequence and the schedule, so they
 step together along a leading trial axis; only the generators are per trial.
-Their draws do not depend on the decisions, so they are made, and turned
-into noise, a block of steps at a time.
+A trial's generator is NumPy's ``default_rng(seed)`` stream, reproduced by
+``_pcg64`` so that no run loads ``numpy.random``: a seed gives the same draws
+as NumPy's generator. The draws do not depend on the decisions, so they are
+made, and turned into noise, a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import Stream
 from .core import Box, ConfigurationError, CostModel, NoiseSequence
 from .risk import _check_alpha, cvar_of_values
-from .schedule import (LearningRateSchedule, SamplingStrategy, _check_batch_size,
-                       batch_epoch)
+from .schedule import LearningRateSchedule, SamplingStrategy, _check_batch_size
 from .smoothing import directions, gradient_estimate
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
@@ -103,28 +105,39 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
         yield from zip(u.T, np.split(xi, np.cumsum(n)[:-1], axis=1))
 
 
+def _schedule(config: LearnerConfig):
+    """The per-step columns ``t``, ``batch``, ``epoch``, ``n_samples`` and
+    ``eta``: the count and the rate are evaluated once per epoch value."""
+    size = int(config.batch_size)
+    t = np.arange(1, int(config.horizon) + 1)
+    batch = (t - 1) // size + 1
+    epoch = t - (batch - 1) * size
+    taus = range(1, min(size, t.size) + 1)
+    n_samples = np.array([config.sampling.count(tau, size) for tau in taus])
+    eta = np.array([config.rate.rate(tau) for tau in taus], dtype=float)
+    return t, batch, epoch, n_samples[epoch - 1], eta[epoch - 1]
+
+
 def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
                region: Box, seeds) -> Trace:
     """Run ``config.horizon`` steps for every seed in lockstep; return the trace.
 
-    Trial ``i`` draws from its own generator, seeded with ``seeds[i]``, in a
-    fixed order: each step's direction first, then its noise uniforms. A
-    trial's columns therefore do not depend on the seeds run beside it.
+    Trial ``i`` draws from its own generator, NumPy's
+    ``default_rng(seeds[i])`` stream (``_pcg64.Stream``), in a fixed order:
+    each step's direction first, then its noise uniforms. A trial's columns
+    therefore do not depend on the seeds run beside it. A seed that is not a
+    non-negative integer is a ``ConfigurationError``.
     """
     inner = region.shrink(config.delta)
     if config.horizon > noise.horizon:
         raise ConfigurationError(
             f"run horizon {config.horizon} exceeds noise horizon {noise.horizon}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [Stream(seed) for seed in seeds]
     if not rngs:
         raise ConfigurationError("a run needs at least one seed")
 
     horizon, trials = int(config.horizon), len(rngs)
-    t = np.arange(1, horizon + 1)
-    batch, epoch = np.array([batch_epoch(s, config.batch_size) for s in t]).T
-    n_samples = np.array([config.sampling.count(tau, config.batch_size)
-                          for tau in epoch])
-    eta = np.array([config.rate.rate(tau) for tau in epoch], dtype=float)
+    t, batch, epoch, n_samples, eta = _schedule(config)
     xs, us, x_hats, grads, cvars = (np.empty((trials, horizon)) for _ in range(5))
     x = np.full(trials, inner.project(config.x0))
     for s, (u, xi) in enumerate(_draws(rngs, n_samples, noise)):

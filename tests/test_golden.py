@@ -31,6 +31,13 @@ ABLATE_HASHES = {
     "abl_n8_trial1.csv": "b99bd6d932efa4ece21fde753080a8d32f83d2b5d14fe5d7121a1cffa1b7cfe6",
 }
 
+# A seed of two 32-bit words: SeedSequence hashes multi-word entropy.
+BIG_SEED_HASHES = {
+    "big_trial0.csv": "d8336f01684b48ee71cc74a6c0f5f91931e1b3486458766427b024b9b85608d2",
+    "big_trial1.csv": "39ed1e21ed5144d3d0faae0ac7d54f0af9302e5aeeea25d7d96684b0b825aade",
+    "big_aggregate.csv": "02780c540c8dea430920875d24b202e9e461e4867f58137c766195ed8ecc655d",
+}
+
 CUSTOM_HASHES = {
     "cus_trial0.csv": "f1f68042aac031335bf3c72381b668bd8326f441d8bc6bd6e136655f702d5550",
     "cus_trial1.csv": "184c0a5755ce86b09dec9d08e2560bf6557a4a533e1c4f7960613a45f77ff04c",
@@ -57,6 +64,8 @@ CASES = {
     "run-parking": (["run", "--scenario", "parking", *COMMON], "run", RUN_HASHES),
     "ablate-brownian": (["ablate", "--scenario", "brownian", "--counts", "4,8",
                          *COMMON], "abl", ABLATE_HASHES),
+    "run-big-seed": (["run", "--scenario", "parking", "--seed", "4294967296",
+                      *COMMON], "big", BIG_SEED_HASHES),
     "run-custom": (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),
     "budget-parking": (["budget", "--scenario", "parking", "--T", "3000"], "bud",
                        BUDGET_HASHES),

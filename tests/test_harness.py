@@ -166,6 +166,21 @@ class TestRunExperiment:
         # LF line endings, no CR
         assert b"\r" not in (tmp_path / "ra_trial0.csv").read_bytes()
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_blocked_writer_equals_whole_file_formatting(self, tmp_path, blocks,
+                                                         offset):
+        # Templates cut every _BLOCK_ROWS rows give the text of one line per
+        # row, written whole, for files ending short of, at and past a cut.
+        rows = max(0, blocks * harness._BLOCK_ROWS + offset)
+        t = np.arange(rows)
+        a, b = np.linspace(0, 1, rows) ** 3, -np.sqrt(t)
+        harness._write_csv(tmp_path / "f.csv", harness._template(
+            "t,a,w,b", (t, None, np.full(rows, 0.1), None)), (a, b))
+        expected = "t,a,w,b\n" + "".join(
+            "%d,%.17g,%.17g,%.17g\n" % (i, x, 0.1, y) for i, x, y in zip(t, a, b))
+        assert (tmp_path / "f.csv").read_text() == expected
+
     def test_failed_write_keeps_the_old_files(self, tmp_path, monkeypatch):
         config = small_config(tmp_path, trials=2)
         run_experiment(config)
@@ -581,6 +596,41 @@ class TestCli:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
         assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "forked"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--T", "10"], ["run", "--scenario", "brownian", "--T", "10"],
+        ["ablate", "--scenario", "brownian", "--counts", "2,3", "--T", "10"],
+        ["budget", "--T", "100"],
+    ], ids=["run-parking", "run-brownian", "ablate-brownian", "budget"])
+    def test_cli_never_imports_numpy_random(self, tmp_path, argv, jobs):
+        # The learner's streams are a port of NumPy's default_rng stream.
+        # An import of numpy.random fails in this process and in its forked
+        # children alike; on a NumPy that loads it with numpy itself, there
+        # is nothing to check.
+        if argv[0] != "budget":
+            argv = [*argv, "--batch", "5", "--trials", "2", "--oracle-grid",
+                    "1000", "--oracle-k", "10"]
+        code = (
+            "import sys, numpy\n"
+            "if 'numpy.random' in sys.modules:\n"
+            "    print('eager'); sys.exit()\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[:2] == ['numpy', 'random']:\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from cvarlearn import cli, core\n"
+            f"core._usable_cpus, core._FORK_MIN_S = lambda: {jobs}, 0.0\n"
+            f"assert cli.main({[*argv, '--out', 'p']!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
+        env.pop("RA_SEED", None)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        if proc.stdout.splitlines()[-1] == "eager":
+            pytest.skip("import numpy loads numpy.random on this NumPy")
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_scenario_build_never_imports_multiprocessing(self, tmp_path):
         # Only a phase that forks imports multiprocessing; import and

@@ -197,6 +197,27 @@ class TestDeterminismAndRestarts:
         for tau, eta in etas.items():
             assert eta == pytest.approx(1.0 / (2.0 * tau))
 
+    @pytest.mark.parametrize("rate", [ConstantRate(0.05), InverseEpochRate(0.3)],
+                             ids=["constant", "inverse"])
+    @pytest.mark.parametrize("sampling", [ConstantSampling(4),
+                                          PolynomialSampling(0.7, 1.5)],
+                             ids=["constant", "polynomial"])
+    @pytest.mark.parametrize("batch_size", [2, 7, 200])
+    def test_schedule_columns_equal_per_step_calls(self, batch_size, sampling,
+                                                   rate):
+        # The closed-form columns are the per-step batch_epoch, count and
+        # rate values, with the dtypes the CSV formats them by.
+        for horizon in (1, batch_size - 1, batch_size, batch_size + 1, 6000):
+            config = make_config(horizon=horizon, batch_size=batch_size,
+                                 sampling=sampling, rate=rate)
+            t = np.arange(1, horizon + 1)
+            batch, epoch = np.array([batch_epoch(s, batch_size) for s in t]).T
+            reference = (t, batch, epoch,
+                         np.array([sampling.count(tau, batch_size) for tau in epoch]),
+                         np.array([rate.rate(tau) for tau in epoch], dtype=float))
+            for got, want in zip(learner._schedule(config), reference, strict=True):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_decision_carries_over_restarts(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(60)
