@@ -3,8 +3,9 @@
 A decision is one float, and the admissible set is a closed interval with an
 exact projection, an inradius, and a centered shrink operation that keeps
 perturbed actions feasible. Cost models bundle an evaluation rule with
-its declared bound, Lipschitz constant, and strong-convexity modulus. Noise
-sequences expose a per-step CDF, quantile function, support and step W1.
+its declared bound, Lipschitz constant, and strong-convexity modulus. A noise
+sequence is a location-scale table plus the ``Family`` of its standard
+variable; its per-step CDF, quantile, support and step W1 read the table.
 ``fork_map`` and ``fork_ranges`` split a phase of independent work across the
 usable CPUs (not exported).
 """
@@ -12,7 +13,6 @@ usable CPUs (not exported).
 from __future__ import annotations
 
 import os
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,6 +22,7 @@ __all__ = [
     "ConfigurationError",
     "Box",
     "CostModel",
+    "Family",
     "NoiseSequence",
 ]
 
@@ -139,22 +140,43 @@ class CostModel:
         return values
 
 
-class NoiseSequence(ABC):
-    """Time-indexed family of scalar noise distributions over ``t = 1..horizon``.
+@dataclass(frozen=True)
+class Family:
+    """The standard variable ``Z`` of a location-scale family: its quantile
+    and CDF (vectorized), an interval holding its mass (truncated where
+    unbounded), and ``w1(loc1, scale1, loc2, scale2)``, the W1 distance
+    between ``loc1 + scale1 Z`` and ``loc2 + scale2 Z`` over broadcast arrays."""
 
-    Subclasses provide the per-step CDF, quantile function and support, and
-    the closed-form W1 distance between consecutive steps. Callers draw
-    ``xi_t`` by inverse transform, ``quantile(t, rng.random(n))``: one
-    uniform per sample, whatever the distribution family.
+    quantile: Callable[[np.ndarray], np.ndarray]
+    cdf: Callable[[np.ndarray], np.ndarray]
+    support: tuple[float, float]
+    w1: Callable[..., np.ndarray]
+
+
+class NoiseSequence:
+    """Scalar noise over steps ``t = 1..horizon``: ``xi_t = loc_t + scale_t Z``.
+
+    ``table`` is a read-only ``(horizon, 2)`` array whose row ``t - 1`` is
+    step ``t``'s location and scale (a zero scale is a point mass), and
+    ``family`` holds ``Z``. Callers draw ``xi_t`` by inverse transform,
+    ``quantile(t, rng.random(n))``: one uniform per sample, whatever the
+    family. Where a method takes a step ``t``, an integer array of steps
+    broadcasts against its values, except in ``cdf``.
     """
 
-    horizon: int
-
-    def __init__(self, horizon: int):
-        horizon = int(horizon)
-        if horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
-        self.horizon = horizon
+    def __init__(self, table, family: Family):
+        table = np.array(table, dtype=float)
+        if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] != 2:
+            raise ConfigurationError(
+                f"noise table must have shape (T >= 1, 2), got {table.shape}")
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            raise ConfigurationError(f"non-finite location or scale at t={bad[0] + 1}")
+        bad = np.flatnonzero(table[:, 1] < 0)
+        if bad.size:
+            raise ConfigurationError(f"negative scale {table[bad[0], 1]} at t={bad[0] + 1}")
+        table.flags.writeable = False
+        self.table, self.family, self.horizon = table, family, len(table)
 
     def _check_t(self, t):
         """``t`` as an int, or as an integer array of steps, each in range;
@@ -171,23 +193,38 @@ class NoiseSequence(ABC):
                 f"step {outside[0]} outside horizon [1, {self.horizon}]")
         return int(steps) if steps.ndim == 0 else steps.astype(int, copy=False)
 
-    @abstractmethod
+    def _columns(self, t):
+        t = self._check_t(t) - 1
+        return self.table[t, 0], self.table[t, 1]
+
+    def place(self, t, z):
+        """``loc_t + z * scale_t``: standard values ``z`` placed at step ``t``."""
+        loc, scale = self._columns(t)
+        out = loc + np.asarray(z, dtype=float) * scale
+        return float(out) if out.ndim == 0 else out
+
+    def quantile(self, t, q):
+        """Generalized inverse of the CDF at levels ``q`` in [0, 1]."""
+        return self.place(t, self.family.quantile(q))
+
     def cdf(self, t: int, y):
         """P(xi_t <= y); vectorized in ``y``."""
+        loc, scale = self._columns(t)
+        y = np.asarray(y, dtype=float)
+        out = (self.family.cdf((y - loc) / scale) if scale > 0
+               else (y >= loc).astype(float))
+        return float(out) if out.ndim == 0 else out
 
-    @abstractmethod
-    def quantile(self, t, q):
-        """Generalized inverse of the CDF at levels ``q`` in [0, 1]; ``t`` is a
-        step or an integer array of steps, broadcast against ``q``."""
+    def support(self, t):
+        """Interval certainly containing the mass of xi_t, each end shaped
+        as ``t``."""
+        lo, hi = self.family.support
+        return self.place(t, lo), self.place(t, hi)
 
-    @abstractmethod
-    def support(self, t: int) -> tuple[float, float]:
-        """Interval certainly containing the mass of xi_t."""
-
-    @abstractmethod
     def step_w1(self, t):
-        """W1 distance between the step ``t - 1`` and step ``t``
-        distributions; ``t`` is a step or an integer array of steps."""
+        """W1 distance between the step ``t - 1`` and step ``t`` distributions."""
+        t = self._check_t(t)
+        return self.family.w1(*self._columns(t - 1), *self._columns(t))
 
 
 #: Least estimated serial work, in seconds, that ``fork_ranges`` splits:

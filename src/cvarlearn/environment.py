@@ -1,11 +1,12 @@
 """Concrete non-stationary noise sequences and Wasserstein-1 accounting.
 
-Provides the time-varying uniform family used by the parking-lot pricing
-study (each sequence one table of per-step endpoints), a Brownian-diffusion
-Gaussian family (its quantiles from a NumPy port of SciPy's ``ndtri``),
-static baselines, closed-form Wasserstein-1 distances for 1-D distributions
-(quadrature as the tests' reference), and the variation budget: the sum of
-consecutive closed-form W1 distances over the horizon. Sequences never log.
+Both families are location-scale tables (``core.NoiseSequence``): uniform
+bands, time-varying for the parking-lot pricing study and static for the
+custom scenario, and Brownian-diffusion Gaussians, whose quantiles come from
+a NumPy port of SciPy's ``ndtri``. Also closed-form Wasserstein-1 distances
+for 1-D distributions (quadrature as the tests' reference) and the
+variation budget: the sum of consecutive closed-form W1 distances over the
+horizon. Sequences never log.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import ConfigurationError, NoiseSequence
+from .core import ConfigurationError, Family, NoiseSequence
 
 __all__ = [
     "UniformSeq",
@@ -106,143 +107,13 @@ def _ndtri(y0):
     return out.reshape(shape)
 
 
-class UniformSeq(NoiseSequence):
-    """Per-step uniform distributions ``U[lower[t - 1], upper[t - 1]]``.
-
-    ``table`` holds the effective endpoints of every step, a read-only
-    ``(horizon, 2)`` array whose row ``t - 1`` is step ``t``. Steps where
-    ``upper <= lower`` collapse to a point mass at ``lower``; this keeps
-    sequences whose endpoint formulas momentarily cross well-defined without
-    altering the base level.
-    """
-
-    def __init__(self, lower, upper):
-        table = np.column_stack((np.asarray(lower, dtype=float),
-                                 np.asarray(upper, dtype=float)))
-        super().__init__(len(table))
-        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-        if bad.size:
-            raise ConfigurationError(f"non-finite uniform endpoints at t={bad[0] + 1}")
-        lo, hi = table.T
-        crossed = hi <= lo
-        hi[crossed] = lo[crossed]
-        table.flags.writeable = False
-        self.table = table
-
-    def bounds(self, t: int) -> tuple[float, float]:
-        """Effective endpoints at step ``t`` after degenerate collapse."""
-        lo, hi = self.table[self._check_t(t) - 1].tolist()
-        return lo, hi
-
-    def cdf(self, t: int, y):
-        lo, hi = self.bounds(t)
-        y = np.asarray(y, dtype=float)
-        if hi > lo:
-            out = np.clip((y - lo) / (hi - lo), 0.0, 1.0)
-        else:
-            out = (y >= lo).astype(float)
-        return float(out) if out.ndim == 0 else out
-
-    def quantile(self, t, q):
-        t = self._check_t(t) - 1
-        lo, hi = self.table[t, 0], self.table[t, 1]
-        out = lo + np.asarray(q, dtype=float) * (hi - lo)
-        return float(out) if out.ndim == 0 else out
-
-    def support(self, t: int) -> tuple[float, float]:
-        return self.bounds(t)
-
-    def step_w1(self, t):
-        """Closed-form W1 between the step ``t-1`` and step ``t`` distributions."""
-        t = self._check_t(t)
-        prev = self._check_t(t - 1)
-        lo, hi = self.table.T
-        return w1_uniform(lo[prev - 1], hi[prev - 1], lo[t - 1], hi[t - 1])
-
-
-class BrownianSeq(NoiseSequence):
-    """Centered Gaussian family with variance ``2 * diffusivity * t``.
-
-    Models measurements of a diffusing particle cloud: the distribution
-    flattens as ``t`` grows, and the variation budget scales like
-    ``sqrt(T)``. The quantile is ``sigma_t * _ndtri(q)``, the same bits as
-    SciPy's ``ndtri``; the CDF is ``math.erfc`` per value.
-    """
-
-    def __init__(self, horizon: int, diffusivity: float):
-        super().__init__(horizon)
-        diffusivity = float(diffusivity)
-        if diffusivity <= 0:
-            raise ConfigurationError(f"diffusivity must be positive, got {diffusivity}")
-        self.diffusivity = diffusivity
-
-    def sigma(self, t):
-        """Standard deviation at step ``t``, or at each of an array of steps."""
-        return np.sqrt(2.0 * self.diffusivity * self._check_t(t))
-
-    def cdf(self, t: int, y):
-        z = np.asarray(y, dtype=float) / self.sigma(t)
-        out = 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-    def quantile(self, t, q):
-        s = self.sigma(t)
-        q = np.clip(np.asarray(q, dtype=float), 1e-300, np.nextafter(1.0, 0.0))
-        out = s * _ndtri(q)
-        return float(out) if out.ndim == 0 else out
-
-    def support(self, t: int) -> tuple[float, float]:
-        # +/- 10 sigma truncation for quadrature and bound estimation.
-        s = self.sigma(t)
-        return (-10.0 * s, 10.0 * s)
-
-    def step_w1(self, t):
-        t = self._check_t(t)
-        return w1_gaussian(0.0, self.sigma(t - 1), 0.0, self.sigma(t))
-
-
-def constant_uniform(horizon: int, lo: float, hi: float) -> UniformSeq:
-    """Static baseline: the same ``U[lo, hi]`` at every step."""
-    if hi < lo:
-        raise ConfigurationError(f"constant uniform needs lo <= hi, got {lo} > {hi}")
-    return UniformSeq(np.full(horizon, lo), np.full(horizon, hi))
-
-
-def parking_range(t: int, horizon: int) -> tuple[float, float]:
-    """Raw endpoint formulas of the parking-lot uncertainty at step ``t``.
-
-    Returns the branch values verbatim; for ``t <= 2`` the first branch is
-    empty (right endpoint below left), which :class:`UniformSeq` repairs to a
-    point mass.
-    """
-    if not 1 <= t <= horizon:
-        raise ConfigurationError(f"step {t} outside horizon [1, {horizon}]")
-    if t < horizon / 2:
-        return 0.85, 1.15 - 0.5 * t ** -0.5
-    return 0.85 + 0.5 * t ** -0.1, 1.1
-
-
-def parking_noise(horizon: int) -> UniformSeq:
-    """Time-varying uniform uncertainty of the parking-lot pricing study."""
-    lower, upper = np.array([parking_range(t, horizon)
-                             for t in range(1, horizon + 1)]).reshape(-1, 2).T
-    return UniformSeq(lower, upper)
-
-
-def w1_uniform(a1, b1, a2, b2):
-    """Exact W1 distance between ``U[a1, b1]`` and ``U[a2, b2]``, elementwise
-    over broadcast endpoint arrays (a float for scalar endpoints).
-
-    Point masses are allowed (equal endpoints). Computed from the quantile
-    representation: the integrand ``|Q1(q) - Q2(q)|`` is piecewise linear, so
-    the integral splits in closed form at the sign-change root when one lies
-    inside (0, 1).
-    """
-    a1, b1, a2, b2 = (np.asarray(v, dtype=float) for v in (a1, b1, a2, b2))
-    if (b1 < a1).any() or (b2 < a2).any():
-        raise ConfigurationError("uniform endpoints must satisfy a <= b")
-    c0 = a1 - a2
-    c1 = (b1 - a1) - (b2 - a2)
+def _w1_shifted_stretched(loc1, scale1, loc2, scale2):
+    """W1 between ``loc1 + scale1 U`` and ``loc2 + scale2 U``, U uniform on
+    [0, 1], over broadcast arrays: the integral over q in (0, 1) of
+    ``|c0 + c1 q|``, ``c0`` the shift and ``c1`` the stretch, split in
+    closed form at its root when one lies inside."""
+    c0 = np.asarray(loc1, dtype=float) - loc2
+    c1 = np.asarray(scale1, dtype=float) - scale2
     with np.errstate(divide="ignore", invalid="ignore"):
         root = -c0 / c1
         split = 0.5 * (np.abs(c0) * root + np.abs(c0 + c1) * (1.0 - root))
@@ -250,6 +121,16 @@ def w1_uniform(a1, b1, a2, b2):
                    np.where((0.0 < root) & (root < 1.0), split,
                             np.abs(c0 + 0.5 * c1)))
     return float(out) if out.ndim == 0 else out
+
+
+def w1_uniform(a1, b1, a2, b2):
+    """Exact W1 distance between ``U[a1, b1]`` and ``U[a2, b2]``, elementwise
+    over broadcast endpoint arrays (a float for scalar endpoints); point
+    masses (equal endpoints) are allowed."""
+    a1, b1, a2, b2 = (np.asarray(v, dtype=float) for v in (a1, b1, a2, b2))
+    if (b1 < a1).any() or (b2 < a2).any():
+        raise ConfigurationError("uniform endpoints must satisfy a <= b")
+    return _w1_shifted_stretched(a1, b1 - a1, a2, b2 - a2)
 
 
 def w1_gaussian(mu1, sigma1, mu2, sigma2):
@@ -274,6 +155,82 @@ def w1_gaussian(mu1, sigma1, mu2, sigma2):
                   + dm * np.asarray(_erf(z / math.sqrt(2.0)), dtype=float))
     out = np.where(ds == 0.0, np.abs(dm), folded)
     return float(out) if out.ndim == 0 else out
+
+
+#: The standard uniform on [0, 1]: a step is ``U[loc, loc + scale]``.
+UNIFORM = Family(quantile=lambda q: np.asarray(q, dtype=float),
+                 cdf=lambda z: np.clip(z, 0.0, 1.0), support=(0.0, 1.0),
+                 w1=_w1_shifted_stretched)
+
+#: The standard normal: quantiles by ``_ndtri`` (SciPy's bits), the CDF by
+#: ``math.erfc`` per value, the support truncated at +/-10 sigma. A step's
+#: location is 0.0, and ``0.0 + z * scale`` is ``z * scale`` to the bit:
+#: ``_ndtri`` gives -0.0 at no clipped level, and no ``z * scale``
+#: underflows to -0.0 for a positive scale.
+GAUSSIAN = Family(
+    quantile=lambda q: _ndtri(np.clip(q, 1e-300, np.nextafter(1.0, 0.0))),
+    cdf=lambda z: 0.5 * np.asarray(_erfc(-z / math.sqrt(2.0)), dtype=float),
+    support=(-10.0, 10.0), w1=w1_gaussian)
+
+
+def UniformSeq(lower, upper) -> NoiseSequence:
+    """Per-step uniform distributions ``U[lower[t - 1], upper[t - 1]]``, each
+    a table row ``(lower, upper - lower)``. Steps where ``upper <= lower``
+    collapse to a point mass at ``lower`` (scale 0); this keeps sequences
+    whose endpoint formulas momentarily cross well-defined without altering
+    the base level."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    if lower.ndim != 1 or lower.shape != upper.shape:
+        raise ConfigurationError(
+            "uniform endpoints must be 1-D arrays of one length, got shapes "
+            f"{lower.shape} and {upper.shape}")
+    bad = np.flatnonzero(~(np.isfinite(lower) & np.isfinite(upper)))
+    if bad.size:
+        raise ConfigurationError(f"non-finite uniform endpoints at t={bad[0] + 1}")
+    scale = np.where(upper > lower, upper - lower, 0.0)
+    return NoiseSequence(np.column_stack((lower, scale)), UNIFORM)
+
+
+def BrownianSeq(horizon: int, diffusivity: float) -> NoiseSequence:
+    """Centered Gaussians with variance ``2 * diffusivity * t``, each a
+    table row ``(0.0, sqrt(2 * diffusivity * t))``. Models measurements of a
+    diffusing particle cloud: the distribution flattens as ``t`` grows, and
+    the variation budget scales like ``sqrt(T)``."""
+    diffusivity = float(diffusivity)
+    if not math.isfinite(diffusivity):
+        raise ConfigurationError(f"diffusivity must be finite, got {diffusivity}")
+    if diffusivity <= 0:
+        raise ConfigurationError(f"diffusivity must be positive, got {diffusivity}")
+    scale = np.sqrt(2.0 * diffusivity * np.arange(1, int(horizon) + 1))
+    return NoiseSequence(np.column_stack((np.zeros_like(scale), scale)), GAUSSIAN)
+
+
+def constant_uniform(horizon: int, lo: float, hi: float) -> NoiseSequence:
+    """Static baseline: the same ``U[lo, hi]`` at every step."""
+    if hi < lo:
+        raise ConfigurationError(f"constant uniform needs lo <= hi, got {lo} > {hi}")
+    return UniformSeq(np.full(horizon, lo), np.full(horizon, hi))
+
+
+def parking_range(t: int, horizon: int) -> tuple[float, float]:
+    """Raw endpoint formulas of the parking-lot uncertainty at step ``t``.
+
+    Returns the branch values verbatim; for ``t <= 2`` the first branch is
+    empty (right endpoint below left), which :func:`UniformSeq` repairs to a
+    point mass.
+    """
+    if not 1 <= t <= horizon:
+        raise ConfigurationError(f"step {t} outside horizon [1, {horizon}]")
+    if t < horizon / 2:
+        return 0.85, 1.15 - 0.5 * t ** -0.5
+    return 0.85 + 0.5 * t ** -0.1, 1.1
+
+
+def parking_noise(horizon: int) -> NoiseSequence:
+    """Time-varying uniform uncertainty of the parking-lot pricing study."""
+    lower, upper = np.array([parking_range(t, horizon)
+                             for t in range(1, horizon + 1)]).reshape(-1, 2).T
+    return UniformSeq(lower, upper)
 
 
 def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) -> float:

@@ -261,23 +261,23 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
             noise = environment.constant_uniform(horizon, config.noise_low,
                                                  config.noise_high)
         region = PRICES
-        cost = _pricing_cost((float(noise.table[:, 0].min()),
-                              float(noise.table[:, 1].max())))
-        _warn_point_masses(noise.table)
+        loc, scale = noise.table.T
+        cost = _pricing_cost((float(loc.min()), float((loc + scale).max())))
+        _warn_point_masses(scale)
     logger.info("scenario %s: U=%.6g L0=%.6g m=%.6g", config.scenario,
                 cost.bound, cost.lipschitz, cost.strong_convexity)
     return Scenario(cost=cost, noise=noise, region=region)
 
 
-def _warn_point_masses(table: np.ndarray) -> None:
-    """Log, in one warning, how many steps of a uniform sequence's endpoint
-    table are point masses and their contiguous step ranges."""
-    steps = np.flatnonzero(table[:, 1] == table[:, 0]) + 1
+def _warn_point_masses(scale: np.ndarray) -> None:
+    """Log, in one warning, how many steps of a uniform sequence are point
+    masses (zero scale) and their contiguous step ranges."""
+    steps = np.flatnonzero(scale == 0) + 1
     if steps.size:
         runs = np.split(steps, np.flatnonzero(np.diff(steps) > 1) + 1)
         logger.warning(
             "degenerate uniform range at %d of %d steps (t=%s); emitting a "
-            "point mass at the left endpoint", steps.size, len(table),
+            "point mass at the left endpoint", steps.size, len(scale),
             ", ".join(f"{r[0]}" if r.size == 1 else f"{r[0]}-{r[-1]}"
                       for r in runs))
 

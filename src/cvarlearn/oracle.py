@@ -9,10 +9,11 @@ grid, ties to the smaller action: each ``J(., xi)`` is convex in the decision
 and CVaR is monotone and convex, so the grid CVaR is discrete-convex and a
 descent walk finds its minimum after a few CVaR rows instead of all ``k``.
 
-The oracle makes two passes, each building the quantile grids of a block of
-steps in one call: the search pass, ``optimal_action_series``, finds the
-optima of a range of steps; the played pass, ``dynamic_regret``, evaluates
-every trial against them, its step ranges run by forked processes.
+The oracle makes two passes. Each makes the standard quantiles of its levels
+once and places them at a block of steps in one call: the search pass,
+``optimal_action_series``, finds the optima of a range of steps; the played
+pass, ``dynamic_regret``, evaluates every trial against them, its step
+ranges run by forked processes.
 """
 
 from __future__ import annotations
@@ -126,12 +127,14 @@ class RegretReport:
 
 
 def _grids(noise: NoiseSequence, levels: np.ndarray, steps: range):
-    """The noise values at ``levels`` of each 0-based step of ``steps``, made
-    one ``noise.quantile`` call per block of at most ``_BLOCK`` values."""
+    """The noise values at ``levels`` of each 0-based step of ``steps``: the
+    family's standard quantiles of ``levels`` are made once, and each block
+    of at most ``_BLOCK`` values places them in one ``noise.place`` call."""
+    z = noise.family.quantile(levels)
     size = max(1, _BLOCK // levels.size)
     for start in range(0, len(steps), size):
         block = np.array(steps[start:start + size])[:, None] + 1
-        yield from np.asarray(noise.quantile(block, levels), dtype=float)
+        yield from noise.place(block, z)
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,

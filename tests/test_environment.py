@@ -6,8 +6,11 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.special import ndtri
 
-from cvarlearn.core import ConfigurationError, CostModel
+from cvarlearn._pcg64 import Stream
+from cvarlearn.core import ConfigurationError, CostModel, NoiseSequence
 from cvarlearn.environment import (
+    GAUSSIAN,
+    UNIFORM,
     BrownianSeq,
     UniformSeq,
     _ndtri,
@@ -56,7 +59,7 @@ class TestParkingRange:
 class TestUniformSeq:
     def test_degenerate_step_collapses_to_point_mass(self):
         noise = parking_noise(6000)
-        lo, hi = noise.bounds(1)
+        lo, hi = noise.support(1)
         assert lo == hi == 0.85
         assert noise.quantile(1, 0.3) == 0.85
         assert noise.cdf(1, 0.849) == 0.0
@@ -73,15 +76,19 @@ class TestUniformSeq:
 
     def test_table_equals_the_endpoint_formulas(self):
         # Every step of the parking study, the degenerate t = 1, 2 included:
-        # the raw formulas, a crossing collapsed to the left endpoint.
+        # the raw formulas, a crossing collapsed to the left endpoint. A row
+        # is the location and the scale, and their sum is the upper
+        # endpoint to the bit.
         noise = parking_noise(6000)
         table = noise.table
         assert table.shape == (6000, 2) and not table.flags.writeable
         for t in range(1, 6001):
             lo, hi = parking_range(t, 6000)
             expected = (lo, lo) if hi <= lo else (lo, hi)
-            assert noise.bounds(t) == expected
-            assert tuple(table[t - 1].tolist()) == expected
+            assert noise.support(t) == expected
+            loc, scale = table[t - 1].tolist()
+            assert (loc, loc + scale) == expected
+            assert scale == expected[1] - expected[0]
 
     def test_non_finite_endpoint_rejected(self):
         with pytest.raises(ConfigurationError, match="t=3"):
@@ -100,14 +107,14 @@ class TestUniformSeq:
         rng = np.random.default_rng(32)
         for t in (3, 500, 2999, 3000, 6000):
             draws = noise.quantile(t, rng.random(200))
-            lo, hi = noise.bounds(t)
+            lo, hi = noise.support(t)
             assert draws.min() >= lo and draws.max() <= hi
 
 
 class TestBrownianSeq:
     def test_variance_grows(self):
         noise = BrownianSeq(100, diffusivity=0.5)
-        sigmas = [noise.sigma(t) for t in range(1, 101)]
+        sigmas = [noise.table[t - 1, 1] for t in range(1, 101)]
         assert all(s1 < s2 for s1, s2 in zip(sigmas, sigmas[1:]))
         assert sigmas[0] == pytest.approx(1.0)
 
@@ -119,8 +126,147 @@ class TestBrownianSeq:
 
     def test_budget_scales_with_sigma_span(self):
         noise = BrownianSeq(400, diffusivity=0.1)
-        expected = math.sqrt(2 / math.pi) * (noise.sigma(400) - noise.sigma(1))
+        expected = math.sqrt(2 / math.pi) * (noise.table[399, 1] - noise.table[0, 1])
         assert variation_budget(noise, 400) == pytest.approx(expected, rel=1e-12)
+
+
+class TestSequenceChecks:
+    @pytest.mark.parametrize("table, match", [
+        (np.zeros((0, 2)), r"shape \(T >= 1, 2\), got \(0, 2\)"),
+        (np.zeros((3, 3)), r"shape \(T >= 1, 2\), got \(3, 3\)"),
+        (np.zeros(4), r"shape \(T >= 1, 2\), got \(4,\)"),
+        (np.zeros((2, 2, 1)), r"shape \(T >= 1, 2\), got \(2, 2, 1\)"),
+        ([[0.0, 1.0], [math.nan, 1.0]], "non-finite location or scale at t=2"),
+        ([[0.0, math.inf], [0.0, 1.0]], "non-finite location or scale at t=1"),
+        ([[0.0, 1.0], [-math.inf, 1.0], [0.0, math.nan]],
+         "non-finite location or scale at t=2"),
+        ([[0.0, 1.0], [0.0, 0.0], [0.0, -0.5]], "negative scale -0.5 at t=3"),
+    ], ids=["empty", "three-columns", "1-d", "3-d", "nan-location", "inf-scale",
+            "first-named", "negative-scale"])
+    def test_bad_table_rejected(self, table, match):
+        with pytest.raises(ConfigurationError, match=match):
+            NoiseSequence(table, GAUSSIAN)
+
+    def test_table_is_copied_and_frozen(self):
+        table = np.array([[0.0, 1.0], [1.0, 0.0]])
+        noise = NoiseSequence(table, UNIFORM)
+        assert table.flags.writeable and not noise.table.flags.writeable
+        table[0, 0] = 5.0
+        assert noise.support(1) == (0.0, 1.0) and noise.support(2) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("diffusivity", [math.inf, -math.inf, math.nan])
+    def test_non_finite_diffusivity_named(self, diffusivity):
+        with pytest.raises(ConfigurationError,
+                           match=f"diffusivity must be finite, got {diffusivity}"):
+            BrownianSeq(10, diffusivity)
+
+    def test_overflowing_scale_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="non-finite location or scale at t=1"):
+            BrownianSeq(10, 1e308)
+
+    @pytest.mark.parametrize("lower, upper, shapes", [
+        ([0.0, 0.0, 0.0], [1.0, 1.0], r"\(3,\) and \(2,\)"),
+        ([[0.0, 0.0]], [[1.0, 1.0]], r"\(1, 2\) and \(1, 2\)"),
+        (0.0, 1.0, r"\(\) and \(\)"),
+        ([0.0, 0.0], 1.0, r"\(2,\) and \(\)"),
+    ], ids=["lengths", "2-d", "scalars", "scalar-upper"])
+    def test_endpoint_shapes_named(self, lower, upper, shapes):
+        with pytest.raises(ConfigurationError,
+                           match=f"1-D arrays of one length, got shapes {shapes}"):
+            UniformSeq(lower, upper)
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.0, 0.0], [1.0, math.nan]), ([0.0, 0.0], [1.0, -math.inf]),
+        ([0.0, math.inf], [1.0, 1.0]), ([0.0, math.nan], [1.0, math.nan])])
+    def test_non_finite_endpoint_is_not_a_point_mass(self, lower, upper):
+        # Each second step would cross (or compare false) and collapse.
+        with pytest.raises(ConfigurationError,
+                           match="non-finite uniform endpoints at t=2"):
+            UniformSeq(lower, upper)
+
+
+def _uniform_endpoints(lower, upper):
+    """The endpoint table as sequences held it before the location-scale
+    table: a crossing collapsed to the left endpoint."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    return lower, np.where(upper <= lower, lower, upper)
+
+
+def _parking_reference(horizon):
+    lower, upper = np.array([parking_range(t, horizon)
+                             for t in range(1, horizon + 1)]).T
+    return parking_noise(horizon), "uniform", _uniform_endpoints(lower, upper)
+
+
+BROWNIAN_D = 1e-4
+
+LOCATION_SCALE_CASES = {
+    "parking-60": lambda: _parking_reference(60),
+    "parking-1500": lambda: _parking_reference(1500),
+    "parking-6000": lambda: _parking_reference(6000),
+    "custom": lambda: (constant_uniform(6000, 0.85, 1.1), "uniform",
+                       _uniform_endpoints(np.full(6000, 0.85), np.full(6000, 1.1))),
+    "brownian": lambda: (BrownianSeq(2000, BROWNIAN_D), "gaussian",
+                         np.sqrt(2.0 * BROWNIAN_D * np.arange(1, 2001))),
+}
+
+
+def _reference_quantiles(family, reference, steps, q):
+    """Each family's quantile as a formula of its old parameters: the
+    endpoints ``lo + q (hi - lo)``, or ``sigma_t * ndtri(q)`` clipped."""
+    if family == "uniform":
+        lo, hi = (end[steps - 1] for end in reference)
+        return lo + q * (hi - lo)
+    q = np.clip(q, 1e-300, np.nextafter(1.0, 0.0))
+    return reference[steps - 1] * _ndtri(q)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+class TestLocationScaleBits:
+    """The location-scale table gives the old per-family formulas' bits."""
+
+    @pytest.mark.parametrize("case", list(LOCATION_SCALE_CASES))
+    def test_quantiles_at_the_oracle_levels(self, case):
+        noise, family, reference = LOCATION_SCALE_CASES[case]()
+        q = np.concatenate([[0.0, 0.5, 1.0], _mid_quantiles(2000)])
+        z = noise.family.quantile(q)
+        for start in range(0, noise.horizon, 500):
+            steps = np.arange(start + 1, min(start + 500, noise.horizon) + 1)[:, None]
+            want = _reference_quantiles(family, reference, steps, q)
+            assert _same_bits(noise.quantile(steps, q), want)
+            assert _same_bits(noise.place(steps, z), want)
+
+    @pytest.mark.parametrize("case", list(LOCATION_SCALE_CASES))
+    def test_quantiles_of_uniform_draws(self, case):
+        noise, family, reference = LOCATION_SCALE_CASES[case]()
+        q = Stream(23).random(10**6)
+        steps = 1 + (Stream(29).random(10**6) * noise.horizon).astype(int)
+        assert _same_bits(noise.quantile(steps, q),
+                          _reference_quantiles(family, reference, steps, q))
+
+    @pytest.mark.parametrize("case", list(LOCATION_SCALE_CASES))
+    def test_step_w1_and_support(self, case):
+        noise, family, reference = LOCATION_SCALE_CASES[case]()
+        steps = np.arange(2, noise.horizon + 1)
+        if family == "uniform":
+            lo, hi = reference
+            want = w1_uniform(lo[:-1], hi[:-1], lo[1:], hi[1:])
+            supports = np.column_stack((lo, hi))
+        else:
+            want = w1_gaussian(0.0, reference[:-1], 0.0, reference[1:])
+            supports = np.column_stack((-10.0 * reference, 10.0 * reference))
+        assert _same_bits(noise.step_w1(steps), want)
+        assert _same_bits(noise.step_w1(steps[:, None]), want[:, None])
+        got = np.array([noise.support(t) for t in range(1, noise.horizon + 1)])
+        assert _same_bits(got, supports)
+        lo, hi = noise.support(steps[:, None])
+        assert _same_bits(np.column_stack((lo[:, 0], hi[:, 0])), supports[1:])
 
 
 def _ndtri_edges():
@@ -175,7 +321,7 @@ class TestStepArrays:
         q = np.concatenate([[0.0, 1.0], np.random.default_rng(33).random(300)])
         steps = np.arange(1, noise.horizon + 1)
         if case == "parking":
-            point_masses = noise.table[:, 1] == noise.table[:, 0]
+            point_masses = noise.table[:, 1] == 0.0
             assert point_masses[:2].all() and point_masses[2:].any()
         block = noise.quantile(steps[:, None], q)
         assert np.array_equal(block, np.array([noise.quantile(t, q) for t in steps]))
@@ -391,7 +537,7 @@ class TestVariationBudget:
         rng = np.random.default_rng(36)
         for t in rng.integers(3, horizon + 1, size=50):
             t = int(t)
-            b_prev, b_curr = noise.bounds(t - 1), noise.bounds(t)
+            b_prev, b_curr = noise.support(t - 1), noise.support(t)
             lo = min(b_prev[0], b_curr[0]) - 1e-3
             hi = max(b_prev[1], b_curr[1]) + 1e-3
             numeric = w1_numeric(lambda y: noise.cdf(t - 1, y),

@@ -3,7 +3,8 @@
 The run and ablation hashes were recorded from the exhaustive action-grid
 oracle. Any change to the learner, the oracle, the noise sequences or the CSV
 writer that moves a single byte of a trajectory, aggregate, ablation or
-budget table fails here.
+budget table fails here. The cost constants U and L0 of each scenario are
+pinned bit for bit as ``float.hex``.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import hashlib
 import pytest
 
 import cvarlearn.cli as cli
+from cvarlearn.harness import ExperimentConfig, build_scenario
 
 COMMON = ["--T", "60", "--batch", "10", "--trials", "2",
           "--oracle-k", "20", "--oracle-grid", "1000"]
@@ -44,6 +46,14 @@ CUSTOM_HASHES = {
     "cus_aggregate.csv": "0642b1d2028b9c74aee3d0c3542883be470474dbf79a60078dd7ab3ffd19f9c0",
 }
 
+# The same configuration and seeds as the ablation's n = 8 experiment, so
+# the same bytes: here they come through ``run``.
+BROWNIAN_RUN_HASHES = {
+    "brw_trial0.csv": "3fbcd9bbce139b33fa0a0762c265dc63e357ea5cc22ba7d7d9a0660a61174a49",
+    "brw_trial1.csv": "b99bd6d932efa4ece21fde753080a8d32f83d2b5d14fe5d7121a1cffa1b7cfe6",
+    "brw_aggregate.csv": "22dee2bed2d75f0c5e42e898b257ab87513b21a5e7950651e3eef95cf5b7d04f",
+}
+
 # T = 3000 reaches both branches of the parking formulas and both of their
 # collapsed stretches.
 BUDGET_HASHES = {
@@ -52,6 +62,27 @@ BUDGET_HASHES = {
 
 BROWNIAN_BUDGET_HASHES = {
     "bud_budget.csv": "4903e82e30cbb908bd16fbd76e90b812204b8c59b669ca7d3aa44189e71bf972",
+}
+
+
+# A static band: every step's W1 is zero, the budget's zero branch.
+CUSTOM_BUDGET_HASHES = {
+    "bud_budget.csv": "9f871e63e70ac6694fb15455a4616bcf35f345dd535a77eb8473039341b8f298",
+}
+
+# ``float.hex`` of each scenario's cost bound U and Lipschitz constant L0,
+# which the sampling-requirement constant and the DKW diagnostics read.
+PRICING_CONSTANTS = ("0x1.7d70a3d70a3d7p-2", "0x1.7ae147ae147aep-3")
+COST_CONSTANTS = {
+    ("parking", 60): PRICING_CONSTANTS,
+    ("parking", 3000): PRICING_CONSTANTS,
+    ("parking", 6000): PRICING_CONSTANTS,
+    ("custom", 60): PRICING_CONSTANTS,
+    ("custom", 3000): PRICING_CONSTANTS,
+    ("custom", 6000): PRICING_CONSTANTS,
+    ("brownian", 60): ("0x1.329df20e2a89fp+3", "0x1.8c378ba7c4239p+2"),
+    ("brownian", 3000): ("0x1.7bef7ac53d3b7p+6", "0x1.37def58a7a76dp+4"),
+    ("brownian", 6000): ("0x1.4fa2b748da962p+7", "0x1.9e8add236a58ep+4"),
 }
 
 
@@ -67,10 +98,14 @@ CASES = {
     "run-big-seed": (["run", "--scenario", "parking", "--seed", "4294967296",
                       *COMMON], "big", BIG_SEED_HASHES),
     "run-custom": (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),
+    "run-brownian": (["run", "--scenario", "brownian", *COMMON], "brw",
+                     BROWNIAN_RUN_HASHES),
     "budget-parking": (["budget", "--scenario", "parking", "--T", "3000"], "bud",
                        BUDGET_HASHES),
     "budget-brownian": (["budget", "--scenario", "brownian", "--T", "3000"], "bud",
                         BROWNIAN_BUDGET_HASHES),
+    "budget-custom": (["budget", "--scenario", "custom", "--T", "3000"], "bud",
+                      CUSTOM_BUDGET_HASHES),
 }
 
 
@@ -84,3 +119,10 @@ def test_cli_csv_hashes(tmp_path, force_jobs, case, jobs):
     force_jobs(jobs)
     assert cli.main([*argv, "--out", str(tmp_path / prefix)]) == 0
     assert _hashes(tmp_path) == expected
+
+
+@pytest.mark.parametrize("scenario, horizon", list(COST_CONSTANTS),
+                         ids=[f"{s}-T{t}" for s, t in COST_CONSTANTS])
+def test_cost_constants_bits(scenario, horizon):
+    cost = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon)).cost
+    assert (cost.bound.hex(), cost.lipschitz.hex()) == COST_CONSTANTS[scenario, horizon]

@@ -341,7 +341,7 @@ class TestBudget:
                               diffusivity=0.01)
         report = compute_budget(config, write=False)
         noise = build_scenario(config).noise
-        expected = np.sqrt(2 / np.pi) * (noise.sigma(50) - noise.sigma(1))
+        expected = np.sqrt(2 / np.pi) * (noise.table[49, 1] - noise.table[0, 1])
         assert report.budget == pytest.approx(expected, rel=1e-12)
 
     def test_budget_not_below_the_horizon_suggests_nothing(self, tmp_path,
@@ -410,14 +410,12 @@ class TestScenarioBounds:
         assert messages == [
             f"degenerate uniform range at {count} of {horizon} steps "
             f"(t={runs}); emitting a point mass at the left endpoint"]
-        table = environment.parking_noise(horizon).table
-        assert np.sum(table[:, 0] == table[:, 1]) == count
+        scale = environment.parking_noise(horizon).table[:, 1]
+        assert np.sum(scale == 0.0) == count
 
     def test_isolated_point_masses_are_listed_one_by_one(self, caplog):
         with caplog.at_level(logging.WARNING):
-            harness._warn_point_masses(np.array(
-                [[0.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.0, 1.0],
-                 [4.0, 4.0]]))
+            harness._warn_point_masses(np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]))
         assert [rec.getMessage() for rec in caplog.records] == [
             "degenerate uniform range at 4 of 6 steps (t=1, 3-4, 6); "
             "emitting a point mass at the left endpoint"]

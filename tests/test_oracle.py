@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvarlearn import oracle
+from cvarlearn import environment, oracle
 from cvarlearn.core import Box, ConfigurationError, CostModel, fork_map, fork_ranges
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
@@ -20,7 +20,7 @@ from cvarlearn.oracle import (
     optimal_action_series,
     true_cvar,
 )
-from cvarlearn.harness import ExperimentConfig, build_scenario
+from cvarlearn.harness import ExperimentConfig, build_scenario, run_ablation
 
 
 def played(*trials):
@@ -166,8 +166,8 @@ class TestOptimalActionGrid:
         # Exhaustive-grid oracle at the mid-horizon switch; regression anchor.
         # Step 3000's distribution, as a one-step sequence.
         scen = pricing_scenario()
-        low, high = scen.noise.table[2999]
-        x_star, c_star = step_optimum(scen.cost, UniformSeq([low], [high]),
+        loc, scale = scen.noise.table[2999]
+        x_star, c_star = step_optimum(scen.cost, UniformSeq([loc], [loc + scale]),
                                       scen.region, k=100, grid_n=10_000)
         assert x_star == pytest.approx(2.54, abs=1e-9)
         assert 0.0 < c_star < scen.cost.bound
@@ -235,6 +235,32 @@ class TestConvexSearch:
                     k, start, 1e-9 * bound, memo)
                 assert i == int(np.argmin(scan))
                 assert value == scan[i]
+
+
+class TestPassQuantiles:
+    def test_each_pass_makes_its_standard_quantiles_once(self, monkeypatch,
+                                                         force_jobs):
+        # Gaussian standard quantiles: every _ndtri call of an ablation is
+        # one oracle pass's levels, or a block of the learners' draws. Each
+        # pass cuts its 200 steps into four blocks of at most _BLOCK values.
+        config = ExperimentConfig(scenario="brownian", horizon=200, batch_size=10,
+                                  trials=2, oracle_k=20, oracle_grid=1000)
+        calls = []
+
+        def spy(q):
+            calls.append(np.array(q))
+            return ndtri(q)
+
+        ndtri = environment._ndtri
+        monkeypatch.setattr(environment, "_ndtri", spy)
+        force_jobs(1)
+        run_ablation(config, [4, 8], write=False)
+        levels = _mid_quantiles(config.oracle_grid)
+        on_levels = [q for q in calls if np.array_equal(q, levels)]
+        draws = [q for q in calls if not np.array_equal(q, levels)]
+        assert len(on_levels) == 2
+        assert sum(q.size for q in draws) == config.trials * config.horizon * (4 + 8)
+        assert all(q.ndim == 2 and q.shape[0] == config.trials for q in draws)
 
 
 class TestDynamicRegret:
