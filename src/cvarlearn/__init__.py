@@ -23,13 +23,10 @@ from .risk import (
 )
 from .schedule import (
     BatchIndex,
-    ConstantRate,
-    ConstantSampling,
-    InverseEpochRate,
-    PolynomialSampling,
     batch_epoch,
     check_sampling_requirement,
-    sampling_count_poly,
+    inverse_epoch_rates,
+    polynomial_counts,
     theorem1_params,
     theorem2_params,
 )
@@ -41,14 +38,10 @@ __all__ = [
     "BatchIndex",
     "Box",
     "ConfigurationError",
-    "ConstantRate",
-    "ConstantSampling",
     "CostModel",
     "EmpiricalCdf",
-    "InverseEpochRate",
     "LearnerConfig",
     "NoiseSequence",
-    "PolynomialSampling",
     "Trace",
     "batch_epoch",
     "build_ecdf",
@@ -58,9 +51,10 @@ __all__ = [
     "directions",
     "dkw_epsilon",
     "gradient_estimate",
+    "inverse_epoch_rates",
+    "polynomial_counts",
     "ru_functional",
     "run_trials",
-    "sampling_count_poly",
     "smoothed_cvar",
     "sup_cdf_distance",
     "theorem1_params",

@@ -94,7 +94,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
         t2 = report.theorem2
         print(f"strongly convex selection (a={config.sampling_a:g}): "
               f"delta={t2.delta:.6g} batch={t2.batch_size} "
-              f"eta_tau=1/({t2.rate.modulus:.6g}*tau)")
+              f"eta_tau=1/({report.modulus:.6g}*tau)")
     print(f"wrote {config.out_prefix}_budget.csv")
     return 0
 

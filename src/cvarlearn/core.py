@@ -161,7 +161,7 @@ class NoiseSequence:
     ``family`` holds ``Z``. Callers draw ``xi_t`` by inverse transform,
     ``quantile(t, rng.random(n))``: one uniform per sample, whatever the
     family. Where a method takes a step ``t``, an integer array of steps
-    broadcasts against its values, except in ``cdf``.
+    broadcasts against its values.
     """
 
     def __init__(self, table, family: Family):
@@ -207,12 +207,13 @@ class NoiseSequence:
         """Generalized inverse of the CDF at levels ``q`` in [0, 1]."""
         return self.place(t, self.family.quantile(q))
 
-    def cdf(self, t: int, y):
-        """P(xi_t <= y); vectorized in ``y``."""
+    def cdf(self, t, y):
+        """P(xi_t <= y); a point-mass step is a step function at its location."""
         loc, scale = self._columns(t)
         y = np.asarray(y, dtype=float)
-        out = (self.family.cdf((y - loc) / scale) if scale > 0
-               else (y >= loc).astype(float))
+        spread = scale > 0
+        z = (y - loc) / np.where(spread, scale, 1.0)
+        out = np.where(spread, self.family.cdf(z), y >= loc)
         return float(out) if out.ndim == 0 else out
 
     def support(self, t):

@@ -33,14 +33,7 @@ import numpy as np
 from . import environment, learner, oracle, schedule
 from .core import (Box, ConfigurationError, CostModel, NoiseSequence, fork_map,
                    fork_ranges)
-from .schedule import (
-    ConstantRate,
-    ConstantSampling,
-    InverseEpochRate,
-    check_sampling_requirement,
-    theorem1_params,
-    theorem2_params,
-)
+from .schedule import check_sampling_requirement, theorem1_params, theorem2_params
 
 __all__ = [
     "ExperimentConfig",
@@ -285,7 +278,7 @@ def _warn_point_masses(scale: np.ndarray) -> None:
 @dataclass(frozen=True)
 class ExperimentResult:
     """One experiment: its config, its trials' learner trace and oracle
-    report, and the sampling-requirement check of the strategy that ran."""
+    report, and the sampling-requirement check of the counts that ran."""
 
     config: ExperimentConfig
     trace: learner.Trace
@@ -297,22 +290,20 @@ def _learner(config: ExperimentConfig, scenario: Scenario
              ) -> tuple[functools.partial[learner.Trace], schedule.RequirementCheck]:
     """``config``'s learner, as a call that runs every trial, its settings
     checked by their owners, and the sampling-requirement check of the
-    strategy it runs, which logs a violation and goes on."""
-    rate: schedule.LearningRateSchedule = (
-        InverseEpochRate(scenario.cost.strong_convexity)
-        if config.rate_rule == "inverse" else ConstantRate(config.eta))
+    counts it runs, which logs a violation and goes on."""
+    size = schedule._check_batch_size(config.batch_size)  # before np.full reads it
     settings = learner.LearnerConfig(
         horizon=config.horizon,
-        batch_size=config.batch_size,
         delta=config.delta,
         alpha=config.alpha,
-        sampling=ConstantSampling(config.samples),
-        rate=rate,
+        counts=np.full(size, config.samples),
+        rates=(schedule.inverse_epoch_rates(scenario.cost.strong_convexity, size)
+               if config.rate_rule == "inverse" else np.full(size, config.eta)),
         x0=config.x0,
     )
     scenario.region.shrink(config.delta)  # the learner's radius check, before phase 1
-    check = check_sampling_requirement(settings.sampling, config.batch_size,
-                                       config.sampling_a, config.sampling_c)
+    check = check_sampling_requirement(settings.counts, config.sampling_a,
+                                       config.sampling_c)
     if not check.satisfied:
         logger.warning(
             "sampling requirement violated for n=%d: sum 1/sqrt(phi)=%.4g exceeds "
@@ -494,7 +485,7 @@ def run_ablation(config: ExperimentConfig, sample_counts,
         raise ConfigurationError(f"sample counts must be integers: {exc}") from exc
     if len(counts) < 2 or len(set(counts)) < len(counts):
         raise ConfigurationError(f"ablation needs two or more distinct counts: {counts}")
-    ConstantSampling(config.samples)  # replaced by the counts, yet checked
+    schedule._check_counts([config.samples])  # replaced by the counts, yet checked
     subs = [dataclasses.replace(config, samples=n,
                                 out_prefix=f"{config.out_prefix}_n{n}")
             for n in counts]
@@ -519,6 +510,7 @@ class BudgetReport:
     profile: np.ndarray  # W1(D_{t-1}, D_t) for t = 2..horizon
     theorem1: schedule.Theorem1Params | None
     theorem2: schedule.Theorem2Params | None
+    modulus: float  # the cost's strong-convexity modulus m of theorem2's rates
 
 
 def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport:
@@ -528,6 +520,7 @@ def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport
     no suggestions are emitted in that case.
     """
     scenario = build_scenario(config)
+    modulus = scenario.cost.strong_convexity
     profile = environment.variation_profile(scenario.noise, config.horizon)
     budget = float(profile.sum())
     if budget <= 0.0:
@@ -540,11 +533,11 @@ def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport
         t1 = t2 = None
     else:
         t1 = theorem1_params(config.horizon, budget, config.sampling_a)
-        modulus = scenario.cost.strong_convexity
         t2 = (theorem2_params(config.horizon, budget, config.sampling_a, modulus)
               if modulus > 0 else None)
     if write:
         _write_csv(Path(f"{config.out_prefix}_budget.csv"),
                    _template("t,w1", (np.arange(2, config.horizon + 1), None)),
                    (profile,))
-    return BudgetReport(budget=budget, profile=profile, theorem1=t1, theorem2=t2)
+    return BudgetReport(budget=budget, profile=profile, theorem1=t1, theorem2=t2,
+                        modulus=modulus)

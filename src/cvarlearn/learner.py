@@ -26,31 +26,46 @@ import numpy as np
 from ._pcg64 import Stream
 from .core import Box, ConfigurationError, CostModel, NoiseSequence
 from .risk import _check_alpha, cvar_of_values
-from .schedule import LearningRateSchedule, SamplingStrategy, _check_batch_size
+from .schedule import _check_batch_size, _check_counts, _check_rates
 from .smoothing import directions, gradient_estimate
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearnerConfig:
-    """Inputs of a learning run, shared by all of its trials."""
+    """Inputs of a learning run, shared by all of its trials.
+
+    ``counts`` and ``rates`` are the schedule's per-epoch columns, entry
+    ``tau - 1`` the sample count and learning rate of epoch ``tau``; their
+    common length is the batch size. They are held as read-only copies.
+    """
 
     horizon: int
-    batch_size: int
     delta: float
     alpha: float
-    sampling: SamplingStrategy
-    rate: LearningRateSchedule
+    counts: np.ndarray
+    rates: np.ndarray
     x0: float
 
     def __post_init__(self):
         object.__setattr__(self, "x0", float(self.x0))
         if not math.isfinite(self.x0):
             raise ConfigurationError(f"initial decision x0={self.x0} must be finite")
-        if int(self.horizon) < 1:
+        if not float(self.horizon).is_integer():
+            raise ConfigurationError(f"horizon {self.horizon!r} is not an integer")
+        object.__setattr__(self, "horizon", int(self.horizon))
+        if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
-        _check_batch_size(self.batch_size)
+        counts, rates = _check_counts(self.counts), _check_rates(self.rates)
+        if counts.ndim != 1 or counts.shape != rates.shape:
+            raise ConfigurationError(
+                "schedule columns must be one-dimensional and of one length, got "
+                f"{counts.shape} sample counts and {rates.shape} learning rates")
+        _check_batch_size(counts.size)
+        counts.flags.writeable = rates.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "rates", rates)
         _check_alpha(self.alpha)
         if not self.delta > 0.0:
             raise ConfigurationError(
@@ -107,15 +122,12 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
 
 def _schedule(config: LearnerConfig):
     """The per-step columns ``t``, ``batch``, ``epoch``, ``n_samples`` and
-    ``eta``: the count and the rate are evaluated once per epoch value."""
-    size = int(config.batch_size)
-    t = np.arange(1, int(config.horizon) + 1)
+    ``eta``: the per-epoch columns indexed by each step's epoch."""
+    size = config.counts.size
+    t = np.arange(1, config.horizon + 1)
     batch = (t - 1) // size + 1
     epoch = t - (batch - 1) * size
-    taus = range(1, min(size, t.size) + 1)
-    n_samples = np.array([config.sampling.count(tau, size) for tau in taus])
-    eta = np.array([config.rate.rate(tau) for tau in taus], dtype=float)
-    return t, batch, epoch, n_samples[epoch - 1], eta[epoch - 1]
+    return t, batch, epoch, config.counts[epoch - 1], config.rates[epoch - 1]
 
 
 def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
@@ -136,7 +148,7 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     if not rngs:
         raise ConfigurationError("a run needs at least one seed")
 
-    horizon, trials = int(config.horizon), len(rngs)
+    horizon, trials = config.horizon, len(rngs)
     t, batch, epoch, n_samples, eta = _schedule(config)
     xs, us, x_hats, grads, cvars = (np.empty((trials, horizon)) for _ in range(5))
     x = np.full(trials, inner.project(config.x0))

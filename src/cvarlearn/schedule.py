@@ -1,33 +1,31 @@
-"""Batch/epoch indexing, sampling-count strategies, and parameter selectors.
+"""Batch/epoch indexing, per-epoch schedule columns, and parameter selectors.
 
-The horizon is cut into batches of ``batch_size`` steps; within a batch the
-1-based epoch index drives both the per-step sample count and the learning
-rate, and both reset at every batch boundary (the restarting procedure). The
-``theorem1_params`` / ``theorem2_params`` selectors emit the order-optimal
-smoothing radius, learning rate, and batch size for the convex and strongly
-convex regimes given the horizon and the distribution-variation budget.
+The horizon is cut into batches of B steps; within a batch the 1-based epoch
+tau sets the step's sample count and learning rate, entry ``tau - 1`` of two
+per-epoch columns of length B, so both reset at every batch boundary (the
+restarting procedure). ``polynomial_counts`` and ``inverse_epoch_rates`` build
+the paper's columns; a constant column is ``np.full``. The ``theorem1_params``
+/ ``theorem2_params`` selectors emit the order-optimal smoothing radius,
+learning rate, and batch size for the convex and strongly convex regimes
+given the horizon and the distribution-variation budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import ConfigurationError
 
 __all__ = [
     "BatchIndex",
     "batch_epoch",
-    "sampling_count_poly",
-    "ConstantSampling",
-    "PolynomialSampling",
-    "SamplingStrategy",
+    "polynomial_counts",
+    "inverse_epoch_rates",
     "RequirementCheck",
     "check_sampling_requirement",
-    "ConstantRate",
-    "InverseEpochRate",
-    "LearningRateSchedule",
     "Theorem1Params",
     "Theorem2Params",
     "theorem1_params",
@@ -57,49 +55,46 @@ def batch_epoch(t: int, batch_size: int) -> BatchIndex:
     return BatchIndex(batch=j, epoch=t - (j - 1) * batch_size)
 
 
-def sampling_count_poly(tau: int, batch_size: int, a: float, b: float) -> int:
-    """Decaying per-epoch sample count ``ceil(b * (batch_size - tau + 1)^a)``."""
+def _check_counts(counts) -> np.ndarray:
+    """``counts`` as an int64 copy, every entry an integer >= 1; a float
+    column is rejected, never truncated."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise ConfigurationError(f"sample counts must be integers, got {counts.dtype}")
+    counts = counts.astype(np.int64)
+    bad = np.flatnonzero(counts < 1)
+    if bad.size:
+        raise ConfigurationError(f"sample count must be >= 1, got "
+                                 f"{counts.flat[bad[0]]} at epoch {bad[0] + 1}")
+    return counts
+
+
+def _check_rates(rates) -> np.ndarray:
+    """``rates`` as a float copy, every entry positive and finite."""
+    rates = np.array(rates, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(rates) & (rates > 0)))
+    if bad.size:
+        raise ConfigurationError(f"learning rate eta={rates.flat[bad[0]]} must be "
+                                 f"positive and finite at epoch {bad[0] + 1}")
+    return rates
+
+
+def polynomial_counts(a: float, b: float, batch_size: int) -> np.ndarray:
+    """Decaying per-epoch sample counts ``ceil(b * (batch_size - tau + 1)^a)``."""
     batch_size = _check_batch_size(batch_size)
-    tau = int(tau)
-    if not 1 <= tau <= batch_size:
-        raise ConfigurationError(f"epoch {tau} outside [1, {batch_size}]")
     if a <= 0 or b <= 0:
         raise ConfigurationError("polynomial sampling needs a > 0 and b > 0")
-    return math.ceil(b * (batch_size - tau + 1) ** a)
+    return np.array([math.ceil(b * (batch_size - tau + 1) ** a)
+                     for tau in range(1, batch_size + 1)])
 
 
-@dataclass(frozen=True)
-class ConstantSampling:
-    """The same number of cost queries at every step."""
-
-    count_per_step: int
-
-    def __post_init__(self):
-        if int(self.count_per_step) < 1:
-            raise ConfigurationError(
-                f"sample count must be >= 1, got {self.count_per_step}")
-        object.__setattr__(self, "count_per_step", int(self.count_per_step))
-
-    def count(self, tau: int, batch_size: int) -> int:
-        return self.count_per_step
-
-
-@dataclass(frozen=True)
-class PolynomialSampling:
-    """Polynomially decaying sample counts within each batch."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ConfigurationError("polynomial sampling needs a > 0 and b > 0")
-
-    def count(self, tau: int, batch_size: int) -> int:
-        return sampling_count_poly(tau, batch_size, self.a, self.b)
-
-
-SamplingStrategy = Union[ConstantSampling, PolynomialSampling]
+def inverse_epoch_rates(modulus: float, batch_size: int) -> np.ndarray:
+    """Strongly convex per-epoch learning rates ``1 / (modulus * tau)``."""
+    batch_size = _check_batch_size(batch_size)
+    if not (modulus > 0 and math.isfinite(modulus)):
+        raise ConfigurationError(
+            f"strong-convexity modulus {modulus} must be positive and finite")
+    return 1.0 / (modulus * np.arange(1, batch_size + 1))
 
 
 class RequirementCheck(NamedTuple):
@@ -108,57 +103,19 @@ class RequirementCheck(NamedTuple):
     allowed: float   # c * batch_size^(1 - a/2)
 
 
-def check_sampling_requirement(strategy: SamplingStrategy, batch_size: int,
-                               a: float, c: float) -> RequirementCheck:
-    """Check ``sum_tau 1/sqrt(phi(tau)) <= c * batch_size^(1 - a/2)``.
+def check_sampling_requirement(counts, a: float, c: float) -> RequirementCheck:
+    """Check ``sum_tau 1/sqrt(phi(tau)) <= c * B^(1 - a/2)`` for the per-epoch
+    counts ``phi`` of a batch of length B.
 
     Returns both sides so callers can report the margin.
     """
-    batch_size = _check_batch_size(batch_size)
+    counts = _check_counts(counts)
+    batch_size = _check_batch_size(counts.size)
     if a <= 0 or c <= 0:
         raise ConfigurationError("requirement check needs a > 0 and c > 0")
-    achieved = math.fsum(
-        1.0 / math.sqrt(strategy.count(tau, batch_size))
-        for tau in range(1, batch_size + 1)
-    )
+    achieved = math.fsum(1.0 / np.sqrt(counts))
     allowed = c * batch_size ** (1.0 - 0.5 * a)
     return RequirementCheck(achieved <= allowed, achieved, allowed)
-
-
-@dataclass(frozen=True)
-class ConstantRate:
-    """Fixed learning rate, unaffected by restarts."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ConfigurationError(
-                f"learning rate eta={self.eta} must be positive and finite")
-
-    def rate(self, tau: int) -> float:
-        return self.eta
-
-
-@dataclass(frozen=True)
-class InverseEpochRate:
-    """Strongly convex schedule ``1 / (modulus * tau)``, reset each batch."""
-
-    modulus: float
-
-    def __post_init__(self):
-        if not (self.modulus > 0 and math.isfinite(self.modulus)):
-            raise ConfigurationError(
-                f"strong-convexity modulus {self.modulus} must be positive and finite")
-
-    def rate(self, tau: int) -> float:
-        tau = int(tau)
-        if tau < 1:
-            raise ConfigurationError("epoch must be >= 1")
-        return 1.0 / (self.modulus * tau)
-
-
-LearningRateSchedule = Union[ConstantRate, InverseEpochRate]
 
 
 class Theorem1Params(NamedTuple):
@@ -170,7 +127,7 @@ class Theorem1Params(NamedTuple):
 class Theorem2Params(NamedTuple):
     delta: float
     batch_size: int
-    rate: InverseEpochRate
+    rates: np.ndarray  # the per-epoch inverse-epoch rates, of length batch_size
 
 
 def _check_budget(horizon: int, budget: float, a: float) -> tuple[int, float]:
@@ -219,10 +176,9 @@ def theorem2_params(horizon: int, budget: float, a: float,
                     modulus: float) -> Theorem2Params:
     """Order-optimal parameters for the strongly convex regime.
 
-    The learning rate is the inverse-epoch schedule ``1/(modulus * tau)``;
-    the branch boundary sits at ``a = 4/3`` (inclusive below).
+    The learning rates are the inverse-epoch column ``1/(modulus * tau)``
+    over the batch; the branch boundary sits at ``a = 4/3`` (inclusive below).
     """
-    rate = InverseEpochRate(modulus)
     horizon, budget = _check_budget(horizon, budget, a)
     ratio = budget / horizon
     if a <= 4.0 / 3.0:
@@ -231,4 +187,5 @@ def theorem2_params(horizon: int, budget: float, a: float,
     else:
         delta = ratio ** 0.25
         raw = (1.0 / ratio) ** 0.75
-    return Theorem2Params(delta, _round_batch(raw), rate)
+    batch_size = _round_batch(raw)
+    return Theorem2Params(delta, batch_size, inverse_epoch_rates(modulus, batch_size))

@@ -362,6 +362,21 @@ class TestStepArrays:
                               noise.quantile(np.array([[2], [3]]), q))
 
     @pytest.mark.parametrize("case", sorted(STEP_ARRAY_CASES))
+    def test_cdf_of_an_array_equals_per_step_calls(self, case):
+        # A step array broadcasts against y, point-mass steps included; the
+        # values at 0.0, 0.85 and 1.1 sit on a point mass or a support end.
+        noise = STEP_ARRAY_CASES[case]()
+        steps = np.arange(1, noise.horizon + 1)
+        if case == "parking":
+            assert (noise.table[:2, 1] == 0.0).all()
+        y = np.append(np.linspace(-1.0, 2.0, 31), [0.0, 0.85, 1.1])
+        single = np.array([noise.cdf(int(t), y) for t in steps])
+        got = noise.cdf(steps[:, None], y)
+        assert np.array_equal(got.view(np.int64), single.view(np.int64))
+        pair = noise.cdf(np.array([3, 4]), 1.0)
+        assert np.array_equal(pair, [noise.cdf(3, 1.0), noise.cdf(4, 1.0)])
+
+    @pytest.mark.parametrize("case", sorted(STEP_ARRAY_CASES))
     def test_step_w1_of_an_array_equals_per_step_calls(self, case):
         noise = STEP_ARRAY_CASES[case]()
         steps = np.arange(2, noise.horizon + 1)

@@ -54,6 +54,13 @@ BROWNIAN_RUN_HASHES = {
     "brw_aggregate.csv": "22dee2bed2d75f0c5e42e898b257ab87513b21a5e7950651e3eef95cf5b7d04f",
 }
 
+# The inverse-epoch learning rate 1/(m * tau), reset at every restart.
+INVERSE_HASHES = {
+    "inv_trial0.csv": "ee31817958bc7bc8173af216733d243f0d7318b6f0a69a6a4a78ff9e3e9edc36",
+    "inv_trial1.csv": "f4baf3a9f96e26322f1e99424db77681544888736810240fadc535db683d11f3",
+    "inv_aggregate.csv": "97a42171a8d4c3988431696156046271c702faf0320d19f31545a33cc1ac355c",
+}
+
 # T = 3000 reaches both branches of the parking formulas and both of their
 # collapsed stretches.
 BUDGET_HASHES = {
@@ -100,6 +107,8 @@ CASES = {
     "run-custom": (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),
     "run-brownian": (["run", "--scenario", "brownian", *COMMON], "brw",
                      BROWNIAN_RUN_HASHES),
+    "run-inverse": (["run", "--scenario", "parking", "--rate", "inverse", *COMMON],
+                    "inv", INVERSE_HASHES),
     "budget-parking": (["budget", "--scenario", "parking", "--T", "3000"], "bud",
                        BUDGET_HASHES),
     "budget-brownian": (["budget", "--scenario", "brownian", "--T", "3000"], "bud",

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -8,19 +11,15 @@ from cvarlearn import learner
 from cvarlearn.environment import BrownianSeq, constant_uniform, parking_noise
 from cvarlearn.learner import LearnerConfig, Trace, _draws, run_trials
 from cvarlearn.risk import cvar_of_values
-from cvarlearn.schedule import (
-    ConstantRate,
-    ConstantSampling,
-    InverseEpochRate,
-    PolynomialSampling,
-    batch_epoch,
-)
+from cvarlearn.schedule import batch_epoch, inverse_epoch_rates, polynomial_counts
 
 
-def make_config(**overrides):
-    base = dict(horizon=50, batch_size=10, delta=0.05, alpha=0.5,
-                sampling=ConstantSampling(4), rate=ConstantRate(0.05),
-                x0=0.5)
+def make_config(batch_size=10, count=4, eta=0.05, **overrides):
+    """A learner config; unless ``counts`` or ``rates`` is given, the
+    schedule is the constant ``count`` and ``eta`` columns of length
+    ``batch_size``."""
+    base = dict(horizon=50, delta=0.05, alpha=0.5, counts=np.full(batch_size, count),
+                rates=np.full(batch_size, eta), x0=0.5)
     base.update(overrides)
     return LearnerConfig(**base)
 
@@ -66,8 +65,7 @@ class TestRunBasics:
     def test_record_self_consistency(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(100)
-        config = make_config(horizon=100, batch_size=20, x0=1.5,
-                             sampling=ConstantSampling(8))
+        config = make_config(horizon=100, batch_size=20, x0=1.5, count=8)
         trace = run_trials(config, pricing_cost(), noise, region, [0, 1])
         costs = step_costs(trace, config, pricing_cost(), noise, [0, 1])
         assert np.array_equal(trace.x_hat, trace.x + config.delta * trace.u)
@@ -107,8 +105,7 @@ class TestConvergence:
         region = Box(0.0, 4.0)
         noise = constant_uniform(2000, 0.0, 1.0)
         config = make_config(horizon=2000, batch_size=500, delta=0.05,
-                             sampling=ConstantSampling(1),
-                             rate=ConstantRate(0.01), x0=0.5)
+                             count=1, eta=0.01, x0=0.5)
         trace = run(config, QUADRATIC_COST, noise, region, seed=3)
         tail = trace.x[0, -100:]
         assert abs(tail.mean() - 2.0) <= 0.1
@@ -121,8 +118,7 @@ class TestConvergence:
         noise = constant_uniform(2000, 0.0, 1.0)
         for eta in (0.05, 0.01):
             config = make_config(horizon=2000, batch_size=500, delta=0.05,
-                                 sampling=ConstantSampling(1),
-                                 rate=ConstantRate(eta), x0=0.5)
+                                 count=1, eta=eta, x0=0.5)
             trace = run(config, QUADRATIC_COST, noise, region, seed=3)
             rng = np.random.default_rng(3)
             x = 0.5
@@ -149,20 +145,33 @@ class TestConvergence:
     def test_feasibility_throughout(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(400)
-        config = make_config(horizon=400, batch_size=100, x0=1.0,
-                             sampling=ConstantSampling(8), rate=ConstantRate(0.03))
+        config = make_config(horizon=400, batch_size=100, x0=1.0, count=8,
+                             eta=0.03)
         trace = run(config, pricing_cost(), noise, region)
         inner = region.shrink(config.delta)
         assert inner.contains(trace.x[0])
         assert region.contains(trace.x_hat[0])
 
 
+# Each schedule column: its builder over a batch of a given size, and the
+# per-epoch Python formula of its entries.
+COUNT_COLUMNS = {
+    "constant": (lambda size: np.full(size, 4), lambda tau, size: 4),
+    "polynomial": (lambda size: polynomial_counts(0.7, 1.5, size),
+                   lambda tau, size: math.ceil(1.5 * (size - tau + 1) ** 0.7)),
+}
+RATE_COLUMNS = {
+    "constant": (lambda size: np.full(size, 0.05), lambda tau: 0.05),
+    "inverse": (lambda size: inverse_epoch_rates(0.3, size),
+                lambda tau: 1.0 / (0.3 * tau)),
+}
+
+
 class TestDeterminismAndRestarts:
     def test_bit_identical_repeat(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(120)
-        config = make_config(horizon=120, batch_size=30, x0=1.2,
-                             sampling=ConstantSampling(5))
+        config = make_config(horizon=120, batch_size=30, x0=1.2, count=5)
         first = run(config, pricing_cost(), noise, region, seed=11)
         second = run(config, pricing_cost(), noise, region, seed=11)
         assert np.array_equal(first.x, second.x)
@@ -176,8 +185,7 @@ class TestDeterminismAndRestarts:
     def test_seed_changes_trajectory(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(60)
-        kwargs = dict(horizon=60, batch_size=30, x0=1.2,
-                      sampling=ConstantSampling(5))
+        kwargs = dict(horizon=60, batch_size=30, x0=1.2, count=5)
         a = run(make_config(**kwargs), pricing_cost(), noise, region, seed=1)
         b = run(make_config(**kwargs), pricing_cost(), noise, region, seed=0)
         assert not np.array_equal(a.x_hat, b.x_hat)
@@ -185,9 +193,8 @@ class TestDeterminismAndRestarts:
     def test_schedule_resets_at_batch_boundaries(self):
         region = Box(0.0, 4.0)
         noise = constant_uniform(90, 0.0, 1.0)
-        config = make_config(
-            horizon=90, batch_size=30,
-            sampling=ConstantSampling(3), rate=InverseEpochRate(2.0))
+        config = make_config(horizon=90, count=3,
+                             rates=inverse_epoch_rates(2.0, 30), batch_size=30)
         trace = run(config, ZERO_COST, noise, region)
         for t, epoch, eta in zip(trace.t, trace.epoch, trace.eta):
             if t in (1, 31, 61):
@@ -197,32 +204,31 @@ class TestDeterminismAndRestarts:
         for tau, eta in etas.items():
             assert eta == pytest.approx(1.0 / (2.0 * tau))
 
-    @pytest.mark.parametrize("rate", [ConstantRate(0.05), InverseEpochRate(0.3)],
-                             ids=["constant", "inverse"])
-    @pytest.mark.parametrize("sampling", [ConstantSampling(4),
-                                          PolynomialSampling(0.7, 1.5)],
-                             ids=["constant", "polynomial"])
+    @pytest.mark.parametrize("rate", list(RATE_COLUMNS))
+    @pytest.mark.parametrize("sampling", list(COUNT_COLUMNS))
     @pytest.mark.parametrize("batch_size", [2, 7, 200])
     def test_schedule_columns_equal_per_step_calls(self, batch_size, sampling,
                                                    rate):
-        # The closed-form columns are the per-step batch_epoch, count and
-        # rate values, with the dtypes the CSV formats them by.
+        # The closed-form columns are the per-step batch_epoch values and the
+        # per-epoch count and rate formulas, with the dtypes the CSV formats
+        # them by.
+        counts, count = COUNT_COLUMNS[sampling]
+        rates, eta = RATE_COLUMNS[rate]
         for horizon in (1, batch_size - 1, batch_size, batch_size + 1, 6000):
-            config = make_config(horizon=horizon, batch_size=batch_size,
-                                 sampling=sampling, rate=rate)
+            config = make_config(horizon=horizon, counts=counts(batch_size),
+                                 rates=rates(batch_size))
             t = np.arange(1, horizon + 1)
             batch, epoch = np.array([batch_epoch(s, batch_size) for s in t]).T
             reference = (t, batch, epoch,
-                         np.array([sampling.count(tau, batch_size) for tau in epoch]),
-                         np.array([rate.rate(tau) for tau in epoch], dtype=float))
+                         np.array([count(int(tau), batch_size) for tau in epoch]),
+                         np.array([eta(int(tau)) for tau in epoch], dtype=float))
             for got, want in zip(learner._schedule(config), reference, strict=True):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_decision_carries_over_restarts(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(60)
-        config = make_config(horizon=60, batch_size=30, x0=1.5,
-                             sampling=ConstantSampling(4))
+        config = make_config(horizon=60, batch_size=30, x0=1.5, count=4)
         trace = run(config, pricing_cost(), noise, region)
         boundary, before = 30, 29  # column indices of t = 31 and t = 30
         step = trace.eta[before] * trace.gradient[0, before]
@@ -238,20 +244,18 @@ def brownian_case():
     cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=16.0, lipschitz=8.0,
                      strong_convexity=2.0)
     return (Box(-2.0, 2.0), cost, BrownianSeq(horizon, 1e-3),
-            make_config(horizon=horizon, batch_size=50, x0=1.0,
-                        sampling=ConstantSampling(24), rate=ConstantRate(0.03)))
+            make_config(horizon=horizon, batch_size=50, x0=1.0, count=24,
+                        eta=0.03))
 
 
 LOCKSTEP_CASES = {
     "parking-box": lambda: (
         Box(1.0, 5.0), pricing_cost(), parking_noise(150),
-        make_config(horizon=150, batch_size=50, x0=1.0,
-                    sampling=ConstantSampling(8), rate=ConstantRate(0.03))),
+        make_config(horizon=150, batch_size=50, x0=1.0, count=8, eta=0.03)),
     "polynomial": lambda: (
         Box(1.0, 5.0), pricing_cost(), parking_noise(120),
-        make_config(horizon=120, batch_size=40, x0=2.0,
-                    sampling=PolynomialSampling(0.5, 1.0),
-                    rate=InverseEpochRate(2.0))),
+        make_config(horizon=120, x0=2.0, counts=polynomial_counts(0.5, 1.0, 40),
+                    rates=inverse_epoch_rates(2.0, 40))),
     "brownian": brownian_case,
 }
 
@@ -277,17 +281,34 @@ class TestLockstep:
                 assert np.array_equal(both[i], one[0])
 
 
+# sha256 of the "polynomial" case's trace over seeds 5, 6 and 7: the dtype
+# and bytes of every column, recorded from the per-epoch strategy classes
+# that the schedule columns replaced.
+POLYNOMIAL_TRACE_SHA256 = (
+    "9b86eec89d8a5137782208c35f23a7651bb5faf2c6e3ab84a030b7b841917c16")
+
+
+def test_polynomial_counts_and_inverse_rates_trace_is_pinned():
+    region, cost, noise, config = LOCKSTEP_CASES["polynomial"]()
+    trace = run_trials(config, cost, noise, region, [5, 6, 7])
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(Trace):
+        column = getattr(trace, field.name)
+        digest.update(column.dtype.str.encode())
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == POLYNOMIAL_TRACE_SHA256
+
+
 class TestDraws:
-    @pytest.mark.parametrize("sampling", [ConstantSampling(8),
-                                          PolynomialSampling(0.5, 1.0)],
+    @pytest.mark.parametrize("counts", [np.full(25, 8), polynomial_counts(0.5, 1.0, 25)],
                              ids=["constant", "polynomial"])
     def test_one_dimensional_stream_equals_per_step_draws(self, monkeypatch,
-                                                          sampling):
+                                                          counts):
         # One draw per block of a trial's stream, split at the step
         # boundaries and turned into noise in one call, gives each step's
         # direction and the noise of its uniforms as drawn step by step:
         # with one step per block, a few, and the whole stream in one.
-        n_samples = np.array([sampling.count(batch_epoch(t, 25).epoch, 25)
+        n_samples = np.array([counts[batch_epoch(t, 25).epoch - 1]
                               for t in range(1, 61)])
         noise = parking_noise(60)  # t = 1, 2 are point masses
         seeds = [3, 4, 9]
@@ -327,8 +348,7 @@ class TestBounds:
         region = Box(1.0, 5.0)
         noise = parking_noise(300)
         cost = pricing_cost()
-        config = make_config(horizon=300, batch_size=100, x0=2.0,
-                             sampling=ConstantSampling(8))
+        config = make_config(horizon=300, batch_size=100, x0=2.0, count=8)
         trace = run(config, cost, noise, region)
         assert np.abs(trace.cvar_estimate).max() <= cost.bound
         assert np.abs(trace.gradient).max() <= cost.bound / config.delta + 1e-12
@@ -370,3 +390,57 @@ class TestValidation:
             with pytest.raises(RuntimeError, match=r"feasibility violated at t=1\b"):
                 run_trials(make_config(horizon=10, x0=x0), ZERO_COST, noise,
                            region, range(8))
+
+    @pytest.mark.parametrize("horizon", [5.7, 10.5, np.nan, np.inf])
+    def test_non_integral_horizon_rejected(self, horizon):
+        # Rejected, never truncated to the whole steps below it.
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"horizon {horizon!r} is not an integer")):
+            make_config(horizon=horizon)
+
+    def test_integral_horizon_is_stored_as_an_int(self):
+        config = make_config(horizon=10.0)
+        assert config.horizon == 10 and isinstance(config.horizon, int)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0])
+    def test_float_count_column_rejected(self, count):
+        # Rejected, never truncated, also where the values are integral.
+        with pytest.raises(ConfigurationError, match="sample counts must be integers"):
+            make_config(count=count)
+
+    def test_count_below_one_names_the_first_bad_epoch(self):
+        counts = np.array([3, 2, 0, 1, -1, 4, 4, 4, 4, 4])
+        with pytest.raises(ConfigurationError,
+                           match="sample count must be >= 1, got 0 at epoch 3$"):
+            make_config(counts=counts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_rate_that_is_not_positive_and_finite_rejected(self, bad):
+        rates = np.full(10, 0.05)
+        rates[[1, 6]] = bad
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"learning rate eta={bad} must be positive and finite at epoch 2")):
+            make_config(rates=rates)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "of one length, got (10,) sample counts and (9,) learning rates")):
+            make_config(rates=np.full(9, 0.05))
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_batch_below_two_rejected(self, size):
+        with pytest.raises(ConfigurationError, match=f"batch size must be >= 2, got {size}"):
+            make_config(batch_size=size)
+
+    def test_a_column_of_two_dimensions_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be one-dimensional"):
+            make_config(counts=np.full((2, 5), 4), rates=np.full((2, 5), 0.05))
+
+    def test_columns_are_read_only_copies(self):
+        counts, rates = np.full(10, 4), np.full(10, 0.05)
+        config = make_config(counts=counts, rates=rates)
+        counts[0], rates[0] = 9, 9.0
+        assert config.counts[0] == 4 and config.rates[0] == 0.05
+        for column in (config.counts, config.rates):
+            with pytest.raises(ValueError):
+                column[0] = 1

@@ -14,8 +14,7 @@ from cvarlearn import _pcg64, learner
 from cvarlearn.core import Box, ConfigurationError, CostModel
 from cvarlearn.environment import BrownianSeq, constant_uniform, parking_noise
 from cvarlearn.learner import LearnerConfig, _draws, run_trials
-from cvarlearn.schedule import (ConstantRate, ConstantSampling, PolynomialSampling,
-                                batch_epoch)
+from cvarlearn.schedule import batch_epoch, polynomial_counts
 
 L = _pcg64._L
 
@@ -44,9 +43,8 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
 
 
 def test_run_trials_rejects_a_negative_seed():
-    config = LearnerConfig(horizon=10, batch_size=5, delta=0.05, alpha=0.5,
-                           sampling=ConstantSampling(2), rate=ConstantRate(0.05),
-                           x0=0.5)
+    config = LearnerConfig(horizon=10, delta=0.05, alpha=0.5, counts=np.full(5, 2),
+                           rates=np.full(5, 0.05), x0=0.5)
     cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0, lipschitz=1.0)
     with pytest.raises(ConfigurationError, match="seed -1"):
         run_trials(config, cost, constant_uniform(10, 0.0, 1.0), Box(0.0, 4.0),
@@ -54,15 +52,15 @@ def test_run_trials_rejects_a_negative_seed():
 
 
 @pytest.mark.parametrize("block", [1000, learner._BLOCK], ids=["cut", "default"])
-@pytest.mark.parametrize("noise, sampling", [
-    (parking_noise(300), ConstantSampling(20)),
-    (BrownianSeq(300, 0.5), PolynomialSampling(0.5, 4.0)),
+@pytest.mark.parametrize("noise, counts", [
+    (parking_noise(300), np.full(40, 20)),
+    (BrownianSeq(300, 0.5), polynomial_counts(0.5, 4.0, 40)),
 ], ids=["parking", "brownian"])
 def test_draws_over_port_streams_equal_draws_over_numpy(monkeypatch, noise,
-                                                        sampling, block):
+                                                        counts, block):
     # Each trial draws more than one table's length of uniforms.
     monkeypatch.setattr(learner, "_BLOCK", block)
-    n_samples = np.array([sampling.count(batch_epoch(t, 40).epoch, 40)
+    n_samples = np.array([counts[batch_epoch(t, 40).epoch - 1]
                           for t in range(1, 301)])
     assert (1 + n_samples).sum() > L
     seeds = [0, 1, 2 ** 32]

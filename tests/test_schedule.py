@@ -1,19 +1,17 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvarlearn.core import ConfigurationError
 from cvarlearn.schedule import (
-    ConstantRate,
-    ConstantSampling,
-    InverseEpochRate,
-    PolynomialSampling,
     batch_epoch,
     check_sampling_requirement,
-    sampling_count_poly,
+    inverse_epoch_rates,
+    polynomial_counts,
     theorem1_params,
     theorem2_params,
 )
@@ -43,86 +41,83 @@ class TestBatchEpoch:
         assert 1 <= tau <= batch_size
 
 
-class TestSamplingCountPoly:
+class TestPolynomialCounts:
     def test_base_of_decay(self):
         for a in (0.5, 1.0, 2.0):
-            assert sampling_count_poly(3, 3, a, 1.0) == 1
+            assert polynomial_counts(a, 1.0, 3)[2] == 1
 
     def test_linear_case(self):
-        assert sampling_count_poly(1, 3, 1.0, 1.0) == 3
+        assert polynomial_counts(1.0, 1.0, 3)[0] == 3
 
     def test_high_precision_reference(self):
         expected = int(mpmath.ceil(10 * mpmath.mpf(200) ** mpmath.mpf("2/3")))
-        assert sampling_count_poly(1, 200, 2.0 / 3.0, 10.0) == expected == 342
+        assert polynomial_counts(2.0 / 3.0, 10.0, 200)[0] == expected == 342
 
     def test_nonincreasing_in_epoch(self):
         for a, b in ((0.5, 2.0), (1.3, 0.7), (2.0, 10.0)):
-            counts = [sampling_count_poly(tau, 50, a, b) for tau in range(1, 51)]
+            counts = polynomial_counts(a, b, 50)
+            assert counts.shape == (50,) and counts.dtype == np.int64
             assert all(c1 >= c2 for c1, c2 in zip(counts, counts[1:]))
             assert all(c >= 1 for c in counts)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            sampling_count_poly(0, 10, 1.0, 1.0)
+            polynomial_counts(1.0, 1.0, 1)
         with pytest.raises(ConfigurationError):
-            sampling_count_poly(1, 10, 0.0, 1.0)
+            polynomial_counts(0.0, 1.0, 10)
         with pytest.raises(ConfigurationError):
-            sampling_count_poly(1, 10, 1.0, -1.0)
+            polynomial_counts(1.0, -1.0, 10)
 
 
 class TestSamplingRequirement:
     def test_parking_configuration_satisfies(self):
-        check = check_sampling_requirement(ConstantSampling(8), 200, 2.0 / 3.0, 10.0)
+        check = check_sampling_requirement(np.full(200, 8), 2.0 / 3.0, 10.0)
         assert check.satisfied
         assert check.achieved == pytest.approx(200 / math.sqrt(8), abs=1e-9)
         assert check.allowed == pytest.approx(10 * 200 ** (2.0 / 3.0), abs=1e-9)
 
     def test_single_sample_fails_tight_budget(self):
-        check = check_sampling_requirement(ConstantSampling(1), 4, 2.0, 1.0)
+        check = check_sampling_requirement(np.full(4, 1), 2.0, 1.0)
         assert not check.satisfied
         assert check.achieved == pytest.approx(4.0)
         assert check.allowed == pytest.approx(1.0)
 
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ConfigurationError):
-            check_sampling_requirement(ConstantSampling(1), 4, 0.0, 1.0)
+            check_sampling_requirement(np.full(4, 1), 0.0, 1.0)
 
     def test_agrees_with_direct_summation(self):
-        import numpy as np
-
         rng = np.random.default_rng(21)
         for _ in range(200):
             batch = int(rng.integers(2, 300))
             if rng.random() < 0.5:
-                strat = ConstantSampling(int(rng.integers(1, 50)))
+                n = int(rng.integers(1, 50))
+                counts, phi = np.full(batch, n), [n] * batch
             else:
-                strat = PolynomialSampling(float(rng.uniform(0.2, 2.0)),
-                                           float(rng.uniform(0.2, 5.0)))
+                pa, pb = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 5.0))
+                counts = polynomial_counts(pa, pb, batch)
+                phi = [math.ceil(pb * (batch - tau + 1) ** pa)
+                       for tau in range(1, batch + 1)]
             a = float(rng.uniform(0.2, 2.0))
             c = float(rng.uniform(0.5, 20.0))
-            check = check_sampling_requirement(strat, batch, a, c)
-            direct = sum(1.0 / math.sqrt(strat.count(tau, batch))
-                         for tau in range(1, batch + 1))
+            check = check_sampling_requirement(counts, a, c)
+            direct = sum(1.0 / math.sqrt(n) for n in phi)
             assert check.achieved == pytest.approx(direct, rel=1e-12)
             assert check.satisfied == (direct <= c * batch ** (1 - a / 2))
 
 
 class TestLearningRate:
-    def test_constant(self):
-        assert ConstantRate(0.01).rate(7) == 0.01
-
     def test_inverse_epoch_first(self):
-        assert InverseEpochRate(1.0).rate(1) == 1.0
+        assert inverse_epoch_rates(1.0, 5)[0] == 1.0
 
     def test_inverse_epoch_decay(self):
-        assert InverseEpochRate(4.0).rate(25) == pytest.approx(0.01)
-        assert InverseEpochRate(2.0).rate(5) == pytest.approx(0.1)
+        assert inverse_epoch_rates(4.0, 25)[24] == pytest.approx(0.01)
+        assert inverse_epoch_rates(2.0, 5)[4] == pytest.approx(0.1)
 
     def test_positivity_validation(self):
-        with pytest.raises(ConfigurationError):
-            ConstantRate(0.0)
-        with pytest.raises(ConfigurationError):
-            InverseEpochRate(-1.0)
+        for modulus in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                inverse_epoch_rates(modulus, 5)
 
 
 def mp_theorem1(horizon, budget, a):
@@ -179,7 +174,8 @@ class TestTheoremParams:
 
     def test_theorem2_rate_rule(self):
         p = theorem2_params(10_000, 10.0, 1.0, 2.0)
-        assert p.rate.rate(5) == pytest.approx(0.1)
+        assert p.rates.shape == (p.batch_size,)
+        assert p.rates[4] == pytest.approx(0.1)
 
     def test_budget_must_be_below_horizon(self):
         with pytest.raises(ConfigurationError):
@@ -188,8 +184,6 @@ class TestTheoremParams:
             theorem2_params(100, 150.0, 1.0, 1.0)
 
     def test_matches_high_precision_evaluation(self):
-        import numpy as np
-
         rng = np.random.default_rng(22)
         for _ in range(50):
             horizon = int(rng.integers(10, 10**6))
@@ -207,8 +201,6 @@ class TestTheoremParams:
             assert p2.batch_size == b_mp2
 
     def test_emitted_values_positive_and_delta_below_one(self):
-        import numpy as np
-
         rng = np.random.default_rng(23)
         for _ in range(100):
             horizon = int(rng.integers(10, 10**5))
