@@ -56,9 +56,9 @@ TRAJECTORY_HEADER = "t,j,tau,x,x_hat,n_t,cvar_est,grad,eta,c_hat,c_star,dr,acc_l
 AGGREGATE_COLUMNS = ("x", "c_hat", "dr", "acc_loss")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """All knobs of an experiment; defaults reproduce the parking-lot study."""
+    """All knobs of an experiment, frozen; defaults reproduce the parking-lot study."""
 
     scenario: str = "parking"
     horizon: int = 6000
@@ -83,9 +83,10 @@ class ExperimentConfig:
     # brownian scenario
     diffusivity: float = 1e-4
 
-    def validate(self) -> "ExperimentConfig":
-        """Check the rules that no object built from the config owns, and the
-        horizon, which ``constant_uniform``'s ``np.full`` reads unchecked."""
+    def __post_init__(self):
+        """Check, at every build (``dataclasses.replace`` too), the rules that
+        no object built from the config owns, and the horizon, which
+        ``constant_uniform``'s ``np.full`` reads unchecked."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if field.type == "float" and not math.isfinite(value):
@@ -101,7 +102,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.rate_rule not in ("constant", "inverse"):
             raise ConfigurationError("rate_rule must be 'constant' or 'inverse'")
-        return self
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -143,7 +143,7 @@ def _as_int(value) -> int:
 
 
 def make_config(*sources: dict) -> ExperimentConfig:
-    """Build a validated config from dicts of increasing precedence.
+    """Build a config from dicts of increasing precedence.
 
     String values are coerced to the field's type, and an integer field
     rejects a value with a fractional part; the ``RA_SEED``
@@ -169,14 +169,13 @@ def make_config(*sources: dict) -> ExperimentConfig:
                 coerced[key] = str(value)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad value for {key!r}: {value!r}") from exc
-    config = ExperimentConfig(**coerced)
     env_seed = os.environ.get("RA_SEED")
     if env_seed is not None:
         try:
-            config.base_seed = _as_int(env_seed)
+            coerced["base_seed"] = _as_int(env_seed)
         except ValueError as exc:
             raise ConfigurationError(f"RA_SEED must be an integer, got {env_seed!r}") from exc
-    return config.validate()
+    return ExperimentConfig(**coerced)
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     diagnostics reference them. The noise sequence checks its own
     parameters; the learner's and the oracle's are checked by ``_experiments``.
     """
-    config.validate()
     horizon = config.horizon
     if config.scenario == "brownian":
         noise: NoiseSequence = environment.BrownianSeq(horizon, config.diffusivity)
@@ -504,7 +502,7 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     return dict(zip(counts, results))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BudgetReport:
     budget: float
     profile: np.ndarray  # W1(D_{t-1}, D_t) for t = 2..horizon

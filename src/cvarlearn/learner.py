@@ -113,9 +113,7 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
         heads = np.cumsum(1 + n) - 1 - n
         stream = np.stack([rng.random(heads[-1] + 1 + n[-1]) for rng in rngs])
         u = directions(stream[:, heads])
-        # Row-major, as each step's draws were: the layout of the costs
-        # sets the order in which ``cvar_of_values`` sums them.
-        q = np.take(stream, np.delete(np.arange(stream.shape[1]), heads), axis=1)
+        q = np.delete(stream, heads, axis=1)
         xi = np.asarray(noise.quantile(np.repeat(steps + 1, n), q), dtype=float)
         yield from zip(u.T, np.split(xi, np.cumsum(n)[:-1], axis=1))
 

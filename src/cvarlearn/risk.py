@@ -89,9 +89,10 @@ def cvar_of_values(values, alpha: float):
     ``k = ceil(alpha * n)``, the value is
     ``(sum of the k-1 largest + (alpha*n - k + 1) * k-th largest) / (alpha*n)``,
     which is the unique minimum of the Rockafellar-Uryasev functional.
+    Rows are read row-major: the bits depend on the values, not their strides.
     """
     alpha = _check_alpha(alpha)
-    v = np.asarray(values, dtype=float)
+    v = np.ascontiguousarray(values, dtype=float)
     n = v.shape[-1]
     if n == 0:
         raise ConfigurationError("CVaR of an empty sample is undefined")

@@ -33,6 +33,19 @@ ABLATE_HASHES = {
     "abl_n8_trial1.csv": "b99bd6d932efa4ece21fde753080a8d32f83d2b5d14fe5d7121a1cffa1b7cfe6",
 }
 
+# At n = 24 the bits of a sample CVaR would follow the memory layout of the
+# learner's cost rows if ``cvar_of_values`` did not fix it. The n = 8 files
+# are the ``run`` files' bytes.
+ABLATE_PARKING_HASHES = {
+    "abp_ablation.csv": "bcdf956ec09cb26fe47de03d92bfb6578645c1ef93d9c2b68a1e82ef1958e01a",
+    "abp_n8_aggregate.csv": "e145b5e5911666c5680893272fcb576d5e28f73e9a1d36d6a36fabf47c14ee92",
+    "abp_n8_trial0.csv": "677e47c4770fc9aaa2e9e0e566d2a3f7697ca05bbbfa3731bb0bbaa45c7c21a8",
+    "abp_n8_trial1.csv": "49d31d3897d8c80919cb90975280413a2aaaba1d8af0666a8505afcbfe2048d1",
+    "abp_n24_aggregate.csv": "0086495980e50f0be7598755283c8c4776459f02a08ea7f2df8ee464a82dba86",
+    "abp_n24_trial0.csv": "c025ab0319eda0212223fe2ea81c830b8f0494b18b61711167886a6840ab33de",
+    "abp_n24_trial1.csv": "4749ccedcfbb6dca28d89fa047204ce092150a94dfb36936412f52a24eaac287",
+}
+
 # A seed of two 32-bit words: SeedSequence hashes multi-word entropy.
 BIG_SEED_HASHES = {
     "big_trial0.csv": "d8336f01684b48ee71cc74a6c0f5f91931e1b3486458766427b024b9b85608d2",
@@ -102,6 +115,8 @@ CASES = {
     "run-parking": (["run", "--scenario", "parking", *COMMON], "run", RUN_HASHES),
     "ablate-brownian": (["ablate", "--scenario", "brownian", "--counts", "4,8",
                          *COMMON], "abl", ABLATE_HASHES),
+    "ablate-parking": (["ablate", "--scenario", "parking", "--counts", "8,24",
+                        *COMMON], "abp", ABLATE_PARKING_HASHES),
     "run-big-seed": (["run", "--scenario", "parking", "--seed", "4294967296",
                       *COMMON], "big", BIG_SEED_HASHES),
     "run-custom": (["run", "--scenario", "custom", *COMMON], "cus", CUSTOM_HASHES),

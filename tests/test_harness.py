@@ -99,6 +99,18 @@ class TestConfigParsing:
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv("RA_SEED", "99")
         assert make_config({"base_seed": 3}).base_seed == 99
+        assert make_config({"base_seed": "1"}, {"base_seed": "3"}).base_seed == 99
+        # A bad flag value is reported before the environment is read.
+        with pytest.raises(ConfigurationError, match="bad value for 'base_seed'"):
+            make_config({"base_seed": "x"})
+        monkeypatch.setenv("RA_SEED", "6.5")
+        with pytest.raises(ConfigurationError,
+                           match=r"^RA_SEED must be an integer, got '6\.5'$"):
+            make_config({"base_seed": "3"})
+        monkeypatch.setenv("RA_SEED", "-1")
+        with pytest.raises(ConfigurationError,
+                           match=r"^base_seed must be >= 0, got -1$"):
+            make_config({"base_seed": "3"})
 
     def test_env_seed_parses_as_the_seed_flag_does(self, tmp_path, monkeypatch,
                                                    capsys):
@@ -124,6 +136,20 @@ class TestConfigParsing:
     def test_scenario_validation(self):
         with pytest.raises(ConfigurationError):
             make_config({"scenario": "casino"})
+
+    def test_config_is_frozen(self):
+        config = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.horizon = 10
+        assert not hasattr(config, "validate")
+
+    def test_every_built_config_is_checked(self):
+        with pytest.raises(ConfigurationError, match="horizon must be >= 1, got 0"):
+            dataclasses.replace(ExperimentConfig(), horizon=0)
+        with pytest.raises(ConfigurationError, match="unknown scenario 'casino'"):
+            ExperimentConfig(scenario="casino")
+        with pytest.raises(ConfigurationError, match="delta must be finite"):
+            ExperimentConfig(delta=math.nan)
 
     def test_field_names_are_pinned(self):
         # Every config key is an option that some caller sets, so a key that
@@ -944,7 +970,7 @@ class TestConfigFuzz:
             config = make_config(values)
         except ConfigurationError:
             return
-        assert config.validate() is config
+        assert dataclasses.replace(config) == config  # rebuilt, so re-checked
         assert all(math.isfinite(getattr(config, field.name))
                    for field in dataclasses.fields(config) if field.type == "float")
 

@@ -20,7 +20,15 @@ from cvarlearn.oracle import (
     optimal_action_series,
     true_cvar,
 )
-from cvarlearn.harness import ExperimentConfig, build_scenario, run_ablation
+from cvarlearn.harness import (
+    ELASTICITY,
+    PRICES,
+    REGULARIZATION,
+    TARGET_OCCUPANCY,
+    ExperimentConfig,
+    build_scenario,
+    run_ablation,
+)
 
 
 def played(*trials):
@@ -70,6 +78,48 @@ def step_optimum(cost, noise, region, k, grid_n):
 IDENTITY_COST = CostModel(fn=lambda x, xi: 0.0 * x + xi, bound=10.0, lipschitz=1.0)
 
 
+def closed_form_cvar(noise, t, x, alpha):
+    """Exact CVaR of the pricing cost ``J = (xi + e*x - c)^2 + nu/2 * x^2`` at
+    the 1-based steps ``t`` and decisions ``x`` (broadcast), with xi uniform
+    on ``[a, a + L]`` at each step: an independent truth for the grid oracle.
+
+    With the vertex ``v = c - e*x``, the alpha-tail of ``(xi - v)^2`` is the
+    two ends of the interval, ``[a, a + p]`` and the last ``alpha*L - p``,
+    where ``p = clip((2v - 2a - L + alpha*L)/2, 0, alpha*L)``. The CVaR is
+    ``[F(a+p) - F(a) + F(a+L) - F(a+L-alpha*L+p)]/(alpha*L) + nu/2 * x^2``
+    with ``F(z) = (z - v)^3/3``. Each difference ``F(hi) - F(lo)`` is taken
+    as ``(hi - lo) * (h^2 + h*l + l^2)/3``, ``h = hi - v`` and ``l = lo - v``,
+    which does not cancel on a short end. A point mass (``L = 0``) gives
+    ``J(a)``.
+    """
+    step = noise.table[np.asarray(t) - 1]
+    a, length = step[..., 0], step[..., 1]
+    v = TARGET_OCCUPANCY - ELASTICITY * x
+    width = alpha * length
+    p = np.clip((2 * v - 2 * a - length + width) / 2, 0.0, width)
+
+    def integral(lo, hi):
+        low, high = lo - v, hi - v
+        return (hi - lo) * (high * high + high * low + low * low) / 3
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = (integral(a, a + p) + integral(a + length - width + p, a + length)
+                ) / width
+    return np.where(length > 0, tail, (a - v) ** 2) + 0.5 * REGULARIZATION * x ** 2
+
+
+def closed_form_tolerance(alpha, grid_n):
+    """Relative gap allowed between the grid oracle at ``grid_n`` levels and
+    the closed form; the cases below stay within 0.79 of it."""
+    return 1.0 / (alpha * grid_n) ** 2
+
+
+#: The pricing scenarios the closed form covers: ``parking`` at horizons
+#: with many point-mass steps (500, 1,500) and few (6,000), and ``custom``.
+PRICING_CASES = [("parking", 500), ("parking", 1500), ("parking", 6000),
+                 ("custom", 500)]
+
+
 class TestTrueCvar:
     def test_point_mass_noise(self):
         noise = constant_uniform(5, 2.0, 2.0)
@@ -90,15 +140,21 @@ class TestTrueCvar:
             got = true_cvar(IDENTITY_COST, noise, 1, 0.0, alpha, 20_000)
             assert got == pytest.approx(1 - alpha / 2, abs=1e-4)
 
-    def test_grid_self_convergence_on_pricing_cases(self):
-        scen = pricing_scenario()
+    @pytest.mark.parametrize("scenario, horizon", PRICING_CASES,
+                             ids=[f"{s}-T{t}" for s, t in PRICING_CASES])
+    def test_matches_the_closed_form_on_pricing_cases(self, scenario, horizon):
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
         rng = np.random.default_rng(51)
-        for _ in range(100):
-            t = int(rng.integers(1, 6001))
-            x = float(rng.uniform(1.0, 5.0))
-            coarse = true_cvar(scen.cost, scen.noise, t, x, 0.5, 10_000)
-            fine = true_cvar(scen.cost, scen.noise, t, x, 0.5, 100_000)
-            assert coarse == pytest.approx(fine, abs=1e-4)
+        draws = [(int(rng.integers(1, horizon + 1)), float(rng.uniform(1.0, 5.0)))
+                 for _ in range(100)]
+        draws += [(1, 1.0), (2, 5.0)]  # point masses in every parking case
+        for grid_n in (1000, 2000, 10_000):
+            for alpha in (0.05, 0.1, 0.5, 0.9, 1.0):
+                tol = closed_form_tolerance(alpha, grid_n)
+                for t, x in draws:
+                    exact = closed_form_cvar(scen.noise, t, x, alpha)
+                    got = true_cvar(scen.cost, scen.noise, t, x, alpha, grid_n)
+                    assert abs(got - exact) <= tol * exact, (t, x, alpha, grid_n)
 
     def test_monotone_in_alpha(self):
         scen = pricing_scenario()
@@ -127,6 +183,26 @@ class TestTrueCvar:
         monkeypatch.setattr(scen.noise, "quantile", no_quantile)
         with pytest.raises(ConfigurationError, match=r"decision x=.*1\.5"):
             true_cvar(scen.cost, scen.noise, 1, x, 0.5, 1000)
+
+
+class TestSearchAgainstClosedForm:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("scenario, horizon", [("parking", 1500),
+                                                   ("custom", 500)])
+    def test_optimal_cvar_is_the_closed_form_minimum(self, scenario, horizon,
+                                                     alpha):
+        # CVaRs, not actions, are compared: two grid actions can sit closer
+        # than the grid's error.
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
+        xs, grid_n = action_grid(PRICES, 100), 2000
+        x_star, c_star = optimal_action_series(
+            scen.cost, scen.noise, xs, alpha, range(horizon), _mid_quantiles(grid_n))
+        t = np.arange(1, horizon + 1)
+        exact = closed_form_cvar(scen.noise, t, x_star, alpha)
+        tol = closed_form_tolerance(alpha, grid_n)
+        assert np.all(np.abs(c_star - exact) <= tol * exact)
+        every = closed_form_cvar(scen.noise, t[:, None], xs[None, :], alpha)
+        assert np.all(every.min(axis=1) >= exact * (1.0 - tol))
 
 
 class TestActionGrid:

@@ -95,6 +95,20 @@ class TestCvarDiscrete:
         np.testing.assert_allclose(cvar_of_values(rows, alpha), [3.0, 0.5, 7.0],
                                    rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("rows", [1, 3, 10])
+    @pytest.mark.parametrize("n", [8, 24, 100, 2000])
+    def test_bits_do_not_depend_on_the_layout(self, n, rows, alpha):
+        values = np.random.default_rng(n * rows).normal(size=(rows, n))
+        wide = np.zeros((rows, 2 * n))
+        wide[:, ::2] = values
+        reversed_rows = values[::-1].copy()[::-1]
+        expected = cvar_of_values(values, alpha)
+        assert expected.tobytes() == np.array(
+            [cvar_of_values(row, alpha) for row in values]).tobytes()
+        for layout in (np.asfortranarray(values), wide[:, ::2], reversed_rows):
+            assert cvar_of_values(layout, alpha).tobytes() == expected.tobytes()
+
     def test_invalid_alpha(self):
         e = build_ecdf([1.0])
         for alpha in (0.0, -0.5, 1.5):
