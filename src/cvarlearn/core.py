@@ -3,7 +3,8 @@
 A decision is one float, and the admissible set is a closed interval with an
 exact projection, an inradius, and a centered shrink operation that keeps
 perturbed actions feasible. Cost models bundle an evaluation rule with
-its declared bound, Lipschitz constant, and strong-convexity modulus. A noise
+its declared bound, Lipschitz constant, and strong-convexity modulus; a
+``Quadratic`` rule declares the form of its quadratic too. A noise
 sequence is a location-scale table plus the ``Family`` of its standard
 variable; its per-step CDF, quantile, support and step W1 read the table.
 ``fork_map`` and ``fork_ranges`` split a phase of independent work across the
@@ -24,6 +25,7 @@ __all__ = [
     "CostModel",
     "Family",
     "NoiseSequence",
+    "Quadratic",
 ]
 
 #: Absolute tolerance for set-membership tests (double precision, unit scale).
@@ -87,18 +89,44 @@ class Box:
 
 
 @dataclass(frozen=True)
+class Quadratic:
+    """The cost ``J(x, xi) = (xi + slope * x - level)^2 + weight * x^2``, a
+    ``CostModel`` evaluation rule when called. ``into`` evaluates rows in
+    place with the same IEEE operations in the same order: the same bits."""
+
+    slope: float
+    level: float = 0.0
+    weight: float = 0.0
+
+    def __call__(self, x, xi):
+        x = np.asarray(x, dtype=float)
+        values = (np.asarray(xi, dtype=float) + self.slope * x - self.level) ** 2
+        return values + self.weight * x ** 2 if self.weight else values
+
+    def into(self, x: np.ndarray, rows: np.ndarray) -> None:
+        """Replace the noise values of row ``rows[r]`` by their costs at ``x[r]``."""
+        rows += (self.slope * x)[:, None]
+        rows -= self.level
+        np.square(rows, out=rows)
+        if self.weight:
+            rows += (self.weight * x ** 2)[:, None]
+
+
+@dataclass(frozen=True)
 class CostModel:
     """Random cost ``J(x, xi)`` with declared regularity metadata.
 
     ``J(., xi)`` must be convex in the decision for every noise value: the
-    learner's guarantees and the oracle's search over the action grid both
-    rely on it.
+    learner's guarantees rely on it.
 
     Parameters
     ----------
     fn:
         Evaluation rule. Must obey numpy broadcasting in both the decisions
-        and the noise values, as any formula built from ufuncs does.
+        and the noise values, as any formula built from ufuncs does. A
+        ``Quadratic`` rule also declares its form: the oracle then evaluates
+        its rows in place, and screens the action grid in closed form
+        before it evaluates a step's CVaRs exactly.
     bound:
         Uniform bound ``U`` on ``|J|`` over the admissible set and the
         declared noise support.

@@ -103,8 +103,8 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
     Every generator yields, per step, its direction (``directions`` of one
     uniform) and then its ``n_t`` uniforms, so a trial's block is one draw of
     ``sum(1 + n_t)`` uniforms, split at the step boundaries: the values are
-    the same as drawn step by step. Each block's uniforms become noise in
-    one ``noise.quantile`` call.
+    the same as drawn step by step. Each block's noise uniforms are gathered
+    C-ordered and become noise in one ``noise.quantile`` call.
     """
     sizes = len(rngs) * (1 + n_samples)
     cuts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _BLOCK)) + 1
@@ -113,7 +113,9 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
         heads = np.cumsum(1 + n) - 1 - n
         stream = np.stack([rng.random(heads[-1] + 1 + n[-1]) for rng in rngs])
         u = directions(stream[:, heads])
-        q = np.delete(stream, heads, axis=1)
+        noise_cols = np.ones(stream.shape[1], dtype=bool)
+        noise_cols[heads] = False
+        q = np.compress(noise_cols, stream, axis=1)
         xi = np.asarray(noise.quantile(np.repeat(steps + 1, n), q), dtype=float)
         yield from zip(u.T, np.split(xi, np.cumsum(n)[:-1], axis=1))
 

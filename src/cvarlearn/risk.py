@@ -92,17 +92,24 @@ def cvar_of_values(values, alpha: float):
     Rows are read row-major: the bits depend on the values, not their strides.
     """
     alpha = _check_alpha(alpha)
-    v = np.ascontiguousarray(values, dtype=float)
-    n = v.shape[-1]
-    if n == 0:
+    v = np.array(values, dtype=float, order="C")
+    if v.shape[-1] == 0:
         raise ConfigurationError("CVaR of an empty sample is undefined")
+    out = _tail_means(v, alpha)
+    return float(out) if out.ndim == 0 else out
+
+
+def _tail_means(rows: np.ndarray, alpha: float) -> np.ndarray:
+    """``cvar_of_values`` of the C-ordered float ``rows``, which it
+    partitions in place: the arrangement, and so the bits of the tail sum,
+    are those of ``np.partition``'s C-ordered copy."""
+    n = rows.shape[-1]
     an = alpha * n
     k = min(n, math.ceil(an))
-    part = np.partition(v, n - k, axis=-1)
-    kth = part[..., n - k]
-    top = part[..., n - k + 1 :].sum(axis=-1)
-    out = (top + (an - (k - 1)) * kth) / an
-    return float(out) if out.ndim == 0 else out
+    rows.partition(n - k, axis=-1)
+    kth = rows[..., n - k]
+    top = rows[..., n - k + 1 :].sum(axis=-1)
+    return (top + (an - (k - 1)) * kth) / an
 
 
 def cvar_discrete(ecdf: EmpiricalCdf, alpha: float) -> float:

@@ -46,6 +46,23 @@ ABLATE_PARKING_HASHES = {
     "abp_n24_trial1.csv": "4749ccedcfbb6dca28d89fa047204ce092150a94dfb36936412f52a24eaac287",
 }
 
+# Ten trials: from 8 rows up, an axis-0 mean or std of a Fortran-ordered
+# column gives other bits than of a C-ordered one. Trials 0 and 1 are the
+# ``run`` files' bytes.
+TEN_TRIAL_HASHES = {
+    "ten_aggregate.csv": "83288ecd949bcd784ee268995367ce23b64e0441dc635cb74e94c4bc05f04bcf",
+    "ten_trial0.csv": "677e47c4770fc9aaa2e9e0e566d2a3f7697ca05bbbfa3731bb0bbaa45c7c21a8",
+    "ten_trial1.csv": "49d31d3897d8c80919cb90975280413a2aaaba1d8af0666a8505afcbfe2048d1",
+    "ten_trial2.csv": "fdbe3d1cbfbfc1f716ee43a8a0513d0c9e5df8cf8d1702168e44f13ad6ee5e51",
+    "ten_trial3.csv": "28b1b19dcd33641767886881d0bbbf59f729d0cb3b97f494ddb7d8beec0dd879",
+    "ten_trial4.csv": "b43b7636362dd7b771434762ebc4f475bc4a9e263aba873d7116897f1fc9aa65",
+    "ten_trial5.csv": "38de4da690319ce804dbeddb262ee4e4e55ebb041ab0e07dc28871ed29c8054d",
+    "ten_trial6.csv": "2244ff87bd81790adbcb4002c0ca48d860fa6897fb01ef610bdff39086be0f1f",
+    "ten_trial7.csv": "0c9988bfe8a05fa0c4dba60e81e49c348126f35cb0aab43494911d5037c25f81",
+    "ten_trial8.csv": "ed21dc0eed3a551b14da1f07761c69c3319e1ad89241b2616993046927b13bec",
+    "ten_trial9.csv": "365257af98347ddba3ce49a302240d6907f29fc70059d229bacacaa010bdd501",
+}
+
 # A seed of two 32-bit words: SeedSequence hashes multi-word entropy.
 BIG_SEED_HASHES = {
     "big_trial0.csv": "d8336f01684b48ee71cc74a6c0f5f91931e1b3486458766427b024b9b85608d2",
@@ -113,6 +130,8 @@ def _hashes(directory):
 
 CASES = {
     "run-parking": (["run", "--scenario", "parking", *COMMON], "run", RUN_HASHES),
+    "run-ten-trials": (["run", "--scenario", "parking", *COMMON, "--trials", "10"],
+                       "ten", TEN_TRIAL_HASHES),
     "ablate-brownian": (["ablate", "--scenario", "brownian", "--counts", "4,8",
                          *COMMON], "abl", ABLATE_HASHES),
     "ablate-parking": (["ablate", "--scenario", "parking", "--counts", "8,24",

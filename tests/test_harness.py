@@ -275,6 +275,24 @@ class TestRunExperiment:
             result.report.accumulated_loss.std(axis=0))
         assert np.all(table[:, 2] >= 0)
 
+    def test_aggregate_bits_do_not_depend_on_the_layout(self, tmp_path):
+        # From 8 trials up, an axis-0 mean or std of a Fortran-ordered column
+        # gives other bits than of a C-ordered one; the aggregates must not.
+        config = small_config(tmp_path, horizon=200, batch_size=10, trials=10)
+        result = run_experiment(config, write=False)
+        report = result.report
+        fortran = dataclasses.replace(
+            result,
+            config=dataclasses.replace(config, out_prefix=str(tmp_path / "f")),
+            trace=dataclasses.replace(result.trace,
+                                      x=np.asfortranarray(result.trace.x)),
+            report=dataclasses.replace(report, **{
+                name: np.asfortranarray(getattr(report, name)) for name in
+                ("played_cvar", "cumulative_regret", "accumulated_loss")}))
+        harness._write_experiments([result, fortran])
+        assert ((tmp_path / "ra_aggregate.csv").read_bytes()
+                == (tmp_path / "f_aggregate.csv").read_bytes())
+
 
 class TestAblation:
     def test_identical_counts_share_seeds(self, tmp_path):

@@ -307,7 +307,8 @@ class TestDraws:
         # One draw per block of a trial's stream, split at the step
         # boundaries and turned into noise in one call, gives each step's
         # direction and the noise of its uniforms as drawn step by step:
-        # with one step per block, a few, and the whole stream in one.
+        # with one step per block, a few, and the whole stream in one. Each
+        # trial's noise values lie next to each other (C order).
         n_samples = np.array([counts[batch_epoch(t, 25).epoch - 1]
                               for t in range(1, 61)])
         noise = parking_noise(60)  # t = 1, 2 are point masses
@@ -320,6 +321,7 @@ class TestDraws:
             rngs = [np.random.default_rng(s) for s in seeds]
             for t, ((u, xi), n) in enumerate(zip(steps, n_samples), start=1):
                 assert u.shape == (3,) and xi.shape == (3, n)
+                assert xi.strides[1] == xi.itemsize
                 for i, rng in enumerate(rngs):
                     assert u[i] == (1.0 if rng.random() < 0.5 else -1.0)
                     assert np.array_equal(xi[i], noise.quantile(t, rng.random(n)))

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -7,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvarlearn import environment, oracle
-from cvarlearn.core import Box, ConfigurationError, CostModel, fork_map, fork_ranges
+from cvarlearn.core import (Box, ConfigurationError, CostModel, Quadratic, fork_map,
+                            fork_ranges)
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
     _BLOCK,
+    _closed_form_cvars,
     _cvars,
-    _first_grid_minimum,
     _mid_quantiles,
     RegretReport,
     action_grid,
@@ -45,14 +45,15 @@ def noise_grid(noise, t, grid_n):
     return np.asarray(noise.quantile(t, _mid_quantiles(grid_n)), dtype=float)
 
 
-def scan_series(cost, noise, region, alpha, horizon, k, grid_n):
-    """Exhaustive reference: every grid action's CVaR, first ``np.argmin``."""
+def scan_series(cost, noise, region, alpha, steps, k, grid_n):
+    """Exhaustive reference: every grid action's CVaR at each 0-based step of
+    ``steps``, first ``np.argmin``."""
     xs = action_grid(region, k)
-    x_star, c_star = np.empty(horizon), np.empty(horizon)
-    for t in range(1, horizon + 1):
-        cv = _cvars(cost, noise_grid(noise, t, grid_n), xs, alpha)
+    x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
+    for j, s in enumerate(steps):
+        cv = _cvars(cost, noise_grid(noise, s + 1, grid_n), xs, alpha)
         i = int(np.argmin(cv))
-        x_star[t - 1], c_star[t - 1] = xs[i], cv[i]
+        x_star[j], c_star[j] = xs[i], cv[i]
     return x_star, c_star
 
 
@@ -260,57 +261,92 @@ CONVEX_COSTS = {
     "hinge": lambda c, w: lambda x, xi: np.maximum(np.abs(x - c - xi) - w, 0.0),
     "linear": lambda c, w: lambda x, xi: (c - 1.0) * x + w * xi,
     "constant": lambda c, w: lambda x, xi: 0.0 * x + 0.0 * xi + c,
+    "declared": lambda c, w: Quadratic(slope=c, level=w, weight=w / 4),
 }
 
 
+#: The search's cases: every scenario, the alpha edges, and 1,000 to 10,000
+#: levels. ``brownian``'s optimum is a near-tie of +-0.02 at every step and
+#: ``parking`` at T = 500 has 253 point-mass steps.
+SEARCH_SCENARIOS = [("parking", 500), ("parking", 1500), ("brownian", 500),
+                    ("custom", 200)]
+ALPHAS = [0.05, 0.1, 0.5, 0.9, 1.0]
+LEVEL_COUNTS = [1000, 2000, 10_000]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("grid_n", LEVEL_COUNTS)
+    @pytest.mark.parametrize("scenario, horizon", SEARCH_SCENARIOS,
+                             ids=[f"{s}-T{t}" for s, t in SEARCH_SCENARIOS])
+    def test_matches_the_exact_grid_cvar(self, scenario, horizon, grid_n):
+        # Every action of the scenario's grid at 20 steps, point masses
+        # among them; the exact grid CVaR is the reference.
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
+        steps = np.unique(np.r_[0, 1, np.random.default_rng(57).integers(
+            0, horizon, 18)])
+        xs = action_grid(scen.region, 100)
+        loc, scale = scen.noise.table[steps].T
+        z = scen.noise.family.quantile(_mid_quantiles(grid_n))
+        for alpha in ALPHAS:
+            got = _closed_form_cvars(scen.cost.fn, z, alpha, loc, scale, xs)
+            exact = np.array([_cvars(scen.cost, noise_grid(scen.noise, s + 1, grid_n),
+                                     xs, alpha) for s in steps])
+            assert np.all(np.abs(got - exact) <= 1e-12 * exact), alpha
+
+
 class TestConvexSearch:
-    @pytest.mark.parametrize("scenario, horizon",
-                             [("parking", 1500), ("brownian", 500),
-                              ("custom", 200)])
-    def test_series_equals_exhaustive_scan(self, force_jobs, scenario, horizon):
-        # The search pass, cut into 1, 2 and 3 step ranges run in forked
-        # jobs, each range cold-started.
+    @pytest.mark.parametrize("grid_n", LEVEL_COUNTS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("scenario, horizon", SEARCH_SCENARIOS,
+                             ids=[f"{s}-T{t}" for s, t in SEARCH_SCENARIOS])
+    def test_series_equals_exhaustive_scan(self, force_jobs, scenario, horizon,
+                                           alpha, grid_n):
+        # The screened search pass, cut into 1, 2 and 3 step ranges run in
+        # forked jobs, against the exhaustive scan: the same actions and
+        # CVaR bits, at every few steps (10 of them at 10,000 levels).
         scen = build_scenario(ExperimentConfig(scenario=scenario,
                                                horizon=horizon))
-        args = (scen.cost, scen.noise, scen.region, 0.5)
-        x_ref, c_ref = scan_series(*args, horizon, k=100, grid_n=2000)
+        steps = range(0, horizon, max(1, horizon * grid_n // 100_000))
+        x_ref, c_ref = scan_series(scen.cost, scen.noise, scen.region, alpha,
+                                   steps, k=100, grid_n=grid_n)
         for jobs in (1, 2, 3):
             force_jobs(jobs)
-            ranges = fork_ranges(horizon, 1.0)
+            ranges = fork_ranges(len(steps), 1.0)
             assert len(ranges) == jobs
-            parts = fork_map(functools.partial(
-                optimal_action_series, scen.cost, scen.noise,
-                action_grid(scen.region, 100), 0.5, levels=_mid_quantiles(2000)),
-                ranges)
+            parts = fork_map(lambda r: optimal_action_series(
+                scen.cost, scen.noise, action_grid(scen.region, 100), alpha,
+                steps[r.start:r.stop], _mid_quantiles(grid_n)), ranges)
             x_star, c_star = (np.concatenate(part) for part in zip(*parts))
-            assert x_star == pytest.approx(x_ref, abs=0)
-            assert c_star == pytest.approx(c_ref, abs=0)
+            assert np.array_equal(x_star, x_ref)
+            assert np.array_equal(c_star, c_ref)
 
     @given(family=st.sampled_from(sorted(CONVEX_COSTS)),
            c=st.floats(-2.0, 2.0), w=st.floats(0.0, 2.0),
            k=st.integers(2, 30), low=st.floats(-1.0, 1.0),
            width=st.floats(0.0, 1.0), alpha=st.floats(0.05, 1.0))
     @example(family="flat", c=0.5, w=1.0, k=30, low=0.0, width=0.5,
-             alpha=0.25)  # a plain descent walk stops early from 20 starts
+             alpha=0.25)  # rounding makes spurious local minima
+    @example(family="declared", c=0.0, w=1.0, k=30, low=0.0, width=0.5,
+             alpha=0.25)  # a zero slope: every action ties exactly
+    @example(family="declared", c=1.0, w=0.5, k=10, low=0.0, width=5e-324,
+             alpha=1.0)  # a subnormal scale: -g / scale overflows
     @settings(max_examples=100, deadline=None)
-    def test_every_start_finds_the_first_argmin(self, family, c, w, k, low,
-                                                width, alpha):
+    def test_search_finds_the_first_argmin(self, family, c, w, k, low, width,
+                                           alpha):
+        # Undeclared costs are scanned exhaustively, declared ones screened
+        # first; both must return the first np.argmin of the exact CVaRs.
         fn = CONVEX_COSTS[family](c, w)
-        xi = noise_grid(constant_uniform(1, low, low + width), 1, 1000)
+        noise = constant_uniform(1, low, low + width)
+        xi = noise_grid(noise, 1, 1000)
         xs = action_grid(Box(-1.0, 1.0), k)
         bound = float(np.abs(fn(xs[:, None], xi[None, :])).max()) or 1.0
         cost = CostModel(fn=fn, bound=bound, lipschitz=1.0)
         scan = _cvars(cost, xi, xs, alpha)
-        for start in range(k):
-            # Lazily from nothing, and seeded with the stencil around the
-            # start, as the regret pass seeds it.
-            lo = max(start - 1, 0)
-            for memo in ({}, dict(enumerate(scan[lo:start + 2], start=lo))):
-                i, value = _first_grid_minimum(
-                    lambda i: _cvars(cost, xi, xs[i:i + 1], alpha)[0],
-                    k, start, 1e-9 * bound, memo)
-                assert i == int(np.argmin(scan))
-                assert value == scan[i]
+        x_star, c_star = optimal_action_series(cost, noise, xs, alpha, range(1),
+                                               _mid_quantiles(1000))
+        i = int(np.argmin(scan))
+        assert x_star[0] == xs[i]
+        assert c_star[0] == scan[i]
 
 
 class TestPassQuantiles:
@@ -340,25 +376,36 @@ class TestPassQuantiles:
 
 
 class TestDynamicRegret:
-    @pytest.mark.parametrize("trials", [3, _BLOCK // 1000 + 5],
-                             ids=["one-block", "three-blocks"])
-    def test_equals_per_step_true_cvar_loop(self, trials):
-        # One quantile grid per step serves every trial, evaluated in blocks
-        # of rows; the per-step, per-trial true_cvar loop is the reference,
-        # matched bit for bit.
-        scen = pricing_scenario(horizon=40)
-        x_hat = played(*np.random.default_rng(54).uniform(1.0, 5.0,
-                                                          size=(trials, 40)))
+    @pytest.mark.parametrize("trials", [0, 1, 10, 33, 100])
+    @pytest.mark.parametrize("scenario", ["parking", "brownian", "custom"])
+    def test_equals_the_exact_cvars_step_by_step(self, scenario, trials):
+        # The played pass fills each call of its row buffer (65 rows at
+        # 1,000 levels) with the rows of several steps, a step's trials
+        # straddling two calls where they do not fit; each step's exact
+        # CVaRs of all trials are the reference, matched bit for bit.
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=40))
+        low, high = scen.region.lower, scen.region.upper
+        x_hat = np.random.default_rng(54).uniform(low, high, (trials, 40))
         report = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=50,
                         grid_n=1000)
-        for i in range(trials):
-            reference = np.array([true_cvar(scen.cost, scen.noise, t,
-                                            x_hat[i, t - 1], 0.5, grid_n=1000)
-                                  for t in range(1, 41)])
-            assert np.array_equal(report.played_cvar[i], reference)
-            assert np.array_equal(report.cumulative_regret[i],
-                                  np.cumsum(reference - report.optimal_cvar))
-            assert np.array_equal(report.accumulated_loss[i], np.cumsum(reference))
+        reference = np.array([_cvars(scen.cost, noise_grid(scen.noise, t, 1000),
+                                     x_hat[:, t - 1], 0.5)
+                              for t in range(1, 41)]).T.reshape(trials, 40)
+        assert np.array_equal(report.played_cvar, reference)
+        assert report.played_cvar.flags.c_contiguous
+        assert np.array_equal(report.cumulative_regret,
+                              np.cumsum(reference - report.optimal_cvar, axis=1))
+        assert np.array_equal(report.accumulated_loss, np.cumsum(reference, axis=1))
+
+    def test_equals_per_step_true_cvar_loop(self):
+        # One trial, step by step through true_cvar: the public reference.
+        scen = pricing_scenario(horizon=40)
+        x_hat = played(np.random.default_rng(54).uniform(1.0, 5.0, size=40))
+        report = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=50,
+                        grid_n=1000)
+        reference = [true_cvar(scen.cost, scen.noise, t, x_hat[0, t - 1], 0.5,
+                               grid_n=1000) for t in range(1, 41)]
+        assert np.array_equal(report.played_cvar[0], reference)
 
     @pytest.mark.parametrize("shape", [(10,), (1, 3), (1, 10, 1)])
     def test_rejects_played_actions_of_the_wrong_shape(self, shape):
@@ -408,9 +455,9 @@ class TestDynamicRegret:
         # the exhaustive scan are the references.
         horizon = 120
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
-        args = (scen.cost, scen.noise, scen.region, 0.5, horizon)
-        x_star, c_star = optima_series(*args, k=40, grid_n=1000)
-        x_ref, c_ref = scan_series(*args, k=40, grid_n=1000)
+        args = (scen.cost, scen.noise, scen.region, 0.5)
+        x_star, c_star = optima_series(*args, horizon, k=40, grid_n=1000)
+        x_ref, c_ref = scan_series(*args, range(horizon), k=40, grid_n=1000)
         low, high = scen.region.lower, scen.region.upper
         x_hat = np.random.default_rng(55).uniform(low, high, (trials, horizon))
         report = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=40,
