@@ -92,7 +92,7 @@ class Box:
 class Quadratic:
     """The cost ``J(x, xi) = (xi + slope * x - level)^2 + weight * x^2``, a
     ``CostModel`` evaluation rule when called. ``into`` evaluates rows in
-    place with the same IEEE operations in the same order: the same bits."""
+    place; both finish through ``_finish``, so their bits are the same."""
 
     slope: float
     level: float = 0.0
@@ -100,16 +100,20 @@ class Quadratic:
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
-        values = (np.asarray(xi, dtype=float) + self.slope * x - self.level) ** 2
-        return values + self.weight * x ** 2 if self.weight else values
+        return self._finish(x, np.asarray(np.asarray(xi, dtype=float) + self.slope * x))
 
     def into(self, x: np.ndarray, rows: np.ndarray) -> None:
         """Replace the noise values of row ``rows[r]`` by their costs at ``x[r]``."""
         rows += (self.slope * x)[:, None]
-        rows -= self.level
-        np.square(rows, out=rows)
+        self._finish(x[:, None], rows)
+
+    def _finish(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Turn ``values``, holding ``xi + slope * x``, into the costs in place."""
+        values -= self.level
+        np.square(values, out=values)
         if self.weight:
-            rows += (self.weight * x ** 2)[:, None]
+            values += self.weight * x ** 2
+        return values
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,12 @@ class RegretReport:
     accumulated_loss: np.ndarray   # (trials, T) running sum of played CVaR
 
 
-def _blocks(noise: NoiseSequence, z: np.ndarray, steps: range):
-    """``steps`` cut into blocks of at most ``_BLOCK`` noise values: each
-    block's slice of ``steps``, its 0-based steps and their noise values
-    ``(steps, n)`` at the standard values ``z``, placed in one call."""
-    size = max(1, _BLOCK // z.size)
+def _blocks(noise: NoiseSequence, z: np.ndarray, steps: range, width: int):
+    """``steps`` cut into blocks of ``_BLOCK // width`` steps (one at least),
+    for arrays of ``width`` values a step: each block's slice of ``steps``,
+    its 0-based steps and their noise values ``(steps, n)`` at the standard
+    values ``z``, placed in one call."""
+    size = max(1, _BLOCK // width)
     for start in range(0, len(steps), size):
         block = np.array(steps[start:start + size])
         yield (slice(start, start + block.size), block,
@@ -179,15 +180,16 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
     the actions within ``2 * _TOL * U`` of a step's least closed-form value
     get an exact CVaR: the closed form errs by far less than that, so every
     exact minimum is among them. Any other cost gets an exact CVaR for every
-    action. Steps are independent, so the series does not depend on how
-    the steps are cut.
+    action. A block holds at most ``_BLOCK`` values of each ``(steps,
+    actions)`` array, whatever the grid's length. Steps are independent, so
+    the series does not depend on how the steps are cut.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     z = noise.family.quantile(levels)
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
     margin = 2.0 * _TOL * cost.bound
     x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
-    for out, block, xi in _blocks(noise, z, steps):
+    for out, block, xi in _blocks(noise, z, steps, max(z.size, xs.size)):
         if isinstance(cost.fn, Quadratic):
             loc, scale = noise.table[block].T
             screen = _closed_form_cvars(cost.fn, z, alpha, loc, scale, xs)
@@ -221,7 +223,7 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     if x_hat.ndim != 2 or x_hat.shape[1] != horizon:
         raise ConfigurationError(
             f"played actions must have shape (trials, {horizon}), got {x_hat.shape}")
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     played = np.concatenate(fork_map(
         functools.partial(_played_steps, x_hat, cost, noise, alpha, levels),
         fork_ranges(horizon, x_hat.size * levels.size * _VALUE_S)), axis=1)
@@ -243,7 +245,7 @@ def _played_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     z = noise.family.quantile(levels)
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
     played = np.empty((trials, len(steps)))
-    for out, block, xi in _blocks(noise, z, steps):
+    for out, block, xi in _blocks(noise, z, steps, z.size):
         rows = np.repeat(np.arange(block.size), trials)
         played[:, out] = _exact_cvars(cost, xi, rows, x_hat[:, block].T.ravel(),
                                       alpha, buf).reshape(block.size, trials).T

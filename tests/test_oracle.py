@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,10 +304,12 @@ class TestConvexSearch:
                                            alpha, grid_n):
         # The screened search pass, cut into 1, 2 and 3 step ranges run in
         # forked jobs, against the exhaustive scan: the same actions and
-        # CVaR bits, at every few steps (10 of them at 10,000 levels).
+        # CVaR bits. At alpha 0.5 and 2,000 levels every step is checked,
+        # elsewhere every few steps (10 of them at 10,000 levels).
         scen = build_scenario(ExperimentConfig(scenario=scenario,
                                                horizon=horizon))
-        steps = range(0, horizon, max(1, horizon * grid_n // 100_000))
+        stride = 1 if (alpha, grid_n) == (0.5, 2000) else horizon * grid_n // 100_000
+        steps = range(0, horizon, max(1, stride))
         x_ref, c_ref = scan_series(scen.cost, scen.noise, scen.region, alpha,
                                    steps, k=100, grid_n=grid_n)
         for jobs in (1, 2, 3):
@@ -319,6 +322,30 @@ class TestConvexSearch:
             x_star, c_star = (np.concatenate(part) for part in zip(*parts))
             assert np.array_equal(x_star, x_ref)
             assert np.array_equal(c_star, c_ref)
+
+    def test_a_long_action_grid_keeps_its_blocks_small(self):
+        # 10,000 actions at 1,000 levels: a block takes 6 steps, not the 65
+        # that its noise values alone would allow, so the screen's (steps,
+        # actions) arrays stay within _BLOCK values; 16 _BLOCKs of doubles
+        # bound the peak (about 11 are used, 91 with 65-step blocks). The
+        # series still equals the exhaustive scan's, the scan made in parts
+        # of the grid.
+        scen = pricing_scenario(horizon=100)
+        xs = action_grid(scen.region, 10_000)
+        tracemalloc.start()
+        try:
+            x_star, c_star = optimal_action_series(scen.cost, scen.noise, xs, 0.5,
+                                                   range(100), _mid_quantiles(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * _BLOCK * 8
+        for s in (0, 7, 50, 99):
+            xi = noise_grid(scen.noise, s + 1, 1000)
+            cv = np.concatenate([_cvars(scen.cost, xi, part, 0.5)
+                                 for part in np.split(xs, 10)])
+            i = int(np.argmin(cv))
+            assert (x_star[s], c_star[s]) == (xs[i], cv[i])
 
     @given(family=st.sampled_from(sorted(CONVEX_COSTS)),
            c=st.floats(-2.0, 2.0), w=st.floats(0.0, 2.0),
@@ -396,6 +423,23 @@ class TestDynamicRegret:
         assert np.array_equal(report.cumulative_regret,
                               np.cumsum(reference - report.optimal_cvar, axis=1))
         assert np.array_equal(report.accumulated_loss, np.cumsum(reference, axis=1))
+
+    def test_a_float32_alpha_is_read_as_a_float(self):
+        # 0.1 in float32 times 2,000 levels is 200 in float32 arithmetic but
+        # 200.000003 in float64: both passes, like _cvars, take the 201
+        # largest values.
+        scen = pricing_scenario(horizon=20)
+        x_hat = played(np.random.default_rng(55).uniform(1.0, 5.0, size=20))
+        alpha = np.float32(0.1)
+        report = regret(x_hat, scen.cost, scen.noise, scen.region, alpha, k=50,
+                        grid_n=2000)
+        x_ref, c_ref = scan_series(scen.cost, scen.noise, scen.region, alpha,
+                                   range(20), k=50, grid_n=2000)
+        reference = [_cvars(scen.cost, noise_grid(scen.noise, t, 2000),
+                            x_hat[:, t - 1], alpha)[0] for t in range(1, 21)]
+        assert np.array_equal(report.optimal_actions, x_ref)
+        assert np.array_equal(report.optimal_cvar, c_ref)
+        assert np.array_equal(report.played_cvar[0], reference)
 
     def test_equals_per_step_true_cvar_loop(self):
         # One trial, step by step through true_cvar: the public reference.
