@@ -13,9 +13,8 @@ import argparse
 import logging
 import sys
 
-from .core import ConfigurationError
+from .core import ConfigurationError, _as_int
 from .harness import (
-    _as_int,
     compute_budget,
     load_config_file,
     make_config,

@@ -8,11 +8,13 @@ its declared bound, Lipschitz constant, and strong-convexity modulus; a
 sequence is a location-scale table plus the ``Family`` of its standard
 variable; its per-step CDF, quantile, support and step W1 read the table.
 ``fork_map`` and ``fork_ranges`` split a phase of independent work across the
-usable CPUs (not exported).
+usable CPUs, and ``_as_int`` is the one integer rule of every count and step
+argument (not exported).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,6 +36,19 @@ MEMBERSHIP_TOL = 1e-12
 
 class ConfigurationError(ValueError):
     """Invalid parameter or incompatible problem setup."""
+
+
+def _as_int(value, name: str = "value") -> int:
+    """``value`` as an int, also from ``"6e3"`` or ``6000.0``; a fractional or
+    non-finite value of any numeric type is a ``ConfigurationError``, never truncated."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if not -math.inf < value < math.inf or int(value) != value:  # nan fails too
+        raise ConfigurationError(f"{name} {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -92,11 +107,31 @@ class Box:
 class Quadratic:
     """The cost ``J(x, xi) = (xi + slope * x - level)^2 + weight * x^2``, a
     ``CostModel`` evaluation rule when called. ``into`` evaluates rows in
-    place; both finish through ``_finish``, so their bits are the same."""
+    place; both finish through ``_finish``, so their bits are the same.
+    Every field is finite and the weight is >= 0, so J is convex in
+    ``(x, xi)``: its Hessian's determinant is ``4 * weight``."""
 
     slope: float
     level: float = 0.0
     weight: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite([self.slope, self.level, self.weight]).all()
+                and self.weight >= 0):
+            raise ConfigurationError(f"{self}: every field must be finite, the weight >= 0")
+
+    def model(self, region: Box, xi_bounds: tuple[float, float]) -> "CostModel":
+        """This rule as a ``CostModel`` over ``region`` for noise in the
+        interval ``xi_bounds``. ``|J|`` and ``|dJ/dx| = |2 slope (xi + slope x
+        - level) + 2 weight x|`` are convex in ``(x, xi)``, so U and L0, their
+        largest values on ``region`` times the interval, are taken at its four
+        corners; m is ``d2J/dx2 = 2 slope^2 + 2 weight``."""
+        corners = [(x, xi) for x in (region.lower, region.upper) for xi in xi_bounds]
+        bound = max(abs(float(self(x, xi))) for x, xi in corners)
+        lipschitz = max(abs(2.0 * self.slope * (xi + self.slope * x - self.level)
+                            + 2.0 * self.weight * x) for x, xi in corners)
+        return CostModel(fn=self, bound=bound, lipschitz=lipschitz,
+                         strong_convexity=2.0 * self.slope ** 2 + 2.0 * self.weight)
 
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import ConfigurationError, Family, NoiseSequence
+from .core import ConfigurationError, Family, NoiseSequence, _as_int
 
 __all__ = [
     "UniformSeq",
@@ -201,7 +201,7 @@ def BrownianSeq(horizon: int, diffusivity: float) -> NoiseSequence:
         raise ConfigurationError(f"diffusivity must be finite, got {diffusivity}")
     if diffusivity <= 0:
         raise ConfigurationError(f"diffusivity must be positive, got {diffusivity}")
-    scale = np.sqrt(2.0 * diffusivity * np.arange(1, int(horizon) + 1))
+    scale = np.sqrt(2.0 * diffusivity * np.arange(1, _as_int(horizon, "horizon") + 1))
     return NoiseSequence(np.column_stack((np.zeros_like(scale), scale)), GAUSSIAN)
 
 
@@ -241,7 +241,7 @@ def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) ->
     The trapezoid rule is SciPy's ``trapezoid`` formula, operation for
     operation.
     """
-    grid = int(grid)
+    grid = _as_int(grid, "quadrature grid")
     if grid < 1000:
         raise ConfigurationError("quadrature grid must have >= 1000 points")
     lo, hi = float(support[0]), float(support[1])
@@ -256,7 +256,7 @@ def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) ->
 def variation_profile(noise: NoiseSequence, horizon: int) -> np.ndarray:
     """Per-step distances ``W1(D_{t-1}, D_t)`` for ``t = 2..horizon``, from
     the sequence's closed form."""
-    horizon = int(horizon)
+    horizon = _as_int(horizon, "horizon")
     if horizon < 2:
         raise ConfigurationError("variation budget needs horizon >= 2")
     if horizon > noise.horizon:

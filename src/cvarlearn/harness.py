@@ -1,8 +1,9 @@
 """Experiment harness: configuration, seeded multi-trial runs, CSV output.
 
-A flat key-value config file (plus CLI flag overrides) selects a scenario and
-all run parameters; ``build_scenario`` logs the cost's constants and, in one
-warning, the point-mass steps of a uniform noise sequence. Trial ``i`` runs
+A flat key-value config file (plus CLI flag overrides) selects a scenario,
+one table row of a noise sequence, a decision interval and a ``Quadratic``
+cost rule, and all run parameters; ``build_scenario`` logs the cost's
+constants and, in one warning, the noise's point-mass steps. Trial ``i`` runs
 with seed ``base_seed + i``; all trials of an experiment step in lockstep.
 An experiment runs the learner beside the oracle's search for the per-step
 optima, then the oracle's played pass over every trial, then writes the
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import environment, learner, oracle, schedule
 from .core import (Box, ConfigurationError, CostModel, NoiseSequence, Quadratic,
-                   fork_map, fork_ranges)
+                   _as_int, fork_map, fork_ranges)
 from .schedule import check_sampling_requirement, theorem1_params, theorem2_params
 
 __all__ = [
@@ -50,7 +51,30 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-SCENARIOS = ("parking", "brownian", "custom")
+#: The pricing study's constants (``parking`` and ``custom``): the price
+#: elasticity of occupancy, the regularization weight, the occupancy target
+#: and the interval of admissible prices.
+ELASTICITY, REGULARIZATION, TARGET_OCCUPANCY = -0.15, 0.001, 0.7
+PRICES = Box(1.0, 5.0)
+
+#: The interval of ``brownian``'s tracked decisions.
+TRACK = Box(-2.0, 2.0)
+
+#: Each scenario's noise sequence, built from the config, its decision
+#: interval and its cost rule: the pricing cost ``(xi + elasticity * x -
+#: target)^2 + regularization/2 * x^2``, or ``brownian``'s ``(x - xi)^2`` as
+#: ``(xi + (-x))^2``, the same bits: IEEE subtraction is antisymmetric.
+_PRICING = Quadratic(slope=ELASTICITY, level=TARGET_OCCUPANCY,
+                     weight=0.5 * REGULARIZATION)
+_SCENARIO_TABLE = {
+    "parking": (lambda c: environment.parking_noise(c.horizon), PRICES, _PRICING),
+    "brownian": (lambda c: environment.BrownianSeq(c.horizon, c.diffusivity),
+                 TRACK, Quadratic(slope=-1.0)),
+    "custom": (lambda c: environment.constant_uniform(c.horizon, c.noise_low,
+                                                      c.noise_high),
+               PRICES, _PRICING),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 TRAJECTORY_HEADER = "t,j,tau,x,x_hat,n_t,cvar_est,grad,eta,c_hat,c_star,dr,acc_loss"
 AGGREGATE_COLUMNS = ("x", "c_hat", "dr", "acc_loss")
@@ -130,18 +154,6 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _as_int(value) -> int:
-    """An integer, also from ``"6e3"`` or ``6000.0``; never by truncation."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            value = float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def make_config(*sources: dict) -> ExperimentConfig:
     """Build a config from dicts of increasing precedence.
 
@@ -185,77 +197,27 @@ class Scenario:
     region: Box
 
 
-#: The pricing study's constants (``parking`` and ``custom``): the price
-#: elasticity of occupancy, the regularization weight, the occupancy target
-#: and the interval of admissible prices.
-ELASTICITY, REGULARIZATION, TARGET_OCCUPANCY = -0.15, 0.001, 0.7
-PRICES = Box(1.0, 5.0)
-
-#: The interval of ``brownian``'s tracked decisions.
-TRACK = Box(-2.0, 2.0)
-
-
-def _pricing_cost(xi_bounds: tuple[float, float]) -> CostModel:
-    """Quadratic occupancy-tracking cost over ``PRICES``, exact corner bounds.
-
-    ``J(x, xi) = (xi + a_el * x - target)^2 + nu/2 * x^2``, with ``a_el``
-    the elasticity and ``nu`` the regularization. Both ``|J|`` and
-    ``|dJ/dx|`` are convex in ``(x, xi)``, so their maxima over the
-    box-times-interval domain sit at corners.
-    """
-    a_el, nu, target = ELASTICITY, REGULARIZATION, TARGET_OCCUPANCY
-    fn = Quadratic(slope=a_el, level=target, weight=0.5 * nu)
-    corners = [(x, xi) for x in (PRICES.lower, PRICES.upper) for xi in xi_bounds]
-    bound = max(abs(float(fn(np.array(x), np.array(xi)))) for x, xi in corners)
-    lipschitz = max(
-        abs(2.0 * a_el * (xi + a_el * x - target) + nu * x) for x, xi in corners
-    )
-    return CostModel(fn=fn, bound=bound, lipschitz=lipschitz,
-                     strong_convexity=2.0 * a_el ** 2 + nu)
-
-
-def _tracking_cost(xi_bounds: tuple[float, float]) -> CostModel:
-    """Tracking cost ``(x - xi)^2`` over ``TRACK``, corner-exact bounds.
-
-    It is declared as ``(xi + (-x))^2``, the same bits: IEEE subtraction is
-    antisymmetric.
-    """
-    fn = Quadratic(slope=-1.0)
-    span = max(abs(x - xi) for x in (TRACK.lower, TRACK.upper) for xi in xi_bounds)
-    return CostModel(fn=fn, bound=span ** 2, lipschitz=2.0 * span,
-                     strong_convexity=2.0)
-
-
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Assemble cost, noise, and admissible set for the configured scenario.
 
-    The cost's U and L0 are computed from the admissible set and the noise
-    support (the Gaussian support is taken as its +/-10 sigma truncation)
-    and logged, since the sampling-requirement constant and the DKW
+    The cost's U, L0 and m come from its rule over the admissible set and
+    the span of every step's noise support (a Gaussian's truncated at +/-10
+    sigma), and are logged: the sampling-requirement constant and the DKW
     diagnostics reference them. The noise sequence checks its own
     parameters; the learner's and the oracle's are checked by ``_experiments``.
     """
-    horizon = config.horizon
-    if config.scenario == "brownian":
-        noise: NoiseSequence = environment.BrownianSeq(horizon, config.diffusivity)
-        region, cost = TRACK, _tracking_cost(noise.support(horizon))
-    else:
-        if config.scenario == "parking":
-            noise = environment.parking_noise(horizon)
-        else:
-            noise = environment.constant_uniform(horizon, config.noise_low,
-                                                 config.noise_high)
-        region = PRICES
-        loc, scale = noise.table.T
-        cost = _pricing_cost((float(loc.min()), float((loc + scale).max())))
-        _warn_point_masses(scale)
+    make_noise, region, rule = _SCENARIO_TABLE[config.scenario]
+    noise = make_noise(config)
+    lo, hi = noise.support(np.arange(1, config.horizon + 1))
+    cost = rule.model(region, (float(lo.min()), float(hi.max())))
+    _warn_point_masses(noise.table[:, 1])
     logger.info("scenario %s: U=%.6g L0=%.6g m=%.6g", config.scenario,
                 cost.bound, cost.lipschitz, cost.strong_convexity)
     return Scenario(cost=cost, noise=noise, region=region)
 
 
 def _warn_point_masses(scale: np.ndarray) -> None:
-    """Log, in one warning, how many steps of a uniform sequence are point
+    """Log, in one warning, how many steps of a noise sequence are point
     masses (zero scale) and their contiguous step ranges."""
     steps = np.flatnonzero(scale == 0) + 1
     if steps.size:
@@ -477,7 +439,7 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     comparison table.
     """
     try:
-        counts = [_as_int(n) for n in sample_counts]
+        counts = [_as_int(n, "sample count") for n in sample_counts]
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"sample counts must be integers: {exc}") from exc
     if len(counts) < 2 or len(set(counts)) < len(counts):

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pcg64 import Stream
-from .core import Box, ConfigurationError, CostModel, NoiseSequence
+from .core import Box, ConfigurationError, CostModel, NoiseSequence, _as_int
 from .risk import _check_alpha, cvar_of_values
-from .schedule import _check_batch_size, _check_counts, _check_rates
+from .schedule import _check_batch_size, _check_counts, _check_rates, batch_epoch
 from .smoothing import directions, gradient_estimate
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
@@ -52,9 +52,7 @@ class LearnerConfig:
         object.__setattr__(self, "x0", float(self.x0))
         if not math.isfinite(self.x0):
             raise ConfigurationError(f"initial decision x0={self.x0} must be finite")
-        if not float(self.horizon).is_integer():
-            raise ConfigurationError(f"horizon {self.horizon!r} is not an integer")
-        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "horizon", _as_int(self.horizon, "horizon"))
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         counts, rates = _check_counts(self.counts), _check_rates(self.rates)
@@ -123,10 +121,8 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
 def _schedule(config: LearnerConfig):
     """The per-step columns ``t``, ``batch``, ``epoch``, ``n_samples`` and
     ``eta``: the per-epoch columns indexed by each step's epoch."""
-    size = config.counts.size
     t = np.arange(1, config.horizon + 1)
-    batch = (t - 1) // size + 1
-    epoch = t - (batch - 1) * size
+    batch, epoch = batch_epoch(t, config.counts.size)
     return t, batch, epoch, config.counts[epoch - 1], config.rates[epoch - 1]
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Box, ConfigurationError, CostModel, NoiseSequence, Quadratic,
-                   fork_map, fork_ranges)
+                   _as_int, fork_map, fork_ranges)
 from .risk import _check_alpha, _tail_means, cvar_of_values
 
 __all__ = ["true_cvar", "action_grid", "RegretReport", "optimal_action_series",
@@ -69,13 +69,14 @@ def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x: float,
     """Deterministic CVaR of ``J(x, xi_t)`` via a mid-quantile noise grid."""
     if np.ndim(x) != 0:
         raise ConfigurationError(f"decision x={x!r} must be a scalar")
-    xi = np.asarray(noise.quantile(t, _mid_quantiles(int(grid_n))), dtype=float)
+    levels = _mid_quantiles(_as_int(grid_n, "quantile grid size"))
+    xi = np.asarray(noise.quantile(t, levels), dtype=float)
     return float(_cvars(cost, xi, np.array([x], dtype=float), alpha)[0])
 
 
 def action_grid(region: Box, k: int) -> np.ndarray:
     """``k`` grid points at the centers of equal subintervals of the interval."""
-    k = int(k)
+    k = _as_int(k, "action-grid size")
     if k < 2:
         raise ConfigurationError(f"action grid needs at least 2 points, got {k}")
     lo, hi = region.lower, region.upper

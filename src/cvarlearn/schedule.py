@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, _as_int
 
 __all__ = [
     "BatchIndex",
@@ -34,21 +34,24 @@ __all__ = [
 
 
 class BatchIndex(NamedTuple):
-    batch: int  # j, 1-based
+    batch: int  # j, 1-based (an array, for an array of steps)
     epoch: int  # tau, 1-based position within the batch
 
 
 def _check_batch_size(batch_size: int) -> int:
-    batch_size = int(batch_size)
+    batch_size = _as_int(batch_size, "batch size")
     if batch_size < 2:
         raise ConfigurationError(f"batch size must be >= 2, got {batch_size}")
     return batch_size
 
 
-def batch_epoch(t: int, batch_size: int) -> BatchIndex:
-    """Batch number ``ceil(t / batch_size)`` and within-batch epoch of step ``t``."""
-    t = int(t)
-    if t < 1:
+def batch_epoch(t, batch_size: int) -> BatchIndex:
+    """Batch number ``ceil(t / batch_size)`` and within-batch epoch of step
+    ``t``, or of each step of a signed integer array ``t``."""
+    t = _as_int(t, "step index") if np.ndim(t) == 0 else np.asarray(t)
+    if np.ndim(t) and t.dtype.kind != "i":  # an unsigned -t would wrap
+        raise ConfigurationError(f"step indices must be signed integers, got {t.dtype}")
+    if np.any(t < 1):
         raise ConfigurationError("step index must be >= 1")
     batch_size = _check_batch_size(batch_size)
     j = -(-t // batch_size)
@@ -131,7 +134,7 @@ class Theorem2Params(NamedTuple):
 
 
 def _check_budget(horizon: int, budget: float, a: float) -> tuple[int, float]:
-    horizon = int(horizon)
+    horizon = _as_int(horizon, "horizon")
     if horizon < 2:
         raise ConfigurationError("horizon must be >= 2")
     budget = float(budget)

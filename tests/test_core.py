@@ -1,11 +1,21 @@
 import os
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvarlearn import core
 from cvarlearn.core import (MEMBERSHIP_TOL, Box, ConfigurationError, CostModel,
-                            fork_map, fork_ranges)
+                            Quadratic, fork_map, fork_ranges)
+from cvarlearn.environment import (BrownianSeq, constant_uniform, variation_profile,
+                                   w1_numeric)
+from cvarlearn.oracle import action_grid, true_cvar
+from cvarlearn.risk import dkw_epsilon
+from cvarlearn.schedule import (batch_epoch, inverse_epoch_rates, polynomial_counts,
+                                theorem1_params, theorem2_params)
 
 
 def random_box(rng):
@@ -133,6 +143,99 @@ class TestCostModelRows:
         cost = CostModel(fn=fn, bound=1.0, lipschitz=1.0)
         with pytest.raises(ConfigurationError, match="returned shape"):
             cost.rows(np.zeros(3), np.zeros((1, 5)))
+
+
+def derivative(rule, x, xi):
+    """``dJ/dx`` of a ``Quadratic`` rule, factored otherwise than ``model``'s."""
+    return 2.0 * (rule.slope * (xi + rule.slope * x - rule.level) + rule.weight * x)
+
+
+nonzero = st.floats(0.01, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))
+finite = st.floats(-10.0, 10.0)
+
+
+class TestQuadraticModel:
+    @given(slope=nonzero, level=finite, weight=st.floats(0.0, 10.0), lower=finite,
+           width=st.floats(0.01, 10.0), xi_lower=finite, xi_width=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_hold_on_the_domain_and_are_reached_at_a_corner(
+            self, slope, level, weight, lower, width, xi_lower, xi_width, seed):
+        rule = Quadratic(slope, level, weight)
+        region, xi_bounds = Box(lower, lower + width), (xi_lower, xi_lower + xi_width)
+        model = rule.model(region, xi_bounds)
+        assert model.fn is rule
+        assert model.strong_convexity == 2.0 * slope ** 2 + 2.0 * weight
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(region.lower, region.upper, 200)
+        xi = rng.uniform(*xi_bounds, 200)
+        assert np.all(np.abs(rule(x, xi)) <= model.bound * (1 + 1e-12))
+        assert np.all(np.abs(derivative(rule, x, xi)) <= model.lipschitz * (1 + 1e-12))
+        cx, cxi = np.meshgrid([region.lower, region.upper], xi_bounds)
+        assert model.bound == np.abs(rule(cx, cxi)).max()
+        assert model.lipschitz == pytest.approx(
+            np.abs(derivative(rule, cx, cxi)).max(), rel=1e-12)
+
+    @pytest.mark.parametrize("fields", [
+        dict(slope=1.0, weight=-1e-300), dict(slope=1.0, weight=-1.0),
+        *(dict({"slope": 1.0, name: bad}) for name in ("slope", "level", "weight")
+          for bad in (np.nan, np.inf, -np.inf))])
+    def test_a_negative_weight_or_a_non_finite_field_is_rejected(self, fields):
+        with pytest.raises(ConfigurationError):
+            Quadratic(**fields)
+
+    def test_a_zero_weight_and_a_zero_slope_are_accepted(self):
+        assert Quadratic(slope=0.0, level=1.0, weight=0.0)(2.0, 3.0) == 4.0
+
+
+#: A call of every count or step argument of the library with a fractional value.
+FRACTIONAL_COUNTS = {
+    "polynomial-counts-batch": lambda: polynomial_counts(1.0, 1.0, 3.9),
+    "inverse-rates-batch": lambda: inverse_epoch_rates(1.0, 2.9),
+    "batch-epoch-step": lambda: batch_epoch(5.7, 200),
+    "batch-epoch-batch": lambda: batch_epoch(5, 200.5),
+    "action-grid": lambda: action_grid(Box(0.0, 1.0), 3.7),
+    "dkw-epsilon": lambda: dkw_epsilon(8.9, 0.05),
+    "true-cvar-grid": lambda: true_cvar(
+        CostModel(fn=Quadratic(1.0), bound=4.0, lipschitz=4.0),
+        constant_uniform(5, 0.0, 1.0), 1, 0.5, 0.5, grid_n=2000.5),
+    "w1-numeric-grid": lambda: w1_numeric(np.sign, np.sign, (0.0, 1.0), grid=1000.5),
+    "variation-profile-horizon": lambda: variation_profile(
+        constant_uniform(20, 0.0, 1.0), 10.5),
+    "brownian-horizon": lambda: BrownianSeq(10.5, 1e-4),
+    "theorem1-horizon": lambda: theorem1_params(100.5, 1.0, 0.5),
+    "theorem2-horizon": lambda: theorem2_params(100.5, 1.0, 0.5, 1.0),
+}
+
+
+def typed(value) -> str:
+    return f"{type(value).__name__}-{value}"
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("call", FRACTIONAL_COUNTS.values(), ids=FRACTIONAL_COUNTS)
+    def test_a_fractional_count_is_rejected_never_truncated(self, call):
+        with pytest.raises(ConfigurationError, match="is not an integer"):
+            call()
+
+    @pytest.mark.parametrize("value", [
+        2.5, np.float32(2.5), np.float64(2.5), Fraction(5, 2), Decimal("2.5"), "2.5",
+        np.inf, np.nan, "inf"], ids=typed)
+    def test_any_numeric_type_with_a_fractional_part_is_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="count .* is not an integer"):
+            core._as_int(value, "count")
+
+    @pytest.mark.parametrize("value", [
+        7, 7.0, np.float32(7.0), np.int64(7), Fraction(14, 2), Decimal("7"), "7", "7e0"],
+        ids=typed)
+    def test_an_integral_value_is_accepted(self, value):
+        assert core._as_int(value) == 7 and type(core._as_int(value)) is int
+
+    def test_integral_floats_reach_the_integer_result(self):
+        assert batch_epoch(5.0, 200.0) == batch_epoch(5, 200) == (1, 5)
+        assert action_grid(Box(0.0, 1.0), 3.0).size == 3
+        assert dkw_epsilon(8.0, 0.05) == dkw_epsilon(8, 0.05)
+        assert polynomial_counts(1.0, 1.0, 3.0).tolist() == [3, 2, 1]
 
 
 def assert_no_child_left():

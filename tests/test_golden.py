@@ -3,12 +3,19 @@
 The run and ablation hashes were recorded from the exhaustive action-grid
 oracle. Any change to the learner, the oracle, the noise sequences or the CSV
 writer that moves a single byte of a trajectory, aggregate, ablation or
-budget table fails here. The cost constants U and L0 of each scenario are
-pinned bit for bit as ``float.hex``.
+budget table fails here. The cost constants U, L0 and m of each scenario
+are pinned bit for bit as ``float.hex``.
+
+The hashes hold for one NumPy build at one SIMD level: the tail sums of the
+oracle's CVaRs follow the order in which ``ndarray.partition`` leaves a row,
+and NumPy picks its partition kernel by CPU. Rows of 128 to 2,000 values
+give other bits with AVX-512 dispatch off (``NPY_ENABLE_CPU_FEATURES=X86_V3``)
+than on, so a mismatch names both.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import cvarlearn.cli as cli
@@ -122,10 +129,25 @@ COST_CONSTANTS = {
     ("brownian", 6000): ("0x1.4fa2b748da962p+7", "0x1.9e8add236a58ep+4"),
 }
 
+# ``float.hex`` of each scenario's strong-convexity modulus m, which the
+# inverse-epoch learning rate reads: 2 * 0.15^2 + 0.001 and 2.
+MODULI = {"parking": "0x1.78d4fdf3b645ap-5", "custom": "0x1.78d4fdf3b645ap-5",
+          "brownian": "0x1.0000000000000p+1"}
+
 
 def _hashes(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in directory.glob("*.csv")}
+
+
+def _simd() -> str:
+    """The NumPy version and whether its AVX-512 (X86_V4) dispatch is on."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # another NumPy layout
+        return f"numpy {np.__version__}, SIMD dispatch unknown"
+    state = "on" if __cpu_features__.get("X86_V4") else "off"
+    return f"numpy {np.__version__}, AVX-512 dispatch {state}"
 
 
 CASES = {
@@ -161,7 +183,9 @@ def test_cli_csv_hashes(tmp_path, force_jobs, case, jobs):
     argv, prefix, expected = CASES[case]
     force_jobs(jobs)
     assert cli.main([*argv, "--out", str(tmp_path / prefix)]) == 0
-    assert _hashes(tmp_path) == expected
+    assert _hashes(tmp_path) == expected, (
+        f"CSV bytes differ from the pins, which hold with numpy 2.4.6 and "
+        f"AVX-512 dispatch on; this run: {_simd()}")
 
 
 @pytest.mark.parametrize("scenario, horizon", list(COST_CONSTANTS),
@@ -169,3 +193,10 @@ def test_cli_csv_hashes(tmp_path, force_jobs, case, jobs):
 def test_cost_constants_bits(scenario, horizon):
     cost = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon)).cost
     assert (cost.bound.hex(), cost.lipschitz.hex()) == COST_CONSTANTS[scenario, horizon]
+
+
+@pytest.mark.parametrize("scenario, horizon", list(COST_CONSTANTS),
+                         ids=[f"{s}-T{t}" for s, t in COST_CONSTANTS])
+def test_cost_modulus_bits(scenario, horizon):
+    cost = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon)).cost
+    assert cost.strong_convexity.hex() == MODULI[scenario]

@@ -435,6 +435,14 @@ class TestScenarioBounds:
             assert abs(ja - jb) <= scen.cost.lipschitz * abs(xa - xb) + 1e-12
 
 
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_every_scenario_builds_its_constants_from_its_rule(self, scenario):
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=50))
+        lo, hi = scen.noise.support(np.arange(1, 51))
+        rule = scen.cost.fn
+        assert isinstance(rule, core.Quadratic)
+        assert scen.cost == rule.model(scen.region, (lo.min(), hi.max()))
+
     def test_custom_point_mass_warns_at_build(self, monkeypatch, caplog):
         forbid_oracle_and_learner(monkeypatch)
         with caplog.at_level(logging.WARNING):
@@ -873,12 +881,14 @@ class TestForkedRuns:
             message):
         force_jobs(2)
         if target == "cost":
-            pricing_cost = harness._pricing_cost
+            build = harness.build_scenario
 
-            def cost(*args):
-                model = pricing_cost(*args)
-                return dataclasses.replace(model, fn=failing_in_child(model.fn, fail))
-            monkeypatch.setattr(harness, "_pricing_cost", cost)
+            def scenario(config):
+                built = build(config)
+                cost = dataclasses.replace(built.cost,
+                                           fn=failing_in_child(built.cost.fn, fail))
+                return dataclasses.replace(built, cost=cost)
+            monkeypatch.setattr(harness, "build_scenario", scenario)
         else:
             monkeypatch.setattr(harness, "_write_csv",
                                 failing_in_child(harness._write_csv, fail))

@@ -33,6 +33,19 @@ class TestBatchEpoch:
         with pytest.raises(ConfigurationError):
             batch_epoch(5, 1)
 
+    @pytest.mark.parametrize("batch_size", [2, 3, 7, 200])
+    def test_an_array_of_steps_equals_the_per_step_calls(self, batch_size):
+        t = np.arange(1, 1001)
+        batch, epoch = batch_epoch(t, batch_size)
+        assert list(zip(batch.tolist(), epoch.tolist())) == [
+            batch_epoch(s, batch_size) for s in range(1, 1001)]
+
+    @pytest.mark.parametrize("t", [np.array([1.0, 2.0]), np.array([0, 1])],
+                             ids=["float-array", "step-zero"])
+    def test_an_array_of_steps_is_checked(self, t):
+        with pytest.raises(ConfigurationError):
+            batch_epoch(t, 5)
+
     @given(st.integers(1, 10**6), st.sampled_from([2, 3, 7, 200, 1024, 99_991]))
     @settings(max_examples=500, deadline=None)
     def test_round_trip(self, t, batch_size):
