@@ -4,7 +4,7 @@ Subcommands: ``run`` (multi-trial experiment), ``ablate`` (sample-count
 study), ``budget`` (variation budget and parameter suggestions), ``verify``
 (invariant suites), and ``params`` (theorem parameter calculator). Exit
 codes: 0 success, 1 configuration or usage error, 2 runtime failure, 3
-verification failure.
+verification failure. A command writes its CSVs after its library call returns.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .harness import (
     make_config,
     run_ablation,
     run_experiment,
+    write_ablation,
+    write_budget,
+    write_experiments,
 )
 from .schedule import theorem1_params, theorem2_params
 from .verify import SUITES, run_suites
@@ -59,7 +62,9 @@ def _config_from_args(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    report = run_experiment(config).report
+    result = run_experiment(config)
+    write_experiments([result])
+    report = result.report
     final_dr = report.cumulative_regret[:, -1]
     final_loss = report.accumulated_loss[:, -1]
     print(f"scenario={config.scenario} T={config.horizon} trials={config.trials} "
@@ -73,6 +78,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     results = run_ablation(config, args.counts.split(","))
+    write_experiments(list(results.values()))
+    write_ablation(config.out_prefix, results)
     print("n_t  mean final accumulated loss  (std over trials)")
     for n, result in results.items():
         final = result.report.accumulated_loss[:, -1]
@@ -84,6 +91,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 def _cmd_budget(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     report = compute_budget(config)
+    write_budget(config.out_prefix, report)
     print(f"variation budget over T={config.horizon}: V_D = {report.budget:.10g}")
     if report.theorem1 is not None:
         t1 = report.theorem1

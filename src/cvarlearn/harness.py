@@ -6,14 +6,15 @@ cost rule, and all run parameters; ``build_scenario`` logs the cost's
 constants and, in one warning, the noise's point-mass steps. Trial ``i`` runs
 with seed ``base_seed + i``; all trials of an experiment step in lockstep.
 An experiment runs the learner beside the oracle's search for the per-step
-optima, then the oracle's played pass over every trial, then writes the
-CSVs; these tasks, the played pass's steps and the trial files are cut into
-ranges that run in forked processes, one per usable CPU, or in this process
-when a fork does not pay, with the same bytes either way. A run returns one
+optima, then the oracle's played pass over every trial; these tasks, the
+played pass's steps and the trial files are cut into ranges that run in
+forked processes, one per usable CPU, or in this process when a fork does
+not pay, with the same bytes either way. A run returns one
 ``ExperimentResult`` per experiment (its ``Trace``, its trials' rows of the
-``RegretReport`` and its sampling-requirement check), which the CSV writers
-read as it is. An ablation evaluates every count's trials in one played
-pass, after all of their learners, so a failure writes nothing. All output
+``RegretReport`` and its sampling-requirement check) and writes no file;
+the ``write_*`` functions write the CSVs from these records as they are.
+An ablation evaluates every count's trials in one played pass, after all
+of their learners, so a failure leaves nothing to write. All output
 is CSV (17-significant-digit floats, LF endings, UTF-8), each file formatted
 from templates of a block of rows each and renamed into place, its directory
 created, only when whole. Plotting is left to external tools.
@@ -47,6 +48,9 @@ __all__ = [
     "run_experiment",
     "run_ablation",
     "compute_budget",
+    "write_experiments",
+    "write_ablation",
+    "write_budget",
 ]
 
 logger = logging.getLogger(__name__)
@@ -108,13 +112,19 @@ class ExperimentConfig:
     diffusivity: float = 1e-4
 
     def __post_init__(self):
-        """Check, at every build (``dataclasses.replace`` too), the rules that
-        no object built from the config owns, and the horizon, which
-        ``constant_uniform``'s ``np.full`` reads unchecked."""
+        """Store every number field as its type, an integer field by
+        ``_as_int``'s rule, and check, at every build (``dataclasses.replace``
+        too), the rules that no object built from the config owns, and the
+        horizon, which ``constant_uniform``'s ``np.full`` reads unchecked."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if field.type == "float" and not math.isfinite(value):
-                raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
+            if field.type == "int":
+                object.__setattr__(self, field.name, _as_int(value, field.name))
+            elif field.type == "float":
+                value = float(value)
+                if not math.isfinite(value):
+                    raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
+                object.__setattr__(self, field.name, value)
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
@@ -333,17 +343,14 @@ def _write_csv(path: Path, templates: list[str], columns) -> None:
         raise
 
 
-def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
-    """Run all trials, write per-trial and aggregate CSVs, return the result.
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run all trials and return the result; ``write_experiments`` writes it.
 
     Trial ``i`` uses seed ``base_seed + i``. The per-step optimal-action
     series is trajectory-independent: the search pass finds it once, for
     the played pass of every trial.
     """
-    results = _experiments(build_scenario(config), [config])
-    if write:
-        _write_experiments(results)
-    return results[0]
+    return _experiments(build_scenario(config), [config])[0]
 
 
 def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
@@ -389,7 +396,7 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
     return results
 
 
-def _write_experiments(results: list[ExperimentResult]) -> None:
+def write_experiments(results: list[ExperimentResult]) -> None:
     """Each experiment's trajectory CSVs, one per trial, and its aggregate CSV.
 
     The trial files of all experiments are written together, cut by trial
@@ -426,17 +433,17 @@ def _write_experiments(results: list[ExperimentResult]) -> None:
                    _template(header, (result.trace.t, *[None] * len(stats))), stats)
 
 
-def run_ablation(config: ExperimentConfig, sample_counts,
-                 write: bool = True) -> dict[int, ExperimentResult]:
-    """Re-run the experiment for each sample count and tabulate final losses.
+def run_ablation(config: ExperimentConfig, sample_counts) -> dict[int, ExperimentResult]:
+    """Re-run the experiment for each sample count: each count's result,
+    in count order, its prefix ``<out_prefix>_n<count>``.
 
     Counts violating the declared sampling requirement produce a warning but
     still run. Every count, and ``samples``, is checked before any learner
     or oracle work.
     Every count's learner runs beside one optimal-action search; then one
-    played pass evaluates all of their trials against that series; only then
-    are the files written: one trajectory set and aggregate per count plus a
-    comparison table.
+    played pass evaluates all of their trials against that series.
+    ``write_experiments`` writes each count's trajectory set and aggregate,
+    and ``write_ablation`` the comparison table.
     """
     try:
         counts = [_as_int(n, "sample count") for n in sample_counts]
@@ -448,19 +455,23 @@ def run_ablation(config: ExperimentConfig, sample_counts,
     subs = [dataclasses.replace(config, samples=n,
                                 out_prefix=f"{config.out_prefix}_n{n}")
             for n in counts]
-    results = _experiments(build_scenario(config), subs)
-    if write:
-        _write_experiments(results)
-        checks = [result.requirement for result in results]
-        templates = _template(
-            "n,mean_final_loss,std_final_loss,requirement_ok,"
-            "requirement_achieved,requirement_allowed",
-            (counts, None, None, [int(c.satisfied) for c in checks], None, None))
-        final_losses = [result.report.accumulated_loss[:, -1] for result in results]
-        _write_csv(Path(f"{config.out_prefix}_ablation.csv"), templates, (
-            [f.mean() for f in final_losses], [f.std() for f in final_losses],
-            [c.achieved for c in checks], [c.allowed for c in checks]))
-    return dict(zip(counts, results))
+    return dict(zip(counts, _experiments(build_scenario(config), subs)))
+
+
+def write_ablation(prefix: str, results: dict[int, ExperimentResult]) -> None:
+    """``<prefix>_ablation.csv``: each count's mean and population standard
+    deviation of the final accumulated loss across trials, and its
+    sampling-requirement check, from ``run_ablation``'s results."""
+    checks = [result.requirement for result in results.values()]
+    templates = _template(
+        "n,mean_final_loss,std_final_loss,requirement_ok,"
+        "requirement_achieved,requirement_allowed",
+        (list(results), None, None, [int(c.satisfied) for c in checks], None, None))
+    final_losses = [result.report.accumulated_loss[:, -1]
+                    for result in results.values()]
+    _write_csv(Path(f"{prefix}_ablation.csv"), templates, (
+        [f.mean() for f in final_losses], [f.std() for f in final_losses],
+        [c.achieved for c in checks], [c.allowed for c in checks]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,7 +483,7 @@ class BudgetReport:
     modulus: float  # the cost's strong-convexity modulus m of theorem2's rates
 
 
-def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport:
+def compute_budget(config: ExperimentConfig) -> BudgetReport:
     """Variation budget of the configured scenario plus parameter suggestions.
 
     A zero budget (static sequence) degenerates the batch-size formulas, so
@@ -494,9 +505,12 @@ def compute_budget(config: ExperimentConfig, write: bool = True) -> BudgetReport
         t1 = theorem1_params(config.horizon, budget, config.sampling_a)
         t2 = (theorem2_params(config.horizon, budget, config.sampling_a, modulus)
               if modulus > 0 else None)
-    if write:
-        _write_csv(Path(f"{config.out_prefix}_budget.csv"),
-                   _template("t,w1", (np.arange(2, config.horizon + 1), None)),
-                   (profile,))
     return BudgetReport(budget=budget, profile=profile, theorem1=t1, theorem2=t2,
                         modulus=modulus)
+
+
+def write_budget(prefix: str, report: BudgetReport) -> None:
+    """``<prefix>_budget.csv``: the report's W1 profile by step ``t``, from 2."""
+    _write_csv(Path(f"{prefix}_budget.csv"),
+               _template("t,w1", (np.arange(2, report.profile.size + 2), None)),
+               (report.profile,))

@@ -47,8 +47,9 @@ def _mid_quantiles(grid_n: int) -> np.ndarray:
 
 #: Screen margin of the search pass, relative to the cost bound U: a grid
 #: action whose closed-form CVaR is within it of the step's least gets an
-#: exact CVaR. It must exceed twice the closed form's error (about 1e-13 of U
-#: at 10,000 levels), or a tie of exact values could be screened out.
+#: exact CVaR. It must exceed twice the closed form's error (a relative
+#: 1e-14 at any alpha and up to 10,000 levels), or a tie of exact values
+#: could be screened out.
 _TOL = 1e-9
 
 #: Most values in one call of either pass: quantile grids are placed a block
@@ -96,30 +97,34 @@ def _closed_form_cvars(quad: Quadratic, z: np.ndarray, alpha: float,
     """Grid CVaRs ``(steps, k)`` of ``quad`` at the steps' ``loc`` and
     ``scale`` ``(steps,)`` and the decisions ``x`` ``(k,)``, in closed form
     over the sorted standard values ``z``: equal to the exact ones to
-    rounding (a relative 1e-13), not bit for bit.
+    rounding (a relative 1e-14 at any alpha), not bit for bit.
 
     With ``g = loc + slope * x - level``, the costs ``(g + scale * z)^2 +
-    weight * x^2`` are largest far from ``w = -g / scale``, so the
-    ``m = ceil(alpha n)`` largest are a prefix and a suffix of ``z``;
-    ``z[j]`` is in the prefix where ``w`` exceeds the midpoint of ``z[j]``
-    and ``z[j + n - m]``. Prefix sums of ``z`` and ``z^2`` give their sum.
+    weight * x^2`` are largest far from ``w = -g / scale``. As in
+    ``_tail_means``, with ``m = ceil(alpha n)``, the CVaR is the sum of the
+    ``m - 1`` largest plus ``alpha n - (m - 1)`` times the m-th largest,
+    over ``alpha n``. The ``m - 1`` largest are a prefix ``z[:head]`` and a
+    suffix ``z[tail:]``; ``z[j]`` is in the prefix where ``w`` exceeds the
+    midpoint of ``z[j]`` and ``z[j + n - m + 1]``. Prefix and suffix sums
+    of ``z`` and ``z^2`` give their sum; the m-th largest is the larger one
+    at the two ends of the run ``z[head:tail]`` between them.
     """
     n = z.size
     an = alpha * n
-    m = min(n, math.ceil(an))
-    s1, s2 = (np.concatenate(([0.0], np.cumsum(p))) for p in (z, z * z))
+    top = min(n, math.ceil(an)) - 1
+    # Sums of z and z^2 over z[:j] and over z[j:], each added from its own
+    # end, so that a short suffix's sum is not a difference of long ones.
+    heads = [np.concatenate(([0.0], np.cumsum(p))) for p in (z, z * z)]
+    tails = [np.concatenate((np.cumsum(p[::-1])[::-1], [0.0])) for p in (z, z * z)]
     g = loc[:, None] + quad.slope * x - quad.level
     scale = scale[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        head = np.searchsorted((z[:m] + z[n - m:]) / 2, -g / scale)
-    tail = head + n - m
-    z1 = s1[head] + s1[n] - s1[tail]
-    z2 = s2[head] + s2[n] - s2[tail]
-    kth_gap = np.minimum(
-        np.where(head > 0, np.abs(g + scale * z[np.maximum(head - 1, 0)]), np.inf),
-        np.where(tail < n, np.abs(g + scale * z[np.minimum(tail, n - 1)]), np.inf))
-    return ((m * g * g + 2.0 * g * scale * z1 + scale * scale * z2
-             + (an - m) * kth_gap * kth_gap) / an + quad.weight * x ** 2)
+        head = np.searchsorted((z[:top] + z[n - top:]) / 2, -g / scale)
+    tail = head + n - top
+    z1, z2 = (h[head] + t[tail] for h, t in zip(heads, tails))
+    kth = np.maximum(np.abs(g + scale * z[head]), np.abs(g + scale * z[tail - 1]))
+    return ((top * g * g + 2.0 * g * scale * z1 + scale * scale * z2
+             + (an - top) * kth * kth) / an + quad.weight * x ** 2)
 
 
 def _exact_cvars(cost: CostModel, xi: np.ndarray, idx: np.ndarray,

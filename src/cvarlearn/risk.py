@@ -96,6 +96,8 @@ def cvar_of_values(values, alpha: float):
     """
     alpha = _check_alpha(alpha)
     v = np.array(values, dtype=float, order="C")
+    if v.ndim == 0:
+        raise ConfigurationError("CVaR needs a 1-D or 2-D array of values")
     if v.shape[-1] == 0:
         raise ConfigurationError("CVaR of an empty sample is undefined")
     out = _tail_means(v, alpha)

@@ -85,8 +85,8 @@ def _check_rates(rates) -> np.ndarray:
 def polynomial_counts(a: float, b: float, batch_size: int) -> np.ndarray:
     """Decaying per-epoch sample counts ``ceil(b * (batch_size - tau + 1)^a)``."""
     batch_size = _check_batch_size(batch_size)
-    if a <= 0 or b <= 0:
-        raise ConfigurationError("polynomial sampling needs a > 0 and b > 0")
+    if not all(v > 0 and math.isfinite(v) for v in (a, b)):
+        raise ConfigurationError("polynomial sampling needs finite a > 0 and b > 0")
     return np.array([math.ceil(b * (batch_size - tau + 1) ** a)
                      for tau in range(1, batch_size + 1)])
 
@@ -114,8 +114,8 @@ def check_sampling_requirement(counts, a: float, c: float) -> RequirementCheck:
     """
     counts = _check_counts(counts)
     batch_size = _check_batch_size(counts.size)
-    if a <= 0 or c <= 0:
-        raise ConfigurationError("requirement check needs a > 0 and c > 0")
+    if not all(v > 0 and math.isfinite(v) for v in (a, c)):
+        raise ConfigurationError("requirement check needs finite a > 0 and c > 0")
     achieved = math.fsum(1.0 / np.sqrt(counts))
     allowed = c * batch_size ** (1.0 - 0.5 * a)
     return RequirementCheck(achieved <= allowed, achieved, allowed)

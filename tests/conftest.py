@@ -27,7 +27,7 @@ def paper_study():
     """
     config = ExperimentConfig()  # defaults are the study configuration
     t0 = time.perf_counter()
-    results = run_ablation(config, [8, 16, 24], write=False)
+    results = run_ablation(config, [8, 16, 24])
     seconds = time.perf_counter() - t0
     return SimpleNamespace(config=config, scenario=build_scenario(config),
                            results=results, seconds=seconds)

@@ -13,8 +13,9 @@ from cvarlearn.core import (MEMBERSHIP_TOL, Box, ConfigurationError, CostModel,
 from cvarlearn.environment import (BrownianSeq, constant_uniform, variation_profile,
                                    w1_numeric)
 from cvarlearn.oracle import action_grid, true_cvar
-from cvarlearn.risk import dkw_epsilon
-from cvarlearn.schedule import (batch_epoch, inverse_epoch_rates, polynomial_counts,
+from cvarlearn.risk import cvar_of_values, dkw_epsilon
+from cvarlearn.schedule import (batch_epoch, check_sampling_requirement,
+                                inverse_epoch_rates, polynomial_counts,
                                 theorem1_params, theorem2_params)
 
 
@@ -236,6 +237,23 @@ class TestIntegerRule:
         assert action_grid(Box(0.0, 1.0), 3.0).size == 3
         assert dkw_epsilon(8.0, 0.05) == dkw_epsilon(8, 0.05)
         assert polynomial_counts(1.0, 1.0, 3.0).tolist() == [3, 2, 1]
+
+
+# Library checks fed a non-finite parameter or a 0-d value: each must raise a
+# ConfigurationError, neither another error nor a result.
+UNCHECKED_INPUTS = {
+    "polynomial-a-nan": lambda: polynomial_counts(np.nan, 1.0, 5),
+    "polynomial-b-inf": lambda: polynomial_counts(1.0, np.inf, 5),
+    "requirement-a-nan": lambda: check_sampling_requirement([8, 8], np.nan, 10.0),
+    "requirement-c-inf": lambda: check_sampling_requirement([8, 8], 2 / 3, np.inf),
+    "cvar-0d": lambda: cvar_of_values(5.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("call", UNCHECKED_INPUTS.values(), ids=UNCHECKED_INPUTS)
+def test_a_library_check_rejects_non_finite_and_0d_inputs(call):
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 def assert_no_child_left():

@@ -151,6 +151,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="delta must be finite"):
             ExperimentConfig(delta=math.nan)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 12.0), ("trials", 2.0), ("base_seed", 3.0), ("horizon", "12"),
+        ("trials", 2.5)], ids=repr)
+    def test_a_built_config_stores_its_integers_as_int(self, tmp_path, field, value):
+        # An integral float or string is stored as an int, and the config
+        # runs as the int one does; a fractional value names its field.
+        if value == 2.5:
+            with pytest.raises(ConfigurationError, match="trials 2.5 is not an integer"):
+                small_config(tmp_path, **{field: value})
+            return
+        config = small_config(tmp_path, **{field: value})
+        stored = getattr(config, field)
+        assert type(stored) is int and stored == int(float(value))
+        assert np.array_equal(
+            run_experiment(config).trace.x,
+            run_experiment(dataclasses.replace(config, **{field: stored})).trace.x)
+
     def test_field_names_are_pinned(self):
         # Every config key is an option that some caller sets, so a key that
         # is added, dropped or reordered must fail here.
@@ -164,7 +181,7 @@ class TestConfigParsing:
 class TestRunExperiment:
     def test_row_count_contract(self, tmp_path):
         config = small_config(tmp_path)
-        run_experiment(config)
+        harness.write_experiments([run_experiment(config)])
         lines = (tmp_path / "ra_trial0.csv").read_text().splitlines()
         assert lines[0] == TRAJECTORY_HEADER
         assert len(lines) == 11
@@ -172,14 +189,14 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         config_a = small_config(tmp_path, trials=2, out_prefix=str(tmp_path / "a"))
         config_b = small_config(tmp_path, trials=2, out_prefix=str(tmp_path / "b"))
-        run_experiment(config_a)
-        run_experiment(config_b)
+        harness.write_experiments([run_experiment(config_a)])
+        harness.write_experiments([run_experiment(config_b)])
         for name in ("trial0.csv", "trial1.csv", "aggregate.csv"):
             assert ((tmp_path / f"a_{name}").read_bytes()
                     == (tmp_path / f"b_{name}").read_bytes())
 
     def test_aggregate_header_schema(self, tmp_path):
-        run_experiment(small_config(tmp_path, trials=2))
+        harness.write_experiments([run_experiment(small_config(tmp_path, trials=2))])
         header = (tmp_path / "ra_aggregate.csv").read_text().splitlines()[0]
         assert header == ("t,mean_x,std_x,mean_c_hat,std_c_hat,mean_dr,std_dr,"
                           "mean_acc_loss,std_acc_loss")
@@ -187,6 +204,7 @@ class TestRunExperiment:
     def test_floats_round_trip_through_csv(self, tmp_path):
         config = small_config(tmp_path)
         result = run_experiment(config)
+        harness.write_experiments([result])
         row = (tmp_path / "ra_trial0.csv").read_text().splitlines()[1].split(",")
         assert float(row[3]) == result.trace.x[0, 0]
         # LF line endings, no CR
@@ -209,7 +227,7 @@ class TestRunExperiment:
 
     def test_failed_write_keeps_the_old_files(self, tmp_path, monkeypatch):
         config = small_config(tmp_path, trials=2)
-        run_experiment(config)
+        harness.write_experiments([run_experiment(config)])
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["ra_aggregate.csv", "ra_trial0.csv",
                                   "ra_trial1.csv"]
@@ -234,18 +252,19 @@ class TestRunExperiment:
                             lambda *args, **kwargs: FullDisk(open(*args, **kwargs)),
                             raising=False)
         with pytest.raises(OSError, match="no space"):
-            run_experiment(dataclasses.replace(config, base_seed=1))
+            harness.write_experiments(
+                [run_experiment(dataclasses.replace(config, base_seed=1))])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_seed_isolation(self, tmp_path):
         base = small_config(tmp_path, trials=2)
-        x_a = run_experiment(base, write=False).trace.x
+        x_a = run_experiment(base).trace.x
         more = dataclasses.replace(base, trials=3)
-        x_b = run_experiment(more, write=False).trace.x
+        x_b = run_experiment(more).trace.x
         assert np.array_equal(x_a[0], x_b[0])
         assert np.array_equal(x_a[1], x_b[1])
         shifted = dataclasses.replace(base, base_seed=1)
-        x_c = run_experiment(shifted, write=False).trace.x
+        x_c = run_experiment(shifted).trace.x
         assert np.array_equal(x_a[1], x_c[0])
         assert not np.array_equal(x_a[0], x_c[0])
 
@@ -253,10 +272,10 @@ class TestRunExperiment:
         # Trial i of a lockstep run equals a one-trial run of seed base + i.
         together = small_config(tmp_path, horizon=20, batch_size=5, trials=3,
                                 base_seed=4)
-        result = run_experiment(together, write=False)
+        result = run_experiment(together)
         for i in range(3):
             alone = run_experiment(dataclasses.replace(
-                together, trials=1, base_seed=4 + i), write=False)
+                together, trials=1, base_seed=4 + i))
             for part, name in [("trace", "x"), ("trace", "x_hat"),
                                ("report", "played_cvar"),
                                ("report", "cumulative_regret"),
@@ -267,6 +286,7 @@ class TestRunExperiment:
     def test_aggregate_statistics_definition(self, tmp_path):
         # Population standard deviation across trials.
         result = run_experiment(small_config(tmp_path, trials=3))
+        harness.write_experiments([result])
         table = np.loadtxt(tmp_path / "ra_aggregate.csv", delimiter=",",
                            skiprows=1)
         x = result.trace.x
@@ -279,7 +299,7 @@ class TestRunExperiment:
         # From 8 trials up, an axis-0 mean or std of a Fortran-ordered column
         # gives other bits than of a C-ordered one; the aggregates must not.
         config = small_config(tmp_path, horizon=200, batch_size=10, trials=10)
-        result = run_experiment(config, write=False)
+        result = run_experiment(config)
         report = result.report
         fortran = dataclasses.replace(
             result,
@@ -289,9 +309,20 @@ class TestRunExperiment:
             report=dataclasses.replace(report, **{
                 name: np.asfortranarray(getattr(report, name)) for name in
                 ("played_cvar", "cumulative_regret", "accumulated_loss")}))
-        harness._write_experiments([result, fortran])
+        harness.write_experiments([result, fortran])
         assert ((tmp_path / "ra_aggregate.csv").read_bytes()
                 == (tmp_path / "f_aggregate.csv").read_bytes())
+
+
+    def test_library_calls_write_no_file(self, tmp_path, monkeypatch):
+        # Only the writers write; the default prefix would put files here.
+        monkeypatch.chdir(tmp_path)
+        config = ExperimentConfig(horizon=10, batch_size=5, trials=1, oracle_k=10,
+                                  oracle_grid=1000)
+        run_experiment(config)
+        run_ablation(config, [2, 4])
+        compute_budget(config)
+        assert not list(tmp_path.iterdir())
 
 
 class TestAblation:
@@ -300,14 +331,15 @@ class TestAblation:
         # Repeating a count is a fault: it would run and write that count twice.
         config = small_config(tmp_path, trials=2)
         with pytest.raises(ConfigurationError, match="distinct"):
-            run_ablation(config, [4, 4], write=False)
-        two = run_ablation(config, [4, 8], write=False)
-        assert np.array_equal(two[4].trace.x, run_ablation(config, [2, 4],
-                                                           write=False)[4].trace.x)
+            run_ablation(config, [4, 4])
+        two = run_ablation(config, [4, 8])
+        assert np.array_equal(two[4].trace.x, run_ablation(config, [2, 4])[4].trace.x)
 
     def test_comparison_table_written(self, tmp_path):
         config = small_config(tmp_path, trials=2)
-        run_ablation(config, [2, 4])
+        results = run_ablation(config, [2, 4])
+        harness.write_experiments(list(results.values()))
+        harness.write_ablation(config.out_prefix, results)
         table = (tmp_path / "ra_ablation.csv").read_text().splitlines()
         assert table[0].startswith("n,mean_final_loss,std_final_loss")
         assert len(table) == 3
@@ -317,7 +349,7 @@ class TestAblation:
     def test_requirement_violation_warns_but_runs(self, tmp_path, caplog):
         config = small_config(tmp_path, trials=1, sampling_a=2.0, sampling_c=0.1)
         with caplog.at_level(logging.WARNING):
-            results = run_ablation(config, [1, 2], write=False)
+            results = run_ablation(config, [1, 2])
         assert 1 in results and 2 in results
         assert not results[1].requirement.satisfied
         assert any("sampling requirement violated" in rec.message
@@ -327,11 +359,10 @@ class TestAblation:
         # One oracle pass over every count's trials gives what one
         # experiment per count gives.
         config = small_config(tmp_path, horizon=20, trials=3, base_seed=2)
-        results = run_ablation(config, [2, 4, 6], write=False)
+        results = run_ablation(config, [2, 4, 6])
         assert list(results) == [2, 4, 6]
         for n, result in results.items():
-            alone = run_experiment(dataclasses.replace(config, samples=n),
-                                   write=False)
+            alone = run_experiment(dataclasses.replace(config, samples=n))
             assert result.requirement == alone.requirement
             for part in ("trace", "report"):
                 ours, theirs = getattr(result, part), getattr(alone, part)
@@ -366,6 +397,7 @@ class TestBudget:
         config = small_config(tmp_path, scenario="custom", horizon=20)
         with caplog.at_level(logging.WARNING):
             report = compute_budget(config)
+        harness.write_budget(config.out_prefix, report)
         assert report.budget == 0.0
         assert report.theorem1 is None and report.theorem2 is None
         assert any("degenerate" in rec.message for rec in caplog.records)
@@ -373,7 +405,7 @@ class TestBudget:
 
     def test_parking_budget_with_suggestions(self, tmp_path):
         config = small_config(tmp_path, horizon=200)
-        report = compute_budget(config, write=False)
+        report = compute_budget(config)
         assert report.budget > 0
         assert report.theorem1 is not None
         assert report.theorem1.batch_size >= 2
@@ -383,7 +415,7 @@ class TestBudget:
     def test_brownian_budget_closed_form(self, tmp_path):
         config = small_config(tmp_path, scenario="brownian", horizon=50,
                               diffusivity=0.01)
-        report = compute_budget(config, write=False)
+        report = compute_budget(config)
         noise = build_scenario(config).noise
         expected = np.sqrt(2 / np.pi) * (noise.table[49, 1] - noise.table[0, 1])
         assert report.budget == pytest.approx(expected, rel=1e-12)
@@ -395,6 +427,7 @@ class TestBudget:
                               diffusivity=100.0)
         with caplog.at_level(logging.WARNING):
             report = compute_budget(config)
+        harness.write_budget(config.out_prefix, report)
         assert report.budget >= config.horizon
         assert [rec.getMessage() for rec in caplog.records
                 if "not below the horizon" in rec.getMessage()] == [
@@ -722,10 +755,9 @@ class TestCli:
         x_env = run_experiment(make_config(
             {"horizon": 10, "batch_size": 5, "trials": 1,
              "oracle_k": 10, "oracle_grid": 1000,
-             "out_prefix": str(tmp_path / "env")}), write=False).trace.x
+             "out_prefix": str(tmp_path / "env")})).trace.x
         monkeypatch.delenv("RA_SEED")
-        x_five = run_experiment(dataclasses.replace(cfg, base_seed=5),
-                                write=False).trace.x
+        x_five = run_experiment(dataclasses.replace(cfg, base_seed=5)).trace.x
         assert np.array_equal(x_env, x_five)
 
 
@@ -914,7 +946,7 @@ class TestForkedRuns:
         monkeypatch.setattr(harness, "fork_map", spy)
         run_experiment(small_config(tmp_path, horizon=horizon, batch_size=200,
                                     trials=trials, oracle_k=100,
-                                    oracle_grid=2000), write=False)
+                                    oracle_grid=2000))
         assert job_counts == [jobs]
 
     @pytest.mark.parametrize("text, code, counts", [

@@ -271,7 +271,7 @@ CONVEX_COSTS = {
 #: ``parking`` at T = 500 has 253 point-mass steps.
 SEARCH_SCENARIOS = [("parking", 500), ("parking", 1500), ("brownian", 500),
                     ("custom", 200)]
-ALPHAS = [0.05, 0.1, 0.5, 0.9, 1.0]
+ALPHAS = [1e-300, 1e-20, 1e-14, 1e-4, 0.05, 0.1, 0.5, 0.9, 1.0]
 LEVEL_COUNTS = [1000, 2000, 10_000]
 
 
@@ -393,7 +393,7 @@ class TestPassQuantiles:
         ndtri = environment._ndtri
         monkeypatch.setattr(environment, "_ndtri", spy)
         force_jobs(1)
-        run_ablation(config, [4, 8], write=False)
+        run_ablation(config, [4, 8])
         levels = _mid_quantiles(config.oracle_grid)
         on_levels = [q for q in calls if np.array_equal(q, levels)]
         draws = [q for q in calls if not np.array_equal(q, levels)]
