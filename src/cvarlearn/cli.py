@@ -28,8 +28,8 @@ from .schedule import theorem1_params, theorem2_params
 from .verify import SUITES, run_suites
 
 #: Config flags: flag -> (ExperimentConfig field, help). Their values reach
-#: ``make_config`` as strings, so flags and config files share one parser and
-#: one validator, and a bad value exits 1 either way.
+#: ``make_config`` as strings, and ``ExperimentConfig`` converts and checks
+#: them as it does a config file's, so a bad value exits 1 either way.
 _CONFIG_FLAGS = {
     "--scenario": ("scenario", "parking, brownian or custom"),
     "--T": ("horizon", "iteration horizon"),

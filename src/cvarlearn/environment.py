@@ -207,6 +207,7 @@ def BrownianSeq(horizon: int, diffusivity: float) -> NoiseSequence:
 
 def constant_uniform(horizon: int, lo: float, hi: float) -> NoiseSequence:
     """Static baseline: the same ``U[lo, hi]`` at every step."""
+    horizon = _as_int(horizon, "horizon")
     if hi < lo:
         raise ConfigurationError(f"constant uniform needs lo <= hi, got {lo} > {hi}")
     return UniformSeq(np.full(horizon, lo), np.full(horizon, hi))
@@ -219,6 +220,7 @@ def parking_range(t: int, horizon: int) -> tuple[float, float]:
     empty (right endpoint below left), which :func:`UniformSeq` repairs to a
     point mass.
     """
+    t, horizon = _as_int(t, "step"), _as_int(horizon, "horizon")
     if not 1 <= t <= horizon:
         raise ConfigurationError(f"step {t} outside horizon [1, {horizon}]")
     if t < horizon / 2:
@@ -228,6 +230,7 @@ def parking_range(t: int, horizon: int) -> tuple[float, float]:
 
 def parking_noise(horizon: int) -> NoiseSequence:
     """Time-varying uniform uncertainty of the parking-lot pricing study."""
+    horizon = _as_int(horizon, "horizon")
     lower, upper = np.array([parking_range(t, horizon)
                              for t in range(1, horizon + 1)]).reshape(-1, 2).T
     return UniformSeq(lower, upper)

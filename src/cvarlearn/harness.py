@@ -112,19 +112,25 @@ class ExperimentConfig:
     diffusivity: float = 1e-4
 
     def __post_init__(self):
-        """Store every number field as its type, an integer field by
-        ``_as_int``'s rule, and check, at every build (``dataclasses.replace``
-        too), the rules that no object built from the config owns, and the
-        horizon, which ``constant_uniform``'s ``np.full`` reads unchecked."""
+        """Convert every field to its type, an integer by ``_as_int``'s rule,
+        and check, at every build (``dataclasses.replace`` too), the rules
+        that no object built from the config owns, and the horizon, which
+        ``constant_uniform``'s ``np.full`` reads unchecked. This is the one
+        converter of config values: a file's, a flag's, ``RA_SEED``, an
+        ``ablate --counts`` entry; a value that does not convert is a bad value."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if field.type == "int":
-                object.__setattr__(self, field.name, _as_int(value, field.name))
-            elif field.type == "float":
-                value = float(value)
-                if not math.isfinite(value):
-                    raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
-                object.__setattr__(self, field.name, value)
+            try:
+                value = (_as_int(value, field.name) if field.type == "int"
+                         else float(value) if field.type == "float" else str(value))
+            except ConfigurationError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(
+                    f"bad value for {field.name!r}: {value!r}") from exc
+            if field.type == "float" and not math.isfinite(value):
+                raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
+            object.__setattr__(self, field.name, value)
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
@@ -136,9 +142,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.rate_rule not in ("constant", "inverse"):
             raise ConfigurationError("rate_rule must be 'constant' or 'inverse'")
-
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def load_config_file(path) -> dict:
@@ -167,37 +170,26 @@ def load_config_file(path) -> dict:
 def make_config(*sources: dict) -> ExperimentConfig:
     """Build a config from dicts of increasing precedence.
 
-    String values are coerced to the field's type, and an integer field
-    rejects a value with a fractional part; the ``RA_SEED``
-    environment variable, when set, overrides the base seed last.
+    A ``None`` value is skipped and an unknown key is rejected; the layered
+    values, strings or numbers, are ``ExperimentConfig``'s to convert and
+    check. The ``RA_SEED`` environment variable, when set, overrides the
+    base seed of the built config, so a bad source value is reported first.
     """
-    merged: dict = {}
-    for source in sources:
-        for key, value in source.items():
-            if value is None:
-                continue
-            if key not in _FIELD_TYPES:
-                raise ConfigurationError(f"unknown configuration key {key!r}")
-            merged[key] = value
-    coerced = {}
-    for key, value in merged.items():
-        ftype = _FIELD_TYPES[key]
-        try:
-            if ftype == "int":
-                coerced[key] = _as_int(value)
-            elif ftype == "float":
-                coerced[key] = float(value)
-            else:
-                coerced[key] = str(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad value for {key!r}: {value!r}") from exc
+    names = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    merged = {key: value for source in sources
+              for key, value in source.items() if value is not None}
+    for key in merged:
+        if key not in names:
+            raise ConfigurationError(f"unknown configuration key {key!r}")
+    config = ExperimentConfig(**merged)
     env_seed = os.environ.get("RA_SEED")
-    if env_seed is not None:
-        try:
-            coerced["base_seed"] = _as_int(env_seed)
-        except ValueError as exc:
-            raise ConfigurationError(f"RA_SEED must be an integer, got {env_seed!r}") from exc
-    return ExperimentConfig(**coerced)
+    if env_seed is None:
+        return config
+    try:
+        seed = _as_int(env_seed)
+    except ValueError as exc:
+        raise ConfigurationError(f"RA_SEED must be an integer, got {env_seed!r}") from exc
+    return dataclasses.replace(config, base_seed=seed)
 
 
 @dataclass(frozen=True)
@@ -437,18 +429,16 @@ def run_ablation(config: ExperimentConfig, sample_counts) -> dict[int, Experimen
     """Re-run the experiment for each sample count: each count's result,
     in count order, its prefix ``<out_prefix>_n<count>``.
 
-    Counts violating the declared sampling requirement produce a warning but
-    still run. Every count, and ``samples``, is checked before any learner
-    or oracle work.
+    Each count is ``dataclasses.replace(config, samples=n)``'s ``samples``,
+    so ``"08"`` and ``8.0`` repeat 8. Counts violating the declared sampling
+    requirement produce a warning but still run. Every count, and
+    ``samples``, is checked before any learner or oracle work.
     Every count's learner runs beside one optimal-action search; then one
     played pass evaluates all of their trials against that series.
     ``write_experiments`` writes each count's trajectory set and aggregate,
     and ``write_ablation`` the comparison table.
     """
-    try:
-        counts = [_as_int(n, "sample count") for n in sample_counts]
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"sample counts must be integers: {exc}") from exc
+    counts = [dataclasses.replace(config, samples=n).samples for n in sample_counts]
     if len(counts) < 2 or len(set(counts)) < len(counts):
         raise ConfigurationError(f"ablation needs two or more distinct counts: {counts}")
     schedule._check_counts([config.samples])  # replaced by the counts, yet checked

@@ -68,9 +68,9 @@ def build_ecdf(values) -> EmpiricalCdf:
 
 def empirical_quantile(ecdf: EmpiricalCdf, q: float) -> float:
     """Generalized inverse ``inf{y : F(y) >= q}``; the minimum sample for q <= 0."""
-    if q > 1.0:
+    if not q <= 1.0:  # nan fails too
         raise ConfigurationError(f"quantile level {q} outside [0, 1]")
-    rank = max(1, math.ceil(q * ecdf.n))
+    rank = max(1, math.ceil(max(q, 0.0) * ecdf.n))
     return float(ecdf.samples[rank - 1])
 
 
@@ -158,8 +158,8 @@ def cvar_error_bound(bound: float, alpha: float, kolmogorov: float) -> float:
     """CVaR perturbation bound ``(U / alpha) * sup|F - G|`` for costs bounded
     by ``U``."""
     alpha = _check_alpha(alpha)
-    if bound <= 0:
-        raise ConfigurationError("bound U must be positive")
+    if not 0 < bound < math.inf:
+        raise ConfigurationError(f"bound U={bound} must be positive and finite")
     if not 0.0 <= kolmogorov <= 1.0:
         raise ConfigurationError("Kolmogorov distance must lie in [0, 1]")
     return bound / alpha * kolmogorov

@@ -87,8 +87,12 @@ def polynomial_counts(a: float, b: float, batch_size: int) -> np.ndarray:
     batch_size = _check_batch_size(batch_size)
     if not all(v > 0 and math.isfinite(v) for v in (a, b)):
         raise ConfigurationError("polynomial sampling needs finite a > 0 and b > 0")
-    return np.array([math.ceil(b * (batch_size - tau + 1) ** a)
-                     for tau in range(1, batch_size + 1)])
+    try:
+        return np.array([math.ceil(b * (batch_size - tau + 1) ** a)
+                         for tau in range(1, batch_size + 1)], dtype=np.int64)
+    except OverflowError as exc:
+        raise ConfigurationError(f"polynomial counts overflow with a={a}, b={b} "
+                                 f"and batch size {batch_size}") from exc
 
 
 def inverse_epoch_rates(modulus: float, batch_size: int) -> np.ndarray:

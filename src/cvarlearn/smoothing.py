@@ -10,6 +10,8 @@ learner never evaluates the smoothed objective.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ConfigurationError, CostModel, NoiseSequence
@@ -31,8 +33,8 @@ def gradient_estimate(cvar_value, u, delta: float):
     """One-point gradient estimate ``(1 / delta) * cvar_value * u``,
     elementwise over CVaR values and directions of the same shape."""
     delta = float(delta)
-    if delta <= 0:
-        raise ConfigurationError("smoothing radius must be positive")
+    if not 0 < delta < math.inf:  # nan fails too
+        raise ConfigurationError(f"smoothing radius {delta} must be positive and finite")
     return (1.0 / delta) * np.asarray(cvar_value, dtype=float) * np.asarray(u, dtype=float)
 
 
@@ -46,8 +48,8 @@ def smoothed_cvar(cost: CostModel, noise: NoiseSequence, t: int, x: float,
     any admissible set: the cost is evaluated wherever ``x +- delta`` lands.
     """
     delta = float(delta)
-    if delta < 0:
-        raise ConfigurationError("smoothing radius must be >= 0")
+    if not 0 <= delta < math.inf:
+        raise ConfigurationError(f"smoothing radius {delta} must be finite and >= 0")
     values = [true_cvar(cost, noise, t, x + delta * s, alpha, n_noise)
               for s in (1.0, -1.0)]
     return 0.5 * (values[0] + values[1])

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cvarlearn import core
 from cvarlearn.core import (MEMBERSHIP_TOL, Box, ConfigurationError, CostModel,
                             Quadratic, fork_map, fork_ranges)
-from cvarlearn.environment import (BrownianSeq, constant_uniform, variation_profile,
-                                   w1_numeric)
+from cvarlearn.environment import (BrownianSeq, constant_uniform, parking_noise,
+                                   parking_range, variation_profile, w1_numeric)
 from cvarlearn.oracle import action_grid, true_cvar
 from cvarlearn.risk import cvar_of_values, dkw_epsilon
 from cvarlearn.schedule import (batch_epoch, check_sampling_requirement,
@@ -204,6 +204,10 @@ FRACTIONAL_COUNTS = {
     "variation-profile-horizon": lambda: variation_profile(
         constant_uniform(20, 0.0, 1.0), 10.5),
     "brownian-horizon": lambda: BrownianSeq(10.5, 1e-4),
+    "parking-noise-horizon": lambda: parking_noise(5.5),
+    "constant-uniform-horizon": lambda: constant_uniform(10.5, 0.85, 1.1),
+    "parking-range-step": lambda: parking_range(1.5, 10),
+    "parking-range-horizon": lambda: parking_range(3, 10.5),
     "theorem1-horizon": lambda: theorem1_params(100.5, 1.0, 0.5),
     "theorem2-horizon": lambda: theorem2_params(100.5, 1.0, 0.5, 1.0),
 }
@@ -237,6 +241,10 @@ class TestIntegerRule:
         assert action_grid(Box(0.0, 1.0), 3.0).size == 3
         assert dkw_epsilon(8.0, 0.05) == dkw_epsilon(8, 0.05)
         assert polynomial_counts(1.0, 1.0, 3.0).tolist() == [3, 2, 1]
+        assert np.array_equal(parking_noise(200.0).table, parking_noise(200).table)
+        assert np.array_equal(constant_uniform(10.0, 0.85, 1.1).table,
+                              constant_uniform(10, 0.85, 1.1).table)
+        assert parking_range(2.0, 10.0) == parking_range(2, 10)
 
 
 # Library checks fed a non-finite parameter or a 0-d value: each must raise a

@@ -168,6 +168,24 @@ class TestConfigParsing:
             run_experiment(config).trace.x,
             run_experiment(dataclasses.replace(config, **{field: stored})).trace.x)
 
+    @pytest.mark.parametrize("field", [
+        field.name for field in dataclasses.fields(ExperimentConfig)
+        if field.type in ("int", "float")])
+    def test_every_number_field_is_converted_by_the_config(self, field,
+                                                           monkeypatch):
+        # Its string spelling builds the same config by either path, and a
+        # value that does not convert names the field, on a replace too.
+        monkeypatch.delenv("RA_SEED", raising=False)
+        spelled = str(getattr(ExperimentConfig(), field))
+        assert (make_config({field: spelled}) == ExperimentConfig(**{field: spelled})
+                == ExperimentConfig())
+        for bad in ("x", None):
+            with pytest.raises(ConfigurationError,
+                               match=f"^bad value for '{field}': {bad!r}$"):
+                dataclasses.replace(ExperimentConfig(), **{field: bad})
+        with pytest.raises(ConfigurationError, match=f"^bad value for '{field}': 'x'$"):
+            make_config({field: "x"})
+
     def test_field_names_are_pinned(self):
         # Every config key is an option that some caller sets, so a key that
         # is added, dropped or reordered must fail here.
@@ -506,6 +524,17 @@ class TestScenarioBounds:
             "emitting a point mass at the left endpoint"]
 
 
+# Each bad ``ablate --counts`` value and the message it exits 1 with.
+BAD_COUNTS = {
+    "8,x": "bad value for 'samples': 'x'",
+    "0,8": "sample count must be >= 1, got 0 at epoch 1",
+    "8,8": "ablation needs two or more distinct counts: [8, 8]",
+    "8,08": "ablation needs two or more distinct counts: [8, 8]",
+    "8,8.0": "ablation needs two or more distinct counts: [8, 8]",
+    "8,,16": "bad value for 'samples': ''",
+}
+
+
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
         code = cli.main(["run", "--T", "10", "--batch", "5", "--trials", "1",
@@ -548,15 +577,14 @@ class TestCli:
         assert "inradius" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("counts", ["8,x", "0,8", "8,8", "8,08", "8,8.0",
-                                        "8,,16"])
+    @pytest.mark.parametrize("counts", list(BAD_COUNTS))
     def test_bad_counts_exit_one_before_the_oracle(
             self, tmp_path, monkeypatch, capsys, counts):
         forbid_oracle_and_learner(monkeypatch)
         code = cli.main(["ablate", "--counts", counts, "--T", "10", "--batch",
                          "5", "--trials", "1", "--out", str(tmp_path / "x")])
         assert code == 1
-        assert "configuration error" in capsys.readouterr().err
+        assert f"configuration error: {BAD_COUNTS[counts]}\n" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", [["--T", "40.7"], ["--scenario", "foo"]],
@@ -1016,12 +1044,13 @@ FUZZ_VALUES = st.one_of(
 )
 FUZZ_FLAGS = sorted(field for field, _ in cli._CONFIG_FLAGS.values()
                     if field != "out_prefix")
-FUZZ_KEYS = sorted(set(harness._FIELD_TYPES) - {"out_prefix"})
+CONFIG_KEYS = sorted(field.name for field in dataclasses.fields(ExperimentConfig))
+FUZZ_KEYS = sorted(set(CONFIG_KEYS) - {"out_prefix"})
 
 
 class TestConfigFuzz:
     @given(values=st.dictionaries(
-        st.one_of(st.sampled_from(sorted(harness._FIELD_TYPES)), st.text(max_size=6)),
+        st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=6)),
         st.one_of(FUZZ_VALUES, st.none(), st.integers(), st.floats(),
                   st.lists(st.integers(), max_size=2))))
     @settings(max_examples=300, deadline=None)

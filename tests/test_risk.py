@@ -12,6 +12,7 @@ from cvarlearn.risk import (
     cvar_error_bound,
     cvar_of_values,
     dkw_epsilon,
+    empirical_quantile,
     ru_functional,
     sup_cdf_distance,
 )
@@ -46,6 +47,8 @@ class TestBuildEcdf:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigurationError):
             build_ecdf([1.0, np.nan])
+        with pytest.raises(ConfigurationError, match="quantile level nan"):
+            empirical_quantile(build_ecdf([1.0, 2.0]), math.nan)
 
 
 class TestEcdfEval:
@@ -59,6 +62,10 @@ class TestEcdfEval:
         e = build_ecdf([1, 2, 3])
         assert e.evaluate(3) == 1.0
         assert e.evaluate(99) == 1.0
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, -math.inf])
+    def test_quantile_at_or_below_zero_is_the_minimum(self, q):
+        assert empirical_quantile(build_ecdf([3.0, 1.0, 2.0]), q) == 1.0
 
     def test_step_range(self):
         e = build_ecdf([0.0, 1.0, 2.0, 3.0])
@@ -217,3 +224,10 @@ class TestCvarErrorBound:
 
     def test_alpha_one(self):
         assert cvar_error_bound(1.0, 1.0, 0.3) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("bound, alpha, kolmogorov", [
+        (0.0, 0.5, 0.1), (math.inf, 0.5, 0.1), (math.nan, 0.5, 0.1),
+        (1.0, math.nan, 0.1), (1.0, 0.5, math.nan), (1.0, 0.5, math.inf)])
+    def test_invalid_inputs_rejected(self, bound, alpha, kolmogorov):
+        with pytest.raises(ConfigurationError):
+            cvar_error_bound(bound, alpha, kolmogorov)

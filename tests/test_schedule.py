@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -80,6 +81,16 @@ class TestPolynomialCounts:
             polynomial_counts(0.0, 1.0, 10)
         with pytest.raises(ConfigurationError):
             polynomial_counts(1.0, -1.0, 10)
+
+    @pytest.mark.parametrize("a, b, batch_size", [
+        (1.0, 1e308, 5),  # b * B**a is inf
+        (400.0, 1.0, 10),  # the power itself overflows
+        (30.0, 1.0, 10),  # finite, but above int64
+    ])
+    def test_an_overflowing_count_names_its_parameters(self, a, b, batch_size):
+        named = f"overflow with a={a}, b={b} and batch size {batch_size}"
+        with pytest.raises(ConfigurationError, match=re.escape(named) + "$"):
+            polynomial_counts(a, b, batch_size)
 
 
 class TestSamplingRequirement:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,9 @@ class TestGradientEstimate:
                               [(1.0 / 0.1) * c * s for c, s in zip(cvars, u)])
 
     def test_invalid_radius(self):
-        with pytest.raises(ConfigurationError):
-            gradient_estimate(1.0, 1.0, 0.0)
+        for delta in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                gradient_estimate(1.0, 1.0, delta)
 
     def test_norm_bound(self):
         rng = np.random.default_rng(44)
@@ -89,5 +92,6 @@ class TestSmoothedCvar:
             assert abs(smoothed - plain) <= delta * lip + 1e-9
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ConfigurationError):
-            smoothed_cvar(QUADRATIC, POINT_NOISE, 1, 1.0, -0.1, 0.5, n_noise=1000)
+        for delta in (-0.1, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                smoothed_cvar(QUADRATIC, POINT_NOISE, 1, 1.0, delta, 0.5, n_noise=1000)
