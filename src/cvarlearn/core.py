@@ -296,9 +296,13 @@ class NoiseSequence:
 
 
 #: Least estimated serial work, in seconds, that ``fork_ranges`` splits:
-#: importing ``multiprocessing`` and forking take about 30 ms, which stays
-#: under a tenth of this.
-_FORK_MIN_S = 0.3
+#: importing ``multiprocessing`` and forking take about 30 ms, a fifth of
+#: this. The played pass of ``run --T 500 --trials 100``, about 0.2 s of
+#: estimated work once its point-mass steps take one value a trial, took
+#: 0.70 s median wall forked on 2 CPUs against 0.76 s in one process, and
+#: 1.08 against 1.04 s of CPU time (8 alternating CLI runs each, a 2-CPU
+#: Xeon, numpy 2.4).
+_FORK_MIN_S = 0.15
 
 
 def _usable_cpus() -> int:

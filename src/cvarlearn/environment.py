@@ -229,11 +229,15 @@ def parking_range(t: int, horizon: int) -> tuple[float, float]:
 
 
 def parking_noise(horizon: int) -> NoiseSequence:
-    """Time-varying uniform uncertainty of the parking-lot pricing study."""
-    horizon = _as_int(horizon, "horizon")
-    lower, upper = np.array([parking_range(t, horizon)
-                             for t in range(1, horizon + 1)]).reshape(-1, 2).T
-    return UniformSeq(lower, upper)
+    """Time-varying uniform uncertainty of the parking-lot pricing study:
+    ``parking_range`` at every step, each branch's formula in one loop over
+    its steps. The powers are Python's ``**``; ``np.power`` gives other
+    bits at about 5% of the steps."""
+    steps = range(1, _as_int(horizon, "horizon") + 1)
+    cut = (len(steps) - 1) // 2  # steps[:cut] are the steps t < horizon / 2
+    early, late = steps[:cut], steps[cut:]
+    return UniformSeq([0.85] * len(early) + [0.85 + 0.5 * t ** -0.1 for t in late],
+                      [1.15 - 0.5 * t ** -0.5 for t in early] + [1.1] * len(late))
 
 
 def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) -> float:

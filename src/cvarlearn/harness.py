@@ -121,6 +121,8 @@ class ExperimentConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             try:
+                if value is None:  # str() would convert it
+                    raise TypeError(field.name)
                 value = (_as_int(value, field.name) if field.type == "int"
                          else float(value) if field.type == "float" else str(value))
             except ConfigurationError:

@@ -11,12 +11,16 @@ step's least value are evaluated exactly; any other cost is scanned
 exhaustively. Either way the first exact minimum is the step's optimum.
 
 The oracle makes two passes. Each makes the standard quantiles of its levels
-once and places them at a block of steps in one call: the search pass,
-``optimal_action_series``, finds the optima of a range of steps; the played
-pass, ``dynamic_regret``, evaluates every trial against them, its step
-ranges run by forked processes. Both evaluate their exact CVaR rows in one
-reused buffer, many rows per call, bit for bit as ``cvar_of_values`` over
-``CostModel.rows`` would.
+once and places them at a block of steps in one reused buffer: the search
+pass, ``optimal_action_series``, finds the optima of a range of steps; the
+played pass, ``dynamic_regret``, evaluates every trial against them, the
+ranges of its spread steps run by forked processes. Both evaluate their
+exact CVaR rows in one reused buffer, many rows per call, bit for bit as
+``cvar_of_values`` over ``CostModel.rows`` would. A point-mass step's grid
+is one value n times, so the played pass evaluates one cost a trial there.
+The bits are the grid row's: a row of n equal costs partitions to itself,
+and numpy sums the k - 1 copies of its tail in one order, whether they lie
+in the grid row or are one value read through a zero stride.
 """
 
 from __future__ import annotations
@@ -133,8 +137,8 @@ def _exact_cvars(cost: CostModel, xi: np.ndarray, idx: np.ndarray,
     ``_cvars``', with ``xi`` ``(steps, n)`` a block of placed grids.
 
     As many rows at a time as the 1-D ``buf`` holds are gathered into it,
-    evaluated in place (through ``cost.rows`` unless a ``Quadratic``) and
-    partitioned there; a strided buffer would partition differently.
+    evaluated in place (``_costs_into``) and partitioned there; a strided
+    buffer would partition differently.
     """
     n = xi.shape[1]
     size = buf.size // n
@@ -143,12 +147,18 @@ def _exact_cvars(cost: CostModel, xi: np.ndarray, idx: np.ndarray,
         part = slice(r, r + size)
         rows = buf[:idx[part].size * n].reshape(-1, n)
         np.take(xi, idx[part], axis=0, out=rows, mode="clip")
-        if isinstance(cost.fn, Quadratic):
-            cost.fn.into(x[part], rows)
-        else:
-            rows[...] = cost.rows(x[part], rows)
+        _costs_into(cost, x[part], rows)
         out[part] = _tail_means(rows, alpha)
     return out
+
+
+def _costs_into(cost: CostModel, x: np.ndarray, rows: np.ndarray) -> None:
+    """Replace the noise values of row ``rows[r]`` by their costs at
+    ``x[r]``: in place for a ``Quadratic``, else through ``cost.rows``."""
+    if isinstance(cost.fn, Quadratic):
+        cost.fn.into(x, rows)
+    else:
+        rows[...] = cost.rows(x, rows)
 
 
 @dataclass(frozen=True)
@@ -162,16 +172,22 @@ class RegretReport:
     accumulated_loss: np.ndarray   # (trials, T) running sum of played CVaR
 
 
-def _blocks(noise: NoiseSequence, z: np.ndarray, steps: range, width: int):
+def _blocks(noise: NoiseSequence, z: np.ndarray, steps: range | np.ndarray,
+            width: int):
     """``steps`` cut into blocks of ``_BLOCK // width`` steps (one at least),
     for arrays of ``width`` values a step: each block's slice of ``steps``,
     its 0-based steps and their noise values ``(steps, n)`` at the standard
-    values ``z``, placed in one call."""
+    values ``z``, placed as ``NoiseSequence.place`` places them (``z *
+    scale``, then ``loc +``) into one buffer that every block reuses."""
     size = max(1, _BLOCK // width)
+    buf = np.empty((min(size, len(steps)), z.size))
     for start in range(0, len(steps), size):
-        block = np.array(steps[start:start + size])
-        yield (slice(start, start + block.size), block,
-               noise.place(block[:, None] + 1, z))
+        block = np.asarray(steps[start:start + size])
+        loc, scale = noise._columns(block[:, None] + 1)
+        xi = buf[:block.size]
+        np.multiply(z, scale, out=xi)
+        np.add(loc, xi, out=xi)
+        yield slice(start, start + block.size), block, xi
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
@@ -217,11 +233,15 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     ``1..T``, against the best actions in hindsight ``optima``, as
     ``optimal_action_series`` returns them for ``range(T)`` at ``levels``.
 
-    Each step's quantile grid serves every trial, whose rows are evaluated
-    in one buffer of at most ``_BLOCK`` cost values (one row, if a row alone
-    holds more). The steps are cut into contiguous ranges, one per usable CPU, run at the
-    same time in forked processes (``fork_ranges``), or in this process
-    when the pass is too small for a fork to pay.
+    A step whose grid is spread places it once for every trial, whose rows
+    are evaluated in one buffer of at most ``_BLOCK`` cost values (one row,
+    if a row alone holds more). These steps, in order, are cut into ranges,
+    one per usable CPU, run at the same time in forked processes
+    (``fork_ranges``), or in this process when their rows are too few for a
+    fork to pay. A step whose grid is one value ``n`` times (a point mass:
+    its least and greatest placed values have the same bits) gives each
+    trial one cost: ``_point_mass_cvars`` evaluates them all in one call, in
+    this process, with the bits of the row of ``n`` equal costs.
     """
     x_star, c_star = optima
     x_hat = np.asarray(x_hat, dtype=float)
@@ -230,9 +250,19 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
         raise ConfigurationError(
             f"played actions must have shape (trials, {horizon}), got {x_hat.shape}")
     alpha = _check_alpha(alpha)
-    played = np.concatenate(fork_map(
-        functools.partial(_played_steps, x_hat, cost, noise, alpha, levels),
-        fork_ranges(horizon, x_hat.size * levels.size * _VALUE_S)), axis=1)
+    z = noise.family.quantile(levels)
+    # -0.0 + z * 0.0 takes the sign of z, so a zero scale alone is not enough.
+    least, greatest = noise.place(np.arange(1, horizon + 1), z[[0, -1], None])
+    point = least.view(np.int64) == greatest.view(np.int64)
+    spread, steps = np.flatnonzero(~point), np.flatnonzero(point)
+    played = np.empty(x_hat.shape)
+    played[:, steps] = _point_mass_cvars(cost, least[steps], x_hat[:, steps],
+                                         alpha, z.size)
+    ranges = fork_ranges(spread.size, x_hat.shape[0] * spread.size * z.size * _VALUE_S)
+    for part, values in zip(ranges, fork_map(
+            functools.partial(_played_steps, x_hat, cost, noise, alpha, z),
+            [spread[part] for part in ranges])):
+        played[:, spread[part]] = values
     return RegretReport(
         played_cvar=played,
         optimal_cvar=c_star,
@@ -243,12 +273,13 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
 
 
 def _played_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
-                  alpha: float, levels: np.ndarray, steps: range) -> np.ndarray:
-    """``dynamic_regret``'s pass over the 0-based steps ``steps``: the played
-    CVaRs ``(trials, len(steps))``, every trial's row of a block of steps
-    evaluated by ``_exact_cvars``."""
+                  alpha: float, z: np.ndarray, steps: range | np.ndarray
+                  ) -> np.ndarray:
+    """``dynamic_regret``'s grid pass over the 0-based steps ``steps``, at
+    the standard quantiles ``z``: the played CVaRs ``(trials,
+    len(steps))``, every trial's row of a block of steps evaluated by
+    ``_exact_cvars``."""
     trials = x_hat.shape[0]
-    z = noise.family.quantile(levels)
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
     played = np.empty((trials, len(steps)))
     for out, block, xi in _blocks(noise, z, steps, z.size):
@@ -256,3 +287,26 @@ def _played_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
         played[:, out] = _exact_cvars(cost, xi, rows, x_hat[:, block].T.ravel(),
                                       alpha, buf).reshape(block.size, trials).T
     return played
+
+
+def _point_mass_cvars(cost: CostModel, xi: np.ndarray, x: np.ndarray,
+                      alpha: float, n: int) -> np.ndarray:
+    """The CVaRs ``(trials, steps)`` of the decisions ``x`` at steps whose
+    grid of ``n`` values holds the one value ``xi`` ``(steps,)``: bit for
+    bit ``_tail_means`` over each row of ``n`` equal costs.
+
+    Each row's one cost ``c`` is evaluated once, all rows in one
+    ``_costs_into`` call. A row of equal values
+    partitions to itself, so with ``k = ceil(alpha n)`` its CVaR is ``(tail
+    + (alpha n - (k - 1)) c) / (alpha n)``, ``tail`` numpy's row sum of ``k
+    - 1`` copies of ``c``. They are read through a zero stride: numpy's
+    pairwise sum adds a row in one order at any stride, so ``tail`` has the
+    bits of the grid row's tail sum without a copy being made.
+    """
+    an = alpha * n
+    k = min(n, math.ceil(an))
+    costs = np.empty((x.size, 1))
+    costs.reshape(x.shape)[...] = xi
+    _costs_into(cost, x.ravel(), costs)
+    tail = np.broadcast_to(costs, (x.size, k - 1)).sum(axis=-1)
+    return ((tail + (an - (k - 1)) * costs[:, 0]) / an).reshape(x.shape)

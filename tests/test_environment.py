@@ -75,20 +75,37 @@ class TestUniformSeq:
         assert caplog.records == []
 
     def test_table_equals_the_endpoint_formulas(self):
-        # Every step of the parking study, the degenerate t = 1, 2 included:
-        # the raw formulas, a crossing collapsed to the left endpoint. A row
-        # is the location and the scale, and their sum is the upper
-        # endpoint to the bit.
-        noise = parking_noise(6000)
-        table = noise.table
-        assert table.shape == (6000, 2) and not table.flags.writeable
-        for t in range(1, 6001):
-            lo, hi = parking_range(t, 6000)
-            expected = (lo, lo) if hi <= lo else (lo, hi)
-            assert noise.support(t) == expected
-            loc, scale = table[t - 1].tolist()
-            assert (loc, loc + scale) == expected
-            assert scale == expected[1] - expected[0]
+        # Every step of the parking study, the degenerate t = 1, 2 included,
+        # at horizons of either parity, below and above 2,048: the raw
+        # formulas, a crossing collapsed to the left endpoint. A row is the
+        # location and the scale, and their sum is the upper endpoint to the
+        # bit.
+        for horizon in (1, 2, 500, 2049, 6000):
+            noise = parking_noise(horizon)
+            table = noise.table
+            assert table.shape == (horizon, 2) and not table.flags.writeable
+            for t in range(1, horizon + 1):
+                lo, hi = parking_range(t, horizon)
+                expected = (lo, lo) if hi <= lo else (lo, hi)
+                assert noise.support(t) == expected
+                loc, scale = table[t - 1].tolist()
+                assert (loc, loc + scale) == expected
+                assert scale == expected[1] - expected[0]
+
+    @pytest.mark.parametrize("horizon, steps", [
+        (500, [1, 2, *range(250, 501)]), (1500, [1, 2, *range(750, 1025)]),
+        (6000, [1, 2])])
+    def test_point_mass_steps_are_the_stated_ones(self, horizon, steps):
+        # README's count: 253 of 500 steps, 277 of 1,500, and t = 1-2 at
+        # T = 6,000.
+        point = np.flatnonzero(parking_noise(horizon).table[:, 1] == 0) + 1
+        assert point.tolist() == steps
+        assert len(steps) == {500: 253, 1500: 277, 6000: 2}[horizon]
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_an_empty_horizon_is_rejected(self, horizon):
+        with pytest.raises(ConfigurationError, match=r"got \(0, 2\)"):
+            parking_noise(horizon)
 
     def test_non_finite_endpoint_rejected(self):
         with pytest.raises(ConfigurationError, match="t=3"):

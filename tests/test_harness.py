@@ -186,6 +186,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=f"^bad value for '{field}': 'x'$"):
             make_config({field: "x"})
 
+    @pytest.mark.parametrize("field", [
+        field.name for field in dataclasses.fields(ExperimentConfig)
+        if field.type == "str"])
+    def test_a_text_field_rejects_none(self, field):
+        # str(None) would store the text 'None'.
+        with pytest.raises(ConfigurationError, match=f"^bad value for '{field}': None$"):
+            dataclasses.replace(ExperimentConfig(), **{field: None})
+
     def test_field_names_are_pinned(self):
         # Every config key is an option that some caller sets, so a key that
         # is added, dropped or reordered must fail here.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvarlearn import environment, oracle
+from cvarlearn import core, environment, oracle
 from cvarlearn.core import (Box, ConfigurationError, CostModel, Quadratic, fork_map,
                             fork_ranges)
 from cvarlearn.environment import UniformSeq, constant_uniform
@@ -21,6 +21,7 @@ from cvarlearn.oracle import (
     optimal_action_series,
     true_cvar,
 )
+from cvarlearn.risk import _tail_means
 from cvarlearn.harness import (
     ELASTICITY,
     PRICES,
@@ -543,6 +544,133 @@ class TestForkedRegret:
             for field in dataclasses.fields(RegretReport):
                 assert np.array_equal(getattr(report, field.name),
                                       getattr(reports[0], field.name)), field.name
+
+
+#: A cost without the ``Quadratic`` declaration, evaluated through
+#: ``CostModel.rows``.
+HAND_BUILT_COST = CostModel(fn=lambda x, xi: (x - xi) ** 2 + 0.1 * x,
+                            bound=50.0, lipschitz=10.0)
+
+
+def bits(values):
+    """The bytes of a float array: equal only if every value has the same bits."""
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+class TestPointMassSteps:
+    @pytest.mark.parametrize("grid_n", [1000, 2000, 10_000])
+    @pytest.mark.parametrize("alpha", [1e-4, 0.3, 0.5, 1.0],
+                             ids=["empty-tail", "0.3", "0.5", "k-equals-n"])
+    @pytest.mark.parametrize("cost", [pricing_scenario(10).cost, HAND_BUILT_COST],
+                             ids=["quadratic", "hand-built"])
+    def test_equals_the_tail_mean_of_the_placed_row(self, cost, alpha, grid_n):
+        # Point masses at 0.0 and -0.0 among others; each trial's CVaR at a
+        # step is _tail_means over that step's full placed row, bit for bit.
+        # At alpha = 1e-4, alpha * n < 1, so k = 1 and the tail is empty;
+        # at 10,000 levels and alpha = 1 the tail is longer than numpy's
+        # 8,192-value reduction buffer.
+        locations = np.array([0.0, -0.0, 0.85, 1.1, -2.5])
+        noise = UniformSeq(locations, locations)
+        z = noise.family.quantile(_mid_quantiles(grid_n))
+        steps = np.arange(1, locations.size + 1)
+        xi = noise.place(steps, z[:1])
+        x = np.random.default_rng(57).uniform(-3.0, 5.0, (7, steps.size))
+        x[0] = 0.0
+        got = oracle._point_mass_cvars(cost, xi, x, alpha, grid_n)
+        reference = np.array([
+            _tail_means(cost.rows(x[:, j], noise.place(t, z)[None, :]), alpha)
+            for j, t in enumerate(steps)]).T
+        assert got.shape == x.shape
+        assert bits(got) == bits(reference)
+
+    @pytest.mark.parametrize("trials", [0, 3, _BLOCK // 1000 + 5])
+    @pytest.mark.parametrize("cost", [pricing_scenario(10).cost, HAND_BUILT_COST],
+                             ids=["quadratic", "hand-built"])
+    @pytest.mark.parametrize("kind", ["none", "some", "all"])
+    def test_played_pass_equals_the_grid_pass_over_every_step(
+            self, force_jobs, kind, cost, trials):
+        # A uniform sequence with no point-mass steps, some (at 0.0 and
+        # -0.0 among them) or only those: the played pass, its spread steps
+        # in one job and in two, equals the grid pass over every step.
+        rng = np.random.default_rng(58)
+        horizon = 31
+        lower = rng.uniform(-1.0, 2.0, horizon)
+        lower[[3, 4]] = 0.0, -0.0
+        point = {"none": np.zeros(horizon, bool), "all": np.ones(horizon, bool),
+                 "some": rng.random(horizon) < 0.5}[kind]
+        noise = UniformSeq(lower, lower + np.where(point, 0.0, rng.random(horizon)))
+        assert np.array_equal(noise.table[:, 1] == 0, point)
+        x_hat = rng.uniform(-2.0, 3.0, (trials, horizon))
+        levels = _mid_quantiles(1000)
+        reference = oracle._played_steps(x_hat, cost, noise, 0.5,
+                                         noise.family.quantile(levels), range(horizon))
+        for jobs in (1, 2):
+            force_jobs(jobs)
+            report = dynamic_regret(x_hat, cost, noise, 0.5,
+                                    (np.zeros(horizon), np.zeros(horizon)), levels)
+            assert bits(report.played_cvar) == bits(reference)
+            assert bits(report.accumulated_loss) == bits(np.cumsum(reference, axis=1))
+
+    def test_a_grid_of_signed_zeros_is_not_one_value(self):
+        # A zero-scale Gaussian step at -0.0 places -0.0 below the median
+        # level and 0.0 above it. A cost that tells them apart (arctan2 is
+        # -pi and pi there) has two values on the grid, so the step is
+        # evaluated there; the steps at 0.0 and 1.0 are one value each.
+        noise = core.NoiseSequence([[-0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                                   environment.GAUSSIAN)
+        cost = CostModel(fn=lambda x, xi: np.arctan2(xi, -1.0) + x * x,
+                         bound=20.0, lipschitz=10.0)
+        x_hat = np.random.default_rng(59).uniform(-1.0, 1.0, (4, 3))
+        levels = _mid_quantiles(1000)
+        report = dynamic_regret(x_hat, cost, noise, 0.5, (np.zeros(3), np.zeros(3)),
+                                levels)
+        reference = oracle._played_steps(x_hat, cost, noise, 0.5,
+                                         noise.family.quantile(levels), range(3))
+        assert bits(report.played_cvar) == bits(reference)
+        assert (report.played_cvar[:, 0] > 3.0).all()
+
+    def test_spread_steps_fork_on_their_own_estimate(self, monkeypatch):
+        # Four spread and four point-mass steps of 2 trials at 1,024 levels:
+        # 8,192 spread values. The pass forks when they alone are estimated
+        # at _FORK_MIN_S, not when all 16,384 rows' values are.
+        noise = UniformSeq(np.zeros(8), np.r_[np.ones(4), np.zeros(4)])
+        cost = pricing_scenario(10).cost
+        x_hat = np.full((2, 8), 2.0)
+        job_counts = []
+        fork_map = oracle.fork_map
+
+        def spy(fn, jobs):
+            job_counts.append(len(jobs))
+            return fork_map(fn, jobs)
+
+        monkeypatch.setattr(oracle, "fork_map", spy)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        for scale in (0.99, 1.0):
+            monkeypatch.setattr(oracle, "_VALUE_S", scale * core._FORK_MIN_S / 8192)
+            dynamic_regret(x_hat, cost, noise, 0.5, (np.zeros(8), np.zeros(8)),
+                           _mid_quantiles(1024))
+        assert job_counts == [1, 2]
+
+    def test_blocks_place_as_the_noise_does_into_one_buffer(self):
+        # Each block of the grid passes is NoiseSequence.place's array to
+        # the bit, written where the block before it was.
+        noise = pricing_scenario(300).noise
+        z = noise.family.quantile(_mid_quantiles(1000))
+        buffers = set()
+        for out, block, xi in oracle._blocks(noise, z, range(300), 1000):
+            assert bits(xi) == bits(noise.place(block[:, None] + 1, z))
+            assert np.array_equal(block, np.arange(300)[out])
+            buffers.add(xi.__array_interface__["data"][0])
+        assert len(buffers) == 1
+
+    @pytest.mark.parametrize("steps", [range(12), range(-1, 3)])
+    @pytest.mark.parametrize("cost", [pricing_scenario(10).cost, HAND_BUILT_COST],
+                             ids=["quadratic", "hand-built"])
+    def test_a_step_outside_the_noise_is_rejected(self, cost, steps):
+        scen = pricing_scenario(10)
+        with pytest.raises(ConfigurationError, match="outside horizon"):
+            optimal_action_series(cost, scen.noise, action_grid(scen.region, 10),
+                                  0.5, steps, _mid_quantiles(1000))
 
 
 class TestAccumulatedLoss:
