@@ -3,8 +3,8 @@
 A decision is one float, and the admissible set is a closed interval with an
 exact projection, an inradius, and a centered shrink operation that keeps
 perturbed actions feasible. Cost models bundle an evaluation rule with
-its declared bound, Lipschitz constant, and strong-convexity modulus; a
-``Quadratic`` rule declares the form of its quadratic too. A noise
+its declared bound, Lipschitz constant, and strong-convexity modulus; the
+oracle's passes need the rule to be a ``Quadratic``. A noise
 sequence is a location-scale table plus the ``Family`` of its standard
 variable; its per-step CDF, quantile, support and step W1 read the table.
 ``fork_map`` and ``fork_ranges`` split a phase of independent work across the
@@ -162,10 +162,8 @@ class CostModel:
     ----------
     fn:
         Evaluation rule. Must obey numpy broadcasting in both the decisions
-        and the noise values, as any formula built from ufuncs does. A
-        ``Quadratic`` rule also declares its form: the oracle then evaluates
-        its rows in place, and screens the action grid in closed form
-        before it evaluates a step's CVaRs exactly.
+        and the noise values, as any formula built from ufuncs does. The
+        oracle's two passes need a ``Quadratic`` rule.
     bound:
         Uniform bound ``U`` on ``|J|`` over the admissible set and the
         declared noise support.

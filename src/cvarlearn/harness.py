@@ -65,18 +65,19 @@ PRICES = Box(1.0, 5.0)
 TRACK = Box(-2.0, 2.0)
 
 #: Each scenario's noise sequence, built from the config, its decision
-#: interval and its cost rule: the pricing cost ``(xi + elasticity * x -
+#: interval, its cost rule and the config keys its noise reads, which no
+#: other scenario may set: the pricing cost ``(xi + elasticity * x -
 #: target)^2 + regularization/2 * x^2``, or ``brownian``'s ``(x - xi)^2`` as
 #: ``(xi + (-x))^2``, the same bits: IEEE subtraction is antisymmetric.
 _PRICING = Quadratic(slope=ELASTICITY, level=TARGET_OCCUPANCY,
                      weight=0.5 * REGULARIZATION)
 _SCENARIO_TABLE = {
-    "parking": (lambda c: environment.parking_noise(c.horizon), PRICES, _PRICING),
+    "parking": (lambda c: environment.parking_noise(c.horizon), PRICES, _PRICING, ()),
     "brownian": (lambda c: environment.BrownianSeq(c.horizon, c.diffusivity),
-                 TRACK, Quadratic(slope=-1.0)),
+                 TRACK, Quadratic(slope=-1.0), ("diffusivity",)),
     "custom": (lambda c: environment.constant_uniform(c.horizon, c.noise_low,
                                                       c.noise_high),
-               PRICES, _PRICING),
+               PRICES, _PRICING, ("noise_low", "noise_high")),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -172,10 +173,12 @@ def load_config_file(path) -> dict:
 def make_config(*sources: dict) -> ExperimentConfig:
     """Build a config from dicts of increasing precedence.
 
-    A ``None`` value is skipped and an unknown key is rejected; the layered
-    values, strings or numbers, are ``ExperimentConfig``'s to convert and
-    check. The ``RA_SEED`` environment variable, when set, overrides the
-    base seed of the built config, so a bad source value is reported first.
+    A ``None`` value is skipped; an unknown key is rejected, and so is a set
+    key that only another scenario reads, which a built config cannot tell
+    from a default. The layered values, strings or numbers, are
+    ``ExperimentConfig``'s to convert and check. The ``RA_SEED``
+    environment variable, when set, overrides the base seed of the built
+    config, so a bad source value is reported first.
     """
     names = {field.name for field in dataclasses.fields(ExperimentConfig)}
     merged = {key: value for source in sources
@@ -184,6 +187,11 @@ def make_config(*sources: dict) -> ExperimentConfig:
         if key not in names:
             raise ConfigurationError(f"unknown configuration key {key!r}")
     config = ExperimentConfig(**merged)
+    *_, own = _SCENARIO_TABLE[config.scenario]
+    for key in merged:
+        if key not in own and any(key in row[-1] for row in _SCENARIO_TABLE.values()):
+            raise ConfigurationError(
+                f"configuration key {key!r} is not read by scenario {config.scenario!r}")
     env_seed = os.environ.get("RA_SEED")
     if env_seed is None:
         return config
@@ -210,7 +218,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     diagnostics reference them. The noise sequence checks its own
     parameters; the learner's and the oracle's are checked by ``_experiments``.
     """
-    make_noise, region, rule = _SCENARIO_TABLE[config.scenario]
+    make_noise, region, rule, _ = _SCENARIO_TABLE[config.scenario]
     noise = make_noise(config)
     lo, hi = noise.support(np.arange(1, config.horizon + 1))
     cost = rule.model(region, (float(lo.min()), float(hi.max())))

@@ -4,11 +4,11 @@ The true CVaR of a decision is computed on a deterministic mid-quantile grid
 of the step's noise distribution (bias O(1/grid_n) for Lipschitz costs,
 reproducible without Monte Carlo). Per-step optimal actions are the first
 minimizers over a 1-D action grid, matching the evaluation protocol of the
-pricing study, ties to the smaller action. For a cost declared as a
-``Quadratic``, a closed form of the grid CVaR screens every action of a
-block of steps at once, and only the actions within a rounding margin of a
-step's least value are evaluated exactly; any other cost is scanned
-exhaustively. Either way the first exact minimum is the step's optimum.
+pricing study, ties to the smaller action. Both passes take a cost whose
+rule is a ``Quadratic``: a closed form of the grid CVaR screens every action
+of a block of steps at once, and only the actions within a rounding margin
+of a step's least value are evaluated exactly, the first exact minimum being
+the step's optimum. ``true_cvar`` takes any cost.
 
 The oracle makes two passes. Each makes the standard quantiles of its levels
 once and places them at a block of steps in one reused buffer: the search
@@ -131,13 +131,19 @@ def _closed_form_cvars(quad: Quadratic, z: np.ndarray, alpha: float,
              + (an - top) * kth * kth) / an + quad.weight * x ** 2)
 
 
+def _check_quadratic(cost: CostModel) -> None:
+    """Both passes need a cost whose rule is a ``Quadratic``: reject any other."""
+    if not isinstance(cost.fn, Quadratic):
+        raise ConfigurationError(f"the oracle needs a Quadratic cost rule, not {cost.fn!r}")
+
+
 def _exact_cvars(cost: CostModel, xi: np.ndarray, idx: np.ndarray,
                  x: np.ndarray, alpha: float, buf: np.ndarray) -> np.ndarray:
     """The CVaR of ``J(x[r], xi[idx[r]])`` for each row ``r``, bit for bit
     ``_cvars``', with ``xi`` ``(steps, n)`` a block of placed grids.
 
     As many rows at a time as the 1-D ``buf`` holds are gathered into it,
-    evaluated in place (``_costs_into``) and partitioned there; a strided
+    evaluated in place (``Quadratic.into``) and partitioned there; a strided
     buffer would partition differently.
     """
     n = xi.shape[1]
@@ -147,18 +153,9 @@ def _exact_cvars(cost: CostModel, xi: np.ndarray, idx: np.ndarray,
         part = slice(r, r + size)
         rows = buf[:idx[part].size * n].reshape(-1, n)
         np.take(xi, idx[part], axis=0, out=rows, mode="clip")
-        _costs_into(cost, x[part], rows)
+        cost.fn.into(x[part], rows)
         out[part] = _tail_means(rows, alpha)
     return out
-
-
-def _costs_into(cost: CostModel, x: np.ndarray, rows: np.ndarray) -> None:
-    """Replace the noise values of row ``rows[r]`` by their costs at
-    ``x[r]``: in place for a ``Quadratic``, else through ``cost.rows``."""
-    if isinstance(cost.fn, Quadratic):
-        cost.fn.into(x, rows)
-    else:
-        rows[...] = cost.rows(x, rows)
 
 
 @dataclass(frozen=True)
@@ -197,27 +194,24 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
     (step ``s + 1``) at the quantile ``levels``, and its CVaR: the search pass.
 
     A step's optimum is the first grid minimum of its exact CVaRs, as
-    ``np.argmin`` over all of them finds it. For a ``Quadratic`` cost, the
-    grid CVaRs of a block of steps are first made in closed form, and only
-    the actions within ``2 * _TOL * U`` of a step's least closed-form value
-    get an exact CVaR: the closed form errs by far less than that, so every
-    exact minimum is among them. Any other cost gets an exact CVaR for every
-    action. A block holds at most ``_BLOCK`` values of each ``(steps,
-    actions)`` array, whatever the grid's length. Steps are independent, so
-    the series does not depend on how the steps are cut.
+    ``np.argmin`` over all of them finds it. The cost's rule must be a
+    ``Quadratic``. The grid CVaRs of a block of steps are first made in
+    closed form, and only the actions within ``2 * _TOL * U`` of a step's
+    least closed-form value get an exact CVaR: the closed form errs by far
+    less than that, so every exact minimum is among them. A block holds at
+    most ``_BLOCK`` values of each ``(steps, actions)`` array, whatever the
+    grid's length. Steps are independent, so the series does not depend on
+    how the steps are cut.
     """
+    _check_quadratic(cost)
     alpha = _check_alpha(alpha)
     z = noise.family.quantile(levels)
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
     margin = 2.0 * _TOL * cost.bound
     x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
     for out, block, xi in _blocks(noise, z, steps, max(z.size, xs.size)):
-        if isinstance(cost.fn, Quadratic):
-            loc, scale = noise.table[block].T
-            screen = _closed_form_cvars(cost.fn, z, alpha, loc, scale, xs)
-            keep = screen <= screen.min(axis=1, keepdims=True) + margin
-        else:
-            keep = np.ones((block.size, xs.size), dtype=bool)
+        screen = _closed_form_cvars(cost.fn, z, alpha, *noise.table[block].T, xs)
+        keep = screen <= screen.min(axis=1, keepdims=True) + margin
         row, col = np.nonzero(keep)
         exact = np.full(keep.shape, np.inf)
         exact[row, col] = _exact_cvars(cost, xi, row, xs[col], alpha, buf)
@@ -238,11 +232,12 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     if a row alone holds more). These steps, in order, are cut into ranges,
     one per usable CPU, run at the same time in forked processes
     (``fork_ranges``), or in this process when their rows are too few for a
-    fork to pay. A step whose grid is one value ``n`` times (a point mass:
-    its least and greatest placed values have the same bits) gives each
-    trial one cost: ``_point_mass_cvars`` evaluates them all in one call, in
-    this process, with the bits of the row of ``n`` equal costs.
+    fork to pay. A point-mass step, whose scale is zero, has a grid of one
+    value ``n`` times and gives each trial one cost: ``_point_mass_cvars``
+    evaluates them all in one call, in this process, with the bits of the
+    row of ``n`` equal costs. The cost's rule must be a ``Quadratic``.
     """
+    _check_quadratic(cost)
     x_star, c_star = optima
     x_hat = np.asarray(x_hat, dtype=float)
     horizon = len(c_star)
@@ -251,12 +246,11 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
             f"played actions must have shape (trials, {horizon}), got {x_hat.shape}")
     alpha = _check_alpha(alpha)
     z = noise.family.quantile(levels)
-    # -0.0 + z * 0.0 takes the sign of z, so a zero scale alone is not enough.
-    least, greatest = noise.place(np.arange(1, horizon + 1), z[[0, -1], None])
-    point = least.view(np.int64) == greatest.view(np.int64)
+    loc, scale = noise._columns(np.arange(1, horizon + 1))
+    point = scale == 0
     spread, steps = np.flatnonzero(~point), np.flatnonzero(point)
     played = np.empty(x_hat.shape)
-    played[:, steps] = _point_mass_cvars(cost, least[steps], x_hat[:, steps],
+    played[:, steps] = _point_mass_cvars(cost.fn, loc[steps], x_hat[:, steps],
                                          alpha, z.size)
     ranges = fork_ranges(spread.size, x_hat.shape[0] * spread.size * z.size * _VALUE_S)
     for part, values in zip(ranges, fork_map(
@@ -289,24 +283,23 @@ def _played_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     return played
 
 
-def _point_mass_cvars(cost: CostModel, xi: np.ndarray, x: np.ndarray,
+def _point_mass_cvars(rule: Quadratic, loc: np.ndarray, x: np.ndarray,
                       alpha: float, n: int) -> np.ndarray:
     """The CVaRs ``(trials, steps)`` of the decisions ``x`` at steps whose
-    grid of ``n`` values holds the one value ``xi`` ``(steps,)``: bit for
-    bit ``_tail_means`` over each row of ``n`` equal costs.
+    grid of ``n`` values holds the one value ``loc`` ``(steps,)``: bit for
+    bit ``_tail_means`` over each row of ``n`` equal costs of ``rule``.
 
-    Each row's one cost ``c`` is evaluated once, all rows in one
-    ``_costs_into`` call. A row of equal values
-    partitions to itself, so with ``k = ceil(alpha n)`` its CVaR is ``(tail
-    + (alpha n - (k - 1)) c) / (alpha n)``, ``tail`` numpy's row sum of ``k
-    - 1`` copies of ``c``. They are read through a zero stride: numpy's
-    pairwise sum adds a row in one order at any stride, so ``tail`` has the
-    bits of the grid row's tail sum without a copy being made.
+    Each row's one cost ``c`` is evaluated once, all rows in one call; the
+    grid's values ``loc + z * 0.0`` differ from ``loc`` at most in a zero's
+    sign, which ``rule`` squares away. A row of equal values partitions to
+    itself, so with ``k = ceil(alpha n)`` its CVaR is ``(tail + (alpha n -
+    (k - 1)) c) / (alpha n)``, ``tail`` numpy's row sum of ``k - 1`` copies
+    of ``c``. They are read through a zero stride: numpy's pairwise sum
+    adds a row in one order at any stride, so ``tail`` has the bits of the
+    grid row's tail sum without a copy being made.
     """
     an = alpha * n
     k = min(n, math.ceil(an))
-    costs = np.empty((x.size, 1))
-    costs.reshape(x.shape)[...] = xi
-    _costs_into(cost, x.ravel(), costs)
+    costs = rule(x, loc).reshape(-1, 1)
     tail = np.broadcast_to(costs, (x.size, k - 1)).sum(axis=-1)
     return ((tail + (an - (k - 1)) * costs[:, 0]) / an).reshape(x.shape)

@@ -173,12 +173,16 @@ class TestConfigParsing:
         if field.type in ("int", "float")])
     def test_every_number_field_is_converted_by_the_config(self, field,
                                                            monkeypatch):
-        # Its string spelling builds the same config by either path, and a
-        # value that does not convert names the field, on a replace too.
+        # Its string spelling builds the same config by either path, on a
+        # scenario that reads it, and a value that does not convert names
+        # the field, on a replace too.
         monkeypatch.delenv("RA_SEED", raising=False)
+        scenario = {"noise_low": "custom", "noise_high": "custom",
+                    "diffusivity": "brownian"}.get(field, "parking")
         spelled = str(getattr(ExperimentConfig(), field))
-        assert (make_config({field: spelled}) == ExperimentConfig(**{field: spelled})
-                == ExperimentConfig())
+        assert (make_config({"scenario": scenario, field: spelled})
+                == ExperimentConfig(scenario=scenario, **{field: spelled})
+                == ExperimentConfig(scenario=scenario))
         for bad in ("x", None):
             with pytest.raises(ConfigurationError,
                                match=f"^bad value for '{field}': {bad!r}$"):
@@ -832,6 +836,18 @@ CONFIG_FAULTS = {
                          "diffusivity must be positive, got 0.0"),
     "diffusivity-negative": (["--scenario", "brownian"], "diffusivity = -1e-4\n",
                              "diffusivity must be positive, got -0.0001"),
+    "noise_low-on-parking": ([], "noise_low = 1.2\nnoise_high = 0.9\n",
+                             "configuration key 'noise_low' is not read by "
+                             "scenario 'parking'"),
+    "noise_high-on-brownian": (["--scenario", "brownian"], "noise_high = 0.9\n",
+                               "configuration key 'noise_high' is not read by "
+                               "scenario 'brownian'"),
+    "diffusivity-on-parking": ([], "diffusivity = -5\n",
+                               "configuration key 'diffusivity' is not read by "
+                               "scenario 'parking'"),
+    "diffusivity-on-custom": (["--scenario", "custom"], "diffusivity = 1e-4\n",
+                              "configuration key 'diffusivity' is not read by "
+                              "scenario 'custom'"),
 }
 
 
@@ -872,7 +888,9 @@ class TestConfigFaults:
         assert (tmp_path / "out" / "x_budget.csv").exists()
 
     @pytest.mark.parametrize("fault", [
-        "horizon-custom", "noise_low-above-noise_high", "diffusivity-zero"])
+        "horizon-custom", "noise_low-above-noise_high", "diffusivity-zero",
+        "noise_low-on-parking", "noise_high-on-brownian", "diffusivity-on-parking",
+        "diffusivity-on-custom"])
     def test_budget_rejects_the_fields_it_reads(self, tmp_path, capsys, fault):
         flags, text, message = CONFIG_FAULTS[fault]
         assert run_faulty(tmp_path, ["budget"], flags, text) == 1
@@ -949,14 +967,9 @@ class TestForkedRuns:
             message):
         force_jobs(2)
         if target == "cost":
-            build = harness.build_scenario
-
-            def scenario(config):
-                built = build(config)
-                cost = dataclasses.replace(built.cost,
-                                           fn=failing_in_child(built.cost.fn, fail))
-                return dataclasses.replace(built, cost=cost)
-            monkeypatch.setattr(harness, "build_scenario", scenario)
+            for name in ("__call__", "into"):
+                monkeypatch.setattr(core.Quadratic, name, failing_in_child(
+                    getattr(core.Quadratic, name), fail))
         else:
             monkeypatch.setattr(harness, "_write_csv",
                                 failing_in_child(harness._write_csv, fail))

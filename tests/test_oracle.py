@@ -217,7 +217,7 @@ class TestActionGrid:
 
 class TestOptimalActionGrid:
     def test_deterministic_quadratic_hits_exact_minimizer(self):
-        cost = CostModel(fn=lambda x, xi: (x - 3.0) ** 2 + 0.0 * xi, bound=100.0,
+        cost = CostModel(fn=Quadratic(slope=1.0, level=3.0), bound=100.0,
                          lipschitz=20.0)
         noise = constant_uniform(5, 0.0, 0.0)
         x_star, c_star = step_optimum(cost, noise, Box(1.0, 5.0), k=101,
@@ -227,15 +227,18 @@ class TestOptimalActionGrid:
         assert c_star == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_cost_picks_lower_edge_cell(self):
-        cost = CostModel(fn=lambda x, xi: x + 0.0 * xi, bound=10.0, lipschitz=1.0)
+        # xi^2 + x^2 rises in x across the interval.
+        cost = CostModel(fn=Quadratic(slope=0.0, weight=1.0), bound=26.0,
+                         lipschitz=10.0)
         noise = constant_uniform(5, 0.0, 1.0)
         x_star, _ = step_optimum(cost, noise, Box(1.0, 5.0), k=100,
                                  grid_n=1000)
         assert x_star == pytest.approx(1.0 + 4.0 / 200.0)
 
     def test_tie_breaks_toward_smaller_coordinate(self):
-        cost = CostModel(fn=lambda x, xi: np.abs(x) * 0.0 + 0.0 * xi + 1.0,
-                         bound=10.0, lipschitz=1.0)
+        # (xi - 1)^2 does not depend on x: every action's row has the same bits.
+        cost = CostModel(fn=Quadratic(slope=0.0, level=1.0), bound=1.0,
+                         lipschitz=1.0)
         noise = constant_uniform(5, 0.0, 1.0)
         x_star, _ = step_optimum(cost, noise, Box(1.0, 5.0), k=10,
                                  grid_n=1000)
@@ -250,21 +253,6 @@ class TestOptimalActionGrid:
                                       scen.region, k=100, grid_n=10_000)
         assert x_star == pytest.approx(2.54, abs=1e-9)
         assert 0.0 < c_star < scen.cost.bound
-
-
-# Costs convex in x for every noise value, keyed by family; ``c`` shifts and
-# ``w`` scales or widens. Hinge costs have a flat bottom of exact zeros, and
-# constant costs tie everywhere. Flat costs are constant in x too, but adding
-# and subtracting x rounds differently at each action, so their grid CVaR is
-# flat only up to rounding and has spurious local minima.
-CONVEX_COSTS = {
-    "flat": lambda c, w: lambda x, xi: (x + (4.0 + abs(c) + w * xi)) - x,
-    "quadratic": lambda c, w: lambda x, xi: w * (x - c - xi) ** 2,
-    "hinge": lambda c, w: lambda x, xi: np.maximum(np.abs(x - c - xi) - w, 0.0),
-    "linear": lambda c, w: lambda x, xi: (c - 1.0) * x + w * xi,
-    "constant": lambda c, w: lambda x, xi: 0.0 * x + 0.0 * xi + c,
-    "declared": lambda c, w: Quadratic(slope=c, level=w, weight=w / 4),
-}
 
 
 #: The search's cases: every scenario, the alpha edges, and 1,000 to 10,000
@@ -348,22 +336,18 @@ class TestConvexSearch:
             i = int(np.argmin(cv))
             assert (x_star[s], c_star[s]) == (xs[i], cv[i])
 
-    @given(family=st.sampled_from(sorted(CONVEX_COSTS)),
-           c=st.floats(-2.0, 2.0), w=st.floats(0.0, 2.0),
+    @given(c=st.floats(-2.0, 2.0), w=st.floats(0.0, 2.0),
            k=st.integers(2, 30), low=st.floats(-1.0, 1.0),
            width=st.floats(0.0, 1.0), alpha=st.floats(0.05, 1.0))
-    @example(family="flat", c=0.5, w=1.0, k=30, low=0.0, width=0.5,
-             alpha=0.25)  # rounding makes spurious local minima
-    @example(family="declared", c=0.0, w=1.0, k=30, low=0.0, width=0.5,
+    @example(c=0.0, w=1.0, k=30, low=0.0, width=0.5,
              alpha=0.25)  # a zero slope: every action ties exactly
-    @example(family="declared", c=1.0, w=0.5, k=10, low=0.0, width=5e-324,
+    @example(c=1.0, w=0.5, k=10, low=0.0, width=5e-324,
              alpha=1.0)  # a subnormal scale: -g / scale overflows
     @settings(max_examples=100, deadline=None)
-    def test_search_finds_the_first_argmin(self, family, c, w, k, low, width,
-                                           alpha):
-        # Undeclared costs are scanned exhaustively, declared ones screened
-        # first; both must return the first np.argmin of the exact CVaRs.
-        fn = CONVEX_COSTS[family](c, w)
+    def test_search_finds_the_first_argmin(self, c, w, k, low, width, alpha):
+        # The screened search must return the first np.argmin of the exact
+        # CVaRs of a Quadratic cost (c shifts it, w moves and weights it).
+        fn = Quadratic(slope=c, level=w, weight=w / 4)
         noise = constant_uniform(1, low, low + width)
         xi = noise_grid(noise, 1, 1000)
         xs = action_grid(Box(-1.0, 1.0), k)
@@ -401,6 +385,25 @@ class TestPassQuantiles:
         assert len(on_levels) == 2
         assert sum(q.size for q in draws) == config.trials * config.horizon * (4 + 8)
         assert all(q.ndim == 2 and q.shape[0] == config.trials for q in draws)
+
+
+@pytest.mark.parametrize("run_pass", [
+    lambda cost, noise, levels: optimal_action_series(
+        cost, noise, action_grid(Box(0.0, 1.0), 10), 0.5, range(5), levels),
+    lambda cost, noise, levels: dynamic_regret(
+        np.zeros((2, 5)), cost, noise, 0.5, (np.zeros(5), np.zeros(5)), levels),
+], ids=["search", "played"])
+def test_both_passes_reject_a_cost_that_is_not_a_quadratic(monkeypatch, run_pass):
+    noise = constant_uniform(5, 0.0, 1.0)
+
+    def no_grid(*args):
+        raise AssertionError("quantile or grid work for a rejected cost")
+
+    monkeypatch.setattr(noise, "family",
+                        dataclasses.replace(noise.family, quantile=no_grid))
+    monkeypatch.setattr(noise, "_columns", no_grid)
+    with pytest.raises(ConfigurationError, match="needs a Quadratic cost rule"):
+        run_pass(IDENTITY_COST, noise, _mid_quantiles(1000))
 
 
 class TestDynamicRegret:
@@ -471,7 +474,7 @@ class TestDynamicRegret:
         assert report.optimal_actions == pytest.approx(x_star)
 
     def test_single_step_arithmetic(self):
-        cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=100.0, lipschitz=20.0)
+        cost = CostModel(fn=Quadratic(slope=-1.0), bound=100.0, lipschitz=20.0)
         noise = constant_uniform(1, 1.0, 1.0)
         region = Box(0.0, 2.0)
         report = regret(played([0.0]), cost, noise, region, 0.5, k=101,
@@ -546,12 +549,6 @@ class TestForkedRegret:
                                       getattr(reports[0], field.name)), field.name
 
 
-#: A cost without the ``Quadratic`` declaration, evaluated through
-#: ``CostModel.rows``.
-HAND_BUILT_COST = CostModel(fn=lambda x, xi: (x - xi) ** 2 + 0.1 * x,
-                            bound=50.0, lipschitz=10.0)
-
-
 def bits(values):
     """The bytes of a float array: equal only if every value has the same bits."""
     return np.ascontiguousarray(values, dtype=float).tobytes()
@@ -561,9 +558,7 @@ class TestPointMassSteps:
     @pytest.mark.parametrize("grid_n", [1000, 2000, 10_000])
     @pytest.mark.parametrize("alpha", [1e-4, 0.3, 0.5, 1.0],
                              ids=["empty-tail", "0.3", "0.5", "k-equals-n"])
-    @pytest.mark.parametrize("cost", [pricing_scenario(10).cost, HAND_BUILT_COST],
-                             ids=["quadratic", "hand-built"])
-    def test_equals_the_tail_mean_of_the_placed_row(self, cost, alpha, grid_n):
+    def test_equals_the_tail_mean_of_the_placed_row(self, alpha, grid_n):
         # Point masses at 0.0 and -0.0 among others; each trial's CVaR at a
         # step is _tail_means over that step's full placed row, bit for bit.
         # At alpha = 1e-4, alpha * n < 1, so k = 1 and the tail is empty;
@@ -571,12 +566,12 @@ class TestPointMassSteps:
         # 8,192-value reduction buffer.
         locations = np.array([0.0, -0.0, 0.85, 1.1, -2.5])
         noise = UniformSeq(locations, locations)
+        cost = pricing_scenario(10).cost
         z = noise.family.quantile(_mid_quantiles(grid_n))
         steps = np.arange(1, locations.size + 1)
-        xi = noise.place(steps, z[:1])
         x = np.random.default_rng(57).uniform(-3.0, 5.0, (7, steps.size))
         x[0] = 0.0
-        got = oracle._point_mass_cvars(cost, xi, x, alpha, grid_n)
+        got = oracle._point_mass_cvars(cost.fn, locations, x, alpha, grid_n)
         reference = np.array([
             _tail_means(cost.rows(x[:, j], noise.place(t, z)[None, :]), alpha)
             for j, t in enumerate(steps)]).T
@@ -584,22 +579,30 @@ class TestPointMassSteps:
         assert bits(got) == bits(reference)
 
     @pytest.mark.parametrize("trials", [0, 3, _BLOCK // 1000 + 5])
-    @pytest.mark.parametrize("cost", [pricing_scenario(10).cost, HAND_BUILT_COST],
-                             ids=["quadratic", "hand-built"])
+    @pytest.mark.parametrize("family", ["uniform", "gaussian"])
     @pytest.mark.parametrize("kind", ["none", "some", "all"])
     def test_played_pass_equals_the_grid_pass_over_every_step(
-            self, force_jobs, kind, cost, trials):
-        # A uniform sequence with no point-mass steps, some (at 0.0 and
-        # -0.0 among them) or only those: the played pass, its spread steps
-        # in one job and in two, equals the grid pass over every step.
+            self, force_jobs, kind, family, trials):
+        # A sequence with no point-mass steps, some or only those: the
+        # played pass, its spread steps in one job and in two, equals the
+        # grid pass over every step. Steps 4-7 sit at 0.0 and -0.0 (a
+        # Gaussian grid of zero scale at -0.0 holds both zeros). Unless all
+        # are point masses, steps 6-9 have a subnormal or tiny scale: a grid
+        # of one value where the location absorbs it, yet no point mass.
         rng = np.random.default_rng(58)
         horizon = 31
-        lower = rng.uniform(-1.0, 2.0, horizon)
-        lower[[3, 4]] = 0.0, -0.0
+        loc = rng.uniform(-1.0, 2.0, horizon)
+        loc[3:7] = 0.0, -0.0, 0.0, -0.0
         point = {"none": np.zeros(horizon, bool), "all": np.ones(horizon, bool),
                  "some": rng.random(horizon) < 0.5}[kind]
-        noise = UniformSeq(lower, lower + np.where(point, 0.0, rng.random(horizon)))
+        scale = np.where(point, 0.0, rng.random(horizon))
+        if kind != "all":
+            point[5:9] = False
+            scale[5:9] = 5e-324, 1e-310, 5e-324, 1e-310
+        noise = core.NoiseSequence(np.column_stack([loc, scale]), {
+            "uniform": environment.UNIFORM, "gaussian": environment.GAUSSIAN}[family])
         assert np.array_equal(noise.table[:, 1] == 0, point)
+        cost = pricing_scenario(10).cost
         x_hat = rng.uniform(-2.0, 3.0, (trials, horizon))
         levels = _mid_quantiles(1000)
         reference = oracle._played_steps(x_hat, cost, noise, 0.5,
@@ -610,24 +613,6 @@ class TestPointMassSteps:
                                     (np.zeros(horizon), np.zeros(horizon)), levels)
             assert bits(report.played_cvar) == bits(reference)
             assert bits(report.accumulated_loss) == bits(np.cumsum(reference, axis=1))
-
-    def test_a_grid_of_signed_zeros_is_not_one_value(self):
-        # A zero-scale Gaussian step at -0.0 places -0.0 below the median
-        # level and 0.0 above it. A cost that tells them apart (arctan2 is
-        # -pi and pi there) has two values on the grid, so the step is
-        # evaluated there; the steps at 0.0 and 1.0 are one value each.
-        noise = core.NoiseSequence([[-0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-                                   environment.GAUSSIAN)
-        cost = CostModel(fn=lambda x, xi: np.arctan2(xi, -1.0) + x * x,
-                         bound=20.0, lipschitz=10.0)
-        x_hat = np.random.default_rng(59).uniform(-1.0, 1.0, (4, 3))
-        levels = _mid_quantiles(1000)
-        report = dynamic_regret(x_hat, cost, noise, 0.5, (np.zeros(3), np.zeros(3)),
-                                levels)
-        reference = oracle._played_steps(x_hat, cost, noise, 0.5,
-                                         noise.family.quantile(levels), range(3))
-        assert bits(report.played_cvar) == bits(reference)
-        assert (report.played_cvar[:, 0] > 3.0).all()
 
     def test_spread_steps_fork_on_their_own_estimate(self, monkeypatch):
         # Four spread and four point-mass steps of 2 trials at 1,024 levels:
@@ -664,30 +649,35 @@ class TestPointMassSteps:
         assert len(buffers) == 1
 
     @pytest.mark.parametrize("steps", [range(12), range(-1, 3)])
-    @pytest.mark.parametrize("cost", [pricing_scenario(10).cost, HAND_BUILT_COST],
-                             ids=["quadratic", "hand-built"])
-    def test_a_step_outside_the_noise_is_rejected(self, cost, steps):
+    def test_a_step_outside_the_noise_is_rejected(self, steps):
+        # The search pass at steps beyond either end of a 10-step noise, and
+        # the played pass against optima of 12 steps.
         scen = pricing_scenario(10)
+        levels = _mid_quantiles(1000)
         with pytest.raises(ConfigurationError, match="outside horizon"):
-            optimal_action_series(cost, scen.noise, action_grid(scen.region, 10),
-                                  0.5, steps, _mid_quantiles(1000))
+            optimal_action_series(scen.cost, scen.noise,
+                                  action_grid(scen.region, 10), 0.5, steps, levels)
+        with pytest.raises(ConfigurationError, match="outside horizon"):
+            dynamic_regret(np.zeros((2, 12)), scen.cost, scen.noise, 0.5,
+                           (np.zeros(12), np.zeros(12)), levels)
 
 
 class TestAccumulatedLoss:
     UNIT_BOX = Box(0.0, 1.0)
 
     def test_zero_cost(self):
-        cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0,
-                         lipschitz=1.0)
-        noise = constant_uniform(10, 0.0, 1.0)
+        # xi^2 at a point mass at 0.
+        cost = CostModel(fn=Quadratic(slope=0.0), bound=1.0, lipschitz=1.0)
+        noise = constant_uniform(10, 0.0, 0.0)
         report = regret(played(np.full(10, 0.5)), cost, noise, self.UNIT_BOX,
                         0.5, k=10, grid_n=1000)
         assert report.accumulated_loss[0] == pytest.approx(np.zeros(10))
 
     def test_constant_cost_accumulates_linearly(self):
-        cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi + 3.0, bound=4.0,
-                         lipschitz=1.0)
-        noise = constant_uniform(10, 0.0, 1.0)
+        # xi^2 + 12 x^2 is 3 at a point mass at 0 and x = 0.5.
+        cost = CostModel(fn=Quadratic(slope=0.0, weight=12.0), bound=12.0,
+                         lipschitz=24.0)
+        noise = constant_uniform(10, 0.0, 0.0)
         got = regret(played(np.full(10, 0.5)), cost, noise, self.UNIT_BOX,
                      0.5, k=10, grid_n=1000).accumulated_loss[0]
         assert got == pytest.approx(3.0 * np.arange(1, 11))
