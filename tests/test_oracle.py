@@ -650,16 +650,26 @@ class TestPointMassSteps:
 
     @pytest.mark.parametrize("steps", [range(12), range(-1, 3)])
     def test_a_step_outside_the_noise_is_rejected(self, steps):
-        # The search pass at steps beyond either end of a 10-step noise, and
-        # the played pass against optima of 12 steps.
+        # The search pass at steps beyond either end of a 10-step noise.
         scen = pricing_scenario(10)
-        levels = _mid_quantiles(1000)
         with pytest.raises(ConfigurationError, match="outside horizon"):
             optimal_action_series(scen.cost, scen.noise,
-                                  action_grid(scen.region, 10), 0.5, steps, levels)
-        with pytest.raises(ConfigurationError, match="outside horizon"):
-            dynamic_regret(np.zeros((2, 12)), scen.cost, scen.noise, 0.5,
-                           (np.zeros(12), np.zeros(12)), levels)
+                                  action_grid(scen.region, 10), 0.5, steps,
+                                  _mid_quantiles(1000))
+
+    @pytest.mark.parametrize("shape, horizon, match", [
+        ((2, 12), 12, "outside horizon"),
+        ((2, 9), 10, r"must have shape \(trials, 10\)"),
+        ((10,), 10, r"must have shape \(trials, 10\)"),
+    ], ids=["optima-past-the-noise", "fewer-played-steps", "one-flat-row"])
+    def test_the_played_pass_rejects_what_does_not_fit(self, shape, horizon, match):
+        # The played pass against a 10-step noise: optima of 12 steps reach
+        # past it, and played actions must be (trials, T) for the optima's T.
+        scen = pricing_scenario(10)
+        with pytest.raises(ConfigurationError, match=match):
+            dynamic_regret(np.zeros(shape), scen.cost, scen.noise, 0.5,
+                           (np.zeros(horizon), np.zeros(horizon)),
+                           _mid_quantiles(1000))
 
 
 class TestAccumulatedLoss:
