@@ -41,7 +41,7 @@ _CONFIG_FLAGS = {
     "--rate": ("rate_rule", "learning-rate rule: constant or inverse"),
     "--x0": ("x0", "initial decision"),
     "--trials": ("trials", "number of seeded trials"),
-    "--seed": ("base_seed", "base seed (RA_SEED overrides)"),
+    "--seed": ("base_seed", "base seed: trial i uses seed + i"),
     "--out": ("out_prefix", "output path prefix"),
     "--oracle-grid": ("oracle_grid", "quantile grid size of the evaluation oracle"),
     "--oracle-k": ("oracle_k", "action-grid size of the evaluation oracle"),
@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=(*SUITES, "all"))
     p_ver.set_defaults(func=_cmd_verify)
 
-    # Values stay strings until _cmd_params, so a bad one exits 1, not 2.
+    # Values stay strings until _cmd_params, so a bad one is reported as a
+    # configuration error that names its flag.
     p_par = sub.add_parser("params", help="theorem parameter calculator")
     p_par.add_argument("--T", required=True)
     p_par.add_argument("--budget", "--vd", required=True, dest="budget")

@@ -117,8 +117,8 @@ class ExperimentConfig:
         and check, at every build (``dataclasses.replace`` too), the rules
         that no object built from the config owns, and the horizon, which
         ``constant_uniform``'s ``np.full`` reads unchecked. This is the one
-        converter of config values: a file's, a flag's, ``RA_SEED``, an
-        ``ablate --counts`` entry; a value that does not convert is a bad value."""
+        converter of config values: a file's, a flag's, an ``ablate --counts``
+        entry; a value that does not convert is a bad value."""
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             try:
@@ -153,7 +153,7 @@ def load_config_file(path) -> dict:
     values: dict = {}
     lines: dict = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,9 +176,8 @@ def make_config(*sources: dict) -> ExperimentConfig:
     A ``None`` value is skipped; an unknown key is rejected, and so is a set
     key that only another scenario reads, which a built config cannot tell
     from a default. The layered values, strings or numbers, are
-    ``ExperimentConfig``'s to convert and check. The ``RA_SEED``
-    environment variable, when set, overrides the base seed of the built
-    config, so a bad source value is reported first.
+    ``ExperimentConfig``'s to convert and check. The sources are the only
+    input: no environment variable changes the built config.
     """
     names = {field.name for field in dataclasses.fields(ExperimentConfig)}
     merged = {key: value for source in sources
@@ -192,14 +191,7 @@ def make_config(*sources: dict) -> ExperimentConfig:
         if key not in own and any(key in row[-1] for row in _SCENARIO_TABLE.values()):
             raise ConfigurationError(
                 f"configuration key {key!r} is not read by scenario {config.scenario!r}")
-    env_seed = os.environ.get("RA_SEED")
-    if env_seed is None:
-        return config
-    try:
-        seed = _as_int(env_seed)
-    except ValueError as exc:
-        raise ConfigurationError(f"RA_SEED must be an integer, got {env_seed!r}") from exc
-    return dataclasses.replace(config, base_seed=seed)
+    return config
 
 
 @dataclass(frozen=True)
@@ -258,11 +250,16 @@ def _learner(config: ExperimentConfig, scenario: Scenario
     checked by their owners, and the sampling-requirement check of the
     counts it runs, which logs a violation and goes on."""
     size = schedule._check_batch_size(config.batch_size)  # before np.full reads it
+    try:  # NumPy refuses a column beyond the address space, counts before rates
+        counts = np.full(size, config.samples)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigurationError(
+            f"batch size {size} is too large for its per-epoch columns") from exc
     settings = learner.LearnerConfig(
         horizon=config.horizon,
         delta=config.delta,
         alpha=config.alpha,
-        counts=np.full(size, config.samples),
+        counts=counts,
         rates=(schedule.inverse_epoch_rates(scenario.cost.strong_convexity, size)
                if config.rate_rule == "inverse" else np.full(size, config.eta)),
         x0=config.x0,

@@ -188,6 +188,15 @@ def test_cli_csv_hashes(tmp_path, force_jobs, case, jobs):
         f"AVX-512 dispatch on; this run: {_simd()}")
 
 
+def test_run_bytes_ignore_the_environment(tmp_path, monkeypatch):
+    # A run's bytes depend on its command line and config file alone, so a
+    # seed exported in the environment moves none of them.
+    monkeypatch.setenv("RA_SEED", "99")
+    argv, prefix, expected = CASES["run-parking"]
+    assert cli.main([*argv, "--out", str(tmp_path / prefix)]) == 0
+    assert _hashes(tmp_path) == expected
+
+
 @pytest.mark.parametrize("scenario, horizon", list(COST_CONSTANTS),
                          ids=[f"{s}-T{t}" for s, t in COST_CONSTANTS])
 def test_cost_constants_bits(scenario, horizon):

@@ -58,9 +58,13 @@ def small_config(tmp_path, **overrides):
 
 
 class TestConfigParsing:
-    def test_file_plus_overrides(self, tmp_path):
+    # A Windows editor may save the file with a byte-order mark and CRLF ends.
+    @pytest.mark.parametrize("encoding, newline", [
+        ("utf-8", "\n"), ("utf-8-sig", "\r\n")], ids=["plain", "bom-crlf"])
+    def test_file_plus_overrides(self, tmp_path, encoding, newline):
         path = tmp_path / "exp.cfg"
-        path.write_text("horizon = 100  # steps\nalpha = 0.25\n\n# comment\n")
+        path.write_text("horizon = 100  # steps\nalpha = 0.25\n\n# comment\n",
+                        encoding=encoding, newline=newline)
         config = make_config(load_config_file(path), {"alpha": 0.5})
         assert config.horizon == 100
         assert config.alpha == 0.5
@@ -95,32 +99,6 @@ class TestConfigParsing:
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             make_config({field: value})
-
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv("RA_SEED", "99")
-        assert make_config({"base_seed": 3}).base_seed == 99
-        assert make_config({"base_seed": "1"}, {"base_seed": "3"}).base_seed == 99
-        # A bad flag value is reported before the environment is read.
-        with pytest.raises(ConfigurationError, match="bad value for 'base_seed'"):
-            make_config({"base_seed": "x"})
-        monkeypatch.setenv("RA_SEED", "6.5")
-        with pytest.raises(ConfigurationError,
-                           match=r"^RA_SEED must be an integer, got '6\.5'$"):
-            make_config({"base_seed": "3"})
-        monkeypatch.setenv("RA_SEED", "-1")
-        with pytest.raises(ConfigurationError,
-                           match=r"^base_seed must be >= 0, got -1$"):
-            make_config({"base_seed": "3"})
-
-    def test_env_seed_parses_as_the_seed_flag_does(self, tmp_path, monkeypatch,
-                                                   capsys):
-        monkeypatch.setenv("RA_SEED", "6e3")
-        assert make_config({}).base_seed == 6000
-        monkeypatch.setenv("RA_SEED", "6.5")
-        forbid_oracle_and_learner(monkeypatch)
-        assert cli.main(["run", "--out", str(tmp_path / "x")]) == 1
-        assert "RA_SEED" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
 
     def test_repeated_key_rejected(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "exp.cfg"
@@ -171,12 +149,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize("field", [
         field.name for field in dataclasses.fields(ExperimentConfig)
         if field.type in ("int", "float")])
-    def test_every_number_field_is_converted_by_the_config(self, field,
-                                                           monkeypatch):
+    def test_every_number_field_is_converted_by_the_config(self, field):
         # Its string spelling builds the same config by either path, on a
         # scenario that reads it, and a value that does not convert names
         # the field, on a replace too.
-        monkeypatch.delenv("RA_SEED", raising=False)
         scenario = {"noise_low": "custom", "noise_high": "custom",
                     "diffusivity": "brownian"}.get(field, "parking")
         spelled = str(getattr(ExperimentConfig(), field))
@@ -714,7 +690,6 @@ class TestCli:
                 f"assert cli.main({argv!r}) == 0; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
-        env.pop("RA_SEED", None)
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
@@ -748,7 +723,6 @@ class TestCli:
             f"assert cli.main({[*argv, '--out', 'p']!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
-        env.pop("RA_SEED", None)
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
         if proc.stdout.splitlines()[-1] == "eager":
@@ -764,7 +738,6 @@ class TestCli:
                 "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
                 "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
-        env.pop("RA_SEED", None)
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
@@ -789,17 +762,6 @@ class TestCli:
             lambda which: [verify.CheckResult("risk", "synthetic", True, "")])
         assert cli.main(["verify", "risk"]) == 0
 
-    def test_ra_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RA_SEED", "5")
-        cfg = small_config(tmp_path, trials=1)
-        x_env = run_experiment(make_config(
-            {"horizon": 10, "batch_size": 5, "trials": 1,
-             "oracle_k": 10, "oracle_grid": 1000,
-             "out_prefix": str(tmp_path / "env")})).trace.x
-        monkeypatch.delenv("RA_SEED")
-        x_five = run_experiment(dataclasses.replace(cfg, base_seed=5)).trace.x
-        assert np.array_equal(x_env, x_five)
-
 
 # Every range rule of a run's configuration: the flags and config-file lines
 # that break it, and the message of the object that owns the rule.
@@ -808,6 +770,12 @@ CONFIG_FAULTS = {
     "horizon-custom": (["--scenario", "custom", "--T", "-3"], "",
                        "horizon must be >= 1, got -3"),
     "batch_size": (["--batch", "1"], "", "batch size must be >= 2, got 1"),
+    # Columns beyond the address space, which NumPy refuses without allocating.
+    "batch_size-oversized": (["--batch", "1e15"], "", "batch size 1000000000000000 "
+                             "is too large for its per-epoch columns"),
+    "batch_size-oversized-inverse": (
+        ["--rate", "inverse", "--batch", "1e19"], "",
+        "batch size 10000000000000000000 is too large for its per-epoch columns"),
     "alpha-zero": (["--alpha", "0"], "", "risk level alpha=0.0 must lie in (0, 1]"),
     "alpha-above-one": (["--alpha", "1.5"], "",
                         "risk level alpha=1.5 must lie in (0, 1]"),
@@ -880,7 +848,8 @@ class TestConfigFaults:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fault", [
-        "batch_size", "alpha-above-one", "delta-at-inradius", "eta", "samples",
+        "batch_size", "batch_size-oversized", "batch_size-oversized-inverse",
+        "alpha-above-one", "delta-at-inradius", "eta", "samples",
         "oracle_k", "oracle_grid"])
     def test_budget_checks_only_the_fields_it_reads(self, tmp_path, fault):
         flags, text, _ = CONFIG_FAULTS[fault]
@@ -1017,7 +986,6 @@ class TestForkedRuns:
             f"*{FORK_RUN!r}, '--out', 'f'])\n"
             "print(code, len(forks), 'multiprocessing' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
-        env.pop("RA_SEED", None)
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env=env, capture_output=True, text=True, check=True)
         forked = code == 0
@@ -1036,7 +1004,6 @@ class TestForkedRuns:
                 "from cvarlearn import cli; print('before the run'); "
                 f"sys.exit(cli.main(['run', *{FORK_RUN!r}, '--out', 'f']))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
-        env.pop("RA_SEED", None)
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
         out, err = proc.stdout.splitlines(), proc.stderr.splitlines()
@@ -1109,9 +1076,8 @@ class TestConfigFuzz:
                 argv.append(f"--config={path}")
             err = io.StringIO()
             with (mock.patch.object(harness, "fork_map", accept),
-                  mock.patch.dict(os.environ), contextlib.redirect_stderr(err),
+                  contextlib.redirect_stderr(err),
                   contextlib.redirect_stdout(io.StringIO())):
-                os.environ.pop("RA_SEED", None)
                 try:
                     code = cli.main(argv)
                 except Accepted:

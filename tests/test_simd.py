@@ -28,7 +28,6 @@ LEVELS = ("X86_V2", "X86_V3")
 def test_run_case_gives_its_pinned_hashes_at_every_level(tmp_path):
     argv, prefix, expected = CASES["run-parking"]
     env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
-    env.pop("RA_SEED", None)
     hashes = {}
     for level in LEVELS:
         out = tmp_path / level
