@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``run`` (multi-trial experiment), ``ablate`` (sample-count
-study), ``budget`` (variation budget and parameter suggestions), ``verify``
-(invariant suites), and ``params`` (theorem parameter calculator). Exit
-codes: 0 success, 1 configuration or usage error, 2 runtime failure, 3
-verification failure. A command writes its CSVs after its library call returns.
+study), ``budget`` (variation budget and the theorems' parameter selections
+at the scenario's budget) and ``verify`` (invariant suites). Exit codes: 0
+success, 1 configuration or usage error, 2 runtime failure, 3 verification
+failure. A command writes its CSVs after its library call returns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import logging
 import sys
 
-from .core import ConfigurationError, _as_int
+from .core import ConfigurationError
 from .harness import (
     compute_budget,
     load_config_file,
@@ -24,7 +24,6 @@ from .harness import (
     write_budget,
     write_experiments,
 )
-from .schedule import theorem1_params, theorem2_params
 from .verify import SUITES, run_suites
 
 #: Config flags: flag -> (ExperimentConfig field, help). Their values reach
@@ -118,28 +117,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 3
 
 
-def _params_flag(args: argparse.Namespace, name: str, convert):
-    """A ``params`` flag's string as a number; a bad value exits 1."""
-    value = getattr(args, name)
-    try:
-        return None if value is None else convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad value for --{name}: {value!r}") from exc
-
-
-def _cmd_params(args: argparse.Namespace) -> int:
-    horizon = _params_flag(args, "T", _as_int)
-    budget, a, m = (_params_flag(args, name, float) for name in ("budget", "a", "m"))
-    t1 = theorem1_params(horizon, budget, a)
-    t2 = None if m is None else theorem2_params(horizon, budget, a, m)
-    print(f"convex:          delta={t1.delta:.12g} eta={t1.eta:.12g} "
-          f"batch={t1.batch_size}")
-    if t2 is not None:
-        print(f"strongly convex: delta={t2.delta:.12g} batch={t2.batch_size} "
-              f"eta_tau=1/({m:g}*tau)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvarlearn",
@@ -165,15 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", nargs="?", default="all",
                        choices=(*SUITES, "all"))
     p_ver.set_defaults(func=_cmd_verify)
-
-    # Values stay strings until _cmd_params, so a bad one is reported as a
-    # configuration error that names its flag.
-    p_par = sub.add_parser("params", help="theorem parameter calculator")
-    p_par.add_argument("--T", required=True)
-    p_par.add_argument("--budget", "--vd", required=True, dest="budget")
-    p_par.add_argument("--a", required=True, help="sampling tuning parameter")
-    p_par.add_argument("--m", help="strong-convexity modulus")
-    p_par.set_defaults(func=_cmd_params)
     return parser
 
 
@@ -189,7 +157,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime failure: {exc}", file=sys.stderr)
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -211,7 +211,13 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     parameters; the learner's and the oracle's are checked by ``_experiments``.
     """
     make_noise, region, rule, _ = _SCENARIO_TABLE[config.scenario]
-    noise = make_noise(config)
+    try:  # Python and NumPy refuse a noise table beyond the address space
+        noise = make_noise(config)
+    except ConfigurationError:
+        raise
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ConfigurationError(
+            f"horizon {config.horizon} is too large for its noise table") from exc
     lo, hi = noise.support(np.arange(1, config.horizon + 1))
     cost = rule.model(region, (float(lo.min()), float(hi.max())))
     _warn_point_masses(noise.table[:, 1])

@@ -26,6 +26,8 @@ __all__ = [
     "inverse_epoch_rates",
     "RequirementCheck",
     "check_sampling_requirement",
+    "CONVEX_SAMPLING_LIMIT",
+    "STRONGLY_CONVEX_SAMPLING_LIMIT",
     "Theorem1Params",
     "Theorem2Params",
     "theorem1_params",
@@ -125,6 +127,12 @@ def check_sampling_requirement(counts, a: float, c: float) -> RequirementCheck:
     return RequirementCheck(achieved <= allowed, achieved, allowed)
 
 
+#: The sampling parameter beyond which more samples no longer lower the
+#: bound: the selectors cap ``a`` here.
+CONVEX_SAMPLING_LIMIT = 1.0
+STRONGLY_CONVEX_SAMPLING_LIMIT = 4.0 / 3.0
+
+
 class Theorem1Params(NamedTuple):
     delta: float
     eta: float
@@ -161,38 +169,27 @@ def _round_batch(raw: float) -> int:
 def theorem1_params(horizon: int, budget: float, a: float) -> Theorem1Params:
     """Order-optimal parameters for the convex regime.
 
-    For ``a <= 1`` the exponents depend on the sampling parameter; beyond
-    ``a = 1`` extra samples stop helping and the selection freezes at the
-    1/5, 3/5, 4/5 exponents. Constants are unit (the analysis optimizes
+    The exponents depend on the sampling parameter up to
+    ``CONVEX_SAMPLING_LIMIT``; beyond it extra samples stop helping, so
+    ``a`` is capped there. Constants are unit (the analysis optimizes
     orders only); scale externally if needed.
     """
     horizon, budget = _check_budget(horizon, budget, a)
-    ratio = budget / horizon
-    if a <= 1.0:
-        delta = ratio ** (a / (4.0 + a))
-        eta = ratio ** (3.0 * a / (4.0 + a))
-        raw = (1.0 / ratio) ** (4.0 / (4.0 + a))
-    else:
-        delta = ratio ** 0.2
-        eta = ratio ** 0.6
-        raw = (1.0 / ratio) ** 0.8
-    return Theorem1Params(delta, eta, _round_batch(raw))
+    ratio, a = budget / horizon, min(a, CONVEX_SAMPLING_LIMIT)
+    return Theorem1Params(ratio ** (a / (4.0 + a)), ratio ** (3.0 * a / (4.0 + a)),
+                          _round_batch((1.0 / ratio) ** (4.0 / (4.0 + a))))
 
 
 def theorem2_params(horizon: int, budget: float, a: float,
                     modulus: float) -> Theorem2Params:
-    """Order-optimal parameters for the strongly convex regime.
+    """Order-optimal parameters for the strongly convex regime, with ``a``
+    capped at ``STRONGLY_CONVEX_SAMPLING_LIMIT``.
 
     The learning rates are the inverse-epoch column ``1/(modulus * tau)``
-    over the batch; the branch boundary sits at ``a = 4/3`` (inclusive below).
+    over the batch.
     """
     horizon, budget = _check_budget(horizon, budget, a)
-    ratio = budget / horizon
-    if a <= 4.0 / 3.0:
-        delta = ratio ** (a / (4.0 + a))
-        raw = (1.0 / ratio) ** (4.0 / (4.0 + a))
-    else:
-        delta = ratio ** 0.25
-        raw = (1.0 / ratio) ** 0.75
-    batch_size = _round_batch(raw)
-    return Theorem2Params(delta, batch_size, inverse_epoch_rates(modulus, batch_size))
+    ratio, a = budget / horizon, min(a, STRONGLY_CONVEX_SAMPLING_LIMIT)
+    batch_size = _round_batch((1.0 / ratio) ** (4.0 / (4.0 + a)))
+    return Theorem2Params(ratio ** (a / (4.0 + a)), batch_size,
+                          inverse_epoch_rates(modulus, batch_size))

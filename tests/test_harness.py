@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import dataclasses
 import io
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,6 +37,7 @@ from cvarlearn.harness import (
     run_experiment,
 )
 from cvarlearn.risk import cvar_discrete
+from cvarlearn.schedule import theorem1_params, theorem2_params
 
 
 def forbid_oracle_and_learner(monkeypatch):
@@ -594,7 +597,7 @@ class TestCli:
         assert cli.main(["run", "--jobs", "1", "--out", str(tmp_path / "x")]) == 1
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["run", "--bogus"], ["params", "--T", "10"],
+    @pytest.mark.parametrize("argv", [["run", "--bogus"], ["ablate", "--counts"],
                                       ["verify", "nosuch"]],
                              ids=["unknown-flag", "missing-flags", "unknown-suite"])
     def test_usage_error_exits_one(self, capsys, argv):
@@ -606,6 +609,20 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "usage: cvarlearn" in capsys.readouterr().out
+
+    def test_readme_cli_block_matches_the_parser(self):
+        # README's CLI block lists exactly the parser's subcommands, and its
+        # "Common flags" sentence exactly `run`'s flags.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        listed = {line.split()[1] for line in block.splitlines()}
+        sentence = re.search(r"Common flags:(.*?)\.\s", section, re.DOTALL).group(1)
+        flags = set(re.findall(r"`(--[\w-]+)", sentence))
+        sub = next(action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert listed == set(sub.choices)
+        assert flags == set(sub.choices["run"]._option_string_actions) - {"-h", "--help"}
 
     def test_run_logs_once(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO):
@@ -651,26 +668,15 @@ class TestCli:
                          "--out", str(blocker / "sub" / "x")])
         assert code == 2
 
-    def test_params_output(self, capsys):
-        code = cli.main(["params", "--T", "10000", "--budget", "10", "--a", "1",
-                         "--m", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "0.251188643" in out and "batch=251" in out
-        assert "strongly convex" in out
-
-    @pytest.mark.parametrize("flag", [
-        ["--T", "40.7"], ["--budget", "nan"], ["--a", "nan"], ["--a", "inf"],
-        ["--m", "nan"],
-    ], ids=["T-fraction", "budget-nan", "a-nan", "a-inf", "m-nan"])
-    def test_params_fault_exits_one(self, capsys, flag):
-        values = {"--T": "10000", "--budget": "10", "--a": "1", "--m": "1"}
-        values[flag[0]] = flag[1]
-        code = cli.main(["params", *(x for kv in values.items() for x in kv)])
-        assert code == 1
-        out, err = capsys.readouterr()
-        assert "configuration error" in err
-        assert out == ""
+    @pytest.mark.parametrize("exc, named", [
+        (MemoryError(), "MemoryError"), (OSError("disk full"), "disk full")],
+        ids=["empty-message", "message"])
+    def test_runtime_failure_names_itself(self, monkeypatch, capsys, exc, named):
+        def fail(config):
+            raise exc
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert cli.main(["run", "--T", "10"]) == 2
+        assert capsys.readouterr().err == f"runtime failure: {named}\n"
 
     @pytest.mark.parametrize("argv, files", [
         (["run"], ["p_aggregate.csv", "p_trial0.csv", "p_trial1.csv"]),
@@ -752,6 +758,35 @@ class TestCli:
         assert not any(rec.getMessage().startswith("initial decision projected")
                        for rec in caplog.records)
 
+    @pytest.mark.parametrize("flags, values", [
+        (["--T", "6000"], {"horizon": "6000"}), (["--T", "1500"], {"horizon": "1500"}),
+        (["--scenario", "brownian"], {"scenario": "brownian"})],
+        ids=["parking-6000", "parking-1500", "brownian"])
+    def test_budget_prints_the_theorem_selections(self, tmp_path, capsys, flags, values):
+        code = cli.main(["budget", *flags, "--out", str(tmp_path / "b")])
+        assert code == 0
+        out = capsys.readouterr().out
+        config = make_config({}, values)
+        report = compute_budget(config)
+        horizon, a, m = config.horizon, config.sampling_a, report.modulus
+        t1 = theorem1_params(horizon, report.budget, a)
+        t2 = theorem2_params(horizon, report.budget, a, m)
+        shown = re.search(r"V_D = (\S+)\nconvex selection +\(a=(\S+)\): "
+                          r"delta=(\S+) eta=(\S+) batch=(\d+)\n"
+                          r"strongly convex selection \(a=(\S+)\): delta=(\S+) "
+                          r"batch=(\d+) eta_tau=1/\((\S+)\*tau\)\n", out).groups()
+        assert [float(v) for v in shown] == [
+            float(f"{v:{spec}}") for v, spec in [
+                (report.budget, ".10g"), (a, "g"), (t1.delta, ".6g"), (t1.eta, ".6g"),
+                (t1.batch_size, "d"), (a, "g"), (t2.delta, ".6g"),
+                (t2.batch_size, "d"), (m, ".6g")]]
+
+    def test_budget_prints_no_selection_for_a_static_scenario(self, tmp_path, capsys):
+        assert cli.main(["budget", "--scenario", "custom",
+                         "--out", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out
+        assert "V_D = 0\n" in out and "selection" not in out
+
     def test_verify_suite_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "run_suites",
@@ -769,6 +804,22 @@ CONFIG_FAULTS = {
     "horizon": (["--T", "0"], "", "horizon must be >= 1, got 0"),
     "horizon-custom": (["--scenario", "custom", "--T", "-3"], "",
                        "horizon must be >= 1, got -3"),
+    # A noise table beyond the address space: a MemoryError from Python's
+    # list (parking) or NumPy (custom, brownian), past int64 an OverflowError
+    # or NumPy's ValueError.
+    "horizon-oversized": (["--T", "1e15"], "", "horizon 1000000000000000 is too "
+                          "large for its noise table"),
+    "horizon-oversized-custom": (["--scenario", "custom", "--T", "1e15"], "",
+                                 "horizon 1000000000000000 is too large for its "
+                                 "noise table"),
+    "horizon-oversized-brownian": (["--scenario", "brownian", "--T", "1e15"], "",
+                                   "horizon 1000000000000000 is too large for its "
+                                   "noise table"),
+    "horizon-beyond-int64": (["--T", "1e19"], "", "horizon 10000000000000000000 is "
+                             "too large for its noise table"),
+    "horizon-beyond-int64-brownian": (
+        ["--scenario", "brownian", "--T", "1e19"], "",
+        "horizon 10000000000000000000 is too large for its noise table"),
     "batch_size": (["--batch", "1"], "", "batch size must be >= 2, got 1"),
     # Columns beyond the address space, which NumPy refuses without allocating.
     "batch_size-oversized": (["--batch", "1e15"], "", "batch size 1000000000000000 "
@@ -857,7 +908,9 @@ class TestConfigFaults:
         assert (tmp_path / "out" / "x_budget.csv").exists()
 
     @pytest.mark.parametrize("fault", [
-        "horizon-custom", "noise_low-above-noise_high", "diffusivity-zero",
+        "horizon-custom", "horizon-oversized", "horizon-oversized-custom",
+        "horizon-oversized-brownian", "horizon-beyond-int64",
+        "horizon-beyond-int64-brownian", "noise_low-above-noise_high", "diffusivity-zero",
         "noise_low-on-parking", "noise_high-on-brownian", "diffusivity-on-parking",
         "diffusivity-on-custom"])
     def test_budget_rejects_the_fields_it_reads(self, tmp_path, capsys, fault):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from cvarlearn.core import ConfigurationError
 from cvarlearn.schedule import (
+    CONVEX_SAMPLING_LIMIT,
+    STRONGLY_CONVEX_SAMPLING_LIMIT,
     batch_epoch,
     check_sampling_requirement,
     inverse_epoch_rates,
@@ -195,6 +197,23 @@ class TestTheoremParams:
         p = theorem2_params(10_000, 10.0, a, 1.0)
         ratio = 10.0 / 10_000
         assert p.delta == pytest.approx(ratio ** (a / (4 + a)), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [CONVEX_SAMPLING_LIMIT,
+                                   np.nextafter(CONVEX_SAMPLING_LIMIT, 2.0), 3.0])
+    def test_theorem1_at_and_beyond_its_limit_has_the_frozen_exponents(self, a):
+        # The capped formula gives the 1/5, 3/5 and 4/5 exponents bit for bit.
+        ratio = 10.0 / 10_000
+        assert theorem1_params(10_000, 10.0, a) == (
+            ratio ** 0.2, ratio ** 0.6, math.floor((1.0 / ratio) ** 0.8 + 0.5))
+
+    @pytest.mark.parametrize("a", [STRONGLY_CONVEX_SAMPLING_LIMIT,
+                                   np.nextafter(STRONGLY_CONVEX_SAMPLING_LIMIT, 2.0),
+                                   3.0])
+    def test_theorem2_at_and_beyond_its_limit_has_the_frozen_exponents(self, a):
+        ratio = 10.0 / 10_000
+        p = theorem2_params(10_000, 10.0, a, 1.0)
+        assert (p.delta, p.batch_size) == (
+            ratio ** 0.25, math.floor((1.0 / ratio) ** 0.75 + 0.5))
 
     def test_theorem2_rate_rule(self):
         p = theorem2_params(10_000, 10.0, 1.0, 2.0)
