@@ -42,8 +42,6 @@ _CONFIG_FLAGS = {
     "--trials": ("trials", "number of seeded trials"),
     "--seed": ("base_seed", "base seed: trial i uses seed + i"),
     "--out": ("out_prefix", "output path prefix"),
-    "--oracle-grid": ("oracle_grid", "quantile grid size of the evaluation oracle"),
-    "--oracle-k": ("oracle_k", "action-grid size of the evaluation oracle"),
 }
 
 

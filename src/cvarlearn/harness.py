@@ -64,6 +64,10 @@ PRICES = Box(1.0, 5.0)
 #: The interval of ``brownian``'s tracked decisions.
 TRACK = Box(-2.0, 2.0)
 
+#: The evaluation oracle's grids, fixed by the protocol for every scenario:
+#: the action-grid size and the number of mid-quantile noise levels.
+ORACLE_ACTIONS, ORACLE_LEVELS = 100, 2000
+
 #: Each scenario's noise sequence, built from the config, its decision
 #: interval, its cost rule and the config keys its noise reads, which no
 #: other scenario may set: the pricing cost ``(xi + elasticity * x -
@@ -100,8 +104,6 @@ class ExperimentConfig:
     x0: float = 1.0
     trials: int = 10
     base_seed: int = 0
-    oracle_k: int = 100
-    oracle_grid: int = 2000
     out_prefix: str = "ra"
     # declared sampling-requirement parameters
     sampling_a: float = 2.0 / 3.0
@@ -365,16 +367,16 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
     phase 2: one played pass over all of their trials.
 
     The configs differ at most in the learner's settings; the first one's
-    risk level and oracle grids serve all. Every learner and grid is built,
-    which checks it, and a sampling-requirement violation logged, before
-    any fork. Each result's report holds its own trials' rows. An initial
-    decision outside the shrunk set is projected into it, which is logged
-    once, from the first run.
+    risk level serves all. Every learner is built, which checks it, and a
+    sampling-requirement violation logged, before any fork. Each result's
+    report holds its own trials' rows. An initial decision outside the
+    shrunk set is projected into it, which is logged once, from the first
+    run.
     """
     first = configs[0]
     learners = [_learner(config, scenario) for config in configs]
-    actions = oracle.action_grid(scenario.region, first.oracle_k)
-    levels = oracle._mid_quantiles(first.oracle_grid)
+    actions = oracle.action_grid(scenario.region, ORACLE_ACTIONS)
+    levels = oracle._mid_quantiles(ORACLE_LEVELS)
     tasks = [functools.partial(
         oracle.optimal_action_series, scenario.cost, scenario.noise, actions,
         first.alpha, range(first.horizon), levels), *(run for run, _ in learners)]

@@ -140,13 +140,13 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     if config.horizon > noise.horizon:
         raise ConfigurationError(
             f"run horizon {config.horizon} exceeds noise horizon {noise.horizon}")
-    rngs = [Stream(seed) for seed in seeds]
-    if not rngs:
+    horizon, trials = config.horizon, len(seeds)
+    if not trials:
         raise ConfigurationError("a run needs at least one seed")
-
-    horizon, trials = config.horizon, len(rngs)
-    t, batch, epoch, n_samples, eta = _schedule(config)
+    # NumPy refuses columns beyond the address space before any stream is seeded.
     xs, us, x_hats, grads, cvars = (np.empty((trials, horizon)) for _ in range(5))
+    rngs = [Stream(seed) for seed in seeds]
+    t, batch, epoch, n_samples, eta = _schedule(config)
     x = np.full(trials, inner.project(config.x0))
     for s, (u, xi) in enumerate(_draws(rngs, n_samples, noise)):
         x_hat = x + config.delta * u

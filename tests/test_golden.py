@@ -19,10 +19,15 @@ import numpy as np
 import pytest
 
 import cvarlearn.cli as cli
+from cvarlearn import harness
 from cvarlearn.harness import ExperimentConfig, build_scenario
 
-COMMON = ["--T", "60", "--batch", "10", "--trials", "2",
-          "--oracle-k", "20", "--oracle-grid", "1000"]
+COMMON = ["--T", "60", "--batch", "10", "--trials", "2"]
+
+# The pins were recorded on a smaller evaluation grid than the protocol's
+# (``harness.ORACLE_ACTIONS``, ``harness.ORACLE_LEVELS``), which keeps each
+# case fast; ``golden_grids`` sets it for a test.
+GOLDEN_GRIDS = {"ORACLE_ACTIONS": 20, "ORACLE_LEVELS": 1000}
 
 RUN_HASHES = {
     "run_trial0.csv": "677e47c4770fc9aaa2e9e0e566d2a3f7697ca05bbbfa3731bb0bbaa45c7c21a8",
@@ -174,12 +179,18 @@ CASES = {
 }
 
 
+@pytest.fixture
+def golden_grids(monkeypatch):
+    for name, value in GOLDEN_GRIDS.items():
+        monkeypatch.setattr(harness, name, value)
+
+
 # Every run is pinned in this process and cut across two forked jobs; the
 # budget table is written without a fork.
 @pytest.mark.parametrize("case, jobs", [
     pytest.param(case, jobs, id=case if jobs == 1 else f"{case}-jobs{jobs}")
     for case in CASES for jobs in ((1,) if case.startswith("budget") else (1, 2))])
-def test_cli_csv_hashes(tmp_path, force_jobs, case, jobs):
+def test_cli_csv_hashes(tmp_path, force_jobs, golden_grids, case, jobs):
     argv, prefix, expected = CASES[case]
     force_jobs(jobs)
     assert cli.main([*argv, "--out", str(tmp_path / prefix)]) == 0
@@ -188,7 +199,7 @@ def test_cli_csv_hashes(tmp_path, force_jobs, case, jobs):
         f"AVX-512 dispatch on; this run: {_simd()}")
 
 
-def test_run_bytes_ignore_the_environment(tmp_path, monkeypatch):
+def test_run_bytes_ignore_the_environment(tmp_path, monkeypatch, golden_grids):
     # A run's bytes depend on its command line and config file alone, so a
     # seed exported in the environment moves none of them.
     monkeypatch.setenv("RA_SEED", "99")

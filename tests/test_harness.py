@@ -1,7 +1,9 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import io
+import json
 import logging
 import math
 import os
@@ -40,6 +42,23 @@ from cvarlearn.risk import cvar_discrete
 from cvarlearn.schedule import theorem1_params, theorem2_params
 
 
+ROOT = Path(__file__).parents[1]
+
+
+def bench_argvs() -> dict:
+    """Each benchmark workload's CLI arguments by name, read from the
+    ``WORKLOADS`` table of ``perfbench/run.py`` with ``ast``: the first
+    argument of each ``Workload(...)`` call."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"])
+    return {ast.literal_eval(key): ast.literal_eval(call.args[0])
+            for key, call in zip(table.keys, table.values)}
+
+
+BENCH_ARGVS = bench_argvs()
+
+
 def forbid_oracle_and_learner(monkeypatch):
     """Make every call into the oracle or the learner fail the test."""
     def no_oracle(*args, **kwargs):
@@ -54,8 +73,7 @@ def forbid_oracle_and_learner(monkeypatch):
 
 
 def small_config(tmp_path, **overrides):
-    base = dict(horizon=10, batch_size=5, trials=1, oracle_k=10,
-                oracle_grid=1000, out_prefix=str(tmp_path / "ra"))
+    base = dict(horizon=10, batch_size=5, trials=1, out_prefix=str(tmp_path / "ra"))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -182,9 +200,8 @@ class TestConfigParsing:
         # is added, dropped or reordered must fail here.
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
             "scenario", "horizon", "batch_size", "delta", "alpha", "samples",
-            "eta", "rate_rule", "x0", "trials", "base_seed", "oracle_k",
-            "oracle_grid", "out_prefix", "sampling_a", "sampling_c",
-            "noise_low", "noise_high", "diffusivity"]
+            "eta", "rate_rule", "x0", "trials", "base_seed", "out_prefix",
+            "sampling_a", "sampling_c", "noise_low", "noise_high", "diffusivity"]
 
 
 class TestRunExperiment:
@@ -326,8 +343,7 @@ class TestRunExperiment:
     def test_library_calls_write_no_file(self, tmp_path, monkeypatch):
         # Only the writers write; the default prefix would put files here.
         monkeypatch.chdir(tmp_path)
-        config = ExperimentConfig(horizon=10, batch_size=5, trials=1, oracle_k=10,
-                                  oracle_grid=1000)
+        config = ExperimentConfig(horizon=10, batch_size=5, trials=1)
         run_experiment(config)
         run_ablation(config, [2, 4])
         compute_budget(config)
@@ -529,8 +545,7 @@ BAD_COUNTS = {
 class TestCli:
     def test_run_exit_zero(self, tmp_path, capsys):
         code = cli.main(["run", "--T", "10", "--batch", "5", "--trials", "1",
-                         "--oracle-grid", "1000", "--oracle-k",
-                         "10", "--out", str(tmp_path / "cli")])
+                         "--out", str(tmp_path / "cli")])
         assert code == 0
         assert (tmp_path / "cli_trial0.csv").exists()
         assert "final dynamic regret" in capsys.readouterr().out
@@ -543,8 +558,7 @@ class TestCli:
 
     def test_config_file_run(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
-        common = ("batch_size = 5\ntrials = 1\noracle_k = 10\n"
-                  "oracle_grid = 1e3\n")
+        common = "batch_size = 5\ntrials = 1\n"
         path.write_text("horizon = 1e1\n" + common)
         code = cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "ok")])
@@ -597,6 +611,42 @@ class TestCli:
         assert cli.main(["run", "--jobs", "1", "--out", str(tmp_path / "x")]) == 1
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
+    # The evaluation grid is a protocol constant, so no run can ask for
+    # another size, however large.
+    @pytest.mark.parametrize("flag, value", [
+        ("--oracle-grid", "2000"), ("--oracle-k", "100"), ("--oracle-grid", "1e15"),
+        ("--oracle-k", "1e15"), ("--oracle-grid", "1e19")])
+    def test_oracle_grid_flags_are_gone(self, tmp_path, capsys, flag, value):
+        assert cli.main(["run", flag, value, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "usage: cvarlearn" in err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["oracle_grid", "oracle_k"])
+    def test_oracle_grid_keys_are_gone(self, tmp_path, capsys, key):
+        (tmp_path / "exp.cfg").write_text(f"{key} = 2000\n")
+        assert cli.main(["run", "--config", str(tmp_path / "exp.cfg"),
+                         "--out", str(tmp_path / "out" / "x")]) == 1
+        assert (f"configuration error: unknown configuration key {key!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluation_grid_is_the_protocols(self):
+        assert (harness.ORACLE_ACTIONS, harness.ORACLE_LEVELS) == (100, 2000)
+
+    @pytest.mark.parametrize("name", list(BENCH_ARGVS))
+    def test_benchmark_command_lines_are_valid(self, name):
+        # A flag or key that a benchmark workload sets must stay, or the
+        # benchmark's runs fail; the workloads are read, not imported.
+        args = cli.build_parser().parse_args(
+            [*BENCH_ARGVS[name], "--seed", "0", "--out", "x"])
+        assert cli._config_from_args(args).base_seed == 0
+
+    def test_benchmark_workloads_are_read_whole(self):
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+        assert list(BENCH_ARGVS) == [workload["name"] for workload in declared]
+
     @pytest.mark.parametrize("argv", [["run", "--bogus"], ["ablate", "--counts"],
                                       ["verify", "nosuch"]],
                              ids=["unknown-flag", "missing-flags", "unknown-suite"])
@@ -627,8 +677,7 @@ class TestCli:
     def test_run_logs_once(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO):
             code = cli.main(["run", "--T", "10", "--batch", "5", "--trials",
-                             "3", "--oracle-grid", "1000", "--oracle-k", "10",
-                             "--out", str(tmp_path / "r")])
+                             "3", "--out", str(tmp_path / "r")])
         assert code == 0
         messages = [rec.getMessage() for rec in caplog.records]
         assert sum(m.startswith("scenario parking:") for m in messages) == 1
@@ -638,8 +687,7 @@ class TestCli:
     def test_ablate_builds_the_scenario_once(self, tmp_path, caplog):
         with caplog.at_level(logging.INFO):
             code = cli.main(["ablate", "--counts", "2,4", "--T", "10", "--batch",
-                             "5", "--trials", "2", "--oracle-grid", "1000",
-                             "--oracle-k", "10", "--out", str(tmp_path / "a")])
+                             "5", "--trials", "2", "--out", str(tmp_path / "a")])
         assert code == 0
         messages = [rec.getMessage() for rec in caplog.records]
         assert sum(m.startswith("scenario parking:") for m in messages) == 1
@@ -655,7 +703,6 @@ class TestCli:
     def test_output_into_a_fresh_nested_directory(self, tmp_path, argv, files):
         out = tmp_path / "fresh" / "nested" / "x"
         code = cli.main([*argv, "--T", "10", "--batch", "5", "--trials", "1",
-                         "--oracle-grid", "1000", "--oracle-k", "10",
                          "--out", str(out)])
         assert code == 0
         assert sorted(p.name for p in out.parent.iterdir()) == files
@@ -664,7 +711,6 @@ class TestCli:
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         code = cli.main(["run", "--T", "10", "--batch", "5", "--trials", "1",
-                         "--oracle-grid", "1000",
                          "--out", str(blocker / "sub" / "x")])
         assert code == 2
 
@@ -690,8 +736,7 @@ class TestCli:
     def test_cli_never_imports_scipy(self, tmp_path, argv, files):
         # The Brownian scenario's normal quantiles are a NumPy port of
         # SciPy's, so no scenario loads SciPy.
-        argv = [*argv, "--T", "10", "--batch", "5", "--trials", "2",
-                "--oracle-grid", "1000", "--oracle-k", "10", "--out", "p"]
+        argv = [*argv, "--T", "10", "--batch", "5", "--trials", "2", "--out", "p"]
         code = ("import sys; from cvarlearn import cli; "
                 f"assert cli.main({argv!r}) == 0; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -713,8 +758,7 @@ class TestCli:
         # children alike; on a NumPy that loads it with numpy itself, there
         # is nothing to check.
         if argv[0] != "budget":
-            argv = [*argv, "--batch", "5", "--trials", "2", "--oracle-grid",
-                    "1000", "--oracle-k", "10"]
+            argv = [*argv, "--batch", "5", "--trials", "2"]
         code = (
             "import sys, numpy\n"
             "if 'numpy.random' in sys.modules:\n"
@@ -841,9 +885,6 @@ CONFIG_FAULTS = {
         "smoothing radius 2.5 must satisfy 0 <= delta < inradius 2.0"),
     "eta": (["--eta", "0"], "", "learning rate eta=0.0 must be positive and finite"),
     "samples": (["--samples", "0"], "", "sample count must be >= 1, got 0"),
-    "oracle_k": (["--oracle-k", "1"], "", "action grid needs at least 2 points, got 1"),
-    "oracle_grid": (["--oracle-grid", "999"], "",
-                    "quantile grid needs >= 1000 points, got 999"),
     "trials": (["--trials", "0"], "", "trials must be >= 1, got 0"),
     "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
     "rate_rule": (["--rate", "fast"], "", "rate_rule must be 'constant' or 'inverse'"),
@@ -873,8 +914,7 @@ CONFIG_FAULTS = {
 def run_faulty(tmp_path, command, flags, text):
     """``cli.main`` on a small run of ``command``, then ``flags`` and, when
     ``text`` is given, a config file holding it."""
-    argv = [*command, "--T", "10", "--batch", "5", "--trials", "1",
-            "--oracle-k", "10", "--oracle-grid", "1000", *flags,
+    argv = [*command, "--T", "10", "--batch", "5", "--trials", "1", *flags,
             "--out", str(tmp_path / "out" / "x")]
     if text:
         (tmp_path / "exp.cfg").write_text(text)
@@ -900,8 +940,7 @@ class TestConfigFaults:
 
     @pytest.mark.parametrize("fault", [
         "batch_size", "batch_size-oversized", "batch_size-oversized-inverse",
-        "alpha-above-one", "delta-at-inradius", "eta", "samples",
-        "oracle_k", "oracle_grid"])
+        "alpha-above-one", "delta-at-inradius", "eta", "samples"])
     def test_budget_checks_only_the_fields_it_reads(self, tmp_path, fault):
         flags, text, _ = CONFIG_FAULTS[fault]
         assert run_faulty(tmp_path, ["budget"], flags, text) == 0
@@ -928,8 +967,7 @@ class TestConfigFaults:
             1.0 / (modulus * tau) for tau in range(1, 6)]
 
 
-FORK_RUN = ["--T", "31", "--batch", "5", "--trials", "5", "--oracle-grid",
-            "1000", "--oracle-k", "20"]
+FORK_RUN = ["--T", "31", "--batch", "5", "--trials", "5"]
 
 
 def failing_in_child(fn, fail):
@@ -1016,8 +1054,7 @@ class TestForkedRuns:
 
         monkeypatch.setattr(harness, "fork_map", spy)
         run_experiment(small_config(tmp_path, horizon=horizon, batch_size=200,
-                                    trials=trials, oracle_k=100,
-                                    oracle_grid=2000))
+                                    trials=trials))
         assert job_counts == [jobs]
 
     @pytest.mark.parametrize("text, code, counts", [

@@ -393,6 +393,32 @@ class TestValidation:
                 run_trials(make_config(horizon=10, x0=x0), ZERO_COST, noise,
                            region, range(8))
 
+    def test_a_run_needs_a_seed(self):
+        noise = constant_uniform(10, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="^a run needs at least one seed$"):
+            run_trials(make_config(horizon=10), ZERO_COST, noise, Box(0.0, 4.0), [])
+
+    def test_trials_beyond_the_address_space_fail_before_any_stream(
+            self, monkeypatch):
+        # The trace's columns are allocated from the seed count before any
+        # generator is seeded, so NumPy refuses such a count at once instead
+        # of the run seeding streams until it is killed.
+        built = []
+
+        def counted(seed):
+            built.append(seed)
+            if len(built) >= 1000:
+                raise AssertionError("streams seeded before the columns exist")
+            return stream(seed)
+
+        stream = learner.Stream
+        monkeypatch.setattr(learner, "Stream", counted)
+        noise = constant_uniform(10, 0.0, 1.0)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            run_trials(make_config(horizon=10), ZERO_COST, noise, Box(0.0, 4.0),
+                       range(10 ** 15))
+        assert built == []
+
     @pytest.mark.parametrize("horizon", [5.7, 10.5, np.nan, np.inf])
     def test_non_integral_horizon_rejected(self, horizon):
         # Rejected, never truncated to the whole steps below it.

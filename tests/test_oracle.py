@@ -24,6 +24,7 @@ from cvarlearn.oracle import (
 from cvarlearn.risk import _tail_means
 from cvarlearn.harness import (
     ELASTICITY,
+    ORACLE_LEVELS,
     PRICES,
     REGULARIZATION,
     TARGET_OCCUPANCY,
@@ -213,6 +214,18 @@ class TestActionGrid:
         xs = action_grid(Box(0.0, 1.0), 4)
         assert xs == pytest.approx([0.125, 0.375, 0.625, 0.875])
 
+    # The grids' sizes are protocol constants of the harness; a library
+    # caller that passes its own still meets each grid's size rule.
+    def test_a_one_point_action_grid_is_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^action grid needs at least 2 points, got 1$"):
+            action_grid(PRICES, 1)
+
+    def test_fewer_than_1000_levels_are_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^quantile grid needs >= 1000 points, got 999$"):
+            _mid_quantiles(999)
+
 
 
 class TestOptimalActionGrid:
@@ -366,9 +379,9 @@ class TestPassQuantiles:
                                                          force_jobs):
         # Gaussian standard quantiles: every _ndtri call of an ablation is
         # one oracle pass's levels, or a block of the learners' draws. Each
-        # pass cuts its 200 steps into four blocks of at most _BLOCK values.
+        # pass cuts its 200 steps into seven blocks of at most _BLOCK values.
         config = ExperimentConfig(scenario="brownian", horizon=200, batch_size=10,
-                                  trials=2, oracle_k=20, oracle_grid=1000)
+                                  trials=2)
         calls = []
 
         def spy(q):
@@ -379,7 +392,7 @@ class TestPassQuantiles:
         monkeypatch.setattr(environment, "_ndtri", spy)
         force_jobs(1)
         run_ablation(config, [4, 8])
-        levels = _mid_quantiles(config.oracle_grid)
+        levels = _mid_quantiles(ORACLE_LEVELS)
         on_levels = [q for q in calls if np.array_equal(q, levels)]
         draws = [q for q in calls if not np.array_equal(q, levels)]
         assert len(on_levels) == 2

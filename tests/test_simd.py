@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import cvarlearn
-from test_golden import CASES, _hashes
+from test_golden import CASES, GOLDEN_GRIDS, _hashes
 
 LEVELS = ("X86_V2", "X86_V3")
 
@@ -31,8 +31,12 @@ def test_run_case_gives_its_pinned_hashes_at_every_level(tmp_path):
     hashes = {}
     for level in LEVELS:
         out = tmp_path / level
+        # The child runs on the golden cases' evaluation grid.
+        code = ("import sys; from cvarlearn import cli, harness; "
+                + "".join(f"harness.{k} = {v}; " for k, v in GOLDEN_GRIDS.items())
+                + f"sys.exit(cli.main({[*argv, '--out', str(out / prefix)]!r}))")
         proc = subprocess.run(
-            [sys.executable, "-m", "cvarlearn.cli", *argv, "--out", str(out / prefix)],
+            [sys.executable, "-c", code],
             env={**env, "NPY_ENABLE_CPU_FEATURES": level}, capture_output=True,
             text=True, timeout=300)
         if "not supported by your machine" in proc.stderr:
