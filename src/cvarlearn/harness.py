@@ -64,24 +64,25 @@ PRICES = Box(1.0, 5.0)
 #: The interval of ``brownian``'s tracked decisions.
 TRACK = Box(-2.0, 2.0)
 
+#: ``custom``'s static uniform noise band and ``brownian``'s diffusivity.
+CUSTOM_BAND, DIFFUSIVITY = (0.85, 1.1), 1e-4
+
 #: The evaluation oracle's grids, fixed by the protocol for every scenario:
 #: the action-grid size and the number of mid-quantile noise levels.
 ORACLE_ACTIONS, ORACLE_LEVELS = 100, 2000
 
-#: Each scenario's noise sequence, built from the config, its decision
-#: interval, its cost rule and the config keys its noise reads, which no
-#: other scenario may set: the pricing cost ``(xi + elasticity * x -
+#: Each scenario's noise sequence, built from the horizon, its decision
+#: interval and its cost rule: the pricing cost ``(xi + elasticity * x -
 #: target)^2 + regularization/2 * x^2``, or ``brownian``'s ``(x - xi)^2`` as
 #: ``(xi + (-x))^2``, the same bits: IEEE subtraction is antisymmetric.
 _PRICING = Quadratic(slope=ELASTICITY, level=TARGET_OCCUPANCY,
                      weight=0.5 * REGULARIZATION)
 _SCENARIO_TABLE = {
-    "parking": (lambda c: environment.parking_noise(c.horizon), PRICES, _PRICING, ()),
-    "brownian": (lambda c: environment.BrownianSeq(c.horizon, c.diffusivity),
-                 TRACK, Quadratic(slope=-1.0), ("diffusivity",)),
-    "custom": (lambda c: environment.constant_uniform(c.horizon, c.noise_low,
-                                                      c.noise_high),
-               PRICES, _PRICING, ("noise_low", "noise_high")),
+    "parking": (environment.parking_noise, PRICES, _PRICING),
+    "brownian": (lambda horizon: environment.BrownianSeq(horizon, DIFFUSIVITY),
+                 TRACK, Quadratic(slope=-1.0)),
+    "custom": (lambda horizon: environment.constant_uniform(horizon, *CUSTOM_BAND),
+               PRICES, _PRICING),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -108,11 +109,6 @@ class ExperimentConfig:
     # declared sampling-requirement parameters
     sampling_a: float = 2.0 / 3.0
     sampling_c: float = 10.0
-    # custom scenario: static uniform noise band
-    noise_low: float = 0.85
-    noise_high: float = 1.1
-    # brownian scenario
-    diffusivity: float = 1e-4
 
     def __post_init__(self):
         """Convert every field to its type, an integer by ``_as_int``'s rule,
@@ -175,11 +171,10 @@ def load_config_file(path) -> dict:
 def make_config(*sources: dict) -> ExperimentConfig:
     """Build a config from dicts of increasing precedence.
 
-    A ``None`` value is skipped; an unknown key is rejected, and so is a set
-    key that only another scenario reads, which a built config cannot tell
-    from a default. The layered values, strings or numbers, are
-    ``ExperimentConfig``'s to convert and check. The sources are the only
-    input: no environment variable changes the built config.
+    A ``None`` value is skipped and an unknown key is rejected. The layered
+    values, strings or numbers, are ``ExperimentConfig``'s to convert and
+    check. The sources are the only input: no environment variable changes
+    the built config.
     """
     names = {field.name for field in dataclasses.fields(ExperimentConfig)}
     merged = {key: value for source in sources
@@ -187,13 +182,7 @@ def make_config(*sources: dict) -> ExperimentConfig:
     for key in merged:
         if key not in names:
             raise ConfigurationError(f"unknown configuration key {key!r}")
-    config = ExperimentConfig(**merged)
-    *_, own = _SCENARIO_TABLE[config.scenario]
-    for key in merged:
-        if key not in own and any(key in row[-1] for row in _SCENARIO_TABLE.values()):
-            raise ConfigurationError(
-                f"configuration key {key!r} is not read by scenario {config.scenario!r}")
-    return config
+    return ExperimentConfig(**merged)
 
 
 @dataclass(frozen=True)
@@ -209,12 +198,12 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     The cost's U, L0 and m come from its rule over the admissible set and
     the span of every step's noise support (a Gaussian's truncated at +/-10
     sigma), and are logged: the sampling-requirement constant and the DKW
-    diagnostics reference them. The noise sequence checks its own
-    parameters; the learner's and the oracle's are checked by ``_experiments``.
+    diagnostics reference them. The learner's and the oracle's parameters
+    are checked by ``_experiments``.
     """
-    make_noise, region, rule, _ = _SCENARIO_TABLE[config.scenario]
+    make_noise, region, rule = _SCENARIO_TABLE[config.scenario]
     try:  # Python and NumPy refuse a noise table beyond the address space
-        noise = make_noise(config)
+        noise = make_noise(config.horizon)
     except ConfigurationError:
         raise
     except (MemoryError, OverflowError, ValueError) as exc:
@@ -501,10 +490,6 @@ def compute_budget(config: ExperimentConfig) -> BudgetReport:
     if budget <= 0.0:
         logger.warning("variation budget is zero (static distribution); "
                        "batch-size selection formulas degenerate")
-        t1 = t2 = None
-    elif budget >= config.horizon:
-        logger.warning("variation budget %.4g is not below the horizon %d; "
-                       "no sub-linear selection exists", budget, config.horizon)
         t1 = t2 = None
     else:
         t1 = theorem1_params(config.horizon, budget, config.sampling_a)

@@ -171,11 +171,18 @@ class TestSequenceChecks:
         table[0, 0] = 5.0
         assert noise.support(1) == (0.0, 1.0) and noise.support(2) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("diffusivity", [math.inf, -math.inf, math.nan])
-    def test_non_finite_diffusivity_named(self, diffusivity):
-        with pytest.raises(ConfigurationError,
-                           match=f"diffusivity must be finite, got {diffusivity}"):
+    @pytest.mark.parametrize("diffusivity, rule", [
+        (math.inf, "finite, got inf"), (-math.inf, "finite, got -inf"),
+        (math.nan, "finite, got nan"), (0, "positive, got 0.0"),
+        (-1e-4, "positive, got -0.0001")])
+    def test_bad_diffusivity_named(self, diffusivity, rule):
+        with pytest.raises(ConfigurationError, match=f"^diffusivity must be {rule}$"):
             BrownianSeq(10, diffusivity)
+
+    def test_crossed_constant_band_named(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^constant uniform needs lo <= hi, got 1\.1 > 0\.85$"):
+            constant_uniform(10, 1.1, 0.85)
 
     def test_overflowing_scale_rejected(self):
         with pytest.raises(ConfigurationError,

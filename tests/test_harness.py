@@ -45,18 +45,18 @@ from cvarlearn.schedule import theorem1_params, theorem2_params
 ROOT = Path(__file__).parents[1]
 
 
-def bench_argvs() -> dict:
-    """Each benchmark workload's CLI arguments by name, read from the
-    ``WORKLOADS`` table of ``perfbench/run.py`` with ``ast``: the first
-    argument of each ``Workload(...)`` call."""
+def bench_workloads() -> dict:
+    """Each benchmark workload's CLI arguments, scenario and horizon by name,
+    read from the ``WORKLOADS`` table of ``perfbench/run.py`` with ``ast``:
+    the first three arguments of each ``Workload(...)`` call."""
     tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
     table = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"])
-    return {ast.literal_eval(key): ast.literal_eval(call.args[0])
+    return {ast.literal_eval(key): tuple(map(ast.literal_eval, call.args[:3]))
             for key, call in zip(table.keys, table.values)}
 
 
-BENCH_ARGVS = bench_argvs()
+BENCH_WORKLOADS = bench_workloads()
 
 
 def forbid_oracle_and_learner(monkeypatch):
@@ -171,15 +171,11 @@ class TestConfigParsing:
         field.name for field in dataclasses.fields(ExperimentConfig)
         if field.type in ("int", "float")])
     def test_every_number_field_is_converted_by_the_config(self, field):
-        # Its string spelling builds the same config by either path, on a
-        # scenario that reads it, and a value that does not convert names
-        # the field, on a replace too.
-        scenario = {"noise_low": "custom", "noise_high": "custom",
-                    "diffusivity": "brownian"}.get(field, "parking")
+        # Its string spelling builds the same config by either path, and a
+        # value that does not convert names the field, on a replace too.
         spelled = str(getattr(ExperimentConfig(), field))
-        assert (make_config({"scenario": scenario, field: spelled})
-                == ExperimentConfig(scenario=scenario, **{field: spelled})
-                == ExperimentConfig(scenario=scenario))
+        assert (make_config({field: spelled}) == ExperimentConfig(**{field: spelled})
+                == ExperimentConfig())
         for bad in ("x", None):
             with pytest.raises(ConfigurationError,
                                match=f"^bad value for '{field}': {bad!r}$"):
@@ -201,7 +197,7 @@ class TestConfigParsing:
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
             "scenario", "horizon", "batch_size", "delta", "alpha", "samples",
             "eta", "rate_rule", "x0", "trials", "base_seed", "out_prefix",
-            "sampling_a", "sampling_c", "noise_low", "noise_high", "diffusivity"]
+            "sampling_a", "sampling_c"]
 
 
 class TestRunExperiment:
@@ -438,33 +434,11 @@ class TestBudget:
         assert report.profile.shape == (199,)
 
     def test_brownian_budget_closed_form(self, tmp_path):
-        config = small_config(tmp_path, scenario="brownian", horizon=50,
-                              diffusivity=0.01)
+        config = small_config(tmp_path, scenario="brownian", horizon=50)
         report = compute_budget(config)
         noise = build_scenario(config).noise
         expected = np.sqrt(2 / np.pi) * (noise.table[49, 1] - noise.table[0, 1])
         assert report.budget == pytest.approx(expected, rel=1e-12)
-
-    def test_budget_not_below_the_horizon_suggests_nothing(self, tmp_path,
-                                                           caplog, capsys):
-        # V_T = sqrt(2/pi) (sigma_T - sigma_1) is about 101.55 here.
-        config = small_config(tmp_path, scenario="brownian", horizon=100,
-                              diffusivity=100.0)
-        with caplog.at_level(logging.WARNING):
-            report = compute_budget(config)
-        harness.write_budget(config.out_prefix, report)
-        assert report.budget >= config.horizon
-        assert [rec.getMessage() for rec in caplog.records
-                if "not below the horizon" in rec.getMessage()] == [
-            f"variation budget {report.budget:.4g} is not below the horizon 100; "
-            "no sub-linear selection exists"]
-        assert report.theorem1 is None and report.theorem2 is None
-        assert len((tmp_path / "ra_budget.csv").read_text().splitlines()) == 100
-        path = tmp_path / "exp.cfg"
-        path.write_text("scenario = brownian\nhorizon = 100\ndiffusivity = 100\n")
-        code = cli.main(["budget", "--config", str(path), "--out", str(tmp_path / "b")])
-        assert code == 0
-        assert "selection" not in capsys.readouterr().out
 
 
 class TestScenarioBounds:
@@ -501,13 +475,21 @@ class TestScenarioBounds:
         assert isinstance(rule, core.Quadratic)
         assert scen.cost == rule.model(scen.region, (lo.min(), hi.max()))
 
-    def test_custom_point_mass_warns_at_build(self, monkeypatch, caplog):
-        forbid_oracle_and_learner(monkeypatch)
-        with caplog.at_level(logging.WARNING):
-            build_scenario(ExperimentConfig(scenario="custom", noise_low=1.0,
-                                            noise_high=1.0))
-        assert sum(rec.getMessage().startswith("degenerate uniform range")
-                   for rec in caplog.records) == 1
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_a_scenario_is_its_name_and_horizon(self, scenario):
+        # Every other field is the learner's or the run's: changing all of
+        # them builds the same noise, cost and region.
+        others = dict(batch_size=7, delta=0.1, alpha=0.25, samples=3, eta=0.01,
+                      rate_rule="inverse", x0=2.0, trials=2, base_seed=5,
+                      out_prefix="other", sampling_a=0.5, sampling_c=3.0)
+        default = ExperimentConfig(scenario=scenario, horizon=50)
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} == {
+            "scenario", "horizon", *others}
+        assert all(getattr(default, k) != v for k, v in others.items())
+        built, changed = (build_scenario(default),
+                          build_scenario(dataclasses.replace(default, **others)))
+        assert np.array_equal(built.noise.table, changed.noise.table)
+        assert built.cost == changed.cost and built.region == changed.region
 
     @pytest.mark.parametrize("horizon, count, runs", [
         (500, 253, "1-2, 250-500"), (1500, 277, "1-2, 750-1024"),
@@ -623,10 +605,18 @@ class TestCli:
         assert f"unrecognized arguments: {flag} {value}" in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("key", ["oracle_grid", "oracle_k"])
-    def test_oracle_grid_keys_are_gone(self, tmp_path, capsys, key):
-        (tmp_path / "exp.cfg").write_text(f"{key} = 2000\n")
-        assert cli.main(["run", "--config", str(tmp_path / "exp.cfg"),
+    # The evaluation grid is fixed by the protocol and a scenario's noise by
+    # its name and horizon, so no file can set them, not even on the
+    # scenario whose noise they were.
+    @pytest.mark.parametrize("command", ["run", "budget"])
+    @pytest.mark.parametrize("key, value, scenario", [
+        ("oracle_grid", "2000", "parking"), ("oracle_k", "2000", "parking"),
+        ("noise_low", "0.9", "custom"), ("noise_high", "1.2", "custom"),
+        ("diffusivity", "1e-4", "brownian")])
+    def test_constant_keys_are_gone(self, tmp_path, capsys, command, key, value,
+                                    scenario):
+        (tmp_path / "exp.cfg").write_text(f"scenario = {scenario}\n{key} = {value}\n")
+        assert cli.main([command, "--config", str(tmp_path / "exp.cfg"),
                          "--out", str(tmp_path / "out" / "x")]) == 1
         assert (f"configuration error: unknown configuration key {key!r}"
                 in capsys.readouterr().err)
@@ -635,17 +625,21 @@ class TestCli:
     def test_evaluation_grid_is_the_protocols(self):
         assert (harness.ORACLE_ACTIONS, harness.ORACLE_LEVELS) == (100, 2000)
 
-    @pytest.mark.parametrize("name", list(BENCH_ARGVS))
+    @pytest.mark.parametrize("name", list(BENCH_WORKLOADS))
     def test_benchmark_command_lines_are_valid(self, name):
         # A flag or key that a benchmark workload sets must stay, or the
-        # benchmark's runs fail; the workloads are read, not imported.
-        args = cli.build_parser().parse_args(
-            [*BENCH_ARGVS[name], "--seed", "0", "--out", "x"])
-        assert cli._config_from_args(args).base_seed == 0
+        # benchmark's runs fail, and so must the scenario build its set-up
+        # time measures; the workloads are read, not imported.
+        argv, scenario, horizon = BENCH_WORKLOADS[name]
+        args = cli.build_parser().parse_args([*argv, "--seed", "0", "--out", "x"])
+        config = cli._config_from_args(args)
+        assert (config.scenario, config.horizon, config.base_seed) == (
+            scenario, horizon, 0)
+        build_scenario(make_config({"scenario": scenario, "horizon": horizon}))
 
     def test_benchmark_workloads_are_read_whole(self):
         declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-        assert list(BENCH_ARGVS) == [workload["name"] for workload in declared]
+        assert list(BENCH_WORKLOADS) == [workload["name"] for workload in declared]
 
     @pytest.mark.parametrize("argv", [["run", "--bogus"], ["ablate", "--counts"],
                                       ["verify", "nosuch"]],
@@ -889,25 +883,6 @@ CONFIG_FAULTS = {
     "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
     "rate_rule": (["--rate", "fast"], "", "rate_rule must be 'constant' or 'inverse'"),
     "scenario": (["--scenario", "casino"], "", "unknown scenario 'casino'"),
-    "noise_low-above-noise_high": (
-        ["--scenario", "custom"], "noise_low = 1.1\nnoise_high = 0.85\n",
-        "constant uniform needs lo <= hi, got 1.1 > 0.85"),
-    "diffusivity-zero": (["--scenario", "brownian"], "diffusivity = 0\n",
-                         "diffusivity must be positive, got 0.0"),
-    "diffusivity-negative": (["--scenario", "brownian"], "diffusivity = -1e-4\n",
-                             "diffusivity must be positive, got -0.0001"),
-    "noise_low-on-parking": ([], "noise_low = 1.2\nnoise_high = 0.9\n",
-                             "configuration key 'noise_low' is not read by "
-                             "scenario 'parking'"),
-    "noise_high-on-brownian": (["--scenario", "brownian"], "noise_high = 0.9\n",
-                               "configuration key 'noise_high' is not read by "
-                               "scenario 'brownian'"),
-    "diffusivity-on-parking": ([], "diffusivity = -5\n",
-                               "configuration key 'diffusivity' is not read by "
-                               "scenario 'parking'"),
-    "diffusivity-on-custom": (["--scenario", "custom"], "diffusivity = 1e-4\n",
-                              "configuration key 'diffusivity' is not read by "
-                              "scenario 'custom'"),
 }
 
 
@@ -949,9 +924,7 @@ class TestConfigFaults:
     @pytest.mark.parametrize("fault", [
         "horizon-custom", "horizon-oversized", "horizon-oversized-custom",
         "horizon-oversized-brownian", "horizon-beyond-int64",
-        "horizon-beyond-int64-brownian", "noise_low-above-noise_high", "diffusivity-zero",
-        "noise_low-on-parking", "noise_high-on-brownian", "diffusivity-on-parking",
-        "diffusivity-on-custom"])
+        "horizon-beyond-int64-brownian"])
     def test_budget_rejects_the_fields_it_reads(self, tmp_path, capsys, fault):
         flags, text, message = CONFIG_FAULTS[fault]
         assert run_faulty(tmp_path, ["budget"], flags, text) == 1
