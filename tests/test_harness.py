@@ -440,6 +440,17 @@ class TestBudget:
         expected = np.sqrt(2 / np.pi) * (noise.table[49, 1] - noise.table[0, 1])
         assert report.budget == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_every_scenario_budget_is_below_the_horizon(self, tmp_path, scenario):
+        # No scenario's V_T reaches its horizon, so a positive budget always
+        # gets both selections and a static one gets none.
+        for horizon in (2, 6000, 100_000):
+            config = small_config(tmp_path, scenario=scenario, horizon=horizon)
+            report = compute_budget(config)
+            assert 0.0 <= report.budget < horizon
+            assert (report.theorem1 is None) == (report.budget == 0.0)
+            assert (report.theorem2 is None) == (report.budget == 0.0)
+
 
 class TestScenarioBounds:
     def test_pricing_bounds_cover_samples(self):
@@ -490,6 +501,21 @@ class TestScenarioBounds:
                           build_scenario(dataclasses.replace(default, **others)))
         assert np.array_equal(built.noise.table, changed.noise.table)
         assert built.cost == changed.cost and built.region == changed.region
+
+    def test_scenario_constants_are_the_protocols(self):
+        assert (harness.CUSTOM_BAND, harness.DIFFUSIVITY) == ((0.85, 1.1), 1e-4)
+
+    @pytest.mark.parametrize("scenario, library", [
+        ("parking", lambda horizon: environment.parking_noise(horizon)),
+        ("custom", lambda horizon: environment.constant_uniform(
+            horizon, *harness.CUSTOM_BAND)),
+        ("brownian", lambda horizon: environment.BrownianSeq(
+            horizon, harness.DIFFUSIVITY))])
+    def test_scenario_noise_is_the_library_call_at_its_constants(self, scenario,
+                                                                 library):
+        noise = build_scenario(ExperimentConfig(scenario=scenario, horizon=300)).noise
+        assert type(noise) is type(library(300))
+        assert np.array_equal(noise.table, library(300).table)
 
     @pytest.mark.parametrize("horizon, count, runs", [
         (500, 253, "1-2, 250-500"), (1500, 277, "1-2, 750-1024"),
@@ -608,7 +634,7 @@ class TestCli:
     # The evaluation grid is fixed by the protocol and a scenario's noise by
     # its name and horizon, so no file can set them, not even on the
     # scenario whose noise they were.
-    @pytest.mark.parametrize("command", ["run", "budget"])
+    @pytest.mark.parametrize("command", ["run", "ablate", "budget"])
     @pytest.mark.parametrize("key, value, scenario", [
         ("oracle_grid", "2000", "parking"), ("oracle_k", "2000", "parking"),
         ("noise_low", "0.9", "custom"), ("noise_high", "1.2", "custom"),

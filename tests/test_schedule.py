@@ -226,6 +226,19 @@ class TestTheoremParams:
         with pytest.raises(ConfigurationError):
             theorem2_params(100, 150.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("budget", [100.0, 150.0])
+    @pytest.mark.parametrize("select", [
+        lambda budget: theorem1_params(100, budget, 1.0),
+        lambda budget: theorem2_params(100, budget, 1.0, 1.0)],
+        ids=["theorem1", "theorem2"])
+    def test_budget_not_below_the_horizon_is_named(self, select, budget):
+        # The selectors are the only guard left against a budget that reaches
+        # the horizon: no scenario's budget does, and compute_budget passes
+        # any positive one straight on.
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"variation budget {budget} must be below the horizon 100")):
+            select(budget)
+
     def test_matches_high_precision_evaluation(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
