@@ -260,18 +260,15 @@ def w1_numeric(cdf1, cdf2, support: tuple[float, float], grid: int = 100_000) ->
     return float(np.sum(np.diff(y) * (gap[1:] + gap[:-1]) / 2.0))
 
 
-def variation_profile(noise: NoiseSequence, horizon: int) -> np.ndarray:
-    """Per-step distances ``W1(D_{t-1}, D_t)`` for ``t = 2..horizon``, from
-    the sequence's closed form."""
-    horizon = _as_int(horizon, "horizon")
-    if horizon < 2:
+def variation_profile(noise: NoiseSequence) -> np.ndarray:
+    """Per-step distances ``W1(D_{t-1}, D_t)`` for ``t = 2..T``, ``T`` the
+    sequence's horizon, from its closed form."""
+    if noise.horizon < 2:
         raise ConfigurationError("variation budget needs horizon >= 2")
-    if horizon > noise.horizon:
-        raise ConfigurationError("requested horizon exceeds the noise sequence's")
-    return np.asarray(noise.step_w1(np.arange(2, horizon + 1)), dtype=float)
+    return np.asarray(noise.step_w1(np.arange(2, noise.horizon + 1)), dtype=float)
 
 
-def variation_budget(noise: NoiseSequence, horizon: int) -> float:
-    """Total distribution variation over ``1..horizon`` (Assumption: budget
+def variation_budget(noise: NoiseSequence) -> float:
+    """Total distribution variation over the sequence (Assumption: budget
     known to the decision maker; the learner never estimates it online)."""
-    return float(variation_profile(noise, horizon).sum())
+    return float(variation_profile(noise).sum())

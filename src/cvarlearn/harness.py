@@ -209,7 +209,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     except (MemoryError, OverflowError, ValueError) as exc:
         raise ConfigurationError(
             f"horizon {config.horizon} is too large for its noise table") from exc
-    lo, hi = noise.support(np.arange(1, config.horizon + 1))
+    lo, hi = noise.support(np.arange(1, noise.horizon + 1))
     cost = rule.model(region, (float(lo.min()), float(hi.max())))
     _warn_point_masses(noise.table[:, 1])
     logger.info("scenario %s: U=%.6g L0=%.6g m=%.6g", config.scenario,
@@ -253,7 +253,6 @@ def _learner(config: ExperimentConfig, scenario: Scenario
         raise ConfigurationError(
             f"batch size {size} is too large for its per-epoch columns") from exc
     settings = learner.LearnerConfig(
-        horizon=config.horizon,
         delta=config.delta,
         alpha=config.alpha,
         counts=counts,
@@ -368,9 +367,9 @@ def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
     levels = oracle._mid_quantiles(ORACLE_LEVELS)
     tasks = [functools.partial(
         oracle.optimal_action_series, scenario.cost, scenario.noise, actions,
-        first.alpha, range(first.horizon), levels), *(run for run, _ in learners)]
-    work_s = first.horizon * (len(configs) * _STEP_S
-                              + levels.size * _SEARCH_LEVEL_S)
+        first.alpha, levels), *(run for run, _ in learners)]
+    work_s = scenario.noise.horizon * (len(configs) * _STEP_S
+                                       + levels.size * _SEARCH_LEVEL_S)
     optima, *traces = (out for part in fork_map(
         lambda part: [tasks[i]() for i in part],
         fork_ranges(len(tasks), work_s)) for out in part)
@@ -485,15 +484,16 @@ def compute_budget(config: ExperimentConfig) -> BudgetReport:
     """
     scenario = build_scenario(config)
     modulus = scenario.cost.strong_convexity
-    profile = environment.variation_profile(scenario.noise, config.horizon)
+    horizon = scenario.noise.horizon
+    profile = environment.variation_profile(scenario.noise)
     budget = float(profile.sum())
     if budget <= 0.0:
         logger.warning("variation budget is zero (static distribution); "
                        "batch-size selection formulas degenerate")
         t1 = t2 = None
     else:
-        t1 = theorem1_params(config.horizon, budget, config.sampling_a)
-        t2 = (theorem2_params(config.horizon, budget, config.sampling_a, modulus)
+        t1 = theorem1_params(horizon, budget, config.sampling_a)
+        t2 = (theorem2_params(horizon, budget, config.sampling_a, modulus)
               if modulus > 0 else None)
     return BudgetReport(budget=budget, profile=profile, theorem1=t1, theorem2=t2,
                         modulus=modulus)

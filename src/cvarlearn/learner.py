@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pcg64 import Stream
-from .core import Box, ConfigurationError, CostModel, NoiseSequence, _as_int
+from .core import Box, ConfigurationError, CostModel, NoiseSequence
 from .risk import _check_alpha, cvar_of_values
 from .schedule import _check_batch_size, _check_counts, _check_rates, batch_epoch
 from .smoothing import directions, gradient_estimate
@@ -41,7 +41,6 @@ class LearnerConfig:
     common length is the batch size. They are held as read-only copies.
     """
 
-    horizon: int
     delta: float
     alpha: float
     counts: np.ndarray
@@ -52,9 +51,6 @@ class LearnerConfig:
         object.__setattr__(self, "x0", float(self.x0))
         if not math.isfinite(self.x0):
             raise ConfigurationError(f"initial decision x0={self.x0} must be finite")
-        object.__setattr__(self, "horizon", _as_int(self.horizon, "horizon"))
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
         counts, rates = _check_counts(self.counts), _check_rates(self.rates)
         if counts.ndim != 1 or counts.shape != rates.shape:
             raise ConfigurationError(
@@ -118,17 +114,17 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
         yield from zip(u.T, np.split(xi, np.cumsum(n)[:-1], axis=1))
 
 
-def _schedule(config: LearnerConfig):
-    """The per-step columns ``t``, ``batch``, ``epoch``, ``n_samples`` and
-    ``eta``: the per-epoch columns indexed by each step's epoch."""
-    t = np.arange(1, config.horizon + 1)
+def _schedule(config: LearnerConfig, horizon: int):
+    """The columns ``t``, ``batch``, ``epoch``, ``n_samples`` and ``eta`` of
+    steps ``1..horizon``: the per-epoch columns indexed by each step's epoch."""
+    t = np.arange(1, horizon + 1)
     batch, epoch = batch_epoch(t, config.counts.size)
     return t, batch, epoch, config.counts[epoch - 1], config.rates[epoch - 1]
 
 
 def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
                region: Box, seeds) -> Trace:
-    """Run ``config.horizon`` steps for every seed in lockstep; return the trace.
+    """Run every step of ``noise`` for every seed in lockstep; return the trace.
 
     Trial ``i`` draws from its own generator, NumPy's
     ``default_rng(seeds[i])`` stream (``_pcg64.Stream``), in a fixed order:
@@ -137,16 +133,13 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     non-negative integer is a ``ConfigurationError``.
     """
     inner = region.shrink(config.delta)
-    if config.horizon > noise.horizon:
-        raise ConfigurationError(
-            f"run horizon {config.horizon} exceeds noise horizon {noise.horizon}")
-    horizon, trials = config.horizon, len(seeds)
+    horizon, trials = noise.horizon, len(seeds)
     if not trials:
         raise ConfigurationError("a run needs at least one seed")
     # NumPy refuses columns beyond the address space before any stream is seeded.
     xs, us, x_hats, grads, cvars = (np.empty((trials, horizon)) for _ in range(5))
     rngs = [Stream(seed) for seed in seeds]
-    t, batch, epoch, n_samples, eta = _schedule(config)
+    t, batch, epoch, n_samples, eta = _schedule(config, horizon)
     x = np.full(trials, inner.project(config.x0))
     for s, (u, xi) in enumerate(_draws(rngs, n_samples, noise)):
         x_hat = x + config.delta * u

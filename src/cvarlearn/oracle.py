@@ -12,7 +12,7 @@ the step's optimum. ``true_cvar`` takes any cost.
 
 The oracle makes two passes. Each makes the standard quantiles of its levels
 once and places them at a block of steps in one reused buffer: the search
-pass, ``optimal_action_series``, finds the optima of a range of steps; the
+pass, ``optimal_action_series``, finds the optimum of every step; the
 played pass, ``dynamic_regret``, evaluates every trial against them, the
 ranges of its spread steps run by forked processes. Both evaluate their
 exact CVaR rows in one reused buffer, many rows per call, bit for bit as
@@ -188,10 +188,10 @@ def _blocks(noise: NoiseSequence, z: np.ndarray, steps: range | np.ndarray,
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
-                          xs: np.ndarray, alpha: float, steps: range,
-                          levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The optimum over the grid ``xs`` of each 0-based step of ``steps``
-    (step ``s + 1``) at the quantile ``levels``, and its CVaR: the search pass.
+                          xs: np.ndarray, alpha: float, levels: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The optimum over the grid ``xs`` of each step of ``noise`` at the
+    quantile ``levels``, and its CVaR: the search pass.
 
     A step's optimum is the first grid minimum of its exact CVaRs, as
     ``np.argmin`` over all of them finds it. The cost's rule must be a
@@ -208,8 +208,9 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
     z = noise.family.quantile(levels)
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
     margin = 2.0 * _TOL * cost.bound
-    x_star, c_star = np.empty(len(steps)), np.empty(len(steps))
-    for out, block, xi in _blocks(noise, z, steps, max(z.size, xs.size)):
+    x_star, c_star = np.empty(noise.horizon), np.empty(noise.horizon)
+    for out, block, xi in _blocks(noise, z, range(noise.horizon),
+                                  max(z.size, xs.size)):
         screen = _closed_form_cvars(cost.fn, z, alpha, *noise.table[block].T, xs)
         keep = screen <= screen.min(axis=1, keepdims=True) + margin
         row, col = np.nonzero(keep)
@@ -225,7 +226,7 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                    levels: np.ndarray) -> RegretReport:
     """The played pass: evaluate ``x_hat`` ``(trials, T)``, played at steps
     ``1..T``, against the best actions in hindsight ``optima``, as
-    ``optimal_action_series`` returns them for ``range(T)`` at ``levels``.
+    ``optimal_action_series`` returns them at ``levels``.
 
     A step whose grid is spread places it once for every trial, whose rows
     are evaluated in one buffer of at most ``_BLOCK`` cost values (one row,

@@ -231,7 +231,7 @@ def sublinear_variation_budget() -> list[CheckResult]:
     rates = []
     for horizon in (1500, 3000, 6000):
         noise = environment.parking_noise(horizon)
-        rates.append(environment.variation_budget(noise, horizon) / horizon)
+        rates.append(environment.variation_budget(noise) / horizon)
     ok = rates[0] > rates[1] > rates[2]
     return [_result("environment", "sublinear-variation-budget", ok,
                     "V(T)/T = " + ", ".join(f"{r:.3e}" for r in rates))]

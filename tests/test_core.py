@@ -11,7 +11,7 @@ from cvarlearn import core
 from cvarlearn.core import (MEMBERSHIP_TOL, Box, ConfigurationError, CostModel,
                             Quadratic, fork_map, fork_ranges)
 from cvarlearn.environment import (BrownianSeq, constant_uniform, parking_noise,
-                                   parking_range, variation_profile, w1_numeric)
+                                   parking_range, w1_numeric)
 from cvarlearn.oracle import action_grid, true_cvar
 from cvarlearn.risk import cvar_of_values, dkw_epsilon
 from cvarlearn.schedule import (batch_epoch, check_sampling_requirement,
@@ -201,8 +201,6 @@ FRACTIONAL_COUNTS = {
         CostModel(fn=Quadratic(1.0), bound=4.0, lipschitz=4.0),
         constant_uniform(5, 0.0, 1.0), 1, 0.5, 0.5, grid_n=2000.5),
     "w1-numeric-grid": lambda: w1_numeric(np.sign, np.sign, (0.0, 1.0), grid=1000.5),
-    "variation-profile-horizon": lambda: variation_profile(
-        constant_uniform(20, 0.0, 1.0), 10.5),
     "brownian-horizon": lambda: BrownianSeq(10.5, 1e-4),
     "parking-noise-horizon": lambda: parking_noise(5.5),
     "constant-uniform-horizon": lambda: constant_uniform(10.5, 0.85, 1.1),

@@ -23,6 +23,7 @@ from cvarlearn.environment import (
     w1_numeric,
     w1_uniform,
 )
+from cvarlearn.harness import ExperimentConfig, build_scenario
 from cvarlearn.oracle import _mid_quantiles, true_cvar
 
 
@@ -144,7 +145,7 @@ class TestBrownianSeq:
     def test_budget_scales_with_sigma_span(self):
         noise = BrownianSeq(400, diffusivity=0.1)
         expected = math.sqrt(2 / math.pi) * (noise.table[399, 1] - noise.table[0, 1])
-        assert variation_budget(noise, 400) == pytest.approx(expected, rel=1e-12)
+        assert variation_budget(noise) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSequenceChecks:
@@ -562,16 +563,16 @@ class TestW1Numeric:
 class TestVariationBudget:
     def test_static_sequence_is_zero(self):
         noise = constant_uniform(100, 0.0, 1.0)
-        assert variation_budget(noise, 100) == 0.0
+        assert variation_budget(noise) == 0.0
 
     def test_two_step_translation(self):
         noise = UniformSeq([0.0, 1.0], [1.0, 2.0])
-        assert variation_budget(noise, 2) == pytest.approx(1.0)
+        assert variation_budget(noise) == pytest.approx(1.0)
 
     def test_parking_profile_matches_quadrature_spot_checks(self):
         horizon = 6000
         noise = parking_noise(horizon)
-        profile = variation_profile(noise, horizon)
+        profile = variation_profile(noise)
         assert profile.shape == (horizon - 1,)
         rng = np.random.default_rng(36)
         for t in rng.integers(3, horizon + 1, size=50):
@@ -584,6 +585,15 @@ class TestVariationBudget:
                                  grid=200_000)
             assert profile[t - 2] == pytest.approx(numeric, abs=1e-6)
 
+    @pytest.mark.parametrize("horizon", [2, 37])
+    @pytest.mark.parametrize("scenario", ["parking", "custom", "brownian"])
+    def test_profile_covers_every_step_of_its_noise(self, scenario, horizon):
+        noise = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon)).noise
+        profile = variation_profile(noise)
+        assert profile.shape == (horizon - 1,)
+        assert np.array_equal(profile, noise.step_w1(np.arange(2, horizon + 1)))
+        assert variation_budget(noise) == float(profile.sum())
+
     def test_horizon_too_short(self):
         with pytest.raises(ConfigurationError):
-            variation_budget(constant_uniform(5, 0, 1), 1)
+            variation_budget(constant_uniform(1, 0, 1))

@@ -9,6 +9,7 @@ import pytest
 from cvarlearn.core import Box, ConfigurationError, CostModel
 from cvarlearn import learner
 from cvarlearn.environment import BrownianSeq, constant_uniform, parking_noise
+from cvarlearn.harness import ExperimentConfig, build_scenario
 from cvarlearn.learner import LearnerConfig, Trace, _draws, run_trials
 from cvarlearn.risk import cvar_of_values
 from cvarlearn.schedule import batch_epoch, inverse_epoch_rates, polynomial_counts
@@ -18,7 +19,7 @@ def make_config(batch_size=10, count=4, eta=0.05, **overrides):
     """A learner config; unless ``counts`` or ``rates`` is given, the
     schedule is the constant ``count`` and ``eta`` columns of length
     ``batch_size``."""
-    base = dict(horizon=50, delta=0.05, alpha=0.5, counts=np.full(batch_size, count),
+    base = dict(delta=0.05, alpha=0.5, counts=np.full(batch_size, count),
                 rates=np.full(batch_size, eta), x0=0.5)
     base.update(overrides)
     return LearnerConfig(**base)
@@ -65,7 +66,7 @@ class TestRunBasics:
     def test_record_self_consistency(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(100)
-        config = make_config(horizon=100, batch_size=20, x0=1.5, count=8)
+        config = make_config(batch_size=20, x0=1.5, count=8)
         trace = run_trials(config, pricing_cost(), noise, region, [0, 1])
         costs = step_costs(trace, config, pricing_cost(), noise, [0, 1])
         assert np.array_equal(trace.x_hat, trace.x + config.delta * trace.u)
@@ -77,7 +78,7 @@ class TestRunBasics:
     def test_exact_record_count_with_short_final_batch(self):
         region = Box(0.0, 4.0)
         noise = constant_uniform(25, 0.0, 1.0)
-        trace = run(make_config(horizon=25, batch_size=10), ZERO_COST, noise,
+        trace = run(make_config(batch_size=10), ZERO_COST, noise,
                     region)
         assert trace.t.tolist() == list(range(1, 26))
         assert trace.batch[-1] == 3 and trace.epoch[-1] == 5
@@ -85,8 +86,19 @@ class TestRunBasics:
     def test_initial_point_projected_into_shrunk_set(self):
         region = Box(0.0, 4.0)
         noise = constant_uniform(10, 0.0, 1.0)
-        trace = run(make_config(horizon=10, x0=0.0), ZERO_COST, noise, region)
+        trace = run(make_config(x0=0.0), ZERO_COST, noise, region)
         assert trace.x[0, 0] == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 37])
+@pytest.mark.parametrize("scenario", ["parking", "custom", "brownian"])
+def test_a_run_steps_through_every_step_of_its_noise(scenario, horizon):
+    scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
+    trace = run_trials(make_config(), scen.cost, scen.noise, scen.region, [0, 1, 2])
+    assert np.array_equal(trace.t, np.arange(1, horizon + 1))
+    for field in dataclasses.fields(Trace):
+        column = getattr(trace, field.name)
+        assert column.shape == ((horizon,) if column.ndim == 1 else (3, horizon))
 
 
 def pricing_cost():
@@ -104,7 +116,7 @@ class TestConvergence:
         # iterates bounce between the box faces instead of converging.)
         region = Box(0.0, 4.0)
         noise = constant_uniform(2000, 0.0, 1.0)
-        config = make_config(horizon=2000, batch_size=500, delta=0.05,
+        config = make_config(batch_size=500, delta=0.05,
                              count=1, eta=0.01, x0=0.5)
         trace = run(config, QUADRATIC_COST, noise, region, seed=3)
         tail = trace.x[0, -100:]
@@ -117,7 +129,7 @@ class TestConvergence:
         region = Box(0.0, 4.0)
         noise = constant_uniform(2000, 0.0, 1.0)
         for eta in (0.05, 0.01):
-            config = make_config(horizon=2000, batch_size=500, delta=0.05,
+            config = make_config(batch_size=500, delta=0.05,
                                  count=1, eta=eta, x0=0.5)
             trace = run(config, QUADRATIC_COST, noise, region, seed=3)
             rng = np.random.default_rng(3)
@@ -140,12 +152,12 @@ class TestConvergence:
         bad = CostModel(fn=lambda x, xi: 0.0 * x + xi / xi - 1.0 + np.nan,
                         bound=1.0, lipschitz=1.0)
         with pytest.raises(ConfigurationError):
-            run(make_config(horizon=10), bad, noise, region)
+            run(make_config(), bad, noise, region)
 
     def test_feasibility_throughout(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(400)
-        config = make_config(horizon=400, batch_size=100, x0=1.0, count=8,
+        config = make_config(batch_size=100, x0=1.0, count=8,
                              eta=0.03)
         trace = run(config, pricing_cost(), noise, region)
         inner = region.shrink(config.delta)
@@ -171,7 +183,7 @@ class TestDeterminismAndRestarts:
     def test_bit_identical_repeat(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(120)
-        config = make_config(horizon=120, batch_size=30, x0=1.2, count=5)
+        config = make_config(batch_size=30, x0=1.2, count=5)
         first = run(config, pricing_cost(), noise, region, seed=11)
         second = run(config, pricing_cost(), noise, region, seed=11)
         assert np.array_equal(first.x, second.x)
@@ -185,7 +197,7 @@ class TestDeterminismAndRestarts:
     def test_seed_changes_trajectory(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(60)
-        kwargs = dict(horizon=60, batch_size=30, x0=1.2, count=5)
+        kwargs = dict(batch_size=30, x0=1.2, count=5)
         a = run(make_config(**kwargs), pricing_cost(), noise, region, seed=1)
         b = run(make_config(**kwargs), pricing_cost(), noise, region, seed=0)
         assert not np.array_equal(a.x_hat, b.x_hat)
@@ -193,7 +205,7 @@ class TestDeterminismAndRestarts:
     def test_schedule_resets_at_batch_boundaries(self):
         region = Box(0.0, 4.0)
         noise = constant_uniform(90, 0.0, 1.0)
-        config = make_config(horizon=90, count=3,
+        config = make_config(count=3,
                              rates=inverse_epoch_rates(2.0, 30), batch_size=30)
         trace = run(config, ZERO_COST, noise, region)
         for t, epoch, eta in zip(trace.t, trace.epoch, trace.eta):
@@ -215,20 +227,20 @@ class TestDeterminismAndRestarts:
         counts, count = COUNT_COLUMNS[sampling]
         rates, eta = RATE_COLUMNS[rate]
         for horizon in (1, batch_size - 1, batch_size, batch_size + 1, 6000):
-            config = make_config(horizon=horizon, counts=counts(batch_size),
-                                 rates=rates(batch_size))
+            config = make_config(counts=counts(batch_size), rates=rates(batch_size))
             t = np.arange(1, horizon + 1)
             batch, epoch = np.array([batch_epoch(s, batch_size) for s in t]).T
             reference = (t, batch, epoch,
                          np.array([count(int(tau), batch_size) for tau in epoch]),
                          np.array([eta(int(tau)) for tau in epoch], dtype=float))
-            for got, want in zip(learner._schedule(config), reference, strict=True):
+            columns = learner._schedule(config, horizon)
+            for got, want in zip(columns, reference, strict=True):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_decision_carries_over_restarts(self):
         region = Box(1.0, 5.0)
         noise = parking_noise(60)
-        config = make_config(horizon=60, batch_size=30, x0=1.5, count=4)
+        config = make_config(batch_size=30, x0=1.5, count=4)
         trace = run(config, pricing_cost(), noise, region)
         boundary, before = 30, 29  # column indices of t = 31 and t = 30
         step = trace.eta[before] * trace.gradient[0, before]
@@ -244,17 +256,17 @@ def brownian_case():
     cost = CostModel(fn=lambda x, xi: (x - xi) ** 2, bound=16.0, lipschitz=8.0,
                      strong_convexity=2.0)
     return (Box(-2.0, 2.0), cost, BrownianSeq(horizon, 1e-3),
-            make_config(horizon=horizon, batch_size=50, x0=1.0, count=24,
+            make_config(batch_size=50, x0=1.0, count=24,
                         eta=0.03))
 
 
 LOCKSTEP_CASES = {
     "parking-box": lambda: (
         Box(1.0, 5.0), pricing_cost(), parking_noise(150),
-        make_config(horizon=150, batch_size=50, x0=1.0, count=8, eta=0.03)),
+        make_config(batch_size=50, x0=1.0, count=8, eta=0.03)),
     "polynomial": lambda: (
         Box(1.0, 5.0), pricing_cost(), parking_noise(120),
-        make_config(horizon=120, x0=2.0, counts=polynomial_counts(0.5, 1.0, 40),
+        make_config(x0=2.0, counts=polynomial_counts(0.5, 1.0, 40),
                     rates=inverse_epoch_rates(2.0, 40))),
     "brownian": brownian_case,
 }
@@ -350,7 +362,7 @@ class TestBounds:
         region = Box(1.0, 5.0)
         noise = parking_noise(300)
         cost = pricing_cost()
-        config = make_config(horizon=300, batch_size=100, x0=2.0, count=8)
+        config = make_config(batch_size=100, x0=2.0, count=8)
         trace = run(config, cost, noise, region)
         assert np.abs(trace.cvar_estimate).max() <= cost.bound
         assert np.abs(trace.gradient).max() <= cost.bound / config.delta + 1e-12
@@ -361,13 +373,7 @@ class TestValidation:
         region = Box(0.0, 1.0)
         noise = constant_uniform(10, 0.0, 1.0)
         with pytest.raises(ConfigurationError):
-            run(make_config(horizon=10, delta=0.6), ZERO_COST, noise, region)
-
-    def test_horizon_beyond_noise_rejected(self):
-        region = Box(0.0, 4.0)
-        noise = constant_uniform(5, 0.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            run(make_config(horizon=10), ZERO_COST, noise, region)
+            run(make_config(delta=0.6), ZERO_COST, noise, region)
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -390,13 +396,13 @@ class TestValidation:
         noise = constant_uniform(10, 0.0, 1.0)
         for x0 in (0.0, 4.0):
             with pytest.raises(RuntimeError, match=r"feasibility violated at t=1\b"):
-                run_trials(make_config(horizon=10, x0=x0), ZERO_COST, noise,
+                run_trials(make_config(x0=x0), ZERO_COST, noise,
                            region, range(8))
 
     def test_a_run_needs_a_seed(self):
         noise = constant_uniform(10, 0.0, 1.0)
         with pytest.raises(ConfigurationError, match="^a run needs at least one seed$"):
-            run_trials(make_config(horizon=10), ZERO_COST, noise, Box(0.0, 4.0), [])
+            run_trials(make_config(), ZERO_COST, noise, Box(0.0, 4.0), [])
 
     def test_trials_beyond_the_address_space_fail_before_any_stream(
             self, monkeypatch):
@@ -415,20 +421,9 @@ class TestValidation:
         monkeypatch.setattr(learner, "Stream", counted)
         noise = constant_uniform(10, 0.0, 1.0)
         with pytest.raises(MemoryError, match="Unable to allocate"):
-            run_trials(make_config(horizon=10), ZERO_COST, noise, Box(0.0, 4.0),
+            run_trials(make_config(), ZERO_COST, noise, Box(0.0, 4.0),
                        range(10 ** 15))
         assert built == []
-
-    @pytest.mark.parametrize("horizon", [5.7, 10.5, np.nan, np.inf])
-    def test_non_integral_horizon_rejected(self, horizon):
-        # Rejected, never truncated to the whole steps below it.
-        with pytest.raises(ConfigurationError,
-                           match=re.escape(f"horizon {horizon!r} is not an integer")):
-            make_config(horizon=horizon)
-
-    def test_integral_horizon_is_stored_as_an_int(self):
-        config = make_config(horizon=10.0)
-        assert config.horizon == 10 and isinstance(config.horizon, int)
 
     @pytest.mark.parametrize("count", [2.5, 2.0])
     def test_float_count_column_rejected(self, count):

@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvarlearn import core, environment, oracle
-from cvarlearn.core import (Box, ConfigurationError, CostModel, Quadratic, fork_map,
-                            fork_ranges)
+from cvarlearn.core import Box, ConfigurationError, CostModel, Quadratic
 from cvarlearn.environment import UniformSeq, constant_uniform
 from cvarlearn.oracle import (
     _BLOCK,
@@ -60,22 +59,22 @@ def scan_series(cost, noise, region, alpha, steps, k, grid_n):
     return x_star, c_star
 
 
-def optima_series(cost, noise, region, alpha, horizon, k, grid_n):
-    """The oracle's optima series: its search pass over steps ``1..horizon``."""
+def optima_series(cost, noise, region, alpha, k, grid_n):
+    """The oracle's optima series: its search pass over every noise step."""
     return optimal_action_series(cost, noise, action_grid(region, k), alpha,
-                                 range(horizon), _mid_quantiles(grid_n))
+                                 _mid_quantiles(grid_n))
 
 
 def regret(x_hat, cost, noise, region, alpha, k, grid_n):
     """The played pass of ``x_hat`` against the search pass's series."""
-    optima = optima_series(cost, noise, region, alpha, x_hat.shape[1], k, grid_n)
+    optima = optima_series(cost, noise, region, alpha, k, grid_n)
     return dynamic_regret(x_hat, cost, noise, alpha, optima,
                           _mid_quantiles(grid_n))
 
 
 def step_optimum(cost, noise, region, k, grid_n):
     """The oracle's grid optimum of a one-step sequence and its CVaR."""
-    x_star, c_star = optima_series(cost, noise, region, 0.5, 1, k, grid_n)
+    x_star, c_star = optima_series(cost, noise, region, 0.5, k, grid_n)
     return x_star[0], c_star[0]
 
 
@@ -200,7 +199,7 @@ class TestSearchAgainstClosedForm:
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
         xs, grid_n = action_grid(PRICES, 100), 2000
         x_star, c_star = optimal_action_series(
-            scen.cost, scen.noise, xs, alpha, range(horizon), _mid_quantiles(grid_n))
+            scen.cost, scen.noise, xs, alpha, _mid_quantiles(grid_n))
         t = np.arange(1, horizon + 1)
         exact = closed_form_cvar(scen.noise, t, x_star, alpha)
         tol = closed_form_tolerance(alpha, grid_n)
@@ -298,32 +297,35 @@ class TestClosedForm:
 
 
 class TestConvexSearch:
+    @pytest.mark.parametrize("horizon", [1, 2, 37])
+    @pytest.mark.parametrize("scenario", ["parking", "custom", "brownian"])
+    def test_series_covers_every_step_of_its_noise(self, scenario, horizon):
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
+        args = (scen.cost, scen.noise, scen.region, 0.5)
+        x_star, c_star = optima_series(*args, k=10, grid_n=1000)
+        assert x_star.shape == c_star.shape == (horizon,)
+        x_ref, c_ref = scan_series(*args, range(horizon), k=10, grid_n=1000)
+        assert np.array_equal(x_star, x_ref) and np.array_equal(c_star, c_ref)
+
     @pytest.mark.parametrize("grid_n", LEVEL_COUNTS)
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("scenario, horizon", SEARCH_SCENARIOS,
                              ids=[f"{s}-T{t}" for s, t in SEARCH_SCENARIOS])
-    def test_series_equals_exhaustive_scan(self, force_jobs, scenario, horizon,
-                                           alpha, grid_n):
-        # The screened search pass, cut into 1, 2 and 3 step ranges run in
-        # forked jobs, against the exhaustive scan: the same actions and
-        # CVaR bits. At alpha 0.5 and 2,000 levels every step is checked,
-        # elsewhere every few steps (10 of them at 10,000 levels).
+    def test_series_equals_exhaustive_scan(self, scenario, horizon, alpha,
+                                           grid_n):
+        # The screened search pass against the exhaustive scan: the same
+        # actions and CVaR bits. At alpha 0.5 and 2,000 levels every step is
+        # checked, elsewhere every few steps (10 of them at 10,000 levels).
         scen = build_scenario(ExperimentConfig(scenario=scenario,
                                                horizon=horizon))
         stride = 1 if (alpha, grid_n) == (0.5, 2000) else horizon * grid_n // 100_000
         steps = range(0, horizon, max(1, stride))
         x_ref, c_ref = scan_series(scen.cost, scen.noise, scen.region, alpha,
                                    steps, k=100, grid_n=grid_n)
-        for jobs in (1, 2, 3):
-            force_jobs(jobs)
-            ranges = fork_ranges(len(steps), 1.0)
-            assert len(ranges) == jobs
-            parts = fork_map(lambda r: optimal_action_series(
-                scen.cost, scen.noise, action_grid(scen.region, 100), alpha,
-                steps[r.start:r.stop], _mid_quantiles(grid_n)), ranges)
-            x_star, c_star = (np.concatenate(part) for part in zip(*parts))
-            assert np.array_equal(x_star, x_ref)
-            assert np.array_equal(c_star, c_ref)
+        x_star, c_star = optima_series(scen.cost, scen.noise, scen.region, alpha,
+                                       k=100, grid_n=grid_n)
+        assert np.array_equal(x_star[list(steps)], x_ref)
+        assert np.array_equal(c_star[list(steps)], c_ref)
 
     def test_a_long_action_grid_keeps_its_blocks_small(self):
         # 10,000 actions at 1,000 levels: a block takes 6 steps, not the 65
@@ -337,7 +339,7 @@ class TestConvexSearch:
         tracemalloc.start()
         try:
             x_star, c_star = optimal_action_series(scen.cost, scen.noise, xs, 0.5,
-                                                   range(100), _mid_quantiles(1000))
+                                                   _mid_quantiles(1000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,7 +369,7 @@ class TestConvexSearch:
         bound = float(np.abs(fn(xs[:, None], xi[None, :])).max()) or 1.0
         cost = CostModel(fn=fn, bound=bound, lipschitz=1.0)
         scan = _cvars(cost, xi, xs, alpha)
-        x_star, c_star = optimal_action_series(cost, noise, xs, alpha, range(1),
+        x_star, c_star = optimal_action_series(cost, noise, xs, alpha,
                                                _mid_quantiles(1000))
         i = int(np.argmin(scan))
         assert x_star[0] == xs[i]
@@ -402,7 +404,7 @@ class TestPassQuantiles:
 
 @pytest.mark.parametrize("run_pass", [
     lambda cost, noise, levels: optimal_action_series(
-        cost, noise, action_grid(Box(0.0, 1.0), 10), 0.5, range(5), levels),
+        cost, noise, action_grid(Box(0.0, 1.0), 10), 0.5, levels),
     lambda cost, noise, levels: dynamic_regret(
         np.zeros((2, 5)), cost, noise, 0.5, (np.zeros(5), np.zeros(5)), levels),
 ], ids=["search", "played"])
@@ -474,13 +476,13 @@ class TestDynamicRegret:
         with pytest.raises(ConfigurationError, match="played actions"):
             dynamic_regret(np.full(shape, 2.0), scen.cost, scen.noise, 0.5,
                            optima_series(scen.cost, scen.noise, scen.region,
-                                         0.5, 10, k=10, grid_n=1000),
+                                         0.5, k=10, grid_n=1000),
                            _mid_quantiles(1000))
 
     def test_playing_the_optimum_gives_zero_regret(self):
         scen = pricing_scenario(horizon=30)
         x_star, c_star = optima_series(scen.cost, scen.noise, scen.region,
-                                       0.5, 30, k=50, grid_n=1000)
+                                       0.5, k=50, grid_n=1000)
         report = regret(played(x_star), scen.cost, scen.noise, scen.region,
                         0.5, k=50, grid_n=1000)
         assert report.cumulative_regret[0, -1] == pytest.approx(0.0, abs=1e-12)
@@ -517,7 +519,7 @@ class TestDynamicRegret:
         horizon = 120
         scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
         args = (scen.cost, scen.noise, scen.region, 0.5)
-        x_star, c_star = optima_series(*args, horizon, k=40, grid_n=1000)
+        x_star, c_star = optima_series(*args, k=40, grid_n=1000)
         x_ref, c_ref = scan_series(*args, range(horizon), k=40, grid_n=1000)
         low, high = scen.region.lower, scen.region.upper
         x_hat = np.random.default_rng(55).uniform(low, high, (trials, horizon))
@@ -660,15 +662,6 @@ class TestPointMassSteps:
             assert np.array_equal(block, np.arange(300)[out])
             buffers.add(xi.__array_interface__["data"][0])
         assert len(buffers) == 1
-
-    @pytest.mark.parametrize("steps", [range(12), range(-1, 3)])
-    def test_a_step_outside_the_noise_is_rejected(self, steps):
-        # The search pass at steps beyond either end of a 10-step noise.
-        scen = pricing_scenario(10)
-        with pytest.raises(ConfigurationError, match="outside horizon"):
-            optimal_action_series(scen.cost, scen.noise,
-                                  action_grid(scen.region, 10), 0.5, steps,
-                                  _mid_quantiles(1000))
 
     @pytest.mark.parametrize("shape, horizon, match", [
         ((2, 12), 12, "outside horizon"),

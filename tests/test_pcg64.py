@@ -43,7 +43,7 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
 
 
 def test_run_trials_rejects_a_negative_seed():
-    config = LearnerConfig(horizon=10, delta=0.05, alpha=0.5, counts=np.full(5, 2),
+    config = LearnerConfig(delta=0.05, alpha=0.5, counts=np.full(5, 2),
                            rates=np.full(5, 0.05), x0=0.5)
     cost = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0, lipschitz=1.0)
     with pytest.raises(ConfigurationError, match="seed -1"):
