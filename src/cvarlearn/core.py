@@ -7,15 +7,17 @@ its declared bound, Lipschitz constant, and strong-convexity modulus; the
 oracle's passes need the rule to be a ``Quadratic``. A noise
 sequence is a location-scale table plus the ``Family`` of its standard
 variable; its per-step CDF, quantile, support and step W1 read the table.
-``fork_map`` and ``fork_ranges`` split a phase of independent work across the
-usable CPUs, and ``_as_int`` is the one integer rule of every count and step
-argument (not exported).
+``fork_map`` and ``fork_ranges`` split a phase of independent work across
+forked children, one per usable CPU, that send arrays back as raw buffers;
+``_as_int`` is the one integer rule of every count and step argument.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -293,10 +295,10 @@ class NoiseSequence:
         return self.family.w1(*self._columns(t - 1), *self._columns(t))
 
 
-#: Least estimated serial work, in seconds, that ``fork_ranges`` splits:
-#: importing ``multiprocessing`` and forking take about 30 ms, a fifth of
-#: this. The played pass of ``run --T 500 --trials 100``, about 0.2 s of
-#: estimated work once its point-mass steps take one value a trial, took
+#: Least estimated serial work, in seconds, that ``fork_ranges`` splits: a
+#: 2-job ``fork_map`` takes about 1.5 ms, and its children's copy-on-write
+#: faults more. The played pass of ``run --T 500 --trials 100``, about 0.2 s
+#: of estimated work once its point-mass steps take one value a trial, took
 #: 0.70 s median wall forked on 2 CPUs against 0.76 s in one process, and
 #: 1.08 against 1.04 s of CPU time (8 alternating CLI runs each, a 2-CPU
 #: Xeon, numpy 2.4).
@@ -331,54 +333,68 @@ def fork_map(fn: Callable, jobs: Sequence) -> list:
     Children are forked, not spawned, so ``fn`` may be a closure over
     run-time state: lazy state built before the call is shared, not rebuilt.
     (Forking is safe here because the program starts no threads.)
-    Each child sends its result back pickled. An exception raised in a child
-    is raised here as it was raised there; a child that dies without a
-    result raises ``RuntimeError``. Every child is reaped before this
-    returns or raises, also when job 0 fails. With one job nothing forks and
-    ``multiprocessing`` is not imported.
+    Each child sends its result back over a pipe, its arrays as raw buffers,
+    and exits without flushing what it inherited. An exception raised in a
+    child is raised here as it was raised there; a child that dies without a
+    result raises ``RuntimeError``. Every child is reaped before this returns
+    or raises, also when job 0 fails. With one job nothing forks.
     """
     if len(jobs) == 1:
         return [fn(jobs[0])]
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
     children = []
     try:
         for job in jobs[1:]:
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(target=_send_result, args=(fn, job, writer))
-            child.start()
-            writer.close()
-            children.append((child, reader))
+            reader, writer = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(fn, job, writer)
+            os.close(writer)
+            children.append((pid, reader))
         first = fn(jobs[0])
     finally:
-        outcomes = [_reap(child, reader) for child, reader in children]
+        outcomes = [_reap(pid, reader) for pid, reader in children]
     for ok, value in outcomes:
         if not ok:
             raise value
     return [first, *(value for _, value in outcomes)]
 
 
-def _send_result(fn: Callable, job, writer) -> None:
-    """Body of a forked child: send ``(True, fn(job))`` or ``(False, error)``."""
+def _child(fn: Callable, job, writer: int) -> None:
+    """Body of a forked child, which exits at its end: ``(True, fn(job))`` or
+    ``(False, error)`` to ``writer``, its buffers' sizes, raw bytes and pickle."""
     try:
-        outcome = (True, fn(job))
-    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-        outcome = (False, exc)
-    writer.send(outcome)
-
-
-def _reap(child, reader) -> tuple[bool, object]:
-    """The outcome a child sent, read before it is joined (a child blocks
-    until its result is read)."""
-    with reader:
         try:
-            outcome = reader.recv()
-        except EOFError:
-            outcome = None
-    child.join()
+            outcome = (True, fn(job))
+        except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+            outcome = (False, exc)
+        raws = []  # each buffer's bytes, read in place from its array
+        head = pickle.dumps(outcome, 5, buffer_callback=lambda b: raws.append(b.raw()))
+        with open(writer, "wb") as pipe:  # writes beyond its buffer go straight out
+            pickle.dump([raw.nbytes for raw in raws], pipe)
+            pipe.writelines([*raws, head])
+        os._exit(0)
+    except BaseException:  # an unpicklable result, say: the parent sees only the code
+        traceback.print_exc()
+    finally:
+        os._exit(1)  # nothing returns into the caller's stack
+
+
+def _reap(pid: int, reader: int) -> tuple[bool, object]:
+    """The outcome a child sent, read whole before the child is waited for
+    (a child blocks until its result is read)."""
+    try:
+        with open(reader, "rb") as pipe:  # reads beyond its buffer go straight in
+            buffers = [np.empty(size, np.uint8) for size in pickle.load(pipe)]
+            if sum(map(pipe.readinto, buffers)) < sum(b.size for b in buffers):
+                raise EOFError
+            outcome = pickle.load(pipe, buffers=buffers)
+    except (EOFError, pickle.UnpicklingError):  # the pipe ended early
+        outcome = None
+    except Exception as exc:  # noqa: BLE001 - a result that cannot be rebuilt here
+        outcome = (False, exc)
+    finally:
+        status = os.waitpid(pid, 0)[1]
     if outcome is None:
         return False, RuntimeError(
-            f"forked worker exited with code {child.exitcode} before "
-            "returning its result")
+            f"forked worker exited with code {os.waitstatus_to_exitcode(status)} "
+            "before returning its result")
     return outcome

@@ -247,6 +247,7 @@ def _learner(config: ExperimentConfig, scenario: Scenario
     checked by their owners, and the sampling-requirement check of the
     counts it runs, which logs a violation and goes on."""
     size = schedule._check_batch_size(config.batch_size)  # before np.full reads it
+    _check_sizes(config, scenario.noise.horizon)
     try:  # NumPy refuses a column beyond the address space, counts before rates
         counts = np.full(size, config.samples)
     except (MemoryError, ValueError) as exc:
@@ -270,6 +271,17 @@ def _learner(config: ExperimentConfig, scenario: Scenario
     seeds = range(config.base_seed, config.base_seed + config.trials)
     return functools.partial(learner.run_trials, settings, scenario.cost,
                              scenario.noise, scenario.region, seeds), check
+
+
+def _check_sizes(config: ExperimentConfig, horizon: int) -> None:
+    """Refuse the eight ``(trials, T)`` columns or one step's draws beyond memory."""
+    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+              if hasattr(os, "sysconf") else math.inf)
+    for term, values in (("the (trials, T) columns", 8 * config.trials * horizon),
+                         ("one step's draws", config.trials * (1 + config.samples))):
+        if 8 * values > memory:
+            raise ConfigurationError(f"{term} would take {8 * values} bytes, "
+                                     f"more than the {memory} of physical memory")
 
 
 #: Serial seconds of a lockstep learner step, whatever its trial count, and
@@ -301,10 +313,11 @@ def _template(header: str, columns) -> list[str]:
     integers and floats with 17 significant digits. A column given as
     ``None`` is left as float slots, which ``_write_csv`` fills.
     """
-    rows = next(len(c) for c in columns if c is not None)
-    cells = [[_FLOAT] * rows if c is None else _cells(c) for c in columns]
-    lines = [",".join(row) + "\n" for row in zip(*cells)]
-    blocks = ["".join(lines[i:i + _BLOCK_ROWS]) for i in range(0, rows, _BLOCK_ROWS)]
+    rows, blocks = next(len(c) for c in columns if c is not None), []
+    for i in range(0, rows, _BLOCK_ROWS):  # one block's cells at a time
+        cells = [[_FLOAT] * min(_BLOCK_ROWS, rows - i) if c is None
+                 else _cells(c[i:i + _BLOCK_ROWS]) for c in columns]
+        blocks.append("".join(",".join(row) + "\n" for row in zip(*cells)))
     return [header + "\n" + (blocks[0] if blocks else ""), *blocks[1:]]
 
 
@@ -445,10 +458,11 @@ def run_ablation(config: ExperimentConfig, sample_counts) -> dict[int, Experimen
     if len(counts) < 2 or len(set(counts)) < len(counts):
         raise ConfigurationError(f"ablation needs two or more distinct counts: {counts}")
     schedule._check_counts([config.samples])  # replaced by the counts, yet checked
-    subs = [dataclasses.replace(config, samples=n,
-                                out_prefix=f"{config.out_prefix}_n{n}")
+    subs = [dataclasses.replace(config, samples=n, out_prefix=f"{config.out_prefix}_n{n}")
             for n in counts]
-    return dict(zip(counts, _experiments(build_scenario(config), subs)))
+    scenario = build_scenario(config)
+    _check_sizes(config, scenario.noise.horizon)  # samples too, replaced yet checked
+    return dict(zip(counts, _experiments(scenario, subs)))
 
 
 def write_ablation(prefix: str, results: dict[int, ExperimentResult]) -> None:

@@ -1,4 +1,7 @@
+import dataclasses
 import os
+import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvarlearn import core
+from cvarlearn import core, harness
 from cvarlearn.core import (MEMBERSHIP_TOL, Box, ConfigurationError, CostModel,
                             Quadratic, fork_map, fork_ranges)
 from cvarlearn.environment import (BrownianSeq, constant_uniform, parking_noise,
@@ -286,7 +289,120 @@ class TestForkRanges:
         assert fork_ranges(n, 100.0) == expected
 
 
+class TwoArgError(Exception):
+    """Pickled by its first argument only, so it cannot be rebuilt."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def small_trace():
+    config = harness.make_config({"horizon": 40, "batch_size": 5, "trials": 3})
+    return harness._learner(config, harness.build_scenario(config))[0]()
+
+
+_RNG = np.random.default_rng(7)
+# Results whose arrays must come back as they were sent: the out-of-band
+# buffers of C- and Fortran-ordered arrays, a pickled copy of a view.
+ARRAY_RESULTS = {
+    "float64-3x5000": _RNG.standard_normal((3, 5000)),
+    "int64-column": np.arange(-7, 4993, dtype=np.int64),
+    "empty-0x7": np.empty((0, 7)),
+    "fortran": np.asfortranarray(_RNG.standard_normal((300, 41))),
+    "view": _RNG.standard_normal((40, 90))[1:, ::3],
+}
+
+
+def assert_same_array(got, sent):
+    # A view arrives as the contiguous copy that pickling makes of it.
+    order = np.array(sent, order="K").flags
+    assert got.dtype == sent.dtype and got.shape == sent.shape
+    assert got.tobytes() == sent.tobytes()
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        order.c_contiguous, order.f_contiguous)
+    assert got.flags.writeable and got.flags.aligned
+
+
 class TestForkMap:
+    @pytest.mark.parametrize("name", ARRAY_RESULTS)
+    def test_an_array_comes_back_as_it_was_sent(self, name):
+        sent = ARRAY_RESULTS[name]
+        results = fork_map(lambda job: sent, range(2))
+        assert_same_array(results[1], sent)
+        assert_no_child_left()
+
+    def test_a_trace_comes_back_as_it_was_sent(self):
+        sent = small_trace()
+        got = fork_map(lambda job: sent, range(2))[1]
+        assert type(got) is type(sent)
+        for field in dataclasses.fields(sent):
+            assert_same_array(getattr(got, field.name), getattr(sent, field.name))
+
+    def test_a_large_result_is_received_without_a_copy(self):
+        # Job 0's result and the one received, about 2.0 times the size; a
+        # received pickle and its unpickled copy take it past 3.
+        size = 8 * 2 ** 20
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            results = fork_map(lambda job: np.full(size // 8, float(job)), range(2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert results[1].nbytes == size and (results[1] == 1.0).all()
+        assert peak < 2.5 * size
+
+    @pytest.mark.parametrize("job_zero", ["returns", "raises"])
+    def test_a_result_beyond_the_pipe_buffer_arrives_whole(self, job_zero):
+        # The child fills the pipe while job 0 still runs, and then waits
+        # for it to be read: also when job 0 fails.
+        sent = np.arange(2 ** 20, dtype=np.float64)
+
+        def fn(job):
+            if job == 0:
+                time.sleep(0.2)
+                if job_zero == "raises":
+                    raise ConfigurationError("job 0 is bad")
+            return sent
+
+        if job_zero == "raises":
+            with pytest.raises(ConfigurationError, match="job 0 is bad"):
+                fork_map(fn, range(3))
+        else:
+            for got in fork_map(fn, range(3))[1:]:
+                assert_same_array(got, sent)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault, printed", [
+        ("unpicklable", "Can't pickle local object"), ("system-exit", "SystemExit: 0")])
+    def test_a_child_that_cannot_send_raises_runtime_error(self, capfd, fault,
+                                                            printed):
+        # The child prints its traceback, since the parent sees only its code.
+        parent = os.getpid()
+
+        def fn(job):
+            if os.getpid() == parent:
+                return job
+            if fault == "system-exit":
+                raise SystemExit(0)  # must not return into the caller's stack
+            return lambda: job  # a local function cannot be pickled
+
+        with pytest.raises(RuntimeError, match="exited with code 1 before returning"):
+            fork_map(fn, range(3))
+        assert_no_child_left()
+        assert capfd.readouterr().err.count(printed) == 2
+
+    def test_an_error_that_cannot_be_rebuilt_still_reaps_every_child(self):
+        def fn(job):
+            if job == 1:
+                raise TwoArgError("first", "second")
+            return np.zeros(2 ** 17)  # beyond the pipe buffer
+
+        with pytest.raises(TypeError, match="second"):
+            fork_map(fn, range(3))
+        assert_no_child_left()
+
     def test_results_in_job_order(self):
         parent = os.getpid()
         results = fork_map(lambda job: (job * job, os.getpid() == parent), range(4))

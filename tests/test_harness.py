@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -246,6 +247,23 @@ class TestRunExperiment:
         expected = "t,a,w,b\n" + "".join(
             "%d,%.17g,%.17g,%.17g\n" % (i, x, 0.1, y) for i, x, y in zip(t, a, b))
         assert (tmp_path / "f.csv").read_text() == expected
+
+    def test_templates_take_one_block_of_memory(self):
+        # A trajectory file's shared cells are formatted one block at a
+        # time, about 1.2 times the templates' size; the whole file's cells
+        # and lines at once take over 7 times at this length.
+        t = np.arange(1, 20_001)
+        columns = (t, t % 7, t % 5, None, None, t % 3 + 8, None, None,
+                   np.linspace(0, 1, t.size), None, np.sqrt(t), None, None)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            templates = harness._template(harness.TRAJECTORY_HEADER, columns)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(map(sys.getsizeof, templates))
 
     def test_failed_write_keeps_the_old_files(self, tmp_path, monkeypatch):
         config = small_config(tmp_path, trials=2)
@@ -799,18 +817,26 @@ class TestCli:
             pytest.skip("import numpy loads numpy.random on this NumPy")
         assert proc.stdout.splitlines()[-1] == "[]"
 
-    def test_scenario_build_never_imports_multiprocessing(self, tmp_path):
-        # Only a phase that forks imports multiprocessing; import and
-        # scenario build (the bench's setup_s) stay as they were.
-        code = ("import sys; import cvarlearn.harness as h\n"
+    def test_no_run_imports_multiprocessing(self, tmp_path):
+        # fork_map forks with os.fork and a pipe: neither the scenario build
+        # (the bench's setup_s) nor a run or an ablation whose every phase
+        # forks imports multiprocessing.
+        code = ("import sys; import cvarlearn.core as core; "
+                "core._usable_cpus = lambda: 2; core._FORK_MIN_S = 0.0\n"
+                "import cvarlearn.harness as h; from cvarlearn import cli\n"
                 "for name in h.SCENARIOS:\n"
                 "    h.build_scenario(h.make_config({'scenario': name}))\n"
-                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                "forks = []; fork_map = h.fork_map\n"
+                "h.fork_map = lambda fn, jobs: forks.append(len(jobs) - 1) or fork_map(fn, jobs)\n"
+                f"assert cli.main(['run', *{FORK_RUN!r}, '--out', 'r']) == 0\n"
+                "assert cli.main(['ablate', '--counts', '2,4', "
+                f"*{FORK_RUN!r}, '--out', 'a']) == 0\n"
+                "print(forks, sorted(m for m in ('multiprocessing', 'concurrent.futures') "
                 "if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert proc.stdout.splitlines()[-1] == "[1, 1, 1, 1] []"
 
     def test_budget_cli(self, tmp_path, capsys, caplog):
         # No learner runs, so the initial decision is never projected.
@@ -906,6 +932,13 @@ CONFIG_FAULTS = {
     "eta": (["--eta", "0"], "", "learning rate eta=0.0 must be positive and finite"),
     "samples": (["--samples", "0"], "", "sample count must be >= 1, got 0"),
     "trials": (["--trials", "0"], "", "trials must be >= 1, got 0"),
+    # Sizes that physical memory cannot hold, refused before any allocation:
+    # one step's 1 + n draws of the one trial, and the eight (trials, T)
+    # float64 columns at T = 10.
+    "samples-oversized": (["--samples", "1e15"], "", "one step's draws would take "
+                          "8000000000000008 bytes, more than the"),
+    "trials-oversized": (["--trials", "1e15"], "", "the (trials, T) columns would "
+                         "take 640000000000000000 bytes, more than the"),
     "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
     "rate_rule": (["--rate", "fast"], "", "rate_rule must be 'constant' or 'inverse'"),
     "scenario": (["--scenario", "casino"], "", "unknown scenario 'casino'"),
@@ -941,7 +974,8 @@ class TestConfigFaults:
 
     @pytest.mark.parametrize("fault", [
         "batch_size", "batch_size-oversized", "batch_size-oversized-inverse",
-        "alpha-above-one", "delta-at-inradius", "eta", "samples"])
+        "alpha-above-one", "delta-at-inradius", "eta", "samples",
+        "samples-oversized", "trials-oversized"])
     def test_budget_checks_only_the_fields_it_reads(self, tmp_path, fault):
         flags, text, _ = CONFIG_FAULTS[fault]
         assert run_faulty(tmp_path, ["budget"], flags, text) == 0
@@ -1062,23 +1096,23 @@ class TestForkedRuns:
     def test_configs_are_checked_before_any_fork(self, tmp_path, text, code,
                                                  counts):
         # Two usable CPUs and any work forks; yet a config fault exits 1
-        # with no fork made and multiprocessing never imported, and each
-        # count's requirement violation is logged once, in count order.
+        # with no fork made, and each count's requirement violation is
+        # logged once, in count order. The spy counts the children forked.
         (tmp_path / "exp.cfg").write_text(text)
         script = (
             "import sys; import cvarlearn.core as core; "
             "core._usable_cpus = lambda: 2; core._FORK_MIN_S = 0.0\n"
             "import cvarlearn.harness as harness; from cvarlearn import cli\n"
             "forks = []; fork_map = harness.fork_map\n"
-            "harness.fork_map = lambda fn, jobs: forks.append(1) or fork_map(fn, jobs)\n"
+            "harness.fork_map = lambda fn, jobs: forks.append(len(jobs) - 1) or fork_map(fn, jobs)\n"
             "code = cli.main(['ablate', '--config', 'exp.cfg', '--counts', '1,2,3', "
             f"*{FORK_RUN!r}, '--out', 'f'])\n"
-            "print(code, len(forks), 'multiprocessing' in sys.modules)")
+            "print(code, sum(forks))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env=env, capture_output=True, text=True, check=True)
         forked = code == 0
-        assert proc.stdout.splitlines()[-1] == f"{code} {2 if forked else 0} {forked}"
+        assert proc.stdout.splitlines()[-1] == f"{code} {2 if forked else 0}"
         warnings = [line.split(":")[0] for line in proc.stderr.splitlines()
                     if "sampling requirement" in line]
         assert warnings == [f"WARNING sampling requirement violated for n={n}"
