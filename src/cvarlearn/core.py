@@ -295,16 +295,6 @@ class NoiseSequence:
         return self.family.w1(*self._columns(t - 1), *self._columns(t))
 
 
-#: Least estimated serial work, in seconds, that ``fork_ranges`` splits: a
-#: 2-job ``fork_map`` takes about 1.5 ms, and its children's copy-on-write
-#: faults more. The played pass of ``run --T 500 --trials 100``, about 0.2 s
-#: of estimated work once its point-mass steps take one value a trial, took
-#: 0.70 s median wall forked on 2 CPUs against 0.76 s in one process, and
-#: 1.08 against 1.04 s of CPU time (8 alternating CLI runs each, a 2-CPU
-#: Xeon, numpy 2.4).
-_FORK_MIN_S = 0.15
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -313,16 +303,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def fork_ranges(n: int, work_s: float) -> list[range]:
-    """``range(n)`` cut into contiguous ranges, one per job of ``fork_map``.
-
-    ``work_s`` estimates the serial seconds of the whole work. It is one
-    range per usable CPU, at most ``n``; a single range where the work is
-    below ``_FORK_MIN_S`` or the platform cannot fork.
-    """
-    jobs = 1
-    if work_s >= _FORK_MIN_S and hasattr(os, "fork"):
-        jobs = max(1, min(_usable_cpus(), n))
+def fork_ranges(n: int) -> list[range]:
+    """``range(n)`` cut into contiguous ranges, one per job of ``fork_map``:
+    one range per usable CPU, at most ``n``; a single range on one CPU or
+    where the platform cannot fork."""
+    jobs = max(1, min(_usable_cpus(), n)) if hasattr(os, "fork") else 1
     return [range(n * j // jobs, n * (j + 1) // jobs) for j in range(jobs)]
 
 
@@ -336,8 +321,9 @@ def fork_map(fn: Callable, jobs: Sequence) -> list:
     Each child sends its result back over a pipe, its arrays as raw buffers,
     and exits without flushing what it inherited. An exception raised in a
     child is raised here as it was raised there; a child that dies without a
-    result raises ``RuntimeError``. Every child is reaped before this returns
-    or raises, also when job 0 fails. With one job nothing forks.
+    result raises ``RuntimeError``. Every child is reaped, and every pipe
+    closed, before this returns or raises, also when job 0 fails or a fork
+    does. With one job nothing forks.
     """
     if len(jobs) == 1:
         return [fn(jobs[0])]
@@ -345,7 +331,13 @@ def fork_map(fn: Callable, jobs: Sequence) -> list:
     try:
         for job in jobs[1:]:
             reader, writer = os.pipe()
-            if (pid := os.fork()) == 0:
+            try:
+                pid = os.fork()
+            except BaseException:  # EAGAIN at a process limit, say: no child owns it
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
                 _child(fn, job, writer)
             os.close(writer)
             children.append((pid, reader))

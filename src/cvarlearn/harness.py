@@ -8,13 +8,13 @@ with seed ``base_seed + i``; all trials of an experiment step in lockstep.
 An experiment runs the learner beside the oracle's search for the per-step
 optima, then the oracle's played pass over every trial; these tasks, the
 played pass's steps and the trial files are cut into ranges that run in
-forked processes, one per usable CPU, or in this process when a fork does
-not pay, with the same bytes either way. A run returns one
-``ExperimentResult`` per experiment (its ``Trace``, its trials' rows of the
-``RegretReport`` and its sampling-requirement check) and writes no file;
-the ``write_*`` functions write the CSVs from these records as they are.
-An ablation evaluates every count's trials in one played pass, after all
-of their learners, so a failure leaves nothing to write. All output
+forked processes, one per usable CPU, or in this process on one CPU or
+where the platform cannot fork, with the same bytes either way. A run
+returns one ``ExperimentResult`` per experiment (its ``Trace``, its trials'
+rows of the ``RegretReport`` and its sampling-requirement check) and writes
+no file; the ``write_*`` functions write the CSVs from these records as
+they are. An ablation evaluates every count's trials in one played pass,
+after all of their learners, so a failure leaves nothing to write. All output
 is CSV (17-significant-digit floats, LF endings, UTF-8), each file formatted
 from templates of a block of rows each and renamed into place, its directory
 created, only when whole. Plotting is left to external tools.
@@ -192,6 +192,27 @@ class Scenario:
     region: Box
 
 
+#: Bytes that ``build_scenario`` takes a step at its peak, the noise
+#: table's lists and arrays together: 56 to 59 by tracemalloc at T = 100,000
+#: on each scenario (Python 3.11, numpy 2.4).
+_BUILD_STEP_BYTES = 64
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory; unbounded where the platform cannot tell."""
+    if not hasattr(os, "sysconf"):
+        return math.inf
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _refuse_beyond_memory(what: str, size: int) -> None:
+    """Refuse ``what``, ``size`` bytes, where physical memory cannot hold it."""
+    memory = _physical_memory()
+    if size > memory:
+        raise ConfigurationError(f"{what} would take {size} bytes, "
+                                 f"more than the {memory} of physical memory")
+
+
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Assemble cost, noise, and admissible set for the configured scenario.
 
@@ -199,9 +220,13 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     the span of every step's noise support (a Gaussian's truncated at +/-10
     sigma), and are logged: the sampling-requirement constant and the DKW
     diagnostics reference them. The learner's and the oracle's parameters
-    are checked by ``_experiments``.
+    are checked by ``_experiments``. A horizon whose build would take more
+    than physical memory is refused before any of it is built.
     """
     make_noise, region, rule = _SCENARIO_TABLE[config.scenario]
+    _refuse_beyond_memory(
+        f"horizon {config.horizon} is too large for its noise table: its build",
+        _BUILD_STEP_BYTES * config.horizon)
     try:  # Python and NumPy refuse a noise table beyond the address space
         noise = make_noise(config.horizon)
     except ConfigurationError:
@@ -247,7 +272,6 @@ def _learner(config: ExperimentConfig, scenario: Scenario
     checked by their owners, and the sampling-requirement check of the
     counts it runs, which logs a violation and goes on."""
     size = schedule._check_batch_size(config.batch_size)  # before np.full reads it
-    _check_sizes(config, scenario.noise.horizon)
     try:  # NumPy refuses a column beyond the address space, counts before rates
         counts = np.full(size, config.samples)
     except (MemoryError, ValueError) as exc:
@@ -273,32 +297,24 @@ def _learner(config: ExperimentConfig, scenario: Scenario
                              scenario.noise, scenario.region, seeds), check
 
 
-def _check_sizes(config: ExperimentConfig, horizon: int) -> None:
-    """Refuse the eight ``(trials, T)`` columns or one step's draws beyond memory."""
-    memory = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-              if hasattr(os, "sysconf") else math.inf)
-    for term, values in (("the (trials, T) columns", 8 * config.trials * horizon),
-                         ("one step's draws", config.trials * (1 + config.samples))):
-        if 8 * values > memory:
-            raise ConfigurationError(f"{term} would take {8 * values} bytes, "
-                                     f"more than the {memory} of physical memory")
+#: Bytes a trial's seeded ``_pcg64.Stream`` holds after its first draw:
+#: 185 by tracemalloc on 1,000 streams (Python 3.11), its shared table aside.
+_STREAM_BYTES = 256
 
 
-#: Serial seconds of a lockstep learner step, whatever its trial count, and
-#: of a search step per quantile level: the estimates from which
-#: ``fork_ranges`` decides whether phase 1 of ``_experiments`` forks. The
-#: search's is the least CPU time of 5 serial passes over each scenario at
-#: 2,000 levels (1.1e-8 to 1.4e-8 s; a 2-CPU Xeon, numpy 2.4).
-_STEP_S, _SEARCH_LEVEL_S = 6e-5, 1.2e-8
+def _check_sizes(configs: list[ExperimentConfig], horizon: int) -> None:
+    """Refuse a study of ``configs`` beyond memory: the eight ``(trials, T)``
+    columns and the seeded stream of each of their trials, all held at
+    once, and one step's draws of each config."""
+    trials = sum(config.trials for config in configs)
+    _refuse_beyond_memory(
+        "the (trials, T) columns, seeded streams and one step's draws",
+        8 * 8 * trials * horizon + _STREAM_BYTES * trials
+        + 8 * sum(config.trials * (1 + config.samples) for config in configs))
 
 
 #: Slot of one float cell in a CSV template: 17 significant digits.
 _FLOAT = "%.17g"
-
-#: Serial seconds to format and write one trajectory row: the estimate from
-#: which ``fork_ranges`` decides whether a fork pays.
-_ROW_S = 8e-6
-
 
 #: Rows per ``%`` template: a cap keeps the text and the values of one
 #: fill small, whatever the file's length.
@@ -364,28 +380,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
                  ) -> list[ExperimentResult]:
     """Phase 1: every config's learner beside the oracle's search pass, as
-    tasks cut across forked processes by ``fork_ranges`` when that pays;
-    phase 2: one played pass over all of their trials.
+    tasks cut across forked processes by ``fork_ranges``; phase 2: one
+    played pass over all of their trials.
 
     The configs differ at most in the learner's settings; the first one's
-    risk level serves all. Every learner is built, which checks it, and a
-    sampling-requirement violation logged, before any fork. Each result's
-    report holds its own trials' rows. An initial decision outside the
-    shrunk set is projected into it, which is logged once, from the first
-    run.
+    risk level serves all. The study's size is checked, and every learner
+    built, which checks it, and a sampling-requirement violation logged,
+    before any fork. Each result's report holds its own trials' rows. An
+    initial decision outside the shrunk set is projected into it, which is
+    logged once, from the first run.
     """
     first = configs[0]
+    _check_sizes(configs, scenario.noise.horizon)
     learners = [_learner(config, scenario) for config in configs]
     actions = oracle.action_grid(scenario.region, ORACLE_ACTIONS)
     levels = oracle._mid_quantiles(ORACLE_LEVELS)
     tasks = [functools.partial(
         oracle.optimal_action_series, scenario.cost, scenario.noise, actions,
         first.alpha, levels), *(run for run, _ in learners)]
-    work_s = scenario.noise.horizon * (len(configs) * _STEP_S
-                                       + levels.size * _SEARCH_LEVEL_S)
     optima, *traces = (out for part in fork_map(
         lambda part: [tasks[i]() for i in part],
-        fork_ranges(len(tasks), work_s)) for out in part)
+        fork_ranges(len(tasks))) for out in part)
     x0, x = first.x0, traces[0].x[0, 0]
     if x != x0:
         logger.info("initial decision projected into the shrunk set: %s -> %s", x0, x)
@@ -425,9 +440,8 @@ def write_experiments(results: list[ExperimentResult]) -> None:
             trace.gradient[i], report.played_cvar[i],
             report.cumulative_regret[i], report.accumulated_loss[i]))
             for i in range(result.config.trials)]
-    work_s = sum(result.report.played_cvar.size for result in results) * _ROW_S
     fork_map(lambda part: [_write_csv(*writes[w]) for w in part],
-             fork_ranges(len(writes), work_s))
+             fork_ranges(len(writes)))
     header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
     for result in results:
         report = result.report
@@ -461,7 +475,7 @@ def run_ablation(config: ExperimentConfig, sample_counts) -> dict[int, Experimen
     subs = [dataclasses.replace(config, samples=n, out_prefix=f"{config.out_prefix}_n{n}")
             for n in counts]
     scenario = build_scenario(config)
-    _check_sizes(config, scenario.noise.horizon)  # samples too, replaced yet checked
+    _check_sizes([config], scenario.noise.horizon)  # samples too, replaced yet checked
     return dict(zip(counts, _experiments(scenario, subs)))
 
 

@@ -62,12 +62,6 @@ _TOL = 1e-9
 #: longer row is made on its own.
 _BLOCK = 2 ** 16
 
-#: Serial seconds per cost value of the played pass, cost and CVaR together:
-#: the estimate from which ``fork_ranges`` decides whether a fork pays: the
-#: least CPU time of 5 serial passes over each scenario at 2,000 levels was
-#: 3.4e-9 to 4.6e-9 s (a 2-CPU Xeon, numpy 2.4).
-_VALUE_S = 4e-9
-
 
 def true_cvar(cost: CostModel, noise: NoiseSequence, t: int, x: float,
               alpha: float, grid_n: int = 10_000) -> float:
@@ -232,9 +226,8 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     are evaluated in one buffer of at most ``_BLOCK`` cost values (one row,
     if a row alone holds more). These steps, in order, are cut into ranges,
     one per usable CPU, run at the same time in forked processes
-    (``fork_ranges``), or in this process when their rows are too few for a
-    fork to pay. A point-mass step, whose scale is zero, has a grid of one
-    value ``n`` times and gives each trial one cost: ``_point_mass_cvars``
+    (``fork_ranges``). A point-mass step, whose scale is zero, has a grid of
+    one value ``n`` times and gives each trial one cost: ``_point_mass_cvars``
     evaluates them all in one call, in this process, with the bits of the
     row of ``n`` equal costs. The cost's rule must be a ``Quadratic``.
     """
@@ -253,7 +246,7 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     played = np.empty(x_hat.shape)
     played[:, steps] = _point_mass_cvars(cost.fn, loc[steps], x_hat[:, steps],
                                          alpha, z.size)
-    ranges = fork_ranges(spread.size, x_hat.shape[0] * spread.size * z.size * _VALUE_S)
+    ranges = fork_ranges(spread.size)
     for part, values in zip(ranges, fork_map(
             functools.partial(_played_steps, x_hat, cost, noise, alpha, z),
             [spread[part] for part in ranges])):

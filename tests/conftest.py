@@ -12,10 +12,7 @@ from cvarlearn.harness import ExperimentConfig, build_scenario, run_ablation
 def force_jobs(monkeypatch):
     """``force_jobs(n)`` makes ``fork_ranges`` cut any work into ``n`` jobs
     (at most one per item), whatever this machine's CPU count."""
-    def force(jobs):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: jobs)
-        monkeypatch.setattr(core, "_FORK_MIN_S", 0.0)
-    return force
+    return lambda jobs: monkeypatch.setattr(core, "_usable_cpus", lambda: jobs)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import time
 import tracemalloc
@@ -271,13 +272,9 @@ def assert_no_child_left():
 
 
 class TestForkRanges:
-    def test_small_work_is_one_range(self, monkeypatch):
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
-        assert fork_ranges(10, core._FORK_MIN_S / 2) == [range(10)]
-
     def test_one_cpu_is_one_range(self, monkeypatch):
         monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-        assert fork_ranges(10, 100.0) == [range(10)]
+        assert fork_ranges(10) == [range(10)]
 
     @pytest.mark.parametrize("n, cpus, expected", [
         (10, 2, [range(0, 5), range(5, 10)]),
@@ -286,7 +283,7 @@ class TestForkRanges:
     ])
     def test_one_contiguous_range_per_cpu(self, monkeypatch, n, cpus, expected):
         monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
-        assert fork_ranges(n, 100.0) == expected
+        assert fork_ranges(n) == expected
 
 
 class TwoArgError(Exception):
@@ -423,6 +420,24 @@ class TestForkMap:
         with pytest.raises(ConfigurationError, match=f"job {failing_job} is bad"):
             fork_map(fn, range(3))
         assert_no_child_left()
+
+    def test_a_failed_fork_closes_its_pipe_and_reaps_every_child(self, monkeypatch):
+        # The second fork fails as at a process limit: the error propagates,
+        # the first child is reaped and no pipe end is left open.
+        fork, forks = os.fork, []
+
+        def fork_once():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        fds = len(os.listdir("/dev/fd"))
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            fork_map(lambda job: job, range(3))
+        assert_no_child_left()
+        assert len(os.listdir("/dev/fd")) == fds
 
     def test_a_dead_child_raises_runtime_error(self):
         parent = os.getpid()

@@ -28,6 +28,7 @@ import cvarlearn.harness as harness
 import cvarlearn.learner as learner
 import cvarlearn.oracle as oracle
 import cvarlearn.verify as verify
+from cvarlearn._pcg64 import Stream
 from cvarlearn.core import ConfigurationError
 from cvarlearn.harness import (
     ExperimentConfig,
@@ -58,6 +59,10 @@ def bench_workloads() -> dict:
 
 
 BENCH_WORKLOADS = bench_workloads()
+
+
+#: The head of a ``python -c`` script: the package sees ``{}`` usable CPUs.
+USABLE_CPUS = "import cvarlearn.core as core; core._usable_cpus = lambda: {}\n"
 
 
 def forbid_oracle_and_learner(monkeypatch):
@@ -410,20 +415,21 @@ class TestAblation:
                                           getattr(theirs, field.name)), (
                         n, part, field.name)
 
-    def test_failed_ablation_writes_nothing(self, tmp_path, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "forked"])
+    def test_failed_ablation_writes_nothing(self, tmp_path, monkeypatch, force_jobs,
+                                            jobs):
+        # The learner of count 6 fails, here or in a forked child.
         run_trials = learner.run_trials
 
-        def third_call_fails(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
+        def third_count_fails(settings, *args):
+            if settings.counts[0] == 6:
                 raise RuntimeError("learner failed on the third count")
-            return run_trials(*args, **kwargs)
+            return run_trials(settings, *args)
 
-        monkeypatch.setattr(learner, "run_trials", third_call_fails)
+        monkeypatch.setattr(learner, "run_trials", third_count_fails)
+        force_jobs(jobs)
         with pytest.raises(RuntimeError, match="third count"):
             run_ablation(small_config(tmp_path, trials=2), [2, 4, 6])
-        assert len(calls) == 3
         assert not list(tmp_path.iterdir())
 
     def test_needs_two_counts(self, tmp_path):
@@ -806,8 +812,8 @@ class TestCli:
             "        if name.split('.')[:2] == ['numpy', 'random']:\n"
             "            raise ImportError(name)\n"
             "sys.meta_path.insert(0, Refuse())\n"
-            "from cvarlearn import cli, core\n"
-            f"core._usable_cpus, core._FORK_MIN_S = lambda: {jobs}, 0.0\n"
+            "from cvarlearn import cli\n"
+            + USABLE_CPUS.format(jobs) +
             f"assert cli.main({[*argv, '--out', 'p']!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
@@ -821,8 +827,7 @@ class TestCli:
         # fork_map forks with os.fork and a pipe: neither the scenario build
         # (the bench's setup_s) nor a run or an ablation whose every phase
         # forks imports multiprocessing.
-        code = ("import sys; import cvarlearn.core as core; "
-                "core._usable_cpus = lambda: 2; core._FORK_MIN_S = 0.0\n"
+        code = ("import sys\n" + USABLE_CPUS.format(2) +
                 "import cvarlearn.harness as h; from cvarlearn import cli\n"
                 "for name in h.SCENARIOS:\n"
                 "    h.build_scenario(h.make_config({'scenario': name}))\n"
@@ -933,12 +938,14 @@ CONFIG_FAULTS = {
     "samples": (["--samples", "0"], "", "sample count must be >= 1, got 0"),
     "trials": (["--trials", "0"], "", "trials must be >= 1, got 0"),
     # Sizes that physical memory cannot hold, refused before any allocation:
-    # one step's 1 + n draws of the one trial, and the eight (trials, T)
-    # float64 columns at T = 10.
-    "samples-oversized": (["--samples", "1e15"], "", "one step's draws would take "
-                          "8000000000000008 bytes, more than the"),
-    "trials-oversized": (["--trials", "1e15"], "", "the (trials, T) columns would "
-                         "take 640000000000000000 bytes, more than the"),
+    # the eight (trials, T) float64 columns at T = 10, 256 bytes of seeded
+    # stream a trial, and one step's 1 + n draws of each trial, summed.
+    "samples-oversized": (["--samples", "1e15"], "", "the (trials, T) columns, "
+                          "seeded streams and one step's draws would take "
+                          "8000000000000904 bytes, more than the"),
+    "trials-oversized": (["--trials", "1e15"], "", "the (trials, T) columns, "
+                         "seeded streams and one step's draws would take "
+                         "968000000000000000 bytes, more than the"),
     "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
     "rate_rule": (["--rate", "fast"], "", "rate_rule must be 'constant' or 'inverse'"),
     "scenario": (["--scenario", "casino"], "", "unknown scenario 'casino'"),
@@ -1000,6 +1007,65 @@ class TestConfigFaults:
             1.0 / (modulus * tau) for tau in range(1, 6)]
 
 
+def traced_peak(fn):
+    """The peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryChecks:
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_a_build_takes_at_most_its_bytes_a_step(self, scenario):
+        horizon = 100_000
+        peak = traced_peak(lambda: build_scenario(
+            ExperimentConfig(scenario=scenario, horizon=horizon)))
+        assert peak <= harness._BUILD_STEP_BYTES * horizon
+
+    def test_a_seeded_stream_takes_at_most_its_bytes(self):
+        Stream(0).random(1)  # the table that every stream shares, built once
+
+        def seed_and_draw():
+            streams = [Stream(seed) for seed in range(1000)]
+            for stream in streams:
+                stream.random(9)
+
+        assert traced_peak(seed_and_draw) <= harness._STREAM_BYTES * 1000
+
+    def test_a_horizon_beyond_memory_is_refused_before_its_build(self, monkeypatch):
+        built = []
+        for name, (make_noise, *rest) in harness._SCENARIO_TABLE.items():
+            monkeypatch.setitem(harness._SCENARIO_TABLE, name, (
+                lambda horizon, make=make_noise: built.append(horizon) or make(horizon),
+                *rest))
+        memory = harness._BUILD_STEP_BYTES * 1000
+        monkeypatch.setattr(harness, "_physical_memory", lambda: memory)
+        for scenario in harness.SCENARIOS:
+            assert build_scenario(ExperimentConfig(scenario=scenario, horizon=1000))
+            with pytest.raises(ConfigurationError, match=(
+                    f"horizon 1001 is too large for its noise table: its build would "
+                    f"take {memory + harness._BUILD_STEP_BYTES} bytes, more than the "
+                    f"{memory} of physical memory")):
+                build_scenario(ExperimentConfig(scenario=scenario, horizon=1001))
+        assert built == [1000] * len(harness.SCENARIOS)
+
+    def test_an_ablation_is_sized_as_one_study(self, tmp_path, monkeypatch):
+        # Each count's 2 trials at T = 10 take 1,792 bytes and 16 (1 + n) of
+        # draws: memory for any one count, yet not for all three at once.
+        config = small_config(tmp_path, trials=2)
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 4000)
+        for n in (2, 4, 6):
+            run_experiment(dataclasses.replace(config, samples=n))
+        forbid_oracle_and_learner(monkeypatch)
+        with pytest.raises(ConfigurationError, match=(
+                "the [(]trials, T[)] columns, seeded streams and one step's draws "
+                "would take 5616 bytes, more than the 4000 of physical memory")):
+            run_ablation(config, [2, 4, 6])
+
+
 FORK_RUN = ["--T", "31", "--batch", "5", "--trials", "5"]
 
 
@@ -1012,6 +1078,14 @@ def failing_in_child(fn, fail):
             fail()
         return fn(*args)
     return wrapped
+
+
+def spy_jobs(fork_map, job_counts):
+    """``fork_map``, recording each call's job count in ``job_counts``."""
+    def spy(fn, jobs):
+        job_counts.append(len(jobs))
+        return fork_map(fn, jobs)
+    return spy
 
 
 def exit_three():
@@ -1029,13 +1103,7 @@ class TestForkedRuns:
     def test_csvs_do_not_depend_on_the_job_count(self, tmp_path, monkeypatch,
                                                  force_jobs, argv):
         job_counts = []
-        fork_map = harness.fork_map
-
-        def spy(fn, jobs):
-            job_counts.append(len(jobs))
-            return fork_map(fn, jobs)
-
-        monkeypatch.setattr(harness, "fork_map", spy)
+        monkeypatch.setattr(harness, "fork_map", spy_jobs(harness.fork_map, job_counts))
         outputs = []
         for jobs in (1, 2, 3):
             force_jobs(jobs)
@@ -1072,23 +1140,37 @@ class TestForkedRuns:
             os.waitpid(-1, os.WNOHANG)
         assert not list(tmp_path.rglob("*.tmp"))
 
-    @pytest.mark.parametrize("horizon, trials, jobs", [(500, 100, 1), (6000, 1, 2)])
-    def test_phase_one_forks_only_when_it_pays(self, tmp_path, monkeypatch,
-                                               horizon, trials, jobs):
-        # The bench's trial sweep (T=500, 100 trials) runs its learner and
-        # search, about 0.1 s, in this process; T=6000 forks the two apart.
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("horizon, trials, files", [(500, 100, 2), (6000, 1, 1)])
+    def test_every_phase_with_two_items_forks_on_two_cpus(
+            self, tmp_path, monkeypatch, force_jobs, horizon, trials, files):
+        # The bench's trial sweep (T=500, 100 trials) and one trial at
+        # T=6000: phase 1's learner and search, the played pass's steps and
+        # the trial files each run as two jobs, and a single file as one.
         job_counts = []
-        fork_map = harness.fork_map
+        for module in (harness, oracle):
+            monkeypatch.setattr(module, "fork_map", spy_jobs(module.fork_map, job_counts))
+        force_jobs(2)
+        harness.write_experiments([run_experiment(small_config(
+            tmp_path, horizon=horizon, batch_size=200, trials=trials))])
+        assert job_counts == [2, 2, files]
 
-        def spy(fn, jobs):
-            job_counts.append(len(jobs))
-            return fork_map(fn, jobs)
-
-        monkeypatch.setattr(harness, "fork_map", spy)
-        run_experiment(small_config(tmp_path, horizon=horizon, batch_size=200,
-                                    trials=trials))
-        assert job_counts == [jobs]
+    def test_without_fork_every_phase_runs_here(self, tmp_path, monkeypatch,
+                                                force_jobs):
+        # A platform without os.fork, two usable CPUs: each phase is one
+        # job, and the files are those of a forked run.
+        job_counts = []
+        for module in (harness, oracle):
+            monkeypatch.setattr(module, "fork_map", spy_jobs(module.fork_map, job_counts))
+        force_jobs(2)
+        outputs = []
+        for forks in (True, False):
+            if not forks:
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / str(forks)
+            assert cli.main(["run", *FORK_RUN, "--out", str(out / "x")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert job_counts == [2, 2, 2, 1, 1, 1]
+        assert len(outputs[0]) == 6 and outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("text, code, counts", [
         ("sampling_a = -1\n", 1, []), ("sampling_c = 0.1\n", 0, [1, 2, 3]),
@@ -1100,8 +1182,7 @@ class TestForkedRuns:
         # logged once, in count order. The spy counts the children forked.
         (tmp_path / "exp.cfg").write_text(text)
         script = (
-            "import sys; import cvarlearn.core as core; "
-            "core._usable_cpus = lambda: 2; core._FORK_MIN_S = 0.0\n"
+            USABLE_CPUS.format(2) +
             "import cvarlearn.harness as harness; from cvarlearn import cli\n"
             "forks = []; fork_map = harness.fork_map\n"
             "harness.fork_map = lambda fn, jobs: forks.append(len(jobs) - 1) or fork_map(fn, jobs)\n"
@@ -1122,8 +1203,7 @@ class TestForkedRuns:
 
     def test_forked_run_prints_each_line_once(self, tmp_path):
         # Output buffered before a fork must not be written again by a child.
-        code = ("import sys; import cvarlearn.core as core; "
-                "core._usable_cpus = lambda: 2; core._FORK_MIN_S = 0.0; "
+        code = ("import sys\n" + USABLE_CPUS.format(2) +
                 "from cvarlearn import cli; print('before the run'); "
                 f"sys.exit(cli.main(['run', *{FORK_RUN!r}, '--out', 'f']))")
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))

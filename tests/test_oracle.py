@@ -629,13 +629,11 @@ class TestPointMassSteps:
             assert bits(report.played_cvar) == bits(reference)
             assert bits(report.accumulated_loss) == bits(np.cumsum(reference, axis=1))
 
-    def test_spread_steps_fork_on_their_own_estimate(self, monkeypatch):
-        # Four spread and four point-mass steps of 2 trials at 1,024 levels:
-        # 8,192 spread values. The pass forks when they alone are estimated
-        # at _FORK_MIN_S, not when all 16,384 rows' values are.
-        noise = UniformSeq(np.zeros(8), np.r_[np.ones(4), np.zeros(4)])
+    def test_only_spread_steps_are_cut(self, force_jobs, monkeypatch):
+        # Four point-mass steps beside one spread step, then two, on two
+        # CPUs: the point masses are evaluated here, so one spread step is
+        # one job and two are two.
         cost = pricing_scenario(10).cost
-        x_hat = np.full((2, 8), 2.0)
         job_counts = []
         fork_map = oracle.fork_map
 
@@ -644,11 +642,12 @@ class TestPointMassSteps:
             return fork_map(fn, jobs)
 
         monkeypatch.setattr(oracle, "fork_map", spy)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        for scale in (0.99, 1.0):
-            monkeypatch.setattr(oracle, "_VALUE_S", scale * core._FORK_MIN_S / 8192)
-            dynamic_regret(x_hat, cost, noise, 0.5, (np.zeros(8), np.zeros(8)),
-                           _mid_quantiles(1024))
+        force_jobs(2)
+        for spread in (1, 2):
+            noise = UniformSeq(np.zeros(4 + spread), np.r_[np.zeros(4), np.ones(spread)])
+            dynamic_regret(np.full((2, 4 + spread), 2.0), cost, noise, 0.5,
+                           (np.zeros(4 + spread), np.zeros(4 + spread)),
+                           _mid_quantiles(1000))
         assert job_counts == [1, 2]
 
     def test_blocks_place_as_the_noise_does_into_one_buffer(self):
