@@ -27,6 +27,7 @@ import functools
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -192,27 +193,6 @@ class Scenario:
     region: Box
 
 
-#: Bytes that ``build_scenario`` takes a step at its peak, the noise
-#: table's lists and arrays together: 56 to 59 by tracemalloc at T = 100,000
-#: on each scenario (Python 3.11, numpy 2.4).
-_BUILD_STEP_BYTES = 64
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory; unbounded where the platform cannot tell."""
-    if not hasattr(os, "sysconf"):
-        return math.inf
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _refuse_beyond_memory(what: str, size: int) -> None:
-    """Refuse ``what``, ``size`` bytes, where physical memory cannot hold it."""
-    memory = _physical_memory()
-    if size > memory:
-        raise ConfigurationError(f"{what} would take {size} bytes, "
-                                 f"more than the {memory} of physical memory")
-
-
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Assemble cost, noise, and admissible set for the configured scenario.
 
@@ -220,20 +200,11 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     the span of every step's noise support (a Gaussian's truncated at +/-10
     sigma), and are logged: the sampling-requirement constant and the DKW
     diagnostics reference them. The learner's and the oracle's parameters
-    are checked by ``_experiments``. A horizon whose build would take more
-    than physical memory is refused before any of it is built.
+    are checked by ``_experiments``; its size, by ``_check_sizes`` before
+    this is called.
     """
     make_noise, region, rule = _SCENARIO_TABLE[config.scenario]
-    _refuse_beyond_memory(
-        f"horizon {config.horizon} is too large for its noise table: its build",
-        _BUILD_STEP_BYTES * config.horizon)
-    try:  # Python and NumPy refuse a noise table beyond the address space
-        noise = make_noise(config.horizon)
-    except ConfigurationError:
-        raise
-    except (MemoryError, OverflowError, ValueError) as exc:
-        raise ConfigurationError(
-            f"horizon {config.horizon} is too large for its noise table") from exc
+    noise = make_noise(config.horizon)
     lo, hi = noise.support(np.arange(1, noise.horizon + 1))
     cost = rule.model(region, (float(lo.min()), float(hi.max())))
     _warn_point_masses(noise.table[:, 1])
@@ -272,15 +243,10 @@ def _learner(config: ExperimentConfig, scenario: Scenario
     checked by their owners, and the sampling-requirement check of the
     counts it runs, which logs a violation and goes on."""
     size = schedule._check_batch_size(config.batch_size)  # before np.full reads it
-    try:  # NumPy refuses a column beyond the address space, counts before rates
-        counts = np.full(size, config.samples)
-    except (MemoryError, ValueError) as exc:
-        raise ConfigurationError(
-            f"batch size {size} is too large for its per-epoch columns") from exc
     settings = learner.LearnerConfig(
         delta=config.delta,
         alpha=config.alpha,
-        counts=counts,
+        counts=np.full(size, config.samples),
         rates=(schedule.inverse_epoch_rates(scenario.cost.strong_convexity, size)
                if config.rate_rule == "inverse" else np.full(size, config.eta)),
         x0=config.x0,
@@ -297,20 +263,54 @@ def _learner(config: ExperimentConfig, scenario: Scenario
                              scenario.noise, scenario.region, seeds), check
 
 
-#: Bytes a trial's seeded ``_pcg64.Stream`` holds after its first draw:
-#: 185 by tracemalloc on 1,000 streams (Python 3.11), its shared table aside.
-_STREAM_BYTES = 256
+#: Bytes that a run holds at its peak, pinned by tracemalloc (Python 3.11,
+#: numpy 2.4) where measured: a step of ``build_scenario``'s noise table,
+#: 56 to 59 at T = 100,000; an epoch of ``_learner``'s columns and their
+#: checked copies, 40 at B = 1e5 and 1e6; a value of one step's draws, noise
+#: and costs, 51 to 61 at T = 2; a seeded ``_pcg64.Stream``, 185. A step of
+#: a config's schedule columns, step indices, oracle series and CSV
+#: templates takes about 300. A trial-step takes 15 float64s: the eight
+#: result columns, held to the end, and at most seven more at once (a forked
+#: job's trace, held by the child and the parent; the played pass's parts and
+#: temporaries; or a trial file's columns, stacked while it is written). A
+#: config's draws fill a block, ``learner._BLOCK`` values, and the oracle's
+#: and a CSV writer's reused buffers take about 1.45 MB.
+_BUILD_STEP_BYTES, _EPOCH_BYTES, _DRAW_BYTES, _STREAM_BYTES = 64, 64, 64, 256
+_STEP_BYTES, _TRIAL_STEP_BYTES, _BUFFER_BYTES = 512, 120, 2 ** 21
 
 
-def _check_sizes(configs: list[ExperimentConfig], horizon: int) -> None:
-    """Refuse a study of ``configs`` beyond memory: the eight ``(trials, T)``
-    columns and the seeded stream of each of their trials, all held at
-    once, and one step's draws of each config."""
-    trials = sum(config.trials for config in configs)
-    _refuse_beyond_memory(
-        "the (trials, T) columns, seeded streams and one step's draws",
-        8 * 8 * trials * horizon + _STREAM_BYTES * trials
-        + 8 * sum(config.trials * (1 + config.samples) for config in configs))
+def _physical_memory() -> int:
+    """Bytes of physical memory; the address space where the platform cannot tell."""
+    return (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if hasattr(os, "sysconf") else sys.maxsize)
+
+
+def _check_sizes(horizon: int, configs: list[ExperimentConfig]) -> int:
+    """An upper estimate of the bytes that a command of ``configs`` at
+    ``horizon`` holds at once, from the configs alone, before
+    ``build_scenario`` runs; with no configs, the build's. Its terms, in the
+    order of allocation, are clamped at zero (a negative size, refused
+    later, offsets nothing); a total beyond memory is refused, naming the
+    term that passes it."""
+    terms = [(f"horizon {horizon} is too large for its noise table",
+              _BUILD_STEP_BYTES * horizon)]
+    for config in configs:
+        terms += [
+            (f"batch size {config.batch_size} is too large for its per-epoch columns",
+             _EPOCH_BYTES * config.batch_size),
+            (f"horizon {horizon} is too large for its per-step columns",
+             _STEP_BYTES * horizon),
+            (f"trials {config.trials} are too many for their (trials, T) columns",
+             (_TRIAL_STEP_BYTES * horizon + _STREAM_BYTES) * config.trials),
+            (f"samples {config.samples} are too many for one step's draws",
+             _DRAW_BYTES * (learner._BLOCK + config.trials * (1 + config.samples))
+             + _BUFFER_BYTES)]
+    sizes, memory = [max(0, size) for _, size in terms], _physical_memory()
+    for i, (what, _) in enumerate(terms):
+        if sum(sizes[:i + 1]) > memory:
+            raise ConfigurationError(f"{what}: the run would take {sum(sizes)} "
+                                     f"bytes, more than the {memory} bytes of memory")
+    return sum(sizes)
 
 
 #: Slot of one float cell in a CSV template: 17 significant digits.
@@ -374,24 +374,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     series is trajectory-independent: the search pass finds it once, for
     the played pass of every trial.
     """
-    return _experiments(build_scenario(config), [config])[0]
+    return _experiments([config])[0]
 
 
-def _experiments(scenario: Scenario, configs: list[ExperimentConfig]
-                 ) -> list[ExperimentResult]:
+def _experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     """Phase 1: every config's learner beside the oracle's search pass, as
     tasks cut across forked processes by ``fork_ranges``; phase 2: one
     played pass over all of their trials.
 
     The configs differ at most in the learner's settings; the first one's
-    risk level serves all. The study's size is checked, and every learner
-    built, which checks it, and a sampling-requirement violation logged,
-    before any fork. Each result's report holds its own trials' rows. An
-    initial decision outside the shrunk set is projected into it, which is
-    logged once, from the first run.
+    scenario and risk level serve all. The study is sized before its
+    scenario is built, and every learner built, which checks it, and a
+    sampling-requirement violation logged, before any fork. Each result's
+    report holds its own trials' rows. An initial decision outside the shrunk
+    set is projected into it, which is logged once, from the first run.
     """
     first = configs[0]
-    _check_sizes(configs, scenario.noise.horizon)
+    _check_sizes(first.horizon, configs)
+    scenario = build_scenario(first)
     learners = [_learner(config, scenario) for config in configs]
     actions = oracle.action_grid(scenario.region, ORACLE_ACTIONS)
     levels = oracle._mid_quantiles(ORACLE_LEVELS)
@@ -461,8 +461,8 @@ def run_ablation(config: ExperimentConfig, sample_counts) -> dict[int, Experimen
 
     Each count is ``dataclasses.replace(config, samples=n)``'s ``samples``,
     so ``"08"`` and ``8.0`` repeat 8. Counts violating the declared sampling
-    requirement produce a warning but still run. Every count, and
-    ``samples``, is checked before any learner or oracle work.
+    requirement produce a warning but still run. Every count is checked and
+    sized, and ``samples`` only checked, before any learner or oracle work.
     Every count's learner runs beside one optimal-action search; then one
     played pass evaluates all of their trials against that series.
     ``write_experiments`` writes each count's trajectory set and aggregate,
@@ -474,9 +474,7 @@ def run_ablation(config: ExperimentConfig, sample_counts) -> dict[int, Experimen
     schedule._check_counts([config.samples])  # replaced by the counts, yet checked
     subs = [dataclasses.replace(config, samples=n, out_prefix=f"{config.out_prefix}_n{n}")
             for n in counts]
-    scenario = build_scenario(config)
-    _check_sizes([config], scenario.noise.horizon)  # samples too, replaced yet checked
-    return dict(zip(counts, _experiments(scenario, subs)))
+    return dict(zip(counts, _experiments(subs)))
 
 
 def write_ablation(prefix: str, results: dict[int, ExperimentResult]) -> None:
@@ -508,8 +506,9 @@ def compute_budget(config: ExperimentConfig) -> BudgetReport:
     """Variation budget of the configured scenario plus parameter suggestions.
 
     A zero budget (static sequence) degenerates the batch-size formulas, so
-    no suggestions are emitted in that case.
+    no suggestions are emitted in that case. Only the build is sized.
     """
+    _check_sizes(config.horizon, [])
     scenario = build_scenario(config)
     modulus = scenario.cost.strong_convexity
     horizon = scenario.noise.horizon

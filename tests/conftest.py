@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cvarlearn import core, verify
+from cvarlearn import core, harness, verify
 from cvarlearn.harness import ExperimentConfig, build_scenario, run_ablation
 
 
@@ -13,6 +13,13 @@ def force_jobs(monkeypatch):
     """``force_jobs(n)`` makes ``fork_ranges`` cut any work into ``n`` jobs
     (at most one per item), whatever this machine's CPU count."""
     return lambda jobs: monkeypatch.setattr(core, "_usable_cpus", lambda: jobs)
+
+
+@pytest.fixture
+def physical_memory(monkeypatch):
+    """``physical_memory(size)`` makes the harness's size check see ``size``
+    bytes of physical memory."""
+    return lambda size: monkeypatch.setattr(harness, "_physical_memory", lambda: size)
 
 
 @pytest.fixture(scope="session")

@@ -899,9 +899,9 @@ CONFIG_FAULTS = {
     "horizon": (["--T", "0"], "", "horizon must be >= 1, got 0"),
     "horizon-custom": (["--scenario", "custom", "--T", "-3"], "",
                        "horizon must be >= 1, got -3"),
-    # A noise table beyond the address space: a MemoryError from Python's
-    # list (parking) or NumPy (custom, brownian), past int64 an OverflowError
-    # or NumPy's ValueError.
+    # Sizes that physical memory cannot hold, refused by the harness's one
+    # size check before the scenario is built, with the first term that
+    # takes the run's bytes past memory: a noise table (64 bytes a step),
     "horizon-oversized": (["--T", "1e15"], "", "horizon 1000000000000000 is too "
                           "large for its noise table"),
     "horizon-oversized-custom": (["--scenario", "custom", "--T", "1e15"], "",
@@ -916,7 +916,7 @@ CONFIG_FAULTS = {
         ["--scenario", "brownian", "--T", "1e19"], "",
         "horizon 10000000000000000000 is too large for its noise table"),
     "batch_size": (["--batch", "1"], "", "batch size must be >= 2, got 1"),
-    # Columns beyond the address space, which NumPy refuses without allocating.
+    # per-epoch columns (64 bytes an epoch),
     "batch_size-oversized": (["--batch", "1e15"], "", "batch size 1000000000000000 "
                              "is too large for its per-epoch columns"),
     "batch_size-oversized-inverse": (
@@ -937,15 +937,14 @@ CONFIG_FAULTS = {
     "eta": (["--eta", "0"], "", "learning rate eta=0.0 must be positive and finite"),
     "samples": (["--samples", "0"], "", "sample count must be >= 1, got 0"),
     "trials": (["--trials", "0"], "", "trials must be >= 1, got 0"),
-    # Sizes that physical memory cannot hold, refused before any allocation:
-    # the eight (trials, T) float64 columns at T = 10, 256 bytes of seeded
-    # stream a trial, and one step's 1 + n draws of each trial, summed.
-    "samples-oversized": (["--samples", "1e15"], "", "the (trials, T) columns, "
-                          "seeded streams and one step's draws would take "
-                          "8000000000000904 bytes, more than the"),
-    "trials-oversized": (["--trials", "1e15"], "", "the (trials, T) columns, "
-                         "seeded streams and one step's draws would take "
-                         "968000000000000000 bytes, more than the"),
+    # one step's draws (64 bytes a value; ``ablate`` never sizes the samples
+    # that its counts replace), and the (trials, T) columns (120 bytes a
+    # trial-step), whose total depends on the number of counts.
+    "samples-oversized": (["--samples", "1e15"], "", "samples 1000000000000000 are "
+                          "too many for one step's draws: the run would take "
+                          "64000000006299056 bytes, more than the"),
+    "trials-oversized": (["--trials", "1e15"], "", "trials 1000000000000000 are too "
+                         "many for their (trials, T) columns: the run would take"),
     "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
     "rate_rule": (["--rate", "fast"], "", "rate_rule must be 'constant' or 'inverse'"),
     "scenario": (["--scenario", "casino"], "", "unknown scenario 'casino'"),
@@ -964,9 +963,11 @@ def run_faulty(tmp_path, command, flags, text):
 
 
 class TestConfigFaults:
-    @pytest.mark.parametrize("command", [["run"], ["ablate", "--counts", "2,4"]],
-                             ids=["run", "ablate"])
-    @pytest.mark.parametrize("fault", list(CONFIG_FAULTS))
+    @pytest.mark.parametrize("command, fault", [
+        pytest.param(command, fault, id=f"{fault}-{command[0]}")
+        for fault in CONFIG_FAULTS
+        for command in (["run"], ["ablate", "--counts", "2,4"])
+        if not (command[0] == "ablate" and fault == "samples-oversized")])
     def test_fault_exits_one_with_its_owners_message_before_phase_one(
             self, tmp_path, monkeypatch, capsys, command, fault):
         # A learner or oracle call would raise AssertionError, which the CLI
@@ -987,6 +988,11 @@ class TestConfigFaults:
         flags, text, _ = CONFIG_FAULTS[fault]
         assert run_faulty(tmp_path, ["budget"], flags, text) == 0
         assert (tmp_path / "out" / "x_budget.csv").exists()
+
+    def test_ablate_never_sizes_the_samples_its_counts_replace(self, tmp_path):
+        flags, text, _ = CONFIG_FAULTS["samples-oversized"]
+        assert run_faulty(tmp_path, ["ablate", "--counts", "2,4"], flags, text) == 0
+        assert (tmp_path / "out" / "x_ablation.csv").exists()
 
     @pytest.mark.parametrize("fault", [
         "horizon-custom", "horizon-oversized", "horizon-oversized-custom",
@@ -1017,6 +1023,16 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def spy_on_builds(monkeypatch) -> list[int]:
+    """The horizon of every scenario build from here on, in call order."""
+    built = []
+    for name, (make_noise, *rest) in harness._SCENARIO_TABLE.items():
+        monkeypatch.setitem(harness._SCENARIO_TABLE, name, (
+            lambda horizon, make=make_noise: built.append(horizon) or make(horizon),
+            *rest))
+    return built
+
+
 class TestMemoryChecks:
     @pytest.mark.parametrize("scenario", harness.SCENARIOS)
     def test_a_build_takes_at_most_its_bytes_a_step(self, scenario):
@@ -1024,6 +1040,23 @@ class TestMemoryChecks:
         peak = traced_peak(lambda: build_scenario(
             ExperimentConfig(scenario=scenario, horizon=horizon)))
         assert peak <= harness._BUILD_STEP_BYTES * horizon
+
+    @pytest.mark.parametrize("rate_rule", ["constant", "inverse"])
+    def test_a_learner_takes_at_most_its_bytes_an_epoch(self, rate_rule):
+        config = ExperimentConfig(horizon=10, batch_size=100_000, rate_rule=rate_rule)
+        scenario = build_scenario(config)
+        peak = traced_peak(lambda: harness._learner(config, scenario))
+        assert peak <= harness._EPOCH_BYTES * config.batch_size
+
+    @pytest.mark.parametrize("trials, samples", [(2, 200_000), (8, 50_000)])
+    def test_a_step_takes_at_most_its_bytes_a_drawn_value(self, trials, samples):
+        # At T = 2 each step's draws are a block of their own, and they, their
+        # noise and costs outweigh every other array of the run.
+        config = ExperimentConfig(horizon=2, batch_size=2, trials=trials,
+                                  samples=samples)
+        run, _ = harness._learner(config, build_scenario(config))
+        Stream(0).random(1)  # the table that every stream shares, built once
+        assert traced_peak(run) <= harness._DRAW_BYTES * trials * (1 + samples)
 
     def test_a_seeded_stream_takes_at_most_its_bytes(self):
         Stream(0).random(1)  # the table that every stream shares, built once
@@ -1035,34 +1068,105 @@ class TestMemoryChecks:
 
         assert traced_peak(seed_and_draw) <= harness._STREAM_BYTES * 1000
 
-    def test_a_horizon_beyond_memory_is_refused_before_its_build(self, monkeypatch):
-        built = []
-        for name, (make_noise, *rest) in harness._SCENARIO_TABLE.items():
-            monkeypatch.setitem(harness._SCENARIO_TABLE, name, (
-                lambda horizon, make=make_noise: built.append(horizon) or make(horizon),
-                *rest))
+    # Each shape with the most its estimate may exceed its traced peak by:
+    # the trial-heavy one, whose (trials, T) columns dominate, by 3 times.
+    @pytest.mark.parametrize("shape, slack", [
+        (dict(horizon=20_000, trials=2), None),
+        (dict(horizon=2000, trials=50), None),
+        (dict(horizon=6000, trials=10), None),
+        (dict(horizon=500, trials=100), 3),
+        (dict(horizon=100, trials=1, batch_size=200_000), None),
+        (dict(horizon=20, trials=2, samples=100_000), None)],
+        ids=["long", "wide", "study", "trial-heavy", "batch-heavy", "sample-heavy"])
+    def test_the_estimate_bounds_a_runs_traced_peak(self, tmp_path, force_jobs,
+                                                    shape, slack):
+        force_jobs(1)
+        config = ExperimentConfig(out_prefix=str(tmp_path / "ra"), **shape)
+        estimate = harness._check_sizes(config.horizon, [config])
+        peak = traced_peak(lambda: harness.write_experiments([run_experiment(config)]))
+        assert peak <= estimate
+        assert slack is None or estimate <= slack * peak
+
+    @pytest.mark.parametrize("negative", ["--batch=-1e17", "--samples=-1e17"],
+                             ids=["batch", "samples"])
+    def test_a_negative_size_offsets_no_other(self, tmp_path, monkeypatch, capsys,
+                                              negative):
+        built = spy_on_builds(monkeypatch)
+        forbid_oracle_and_learner(monkeypatch)
+        assert run_faulty(tmp_path, ["run"], [negative, "--trials", "1e15"], "") == 1
+        assert ("configuration error: trials 1000000000000000 are too many"
+                in capsys.readouterr().err)
+        assert built == []
+
+    def test_a_horizon_beyond_memory_is_refused_before_its_build(
+            self, monkeypatch, physical_memory):
+        built = spy_on_builds(monkeypatch)
         memory = harness._BUILD_STEP_BYTES * 1000
-        monkeypatch.setattr(harness, "_physical_memory", lambda: memory)
+        physical_memory(memory)
         for scenario in harness.SCENARIOS:
-            assert build_scenario(ExperimentConfig(scenario=scenario, horizon=1000))
+            config = ExperimentConfig(scenario=scenario, horizon=1001)
+            assert compute_budget(dataclasses.replace(config, horizon=1000))
             with pytest.raises(ConfigurationError, match=(
-                    f"horizon 1001 is too large for its noise table: its build would "
+                    f"horizon 1001 is too large for its noise table: the run would "
                     f"take {memory + harness._BUILD_STEP_BYTES} bytes, more than the "
-                    f"{memory} of physical memory")):
-                build_scenario(ExperimentConfig(scenario=scenario, horizon=1001))
+                    f"{memory} bytes of memory")):
+                compute_budget(config)
+            with pytest.raises(ConfigurationError, match=(
+                    "horizon 1001 is too large for its noise table: the run would")):
+                run_experiment(config)
         assert built == [1000] * len(harness.SCENARIOS)
 
-    def test_an_ablation_is_sized_as_one_study(self, tmp_path, monkeypatch):
-        # Each count's 2 trials at T = 10 take 1,792 bytes and 16 (1 + n) of
-        # draws: memory for any one count, yet not for all three at once.
+    def test_a_batch_beyond_memory_is_refused_before_its_columns(
+            self, monkeypatch, physical_memory):
+        calls, full = [], np.full
+        monkeypatch.setattr(np, "full", lambda *args, **kwargs: calls.append(args)
+                            or full(*args, **kwargs))
+        physical_memory(10 ** 7)
+        with pytest.raises(ConfigurationError, match=(
+                "batch size 1000000 is too large for its per-epoch columns: the run")):
+            run_experiment(ExperimentConfig(horizon=10, batch_size=10 ** 6, trials=1))
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [["run"], ["ablate", "--counts", "2,4"]],
+                             ids=["run", "ablate"])
+    def test_a_study_beyond_memory_is_refused_before_its_build(
+            self, tmp_path, monkeypatch, capsys, physical_memory, command):
+        # T = 1,000 builds in 64 kB, and its 1,000 trials need 120 MB.
+        built = spy_on_builds(monkeypatch)
+        physical_memory(10 ** 7)
+        assert run_faulty(tmp_path, command, ["--T", "1000", "--trials", "1000"],
+                          "") == 1
+        assert ("configuration error: trials 1000 are too many for their (trials, T) "
+                "columns" in capsys.readouterr().err)
+        assert built == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--T", "1e19"], "horizon 10000000000000000000 is too large for its noise "
+         "table"),
+        (["--batch", "1e19"], "batch size 10000000000000000000 is too large for its "
+         "per-epoch columns")], ids=["horizon", "batch"])
+    def test_sizes_beyond_the_address_space_exit_one_without_sysconf(
+            self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.delattr(os, "sysconf")
+        assert harness._physical_memory() == sys.maxsize
+        forbid_oracle_and_learner(monkeypatch)
+        assert run_faulty(tmp_path, ["run"], flags, "") == 1
+        assert (f"configuration error: {message}: the run would take"
+                in capsys.readouterr().err)
+
+    def test_an_ablation_is_sized_as_one_study(self, tmp_path, monkeypatch,
+                                               physical_memory):
+        # Memory for any one count's study, yet not for all three at once.
         config = small_config(tmp_path, trials=2)
-        monkeypatch.setattr(harness, "_physical_memory", lambda: 4000)
-        for n in (2, 4, 6):
-            run_experiment(dataclasses.replace(config, samples=n))
+        singles = [dataclasses.replace(config, samples=n) for n in (2, 4, 6)]
+        memory = max(harness._check_sizes(10, [single]) for single in singles)
+        total = harness._check_sizes(10, singles)
+        physical_memory(memory)
+        for single in singles:
+            run_experiment(single)
         forbid_oracle_and_learner(monkeypatch)
         with pytest.raises(ConfigurationError, match=(
-                "the [(]trials, T[)] columns, seeded streams and one step's draws "
-                "would take 5616 bytes, more than the 4000 of physical memory")):
+                f"the run would take {total} bytes, more than the {memory} bytes")):
             run_ablation(config, [2, 4, 6])
 
 
