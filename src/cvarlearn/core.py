@@ -8,8 +8,9 @@ oracle's passes need the rule to be a ``Quadratic``. A noise
 sequence is a location-scale table plus the ``Family`` of its standard
 variable; its per-step CDF, quantile, support and step W1 read the table.
 ``fork_map`` and ``fork_ranges`` split a phase of independent work across
-forked children, one per usable CPU, that send arrays back as raw buffers;
-``_as_int`` is the one integer rule of every count and step argument.
+forked children, one per usable CPU, that send arrays back as raw buffers,
+for the harness alone; ``_as_int`` is the one integer rule of every count
+and step argument.
 """
 
 from __future__ import annotations
@@ -317,7 +318,8 @@ def fork_map(fn: Callable, jobs: Sequence) -> list:
 
     Children are forked, not spawned, so ``fn`` may be a closure over
     run-time state: lazy state built before the call is shared, not rebuilt.
-    (Forking is safe here because the program starts no threads.)
+    A fork copies only the calling thread: the harness, the one caller,
+    and the modules that it calls start no threads.
     Each child sends its result back over a pipe, its arrays as raw buffers,
     and exits without flushing what it inherited. An exception raised in a
     child is raised here as it was raised there; a child that dies without a

@@ -7,17 +7,18 @@ constants and, in one warning, the noise's point-mass steps. Trial ``i`` runs
 with seed ``base_seed + i``; all trials of an experiment step in lockstep.
 An experiment runs the learner beside the oracle's search for the per-step
 optima, then the oracle's played pass over every trial; these tasks, the
-played pass's steps and the trial files are cut into ranges that run in
+played pass's trials and the trial files are cut into ranges that run in
 forked processes, one per usable CPU, or in this process on one CPU or
-where the platform cannot fork, with the same bytes either way. A run
-returns one ``ExperimentResult`` per experiment (its ``Trace``, its trials'
-rows of the ``RegretReport`` and its sampling-requirement check) and writes
-no file; the ``write_*`` functions write the CSVs from these records as
-they are. An ablation evaluates every count's trials in one played pass,
-after all of their learners, so a failure leaves nothing to write. All output
-is CSV (17-significant-digit floats, LF endings, UTF-8), each file formatted
-from templates of a block of rows each and renamed into place, its directory
-created, only when whole. Plotting is left to external tools.
+where the platform cannot fork, with the same bytes either way; no other
+module forks. A run returns one ``ExperimentResult`` per experiment (its
+``Trace``, its trials' rows of the ``RegretReport`` and its
+sampling-requirement check) and writes no file; the ``write_*`` functions
+write the CSVs from these records as they are. An ablation evaluates every
+count's trials in one played pass, after all of their learners, so a
+failure leaves nothing to write. All output is CSV (17-significant-digit
+floats, LF endings, UTF-8), each file formatted from templates of a block
+of rows each and renamed into place, its directory created, only when
+whole. Plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -379,8 +380,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def _experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     """Phase 1: every config's learner beside the oracle's search pass, as
-    tasks cut across forked processes by ``fork_ranges``; phase 2: one
-    played pass over all of their trials.
+    tasks cut across forked processes by ``fork_ranges``; phase 2: the
+    oracle's played pass over all of their trials, cut by trial the same
+    way, each job returning only its rows' played CVaRs.
 
     The configs differ at most in the learner's settings; the first one's
     scenario and risk level serve all. The study is sized before its
@@ -404,18 +406,15 @@ def _experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     x0, x = first.x0, traces[0].x[0, 0]
     if x != x0:
         logger.info("initial decision projected into the shrunk set: %s -> %s", x0, x)
-    report = oracle.dynamic_regret(
-        np.concatenate([trace.x_hat for trace in traces]), scenario.cost,
-        scenario.noise, first.alpha, optima, levels)
+    x_hat = np.concatenate([trace.x_hat for trace in traces])
+    played = np.concatenate(fork_map(lambda rows: oracle._played_cvars(
+        x_hat[rows.start:rows.stop], scenario.cost, scenario.noise, first.alpha,
+        optima, levels), fork_ranges(len(x_hat))))
     results, start = [], 0
     for config, trace, (_, check) in zip(configs, traces, learners):
-        rows = slice(start, start + config.trials)
-        start = rows.stop
-        own = dataclasses.replace(
-            report, played_cvar=report.played_cvar[rows],
-            cumulative_regret=report.cumulative_regret[rows],
-            accumulated_loss=report.accumulated_loss[rows])
-        results.append(ExperimentResult(config, trace, own, check))
+        report = oracle._report(played[start:start + config.trials], optima)
+        start += config.trials
+        results.append(ExperimentResult(config, trace, report, check))
     return results
 
 

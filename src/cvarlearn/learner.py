@@ -98,7 +98,8 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
     uniform) and then its ``n_t`` uniforms, so a trial's block is one draw of
     ``sum(1 + n_t)`` uniforms, split at the step boundaries: the values are
     the same as drawn step by step. Each block's noise uniforms are gathered
-    C-ordered and become noise in one ``noise.quantile`` call.
+    C-ordered and become noise in one ``noise.quantile`` call; a step's views
+    of the block are made when it is yielded, not all of the block's at once.
     """
     sizes = len(rngs) * (1 + n_samples)
     cuts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _BLOCK)) + 1
@@ -111,7 +112,8 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
         noise_cols[heads] = False
         q = np.compress(noise_cols, stream, axis=1)
         xi = np.asarray(noise.quantile(np.repeat(steps + 1, n), q), dtype=float)
-        yield from zip(u.T, np.split(xi, np.cumsum(n)[:-1], axis=1))
+        ends = np.cumsum(n)
+        yield from ((u[:, i], xi[:, ends[i] - n[i]:ends[i]]) for i in range(n.size))
 
 
 def _schedule(config: LearnerConfig, horizon: int):

@@ -10,12 +10,12 @@ of a block of steps at once, and only the actions within a rounding margin
 of a step's least value are evaluated exactly, the first exact minimum being
 the step's optimum. ``true_cvar`` takes any cost.
 
-The oracle makes two passes. Each makes the standard quantiles of its levels
-once and places them at a block of steps in one reused buffer: the search
-pass, ``optimal_action_series``, finds the optimum of every step; the
-played pass, ``dynamic_regret``, evaluates every trial against them, the
-ranges of its spread steps run by forked processes. Both evaluate their
-exact CVaR rows in one reused buffer, many rows per call, bit for bit as
+The oracle makes two serial passes. Each makes the standard quantiles of
+its levels once and places them at a block of steps in one reused buffer:
+the search pass, ``optimal_action_series``, finds the optimum of every step;
+the played pass, ``dynamic_regret``, evaluates every trial against them, a
+row's bits independent of the rows beside it. Both evaluate their exact
+CVaR rows in one reused buffer, many rows per call, bit for bit as
 ``cvar_of_values`` over ``CostModel.rows`` would. A point-mass step's grid
 is one value n times, so the played pass evaluates one cost a trial there.
 The bits are the grid row's: a row of n equal costs partitions to itself,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Box, ConfigurationError, CostModel, NoiseSequence, Quadratic,
-                   _as_int, fork_map, fork_ranges)
+                   _as_int)
 from .risk import _check_alpha, _tail_means, cvar_of_values
 
 __all__ = ["true_cvar", "action_grid", "RegretReport", "optimal_action_series",
@@ -220,21 +220,36 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                    levels: np.ndarray) -> RegretReport:
     """The played pass: evaluate ``x_hat`` ``(trials, T)``, played at steps
     ``1..T``, against the best actions in hindsight ``optima``, as
-    ``optimal_action_series`` returns them at ``levels``.
+    ``optimal_action_series`` returns them at ``levels``: the report of
+    ``_played_cvars``' rows."""
+    return _report(_played_cvars(x_hat, cost, noise, alpha, optima, levels), optima)
+
+
+def _report(played: np.ndarray, optima: tuple[np.ndarray, np.ndarray]) -> RegretReport:
+    """The ``RegretReport`` of the played CVaRs ``played`` ``(trials, T)``
+    against ``optima``: each row's running sums, which read that row alone."""
+    x_star, c_star = optima
+    return RegretReport(played, c_star, x_star, np.cumsum(played - c_star, axis=1),
+                        np.cumsum(played, axis=1))
+
+
+def _played_cvars(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
+                  alpha: float, optima: tuple[np.ndarray, np.ndarray],
+                  levels: np.ndarray) -> np.ndarray:
+    """``dynamic_regret``'s played CVaRs ``(trials, T)``, each row's bits
+    independent of the other rows.
 
     A step whose grid is spread places it once for every trial, whose rows
     are evaluated in one buffer of at most ``_BLOCK`` cost values (one row,
-    if a row alone holds more). These steps, in order, are cut into ranges,
-    one per usable CPU, run at the same time in forked processes
-    (``fork_ranges``). A point-mass step, whose scale is zero, has a grid of
-    one value ``n`` times and gives each trial one cost: ``_point_mass_cvars``
-    evaluates them all in one call, in this process, with the bits of the
-    row of ``n`` equal costs. The cost's rule must be a ``Quadratic``.
+    if a row alone holds more) by ``_exact_cvars``. A point-mass step, whose
+    scale is zero, has a grid of one value ``n`` times and gives each trial
+    one cost: ``_point_mass_cvars`` evaluates them all in one call, with the
+    bits of the row of ``n`` equal costs. The cost's rule must be a
+    ``Quadratic``.
     """
     _check_quadratic(cost)
-    x_star, c_star = optima
     x_hat = np.asarray(x_hat, dtype=float)
-    horizon = len(c_star)
+    horizon = len(optima[1])
     if x_hat.ndim != 2 or x_hat.shape[1] != horizon:
         raise ConfigurationError(
             f"played actions must have shape (trials, {horizon}), got {x_hat.shape}")
@@ -242,38 +257,15 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
     z = noise.family.quantile(levels)
     loc, scale = noise._columns(np.arange(1, horizon + 1))
     point = scale == 0
-    spread, steps = np.flatnonzero(~point), np.flatnonzero(point)
     played = np.empty(x_hat.shape)
-    played[:, steps] = _point_mass_cvars(cost.fn, loc[steps], x_hat[:, steps],
+    played[:, point] = _point_mass_cvars(cost.fn, loc[point], x_hat[:, point],
                                          alpha, z.size)
-    ranges = fork_ranges(spread.size)
-    for part, values in zip(ranges, fork_map(
-            functools.partial(_played_steps, x_hat, cost, noise, alpha, z),
-            [spread[part] for part in ranges])):
-        played[:, spread[part]] = values
-    return RegretReport(
-        played_cvar=played,
-        optimal_cvar=c_star,
-        optimal_actions=x_star,
-        cumulative_regret=np.cumsum(played - c_star, axis=1),
-        accumulated_loss=np.cumsum(played, axis=1),
-    )
-
-
-def _played_steps(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
-                  alpha: float, z: np.ndarray, steps: range | np.ndarray
-                  ) -> np.ndarray:
-    """``dynamic_regret``'s grid pass over the 0-based steps ``steps``, at
-    the standard quantiles ``z``: the played CVaRs ``(trials,
-    len(steps))``, every trial's row of a block of steps evaluated by
-    ``_exact_cvars``."""
     trials = x_hat.shape[0]
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
-    played = np.empty((trials, len(steps)))
-    for out, block, xi in _blocks(noise, z, steps, z.size):
+    for _, block, xi in _blocks(noise, z, np.flatnonzero(~point), z.size):
         rows = np.repeat(np.arange(block.size), trials)
-        played[:, out] = _exact_cvars(cost, xi, rows, x_hat[:, block].T.ravel(),
-                                      alpha, buf).reshape(block.size, trials).T
+        played[:, block] = _exact_cvars(cost, xi, rows, x_hat[:, block].T.ravel(),
+                                        alpha, buf).reshape(block.size, trials).T
     return played
 
 

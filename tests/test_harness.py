@@ -74,7 +74,7 @@ def forbid_oracle_and_learner(monkeypatch):
         raise AssertionError("learner ran on an invalid configuration")
 
     monkeypatch.setattr(oracle, "optimal_action_series", no_oracle)
-    monkeypatch.setattr(oracle, "dynamic_regret", no_oracle)
+    monkeypatch.setattr(oracle, "_played_cvars", no_oracle)
     monkeypatch.setattr(learner, "run_trials", no_learner)
 
 
@@ -841,7 +841,7 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "[1, 1, 1, 1] []"
+        assert proc.stdout.splitlines()[-1] == "[1, 1, 1, 1, 1, 1] []"
 
     def test_budget_cli(self, tmp_path, capsys, caplog):
         # No learner runs, so the initial decision is never projected.
@@ -1215,10 +1215,10 @@ class TestForkedRuns:
             assert cli.main([*argv, *FORK_RUN, "--out", str(out / "x")]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         # Each run forks phase 1, its learners and the search pass as one
-        # task each, then the trial files.
+        # task each, then the played pass's trials, then the trial files.
         tasks = 2 if argv == ["run"] else 3
         assert job_counts == [n for jobs in (1, 2, 3)
-                              for n in (min(jobs, tasks), jobs)]
+                              for n in (min(jobs, tasks), jobs, jobs)]
         assert len(outputs[0]) == (6 if argv == ["run"] else 13)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
@@ -1244,27 +1244,48 @@ class TestForkedRuns:
             os.waitpid(-1, os.WNOHANG)
         assert not list(tmp_path.rglob("*.tmp"))
 
-    @pytest.mark.parametrize("horizon, trials, files", [(500, 100, 2), (6000, 1, 1)])
+    @pytest.mark.parametrize("horizon, trials, cut", [(500, 100, 2), (6000, 1, 1)])
     def test_every_phase_with_two_items_forks_on_two_cpus(
-            self, tmp_path, monkeypatch, force_jobs, horizon, trials, files):
+            self, tmp_path, monkeypatch, force_jobs, horizon, trials, cut):
         # The bench's trial sweep (T=500, 100 trials) and one trial at
-        # T=6000: phase 1's learner and search, the played pass's steps and
-        # the trial files each run as two jobs, and a single file as one.
+        # T=6000: phase 1's learner and search run as two jobs; the played
+        # pass and the trial files, cut by trial, as two, or one for one trial.
         job_counts = []
-        for module in (harness, oracle):
-            monkeypatch.setattr(module, "fork_map", spy_jobs(module.fork_map, job_counts))
+        monkeypatch.setattr(harness, "fork_map", spy_jobs(harness.fork_map, job_counts))
         force_jobs(2)
         harness.write_experiments([run_experiment(small_config(
             tmp_path, horizon=horizon, batch_size=200, trials=trials))])
-        assert job_counts == [2, 2, files]
+        assert job_counts == [2, cut, cut]
+
+    @pytest.mark.parametrize("scenario, horizon, trials", [
+        pytest.param(scenario, horizon, trials, id=f"{scenario}-T{horizon}-{trials}")
+        for horizon, trials in ((37, 3), (41, oracle._BLOCK // 1000 + 5), (43, 1))
+        for scenario in harness.SCENARIOS])
+    def test_reports_do_not_depend_on_the_job_count(
+            self, force_jobs, monkeypatch, scenario, horizon, trials):
+        # The played pass's trials cut into 1, 2 and 3 forked ranges, and
+        # one trial on three jobs: the reports of one job, bit for bit.
+        config = ExperimentConfig(scenario=scenario, horizon=horizon,
+                                  batch_size=5, trials=trials)
+        job_counts, reports = [], []
+        monkeypatch.setattr(harness, "fork_map", spy_jobs(harness.fork_map, job_counts))
+        for jobs in (1, 2, 3):
+            force_jobs(jobs)
+            reports.append(run_experiment(config).report)
+        assert job_counts == [n for jobs in (1, 2, 3)
+                              for n in (min(jobs, 2), min(jobs, trials))]
+        assert reports[0].played_cvar.shape == (trials, horizon)
+        for report in reports[1:]:
+            for field in dataclasses.fields(oracle.RegretReport):
+                assert np.array_equal(getattr(report, field.name),
+                                      getattr(reports[0], field.name)), field.name
 
     def test_without_fork_every_phase_runs_here(self, tmp_path, monkeypatch,
                                                 force_jobs):
         # A platform without os.fork, two usable CPUs: each phase is one
         # job, and the files are those of a forked run.
         job_counts = []
-        for module in (harness, oracle):
-            monkeypatch.setattr(module, "fork_map", spy_jobs(module.fork_map, job_counts))
+        monkeypatch.setattr(harness, "fork_map", spy_jobs(harness.fork_map, job_counts))
         force_jobs(2)
         outputs = []
         for forks in (True, False):
@@ -1297,7 +1318,7 @@ class TestForkedRuns:
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env=env, capture_output=True, text=True, check=True)
         forked = code == 0
-        assert proc.stdout.splitlines()[-1] == f"{code} {2 if forked else 0}"
+        assert proc.stdout.splitlines()[-1] == f"{code} {3 if forked else 0}"
         warnings = [line.split(":")[0] for line in proc.stderr.splitlines()
                     if "sampling requirement" in line]
         assert warnings == [f"WARNING sampling requirement violated for n={n}"

@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cvarlearn.core import Box, ConfigurationError, CostModel
-from cvarlearn import learner
+from cvarlearn import harness, learner
+from cvarlearn._pcg64 import Stream
 from cvarlearn.environment import BrownianSeq, constant_uniform, parking_noise
 from cvarlearn.harness import ExperimentConfig, build_scenario
 from cvarlearn.learner import LearnerConfig, Trace, _draws, run_trials
@@ -337,6 +339,23 @@ class TestDraws:
                 for i, rng in enumerate(rngs):
                     assert u[i] == (1.0 if rng.random() < 0.5 else -1.0)
                     assert np.array_equal(xi[i], noise.quantile(t, rng.random(n)))
+
+    def test_a_block_of_short_steps_holds_little_beside_its_values(self):
+        # One trial and one sample: a block of 2^16 values is 2^15 steps.
+        # Each step's views are made as it is yielded, so the draws' traced
+        # peak stays within the size check's bytes a block value; all of a
+        # block's views made at once took twice that.
+        steps = learner._BLOCK // 2
+        noise = constant_uniform(steps, 0.85, 1.1)
+        Stream(0).random(1)  # the table that every stream shares, built once
+        tracemalloc.start()
+        try:
+            for _ in _draws([Stream(0)], np.ones(steps, dtype=np.int64), noise):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness._DRAW_BYTES * learner._BLOCK
 
     @pytest.mark.parametrize("block", [1, 100, 2 ** 62],
                              ids=["step", "hundred", "stream"])

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -530,38 +531,25 @@ class TestDynamicRegret:
             assert np.array_equal(report.optimal_cvar, values)
 
 
-class TestForkedRegret:
-    @pytest.mark.parametrize("scenario, horizon, trials", [
-        pytest.param(scenario, horizon, trials, id=f"{scenario}-T{horizon}-{trials}")
-        for horizon, trials in ((37, 3), (41, _BLOCK // 1000 + 5), (43, 0))
-        for scenario in ("parking", "brownian", "custom")])
-    def test_reports_do_not_depend_on_the_job_count(
-            self, force_jobs, monkeypatch, scenario, horizon, trials):
-        # The played pass cut into 1, 2 and 3 forked step ranges; the serial
-        # pass is the reference, matched bit for bit. Zero trials give an
-        # empty played pass.
-        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
-        low, high = scen.region.lower, scen.region.upper
-        x_hat = np.random.default_rng(56).uniform(low, high, (trials, horizon))
-        job_counts = []
-        fork_map = oracle.fork_map
+def test_the_oracle_forks_nothing(force_jobs, monkeypatch):
+    # Both passes are serial: on two usable CPUs, with every fork refused,
+    # they give the report of one CPU. The harness cuts the played trials.
+    scen = pricing_scenario(horizon=40)
+    x_hat = np.random.default_rng(56).uniform(1.0, 5.0, (5, 40))
+    force_jobs(1)
+    reference = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=40,
+                       grid_n=1000)
 
-        def spy(fn, jobs):
-            job_counts.append(len(jobs))
-            return fork_map(fn, jobs)
+    def no_fork():
+        raise AssertionError("the oracle forked")
 
-        monkeypatch.setattr(oracle, "fork_map", spy)
-        reports = []
-        for jobs in (1, 2, 3):
-            force_jobs(jobs)
-            reports.append(regret(x_hat, scen.cost, scen.noise, scen.region,
-                                  0.5, k=40, grid_n=1000))
-        assert job_counts == [1, 2, 3]
-        assert reports[0].played_cvar.shape == (trials, horizon)
-        for report in reports[1:]:
-            for field in dataclasses.fields(RegretReport):
-                assert np.array_equal(getattr(report, field.name),
-                                      getattr(reports[0], field.name)), field.name
+    monkeypatch.setattr(os, "fork", no_fork)
+    force_jobs(2)
+    report = regret(x_hat, scen.cost, scen.noise, scen.region, 0.5, k=40,
+                    grid_n=1000)
+    for field in dataclasses.fields(RegretReport):
+        assert np.array_equal(getattr(report, field.name),
+                              getattr(reference, field.name)), field.name
 
 
 def bits(values):
@@ -597,13 +585,13 @@ class TestPointMassSteps:
     @pytest.mark.parametrize("family", ["uniform", "gaussian"])
     @pytest.mark.parametrize("kind", ["none", "some", "all"])
     def test_played_pass_equals_the_grid_pass_over_every_step(
-            self, force_jobs, kind, family, trials):
+            self, kind, family, trials):
         # A sequence with no point-mass steps, some or only those: the
-        # played pass, its spread steps in one job and in two, equals the
-        # grid pass over every step. Steps 4-7 sit at 0.0 and -0.0 (a
-        # Gaussian grid of zero scale at -0.0 holds both zeros). Unless all
-        # are point masses, steps 6-9 have a subnormal or tiny scale: a grid
-        # of one value where the location absorbs it, yet no point mass.
+        # played pass equals _tail_means over each step's placed row, bit
+        # for bit. Steps 4-7 sit at 0.0 and -0.0 (a Gaussian grid of zero
+        # scale at -0.0 holds both zeros). Unless all are point masses,
+        # steps 6-9 have a subnormal or tiny scale: a grid of one value
+        # where the location absorbs it, yet no point mass.
         rng = np.random.default_rng(58)
         horizon = 31
         loc = rng.uniform(-1.0, 2.0, horizon)
@@ -620,35 +608,14 @@ class TestPointMassSteps:
         cost = pricing_scenario(10).cost
         x_hat = rng.uniform(-2.0, 3.0, (trials, horizon))
         levels = _mid_quantiles(1000)
-        reference = oracle._played_steps(x_hat, cost, noise, 0.5,
-                                         noise.family.quantile(levels), range(horizon))
-        for jobs in (1, 2):
-            force_jobs(jobs)
-            report = dynamic_regret(x_hat, cost, noise, 0.5,
-                                    (np.zeros(horizon), np.zeros(horizon)), levels)
-            assert bits(report.played_cvar) == bits(reference)
-            assert bits(report.accumulated_loss) == bits(np.cumsum(reference, axis=1))
-
-    def test_only_spread_steps_are_cut(self, force_jobs, monkeypatch):
-        # Four point-mass steps beside one spread step, then two, on two
-        # CPUs: the point masses are evaluated here, so one spread step is
-        # one job and two are two.
-        cost = pricing_scenario(10).cost
-        job_counts = []
-        fork_map = oracle.fork_map
-
-        def spy(fn, jobs):
-            job_counts.append(len(jobs))
-            return fork_map(fn, jobs)
-
-        monkeypatch.setattr(oracle, "fork_map", spy)
-        force_jobs(2)
-        for spread in (1, 2):
-            noise = UniformSeq(np.zeros(4 + spread), np.r_[np.zeros(4), np.ones(spread)])
-            dynamic_regret(np.full((2, 4 + spread), 2.0), cost, noise, 0.5,
-                           (np.zeros(4 + spread), np.zeros(4 + spread)),
-                           _mid_quantiles(1000))
-        assert job_counts == [1, 2]
+        z = noise.family.quantile(levels)
+        reference = np.array([
+            _tail_means(cost.rows(x_hat[:, s], noise.place(s + 1, z)[None, :]), 0.5)
+            for s in range(horizon)]).T.reshape(trials, horizon)
+        report = dynamic_regret(x_hat, cost, noise, 0.5,
+                                (np.zeros(horizon), np.zeros(horizon)), levels)
+        assert bits(report.played_cvar) == bits(reference)
+        assert bits(report.accumulated_loss) == bits(np.cumsum(reference, axis=1))
 
     def test_blocks_place_as_the_noise_does_into_one_buffer(self):
         # Each block of the grid passes is NoiseSequence.place's array to
