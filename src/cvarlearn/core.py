@@ -10,11 +10,12 @@ variable; its per-step CDF, quantile, support and step W1 read the table.
 ``fork_map`` and ``fork_ranges`` split a phase of independent work across
 forked children, one per usable CPU, that send arrays back as raw buffers,
 for the harness alone; ``_as_int`` is the one integer rule of every count
-and step argument.
+and step argument, and ``_unbuffered`` the one scope of numpy's buffer size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -52,6 +53,24 @@ def _as_int(value, name: str = "value") -> int:
     if not -math.inf < value < math.inf or int(value) != value:  # nan fails too
         raise ConfigurationError(f"{name} {value!r} is not an integer")
     return int(value)
+
+
+@contextlib.contextmanager
+def _unbuffered():
+    """Run the block with numpy's ufunc buffer at 16 values, its least size.
+
+    An elementwise ufunc over ``(rows, n)`` values with a ``(rows, 1)``
+    operand makes numpy's iterator copy that column into buffers of the
+    default 8,192 values, so the op takes about three times as long as with
+    a scalar operand. With a 16-value buffer it runs about as fast as the
+    scalar op, with the same bits: the buffer size changes no elementwise
+    result. The size is restored on the way out, also when the block raises.
+    """
+    size = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
 
 
 @dataclass(frozen=True)
@@ -141,9 +160,11 @@ class Quadratic:
         return self._finish(x, np.asarray(np.asarray(xi, dtype=float) + self.slope * x))
 
     def into(self, x: np.ndarray, rows: np.ndarray) -> None:
-        """Replace the noise values of row ``rows[r]`` by their costs at ``x[r]``."""
-        rows += (self.slope * x)[:, None]
-        self._finish(x[:, None], rows)
+        """Replace the noise values of row ``rows[r]`` by their costs at ``x[r]``,
+        the column operands ``_unbuffered``."""
+        with _unbuffered():
+            rows += (self.slope * x)[:, None]
+            self._finish(x[:, None], rows)
 
     def _finish(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Turn ``values``, holding ``xi + slope * x``, into the costs in place."""
@@ -193,14 +214,16 @@ class CostModel:
         return self.fn(x, xi)
 
     def rows(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """``J(x[r], xi[r])`` for every row ``r``, as an array ``(rows, n)``.
+        """``J(x[r], xi[r])`` for every row ``r``, as a new C-ordered float
+        array ``(rows, n)`` that the caller may write into: the rule may
+        still hold the array it returned, so that is copied.
 
         ``x`` holds one decision per row, ``(rows,)``; ``xi`` holds one row
         of ``n`` noise values per decision, or a single row ``(1, n)`` shared
         by all. The cost is evaluated in one broadcast call.
         """
         shape = (x.shape[0], xi.shape[-1])
-        values = np.asarray(self(x[:, None], xi), dtype=float)
+        values = np.array(self(x[:, None], xi), dtype=float, order="C")
         if values.shape != shape:
             raise ConfigurationError(
                 f"cost model returned shape {values.shape} for {shape[0]} "

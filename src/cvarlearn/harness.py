@@ -273,11 +273,12 @@ def _learner(config: ExperimentConfig, scenario: Scenario
 #: templates takes about 300. A trial-step takes 15 float64s: the eight
 #: result columns, held to the end, and at most seven more at once (a forked
 #: job's trace, held by the child and the parent; the played pass's parts and
-#: temporaries; or a trial file's columns, stacked while it is written). A
-#: config's draws fill a block, ``learner._BLOCK`` values, and the oracle's
-#: and a CSV writer's reused buffers take about 1.45 MB.
+#: temporaries; or a trial file's columns, stacked while it is written). Each
+#: process of a phase holds at most one learner's draws, a block of
+#: ``learner._BLOCK`` values or one step, and one set of reused buffers: the
+#: played pass's, the largest, traced 1.03 to 1.10 MB at 2,000 levels.
 _BUILD_STEP_BYTES, _EPOCH_BYTES, _DRAW_BYTES, _STREAM_BYTES = 64, 64, 64, 256
-_STEP_BYTES, _TRIAL_STEP_BYTES, _BUFFER_BYTES = 512, 120, 2 ** 21
+_STEP_BYTES, _TRIAL_STEP_BYTES, _BUFFER_BYTES = 512, 120, 5 * 2 ** 18
 
 
 def _physical_memory() -> int:
@@ -292,7 +293,9 @@ def _check_sizes(horizon: int, configs: list[ExperimentConfig]) -> int:
     ``build_scenario`` runs; with no configs, the build's. Its terms, in the
     order of allocation, are clamped at zero (a negative size, refused
     later, offsets nothing); a total beyond memory is refused, naming the
-    term that passes it."""
+    term that passes it. The draws and buffers are counted once for each
+    process of the widest phase, whose jobs ``fork_ranges`` cuts from every
+    trial and the search pass."""
     terms = [(f"horizon {horizon} is too large for its noise table",
               _BUILD_STEP_BYTES * horizon)]
     for config in configs:
@@ -302,10 +305,14 @@ def _check_sizes(horizon: int, configs: list[ExperimentConfig]) -> int:
             (f"horizon {horizon} is too large for its per-step columns",
              _STEP_BYTES * horizon),
             (f"trials {config.trials} are too many for their (trials, T) columns",
-             (_TRIAL_STEP_BYTES * horizon + _STREAM_BYTES) * config.trials),
-            (f"samples {config.samples} are too many for one step's draws",
-             _DRAW_BYTES * (learner._BLOCK + config.trials * (1 + config.samples))
-             + _BUFFER_BYTES)]
+             (_TRIAL_STEP_BYTES * horizon + _STREAM_BYTES) * config.trials)]
+    if configs:
+        jobs = len(fork_ranges(sum(config.trials for config in configs) + 1))
+        widest = max(configs, key=lambda config: config.trials * (1 + config.samples))
+        terms.append((
+            f"samples {widest.samples} are too many for one step's draws",
+            jobs * (_DRAW_BYTES * (learner._BLOCK + widest.trials * (1 + widest.samples))
+                    + _BUFFER_BYTES)))
     sizes, memory = [max(0, size) for _, size in terms], _physical_memory()
     for i, (what, _) in enumerate(terms):
         if sum(sizes[:i + 1]) > memory:
@@ -443,15 +450,29 @@ def write_experiments(results: list[ExperimentResult]) -> None:
              fork_ranges(len(writes)))
     header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
     for result in results:
-        report = result.report
-        # Read C-ordered: from 8 trials up, an axis-0 reduction of a
-        # Fortran-ordered column gives other bits.
-        columns = [np.ascontiguousarray(c) for c in (
-            result.trace.x, report.played_cvar, report.cumulative_regret,
-            report.accumulated_loss)]
-        stats = [s for c in columns for s in (c.mean(axis=0), c.std(axis=0))]
+        stats = _aggregates(result)
         _write_csv(Path(f"{result.config.out_prefix}_aggregate.csv"),
                    _template(header, (result.trace.t, *[None] * len(stats))), stats)
+
+
+def _aggregates(result: ExperimentResult) -> list[np.ndarray]:
+    """The mean and population standard deviation across trials of each
+    step's ``AGGREGATE_COLUMNS``, ``(T,)`` each, made ``_BLOCK_ROWS`` steps
+    at a time: ``std``'s temporaries then hold one block of steps, not a
+    ``(trials, T)`` column. A column is read C-ordered, so each block's
+    axis-0 sums add the trials one after the other, as the whole column's
+    do; from 8 trials up, a Fortran-ordered column gives other bits."""
+    report, stats = result.report, []
+    for column in (result.trace.x, report.played_cvar, report.cumulative_regret,
+                   report.accumulated_loss):
+        column = np.ascontiguousarray(column)
+        mean, std = np.empty(column.shape[1]), np.empty(column.shape[1])
+        for i in range(0, column.shape[1], _BLOCK_ROWS):
+            block = column[:, i:i + _BLOCK_ROWS]
+            mean[i:i + _BLOCK_ROWS], std[i:i + _BLOCK_ROWS] = (block.mean(axis=0),
+                                                              block.std(axis=0))
+        stats += [mean, std]
+    return stats
 
 
 def run_ablation(config: ExperimentConfig, sample_counts) -> dict[int, ExperimentResult]:

@@ -25,9 +25,9 @@ import numpy as np
 
 from ._pcg64 import Stream
 from .core import Box, ConfigurationError, CostModel, NoiseSequence
-from .risk import _check_alpha, cvar_of_values
+from .risk import _check_alpha, _tail_means
 from .schedule import _check_batch_size, _check_counts, _check_rates, batch_epoch
-from .smoothing import directions, gradient_estimate
+from .smoothing import directions
 
 __all__ = ["LearnerConfig", "Trace", "run_trials"]
 
@@ -97,23 +97,38 @@ def _draws(rngs, n_samples: np.ndarray, noise: NoiseSequence):
     Every generator yields, per step, its direction (``directions`` of one
     uniform) and then its ``n_t`` uniforms, so a trial's block is one draw of
     ``sum(1 + n_t)`` uniforms, split at the step boundaries: the values are
-    the same as drawn step by step. Each block's noise uniforms are gathered
-    C-ordered and become noise in one ``noise.quantile`` call; a step's views
-    of the block are made when it is yielded, not all of the block's at once.
+    the same as drawn step by step. A step's views of its block are made when
+    it is yielded, not all of the block's at once, and the block is released,
+    but for the views that the caller still holds, before the next is drawn.
     """
     sizes = len(rngs) * (1 + n_samples)
     cuts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _BLOCK)) + 1
-    for steps in np.split(np.arange(n_samples.size), cuts):
-        n = n_samples[steps]
-        heads = np.cumsum(1 + n) - 1 - n
-        stream = np.stack([rng.random(heads[-1] + 1 + n[-1]) for rng in rngs])
-        u = directions(stream[:, heads])
-        noise_cols = np.ones(stream.shape[1], dtype=bool)
-        noise_cols[heads] = False
-        q = np.compress(noise_cols, stream, axis=1)
-        xi = np.asarray(noise.quantile(np.repeat(steps + 1, n), q), dtype=float)
+    bounds = [0, *cuts.tolist(), n_samples.size]
+    del sizes, cuts
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        n = n_samples[start:stop]
+        u, xi = _block(rngs, start, n, noise)
         ends = np.cumsum(n)
         yield from ((u[:, i], xi[:, ends[i] - n[i]:ends[i]]) for i in range(n.size))
+        del u, xi, ends
+
+
+def _block(rngs, start: int, n: np.ndarray, noise: NoiseSequence):
+    """The directions ``(trials, steps)`` and noise values ``(trials,
+    sum(n))`` of the block of steps from the 0-based ``start``, of ``n``
+    samples each: each trial's uniforms are drawn into one row of a C-ordered
+    block, whose noise uniforms become noise in one ``noise.quantile`` call."""
+    heads = np.cumsum(1 + n) - 1 - n
+    stream = np.empty((len(rngs), heads[-1] + 1 + n[-1]))
+    for row, rng in zip(stream, rngs):
+        row[:] = rng.random(stream.shape[1])
+    u = directions(stream[:, heads])
+    noise_cols = np.ones(stream.shape[1], dtype=bool)
+    noise_cols[heads] = False
+    q = np.compress(noise_cols, stream, axis=1)
+    del stream, noise_cols, heads  # the stream, the largest, before the noise is made
+    t = np.repeat(np.arange(start + 1, start + 1 + n.size), n)
+    return u, np.asarray(noise.quantile(t, q), dtype=float)
 
 
 def _schedule(config: LearnerConfig, horizon: int):
@@ -133,8 +148,13 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     each step's direction first, then its noise uniforms. A trial's columns
     therefore do not depend on the seeds run beside it. A seed that is not a
     non-negative integer is a ``ConfigurationError``.
+
+    A step evaluates ``cost.rows``, a new array, and partitions it in place
+    for its CVaR estimate. Feasibility is checked over the played actions
+    once, after the last step or at a failed one, and names the first step
+    that left ``region``: a fault at a later step does not hide it.
     """
-    inner = region.shrink(config.delta)
+    inner = region.shrink(config.delta)  # checks delta: finite, below the inradius
     horizon, trials = noise.horizon, len(seeds)
     if not trials:
         raise ConfigurationError("a run needs at least one seed")
@@ -142,21 +162,33 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     xs, us, x_hats, grads, cvars = (np.empty((trials, horizon)) for _ in range(5))
     rngs = [Stream(seed) for seed in seeds]
     t, batch, epoch, n_samples, eta = _schedule(config, horizon)
+    delta, alpha, inv_delta = config.delta, config.alpha, 1.0 / config.delta
     x = np.full(trials, inner.project(config.x0))
-    for s, (u, xi) in enumerate(_draws(rngs, n_samples, noise)):
-        x_hat = x + config.delta * u
-        if not region.contains(x_hat):
-            raise RuntimeError(
-                f"feasibility violated at t={t[s]}: a played action left the "
-                f"admissible set: {x_hat}")
-        step_costs = cost.rows(x_hat, xi)
-        if not np.isfinite(step_costs).all():
-            raise ConfigurationError(
-                f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
-        cvar = cvar_of_values(step_costs, config.alpha)
-        grad = gradient_estimate(cvar, u, config.delta)
-        xs[:, s], us[:, s], x_hats[:, s], grads[:, s] = x, u, x_hat, grad
-        cvars[:, s] = cvar
-        x = inner.project(x - eta[s] * grad)
+    s = -1
+    try:
+        for s, (u, xi) in enumerate(_draws(rngs, n_samples, noise)):
+            x_hats[:, s] = x_hat = x + delta * u
+            step_costs = cost.rows(x_hat, xi)
+            if not np.isfinite(step_costs).all():
+                raise ConfigurationError(
+                    f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
+            cvar = _tail_means(step_costs, alpha)
+            grad = inv_delta * cvar * u  # gradient_estimate's bits
+            xs[:, s], us[:, s], grads[:, s], cvars[:, s] = x, u, grad, cvar
+            x = inner.project(x - eta[s] * grad)
+    except Exception:
+        _check_feasible(region, x_hats[:, :s + 1], t)
+        raise
+    _check_feasible(region, x_hats, t)
     return Trace(t=t, batch=batch, epoch=epoch, n_samples=n_samples, eta=eta,
                  x=xs, u=us, x_hat=x_hats, cvar_estimate=cvars, gradient=grads)
+
+
+def _check_feasible(region: Box, x_hat: np.ndarray, t: np.ndarray) -> None:
+    """Raise ``RuntimeError`` naming the first step ``t[s]`` whose played
+    actions ``x_hat[:, s]`` are not all in ``region``, if there is one."""
+    if not region.contains(x_hat):
+        s = next(s for s in range(x_hat.shape[1]) if not region.contains(x_hat[:, s]))
+        raise RuntimeError(
+            f"feasibility violated at t={t[s]}: a played action left the "
+            f"admissible set: {x_hat[:, s]}")

@@ -10,17 +10,19 @@ of a block of steps at once, and only the actions within a rounding margin
 of a step's least value are evaluated exactly, the first exact minimum being
 the step's optimum. ``true_cvar`` takes any cost.
 
-The oracle makes two serial passes. Each makes the standard quantiles of
-its levels once and places them at a block of steps in one reused buffer:
-the search pass, ``optimal_action_series``, finds the optimum of every step;
-the played pass, ``dynamic_regret``, evaluates every trial against them, a
-row's bits independent of the rows beside it. Both evaluate their exact
-CVaR rows in one reused buffer, many rows per call, bit for bit as
-``cvar_of_values`` over ``CostModel.rows`` would. A point-mass step's grid
-is one value n times, so the played pass evaluates one cost a trial there.
-The bits are the grid row's: a row of n equal costs partitions to itself,
-and numpy sums the k - 1 copies of its tail in one order, whether they lie
-in the grid row or are one value read through a zero stride.
+The oracle makes two serial passes, each of which makes the standard
+quantiles of its levels once: the search pass, ``optimal_action_series``,
+finds the optimum of every step, placing only the grids of the rows it
+scores; the played pass, ``dynamic_regret``, evaluates every trial against
+them, each grid placed once for all trials, a row's bits independent of the
+rows beside it. Both evaluate their exact CVaR rows in one reused buffer,
+many rows per call, bit for bit as ``cvar_of_values`` over
+``CostModel.rows`` would; the ``(rows, 1)`` column operands of a grid's
+placement and of ``Quadratic.into`` run ``_unbuffered``. A point-mass
+step's grid is one value n times, so the played pass evaluates one cost a
+trial there. The bits are the grid row's: a row of n equal costs partitions
+to itself, and numpy sums the k - 1 copies of its tail in one order, whether
+they lie in the grid row or are one value read through a zero stride.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Box, ConfigurationError, CostModel, NoiseSequence, Quadratic,
-                   _as_int)
+                   _as_int, _unbuffered)
 from .risk import _check_alpha, _tail_means, cvar_of_values
 
 __all__ = ["true_cvar", "action_grid", "RegretReport", "optimal_action_series",
@@ -56,10 +58,10 @@ def _mid_quantiles(grid_n: int) -> np.ndarray:
 #: could be screened out.
 _TOL = 1e-9
 
-#: Most values in one call of either pass: quantile grids are placed a block
-#: of steps at a time, and exact rows are evaluated in one reused buffer of
-#: this many values, so that no call faults in fresh pages at every step. A
-#: longer row is made on its own.
+#: Most values in one call of either pass: the search pass screens, and the
+#: played pass places its grids, a block of steps at a time, and exact rows
+#: are evaluated in one reused buffer of this many values, so that no call
+#: faults in fresh pages at every step. A longer row is made on its own.
 _BLOCK = 2 ** 16
 
 
@@ -89,13 +91,12 @@ def _cvars(cost: CostModel, xi: np.ndarray, x_rows: np.ndarray,
     return cvar_of_values(cost.rows(x_rows, xi[None, :]), alpha)
 
 
-def _closed_form_cvars(quad: Quadratic, z: np.ndarray, alpha: float,
-                       loc: np.ndarray, scale: np.ndarray,
-                       x: np.ndarray) -> np.ndarray:
-    """Grid CVaRs ``(steps, k)`` of ``quad`` at the steps' ``loc`` and
-    ``scale`` ``(steps,)`` and the decisions ``x`` ``(k,)``, in closed form
-    over the sorted standard values ``z``: equal to the exact ones to
-    rounding (a relative 1e-14 at any alpha), not bit for bit.
+def _closed_form_cvars(quad: Quadratic, z: np.ndarray, alpha: float):
+    """``cvars(loc, scale, x)``: the grid CVaRs ``(steps, k)`` of ``quad`` at
+    the steps' ``loc`` and ``scale`` ``(steps,)`` and the decisions ``x``
+    ``(k,)``, in closed form over the sorted standard values ``z``: equal to
+    the exact ones to rounding (a relative 1e-14 at any alpha), not bit for
+    bit. The sums over ``z`` are made here, once for every call.
 
     With ``g = loc + slope * x - level``, the costs ``(g + scale * z)^2 +
     weight * x^2`` are largest far from ``w = -g / scale``. As in
@@ -114,15 +115,20 @@ def _closed_form_cvars(quad: Quadratic, z: np.ndarray, alpha: float,
     # end, so that a short suffix's sum is not a difference of long ones.
     heads = [np.concatenate(([0.0], np.cumsum(p))) for p in (z, z * z)]
     tails = [np.concatenate((np.cumsum(p[::-1])[::-1], [0.0])) for p in (z, z * z)]
-    g = loc[:, None] + quad.slope * x - quad.level
-    scale = scale[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        head = np.searchsorted((z[:top] + z[n - top:]) / 2, -g / scale)
-    tail = head + n - top
-    z1, z2 = (h[head] + t[tail] for h, t in zip(heads, tails))
-    kth = np.maximum(np.abs(g + scale * z[head]), np.abs(g + scale * z[tail - 1]))
-    return ((top * g * g + 2.0 * g * scale * z1 + scale * scale * z2
-             + (an - top) * kth * kth) / an + quad.weight * x ** 2)
+    mids = (z[:top] + z[n - top:]) / 2
+
+    def cvars(loc: np.ndarray, scale: np.ndarray, x: np.ndarray) -> np.ndarray:
+        g = loc[:, None] + quad.slope * x - quad.level
+        scale = scale[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            head = np.searchsorted(mids, -g / scale)
+        tail = head + n - top
+        z1, z2 = (h[head] + t[tail] for h, t in zip(heads, tails))
+        kth = np.maximum(np.abs(g + scale * z[head]), np.abs(g + scale * z[tail - 1]))
+        return ((top * g * g + 2.0 * g * scale * z1 + scale * scale * z2
+                 + (an - top) * kth * kth) / an + quad.weight * x ** 2)
+
+    return cvars
 
 
 def _check_quadratic(cost: CostModel) -> None:
@@ -131,25 +137,34 @@ def _check_quadratic(cost: CostModel) -> None:
         raise ConfigurationError(f"the oracle needs a Quadratic cost rule, not {cost.fn!r}")
 
 
-def _exact_cvars(cost: CostModel, xi: np.ndarray, idx: np.ndarray,
-                 x: np.ndarray, alpha: float, buf: np.ndarray) -> np.ndarray:
-    """The CVaR of ``J(x[r], xi[idx[r]])`` for each row ``r``, bit for bit
-    ``_cvars``', with ``xi`` ``(steps, n)`` a block of placed grids.
+def _exact_cvars(rule: Quadratic, place, x: np.ndarray, n: int, alpha: float,
+                 buf: np.ndarray) -> np.ndarray:
+    """The CVaR of ``J(x[r], xi_r)`` for each row ``r``, bit for bit
+    ``_cvars``', where ``place(rows, part)`` writes the grids ``xi_r`` of
+    ``n`` values of the rows ``part``, a slice, into ``rows``.
 
-    As many rows at a time as the 1-D ``buf`` holds are gathered into it,
+    As many rows at a time as the 1-D ``buf`` holds are placed into it,
     evaluated in place (``Quadratic.into``) and partitioned there; a strided
     buffer would partition differently.
     """
-    n = xi.shape[1]
     size = buf.size // n
-    out = np.empty(idx.size)
-    for r in range(0, idx.size, size):
+    out = np.empty(x.size)
+    for r in range(0, x.size, size):
         part = slice(r, r + size)
-        rows = buf[:idx[part].size * n].reshape(-1, n)
-        np.take(xi, idx[part], axis=0, out=rows, mode="clip")
-        cost.fn.into(x[part], rows)
+        rows = buf[:x[part].size * n].reshape(-1, n)
+        place(rows, part)
+        rule.into(x[part], rows)
         out[part] = _tail_means(rows, alpha)
     return out
+
+
+def _place(z: np.ndarray, loc: np.ndarray, scale: np.ndarray, out: np.ndarray) -> None:
+    """The grids ``loc + z * scale`` of the steps' columns ``loc`` and
+    ``scale`` ``(steps, 1)`` into ``out``, as ``NoiseSequence.place`` makes
+    them (``z * scale``, then ``loc +``), the columns ``_unbuffered``."""
+    with _unbuffered():
+        np.multiply(z, scale, out=out)
+        np.add(loc, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -163,22 +178,18 @@ class RegretReport:
     accumulated_loss: np.ndarray   # (trials, T) running sum of played CVaR
 
 
-def _blocks(noise: NoiseSequence, z: np.ndarray, steps: range | np.ndarray,
-            width: int):
-    """``steps`` cut into blocks of ``_BLOCK // width`` steps (one at least),
-    for arrays of ``width`` values a step: each block's slice of ``steps``,
-    its 0-based steps and their noise values ``(steps, n)`` at the standard
-    values ``z``, placed as ``NoiseSequence.place`` places them (``z *
-    scale``, then ``loc +``) into one buffer that every block reuses."""
-    size = max(1, _BLOCK // width)
+def _blocks(noise: NoiseSequence, z: np.ndarray, steps: np.ndarray):
+    """``steps`` (0-based) cut into blocks of ``_BLOCK // z.size`` steps (one
+    at least): each block's steps and their grids ``(steps, n)`` at the
+    standard values ``z``, ``_place``d into one buffer that every block
+    reuses."""
+    size = max(1, _BLOCK // z.size)
     buf = np.empty((min(size, len(steps)), z.size))
     for start in range(0, len(steps), size):
-        block = np.asarray(steps[start:start + size])
-        loc, scale = noise._columns(block[:, None] + 1)
+        block = steps[start:start + size]
         xi = buf[:block.size]
-        np.multiply(z, scale, out=xi)
-        np.add(loc, xi, out=xi)
-        yield slice(start, start + block.size), block, xi
+        _place(z, *noise._columns(block[:, None] + 1), xi)
+        yield block, xi
 
 
 def optimal_action_series(cost: CostModel, noise: NoiseSequence,
@@ -192,26 +203,35 @@ def optimal_action_series(cost: CostModel, noise: NoiseSequence,
     ``Quadratic``. The grid CVaRs of a block of steps are first made in
     closed form, and only the actions within ``2 * _TOL * U`` of a step's
     least closed-form value get an exact CVaR: the closed form errs by far
-    less than that, so every exact minimum is among them. A block holds at
-    most ``_BLOCK`` values of each ``(steps, actions)`` array, whatever the
-    grid's length. Steps are independent, so the series does not depend on
-    how the steps are cut.
+    less than that, so every exact minimum is among them. Only their grids
+    are placed, each straight into the row buffer. A block holds at most
+    ``_BLOCK`` values of each ``(steps, actions)`` array, whatever the grid's
+    length. Steps are independent, so the series does not depend on how the
+    steps are cut.
     """
     _check_quadratic(cost)
     alpha = _check_alpha(alpha)
     z = noise.family.quantile(levels)
+    closed_form = _closed_form_cvars(cost.fn, z, alpha)
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
     margin = 2.0 * _TOL * cost.bound
     x_star, c_star = np.empty(noise.horizon), np.empty(noise.horizon)
-    for out, block, xi in _blocks(noise, z, range(noise.horizon),
-                                  max(z.size, xs.size)):
-        screen = _closed_form_cvars(cost.fn, z, alpha, *noise.table[block].T, xs)
+    # About one action a step passes the screen, so a block's kept rows
+    # fill the row buffer about once.
+    size = max(1, _BLOCK // max(z.size, xs.size))
+    for start in range(0, noise.horizon, size):
+        loc, scale = noise.table[start:start + size].T
+        screen = closed_form(loc, scale, xs)
         keep = screen <= screen.min(axis=1, keepdims=True) + margin
         row, col = np.nonzero(keep)
+        loc_r, scale_r = loc[row, None], scale[row, None]
         exact = np.full(keep.shape, np.inf)
-        exact[row, col] = _exact_cvars(cost, xi, row, xs[col], alpha, buf)
+        exact[row, col] = _exact_cvars(
+            cost.fn, lambda rows, part: _place(z, loc_r[part], scale_r[part], rows),
+            xs[col], z.size, alpha, buf)
         best = exact.argmin(axis=1)
-        x_star[out], c_star[out] = xs[best], exact[np.arange(block.size), best]
+        out = slice(start, start + loc.size)
+        x_star[out], c_star[out] = xs[best], exact[np.arange(loc.size), best]
     return x_star, c_star
 
 
@@ -262,10 +282,12 @@ def _played_cvars(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
                                          alpha, z.size)
     trials = x_hat.shape[0]
     buf = np.empty(max(1, _BLOCK // z.size) * z.size)
-    for _, block, xi in _blocks(noise, z, np.flatnonzero(~point), z.size):
+    for block, xi in _blocks(noise, z, np.flatnonzero(~point)):
         rows = np.repeat(np.arange(block.size), trials)
-        played[:, block] = _exact_cvars(cost, xi, rows, x_hat[:, block].T.ravel(),
-                                        alpha, buf).reshape(block.size, trials).T
+        played[:, block] = _exact_cvars(
+            cost.fn,
+            lambda out, part: np.take(xi, rows[part], axis=0, out=out, mode="clip"),
+            x_hat[:, block].T.ravel(), z.size, alpha, buf).reshape(block.size, trials).T
     return played
 
 

@@ -58,3 +58,16 @@ def test_only_core_and_harness_fork(path):
                  alias.name in FORKS or node.module == "os" and alias.name == "fork"
                  for alias in node.names)]
     assert not names, f"{path.name} names a fork at lines {names}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "core"],
+                         ids=lambda p: p.name)
+def test_only_core_sets_numpys_buffer_size(path):
+    # core's one scope sets numpy's ufunc buffer size and restores it on the
+    # way out; every other module leaves the size alone.
+    names = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name) and node.id == "setbufsize"
+             or isinstance(node, ast.Attribute) and node.attr == "setbufsize"
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name == "setbufsize" for alias in node.names)]
+    assert not names, f"{path.name} names setbufsize at lines {names}"

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -357,6 +358,37 @@ class TestRunExperiment:
         harness.write_experiments([result, fortran])
         assert ((tmp_path / "ra_aggregate.csv").read_bytes()
                 == (tmp_path / "f_aggregate.csv").read_bytes())
+
+    @staticmethod
+    def random_result(trials, horizon):
+        """A stand-in result whose four aggregated columns are random."""
+        rng = np.random.default_rng(trials)
+        x, played, regret, loss = rng.normal(2.0, 1.0, (4, trials, horizon))
+        return SimpleNamespace(
+            trace=SimpleNamespace(x=x),
+            report=SimpleNamespace(played_cvar=played, cumulative_regret=regret,
+                                   accumulated_loss=loss))
+
+    @pytest.mark.parametrize("trials", [3, 8, 10, 100])
+    def test_blockwise_aggregates_equal_the_whole_columns(self, trials):
+        # 1,300 steps, not a multiple of the 512-step blocks: each block's
+        # axis-0 mean and std have the bits of the whole column's.
+        result = self.random_result(trials, 1300)
+        stats = harness._aggregates(result)
+        columns = (result.trace.x, result.report.played_cvar,
+                   result.report.cumulative_regret, result.report.accumulated_loss)
+        reference = [s for c in columns for s in (c.mean(axis=0), c.std(axis=0))]
+        assert len(stats) == len(reference)
+        for got, want in zip(stats, reference):
+            assert got.tobytes() == want.tobytes()
+
+    def test_aggregates_add_less_than_one_trial_column(self):
+        # std over a whole (trials, T) column makes (trials, T) temporaries;
+        # a block of steps at a time, the aggregates, eight (T,) arrays, and
+        # one block's temporaries stay below one such column.
+        trials, horizon = 50, 3000
+        result = self.random_result(trials, horizon)
+        assert traced_peak(lambda: harness._aggregates(result)) < 8 * trials * horizon
 
 
     def test_library_calls_write_no_file(self, tmp_path, monkeypatch):
@@ -937,12 +969,13 @@ CONFIG_FAULTS = {
     "eta": (["--eta", "0"], "", "learning rate eta=0.0 must be positive and finite"),
     "samples": (["--samples", "0"], "", "sample count must be >= 1, got 0"),
     "trials": (["--trials", "0"], "", "trials must be >= 1, got 0"),
-    # one step's draws (64 bytes a value; ``ablate`` never sizes the samples
-    # that its counts replace), and the (trials, T) columns (120 bytes a
-    # trial-step), whose total depends on the number of counts.
+    # one step's draws (64 bytes a value, counted once a process: one here;
+    # ``ablate`` never sizes the samples that its counts replace), and the
+    # (trials, T) columns (120 bytes a trial-step), whose total depends on
+    # the number of counts.
     "samples-oversized": (["--samples", "1e15"], "", "samples 1000000000000000 are "
                           "too many for one step's draws: the run would take "
-                          "64000000006299056 bytes, more than the"),
+                          "64000000005512624 bytes, more than the"),
     "trials-oversized": (["--trials", "1e15"], "", "trials 1000000000000000 are too "
                          "many for their (trials, T) columns: the run would take"),
     "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
@@ -969,9 +1002,11 @@ class TestConfigFaults:
         for command in (["run"], ["ablate", "--counts", "2,4"])
         if not (command[0] == "ablate" and fault == "samples-oversized")])
     def test_fault_exits_one_with_its_owners_message_before_phase_one(
-            self, tmp_path, monkeypatch, capsys, command, fault):
+            self, tmp_path, monkeypatch, capsys, force_jobs, command, fault):
         # A learner or oracle call would raise AssertionError, which the CLI
-        # reports as a runtime failure with exit 2.
+        # reports as a runtime failure with exit 2. One job a phase, so that
+        # a size in a message does not depend on this machine's CPUs.
+        force_jobs(1)
         flags, text, message = CONFIG_FAULTS[fault]
         forbid_oracle_and_learner(monkeypatch)
         assert run_faulty(tmp_path, command, flags, text) == 1
@@ -1086,6 +1121,32 @@ class TestMemoryChecks:
         peak = traced_peak(lambda: harness.write_experiments([run_experiment(config)]))
         assert peak <= estimate
         assert slack is None or estimate <= slack * peak
+
+    @pytest.mark.parametrize("scenario", ["parking", "brownian"])
+    def test_each_process_is_counted_with_its_draws_and_buffers(
+            self, force_jobs, scenario):
+        # Four jobs a phase hold three more sets of one learner's draws and
+        # the reused buffers than one job does; the buffers bound the traced
+        # peak of the search pass and of a one-trial played pass.
+        config = ExperimentConfig(scenario=scenario, horizon=100, trials=10)
+        force_jobs(1)
+        one = harness._check_sizes(config.horizon, [config])
+        force_jobs(4)
+        four = harness._check_sizes(config.horizon, [config])
+        draws = harness._DRAW_BYTES * (learner._BLOCK
+                                       + config.trials * (1 + config.samples))
+        assert four - one == 3 * (draws + harness._BUFFER_BYTES)
+        scenario = build_scenario(config)
+        xs = oracle.action_grid(scenario.region, harness.ORACLE_ACTIONS)
+        levels = oracle._mid_quantiles(harness.ORACLE_LEVELS)
+        args = (scenario.cost, scenario.noise, xs, config.alpha, levels)
+        optima = oracle.optimal_action_series(*args)
+        x_hat = np.full((1, config.horizon), scenario.region.center)
+        for run_pass in (lambda: oracle.optimal_action_series(*args),
+                         lambda: oracle._played_cvars(
+                             x_hat, scenario.cost, scenario.noise, config.alpha,
+                             optima, levels)):
+            assert traced_peak(run_pass) <= harness._BUFFER_BYTES
 
     @pytest.mark.parametrize("negative", ["--batch=-1e17", "--samples=-1e17"],
                              ids=["batch", "samples"])

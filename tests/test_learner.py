@@ -10,7 +10,8 @@ import pytest
 from cvarlearn.core import Box, ConfigurationError, CostModel
 from cvarlearn import harness, learner
 from cvarlearn._pcg64 import Stream
-from cvarlearn.environment import BrownianSeq, constant_uniform, parking_noise
+from cvarlearn.environment import (BrownianSeq, UniformSeq, constant_uniform,
+                                   parking_noise)
 from cvarlearn.harness import ExperimentConfig, build_scenario
 from cvarlearn.learner import LearnerConfig, Trace, _draws, run_trials
 from cvarlearn.risk import cvar_of_values
@@ -90,6 +91,18 @@ class TestRunBasics:
         noise = constant_uniform(10, 0.0, 1.0)
         trace = run(make_config(x0=0.0), ZERO_COST, noise, region)
         assert trace.x[0, 0] == pytest.approx(0.05)
+
+    def test_a_step_never_partitions_an_array_the_cost_holds(self):
+        # The rule returns one array that it keeps: each step's CVaR is
+        # made from a copy, so the partition leaves the rule's array as it
+        # was, and every step reads the same costs.
+        held = np.array([[5.0, 1.0, 4.0, 2.0, 8.0, 3.0, 7.0, 6.0]])
+        cost = CostModel(fn=lambda x, xi: held, bound=8.0, lipschitz=1.0)
+        kept = held.copy()
+        trace = run(make_config(count=8, eta=1e-4), cost,
+                    constant_uniform(5, 0.0, 1.0), Box(0.0, 4.0))
+        assert np.array_equal(held, kept)
+        assert np.all(trace.cvar_estimate == cvar_of_values(kept, 0.5))
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 37])
@@ -357,6 +370,23 @@ class TestDraws:
             tracemalloc.stop()
         assert peak <= harness._DRAW_BYTES * learner._BLOCK
 
+    def test_a_block_is_released_before_the_next_is_drawn(self):
+        # Two full blocks of one-sample steps: while block k + 1 is drawn,
+        # only the caller's views of block k are held, not its stream,
+        # uniforms and noise, so two blocks stay within the size check's
+        # bytes a block value, as one block does.
+        steps = learner._BLOCK
+        noise = constant_uniform(steps, 0.85, 1.1)
+        Stream(0).random(1)  # the table that every stream shares, built once
+        tracemalloc.start()
+        try:
+            for _ in _draws([Stream(0)], np.ones(steps, dtype=np.int64), noise):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness._DRAW_BYTES * learner._BLOCK
+
     @pytest.mark.parametrize("block", [1, 100, 2 ** 62],
                              ids=["step", "hundred", "stream"])
     @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
@@ -417,6 +447,39 @@ class TestValidation:
             with pytest.raises(RuntimeError, match=r"feasibility violated at t=1\b"):
                 run_trials(make_config(x0=x0), ZERO_COST, noise,
                            region, range(8))
+
+    @pytest.mark.parametrize("fault", ["non-finite", "raising"])
+    def test_an_infeasible_step_is_named_before_a_later_fault(self, fault):
+        # From the upper edge of a set whose shrink does not shrink, seed 0
+        # first plays outside the set at step 4, the first step whose
+        # direction is +1. From step 6 on the cost is non-finite, or its rule
+        # raises. Feasibility is checked once, yet the earlier fault is the
+        # one raised; in the set that shrinks, the later fault is raised.
+        class Unshrunk(Box):
+            def shrink(self, delta):
+                return self
+
+        rng, first = np.random.default_rng(0), 1
+        while not rng.random() < 0.5:
+            rng.random(4)
+            first += 1
+        assert first == 4
+        location = np.where(np.arange(1, 21) >= first + 2, 10.0, 0.0)
+        noise = UniformSeq(location, location + 1.0)
+
+        def rule(x, xi):
+            if fault == "raising" and (xi > 5.0).any():
+                raise ValueError("no cost beyond 5")
+            return np.where(xi > 5.0, np.nan, 0.0 * x * xi)
+
+        cost = CostModel(fn=rule, bound=1.0, lipschitz=1.0)
+        config = make_config(x0=4.0, count=4)
+        with pytest.raises(RuntimeError, match=rf"feasibility violated at t={first}\b"):
+            run_trials(config, cost, noise, Unshrunk(0.0, 4.0), [0])
+        later = (ConfigurationError, rf"non-finite values at t={first + 2}\b") if (
+            fault == "non-finite") else (ValueError, "no cost beyond 5")
+        with pytest.raises(later[0], match=later[1]):
+            run_trials(config, cost, noise, Box(0.0, 4.0), [0])
 
     def test_a_run_needs_a_seed(self):
         noise = constant_uniform(10, 0.0, 1.0)

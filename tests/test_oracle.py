@@ -291,7 +291,7 @@ class TestClosedForm:
         loc, scale = scen.noise.table[steps].T
         z = scen.noise.family.quantile(_mid_quantiles(grid_n))
         for alpha in ALPHAS:
-            got = _closed_form_cvars(scen.cost.fn, z, alpha, loc, scale, xs)
+            got = _closed_form_cvars(scen.cost.fn, z, alpha)(loc, scale, xs)
             exact = np.array([_cvars(scen.cost, noise_grid(scen.noise, s + 1, grid_n),
                                      xs, alpha) for s in steps])
             assert np.all(np.abs(got - exact) <= 1e-12 * exact), alpha
@@ -443,6 +443,50 @@ class TestDynamicRegret:
         assert np.array_equal(report.cumulative_regret,
                               np.cumsum(reference - report.optimal_cvar, axis=1))
         assert np.array_equal(report.accumulated_loss, np.cumsum(reference, axis=1))
+
+    @pytest.mark.parametrize("block", [1, _BLOCK], ids=["one-row", "default"])
+    @pytest.mark.parametrize("scenario", ["parking", "brownian"])
+    def test_both_passes_equal_the_exact_cvars_at_odd_levels(
+            self, monkeypatch, scenario, block):
+        # 1,001 levels, not a multiple of numpy's 16-value buffer, and a row
+        # buffer of one row (one step a block) or of 65: the search pass
+        # equals the exhaustive scan and the played pass each step's _cvars,
+        # bit for bit; parking's steps 1 and 2 are point masses.
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=30))
+        args = (scen.cost, scen.noise, scen.region, 0.5)
+        x_hat = np.random.default_rng(59).uniform(
+            scen.region.lower, scen.region.upper, (3, 30))
+        report = regret(x_hat, *args, k=40, grid_n=1001)
+        x_ref, c_ref = scan_series(*args, range(30), k=40, grid_n=1001)
+        reference = np.array([_cvars(scen.cost, noise_grid(scen.noise, t, 1001),
+                                     x_hat[:, t - 1], 0.5) for t in range(1, 31)]).T
+        assert bits(report.optimal_actions) == bits(x_ref)
+        assert bits(report.optimal_cvar) == bits(c_ref)
+        assert bits(report.played_cvar) == bits(reference)
+
+    def test_numpys_buffer_size_is_restored(self, tmp_path):
+        # Each pass sets numpy's buffer size only for its column operands:
+        # after a run, and after a pass whose cost rule fails inside that
+        # scope, the size is what it was.
+        class Failing(Quadratic):
+            def _finish(self, x, values):
+                raise FloatingPointError("cost rule failed")
+
+        size = np.getbufsize()
+        run_ablation(ExperimentConfig(horizon=30, batch_size=10, trials=2,
+                                      out_prefix=str(tmp_path / "ra")), [2, 4])
+        assert np.getbufsize() == size
+        scen = build_scenario(ExperimentConfig(scenario="custom", horizon=10))
+        cost = dataclasses.replace(scen.cost, fn=Failing(ELASTICITY))
+        levels = _mid_quantiles(1000)
+        for run_pass in (
+                lambda: optima_series(cost, scen.noise, scen.region, 0.5, 10, 1000),
+                lambda: dynamic_regret(np.full((2, 10), 2.0), cost, scen.noise, 0.5,
+                                       (np.zeros(10), np.zeros(10)), levels)):
+            with pytest.raises(FloatingPointError, match="cost rule failed"):
+                run_pass()
+            assert np.getbufsize() == size
 
     def test_a_float32_alpha_is_read_as_a_float(self):
         # 0.1 in float32 times 2,000 levels is 200 in float32 arithmetic but
@@ -618,15 +662,17 @@ class TestPointMassSteps:
         assert bits(report.accumulated_loss) == bits(np.cumsum(reference, axis=1))
 
     def test_blocks_place_as_the_noise_does_into_one_buffer(self):
-        # Each block of the grid passes is NoiseSequence.place's array to
+        # Each block of the played pass is NoiseSequence.place's array to
         # the bit, written where the block before it was.
         noise = pricing_scenario(300).noise
         z = noise.family.quantile(_mid_quantiles(1000))
-        buffers = set()
-        for out, block, xi in oracle._blocks(noise, z, range(300), 1000):
+        steps = np.arange(3, 300, 2)
+        buffers, seen = set(), []
+        for block, xi in oracle._blocks(noise, z, steps):
             assert bits(xi) == bits(noise.place(block[:, None] + 1, z))
-            assert np.array_equal(block, np.arange(300)[out])
+            seen.append(block)
             buffers.add(xi.__array_interface__["data"][0])
+        assert np.array_equal(np.concatenate(seen), steps)
         assert len(buffers) == 1
 
     @pytest.mark.parametrize("shape, horizon, match", [
