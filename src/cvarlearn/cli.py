@@ -61,9 +61,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = run_experiment(config)
     write_experiments([result])
-    report = result.report
-    final_dr = report.cumulative_regret[:, -1]
-    final_loss = report.accumulated_loss[:, -1]
+    final_dr, final_loss = result.report.finals()
     print(f"scenario={config.scenario} T={config.horizon} trials={config.trials} "
           f"seed={config.base_seed}")
     print(f"final dynamic regret: {final_dr.mean():.6g} +/- {final_dr.std():.6g}")
@@ -79,7 +77,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     write_ablation(config.out_prefix, results)
     print("n_t  mean final accumulated loss  (std over trials)")
     for n, result in results.items():
-        final = result.report.accumulated_loss[:, -1]
+        final = result.report.finals()[1]
         print(f"{n:4d}  {final.mean():26.6f}  ({final.std():.6f})")
     print(f"wrote {config.out_prefix}_ablation.csv")
     return 0

@@ -5,20 +5,21 @@ one table row of a noise sequence, a decision interval and a ``Quadratic``
 cost rule, and all run parameters; ``build_scenario`` logs the cost's
 constants and, in one warning, the noise's point-mass steps. Trial ``i`` runs
 with seed ``base_seed + i``; all trials of an experiment step in lockstep.
-An experiment runs the learner beside the oracle's search for the per-step
-optima, then the oracle's played pass over every trial; these tasks, the
-played pass's trials and the trial files are cut into ranges that run in
-forked processes, one per usable CPU, or in this process on one CPU or
-where the platform cannot fork, with the same bytes either way; no other
-module forks. A run returns one ``ExperimentResult`` per experiment (its
-``Trace``, its trials' rows of the ``RegretReport`` and its
-sampling-requirement check) and writes no file; the ``write_*`` functions
-write the CSVs from these records as they are. An ablation evaluates every
-count's trials in one played pass, after all of their learners, so a
-failure leaves nothing to write. All output is CSV (17-significant-digit
-floats, LF endings, UTF-8), each file formatted from templates of a block
-of rows each and renamed into place, its directory created, only when
-whole. Plotting is left to external tools.
+An experiment runs the oracle's search for the per-step optima in this
+process beside the learners, then the oracle's played pass over every
+trial; the learners, the played pass's trials and the trial files are cut
+into ranges that run in forked processes, one per usable CPU, or in this
+process on one CPU or where the platform cannot fork, with the same bytes
+either way; no other module forks. A run returns one ``ExperimentResult``
+per experiment (its ``Trace``, its trials' rows of the ``RegretReport``
+and its sampling-requirement check) and writes no file; the ``write_*``
+functions write the CSVs from these records as they are, the columns that
+the records derive made in the job that writes each trial's file. An
+ablation evaluates every count's trials in one played pass, after all of
+their learners, so a failure leaves nothing to write. All output is CSV
+(17-significant-digit floats, LF endings, UTF-8), each file formatted from
+templates of a block of rows each and renamed into place, its directory
+created, only when whole. Plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -268,17 +269,22 @@ def _learner(config: ExperimentConfig, scenario: Scenario
 #: numpy 2.4) where measured: a step of ``build_scenario``'s noise table,
 #: 56 to 59 at T = 100,000; an epoch of ``_learner``'s columns and their
 #: checked copies, 40 at B = 1e5 and 1e6; a value of one step's draws, noise
-#: and costs, 51 to 61 at T = 2; a seeded ``_pcg64.Stream``, 185. A step of
-#: a config's schedule columns, step indices, oracle series and CSV
-#: templates takes about 300. A trial-step takes 15 float64s: the eight
-#: result columns, held to the end, and at most seven more at once (a forked
-#: job's trace, held by the child and the parent; the played pass's parts and
-#: temporaries; or a trial file's columns, stacked while it is written). Each
-#: process of a phase holds at most one learner's draws, a block of
-#: ``learner._BLOCK`` values or one step, and one set of reused buffers: the
-#: played pass's, the largest, traced 1.03 to 1.10 MB at 2,000 levels.
-_BUILD_STEP_BYTES, _EPOCH_BYTES, _DRAW_BYTES, _STREAM_BYTES = 64, 64, 64, 256
-_STEP_BYTES, _TRIAL_STEP_BYTES, _BUFFER_BYTES = 512, 120, 5 * 2 ** 18
+#: and costs, 43 to 60 on uniform noise and 82 to 93 on Gaussian noise,
+#: whose ``_ndtri`` makes the most temporaries; a seeded ``_pcg64.Stream``,
+#: 185. A step of a config's schedule columns, step indices, oracle series
+#: and CSV templates takes about 300. A trial-step takes 48 bytes: the 25
+#: held to the end (``x``, ``cvar_estimate`` and the played CVaR as
+#: float64s, ``u`` as an int8), and at most 17 more at once (a forked
+#: learner's trace, held by the child and the parent; a played-pass job's
+#: derived actions and their copy; or the played rows and their join). A
+#: trial file's derived rows and stacked columns are made in its writing
+#: job, one trial at a time. Each learner job of phase 1 holds one
+#: learner's draws, a block of ``learner._BLOCK`` values or one step; the
+#: search pass, job 0 in the CLI's process, and each job of phase 2 hold one
+#: set of reused buffers: the played pass's, the largest, traced 1.03 to
+#: 1.10 MB at 2,000 levels.
+_BUILD_STEP_BYTES, _EPOCH_BYTES, _DRAW_BYTES, _STREAM_BYTES = 64, 64, 96, 256
+_STEP_BYTES, _TRIAL_STEP_BYTES, _BUFFER_BYTES = 512, 48, 5 * 2 ** 18
 
 
 def _physical_memory() -> int:
@@ -293,9 +299,11 @@ def _check_sizes(horizon: int, configs: list[ExperimentConfig]) -> int:
     ``build_scenario`` runs; with no configs, the build's. Its terms, in the
     order of allocation, are clamped at zero (a negative size, refused
     later, offsets nothing); a total beyond memory is refused, naming the
-    term that passes it. The draws and buffers are counted once for each
-    process of the widest phase, whose jobs ``fork_ranges`` cuts from every
-    trial and the search pass."""
+    term that passes it. The draws are counted once for each learner job
+    of phase 1 (the search pass, in the CLI's process, holds none), those of
+    the config with the widest step, and the buffers once for each job of
+    phase 2; the sum bounds either phase, phase 1 holding the search pass's
+    buffers."""
     terms = [(f"horizon {horizon} is too large for its noise table",
               _BUILD_STEP_BYTES * horizon)]
     for config in configs:
@@ -307,12 +315,12 @@ def _check_sizes(horizon: int, configs: list[ExperimentConfig]) -> int:
             (f"trials {config.trials} are too many for their (trials, T) columns",
              (_TRIAL_STEP_BYTES * horizon + _STREAM_BYTES) * config.trials)]
     if configs:
-        jobs = len(fork_ranges(sum(config.trials for config in configs) + 1))
         widest = max(configs, key=lambda config: config.trials * (1 + config.samples))
         terms.append((
             f"samples {widest.samples} are too many for one step's draws",
-            jobs * (_DRAW_BYTES * (learner._BLOCK + widest.trials * (1 + widest.samples))
-                    + _BUFFER_BYTES)))
+            len(fork_ranges(len(configs))) * _DRAW_BYTES * (
+                learner._BLOCK + widest.trials * (1 + widest.samples))
+            + len(fork_ranges(sum(config.trials for config in configs))) * _BUFFER_BYTES))
     sizes, memory = [max(0, size) for _, size in terms], _physical_memory()
     for i, (what, _) in enumerate(terms):
         if sum(sizes[:i + 1]) > memory:
@@ -386,19 +394,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
-    """Phase 1: every config's learner beside the oracle's search pass, as
-    tasks cut across forked processes by ``fork_ranges``; phase 2: the
-    oracle's played pass over all of their trials, cut by trial the same
-    way, each job returning only its rows' played CVaRs.
+    """Phase 1: the oracle's search pass, here as job 0, beside every
+    config's learner, the learners cut across forked jobs by
+    ``fork_ranges``; phase 2: the oracle's played pass over all of their
+    trials, cut by trial the same way, each job deriving its own rows'
+    played actions and returning only their played CVaRs. With one usable
+    CPU, or without ``os.fork``, phase 1 runs here as one job.
 
-    The configs differ at most in the learner's settings; the first one's
-    scenario and risk level serve all. The study is sized before its
-    scenario is built, and every learner built, which checks it, and a
-    sampling-requirement violation logged, before any fork. Each result's
-    report holds its own trials' rows. An initial decision outside the shrunk
-    set is projected into it, which is logged once, from the first run.
+    The configs differ at most in the learner's settings; one that differs
+    in its scenario, horizon or risk level is a ``ConfigurationError``
+    naming the field, raised before the study is sized. The study is sized
+    before its scenario is built, and every learner built, which checks it,
+    and a sampling-requirement violation logged, before any fork. Each
+    result's report holds its own trials' rows. An initial decision outside
+    the shrunk set is projected into it, which is logged once, from the
+    first run.
     """
     first = configs[0]
+    for name in ("scenario", "horizon", "alpha"):
+        values = [getattr(config, name) for config in configs]
+        if len(set(values)) > 1:
+            raise ConfigurationError(f"the configs of one study must share their "
+                                     f"{name}, got {values}")
     _check_sizes(first.horizon, configs)
     scenario = build_scenario(first)
     learners = [_learner(config, scenario) for config in configs]
@@ -407,16 +424,18 @@ def _experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     tasks = [functools.partial(
         oracle.optimal_action_series, scenario.cost, scenario.noise, actions,
         first.alpha, levels), *(run for run, _ in learners)]
+    # The search pass is job 0, here; with one job, so is all of phase 1.
+    learner_jobs = [range(1 + r.start, 1 + r.stop) for r in fork_ranges(len(learners))]
+    jobs = ([range(1), *learner_jobs] if len(fork_ranges(len(tasks))) > 1
+            else [range(len(tasks))])
     optima, *traces = (out for part in fork_map(
-        lambda part: [tasks[i]() for i in part],
-        fork_ranges(len(tasks))) for out in part)
+        lambda part: [tasks[i]() for i in part], jobs) for out in part)
     x0, x = first.x0, traces[0].x[0, 0]
     if x != x0:
         logger.info("initial decision projected into the shrunk set: %s -> %s", x0, x)
-    x_hat = np.concatenate([trace.x_hat for trace in traces])
     played = np.concatenate(fork_map(lambda rows: oracle._played_cvars(
-        x_hat[rows.start:rows.stop], scenario.cost, scenario.noise, first.alpha,
-        optima, levels), fork_ranges(len(x_hat))))
+        _played_actions(traces, rows), scenario.cost, scenario.noise, first.alpha,
+        optima, levels), fork_ranges(sum(config.trials for config in configs))))
     results, start = [], 0
     for config, trace, (_, check) in zip(configs, traces, learners):
         report = oracle._report(played[start:start + config.trials], optima)
@@ -425,14 +444,26 @@ def _experiments(configs: list[ExperimentConfig]) -> list[ExperimentResult]:
     return results
 
 
+def _played_actions(traces: list[learner.Trace], rows: range) -> np.ndarray:
+    """The played actions ``(len(rows), T)`` of the study's trials ``rows``,
+    every trace's trials in turn, derived from those trials' rows alone."""
+    parts, start = [], 0
+    for trace in traces:
+        part = slice(max(rows.start - start, 0), max(rows.stop - start, 0))
+        parts.append(trace.rows(part).x_hat)
+        start += len(trace.x)
+    return np.concatenate(parts)
+
+
 def write_experiments(results: list[ExperimentResult]) -> None:
     """Each experiment's trajectory CSVs, one per trial, and its aggregate CSV.
 
     The trial files of all experiments are written together, cut by trial
-    across forked processes (``fork_ranges``); then this process writes the
-    aggregates: the mean and population standard deviation across trials
-    of each step's decision, played CVaR, dynamic regret and accumulated
-    loss.
+    across forked processes (``fork_ranges``), each job deriving its own
+    trials' played actions, gradients and running sums; then this process
+    writes the aggregates: the mean and population standard deviation
+    across trials of each step's decision, played CVaR, dynamic regret and
+    accumulated loss.
     """
     writes = []
     for result in results:
@@ -441,12 +472,9 @@ def write_experiments(results: list[ExperimentResult]) -> None:
         templates = _template(TRAJECTORY_HEADER, (
             trace.t, trace.batch, trace.epoch, None, None, trace.n_samples, None,
             None, trace.eta, None, report.optimal_cvar, None, None))
-        writes += [(Path(f"{prefix}_trial{i}.csv"), templates, (
-            trace.x[i], trace.x_hat[i], trace.cvar_estimate[i],
-            trace.gradient[i], report.played_cvar[i],
-            report.cumulative_regret[i], report.accumulated_loss[i]))
-            for i in range(result.config.trials)]
-    fork_map(lambda part: [_write_csv(*writes[w]) for w in part],
+        writes += [(Path(f"{prefix}_trial{i}.csv"), templates, trace.rows(i),
+                    report.rows(i)) for i in range(result.config.trials)]
+    fork_map(lambda part: [_write_trial(*writes[w]) for w in part],
              fork_ranges(len(writes)))
     header = "t," + ",".join(f"mean_{c},std_{c}" for c in AGGREGATE_COLUMNS)
     for result in results:
@@ -455,23 +483,43 @@ def write_experiments(results: list[ExperimentResult]) -> None:
                    _template(header, (result.trace.t, *[None] * len(stats))), stats)
 
 
+def _write_trial(path: Path, templates: list[str], trace: learner.Trace,
+                 report: oracle.RegretReport) -> None:
+    """One trial's file from its ``Trace`` and ``RegretReport`` rows, the
+    derived ones made here."""
+    _write_csv(path, templates, (
+        trace.x, trace.x_hat, trace.cvar_estimate, trace.gradient,
+        report.played_cvar, report.cumulative_regret, report.accumulated_loss))
+
+
 def _aggregates(result: ExperimentResult) -> list[np.ndarray]:
     """The mean and population standard deviation across trials of each
     step's ``AGGREGATE_COLUMNS``, ``(T,)`` each, made ``_BLOCK_ROWS`` steps
     at a time: ``std``'s temporaries then hold one block of steps, not a
     ``(trials, T)`` column. A column is read C-ordered, so each block's
     axis-0 sums add the trials one after the other, as the whole column's
-    do; from 8 trials up, a Fortran-ordered column gives other bits."""
-    report, stats = result.report, []
-    for column in (result.trace.x, report.played_cvar, report.cumulative_regret,
-                   report.accumulated_loss):
-        column = np.ascontiguousarray(column)
-        mean, std = np.empty(column.shape[1]), np.empty(column.shape[1])
-        for i in range(0, column.shape[1], _BLOCK_ROWS):
-            block = column[:, i:i + _BLOCK_ROWS]
-            mean[i:i + _BLOCK_ROWS], std[i:i + _BLOCK_ROWS] = (block.mean(axis=0),
-                                                              block.std(axis=0))
-        stats += [mean, std]
+    do; from 8 trials up, a Fortran-ordered column gives other bits.
+
+    The running sums are made a block at a time, as the report's
+    properties make them: ``np.cumsum`` adds each step to the sum of the
+    steps before, so a block whose first step is first added to the
+    previous block's last sum has the bits of the whole column's.
+    """
+    report = result.report
+    x, played = (np.ascontiguousarray(c) for c in (result.trace.x, report.played_cvar))
+    stats = [np.empty(x.shape[1]) for _ in range(2 * len(AGGREGATE_COLUMNS))]
+    for i in range(0, x.shape[1], _BLOCK_ROWS):
+        part = slice(i, i + _BLOCK_ROWS)
+        regret, loss = played[:, part] - report.optimal_cvar[part], played[:, part].copy()
+        if i:
+            regret[:, 0] += regret_sum
+            loss[:, 0] += loss_sum
+        np.cumsum(regret, axis=1, out=regret)
+        np.cumsum(loss, axis=1, out=loss)
+        regret_sum, loss_sum = regret[:, -1], loss[:, -1]
+        for k, block in enumerate((x[:, part], played[:, part], regret, loss)):
+            stats[2 * k][part], stats[2 * k + 1][part] = (block.mean(axis=0),
+                                                          block.std(axis=0))
     return stats
 
 
@@ -506,8 +554,7 @@ def write_ablation(prefix: str, results: dict[int, ExperimentResult]) -> None:
         "n,mean_final_loss,std_final_loss,requirement_ok,"
         "requirement_achieved,requirement_allowed",
         (list(results), None, None, [int(c.satisfied) for c in checks], None, None))
-    final_losses = [result.report.accumulated_loss[:, -1]
-                    for result in results.values()]
+    final_losses = [result.report.finals()[1] for result in results.values()]
     _write_csv(Path(f"{prefix}_ablation.csv"), templates, (
         [f.mean() for f in final_losses], [f.std() for f in final_losses],
         [c.achieved for c in checks], [c.allowed for c in checks]))

@@ -19,7 +19,7 @@ made, and turned into noise, a block of steps at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,10 +68,13 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class Trace:
-    """Columns of a lockstep run, one array per field.
+    """Columns of a lockstep run, one array per field but ``delta``.
 
     Schedule columns are per step, ``(T,)``; trajectory columns are
-    ``(trials, T)``.
+    ``(trials, T)``. Only the columns that cannot be derived are kept: the
+    played actions ``x_hat`` and the gradients are properties, made from
+    ``x``, ``u``, ``cvar_estimate`` and ``delta`` by the learner's own
+    expressions, with its bits, as a new array at each access.
     """
 
     t: np.ndarray              # (T,) step index, from 1
@@ -80,10 +83,26 @@ class Trace:
     n_samples: np.ndarray      # (T,) cost queries per step
     eta: np.ndarray            # (T,) learning rate
     x: np.ndarray              # (trials, T) decision before perturbation
-    u: np.ndarray              # (trials, T) direction, +1 or -1
-    x_hat: np.ndarray          # (trials, T) played (perturbed) action
+    u: np.ndarray              # (trials, T) direction, +1 or -1, as int8
     cvar_estimate: np.ndarray  # (trials, T)
-    gradient: np.ndarray       # (trials, T)
+    delta: float               # the smoothing radius
+
+    @property
+    def x_hat(self) -> np.ndarray:
+        """``(trials, T)`` played (perturbed) actions."""
+        return self.x + self.delta * self.u
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """``(trials, T)`` one-point gradient estimates."""
+        return 1.0 / self.delta * self.cvar_estimate * self.u
+
+    def rows(self, trials) -> "Trace":
+        """The trace of the trials that ``trials``, an index or a slice,
+        selects: views of this one's rows, from which the properties derive
+        those trials' rows alone."""
+        return replace(self, x=self.x[trials], u=self.u[trials],
+                       cvar_estimate=self.cvar_estimate[trials])
 
 
 #: Values, direction uniforms included, in a block of steps (at least one
@@ -149,46 +168,55 @@ def run_trials(config: LearnerConfig, cost: CostModel, noise: NoiseSequence,
     therefore do not depend on the seeds run beside it. A seed that is not a
     non-negative integer is a ``ConfigurationError``.
 
-    A step evaluates ``cost.rows``, a new array, and partitions it in place
-    for its CVaR estimate. Feasibility is checked over the played actions
-    once, after the last step or at a failed one, and names the first step
-    that left ``region``: a fault at a later step does not hide it.
+    A step stores its decisions and directions, then evaluates
+    ``cost.rows``, a new array, and partitions it in place for its CVaR
+    estimate. Feasibility is checked over the played actions once, after
+    the last step or at a failed one, and names the first step that left
+    ``region``: a fault at a later step does not hide it.
     """
     inner = region.shrink(config.delta)  # checks delta: finite, below the inradius
     horizon, trials = noise.horizon, len(seeds)
     if not trials:
         raise ConfigurationError("a run needs at least one seed")
     # NumPy refuses columns beyond the address space before any stream is seeded.
-    xs, us, x_hats, grads, cvars = (np.empty((trials, horizon)) for _ in range(5))
+    xs, cvars = np.empty((trials, horizon)), np.empty((trials, horizon))
+    us = np.empty((trials, horizon), dtype=np.int8)
     rngs = [Stream(seed) for seed in seeds]
     t, batch, epoch, n_samples, eta = _schedule(config, horizon)
-    delta, alpha, inv_delta = config.delta, config.alpha, 1.0 / config.delta
+    delta, alpha = float(config.delta), config.alpha
+    inv_delta = 1.0 / delta
+    trace = Trace(t=t, batch=batch, epoch=epoch, n_samples=n_samples, eta=eta,
+                  x=xs, u=us, cvar_estimate=cvars, delta=delta)
     x = np.full(trials, inner.project(config.x0))
     s = -1
     try:
         for s, (u, xi) in enumerate(_draws(rngs, n_samples, noise)):
-            x_hats[:, s] = x_hat = x + delta * u
+            xs[:, s], us[:, s] = x, u
+            x_hat = x + delta * u  # Trace.x_hat's bits
             step_costs = cost.rows(x_hat, xi)
             if not np.isfinite(step_costs).all():
                 raise ConfigurationError(
                     f"cost model returned non-finite values at t={t[s]}, x={x_hat}")
-            cvar = _tail_means(step_costs, alpha)
-            grad = inv_delta * cvar * u  # gradient_estimate's bits
-            xs[:, s], us[:, s], grads[:, s], cvars[:, s] = x, u, grad, cvar
+            cvars[:, s] = cvar = _tail_means(step_costs, alpha)
+            grad = inv_delta * cvar * u  # Trace.gradient's bits
             x = inner.project(x - eta[s] * grad)
     except Exception:
-        _check_feasible(region, x_hats[:, :s + 1], t)
+        _check_feasible(region, trace, s + 1)
         raise
-    _check_feasible(region, x_hats, t)
-    return Trace(t=t, batch=batch, epoch=epoch, n_samples=n_samples, eta=eta,
-                 x=xs, u=us, x_hat=x_hats, cvar_estimate=cvars, gradient=grads)
+    _check_feasible(region, trace, horizon)
+    return trace
 
 
-def _check_feasible(region: Box, x_hat: np.ndarray, t: np.ndarray) -> None:
-    """Raise ``RuntimeError`` naming the first step ``t[s]`` whose played
-    actions ``x_hat[:, s]`` are not all in ``region``, if there is one."""
-    if not region.contains(x_hat):
-        s = next(s for s in range(x_hat.shape[1]) if not region.contains(x_hat[:, s]))
+def _check_feasible(region: Box, trace: Trace, steps: int) -> None:
+    """Raise ``RuntimeError`` naming the first step ``t[s]``, ``s <
+    steps``, whose played actions are not all in ``region``, if there is
+    one. The played actions are made one trial at a time."""
+    first = steps
+    for i in range(len(trace.x)):
+        x_hat = trace.rows(i).x_hat[:first]
+        if not region.contains(x_hat):
+            first = next(s for s in range(first) if not region.contains(x_hat[s]))
+    if first < steps:
         raise RuntimeError(
-            f"feasibility violated at t={t[s]}: a played action left the "
-            f"admissible set: {x_hat[:, s]}")
+            f"feasibility violated at t={trace.t[first]}: a played action left the "
+            f"admissible set: {trace.x_hat[:, first]}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,13 +169,36 @@ def _place(z: np.ndarray, loc: np.ndarray, scale: np.ndarray, out: np.ndarray) -
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Per-step ground-truth evaluation of played trajectories, one row per trial."""
+    """Per-step ground-truth evaluation of played trajectories, one row per
+    trial. The running sums are properties, ``np.cumsum`` along the steps,
+    made as a new array at each access."""
 
     played_cvar: np.ndarray       # (trials, T) C_t at the played (perturbed) actions
     optimal_cvar: np.ndarray      # (T,) C_t at the per-step grid optima
     optimal_actions: np.ndarray   # (T,) the grid optima themselves
-    cumulative_regret: np.ndarray  # (trials, T) running sum of (played - optimal)
-    accumulated_loss: np.ndarray   # (trials, T) running sum of played CVaR
+
+    @property
+    def cumulative_regret(self) -> np.ndarray:
+        """``(trials, T)`` running sum of (played - optimal)."""
+        return np.cumsum(self.played_cvar - self.optimal_cvar, axis=-1)
+
+    @property
+    def accumulated_loss(self) -> np.ndarray:
+        """``(trials, T)`` running sum of the played CVaR."""
+        return np.cumsum(self.played_cvar, axis=-1)
+
+    def rows(self, trials) -> "RegretReport":
+        """The report of the trials that ``trials``, an index or a slice,
+        selects: a view of this one's rows, from which the properties derive
+        those trials' rows alone."""
+        return replace(self, played_cvar=self.played_cvar[trials])
+
+    def finals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's last ``cumulative_regret`` and ``accumulated_loss``,
+        ``(trials,)`` each, the running sums made one trial at a time."""
+        rows = [self.rows(i) for i in range(len(self.played_cvar))]
+        return (np.array([row.cumulative_regret[-1] for row in rows]),
+                np.array([row.accumulated_loss[-1] for row in rows]))
 
 
 def _blocks(noise: NoiseSequence, z: np.ndarray, steps: np.ndarray):
@@ -247,10 +270,9 @@ def dynamic_regret(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,
 
 def _report(played: np.ndarray, optima: tuple[np.ndarray, np.ndarray]) -> RegretReport:
     """The ``RegretReport`` of the played CVaRs ``played`` ``(trials, T)``
-    against ``optima``: each row's running sums, which read that row alone."""
+    against ``optima``."""
     x_star, c_star = optima
-    return RegretReport(played, c_star, x_star, np.cumsum(played - c_star, axis=1),
-                        np.cumsum(played, axis=1))
+    return RegretReport(played, c_star, x_star)
 
 
 def _played_cvars(x_hat: np.ndarray, cost: CostModel, noise: NoiseSequence,

@@ -344,6 +344,7 @@ class TestRunExperiment:
     def test_aggregate_bits_do_not_depend_on_the_layout(self, tmp_path):
         # From 8 trials up, an axis-0 mean or std of a Fortran-ordered column
         # gives other bits than of a C-ordered one; the aggregates must not.
+        # The running sums are derived from the played CVaRs.
         config = small_config(tmp_path, horizon=200, batch_size=10, trials=10)
         result = run_experiment(config)
         report = result.report
@@ -352,27 +353,27 @@ class TestRunExperiment:
             config=dataclasses.replace(config, out_prefix=str(tmp_path / "f")),
             trace=dataclasses.replace(result.trace,
                                       x=np.asfortranarray(result.trace.x)),
-            report=dataclasses.replace(report, **{
-                name: np.asfortranarray(getattr(report, name)) for name in
-                ("played_cvar", "cumulative_regret", "accumulated_loss")}))
+            report=dataclasses.replace(
+                report, played_cvar=np.asfortranarray(report.played_cvar)))
         harness.write_experiments([result, fortran])
         assert ((tmp_path / "ra_aggregate.csv").read_bytes()
                 == (tmp_path / "f_aggregate.csv").read_bytes())
 
     @staticmethod
     def random_result(trials, horizon):
-        """A stand-in result whose four aggregated columns are random."""
+        """A stand-in result whose decisions, played CVaRs and optima are
+        random."""
         rng = np.random.default_rng(trials)
-        x, played, regret, loss = rng.normal(2.0, 1.0, (4, trials, horizon))
-        return SimpleNamespace(
-            trace=SimpleNamespace(x=x),
-            report=SimpleNamespace(played_cvar=played, cumulative_regret=regret,
-                                   accumulated_loss=loss))
+        x, played = rng.normal(2.0, 1.0, (2, trials, horizon))
+        optima = rng.normal(2.0, 1.0, (2, horizon))
+        return SimpleNamespace(trace=SimpleNamespace(x=x),
+                               report=oracle.RegretReport(played, *optima))
 
     @pytest.mark.parametrize("trials", [3, 8, 10, 100])
     def test_blockwise_aggregates_equal_the_whole_columns(self, trials):
         # 1,300 steps, not a multiple of the 512-step blocks: each block's
-        # axis-0 mean and std have the bits of the whole column's.
+        # axis-0 mean and std, and each block's running sums, carried over
+        # from the block before, have the bits of the whole column's.
         result = self.random_result(trials, 1300)
         stats = harness._aggregates(result)
         columns = (result.trace.x, result.report.played_cvar,
@@ -383,13 +384,13 @@ class TestRunExperiment:
             assert got.tobytes() == want.tobytes()
 
     def test_aggregates_add_less_than_one_trial_column(self):
-        # std over a whole (trials, T) column makes (trials, T) temporaries;
-        # a block of steps at a time, the aggregates, eight (T,) arrays, and
-        # one block's temporaries stay below one such column.
+        # std over a whole (trials, T) column makes (trials, T) temporaries,
+        # and so would the derived running sums; a block of steps at a
+        # time, the aggregates, eight (T,) arrays, and one block's
+        # temporaries stay below one such column.
         trials, horizon = 50, 3000
         result = self.random_result(trials, horizon)
         assert traced_peak(lambda: harness._aggregates(result)) < 8 * trials * horizon
-
 
     def test_library_calls_write_no_file(self, tmp_path, monkeypatch):
         # Only the writers write; the default prefix would put files here.
@@ -410,6 +411,24 @@ class TestAblation:
             run_ablation(config, [4, 4])
         two = run_ablation(config, [4, 8])
         assert np.array_equal(two[4].trace.x, run_ablation(config, [2, 4])[4].trace.x)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scenario", "custom"), ("horizon", 12), ("alpha", 0.25)])
+    def test_a_study_of_configs_that_differ_beyond_the_learner_is_refused(
+            self, tmp_path, monkeypatch, field, value):
+        # The first config's scenario, horizon and risk level serve the whole
+        # study, so a config that differs in one is refused, naming the
+        # field, before the study is sized or its scenario built.
+        built = spy_on_builds(monkeypatch)
+        forbid_oracle_and_learner(monkeypatch)
+        sized = []
+        monkeypatch.setattr(harness, "_check_sizes", lambda *args: sized.append(args))
+        config = small_config(tmp_path, trials=2)
+        other = dataclasses.replace(config, samples=4, **{field: value})
+        with pytest.raises(ConfigurationError, match=(
+                f"the configs of one study must share their {field}, got ")):
+            harness._experiments([config, other])
+        assert built == [] and sized == []
 
     def test_comparison_table_written(self, tmp_path):
         config = small_config(tmp_path, trials=2)
@@ -873,7 +892,10 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(Path(cvarlearn.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "[1, 1, 1, 1, 1, 1] []"
+        # The search pass runs in the CLI's process beside one child a
+        # learner, at most one a usable CPU: an ablation of two counts
+        # forks two in phase 1.
+        assert proc.stdout.splitlines()[-1] == "[1, 1, 1, 2, 1, 1] []"
 
     def test_budget_cli(self, tmp_path, capsys, caplog):
         # No learner runs, so the initial decision is never projected.
@@ -969,13 +991,13 @@ CONFIG_FAULTS = {
     "eta": (["--eta", "0"], "", "learning rate eta=0.0 must be positive and finite"),
     "samples": (["--samples", "0"], "", "sample count must be >= 1, got 0"),
     "trials": (["--trials", "0"], "", "trials must be >= 1, got 0"),
-    # one step's draws (64 bytes a value, counted once a process: one here;
-    # ``ablate`` never sizes the samples that its counts replace), and the
-    # (trials, T) columns (120 bytes a trial-step), whose total depends on
-    # the number of counts.
+    # one step's draws (96 bytes a value, counted once a learner job: one
+    # here; ``ablate`` never sizes the samples that its counts replace), and
+    # the (trials, T) columns (48 bytes a trial-step), whose total depends
+    # on the number of counts.
     "samples-oversized": (["--samples", "1e15"], "", "samples 1000000000000000 are "
                           "too many for one step's draws: the run would take "
-                          "64000000005512624 bytes, more than the"),
+                          "96000000007609088 bytes, more than the"),
     "trials-oversized": (["--trials", "1e15"], "", "trials 1000000000000000 are too "
                          "many for their (trials, T) columns: the run would take"),
     "base_seed": (["--seed", "-1"], "", "base_seed must be >= 0, got -1"),
@@ -1083,12 +1105,15 @@ class TestMemoryChecks:
         peak = traced_peak(lambda: harness._learner(config, scenario))
         assert peak <= harness._EPOCH_BYTES * config.batch_size
 
+    @pytest.mark.parametrize("scenario", ["parking", "brownian"])
     @pytest.mark.parametrize("trials, samples", [(2, 200_000), (8, 50_000)])
-    def test_a_step_takes_at_most_its_bytes_a_drawn_value(self, trials, samples):
+    def test_a_step_takes_at_most_its_bytes_a_drawn_value(self, trials, samples,
+                                                          scenario):
         # At T = 2 each step's draws are a block of their own, and they, their
-        # noise and costs outweigh every other array of the run.
-        config = ExperimentConfig(horizon=2, batch_size=2, trials=trials,
-                                  samples=samples)
+        # noise and costs outweigh every other array of the run; Gaussian
+        # noise's quantiles make the most temporaries.
+        config = ExperimentConfig(scenario=scenario, horizon=2, batch_size=2,
+                                  trials=trials, samples=samples)
         run, _ = harness._learner(config, build_scenario(config))
         Stream(0).random(1)  # the table that every stream shares, built once
         assert traced_peak(run) <= harness._DRAW_BYTES * trials * (1 + samples)
@@ -1125,17 +1150,22 @@ class TestMemoryChecks:
     @pytest.mark.parametrize("scenario", ["parking", "brownian"])
     def test_each_process_is_counted_with_its_draws_and_buffers(
             self, force_jobs, scenario):
-        # Four jobs a phase hold three more sets of one learner's draws and
-        # the reused buffers than one job does; the buffers bound the traced
-        # peak of the search pass and of a one-trial played pass.
+        # Four jobs a phase: phase 1 runs the search pass here and cuts the
+        # learners into jobs of their own, phase 2 cuts the trials into
+        # four. Against one job, a study of one config holds three more sets
+        # of the reused buffers, and a study of three configs two more
+        # learners' draws as well; the buffers bound the traced peak of the
+        # search pass and of a one-trial played pass.
         config = ExperimentConfig(scenario=scenario, horizon=100, trials=10)
-        force_jobs(1)
-        one = harness._check_sizes(config.horizon, [config])
-        force_jobs(4)
-        four = harness._check_sizes(config.horizon, [config])
-        draws = harness._DRAW_BYTES * (learner._BLOCK
-                                       + config.trials * (1 + config.samples))
-        assert four - one == 3 * (draws + harness._BUFFER_BYTES)
+        study = [dataclasses.replace(config, samples=n) for n in (8, 16, 24)]
+        sizes = {}
+        for jobs in (1, 4):
+            force_jobs(jobs)
+            sizes[jobs] = [harness._check_sizes(config.horizon, configs)
+                           for configs in ([config], study)]
+        draws = harness._DRAW_BYTES * (learner._BLOCK + config.trials * (1 + 24))
+        assert sizes[4][0] - sizes[1][0] == 3 * harness._BUFFER_BYTES
+        assert sizes[4][1] - sizes[1][1] == 2 * draws + 3 * harness._BUFFER_BYTES
         scenario = build_scenario(config)
         xs = oracle.action_grid(scenario.region, harness.ORACLE_ACTIONS)
         levels = oracle._mid_quantiles(harness.ORACLE_LEVELS)
@@ -1275,13 +1305,37 @@ class TestForkedRuns:
             out = tmp_path / f"jobs{jobs}"
             assert cli.main([*argv, *FORK_RUN, "--out", str(out / "x")]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        # Each run forks phase 1, its learners and the search pass as one
-        # task each, then the played pass's trials, then the trial files.
-        tasks = 2 if argv == ["run"] else 3
+        # Each run forks phase 1, the search pass as job 0 and its learners
+        # cut across the usable CPUs, then the played pass's trials, then
+        # the trial files; on one CPU phase 1 is one job.
+        learners = 1 if argv == ["run"] else 2
         assert job_counts == [n for jobs in (1, 2, 3)
-                              for n in (min(jobs, tasks), jobs, jobs)]
+                              for n in (1 if jobs == 1 else 1 + min(jobs, learners),
+                                        jobs, jobs)]
         assert len(outputs[0]) == (6 if argv == ["run"] else 13)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("argv", [["run"], ["ablate", "--counts", "2,4,6"]],
+                             ids=["run", "ablate"])
+    def test_no_learner_runs_in_the_clis_process(self, tmp_path, monkeypatch,
+                                                 force_jobs, argv):
+        # On two usable CPUs the search pass runs here and every learner in a
+        # forked job: each call of the learner appends its process id to a
+        # file, which a child's list could not carry back.
+        force_jobs(2)
+        pids = tmp_path / "pids"
+        run_trials = learner.run_trials
+
+        def recorded(*args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return run_trials(*args)
+
+        monkeypatch.setattr(learner, "run_trials", recorded)
+        assert cli.main([*argv, *FORK_RUN, "--out", str(tmp_path / "x")]) == 0
+        called = pids.read_text().split()
+        assert len(called) == (3 if argv[0] == "ablate" else 1)
+        assert str(os.getpid()) not in called
 
     @pytest.mark.parametrize("target, fail, code, message", [
         ("cost", bad_value, 1, "configuration error: bad value in a worker"),
@@ -1365,7 +1419,8 @@ class TestForkedRuns:
                                                  counts):
         # Two usable CPUs and any work forks; yet a config fault exits 1
         # with no fork made, and each count's requirement violation is
-        # logged once, in count order. The spy counts the children forked.
+        # logged once, in count order. The spy counts the children forked:
+        # two learner jobs in phase 1, and one each in the later phases.
         (tmp_path / "exp.cfg").write_text(text)
         script = (
             USABLE_CPUS.format(2) +
@@ -1379,7 +1434,7 @@ class TestForkedRuns:
         proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                               env=env, capture_output=True, text=True, check=True)
         forked = code == 0
-        assert proc.stdout.splitlines()[-1] == f"{code} {3 if forked else 0}"
+        assert proc.stdout.splitlines()[-1] == f"{code} {4 if forked else 0}"
         warnings = [line.split(":")[0] for line in proc.stderr.splitlines()
                     if "sampling requirement" in line]
         assert warnings == [f"WARNING sampling requirement violated for n={n}"

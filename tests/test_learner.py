@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import re
@@ -13,7 +12,7 @@ from cvarlearn._pcg64 import Stream
 from cvarlearn.environment import (BrownianSeq, UniformSeq, constant_uniform,
                                    parking_noise)
 from cvarlearn.harness import ExperimentConfig, build_scenario
-from cvarlearn.learner import LearnerConfig, Trace, _draws, run_trials
+from cvarlearn.learner import LearnerConfig, _draws, run_trials
 from cvarlearn.risk import cvar_of_values
 from cvarlearn.schedule import batch_epoch, inverse_epoch_rates, polynomial_counts
 
@@ -49,6 +48,12 @@ def step_costs(trace, config, cost, noise, seeds):
         assert np.array_equal(cvar_of_values(costs[-1], config.alpha),
                               trace.cvar_estimate[:, s])
     return costs
+
+
+#: The trace's ten columns, stored and derived, in the order of the fields
+#: that a trace held before ``x_hat`` and ``gradient`` became properties.
+COLUMNS = ("t", "batch", "epoch", "n_samples", "eta", "x", "u", "x_hat",
+           "cvar_estimate", "gradient")
 
 
 ZERO_COST = CostModel(fn=lambda x, xi: 0.0 * x + 0.0 * xi, bound=1.0, lipschitz=1.0)
@@ -111,8 +116,8 @@ def test_a_run_steps_through_every_step_of_its_noise(scenario, horizon):
     scen = build_scenario(ExperimentConfig(scenario=scenario, horizon=horizon))
     trace = run_trials(make_config(), scen.cost, scen.noise, scen.region, [0, 1, 2])
     assert np.array_equal(trace.t, np.arange(1, horizon + 1))
-    for field in dataclasses.fields(Trace):
-        column = getattr(trace, field.name)
+    for name in COLUMNS:
+        column = getattr(trace, name)
         assert column.shape == ((horizon,) if column.ndim == 1 else (3, horizon))
 
 
@@ -308,9 +313,33 @@ class TestLockstep:
                 assert np.array_equal(both[i], one[0])
 
 
+def test_derived_columns_equal_the_learners_step_expressions():
+    # The played actions and gradients are made at each access from the
+    # stored columns; every step's have the bits of the learner's own
+    # expressions, x + delta * u and (1/delta) * C * u with u a float64
+    # sign, for the whole trace and for each trial's rows alone.
+    region, cost, noise, config = LOCKSTEP_CASES["polynomial"]()
+    trace = run_trials(config, cost, noise, region, [5, 6, 7])
+    assert trace.u.dtype == np.int8 and set(np.unique(trace.u)) == {-1, 1}
+    assert trace.delta == config.delta
+    x_hat, gradient = trace.x_hat, trace.gradient
+    assert trace.x_hat is not x_hat  # a new array at each access
+    inv_delta = 1.0 / config.delta
+    for s in range(trace.t.size):
+        u = np.where(trace.u[:, s] > 0, 1.0, -1.0)
+        assert x_hat[:, s].tobytes() == (trace.x[:, s] + config.delta * u).tobytes()
+        assert gradient[:, s].tobytes() == (
+            inv_delta * trace.cvar_estimate[:, s] * u).tobytes()
+    for i in range(3):
+        row = trace.rows(i)
+        assert row.x_hat.tobytes() == x_hat[i].tobytes()
+        assert row.gradient.tobytes() == gradient[i].tobytes()
+
+
 # sha256 of the "polynomial" case's trace over seeds 5, 6 and 7: the dtype
 # and bytes of every column, recorded from the per-epoch strategy classes
-# that the schedule columns replaced.
+# that the schedule columns replaced, when every column was a stored field
+# and the directions were float64.
 POLYNOMIAL_TRACE_SHA256 = (
     "9b86eec89d8a5137782208c35f23a7651bb5faf2c6e3ab84a030b7b841917c16")
 
@@ -318,9 +347,11 @@ POLYNOMIAL_TRACE_SHA256 = (
 def test_polynomial_counts_and_inverse_rates_trace_is_pinned():
     region, cost, noise, config = LOCKSTEP_CASES["polynomial"]()
     trace = run_trials(config, cost, noise, region, [5, 6, 7])
+    assert trace.u.dtype == np.int8
     digest = hashlib.sha256()
-    for field in dataclasses.fields(Trace):
-        column = getattr(trace, field.name)
+    for name in COLUMNS:
+        column = getattr(trace, name)
+        column = column.astype(float) if name == "u" else column
         digest.update(column.dtype.str.encode())
         digest.update(column.tobytes())
     assert digest.hexdigest() == POLYNOMIAL_TRACE_SHA256
@@ -387,6 +418,22 @@ class TestDraws:
             tracemalloc.stop()
         assert peak <= harness._DRAW_BYTES * learner._BLOCK
 
+    def test_a_gaussian_block_is_within_the_size_checks_bytes(self):
+        # Two full blocks of ten trials of 24 samples on Gaussian noise,
+        # whose quantiles make the most temporaries of any family.
+        steps = 2 * learner._BLOCK // (10 * 25)
+        noise = BrownianSeq(steps, 1e-4)
+        Stream(0).random(1)  # the table that every stream shares, built once
+        tracemalloc.start()
+        try:
+            for _ in _draws([Stream(seed) for seed in range(10)],
+                            np.full(steps, 24), noise):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness._DRAW_BYTES * learner._BLOCK
+
     @pytest.mark.parametrize("block", [1, 100, 2 ** 62],
                              ids=["step", "hundred", "stream"])
     @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
@@ -400,9 +447,9 @@ class TestDraws:
         reference = run_trials(config, cost, noise, region, seeds)
         monkeypatch.setattr(learner, "_BLOCK", block)
         trace = run_trials(config, cost, noise, region, seeds)
-        for field in dataclasses.fields(Trace):
-            assert np.array_equal(getattr(trace, field.name),
-                                  getattr(reference, field.name)), field.name
+        assert trace.delta == reference.delta
+        for name in COLUMNS:
+            assert np.array_equal(getattr(trace, name), getattr(reference, name)), name
         step_costs(trace, config, cost, noise, seeds)
 
 

@@ -601,6 +601,31 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=float).tobytes()
 
 
+def test_running_sums_equal_the_step_by_step_sums():
+    # The report keeps the played CVaRs; its running sums, made at each
+    # access, add each step to the sum of the steps before, bit for bit,
+    # for the whole report, for each trial's rows alone and at the last step.
+    rng = np.random.default_rng(60)
+    played = rng.uniform(0.0, 1.0, (4, 300))
+    x_star, c_star = rng.uniform(0.0, 1.0, (2, 300))
+    report = oracle._report(played, (x_star, c_star))
+    assert [f.name for f in dataclasses.fields(RegretReport)] == [
+        "played_cvar", "optimal_cvar", "optimal_actions"]
+    regret, loss = np.empty_like(played), np.empty_like(played)
+    regret[:, 0], loss[:, 0] = played[:, 0] - c_star[0], played[:, 0]
+    for s in range(1, 300):
+        regret[:, s] = regret[:, s - 1] + (played[:, s] - c_star[s])
+        loss[:, s] = loss[:, s - 1] + played[:, s]
+    assert bits(report.cumulative_regret) == bits(regret)
+    assert bits(report.accumulated_loss) == bits(loss)
+    for i in range(4):
+        assert bits(report.rows(i).cumulative_regret) == bits(regret[i])
+        assert bits(report.rows(i).accumulated_loss) == bits(loss[i])
+    finals = report.finals()
+    assert bits(finals[0]) == bits(regret[:, -1])
+    assert bits(finals[1]) == bits(loss[:, -1])
+
+
 class TestPointMassSteps:
     @pytest.mark.parametrize("grid_n", [1000, 2000, 10_000])
     @pytest.mark.parametrize("alpha", [1e-4, 0.3, 0.5, 1.0],
